@@ -10,10 +10,15 @@ The built-in procedure decides conjunctions of:
 It is a standard two-layer design: a splitting layer reduces formulas to
 conjunctions of literals, and an exact-rational simplex (general simplex with
 infinitesimals for strict bounds, plus branch-and-bound for integer-sorted
-atoms) decides each conjunction.  Non-linear atoms (general products, modulo,
-bitwise operations) are treated as uninterpreted, so "unsat" answers remain
-sound; queries whose verdict would depend on their semantics come back
-``unknown`` unless an external SMT backend is configured.
+atoms) decides each conjunction.  Each query builds its own tableau, but from
+literals its ``Solver`` prepared once: the first time a Solver sees a linear
+form it records the form's column or slack row and its bounds, and the first
+time it splits a negated comparison it records the rewrite.
+
+Non-linear atoms (general products, modulo, bitwise operations) are treated
+as uninterpreted, so "unsat" answers remain sound; queries whose verdict
+would depend on their semantics come back ``unknown`` unless an external SMT
+backend is configured.
 
 ``unknown`` is never treated as success by callers: the verifier turns it
 into a verification failure tagged ``incomplete-solver``.
@@ -26,7 +31,7 @@ import subprocess
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil, floor
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from . import terms
 from .terms import Term
@@ -75,17 +80,59 @@ class Delta:
     def __lt__(self, o: "Delta") -> bool:
         return (self.real, self.eps) < (o.real, o.eps)
 
-    def __le__(self, o: "Delta") -> bool:
-        return (self.real, self.eps) <= (o.real, o.eps)
-
-    def __eq__(self, o) -> bool:
-        return isinstance(o, Delta) and (self.real, self.eps) == (o.real, o.eps)
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"{self.real}{'+' if self.eps >= 0 else ''}{self.eps}e"
 
 
-_D0 = Delta(Fraction(0))
+_F0 = Fraction(0)
+_D0 = Delta(_F0)
+
+
+# ---------------------------------------------------------------------------
+# Compiled literals: what the simplex needs of a linear form
+# ---------------------------------------------------------------------------
+#
+# A literal ``lin kind 0`` (kind one of eq0, le0, lt0) constrains one simplex
+# variable v:  ``v kind bound``, with the direction reversed when ``flip``.
+# v is the column of ``atom`` for a single-atom form, the slack row of
+# ``pairs`` for a longer one, and the constant 0 when the form has no atoms.
+# A Solver compiles each linear form once, on first sight.  ``pairs`` are the
+# row's (atom, coefficient) pairs in tid order and ``key`` identifies the row
+# (ints only, so it hashes fast); ``bound`` and ``strict`` are the bounds of
+# the non-strict and of the strict literal.
+
+
+class _Compiled(NamedTuple):
+    atom: Optional[Term]        # single-atom form
+    pairs: tuple                # multi-atom form: the slack row
+    key: Optional[tuple]
+    bound: Delta
+    strict: Delta
+    flip: bool
+    opaque: bool                # mentions a non-linear atom
+
+
+def _compile(lin: Term) -> _Compiled:
+    const, coeffs = terms.linear_parts(lin)
+    opaque = any(a.kind in terms.OPAQUE_KINDS for a in coeffs)
+    if len(coeffs) == 1:
+        (atom, c), = coeffs.items()
+        flip = c < 0
+        bound = -const / c
+        return _Compiled(atom, (), None, Delta(bound),
+                         Delta(bound, Fraction(1) if flip else Fraction(-1)),
+                         flip, opaque)
+    pairs = tuple(coeffs.items())
+    key = tuple(n for a, c in pairs for n in (a.tid, c.numerator, c.denominator))
+    return _Compiled(None, pairs, key, Delta(-const), Delta(-const, Fraction(-1)),
+                     False, opaque)
+
+
+def _compiled(table: dict[int, _Compiled], lin: Term) -> _Compiled:
+    entry = table.get(lin.tid)
+    if entry is None:
+        entry = table[lin.tid] = _compile(lin)
+    return entry
 
 
 # ---------------------------------------------------------------------------
@@ -93,16 +140,17 @@ _D0 = Delta(Fraction(0))
 # ---------------------------------------------------------------------------
 
 class _Simplex:
-    """General simplex (Dutertre/de Moura style), rebuilt per query.
+    """General simplex (Dutertre/de Moura style) for one conjunction.
 
-    Atoms of the input literals become columns; each distinct linear form
-    becomes a slack row.  Strict bounds use the infinitesimal component.
+    Each query (and each branch-and-bound node) builds its own tableau from
+    compiled literals.  Atoms become columns; each distinct multi-atom linear
+    form becomes a slack row.  Strict bounds use the infinitesimal component.
+    Every variable is 0 until ``check`` moves the nonbasics to their bounds.
     """
 
     def __init__(self):
         self.cols: dict[Term, int] = {}        # atom -> var index
-        self.int_vars: set[int] = set()
-        self.rows: dict[tuple, int] = {}       # canonical form -> var index
+        self.rows: dict[tuple, int] = {}       # row key -> var index
         self.tableau: dict[int, dict[int, Fraction]] = {}
         self.lower: dict[int, Delta] = {}
         self.upper: dict[int, Delta] = {}
@@ -118,68 +166,65 @@ class _Simplex:
             idx = self.n
             self.n += 1
             self.cols[atom] = idx
-            if atom.sort == terms.INT:
-                self.int_vars.add(idx)
             self.nonbasic.add(idx)
             self.assign[idx] = _D0
         return idx
 
-    def _slack(self, coeffs: dict[Term, Fraction]) -> int:
-        key = tuple(sorted((a.tid, c) for a, c in coeffs.items()))
+    def _slack(self, key: tuple, pairs: tuple) -> int:
         idx = self.rows.get(key)
         if idx is None:
-            row = {self._var(a): c for a, c in coeffs.items()}
+            row = {self._var(a): c for a, c in pairs}
             idx = self.n
             self.n += 1
             self.rows[key] = idx
             self.tableau[idx] = row
             self.basic.add(idx)
-            self.assign[idx] = self._row_value(row)
+            self.assign[idx] = _D0
         return idx
 
     def _row_value(self, row: dict[int, Fraction]) -> Delta:
-        v = _D0
+        real = eps = _F0
+        assign = self.assign
         for x, c in row.items():
-            v = v + self.assign[x].scaled(c)
-        return v
+            v = assign[x]
+            if v.real:
+                real += c * v.real
+            if v.eps:
+                eps += c * v.eps
+        return Delta(real, eps)
 
-    def add_literal(self, kind: str, lin: Term) -> None:
-        const, coeffs = terms.linear_parts(lin)
-        if not coeffs:
-            ok = const == 0 if kind == "eq0" else const <= 0 if kind == "le0" else const < 0
-            if not ok:
+    def add_literal(self, kind: str, lit: _Compiled) -> None:
+        atom, pairs, key, bound, strict, flip, _ = lit
+        if atom is not None:
+            x = self._var(atom)
+        elif pairs:
+            x = self._slack(key, pairs)
+        else:
+            zero = bound.real
+            if not (zero == 0 if kind == "eq0" else zero >= 0 if kind == "le0" else zero > 0):
                 self.conflict = True
             return
-        if len(coeffs) == 1:
-            (atom, c), = coeffs.items()
-            x = self._var(atom)
-            bound = Delta(-const / c)
-            flip = c < 0
-        else:
-            x = self._slack(coeffs)
-            bound = Delta(-const)
-            flip = False
         if kind == "eq0":
             self._tighten(x, bound, upper=True)
             self._tighten(x, bound, upper=False)
-        elif kind == "le0":
-            self._tighten(x, bound, upper=not flip)
-        else:  # lt0
-            b = Delta(bound.real, Fraction(-1) if not flip else Fraction(1))
-            self._tighten(x, b, upper=not flip)
+        else:
+            self._tighten(x, bound if kind == "le0" else strict, upper=not flip)
 
     def _tighten(self, x: int, b: Delta, upper: bool) -> None:
         if upper:
             cur = self.upper.get(x)
             if cur is None or b < cur:
                 self.upper[x] = b
+                lo = self.lower.get(x)
+                if lo is not None and b < lo:
+                    self.conflict = True
         else:
             cur = self.lower.get(x)
             if cur is None or cur < b:
                 self.lower[x] = b
-        lo, hi = self.lower.get(x), self.upper.get(x)
-        if lo is not None and hi is not None and hi < lo:
-            self.conflict = True
+                hi = self.upper.get(x)
+                if hi is not None and hi < b:
+                    self.conflict = True
 
     # -- core algorithm ----------------------------------------------------
 
@@ -192,14 +237,6 @@ class _Simplex:
             if hi is not None and hi < v:
                 return x, False
         return None
-
-    def _update_nonbasic(self, x: int, v: Delta) -> None:
-        dv = v - self.assign[x]
-        self.assign[x] = v
-        for b in self.basic:
-            c = self.tableau[b].get(x)
-            if c:
-                self.assign[b] = self.assign[b] + dv.scaled(c)
 
     def _pivot(self, b: int, nb: int) -> None:
         row = self.tableau.pop(b)
@@ -215,8 +252,11 @@ class _Simplex:
             k = other.pop(nb, None)
             if k:
                 for x, c2 in new_row.items():
-                    other[x] = other.get(x, Fraction(0)) + k * c2
-                    if other[x] == 0:
+                    prev = other.get(x)
+                    v = k * c2 if prev is None else prev + k * c2
+                    if v:
+                        other[x] = v
+                    else:
                         del other[x]
         self.basic.remove(b)
         self.basic.add(nb)
@@ -226,12 +266,14 @@ class _Simplex:
     def check(self) -> str:
         if self.conflict:
             return UNSAT
-        # initialise nonbasics to a bound if they have one
-        for x in list(self.nonbasic):
-            lo, hi = self.lower.get(x), self.upper.get(x)
-            v = lo if lo is not None else hi if hi is not None else _D0
-            if v is not None and self.assign[x] != v:
-                self._update_nonbasic(x, v)
+        # start: every bounded nonbasic at a bound, each basic at its row's value
+        for x in self.nonbasic:
+            lo = self.lower.get(x)
+            v = lo if lo is not None else self.upper.get(x)
+            if v is not None:
+                self.assign[x] = v
+        for b in self.basic:
+            self.assign[b] = self._row_value(self.tableau[b])
         steps = 0
         while True:
             steps += 1
@@ -298,14 +340,16 @@ class _Simplex:
         return out
 
 
-def _check_linear(literals: list[tuple[str, Term]], depth: int = 0):
-    """Decide a conjunction of linear literals.
+def _check_linear(literals: list[tuple[str, _Compiled]],
+                  compiled: dict[int, _Compiled], depth: int = 0):
+    """Decide a conjunction of compiled linear literals.
 
-    Returns (SAT, model) / (UNSAT, None) / (UNKNOWN, None).
+    ``compiled`` is the Solver's table; branch-and-bound literals go through
+    it too.  Returns (SAT, model) / (UNSAT, None) / (UNKNOWN, None).
     """
     sx = _Simplex()
-    for kind, lin in literals:
-        sx.add_literal(kind, lin)
+    for kind, lit in literals:
+        sx.add_literal(kind, lit)
     res = sx.check()
     if res != SAT:
         return res, None
@@ -314,12 +358,14 @@ def _check_linear(literals: list[tuple[str, Term]], depth: int = 0):
         if atom.sort == terms.INT and val.denominator != 1:
             if depth >= _BRANCH_DEPTH_CAP:
                 return UNKNOWN, None
-            lo = literals + [("le0", terms.sub(atom, terms.mk_int(floor(val))))]
-            r, m = _check_linear(lo, depth + 1)
+            lin = terms.sub(atom, terms.mk_int(floor(val)))
+            lo = literals + [("le0", _compiled(compiled, lin))]
+            r, m = _check_linear(lo, compiled, depth + 1)
             if r == SAT:
                 return r, m
-            hi = literals + [("le0", terms.sub(terms.mk_int(ceil(val)), atom))]
-            r2, m2 = _check_linear(hi, depth + 1)
+            lin = terms.sub(terms.mk_int(ceil(val)), atom)
+            hi = literals + [("le0", _compiled(compiled, lin))]
+            r2, m2 = _check_linear(hi, compiled, depth + 1)
             if r2 == SAT:
                 return r2, m2
             if r == UNKNOWN or r2 == UNKNOWN:
@@ -334,7 +380,7 @@ def _check_linear(literals: list[tuple[str, Term]], depth: int = 0):
 
 @dataclass
 class _Case:
-    linear: list[tuple[str, Term]] = field(default_factory=list)
+    linear: list[tuple[str, _Compiled]] = field(default_factory=list)
     bools: dict[Term, bool] = field(default_factory=dict)
     opaque: bool = False
 
@@ -361,8 +407,28 @@ def _collect_set_defs(facts: Iterable[Term]) -> dict[Term, Term]:
     return defs
 
 
-def _split(facts: list[Term]):
-    """Yield literal cases; raises _CapExceeded if the split blows up."""
+def _negation(g: Term) -> Term:
+    """The rewrite of ``not g`` for a comparison or a conjunction."""
+    gk = g.kind
+    if gk == "eq0":
+        return terms.or_(
+            terms._cmp("lt0", g.args[0]),
+            terms._cmp("lt0", terms.neg(g.args[0])),
+        )
+    if gk == "le0":
+        return terms._cmp("lt0", terms.neg(g.args[0]))
+    if gk == "lt0":
+        return terms._cmp("le0", terms.neg(g.args[0]))
+    return terms.or_(*[terms.not_(a) for a in g.args])
+
+
+def _split(facts: list[Term], compiled: dict[int, _Compiled],
+           negated: dict[int, Term]):
+    """Yield literal cases; raises _CapExceeded if the split blows up.
+
+    ``compiled`` and ``negated`` are the Solver's tables of compiled linear
+    forms and of rewritten negations, both keyed by term id.
+    """
     produced = 0
     stack: list[tuple[list[Term], _Case]] = [(list(facts), _Case())]
     while stack:
@@ -391,17 +457,11 @@ def _split(facts: list[Term]):
             elif k == "not":
                 g = f.args[0]
                 gk = g.kind
-                if gk == "eq0":
-                    todo.append(terms.or_(
-                        terms._cmp("lt0", g.args[0]),
-                        terms._cmp("lt0", terms.neg(g.args[0])),
-                    ))
-                elif gk == "le0":
-                    todo.append(terms._cmp("lt0", terms.neg(g.args[0])))
-                elif gk == "lt0":
-                    todo.append(terms._cmp("le0", terms.neg(g.args[0])))
-                elif gk == "and":
-                    todo.append(terms.or_(*[terms.not_(a) for a in g.args]))
+                if gk in ("eq0", "le0", "lt0", "and"):
+                    r = negated.get(g.tid)
+                    if r is None:
+                        r = negated[g.tid] = _negation(g)
+                    todo.append(r)
                 elif gk == "or":
                     todo.extend(terms.not_(a) for a in g.args)
                 else:
@@ -413,10 +473,10 @@ def _split(facts: list[Term]):
                     if gk not in ("var", "eqref", "inset", "seteq"):
                         case.opaque = True
             elif k in ("eq0", "le0", "lt0"):
-                lin = f.args[0]
-                if any(a.kind in terms.OPAQUE_KINDS for a in terms.linear_parts(lin)[1]):
+                lit = _compiled(compiled, f.args[0])
+                if lit.opaque:
                     case.opaque = True
-                case.linear.append((k, lin))
+                case.linear.append((k, lit))
             else:
                 prev = case.bools.get(f)
                 if prev is False:
@@ -435,15 +495,16 @@ class _CapExceeded(Exception):
     pass
 
 
-def _sat_conjunction(facts: list[Term]):
+def _sat_conjunction(facts: list[Term], compiled: dict[int, _Compiled],
+                     negated: dict[int, Term]):
     """(SAT/UNSAT/UNKNOWN, model, used_opaque)."""
     defs = _collect_set_defs(facts)
     resolved = [_resolve_sets(f, defs) for f in facts]
     any_unknown = False
     any_opaque = False
     try:
-        for case in _split(resolved):
-            res, model = _check_linear(case.linear)
+        for case in _split(resolved, compiled, negated):
+            res, model = _check_linear(case.linear, compiled)
             if res == SAT:
                 return SAT, model, case.opaque
             if res == UNKNOWN:
@@ -478,6 +539,9 @@ class Solver:
     """Entailment and feasibility queries over a path condition.
 
     Stateless apart from memoisation; safe to share across obligations.
+    Besides the verdict caches it keeps, for its own lifetime, each linear
+    form compiled for the simplex and each rewritten negation, so a fact is
+    prepared once however many queries mention it.
     """
 
     def __init__(self, config: Optional[SolverConfig] = None):
@@ -486,7 +550,12 @@ class Solver:
             raise ValueError("external backend requires a solver command")
         self._feas_cache: dict[frozenset[int], str] = {}
         self._ent_cache: dict[tuple[frozenset[int], int], Result] = {}
+        self._compiled: dict[int, _Compiled] = {}   # linear form tid -> entry
+        self._negated: dict[int, Term] = {}         # negated term tid -> rewrite
         self.queries = 0
+
+    def _sat(self, facts: list[Term]):
+        return _sat_conjunction(facts, self._compiled, self._negated)
 
     # -- feasibility -------------------------------------------------------
 
@@ -499,7 +568,7 @@ class Solver:
         if hit is not None:
             return hit
         self.queries += 1
-        res, _model, _ = _sat_conjunction(facts)
+        res, _model, _ = self._sat(facts)
         out = YES if res == SAT else NO if res == UNSAT else UNKNOWN
         if out == UNKNOWN and self.config.backend == "external":
             ext = self._external_sat(facts)
@@ -521,7 +590,7 @@ class Solver:
         if hit is not None:
             return hit
         self.queries += 1
-        res, model, opaque = _sat_conjunction(facts + [terms.not_(goal)])
+        res, model, opaque = self._sat(facts + [terms.not_(goal)])
         if res == UNSAT:
             out = Result(YES)
         elif res == SAT and not opaque:
@@ -546,7 +615,7 @@ class Solver:
         returns a Fraction or None.
         """
         facts = [f for f in path if f is not terms.TRUE]
-        res, model, _ = _sat_conjunction(facts)
+        res, model, _ = self._sat(facts)
         if res != SAT:
             return None
         const, coeffs = terms.linear_parts(term)

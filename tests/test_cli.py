@@ -35,6 +35,14 @@ def test_external_backend_needs_cmd():
                    "--backend", "external") == 2
 
 
+def strip_times(obj):
+    if isinstance(obj, dict):
+        return {k: strip_times(v) for k, v in obj.items() if k != "time_ms"}
+    if isinstance(obj, list):
+        return [strip_times(v) for v in obj]
+    return obj
+
+
 def test_json_report_deterministic(tmp_path, capsys):
     out1 = tmp_path / "r1.json"
     out2 = tmp_path / "r2.json"
@@ -43,13 +51,6 @@ def test_json_report_deterministic(tmp_path, capsys):
     assert run_cli("verify", corpus_path("RelAcqDblMsgPassSplit.rsl"),
                    "--json", str(out2)) == 0
     capsys.readouterr()
-
-    def strip_times(obj):
-        if isinstance(obj, dict):
-            return {k: strip_times(v) for k, v in obj.items() if k != "time_ms"}
-        if isinstance(obj, list):
-            return [strip_times(v) for v in obj]
-        return obj
 
     r1 = strip_times(json.loads(out1.read_text()))
     r2 = strip_times(json.loads(out2.read_text()))
@@ -107,9 +108,39 @@ def test_soundness_flag_adds_section(tmp_path, capsys):
     assert "soundness" in report
 
 
-def test_jobs_parallel_same_result(capsys):
-    assert run_cli("verify", corpus_path("RSLSpinLock.rsl"), "--jobs", "4") == 0
+def test_jobs_parallel_same_result(tmp_path, capsys):
+    # three procedures, one failing, verified by threads sharing one Solver
+    reports = []
+    for jobs in ("4", "1"):
+        out = tmp_path / f"jobs{jobs}.json"
+        assert run_cli("verify", corpus_path("RSLSpinLock_err.rsl"),
+                       "--jobs", jobs, "--json", str(out)) == 1
+        reports.append(strip_times(json.loads(out.read_text())))
     capsys.readouterr()
+    procs = reports[0]["files"][0]["procedures"]
+    assert len(procs) == 3
+    assert sorted(p["status"] for p in procs) == ["failed", "verified", "verified"]
+    assert reports[0] == reports[1]
+
+
+def test_corpus_report_matches_golden(tmp_path):
+    # A fresh process, so term ids (and with them column order and the
+    # counter-model hints) do not depend on what other tests interned first.
+    with open(MANIFEST, encoding="utf-8") as fh:
+        files = [e["file"] for e in json.load(fh)["entries"]]
+    out = tmp_path / "corpus.json"
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.abspath(src), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "weakmem.cli", "verify", *files,
+                           "--json", str(out)],
+                          cwd=CORPUS, env=env, capture_output=True, text=True)
+    assert proc.returncode == 1, proc.stderr
+    golden = os.path.join(os.path.dirname(__file__), "corpus_report.golden.json")
+    with open(golden, encoding="utf-8") as fh:
+        expected = json.load(fh)
+    assert strip_times(json.loads(out.read_text())) == expected
 
 
 # ---------------------------------------------------------------------------

@@ -260,19 +260,21 @@ exprs = st.recursive(
 
 
 @st.composite
-def assertions(draw):
-    depth = draw(st.integers(0, 2))
+def assertions(draw, max_depth=2):
+    """An assertion nested at most ``max_depth`` connectives deep."""
+    depth = draw(st.integers(0, max_depth))
     if depth == 0:
         choice = draw(st.integers(0, 1))
         if choice == 0:
             return S.APure(expr=draw(exprs))
         return S.APointsTo(loc=draw(st.sampled_from(["a", "b"])), value=draw(exprs))
     kind = draw(st.integers(0, 2))
+    sub = assertions(depth - 1)
     if kind == 0:
-        return S.AStar(parts=(draw(assertions()), draw(assertions())))
+        return S.AStar(parts=(draw(sub), draw(sub)))
     if kind == 1:
-        return S.AImplies(cond=draw(exprs), body=draw(assertions()))
-    return S.ACond(cond=draw(exprs), then=draw(assertions()), els=draw(assertions()))
+        return S.AImplies(cond=draw(exprs), body=draw(sub))
+    return S.ACond(cond=draw(exprs), then=draw(sub), els=draw(sub))
 
 
 @given(assertions(), st.integers(-3, 3))

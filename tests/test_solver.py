@@ -2,6 +2,7 @@
 
 import shutil
 import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -125,6 +126,77 @@ def test_model_value(solver):
     path = [T.eq(x, T.mk_int(41)), T.eq(y, T.add(x, T.ONE))]
     assert solver.model_value(path, y) == 42
     assert solver.model_value([T.ge(x, T.ZERO)], x) is None
+
+
+def cache_queries():
+    w1 = T.mk_var("w1", T.FRAC)
+    w2 = T.mk_var("w2", T.FRAC)
+    wildcards = [T.gt(w1, T.ZERO), T.lt(w1, T.ONE), T.gt(w2, T.ZERO), T.lt(w2, w1)]
+    parity = T.mod_(x, T.mk_int(2))
+    return [
+        ("feasible", [T.gt(x, T.ZERO), T.lt(x, T.ONE)], None),
+        ("feasible", [T.eq(T.scale(2, x), T.add(y, T.ONE)), T.ne(x, y)], None),
+        ("feasible", wildcards + [T.eq(T.add(w1, w2), T.ONE)], None),
+        ("entailed", [T.ge(x, T.mk_int(5))], T.ne(x, T.mk_int(3))),
+        ("entailed", [T.eq(x, T.ONE)], T.ne(x, T.ONE)),
+        ("entailed", [T.lt(x, y), T.lt(y, T.add(x, T.mk_int(2)))],
+         T.eq(y, T.add(x, T.ONE))),
+        ("entailed", [T.lt(x, y), T.le(T.add(x, y), T.mk_int(4))],
+         T.ne(T.add(x, y), T.mk_int(3))),
+        ("entailed", wildcards, T.lt(T.add(w1, w2), T.mk_int(2))),
+        ("entailed", wildcards, T.le(T.add(w1, w2), T.ONE)),
+        ("entailed", [T.eq(x, T.mk_int(8))], T.eq(parity, T.ZERO)),
+        ("entailed", [T.ne(parity, T.ZERO)], T.ne(x, T.ZERO)),
+    ]
+
+
+def ask(solver, query):
+    method, path, goal = query
+    if method == "feasible":
+        return solver.is_feasible(path)
+    return solver.assert_entailed(path, goal)
+
+
+def test_solver_tables_carry_no_query_state():
+    # Every answer from one long-lived Solver, asked in reverse order, equals
+    # the answer of a fresh Solver: the per-Solver tables of compiled literals
+    # and negations change how fast a query is answered, never the answer.
+    queries = cache_queries()
+    fresh = [ask(Solver(), q) for q in queries]
+    shared = Solver()
+    reused = [ask(shared, q) for q in reversed(queries)][::-1]
+    assert reused == fresh
+    verdicts = [r if isinstance(r, str) else r.verdict for r in fresh]
+    assert {YES, NO, UNKNOWN} <= set(verdicts)
+    assert any(not isinstance(r, str) and r.verdict == NO and r.hint for r in fresh)
+
+
+def test_solver_tables_shared_by_threads():
+    # `--jobs` verifies procedures on threads that share one Solver, so its
+    # tables are filled concurrently; switch threads often to interleave them.
+    queries = cache_queries()
+    expected = [ask(Solver(), q) for q in queries]
+    shared = Solver()
+    answers = {}
+
+    def worker(i):
+        order = queries[i:] + queries[:i]
+        answers[i] = [ask(shared, q) for q in order]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for i, got in answers.items():
+        assert got == expected[i:] + expected[:i]
+    assert len(answers) == 6
 
 
 # ---------------------------------------------------------------------------
