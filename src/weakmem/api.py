@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -24,7 +23,6 @@ class VerifyOptions:
     branch_cap: int = 4096
     check_soundness: bool = False
     strict_invariants: bool = False
-    jobs: int = 1
     trace: Optional[Callable] = None
 
 
@@ -145,14 +143,8 @@ def verify_source(source: str, path: str = "<input>",
                                  timeout_ms=opts.solver_timeout_ms))
     result.solver = solver
 
-    def work(proc):
-        return _verify_proc(proc, checked, table, solver, opts, result.soundness)
-
-    if opts.jobs > 1 and len(program.procedures) > 1:
-        with ThreadPoolExecutor(max_workers=opts.jobs) as pool:
-            result.verdicts = list(pool.map(work, program.procedures))
-    else:
-        result.verdicts = [work(p) for p in program.procedures]
+    result.verdicts = [_verify_proc(p, checked, table, solver, opts, result.soundness)
+                       for p in program.procedures]
     return result
 
 

@@ -18,6 +18,7 @@ from typing import Optional
 
 from . import api, encoder, frontend, speclogic, syntax
 from .api import FAILED, UNSUPPORTED, VERIFIED, VerifyOptions
+from .diagnostics import FrontendError, UnsupportedFeature
 
 SCHEMA_VERSION = 1
 
@@ -29,7 +30,6 @@ class RunConfig:
     solver_cmd: Optional[str] = None
     solver_timeout_ms: int = 10000
     branch_cap: int = 4096
-    jobs: int = 1
     trace: bool = False
     dump_primitives: bool = False
     dump_invariants: bool = False
@@ -54,8 +54,6 @@ def _make_parser() -> argparse.ArgumentParser:
         p.add_argument("--solver-cmd", help="external SMT solver command line")
         p.add_argument("--solver-timeout-ms", type=int, default=10000)
         p.add_argument("--branch-cap", type=int, default=4096)
-        p.add_argument("--jobs", type=int, default=1,
-                       help="verify procedures in parallel")
         p.add_argument("--trace", action="store_true",
                        help="stream executed primitives as JSON lines on stderr")
         p.add_argument("--check-soundness-invariants", action="store_true",
@@ -89,7 +87,7 @@ def _options(cfg: RunConfig) -> VerifyOptions:
         solver_timeout_ms=cfg.solver_timeout_ms, branch_cap=cfg.branch_cap,
         check_soundness=cfg.check_soundness,
         strict_invariants=cfg.strict_invariants,
-        jobs=cfg.jobs, trace=trace_fn)
+        trace=trace_fn)
 
 
 def _file_json(result: api.FileResult) -> dict:
@@ -157,15 +155,22 @@ def _dump(source: str, path: str, cfg: RunConfig, out) -> Optional[int]:
         for d in checked.diagnostics:
             print(f"{path}: {d.format()}", file=sys.stderr)
         return 1
-    table = speclogic.build_invariant_table(checked)
-    if cfg.dump_invariants:
-        json.dump(table.to_json(), out, indent=2, sort_keys=True)
-        out.write("\n")
-    if cfg.dump_primitives:
-        obligations = []
-        for proc in program.procedures:
-            obligations.extend(encoder.build_obligations(checked, table, proc))
-        out.write(encoder.dump_primitives(obligations, table))
+    try:
+        table = speclogic.build_invariant_table(checked)
+        if cfg.dump_invariants:
+            json.dump(table.to_json(), out, indent=2, sort_keys=True)
+            out.write("\n")
+        if cfg.dump_primitives:
+            obligations = []
+            for proc in program.procedures:
+                obligations.extend(encoder.build_obligations(checked, table, proc))
+            out.write(encoder.dump_primitives(obligations, table))
+    except UnsupportedFeature as exc:
+        print(f"{path}: unsupported: {exc.reason}", file=sys.stderr)
+        return 1
+    except FrontendError as exc:
+        print(f"{path}: {exc.diagnostic.format()}", file=sys.stderr)
+        return 1
     return None
 
 
@@ -336,7 +341,6 @@ def main(argv: Optional[list] = None) -> int:
         solver_cmd=args.solver_cmd,
         solver_timeout_ms=args.solver_timeout_ms,
         branch_cap=args.branch_cap,
-        jobs=args.jobs,
         trace=args.trace,
         dump_primitives=getattr(args, "dump_primitives", False),
         dump_invariants=getattr(args, "dump_invariants", False),

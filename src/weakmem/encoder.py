@@ -208,6 +208,7 @@ class EncodeCtx:
         self.proc_name = proc_name
         self.classes = checked.info[proc_name].classes
         self.lower_ctx = LowerCtx(table, self.classes)
+        self.invariants = {d.name: d for d in self.program.invariants}
         self.solver = solver
         self._fresh = 0
         self.extra_obligations: list[Obligation] = []
@@ -640,31 +641,9 @@ def _used_vars(stmts: list) -> set[str]:
     return out
 
 
-def _deep_assertion_vars(a: S.Assertion, ctx: EncodeCtx,
-                         seen: frozenset = frozenset()) -> set[str]:
-    out = S.assertion_vars(a)
-    stack = [a]
-    while stack:
-        x = stack.pop()
-        if isinstance(x, (S.AAcq, S.ARel, S.ARMWAcq)):
-            for name in x.inv:
-                if name not in seen:
-                    decl = next((d for d in ctx.program.invariants if d.name == name), None)
-                    if decl is not None:
-                        out |= _deep_assertion_vars(decl.body, ctx, seen | {name})
-        elif isinstance(x, S.AStar):
-            stack.extend(x.parts)
-        elif isinstance(x, S.AImplies):
-            stack.append(x.body)
-        elif isinstance(x, S.ACond):
-            stack.extend([x.then, x.els])
-        elif isinstance(x, (S.AUp, S.ADown)):
-            stack.append(x.body)
-    return out
-
-
 def _thread_obligation(name: str, th: S.Thread, ctx: EncodeCtx) -> Obligation:
-    free = _deep_assertion_vars(th.pre, ctx) | _deep_assertion_vars(th.post, ctx)
+    free = S.deep_assertion_vars(th.pre, ctx.invariants)
+    free |= S.deep_assertion_vars(th.post, ctx.invariants)
     free |= _used_vars(th.body)
     setup: list = [HavocVar(v, th.span) for v in sorted(free)]
     setup.append(Inhale(ctx.lower(th.pre), "thread precondition", th.span))
@@ -700,7 +679,7 @@ def _call(st: S.SCall, ctx: EncodeCtx) -> list:
         for p, t in zip(callee.returns, ret_targets):
             mapping[p.name] = S.EVar(t)
     bound = {p.name for p in callee.params} | {p.name for p in callee.returns}
-    logical = sorted(_deep_assertion_vars(callee.pre, ctx) - bound)
+    logical = sorted(S.deep_assertion_vars(callee.pre, ctx.invariants) - bound)
     fresh_logical = {v: S.EVar(ctx.fresh("log")) for v in logical}
     mapping.update(fresh_logical)
     try:
@@ -746,7 +725,8 @@ def build_obligations(checked: CheckedProgram, table: InvariantTable,
                       proc: S.Procedure, solver=None) -> list[Obligation]:
     """Encode one procedure: its own obligation plus one per forked thread."""
     ctx = EncodeCtx(checked, table, proc.name, solver)
-    free = _deep_assertion_vars(proc.pre, ctx) | _deep_assertion_vars(proc.post, ctx)
+    free = S.deep_assertion_vars(proc.pre, ctx.invariants)
+    free |= S.deep_assertion_vars(proc.post, ctx.invariants)
     free |= _used_vars(proc.body)
     free |= {p.name for p in proc.params} | {p.name for p in proc.returns}
     setup: list = [HavocVar(v, proc.span) for v in sorted(free)]

@@ -827,6 +827,10 @@ def parse(source: str) -> tuple[S.Program, list[Diagnostic]]:
 
 _ALLOC_TAGS = {"alloc_na": NA, "alloc_acq": ACQ, "alloc_rmw": RMW, "alloc_ghost": GHOST}
 
+# use tag of the location named by each location assertion
+_LOC_USE = {S.APointsTo: "owns", S.AUninit: "owns", S.AInit: "atomic_use",
+            S.AAcq: "acq_use", S.ARel: "atomic_use", S.ARMWAcq: "rmw_use"}
+
 
 @dataclass
 class _Evidence:
@@ -944,36 +948,18 @@ class _Classifier:
                 E(v).add_use("int_use", span)
 
         def assertion_use(a: S.Assertion, span: Span, seen_invs: frozenset = frozenset()) -> None:
-            if isinstance(a, S.APure):
-                expr_use(a.expr, span)
-            elif isinstance(a, S.APointsTo):
-                E(a.loc).add_use("owns", a.span or span)
-                expr_use(a.value, span)
-            elif isinstance(a, S.AStar):
-                for p in a.parts:
-                    assertion_use(p, span, seen_invs)
-            elif isinstance(a, S.AImplies):
-                expr_use(a.cond, span)
-                assertion_use(a.body, span, seen_invs)
-            elif isinstance(a, S.ACond):
-                expr_use(a.cond, span)
-                assertion_use(a.then, span, seen_invs)
-                assertion_use(a.els, span, seen_invs)
-            elif isinstance(a, S.AUninit):
-                E(a.loc).add_use("owns", a.span or span)
-            elif isinstance(a, S.AInit):
-                E(a.loc).add_use("atomic_use", a.span or span)
-            elif isinstance(a, S.AAcq):
-                E(a.loc).add_use("acq_use", a.span or span)
-                inv_use(a.inv, span, seen_invs)
-            elif isinstance(a, S.ARel):
-                E(a.loc).add_use("atomic_use", a.span or span)
-                inv_use(a.inv, span, seen_invs)
-            elif isinstance(a, S.ARMWAcq):
-                E(a.loc).add_use("rmw_use", a.span or span)
-                inv_use(a.inv, span, seen_invs)
-            elif isinstance(a, (S.AUp, S.ADown)):
-                assertion_use(a.body, span, seen_invs)
+            for x in S.walk_assertion(a):
+                tag = _LOC_USE.get(type(x))
+                if tag:
+                    E(x.loc).add_use(tag, x.span or span)
+                if isinstance(x, S.APure):
+                    expr_use(x.expr, span)
+                elif isinstance(x, S.APointsTo):
+                    expr_use(x.value, span)
+                elif isinstance(x, (S.AImplies, S.ACond)):
+                    expr_use(x.cond, span)
+                elif isinstance(x, (S.AAcq, S.ARel, S.ARMWAcq)):
+                    inv_use(x.inv, span, seen_invs)
 
         def inv_use(inv: S.InvRef, span: Span, seen: frozenset) -> None:
             for name in inv:
@@ -1131,11 +1117,11 @@ class _Classifier:
         declared.update(S.assigned_vars(proc.body))
         # logical variables bound by a precondition are in scope
         if proc.pre is not None:
-            declared |= self._free_deep(proc.pre)
+            declared |= S.deep_assertion_vars(proc.pre, self.inv_by_name)
         for st in S.walk_stmts(proc.body):
             if isinstance(st, S.SPar):
                 for th in st.threads:
-                    declared |= self._free_deep(th.pre)
+                    declared |= S.deep_assertion_vars(th.pre, self.inv_by_name)
         return declared
 
     def _check_declared(self, proc: S.Procedure, pi: ProcInfo) -> None:
@@ -1148,40 +1134,13 @@ class _Classifier:
                 SYNTAX_ERROR, proc.span, rule="well-formedness",
                 message=f"variable {v!r} used in {proc.name!r} but never declared"))
 
-    def _free_deep(self, a: S.Assertion, seen: frozenset = frozenset()) -> set[str]:
-        out = S.assertion_vars(a)
-        for node_inv in self._inv_refs(a):
-            for name in node_inv:
-                if name in seen or name not in self.inv_by_name:
-                    continue
-                out |= self._free_deep(self.inv_by_name[name].body, seen | {name})
-        return out
-
-    @staticmethod
-    def _inv_refs(a: S.Assertion) -> list[S.InvRef]:
-        out = []
-        stack = [a]
-        while stack:
-            x = stack.pop()
-            if isinstance(x, (S.AAcq, S.ARel, S.ARMWAcq)):
-                out.append(x.inv)
-            elif isinstance(x, S.AStar):
-                stack.extend(x.parts)
-            elif isinstance(x, S.AImplies):
-                stack.append(x.body)
-            elif isinstance(x, S.ACond):
-                stack.extend([x.then, x.els])
-            elif isinstance(x, (S.AUp, S.ADown)):
-                stack.append(x.body)
-        return out
-
     def _check_posts(self) -> None:
         for proc in self.program.procedures:
             if proc.pre is None or proc.post is None:
                 continue
             allowed = {p.name for p in proc.params} | {p.name for p in proc.returns}
-            allowed |= self._free_deep(proc.pre)
-            extra = sorted(self._free_deep(proc.post) - allowed)
+            allowed |= S.deep_assertion_vars(proc.pre, self.inv_by_name)
+            extra = sorted(S.deep_assertion_vars(proc.post, self.inv_by_name) - allowed)
             if extra:
                 self.diags.append(Diagnostic(
                     SYNTAX_ERROR, proc.span, rule="well-formedness",
@@ -1191,14 +1150,13 @@ class _Classifier:
 
     def _check_fractions(self) -> None:
         def walk(a: S.Assertion, span: Span) -> None:
-            if isinstance(a, S.APointsTo) and a.frac is not None:
-                k = const_fraction(a.frac)
-                if k is not None and not (0 < k <= 1):
-                    self.diags.append(Diagnostic(
-                        SYNTAX_ERROR, a.span or span, rule="well-formedness",
-                        message=f"fraction {k} outside (0, 1]"))
-            for child in _assertion_children(a):
-                walk(child, span)
+            for x in S.walk_assertion(a):
+                if isinstance(x, S.APointsTo) and x.frac is not None:
+                    k = const_fraction(x.frac)
+                    if k is not None and not (0 < k <= 1):
+                        self.diags.append(Diagnostic(
+                            SYNTAX_ERROR, x.span or span, rule="well-formedness",
+                            message=f"fraction {k} outside (0, 1]"))
 
         for d in self.program.invariants:
             walk(d.body, d.span)
@@ -1216,18 +1174,6 @@ class _Classifier:
                     for th in st.threads:
                         walk(th.pre, th.span)
                         walk(th.post, th.span)
-
-
-def _assertion_children(a: S.Assertion) -> list[S.Assertion]:
-    if isinstance(a, S.AStar):
-        return list(a.parts)
-    if isinstance(a, S.AImplies):
-        return [a.body]
-    if isinstance(a, S.ACond):
-        return [a.then, a.els]
-    if isinstance(a, (S.AUp, S.ADown)):
-        return [a.body]
-    return []
 
 
 def const_fraction(e: S.Expr):

@@ -16,7 +16,7 @@ no mapping axioms are needed.  Ghost locations are immune to relabeling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
 from typing import Optional, Union
@@ -119,18 +119,9 @@ def build_invariant_table(checked: CheckedProgram) -> InvariantTable:
         _assert_reassembles(table, inv)
 
     def scan_assertion(a: S.Assertion, span: Span) -> None:
-        if isinstance(a, (S.AAcq, S.ARel, S.ARMWAcq)):
-            ensure(a.inv, a.span or span)
-        elif isinstance(a, S.AStar):
-            for p in a.parts:
-                scan_assertion(p, span)
-        elif isinstance(a, S.AImplies):
-            scan_assertion(a.body, span)
-        elif isinstance(a, S.ACond):
-            scan_assertion(a.then, span)
-            scan_assertion(a.els, span)
-        elif isinstance(a, (S.AUp, S.ADown)):
-            scan_assertion(a.body, span)
+        for x in S.walk_assertion(a):
+            if isinstance(x, (S.AAcq, S.ARel, S.ARMWAcq)):
+                ensure(x.inv, x.span or span)
 
     for proc in program.procedures:
         if proc.pre is not None:
@@ -175,34 +166,10 @@ def substitute(q: S.Assertion, value: S.Expr) -> S.Assertion:
     The assertion language has no binders, so plain structural replacement
     of the distinguished parameter is already capture-avoiding.
     """
-    def in_expr(e: S.Expr) -> S.Expr:
-        if isinstance(e, S.EInvVal):
-            return value
-        if isinstance(e, S.EBin):
-            return S.EBin(e.op, in_expr(e.left), in_expr(e.right))
-        if isinstance(e, S.EUn):
-            return S.EUn(e.op, in_expr(e.operand))
-        return e
+    def at_value(e: S.Expr) -> S.Expr:
+        return value if isinstance(e, S.EInvVal) else e
 
-    if isinstance(q, S.APure):
-        return S.APure(expr=in_expr(q.expr), span=q.span)
-    if isinstance(q, S.APointsTo):
-        frac = in_expr(q.frac) if q.frac is not None else None
-        return S.APointsTo(loc=q.loc, value=in_expr(q.value), frac=frac, span=q.span)
-    if isinstance(q, S.AStar):
-        return S.AStar(parts=tuple(substitute(p, value) for p in q.parts), span=q.span)
-    if isinstance(q, S.AImplies):
-        return S.AImplies(cond=in_expr(q.cond), body=substitute(q.body, value), span=q.span)
-    if isinstance(q, S.ACond):
-        return S.ACond(cond=in_expr(q.cond), then=substitute(q.then, value),
-                       els=substitute(q.els, value), span=q.span)
-    if isinstance(q, (S.AUninit, S.AInit, S.AAcq, S.ARel, S.ARMWAcq)):
-        return q
-    if isinstance(q, S.AUp):
-        return S.AUp(body=substitute(q.body, value), span=q.span)
-    if isinstance(q, S.ADown):
-        return S.ADown(body=substitute(q.body, value), span=q.span)
-    raise AssertionError(q)
+    return S.map_assertion(q, lambda e: S.map_expr(e, at_value))
 
 
 # ---------------------------------------------------------------------------
@@ -401,21 +368,11 @@ def _perm_of(frac: Optional[S.Expr], span: Span) -> PermSpec:
 
 
 def _reject_inv_val(e: S.Expr, span: Span) -> None:
-    if _mentions_inv_val(e):
+    if any(isinstance(x, S.EInvVal) for x in S.walk_expr(e)):
         raise FrontendError(Diagnostic(
             "SyntaxError", span, rule="well-formedness",
             message="the invariant value parameter is only meaningful inside "
                     "a location invariant"))
-
-
-def _mentions_inv_val(e: S.Expr) -> bool:
-    if isinstance(e, S.EInvVal):
-        return True
-    if isinstance(e, S.EBin):
-        return _mentions_inv_val(e.left) or _mentions_inv_val(e.right)
-    if isinstance(e, S.EUn):
-        return _mentions_inv_val(e.operand)
-    return False
 
 
 # ---------------------------------------------------------------------------
@@ -437,51 +394,25 @@ def relabel(a: EncAssertion, mapping: dict[HeapLabel, HeapLabel],
     on them).  Applying a mapping to an atom outside its domain means a
     modality was stacked on another one, which the logic never does.
     """
-    def map_label(loc: str, label: HeapLabel, span: Span) -> HeapLabel:
-        if ctx.is_ghost(loc):
-            return label
-        new = mapping.get(label)
+    def on_node(x: EncAssertion) -> EncAssertion:
+        if isinstance(x, EStar):
+            return estar(list(x.parts))
+        if not hasattr(x, "label") or ctx.is_ghost(x.loc):
+            return x
+        new = mapping.get(x.label)
         if new is None:
             raise FrontendError(Diagnostic(
-                DOUBLE_MODALITY, span, rule="assertion-encoding",
-                message=f"cannot relabel a {label} atom with "
+                DOUBLE_MODALITY, x.span, rule="assertion-encoding",
+                message=f"cannot relabel a {x.label} atom with "
                         f"{{{', '.join(str(k) + '->' + str(v) for k, v in mapping.items())}}}"))
-        return new
+        return replace(x, label=new)
 
-    if isinstance(a, EPure):
-        return a
-    if isinstance(a, EAcc):
-        return EAcc(a.loc, a.fld, a.perm, map_label(a.loc, a.label, a.span), a.span)
-    if isinstance(a, EFieldEq):
-        return EFieldEq(a.loc, a.fld, a.value, map_label(a.loc, a.label, a.span), a.span)
-    if isinstance(a, EPredAcc):
-        return EPredAcc(a.loc, a.idx, a.perm, map_label(a.loc, a.label, a.span),
-                        a.vals_empty, a.span)
-    if isinstance(a, EStar):
-        return estar([relabel(p, mapping, ctx) for p in a.parts])
-    if isinstance(a, EImplies):
-        return EImplies(a.cond, relabel(a.body, mapping, ctx), a.span)
-    if isinstance(a, ECond):
-        return ECond(a.cond, relabel(a.then, mapping, ctx),
-                     relabel(a.els, mapping, ctx), a.span)
-    raise AssertionError(a)
+    return S.map_assertion(a, None, on_node=on_node)
 
 
 def enc_labels(a: EncAssertion) -> set[HeapLabel]:
     """All heap labels on atoms of an encoded assertion."""
-    out: set[HeapLabel] = set()
-    stack = [a]
-    while stack:
-        x = stack.pop()
-        if isinstance(x, (EAcc, EFieldEq, EPredAcc)):
-            out.add(x.label)
-        elif isinstance(x, EStar):
-            stack.extend(x.parts)
-        elif isinstance(x, EImplies):
-            stack.append(x.body)
-        elif isinstance(x, ECond):
-            stack.extend([x.then, x.els])
-    return out
+    return {x.label for x in S.walk_assertion(a) if hasattr(x, "label")}
 
 
 def pp_enc(a: EncAssertion) -> str:

@@ -91,10 +91,9 @@ class PermExpr:
                (self.const >= 0 and bool(self.parts) and all(c > 0 for _, c in self.parts))
 
     def term(self) -> T.Term:
-        t = T.mk_frac(self.const)
-        for w, c in self.parts:
-            t = T.add(t, T.scale(c, w))
-        return t
+        if not self.parts:
+            return T.mk_frac(self.const)   # keeps the FRAC sort of an exact amount
+        return T.mk_linear(self.const, dict(self.parts))
 
     def __str__(self) -> str:
         if self.is_exact:

@@ -9,12 +9,16 @@ resources (Uninit / Init / Acq / Rel / RMWAcq) and the up/down modalities.
 
 Node equality ignores source spans, so parse -> pretty-print -> parse is
 expected to reproduce an equal tree.
+
+The assertion walkers at the end serve both this tree and the encoded one in
+`speclogic`, whose nodes use the same field names (`parts`, `body`, `then`,
+`els`, `loc`, and the expression slots `expr`, `cond`, `value`, `frac`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass, field, replace
+from typing import Callable, Iterator, Optional
 
 
 @dataclass(frozen=True)
@@ -588,14 +592,91 @@ def _binds(s: Stmt) -> list[str]:
     return []
 
 
-def subst_expr(e: Expr, mapping: dict[str, Expr]) -> Expr:
-    if isinstance(e, EVar) and e.name in mapping:
-        return mapping[e.name]
+def walk_expr(e: Expr) -> Iterator[Expr]:
+    """Every node of an expression, pre-order, left to right."""
+    stack = [e]
+    while stack:
+        x = stack.pop()
+        yield x
+        if isinstance(x, EBin):
+            stack += (x.right, x.left)
+        elif isinstance(x, EUn):
+            stack.append(x.operand)
+
+
+def map_expr(e: Expr, leaf: Callable[[Expr], Expr]) -> Expr:
+    """Rebuild an expression with `leaf` applied to each leaf, sharing what
+    does not change."""
     if isinstance(e, EBin):
-        return EBin(e.op, subst_expr(e.left, mapping), subst_expr(e.right, mapping))
+        left, right = map_expr(e.left, leaf), map_expr(e.right, leaf)
+        return e if left is e.left and right is e.right else EBin(e.op, left, right)
     if isinstance(e, EUn):
-        return EUn(e.op, subst_expr(e.operand, mapping))
-    return e
+        operand = map_expr(e.operand, leaf)
+        return e if operand is e.operand else EUn(e.op, operand)
+    return leaf(e)
+
+
+def subst_expr(e: Expr, mapping: dict[str, Expr]) -> Expr:
+    return map_expr(e, lambda x: mapping.get(x.name, x) if isinstance(x, EVar) else x)
+
+
+def expr_vars(e: Expr) -> set[str]:
+    return {x.name for x in walk_expr(e) if isinstance(x, EVar)}
+
+
+_VALUE_SLOTS = ("expr", "cond", "value")   # `frac` holds a permission, not a value
+_EXPR_SLOTS = _VALUE_SLOTS + ("frac",)
+_SUB_SLOTS = ("body", "then", "els")
+
+
+def sub_assertions(a) -> tuple:
+    """The direct sub-assertions of a node of either tree, left to right."""
+    parts = getattr(a, "parts", None)
+    if parts is not None:
+        return parts
+    body = getattr(a, "body", None)
+    if body is not None:
+        return (body,)
+    then = getattr(a, "then", None)
+    return (then, a.els) if then is not None else ()
+
+
+def walk_assertion(a) -> Iterator:
+    """Every node of an assertion of either tree, pre-order, left to right."""
+    stack = [a]
+    while stack:
+        x = stack.pop()
+        yield x
+        stack += reversed(sub_assertions(x))
+
+
+def map_assertion(a, on_expr: Optional[Callable[[Expr], Expr]],
+                  on_loc: Optional[Callable[[str], str]] = None,
+                  on_node: Optional[Callable] = None):
+    """Rebuild an assertion of either tree, bottom-up.
+
+    `on_expr` maps each expression slot (None skips them), `on_loc` each
+    location and `on_node` each node once its children are rebuilt.  A node
+    that nothing changes is returned as itself.
+    """
+    changes: dict = {}
+    for f in _EXPR_SLOTS if on_expr is not None else ():
+        e = getattr(a, f, None)
+        if e is not None and (new := on_expr(e)) is not e:
+            changes[f] = new
+    if on_loc is not None and hasattr(a, "loc") and (loc := on_loc(a.loc)) != a.loc:
+        changes["loc"] = loc
+    parts = getattr(a, "parts", None)
+    if parts is not None:
+        new_parts = tuple(map_assertion(p, on_expr, on_loc, on_node) for p in parts)
+        if any(n is not p for n, p in zip(new_parts, parts)):
+            changes["parts"] = new_parts
+    for f in _SUB_SLOTS:
+        sub = getattr(a, f, None)
+        if sub is not None and (new := map_assertion(sub, on_expr, on_loc, on_node)) is not sub:
+            changes[f] = new
+    out = replace(a, **changes) if changes else a
+    return on_node(out) if on_node is not None else out
 
 
 def _subst_loc(loc: str, mapping: dict[str, Expr]) -> str:
@@ -609,46 +690,8 @@ def _subst_loc(loc: str, mapping: dict[str, Expr]) -> str:
 
 def subst_assertion(a: Assertion, mapping: dict[str, Expr]) -> Assertion:
     """Substitute program variables; location slots require variable arguments."""
-    if isinstance(a, APure):
-        return APure(expr=subst_expr(a.expr, mapping), span=a.span)
-    if isinstance(a, APointsTo):
-        frac = subst_expr(a.frac, mapping) if a.frac is not None else None
-        return APointsTo(loc=_subst_loc(a.loc, mapping),
-                         value=subst_expr(a.value, mapping), frac=frac, span=a.span)
-    if isinstance(a, AStar):
-        return AStar(parts=tuple(subst_assertion(p, mapping) for p in a.parts), span=a.span)
-    if isinstance(a, AImplies):
-        return AImplies(cond=subst_expr(a.cond, mapping),
-                        body=subst_assertion(a.body, mapping), span=a.span)
-    if isinstance(a, ACond):
-        return ACond(cond=subst_expr(a.cond, mapping),
-                     then=subst_assertion(a.then, mapping),
-                     els=subst_assertion(a.els, mapping), span=a.span)
-    if isinstance(a, AUninit):
-        return AUninit(loc=_subst_loc(a.loc, mapping), span=a.span)
-    if isinstance(a, AInit):
-        return AInit(loc=_subst_loc(a.loc, mapping), span=a.span)
-    if isinstance(a, AAcq):
-        return AAcq(loc=_subst_loc(a.loc, mapping), inv=a.inv, span=a.span)
-    if isinstance(a, ARel):
-        return ARel(loc=_subst_loc(a.loc, mapping), inv=a.inv, span=a.span)
-    if isinstance(a, ARMWAcq):
-        return ARMWAcq(loc=_subst_loc(a.loc, mapping), inv=a.inv, span=a.span)
-    if isinstance(a, AUp):
-        return AUp(body=subst_assertion(a.body, mapping), span=a.span)
-    if isinstance(a, ADown):
-        return ADown(body=subst_assertion(a.body, mapping), span=a.span)
-    raise AssertionError(a)
-
-
-def expr_vars(e: Expr) -> set[str]:
-    if isinstance(e, EVar):
-        return {e.name}
-    if isinstance(e, EBin):
-        return expr_vars(e.left) | expr_vars(e.right)
-    if isinstance(e, EUn):
-        return expr_vars(e.operand)
-    return set()
+    return map_assertion(a, lambda e: subst_expr(e, mapping),
+                         lambda loc: _subst_loc(loc, mapping))
 
 
 def assertion_vars(a: Assertion) -> set[str]:
@@ -657,23 +700,29 @@ def assertion_vars(a: Assertion) -> set[str]:
     Invariant names are not variables, and neither are symbols appearing in
     fraction expressions (permission-level tokens such as counting shares).
     """
-    if isinstance(a, APure):
-        return expr_vars(a.expr)
-    if isinstance(a, APointsTo):
-        return {a.loc} | expr_vars(a.value)
-    if isinstance(a, AStar):
-        out: set[str] = set()
-        for p in a.parts:
-            out |= assertion_vars(p)
-        return out
-    if isinstance(a, AImplies):
-        return expr_vars(a.cond) | assertion_vars(a.body)
-    if isinstance(a, ACond):
-        return expr_vars(a.cond) | assertion_vars(a.then) | assertion_vars(a.els)
-    if isinstance(a, (AUninit, AInit)):
-        return {a.loc}
-    if isinstance(a, (AAcq, ARel, ARMWAcq)):
-        return {a.loc}
-    if isinstance(a, (AUp, ADown)):
-        return assertion_vars(a.body)
-    raise AssertionError(a)
+    out: set[str] = set()
+    for x in walk_assertion(a):
+        if hasattr(x, "loc"):
+            out.add(x.loc)
+        for f in _VALUE_SLOTS:
+            e = getattr(x, f, None)
+            if e is not None:
+                out |= expr_vars(e)
+    return out
+
+
+def inv_refs(a: Assertion) -> list[InvRef]:
+    """The invariant references of an assertion's Acq/Rel/RMWAcq nodes, pre-order."""
+    return [x.inv for x in walk_assertion(a) if isinstance(x, (AAcq, ARel, ARMWAcq))]
+
+
+def deep_assertion_vars(a: Assertion, decls: dict[str, InvariantDecl],
+                        seen: frozenset = frozenset()) -> set[str]:
+    """Free variables of an assertion and of the invariant bodies in `decls`
+    it reaches; no invariant is re-entered along its own reference chain."""
+    out = assertion_vars(a)
+    for inv in inv_refs(a):
+        for name in inv:
+            if name not in seen and name in decls:
+                out |= deep_assertion_vars(decls[name].body, decls, seen | {name})
+    return out

@@ -123,7 +123,7 @@ def linear_parts(t: Term) -> tuple[Fraction, dict[Term, Fraction]]:
     return Fraction(0), {t: Fraction(1)}
 
 
-def _mk_linear(const: Fraction, coeffs: dict[Term, Fraction]) -> Term:
+def mk_linear(const: Fraction, coeffs: dict[Term, Fraction]) -> Term:
     coeffs = {a: c for a, c in coeffs.items() if c != 0}
     if not coeffs:
         return mk_int(const) if const.denominator == 1 else mk_frac(const)
@@ -148,7 +148,7 @@ def add(*ts: Term) -> Term:
         const += c
         for a, k in parts.items():
             coeffs[a] = coeffs.get(a, Fraction(0)) + k
-    return _mk_linear(const, coeffs)
+    return mk_linear(const, coeffs)
 
 
 def neg(t: Term) -> Term:
@@ -162,7 +162,7 @@ def sub(a: Term, b: Term) -> Term:
 def scale(k, t: Term) -> Term:
     k = Fraction(k)
     const, coeffs = linear_parts(t)
-    return _mk_linear(const * k, {a: c * k for a, c in coeffs.items()})
+    return mk_linear(const * k, {a: c * k for a, c in coeffs.items()})
 
 
 def mul(a: Term, b: Term) -> Term:
@@ -256,7 +256,7 @@ def _cmp(kind: str, t: Term) -> Term:
     if kind == "lt0" and _int_valued(const, coeffs):
         # integer tightening:  t < 0  <=>  t + 1 <= 0
         kind, const = "le0", const + 1
-    lin = _mk_linear(const, coeffs)
+    lin = mk_linear(const, coeffs)
     return _intern(kind, BOOL, None, (lin,))
 
 

@@ -108,39 +108,53 @@ def test_soundness_flag_adds_section(tmp_path, capsys):
     assert "soundness" in report
 
 
-def test_jobs_parallel_same_result(tmp_path, capsys):
-    # three procedures, one failing, verified by threads sharing one Solver
-    reports = []
-    for jobs in ("4", "1"):
-        out = tmp_path / f"jobs{jobs}.json"
-        assert run_cli("verify", corpus_path("RSLSpinLock_err.rsl"),
-                       "--jobs", jobs, "--json", str(out)) == 1
-        reports.append(strip_times(json.loads(out.read_text())))
-    capsys.readouterr()
-    procs = reports[0]["files"][0]["procedures"]
-    assert len(procs) == 3
-    assert sorted(p["status"] for p in procs) == ["failed", "verified", "verified"]
-    assert reports[0] == reports[1]
+def manifest_entries():
+    with open(MANIFEST, encoding="utf-8") as fh:
+        return json.load(fh)["entries"]
 
 
-def test_corpus_report_matches_golden(tmp_path):
+def run_fresh(*argv):
     # A fresh process, so term ids (and with them column order and the
     # counter-model hints) do not depend on what other tests interned first.
-    with open(MANIFEST, encoding="utf-8") as fh:
-        files = [e["file"] for e in json.load(fh)["entries"]]
-    out = tmp_path / "corpus.json"
     src = os.path.join(os.path.dirname(__file__), "..", "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (os.path.abspath(src), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-m", "weakmem.cli", "verify", *files,
-                           "--json", str(out)],
+    return subprocess.run([sys.executable, "-m", "weakmem.cli", *argv],
                           cwd=CORPUS, env=env, capture_output=True, text=True)
+
+
+def golden_path(name):
+    return os.path.join(os.path.dirname(__file__), name)
+
+
+def test_corpus_report_matches_golden(tmp_path):
+    out = tmp_path / "corpus.json"
+    files = [e["file"] for e in manifest_entries()]
+    proc = run_fresh("verify", *files, "--json", str(out))
     assert proc.returncode == 1, proc.stderr
-    golden = os.path.join(os.path.dirname(__file__), "corpus_report.golden.json")
-    with open(golden, encoding="utf-8") as fh:
+    with open(golden_path("corpus_report.golden.json"), encoding="utf-8") as fh:
         expected = json.load(fh)
     assert strip_times(json.loads(out.read_text())) == expected
+
+
+def test_corpus_dumps_match_golden():
+    # the invariant table and primitive sequence of every supported entry
+    files = [e["file"] for e in manifest_entries() if e["expect"] != "unsupported"]
+    proc = run_fresh("verify", *files, "--dump-invariants", "--dump-primitives")
+    assert proc.returncode == 0, proc.stderr
+    with open(golden_path("corpus_dumps.golden.txt"), encoding="utf-8") as fh:
+        assert proc.stdout == fh.read()
+
+
+def test_dump_unsupported_entries_report_reason(capsys):
+    unsupported = [e["file"] for e in manifest_entries() if e["expect"] == "unsupported"]
+    assert unsupported
+    for name in unsupported:
+        assert run_cli("verify", corpus_path(name), "--dump-primitives") == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert f"{corpus_path(name)}: " in err
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ can re-run them under its time budget.
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from weakmem import syntax as S, terms as T
@@ -290,6 +291,40 @@ def test_substitute_distributes_over_connectives(a, n):
     elif isinstance(a, S.ACond):
         assert out.then == substitute(a.then, value)
         assert out.els == substitute(a.els, value)
+
+
+@given(assertions())
+@settings(max_examples=80, deadline=None)
+def test_identity_rebuild_returns_the_assertion(a):
+    assert S.map_assertion(a, lambda e: e) is a
+    assert S.map_assertion(a, lambda e: e, lambda loc: loc) is a
+    assert S.subst_assertion(a, {}) == a
+
+
+@given(assertions())
+@settings(max_examples=80, deadline=None)
+def test_walked_locations_are_free_vars(a):
+    names = S.assertion_vars(a)
+    locs = {x.loc for x in S.walk_assertion(a) if hasattr(x, "loc")}
+    assert locs <= names
+    renamed = S.assertion_vars(S.subst_assertion(a, {"a": S.EVar("z")}))
+    assert "a" not in renamed
+    assert ("z" in renamed) == ("a" in names)
+
+
+def test_frac_symbols_are_not_vars_but_are_substituted():
+    pt = S.APointsTo(loc="a", value=S.EVar("x"), frac=S.EVar("k"))
+    assert S.assertion_vars(pt) == {"a", "x"}
+    assert S.subst_assertion(pt, {"k": S.EInt(1)}).frac == S.EInt(1)
+    half_v = S.APointsTo(loc="a", value=S.EInt(0), frac=S.EBin("/", S.EInvVal(), S.EInt(2)))
+    assert substitute(half_v, S.EInt(1)).frac == S.EBin("/", S.EInt(1), S.EInt(2))
+
+
+def test_location_slot_rejects_an_expression():
+    for a in (S.AInit(loc="l"), S.APointsTo(loc="l", value=S.EInt(1))):
+        with pytest.raises(ValueError):
+            S.subst_assertion(a, {"l": S.EInt(3)})
+        assert S.subst_assertion(a, {"l": S.EVar("m")}).loc == "m"
 
 
 @given(st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4),

@@ -2,7 +2,6 @@
 
 import shutil
 import sys
-import threading
 from fractions import Fraction
 
 import pytest
@@ -169,34 +168,6 @@ def test_solver_tables_carry_no_query_state():
     verdicts = [r if isinstance(r, str) else r.verdict for r in fresh]
     assert {YES, NO, UNKNOWN} <= set(verdicts)
     assert any(not isinstance(r, str) and r.verdict == NO and r.hint for r in fresh)
-
-
-def test_solver_tables_shared_by_threads():
-    # `--jobs` verifies procedures on threads that share one Solver, so its
-    # tables are filled concurrently; switch threads often to interleave them.
-    queries = cache_queries()
-    expected = [ask(Solver(), q) for q in queries]
-    shared = Solver()
-    answers = {}
-
-    def worker(i):
-        order = queries[i:] + queries[:i]
-        answers[i] = [ask(shared, q) for q in order]
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=worker, args=(i,)) for i in range(6)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    for i, got in answers.items():
-        assert got == expected[i:] + expected[:i]
-    assert len(answers) == 6
 
 
 # ---------------------------------------------------------------------------

@@ -50,6 +50,21 @@ def test_conjunct_entries_reassemble():
         assert S.star(parts) == whole
 
 
+def test_table_indexes_in_preorder():
+    # first mentions, left to right through a spec: Q3 under an implication,
+    # then Q1, then Q2 inside a conditional
+    table, _ = table_of("""
+invariant Q1(V) = true;
+invariant Q2(V) = true;
+invariant Q3(V) = true;
+proc main(c, l, m, n)
+  requires { (c == 0 ==> Acq(n, Q3)) && Rel(l, Q1) && (c == 1 ? Init(m) : Rel(m, Q2)) }
+  ensures { true }
+{ skip; }
+""")
+    assert [table.names[i] for i in table.all_indices()] == ["Q3", "Q1", "Q2"]
+
+
 def test_table_json_dump():
     table, _ = table_of(corpus_text("RelAcqDblMsgPassSplit.rsl"))
     rows = table.to_json()
