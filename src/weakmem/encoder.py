@@ -208,7 +208,7 @@ class EncodeCtx:
         self.proc_name = proc_name
         self.classes = checked.info[proc_name].classes
         self.lower_ctx = LowerCtx(table, self.classes)
-        self.invariants = {d.name: d for d in self.program.invariants}
+        self.inv_vars = checked.inv_vars
         self.solver = solver
         self._fresh = 0
         self.extra_obligations: list[Obligation] = []
@@ -642,8 +642,8 @@ def _used_vars(stmts: list) -> set[str]:
 
 
 def _thread_obligation(name: str, th: S.Thread, ctx: EncodeCtx) -> Obligation:
-    free = S.deep_assertion_vars(th.pre, ctx.invariants)
-    free |= S.deep_assertion_vars(th.post, ctx.invariants)
+    free = S.deep_assertion_vars(th.pre, ctx.inv_vars)
+    free |= S.deep_assertion_vars(th.post, ctx.inv_vars)
     free |= _used_vars(th.body)
     setup: list = [HavocVar(v, th.span) for v in sorted(free)]
     setup.append(Inhale(ctx.lower(th.pre), "thread precondition", th.span))
@@ -679,7 +679,7 @@ def _call(st: S.SCall, ctx: EncodeCtx) -> list:
         for p, t in zip(callee.returns, ret_targets):
             mapping[p.name] = S.EVar(t)
     bound = {p.name for p in callee.params} | {p.name for p in callee.returns}
-    logical = sorted(S.deep_assertion_vars(callee.pre, ctx.invariants) - bound)
+    logical = sorted(S.deep_assertion_vars(callee.pre, ctx.inv_vars) - bound)
     fresh_logical = {v: S.EVar(ctx.fresh("log")) for v in logical}
     mapping.update(fresh_logical)
     try:
@@ -725,8 +725,8 @@ def build_obligations(checked: CheckedProgram, table: InvariantTable,
                       proc: S.Procedure, solver=None) -> list[Obligation]:
     """Encode one procedure: its own obligation plus one per forked thread."""
     ctx = EncodeCtx(checked, table, proc.name, solver)
-    free = S.deep_assertion_vars(proc.pre, ctx.invariants)
-    free |= S.deep_assertion_vars(proc.post, ctx.invariants)
+    free = S.deep_assertion_vars(proc.pre, ctx.inv_vars)
+    free |= S.deep_assertion_vars(proc.post, ctx.inv_vars)
     free |= _used_vars(proc.body)
     free |= {p.name for p in proc.params} | {p.name for p in proc.returns}
     setup: list = [HavocVar(v, proc.span) for v in sorted(free)]

@@ -23,7 +23,7 @@ programs that mix classifications for one variable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from . import syntax as S
@@ -688,9 +688,11 @@ class Parser:
                 f"macro {t.text!r} expects {len(d.params)} argument(s), got {len(args)}",
                 t.span)
         try:
-            return S.subst_assertion(d.body, dict(zip(d.params, args)))
+            body = S.subst_assertion(d.body, dict(zip(d.params, args)))
         except ValueError as exc:
             raise self._error(str(exc), t.span)
+        # diagnostics about the expansion point at its use, not at the define
+        return S.map_assertion(body, None, on_node=lambda n: replace(n, span=t.span))
 
     # -- expressions ------------------------------------------------------------
 
@@ -859,6 +861,7 @@ class CheckedProgram:
     program: S.Program
     info: dict[str, ProcInfo]
     diagnostics: list[Diagnostic]
+    inv_vars: dict[str, frozenset[str]]     # S.invariant_vars of the program
 
     @property
     def ok(self) -> bool:
@@ -870,6 +873,7 @@ class _Classifier:
         self.program = program
         self.diags: list[Diagnostic] = []
         self.inv_by_name = {d.name: d for d in program.invariants}
+        self.inv_vars = S.invariant_vars(self.inv_by_name)
 
     def run(self) -> CheckedProgram:
         info: dict[str, ProcInfo] = {}
@@ -923,7 +927,7 @@ class _Classifier:
         self._check_posts()
         self._check_fractions()
         self.diags.sort(key=lambda d: (d.span.line, d.span.col, d.kind))
-        return CheckedProgram(self.program, info, self.diags)
+        return CheckedProgram(self.program, info, self.diags, self.inv_vars)
 
     @staticmethod
     def _class_use_tag(cls: str) -> Optional[str]:
@@ -951,7 +955,7 @@ class _Classifier:
             for x in S.walk_assertion(a):
                 tag = _LOC_USE.get(type(x))
                 if tag:
-                    E(x.loc).add_use(tag, x.span or span)
+                    E(x.loc).add_use(tag, x.span)
                 if isinstance(x, S.APure):
                     expr_use(x.expr, span)
                 elif isinstance(x, S.APointsTo):
@@ -1117,11 +1121,11 @@ class _Classifier:
         declared.update(S.assigned_vars(proc.body))
         # logical variables bound by a precondition are in scope
         if proc.pre is not None:
-            declared |= S.deep_assertion_vars(proc.pre, self.inv_by_name)
+            declared |= S.deep_assertion_vars(proc.pre, self.inv_vars)
         for st in S.walk_stmts(proc.body):
             if isinstance(st, S.SPar):
                 for th in st.threads:
-                    declared |= S.deep_assertion_vars(th.pre, self.inv_by_name)
+                    declared |= S.deep_assertion_vars(th.pre, self.inv_vars)
         return declared
 
     def _check_declared(self, proc: S.Procedure, pi: ProcInfo) -> None:
@@ -1139,8 +1143,8 @@ class _Classifier:
             if proc.pre is None or proc.post is None:
                 continue
             allowed = {p.name for p in proc.params} | {p.name for p in proc.returns}
-            allowed |= S.deep_assertion_vars(proc.pre, self.inv_by_name)
-            extra = sorted(S.deep_assertion_vars(proc.post, self.inv_by_name) - allowed)
+            allowed |= S.deep_assertion_vars(proc.pre, self.inv_vars)
+            extra = sorted(S.deep_assertion_vars(proc.post, self.inv_vars) - allowed)
             if extra:
                 self.diags.append(Diagnostic(
                     SYNTAX_ERROR, proc.span, rule="well-formedness",
@@ -1149,31 +1153,31 @@ class _Classifier:
                             "parameters, returns or the precondition"))
 
     def _check_fractions(self) -> None:
-        def walk(a: S.Assertion, span: Span) -> None:
+        def walk(a: S.Assertion) -> None:
             for x in S.walk_assertion(a):
                 if isinstance(x, S.APointsTo) and x.frac is not None:
                     k = const_fraction(x.frac)
                     if k is not None and not (0 < k <= 1):
                         self.diags.append(Diagnostic(
-                            SYNTAX_ERROR, x.span or span, rule="well-formedness",
+                            SYNTAX_ERROR, x.span, rule="well-formedness",
                             message=f"fraction {k} outside (0, 1]"))
 
         for d in self.program.invariants:
-            walk(d.body, d.span)
+            walk(d.body)
         for proc in self.program.procedures:
             if proc.pre is not None:
-                walk(proc.pre, proc.span)
+                walk(proc.pre)
             if proc.post is not None:
-                walk(proc.post, proc.span)
+                walk(proc.post)
             for st in S.walk_stmts(proc.body):
                 if isinstance(st, S.SFenceRel):
-                    walk(st.assertion, st.span)
+                    walk(st.assertion)
                 elif isinstance(st, S.SWhile) and st.invariant is not None:
-                    walk(st.invariant, st.span)
+                    walk(st.invariant)
                 elif isinstance(st, S.SPar):
                     for th in st.threads:
-                        walk(th.pre, th.span)
-                        walk(th.post, th.span)
+                        walk(th.pre)
+                        walk(th.post)
 
 
 def const_fraction(e: S.Expr):

@@ -8,12 +8,13 @@ The built-in procedure decides conjunctions of:
 * ground membership / equality facts over finite integer sets.
 
 It is a standard two-layer design: a splitting layer reduces formulas to
-conjunctions of literals, and an exact-rational simplex (general simplex with
-infinitesimals for strict bounds, plus branch-and-bound for integer-sorted
-atoms) decides each conjunction.  Each query builds its own tableau, but from
-literals its ``Solver`` prepared once: the first time a Solver sees a linear
-form it records the form's column or slack row and its bounds, and the first
-time it splits a negated comparison it records the rewrite.
+conjunctions of literals, and a simplex over exact rationals, held as int when
+integral (general simplex with infinitesimals for strict bounds, plus
+branch-and-bound for integer-sorted atoms), decides each conjunction.  Each
+query builds its own tableau, but from literals its ``Solver`` prepared once:
+the first time a Solver sees a linear form it records the form's column or
+slack row and its bounds, and the first time it splits a negated comparison it
+records the rewrite.
 
 Non-linear atoms (general products, modulo, bitwise operations) are treated
 as uninterpreted, so "unsat" answers remain sound; queries whose verdict
@@ -34,7 +35,7 @@ from math import ceil, floor
 from typing import Iterable, NamedTuple, Optional
 
 from . import terms
-from .terms import Term
+from .terms import Term, _div, _q
 
 YES = "yes"
 NO = "no"
@@ -64,18 +65,18 @@ class Result:
 class Delta:
     __slots__ = ("real", "eps")
 
-    def __init__(self, real: Fraction, eps: Fraction = Fraction(0)):
+    def __init__(self, real, eps=0):
         self.real = real
         self.eps = eps
 
     def __add__(self, o: "Delta") -> "Delta":
-        return Delta(self.real + o.real, self.eps + o.eps)
+        return Delta(_q(self.real + o.real), _q(self.eps + o.eps))
 
     def __sub__(self, o: "Delta") -> "Delta":
-        return Delta(self.real - o.real, self.eps - o.eps)
+        return Delta(_q(self.real - o.real), _q(self.eps - o.eps))
 
-    def scaled(self, k: Fraction) -> "Delta":
-        return Delta(self.real * k, self.eps * k)
+    def scaled(self, k) -> "Delta":
+        return Delta(_q(self.real * k), _q(self.eps * k))
 
     def __lt__(self, o: "Delta") -> bool:
         return (self.real, self.eps) < (o.real, o.eps)
@@ -84,8 +85,7 @@ class Delta:
         return f"{self.real}{'+' if self.eps >= 0 else ''}{self.eps}e"
 
 
-_F0 = Fraction(0)
-_D0 = Delta(_F0)
+_D0 = Delta(0)
 
 
 # ---------------------------------------------------------------------------
@@ -118,14 +118,12 @@ def _compile(lin: Term) -> _Compiled:
     if len(coeffs) == 1:
         (atom, c), = coeffs.items()
         flip = c < 0
-        bound = -const / c
-        return _Compiled(atom, (), None, Delta(bound),
-                         Delta(bound, Fraction(1) if flip else Fraction(-1)),
+        bound = _div(-const, c)
+        return _Compiled(atom, (), None, Delta(bound), Delta(bound, 1 if flip else -1),
                          flip, opaque)
     pairs = tuple(coeffs.items())
     key = tuple(n for a, c in pairs for n in (a.tid, c.numerator, c.denominator))
-    return _Compiled(None, pairs, key, Delta(-const), Delta(-const, Fraction(-1)),
-                     False, opaque)
+    return _Compiled(None, pairs, key, Delta(-const), Delta(-const, -1), False, opaque)
 
 
 def _compiled(table: dict[int, _Compiled], lin: Term) -> _Compiled:
@@ -151,7 +149,7 @@ class _Simplex:
     def __init__(self):
         self.cols: dict[Term, int] = {}        # atom -> var index
         self.rows: dict[tuple, int] = {}       # row key -> var index
-        self.tableau: dict[int, dict[int, Fraction]] = {}
+        self.tableau: dict[int, dict[int, int | Fraction]] = {}
         self.lower: dict[int, Delta] = {}
         self.upper: dict[int, Delta] = {}
         self.assign: dict[int, Delta] = {}
@@ -182,8 +180,8 @@ class _Simplex:
             self.assign[idx] = _D0
         return idx
 
-    def _row_value(self, row: dict[int, Fraction]) -> Delta:
-        real = eps = _F0
+    def _row_value(self, row: dict[int, int | Fraction]) -> Delta:
+        real = eps = 0
         assign = self.assign
         for x, c in row.items():
             v = assign[x]
@@ -191,7 +189,7 @@ class _Simplex:
                 real += c * v.real
             if v.eps:
                 eps += c * v.eps
-        return Delta(real, eps)
+        return Delta(_q(real), _q(eps))
 
     def add_literal(self, kind: str, lit: _Compiled) -> None:
         atom, pairs, key, bound, strict, flip, _ = lit
@@ -241,10 +239,10 @@ class _Simplex:
     def _pivot(self, b: int, nb: int) -> None:
         row = self.tableau.pop(b)
         c = row[nb]
-        new_row = {b: Fraction(1) / c}
+        new_row = {b: _div(1, c)}
         for x, k in row.items():
             if x != nb:
-                new_row[x] = -k / c
+                new_row[x] = _div(-k, c)
         self.tableau[nb] = new_row
         for r, other in self.tableau.items():
             if r == nb:
@@ -253,7 +251,7 @@ class _Simplex:
             if k:
                 for x, c2 in new_row.items():
                     prev = other.get(x)
-                    v = k * c2 if prev is None else prev + k * c2
+                    v = _q(k * c2 if prev is None else prev + k * c2)
                     if v:
                         other[x] = v
                     else:
@@ -298,7 +296,7 @@ class _Simplex:
             if picked is None:
                 return UNSAT
             # pivotAndUpdate: move xb to its violated bound, shift picked
-            theta = (target - self.assign[xb]).scaled(Fraction(1) / row[picked])
+            theta = (target - self.assign[xb]).scaled(_div(1, row[picked]))
             self.assign[xb] = target
             self.assign[picked] = self.assign[picked] + theta
             for xk in self.basic:
@@ -318,9 +316,9 @@ class _Simplex:
 
     # -- models ------------------------------------------------------------
 
-    def concrete_model(self) -> dict[Term, Fraction]:
+    def concrete_model(self) -> dict[Term, int | Fraction]:
         """Resolve the infinitesimal into a concrete positive rational."""
-        delta = Fraction(1)
+        delta = 1
         checks: list[tuple[Delta, Delta]] = []
         for x in range(self.n):
             v = self.assign.get(x, _D0)
@@ -332,11 +330,11 @@ class _Simplex:
         for a, b in checks:
             # need real(a) + eps(a)*d <= real(b) + eps(b)*d
             if a.eps > b.eps and b.real > a.real:
-                delta = min(delta, (b.real - a.real) / (a.eps - b.eps))
-        out: dict[Term, Fraction] = {}
+                delta = min(delta, _div(b.real - a.real, a.eps - b.eps))
+        out: dict[Term, int | Fraction] = {}
         for atom, x in self.cols.items():
             v = self.assign.get(x, _D0)
-            out[atom] = v.real + v.eps * delta
+            out[atom] = _q(v.real + v.eps * delta)
         return out
 
 
@@ -517,7 +515,7 @@ def _sat_conjunction(facts: list[Term], compiled: dict[int, _Compiled],
     return UNSAT, None, any_opaque
 
 
-def _format_model(model: Optional[dict[Term, Fraction]]) -> Optional[str]:
+def _format_model(model: Optional[dict[Term, int | Fraction]]) -> Optional[str]:
     if not model:
         return None
     bits = [f"{terms.pretty(a)} = {v}" for a, v in sorted(model.items(), key=lambda kv: kv[0].tid)]
@@ -612,7 +610,7 @@ class Solver:
         """The unique value of a numeric term under the path, if determined.
 
         Extracts a candidate from one model and confirms it by entailment;
-        returns a Fraction or None.
+        returns an exact number (int or Fraction) or None.
         """
         facts = [f for f in path if f is not terms.TRUE]
         res, model, _ = self._sat(facts)
@@ -621,9 +619,9 @@ class Solver:
         const, coeffs = terms.linear_parts(term)
         val = const
         for atom, c in coeffs.items():
-            val += c * model.get(atom, Fraction(0))
-        lit = terms.mk_int(val) if val.denominator == 1 else terms.mk_frac(val)
-        if self.assert_entailed(facts, terms.eq(term, lit)).verdict == YES:
+            val += c * model.get(atom, 0)
+        val = _q(val)
+        if self.assert_entailed(facts, terms.eq(term, terms.mk_int(val))).verdict == YES:
             return val
         return None
 
@@ -684,7 +682,7 @@ def emit_smtlib(path: Iterable[Term], goal: Term, negate_goal: bool = True) -> s
     def emit(t: Term) -> str:
         k = t.kind
         if k == "num":
-            v: Fraction = t.data
+            v = t.data
             if t.sort == terms.INT:
                 return str(v.numerator) if v >= 0 else f"(- {-v.numerator})"
             return f"(/ {v.numerator} {v.denominator})" if v >= 0 else \

@@ -118,16 +118,16 @@ def build_invariant_table(checked: CheckedProgram) -> InvariantTable:
             table.conjuncts_of[inv] = tuple(table.whole_of[(n,)] for n in inv)
         _assert_reassembles(table, inv)
 
-    def scan_assertion(a: S.Assertion, span: Span) -> None:
+    def scan_assertion(a: S.Assertion) -> None:
         for x in S.walk_assertion(a):
             if isinstance(x, (S.AAcq, S.ARel, S.ARMWAcq)):
-                ensure(x.inv, x.span or span)
+                ensure(x.inv, x.span)
 
     for proc in program.procedures:
         if proc.pre is not None:
-            scan_assertion(proc.pre, proc.span)
+            scan_assertion(proc.pre)
         if proc.post is not None:
-            scan_assertion(proc.post, proc.span)
+            scan_assertion(proc.post)
         for st in S.walk_stmts(proc.body):
             if isinstance(st, S.SAllocAtomic):
                 ensure(st.inv, st.span)
@@ -135,16 +135,16 @@ def build_invariant_table(checked: CheckedProgram) -> InvariantTable:
                 ensure(st.old, st.span)
                 ensure(st.new, st.span)
             elif isinstance(st, S.SFenceRel):
-                scan_assertion(st.assertion, st.span)
+                scan_assertion(st.assertion)
             elif isinstance(st, S.SWhile) and st.invariant is not None:
-                scan_assertion(st.invariant, st.span)
+                scan_assertion(st.invariant)
             elif isinstance(st, S.SPar):
                 for th in st.threads:
-                    scan_assertion(th.pre, th.span)
-                    scan_assertion(th.post, th.span)
+                    scan_assertion(th.pre)
+                    scan_assertion(th.post)
     # invariant bodies may themselves mention Acq/Rel resources
     for d in program.invariants:
-        scan_assertion(d.body, d.span)
+        scan_assertion(d.body)
     return table
 
 

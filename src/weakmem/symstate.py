@@ -339,21 +339,21 @@ def _branch_states(ctx: ExecContext, state: SymState, cond: T.Term):
     return thens, elses
 
 
-def inhale(ctx: ExecContext, state: SymState, enc, span: Span = NO_SPAN) -> list[SymState]:
+def inhale(ctx: ExecContext, state: SymState, enc) -> list[SymState]:
     if isinstance(enc, EPure):
         state.assume(eval_expr(state, enc.expr))
         return [state]
     if isinstance(enc, EStar):
         states = [state]
         for part in enc.parts:
-            states = [s2 for s in states for s2 in inhale(ctx, s, part, span)]
+            states = [s2 for s in states for s2 in inhale(ctx, s, part)]
         return states
     if isinstance(enc, EImplies):
         cond = eval_expr(state, enc.cond)
         thens, elses = _branch_states(ctx, state, cond)
         out = []
         for s in thens:
-            out.extend(inhale(ctx, s, enc.body, span))
+            out.extend(inhale(ctx, s, enc.body))
         out.extend(elses)
         return out
     if isinstance(enc, ECond):
@@ -361,9 +361,9 @@ def inhale(ctx: ExecContext, state: SymState, enc, span: Span = NO_SPAN) -> list
         thens, elses = _branch_states(ctx, state, cond)
         out = []
         for s in thens:
-            out.extend(inhale(ctx, s, enc.then, span))
+            out.extend(inhale(ctx, s, enc.then))
         for s in elses:
-            out.extend(inhale(ctx, s, enc.els, span))
+            out.extend(inhale(ctx, s, enc.els))
         return out
     if isinstance(enc, EAcc):
         ref = resolve_loc(state, enc.loc)
@@ -425,10 +425,10 @@ class _Demand:
 @dataclass
 class _Case:
     state: SymState
-    checks: list = dc_field(default_factory=list)       # ("pure", expr, span) | ("value", key, name, expr, span)
+    checks: list = dc_field(default_factory=list)       # ("pure", expr) | ("value", key, name, expr)
     field_demands: dict = dc_field(default_factory=dict)
     pred_demands: dict = dc_field(default_factory=dict)
-    vals_checks: list = dc_field(default_factory=list)  # (predkey, name, span)
+    vals_checks: list = dc_field(default_factory=list)  # (predkey, name)
 
     def split(self, state: SymState) -> "_Case":
         return _Case(state, list(self.checks),
@@ -439,21 +439,21 @@ class _Case:
                      list(self.vals_checks))
 
 
-def _collect_cases(ctx: ExecContext, case: _Case, enc, span: Span) -> list[_Case]:
+def _collect_cases(ctx: ExecContext, case: _Case, enc) -> list[_Case]:
     if isinstance(enc, EPure):
-        case.checks.append(("pure", enc.expr, enc.span or span))
+        case.checks.append(("pure", enc.expr))
         return [case]
     if isinstance(enc, EStar):
         cases = [case]
         for part in enc.parts:
-            cases = [c2 for c in cases for c2 in _collect_cases(ctx, c, part, span)]
+            cases = [c2 for c in cases for c2 in _collect_cases(ctx, c, part)]
         return cases
     if isinstance(enc, EImplies):
         cond = eval_expr(case.state, enc.cond)
         thens, elses = _branch_states(ctx, case.state, cond)
         out = []
         for s in thens:
-            out.extend(_collect_cases(ctx, case.split(s), enc.body, span))
+            out.extend(_collect_cases(ctx, case.split(s), enc.body))
         for s in elses:
             out.append(case.split(s))
         return out
@@ -462,9 +462,9 @@ def _collect_cases(ctx: ExecContext, case: _Case, enc, span: Span) -> list[_Case
         thens, elses = _branch_states(ctx, case.state, cond)
         out = []
         for s in thens:
-            out.extend(_collect_cases(ctx, case.split(s), enc.then, span))
+            out.extend(_collect_cases(ctx, case.split(s), enc.then))
         for s in elses:
-            out.extend(_collect_cases(ctx, case.split(s), enc.els, span))
+            out.extend(_collect_cases(ctx, case.split(s), enc.els))
         return out
     if isinstance(enc, EAcc):
         ref = resolve_loc(case.state, enc.loc)
@@ -479,8 +479,7 @@ def _collect_cases(ctx: ExecContext, case: _Case, enc, span: Span) -> list[_Case
     if isinstance(enc, EFieldEq):
         ref = resolve_loc(case.state, enc.loc)
         key = case.state.field_key(ref, enc.fld, enc.label)
-        case.checks.append(("value", key, _atom_name(ref, enc.fld, enc.label),
-                            enc.value, enc.span or span))
+        case.checks.append(("value", key, _atom_name(ref, enc.fld, enc.label), enc.value))
         return [case]
     if isinstance(enc, EPredAcc):
         ref = resolve_loc(case.state, enc.loc)
@@ -492,8 +491,7 @@ def _collect_cases(ctx: ExecContext, case: _Case, enc, span: Span) -> list[_Case
         else:
             d.exact += enc.perm
         if enc.vals_empty:
-            case.vals_checks.append((key, _pred_name(ref, enc.idx, enc.label),
-                                     enc.span or span))
+            case.vals_checks.append((key, _pred_name(ref, enc.idx, enc.label)))
         return [case]
     raise AssertionError(enc)
 
@@ -512,7 +510,7 @@ def _run_checks(ctx: ExecContext, case: _Case, prim) -> None:
     state = case.state
     for check in case.checks:
         if check[0] == "pure":
-            _, expr, _span = check
+            _, expr = check
             fact = eval_expr(state, expr)
             if fact is T.TRUE:
                 continue
@@ -521,7 +519,7 @@ def _run_checks(ctx: ExecContext, case: _Case, prim) -> None:
                 ctx.fail_query(state, res, prim.kind, prim.span, prim.rule,
                                f"cannot establish {S.pp_expr(expr)}")
         else:
-            _, key, name, expr, _span = check
+            _, key, name, expr = check
             chunk = state.fields.get(key)
             if chunk is None:
                 ctx.fail(state, prim.kind, prim.span, prim.rule,
@@ -538,7 +536,7 @@ def _run_checks(ctx: ExecContext, case: _Case, prim) -> None:
                 ctx.fail_query(
                     state, res, prim.kind, prim.span, prim.rule,
                     f"value of {name} is not known to be {S.pp_expr(expr)}")
-    for key, name, _span in case.vals_checks:
+    for key, name in case.vals_checks:
         chunk = state.preds.get(key)
         if chunk is not None and chunk.vals:
             vals = ", ".join(T.pretty(v) for v in chunk.vals)
@@ -625,7 +623,7 @@ def _apply_demands(ctx: ExecContext, case: _Case, prim, span: Span,
 def exhale(ctx: ExecContext, state: SymState, prim, deduct: bool = True) -> list[SymState]:
     """Execute an exhale (or a check-only assert when deduct is false)."""
     out: list[SymState] = []
-    for case in _collect_cases(ctx, _Case(state), prim.enc, prim.span):
+    for case in _collect_cases(ctx, _Case(state), prim.enc):
         try:
             _run_checks(ctx, case, prim)
             _apply_demands(ctx, case, prim, prim.span, deduct)
@@ -676,7 +674,7 @@ def exhale_prefer_tmp(ctx: ExecContext, state: SymState, prim) -> list[SymState]
     split across both, the two values are equated.
     """
     out: list[SymState] = []
-    for case in _collect_cases(ctx, _Case(state), prim.enc, prim.span):
+    for case in _collect_cases(ctx, _Case(state), prim.enc):
         try:
             _apply_prefer_tmp(ctx, case, prim)
         except _Fail:
@@ -759,7 +757,7 @@ def _apply_prefer_tmp(ctx: ExecContext, case: _Case, prim) -> None:
         took_tmp, took_fb, tmp_chunk, fb_chunk = _take_split(
             ctx, state, state.fields, key, tmp_key, demand, prim)
         for check in value_checks.get(key, []):
-            _, _, name, expr, _span = check
+            _, _, name, expr = check
             if isinstance(expr, S.EAny):
                 continue
             want = eval_expr(state, expr)
@@ -779,7 +777,7 @@ def _apply_prefer_tmp(ctx: ExecContext, case: _Case, prim) -> None:
         tmp_key = (HeapLabel.TMP.value, key[1], key[2])
         _take_split(ctx, state, state.preds, key, tmp_key, demand, prim)
 
-    for key, name, _span in case.vals_checks:
+    for key, name in case.vals_checks:
         chunk = state.preds.get(key)
         if chunk is not None and chunk.vals:
             ctx.fail(state, prim.kind, prim.span, prim.rule,
@@ -838,7 +836,7 @@ def run_prim(ctx: ExecContext, state: SymState, prim) -> list[SymState]:
                          E.pp_primitive(prim)[0].strip(), state.digest())
     try:
         if isinstance(prim, E.Inhale):
-            return inhale(ctx, state, prim.enc, prim.span)
+            return inhale(ctx, state, prim.enc)
         if isinstance(prim, E.Exhale):
             return exhale(ctx, state, prim, deduct=True)
         if isinstance(prim, E.AssertCheck):

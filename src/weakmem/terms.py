@@ -61,16 +61,39 @@ def _intern(kind: str, sort: str, data, args: tuple[Term, ...]) -> Term:
 
 
 # ---------------------------------------------------------------------------
+# Exact numbers: an int when the value is integral, else a Fraction
+# ---------------------------------------------------------------------------
+#
+# Constants, coefficients and (in the solver) bounds and model values are
+# held this way.  An int and the equal Fraction hash and compare alike, so
+# interning stays canonical; the point is that int arithmetic is much cheaper.
+
+def _q(x):
+    """``x`` as an int when it is an integral Fraction, else unchanged."""
+    if type(x) is Fraction and x.denominator == 1:
+        return x.numerator
+    return x
+
+
+def _div(a, b):
+    """The exact quotient ``a / b`` in normal form (never a float)."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return q if not r else Fraction(a, b)
+    return _q(a / b)
+
+
+# ---------------------------------------------------------------------------
 # Literals and variables
 # ---------------------------------------------------------------------------
 
 def mk_int(value) -> Term:
-    value = Fraction(value)
+    value = _q(value)
     return _intern("num", INT if value.denominator == 1 else FRAC, value, ())
 
 
 def mk_frac(value) -> Term:
-    return _intern("num", FRAC, Fraction(value), ())
+    return _intern("num", FRAC, _q(value), ())
 
 
 def mk_bool(value: bool) -> Term:
@@ -110,21 +133,23 @@ ANY = _intern("any", INT, None, ())  # the `_` wildcard value in assertions
 # ---------------------------------------------------------------------------
 #
 # Every numeric term is either a constant ("num"), an atom (var / opaque op)
-# or a "lin" node with data (const: Fraction, coeffs: tuple[(atom, Fraction)]).
+# or a "lin" node with data (const, coeffs: tuple[(atom, coeff)]), where the
+# constant and coefficients are exact numbers (int or Fraction, as above).
 # Coefficient lists are sorted by atom id and never contain zero coefficients.
 
-def linear_parts(t: Term) -> tuple[Fraction, dict[Term, Fraction]]:
+def linear_parts(t: Term) -> tuple[int | Fraction, dict[Term, int | Fraction]]:
     """Decompose a numeric term into (constant, {atom: coeff})."""
     if t.kind == "num":
         return t.data, {}
     if t.kind == "lin":
         const, pairs = t.data
         return const, dict(pairs)
-    return Fraction(0), {t: Fraction(1)}
+    return 0, {t: 1}
 
 
-def mk_linear(const: Fraction, coeffs: dict[Term, Fraction]) -> Term:
-    coeffs = {a: c for a, c in coeffs.items() if c != 0}
+def mk_linear(const, coeffs: dict[Term, int | Fraction]) -> Term:
+    const = _q(const)
+    coeffs = {a: _q(c) for a, c in coeffs.items() if c != 0}
     if not coeffs:
         return mk_int(const) if const.denominator == 1 else mk_frac(const)
     if const == 0 and len(coeffs) == 1:
@@ -141,18 +166,18 @@ def mk_linear(const: Fraction, coeffs: dict[Term, Fraction]) -> Term:
 
 
 def add(*ts: Term) -> Term:
-    const = Fraction(0)
-    coeffs: dict[Term, Fraction] = {}
+    const = 0
+    coeffs: dict[Term, int | Fraction] = {}
     for t in ts:
         c, parts = linear_parts(t)
         const += c
         for a, k in parts.items():
-            coeffs[a] = coeffs.get(a, Fraction(0)) + k
+            coeffs[a] = coeffs.get(a, 0) + k
     return mk_linear(const, coeffs)
 
 
 def neg(t: Term) -> Term:
-    return scale(Fraction(-1), t)
+    return scale(-1, t)
 
 
 def sub(a: Term, b: Term) -> Term:
@@ -160,7 +185,7 @@ def sub(a: Term, b: Term) -> Term:
 
 
 def scale(k, t: Term) -> Term:
-    k = Fraction(k)
+    k = _q(k)
     const, coeffs = linear_parts(t)
     return mk_linear(const * k, {a: c * k for a, c in coeffs.items()})
 
@@ -209,26 +234,26 @@ def shr(a: Term, b: Term) -> Term:
 OPAQUE_KINDS = frozenset({"mul", "mod", "div", "bitand", "bitor", "bitxor", "shl", "shr"})
 
 
-def _int_valued(const: Fraction, coeffs: dict[Term, Fraction]) -> bool:
+def _int_valued(const, coeffs: dict[Term, int | Fraction]) -> bool:
     return const.denominator == 1 and all(
         c.denominator == 1 and a.sort == INT for a, c in coeffs.items()
     )
 
 
-def _norm_scale(const: Fraction, coeffs: dict[Term, Fraction]):
+def _norm_scale(const, coeffs: dict[Term, int | Fraction]):
     """Scale so coefficients are integral with gcd 1 (stable canonical form)."""
     denom = const.denominator
     for c in coeffs.values():
         denom = denom * c.denominator // gcd(denom, c.denominator)
-    const *= denom
-    coeffs = {a: c * denom for a, c in coeffs.items()}
+    const = _q(const * denom)
+    coeffs = {a: _q(c * denom) for a, c in coeffs.items()}
     g = 0
     for c in coeffs.values():
-        g = gcd(g, c.numerator)
-    g = gcd(g, const.numerator)
+        g = gcd(g, c)
+    g = gcd(g, const)
     if g > 1:
-        const /= g
-        coeffs = {a: c / g for a, c in coeffs.items()}
+        const = _div(const, g)
+        coeffs = {a: _div(c, g) for a, c in coeffs.items()}
     return const, coeffs
 
 
@@ -251,7 +276,7 @@ def _cmp(kind: str, t: Term) -> Term:
         if coeffs[first] < 0:
             const = -const
             coeffs = {a: -c for a, c in coeffs.items()}
-        if _int_valued(Fraction(0), coeffs) and const.denominator != 1:
+        if _int_valued(0, coeffs) and const.denominator != 1:
             return FALSE  # integer combination can never equal a non-integer
     if kind == "lt0" and _int_valued(const, coeffs):
         # integer tightening:  t < 0  <=>  t + 1 <= 0

@@ -113,14 +113,14 @@ def manifest_entries():
         return json.load(fh)["entries"]
 
 
-def run_fresh(*argv):
+def run_fresh(*argv, module="weakmem.cli"):
     # A fresh process, so term ids (and with them column order and the
     # counter-model hints) do not depend on what other tests interned first.
     src = os.path.join(os.path.dirname(__file__), "..", "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (os.path.abspath(src), env.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, "-m", "weakmem.cli", *argv],
+    return subprocess.run([sys.executable, "-m", module, *argv],
                           cwd=CORPUS, env=env, capture_output=True, text=True)
 
 
@@ -204,6 +204,12 @@ def test_console_script_installed():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "ok" in proc.stdout
+
+
+def test_package_runs_as_module():
+    proc = run_fresh("corpus", MANIFEST, module="weakmem")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_empty_program_verifies(tmp_path, capsys):

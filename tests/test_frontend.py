@@ -166,6 +166,20 @@ def test_mode_check_order_independent():
     assert [d.kind for d in ca.diagnostics] == [d.kind for d in cb.diagnostics]
 
 
+def test_define_expansion_reports_the_use_site():
+    program, diags = parse("""define P(x) = x |-> 1 @ 2;
+
+proc main(a)
+  requires { P(a) }
+  ensures { true }
+{ skip; }
+""")
+    assert diags == []
+    [d] = mode_check(program).diagnostics
+    assert "fraction 2 outside" in d.message
+    assert (d.span.line, d.span.col) == (4, 14)
+
+
 def test_postcondition_variable_restriction():
     program, _ = parse("""
 proc f() requires { true } ensures { z == 1 } { z := 1; }

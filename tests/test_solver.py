@@ -5,11 +5,12 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 from weakmem import terms as T
 from weakmem.solver import (
-    ExternalSolverError, NO, Solver, SolverConfig, UNKNOWN, YES, emit_smtlib,
-    run_external,
+    ExternalSolverError, NO, SAT, Solver, SolverConfig, UNKNOWN, YES,
+    _sat_conjunction, emit_smtlib, run_external,
 )
 
 x = T.mk_var("x", T.INT)
@@ -168,6 +169,109 @@ def test_solver_tables_carry_no_query_state():
     verdicts = [r if isinstance(r, str) else r.verdict for r in fresh]
     assert {YES, NO, UNKNOWN} <= set(verdicts)
     assert any(not isinstance(r, str) and r.verdict == NO and r.hint for r in fresh)
+
+
+# ---------------------------------------------------------------------------
+# Oracle: random linear queries against brute-force enumeration
+# ---------------------------------------------------------------------------
+#
+# Facts and goals are comparisons of small linear forms over two or three
+# int- or frac-sorted variables, goals combined with and/or/not.  A `yes` must
+# hold at every point of a small box that satisfies the facts; a `no` must
+# come with a model that satisfies the facts and falsifies the goal, exactly;
+# an infeasible path must have no point in the box.  `unknown` is allowed; each
+# answer is counted as a hypothesis event (see --hypothesis-show-statistics).
+
+ORACLE_INTS = range(-3, 4)
+ORACLE_FRACS = [Fraction(n, 2) for n in range(-4, 5)]
+ORACLE_COEFFS = [-2, -1, Fraction(-1, 2), Fraction(1, 2), 1, 2, 3]
+ORACLE_CMPS = [T.eq, T.ne, T.le, T.lt, T.ge, T.gt]
+
+
+@st.composite
+def oracle_vars(draw):
+    sorts = draw(st.lists(st.sampled_from([T.INT, T.FRAC]), min_size=2, max_size=3))
+    return [T.mk_var(f"o{i}{s}", s) for i, s in enumerate(sorts)]
+
+
+def oracle_comparison(variables):
+    form = st.lists(st.tuples(st.sampled_from(variables), st.sampled_from(ORACLE_COEFFS)),
+                    min_size=1, max_size=3)
+    const = st.sampled_from(ORACLE_FRACS)
+    return st.builds(
+        lambda cmp, parts, k: cmp(T.add(*[T.scale(c, v) for v, c in parts]), T.mk_frac(k)),
+        st.sampled_from(ORACLE_CMPS), form, const)
+
+
+def oracle_goal(variables):
+    return st.recursive(
+        oracle_comparison(variables),
+        lambda inner: st.one_of(
+            st.builds(T.not_, inner),
+            st.builds(lambda a, b: T.and_(a, b), inner, inner),
+            st.builds(lambda a, b: T.or_(a, b), inner, inner)),
+        max_leaves=3)
+
+
+def evaluate(t, env):
+    """The exact value of a term at a point (missing atoms read as 0)."""
+    k = t.kind
+    if k == "num":
+        return t.data
+    if k == "boollit":
+        return t.data
+    if k == "var":
+        return env.get(t, 0)
+    if k == "lin":
+        const, pairs = t.data
+        return const + sum(c * evaluate(a, env) for a, c in pairs)
+    if k in ("eq0", "le0", "lt0"):
+        v = evaluate(t.args[0], env)
+        return v == 0 if k == "eq0" else v <= 0 if k == "le0" else v < 0
+    if k == "not":
+        return not evaluate(t.args[0], env)
+    if k == "and":
+        return all(evaluate(a, env) for a in t.args)
+    if k == "or":
+        return any(evaluate(a, env) for a in t.args)
+    raise AssertionError(k)
+
+
+def box(variables):
+    points = [{}]
+    for v in variables:
+        values = ORACLE_INTS if v.sort == T.INT else ORACLE_FRACS
+        points = [{**p, v: n} for p in points for n in values]
+    return points
+
+
+@st.composite
+def oracle_queries(draw):
+    variables = draw(oracle_vars())
+    facts = draw(st.lists(oracle_comparison(variables), min_size=1, max_size=3))
+    return variables, facts, draw(oracle_goal(variables))
+
+
+@settings(max_examples=120, deadline=None)
+@given(oracle_queries())
+def test_solver_agrees_with_brute_force(query):
+    variables, facts, goal = query
+    solver = Solver()
+    points = [p for p in box(variables) if all(evaluate(f, p) for f in facts)]
+    feasible = solver.is_feasible(facts)
+    if feasible == NO:
+        assert points == []
+    res = solver.assert_entailed(facts, goal)
+    if res.verdict == YES:
+        assert all(evaluate(goal, p) for p in points)
+    elif res.verdict == NO:
+        sat, model, _ = _sat_conjunction(facts + [T.not_(goal)], {}, {})
+        assert sat == SAT
+        assert all(model[v].denominator == 1 for v in model if v.sort == T.INT)
+        assert all(evaluate(f, model) for f in facts)
+        assert not evaluate(goal, model)
+    event(f"feasible: {feasible}")
+    event(f"entailed: {res.verdict}")
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,11 @@
 
 from fractions import Fraction
 
+from hypothesis import given, settings, strategies as st
+
+from weakmem import solver as SV
 from weakmem import terms as T
+from weakmem.terms import _div
 
 x = T.mk_var("tx", T.INT)
 y = T.mk_var("ty", T.INT)
@@ -73,3 +77,98 @@ def test_substitute_terms():
     t = T.add(x, T.scale(2, y))
     out = T.substitute(t, {y: T.mk_int(3)})
     assert out is T.add(x, T.mk_int(6))
+
+
+# ---------------------------------------------------------------------------
+# Exact numbers: an int when integral, else a non-integral Fraction
+# ---------------------------------------------------------------------------
+
+def exact(v):
+    return type(v) is int or (type(v) is Fraction and v.denominator != 1)
+
+
+def stored_numbers(t):
+    """Every constant and coefficient held by ``t`` and its subterms."""
+    out, stack = [], [t]
+    while stack:
+        u = stack.pop()
+        if u.kind == "num":
+            out.append(u.data)
+        elif u.kind == "lin":
+            const, pairs = u.data
+            out.append(const)
+            out.extend(c for _, c in pairs)
+        stack.extend(u.args)
+    return out
+
+
+def test_integral_values_are_ints():
+    assert T.mk_int(Fraction(4, 2)) is T.mk_int(2)
+    assert type(T.mk_int(Fraction(4, 2)).data) is int
+    assert type(T.mk_frac(Fraction(3, 3)).data) is int
+    half = T.mk_frac(Fraction(1, 2))
+    assert T.add(half, half) is T.ONE
+    assert T.linear_parts(x) == (0, {x: 1})
+    assert all(type(v) is int for v in stored_numbers(T.scale(Fraction(2, 2), T.add(x, y))))
+    assert str(T.mk_int(Fraction(4, 2)).data) == str(Fraction(2))
+
+
+def test_exact_division():
+    assert _div(1, 3) == Fraction(1, 3)
+    assert _div(6, 3) == 2 and type(_div(6, 3)) is int
+    assert _div(-7, 2) == Fraction(-7, 2)
+    assert type(_div(Fraction(1, 2), Fraction(1, 4))) is int
+
+
+NUM_ATOMS = [T.mk_var("nx", T.INT), T.mk_var("ny", T.INT),
+             T.mk_var("nv", T.FRAC), T.mk_var("nw", T.FRAC)]
+rationals = st.one_of(st.integers(-4, 4),
+                      st.fractions(min_value=-4, max_value=4, max_denominator=4))
+numeric = st.recursive(
+    st.one_of(st.sampled_from(NUM_ATOMS), rationals.map(T.mk_frac), rationals.map(T.mk_int)),
+    lambda inner: st.one_of(st.builds(T.add, inner, inner), st.builds(T.sub, inner, inner),
+                            st.builds(T.scale, rationals, inner)),
+    max_leaves=6)
+# a sum of scaled atoms: rows that share columns, so pivots meet fractions
+weighted_sum = st.lists(st.tuples(rationals, st.sampled_from(NUM_ATOMS)), min_size=2,
+                        max_size=3).map(lambda ps: T.add(*[T.scale(k, a) for k, a in ps]))
+comparisons = st.builds(lambda op, a, b: op(a, b), st.sampled_from([T.eq, T.lt]),
+                        st.one_of(numeric, weighted_sum), numeric)
+
+
+def check_stored_numbers(facts):
+    """No constant, coefficient, solver bound, tableau entry or model value
+    is a float, and none that is integral is a Fraction."""
+    for f in facts:
+        assert all(exact(v) for v in stored_numbers(f))
+    lits = [(f.kind, SV._compile(f.args[0])) for f in facts if f.kind in ("eq0", "le0", "lt0")]
+    for _, lit in lits:
+        assert all(exact(d) for b in (lit.bound, lit.strict) for d in (b.real, b.eps))
+        assert all(exact(c) for _, c in lit.pairs)
+    sx = SV._Simplex()
+    for kind, lit in lits:
+        sx.add_literal(kind, lit)
+    if sx.check() == SV.SAT:
+        assert all(exact(v) for v in sx.concrete_model().values())
+    bounds = [*sx.lower.values(), *sx.upper.values(), *sx.assign.values()]
+    assert all(exact(d.real) and exact(d.eps) for d in bounds)
+    assert all(exact(c) for row in sx.tableau.values() for c in row.values())
+    _, model, _ = SV._sat_conjunction(facts, {}, {})
+    assert all(exact(v) for v in (model or {}).values())
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(comparisons, min_size=1, max_size=4))
+def test_no_float_is_ever_stored(facts):
+    check_stored_numbers(facts)
+
+
+def test_pivots_keep_integral_entries_int():
+    # pivoting these rows divides by 2 and 3, and later products come back
+    # integral: each must be stored as an int
+    p, q, r = (T.mk_var(n, T.FRAC) for n in ("pp", "pq", "pr"))
+    check_stored_numbers([
+        T.le(T.add(T.scale(2, p), T.scale(3, r), T.mk_int(2)), T.ZERO),
+        T.lt(r, q),
+        T.eq(T.add(p, T.scale(3, q), T.scale(3, r), T.mk_int(3)), T.ZERO),
+    ])
