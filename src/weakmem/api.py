@@ -8,7 +8,7 @@ from typing import Callable, Optional
 
 from . import encoder, frontend, monitor, speclogic, symstate, syntax
 from .diagnostics import Diagnostic, FrontendError, SOUNDNESS_VIOLATION, UnsupportedFeature
-from .solver import Solver, SolverConfig
+from .solver import Solver
 
 VERIFIED = "verified"
 FAILED = "failed"
@@ -17,13 +17,18 @@ UNSUPPORTED = "unsupported"
 
 @dataclass
 class VerifyOptions:
-    backend: str = "builtin"
+    """The settings of one run.  A ``solver_cmd`` gets the queries the
+    built-in solver leaves unknown; ``strict_invariants`` implies
+    ``check_soundness``."""
     solver_cmd: Optional[str] = None
     solver_timeout_ms: int = 10000
     branch_cap: int = 4096
     check_soundness: bool = False
     strict_invariants: bool = False
-    trace: Optional[Callable] = None
+    trace: Optional[Callable] = None       # (span, text, digest) -> None
+
+    def __post_init__(self):
+        self.check_soundness = self.check_soundness or self.strict_invariants
 
 
 @dataclass
@@ -74,77 +79,61 @@ def _verify_proc(proc, checked, table, solver, opts, soundness_sink) -> ProcVerd
     start = time.monotonic()
     verdict = ProcVerdict(name=proc.name, status=VERIFIED)
     try:
-        obligations = encoder.build_obligations(checked, table, proc, solver)
+        for ob in encoder.build_obligations(checked, table, proc):
+            on_boundary = None
+            if opts.check_soundness:
+                def on_boundary(state, span, desc, _ob=ob):
+                    report = monitor.make_report(_ob.name, desc, span, state, solver,
+                                                 _ob.var_classes, table)
+                    soundness_sink.append(report)
+                    if opts.strict_invariants and report.violations:
+                        verdict.diagnostics.append(Diagnostic(
+                            SOUNDNESS_VIOLATION, span, rule="soundness monitor",
+                            message="; ".join(v.format() for v in report.violations)))
+            result = symstate.run_obligation(ob, solver, opts.branch_cap,
+                                             opts.trace, on_boundary)
+            verdict.obligations.append(result)
+            verdict.diagnostics.extend(result.diagnostics)
     except UnsupportedFeature as exc:
         verdict.status = UNSUPPORTED
         verdict.reason = exc.reason
-        verdict.time_ms = (time.monotonic() - start) * 1000
-        return verdict
     except FrontendError as exc:
         verdict.status = FAILED
         verdict.diagnostics.append(exc.diagnostic)
-        verdict.time_ms = (time.monotonic() - start) * 1000
-        return verdict
-    for ob in obligations:
-        on_boundary = None
-        if opts.check_soundness:
-            def on_boundary(state, span, desc, _ob=ob):
-                report = monitor.make_report(_ob.name, desc, span, state, solver,
-                                             _ob.var_classes, table)
-                soundness_sink.append(report)
-                if opts.strict_invariants and report.violations:
-                    verdict.diagnostics.append(Diagnostic(
-                        SOUNDNESS_VIOLATION, span, rule="soundness monitor",
-                        message="; ".join(v.format() for v in report.violations)))
-        config = symstate.ExecConfig(branch_cap=opts.branch_cap,
-                                     trace=opts.trace,
-                                     on_boundary=on_boundary)
-        try:
-            result = symstate.run_obligation(ob, solver, config)
-        except UnsupportedFeature as exc:
-            verdict.status = UNSUPPORTED
-            verdict.reason = exc.reason
-            break
-        except FrontendError as exc:
-            verdict.status = FAILED
-            verdict.diagnostics.append(exc.diagnostic)
-            break
-        verdict.obligations.append(result)
-        verdict.diagnostics.extend(result.diagnostics)
     if verdict.status == VERIFIED and verdict.diagnostics:
         verdict.status = FAILED
     verdict.time_ms = (time.monotonic() - start) * 1000
     return verdict
 
 
+def check_source(source: str, path: str = "<input>") -> FileResult:
+    """Parse, mode-check and index the invariants of a program text; a
+    file-level error stops there, with its diagnostics in parse_diagnostics."""
+    result = FileResult(path=path)
+    result.program, diags = frontend.parse(source)
+    if not diags:
+        result.checked = frontend.mode_check(result.program)
+        diags = result.checked.diagnostics
+    if not diags:
+        try:
+            result.table = speclogic.build_invariant_table(result.checked)
+        except FrontendError as exc:
+            diags = [exc.diagnostic]
+    result.parse_diagnostics = diags
+    return result
+
+
 def verify_source(source: str, path: str = "<input>",
                   opts: Optional[VerifyOptions] = None) -> FileResult:
     """Verify every procedure of a program text."""
     opts = opts or VerifyOptions()
-    result = FileResult(path=path)
-    program, parse_diags = frontend.parse(source)
-    result.program = program
-    if parse_diags:
-        result.parse_diagnostics = parse_diags
+    result = check_source(source, path)
+    if result.parse_diagnostics:
         return result
-    checked = frontend.mode_check(program)
-    result.checked = checked
-    if checked.diagnostics:
-        result.parse_diagnostics = checked.diagnostics
-        return result
-    try:
-        table = speclogic.build_invariant_table(checked)
-    except FrontendError as exc:
-        result.parse_diagnostics = [exc.diagnostic]
-        return result
-    result.table = table
-    solver = Solver(SolverConfig(backend=opts.backend,
-                                 solver_cmd=opts.solver_cmd,
-                                 timeout_ms=opts.solver_timeout_ms))
-    result.solver = solver
-
-    result.verdicts = [_verify_proc(p, checked, table, solver, opts, result.soundness)
-                       for p in program.procedures]
+    solver = result.solver = Solver(opts.solver_cmd, opts.solver_timeout_ms)
+    result.verdicts = [_verify_proc(p, result.checked, result.table, solver, opts,
+                                    result.soundness)
+                       for p in result.program.procedures]
     return result
 
 

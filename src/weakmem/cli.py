@@ -1,10 +1,12 @@
 """Command-line driver.
 
-    weakmem verify <files> [--backend builtin|external] [--json out.json] ...
+    weakmem verify <files> [--solver-cmd CMD] [--json out.json] ...
     weakmem corpus <manifest.json>
 
-Exit codes: 0 all verified / all expectations met, 1 verification failures
-or expectation mismatches, 2 usage, IO or manifest errors.
+Exit codes: 0 all verified / all expectations met; 1 verification failures,
+unsupported features or expectation mismatches; 2 usage, IO or manifest
+errors, and for `verify` malformed input (a parse, mode-check or
+invariant-table diagnostic).
 """
 
 from __future__ import annotations
@@ -16,30 +18,11 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
-from . import api, encoder, frontend, speclogic, syntax
+from . import api, encoder, syntax
 from .api import FAILED, UNSUPPORTED, VERIFIED, VerifyOptions
 from .diagnostics import FrontendError, UnsupportedFeature
 
 SCHEMA_VERSION = 1
-
-
-@dataclass
-class RunConfig:
-    paths: list
-    backend: str = "builtin"
-    solver_cmd: Optional[str] = None
-    solver_timeout_ms: int = 10000
-    branch_cap: int = 4096
-    trace: bool = False
-    dump_primitives: bool = False
-    dump_invariants: bool = False
-    check_soundness: bool = False
-    strict_invariants: bool = False
-    json_out: Optional[str] = None
-
-    def validate(self) -> None:
-        if self.backend == "external" and not self.solver_cmd:
-            raise ValueError("--backend external requires --solver-cmd")
 
 
 def _make_parser() -> argparse.ArgumentParser:
@@ -49,9 +32,8 @@ def _make_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--backend", choices=("builtin", "external"),
-                       default="builtin")
-        p.add_argument("--solver-cmd", help="external SMT solver command line")
+        p.add_argument("--solver-cmd", help="external SMT solver command line, "
+                       "asked when the built-in solver answers unknown")
         p.add_argument("--solver-timeout-ms", type=int, default=10000)
         p.add_argument("--branch-cap", type=int, default=4096)
         p.add_argument("--trace", action="store_true",
@@ -74,20 +56,19 @@ def _make_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _options(cfg: RunConfig) -> VerifyOptions:
-    trace_fn = None
-    if cfg.trace:
-        def trace_fn(span, text, digest):
-            sys.stderr.write(json.dumps({
-                "line": span.line, "col": span.col,
-                "primitive": text, "state": digest,
-            }, sort_keys=True) + "\n")
+def _trace(span, text, digest) -> None:
+    sys.stderr.write(json.dumps({
+        "line": span.line, "col": span.col,
+        "primitive": text, "state": digest,
+    }, sort_keys=True) + "\n")
+
+
+def _options(args: argparse.Namespace) -> VerifyOptions:
     return VerifyOptions(
-        backend=cfg.backend, solver_cmd=cfg.solver_cmd,
-        solver_timeout_ms=cfg.solver_timeout_ms, branch_cap=cfg.branch_cap,
-        check_soundness=cfg.check_soundness,
-        strict_invariants=cfg.strict_invariants,
-        trace=trace_fn)
+        solver_cmd=args.solver_cmd, solver_timeout_ms=args.solver_timeout_ms,
+        branch_cap=args.branch_cap, check_soundness=args.check_soundness,
+        strict_invariants=args.strict_invariants,
+        trace=_trace if args.trace else None)
 
 
 def _file_json(result: api.FileResult) -> dict:
@@ -117,54 +98,51 @@ def _print_result(result: api.FileResult, out) -> None:
             print(f"    {d.format()}", file=out)
 
 
-def cmd_verify(cfg: RunConfig, out=None) -> int:
+def cmd_verify(args: argparse.Namespace, out=None) -> int:
     out = out or sys.stdout
-    opts = _options(cfg)
+    opts = _options(args)
     results: list[api.FileResult] = []
-    for path in cfg.paths:
+    for path in args.files:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 source = fh.read()
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        if cfg.dump_invariants or cfg.dump_primitives:
-            code = _dump(source, path, cfg, out)
+        if args.dump_invariants or args.dump_primitives:
+            code = _dump(source, path, args, out)
             if code is not None:
                 return code
             continue
         results.append(api.verify_source(source, path=path, opts=opts))
     for r in results:
         _print_result(r, out)
-    if cfg.json_out and results:
-        report = _report_json(results, cfg.check_soundness)
-        with open(cfg.json_out, "w", encoding="utf-8") as fh:
+    if args.json_out and results:
+        report = _report_json(results, opts.check_soundness)
+        with open(args.json_out, "w", encoding="utf-8") as fh:
             json.dump(report, fh, indent=2, sort_keys=True)
             fh.write("\n")
+    if any(r.parse_diagnostics for r in results):
+        return 2
     return 0 if all(r.ok for r in results) else 1
 
 
-def _dump(source: str, path: str, cfg: RunConfig, out) -> Optional[int]:
-    program, diags = frontend.parse(source)
-    if diags:
-        for d in diags:
+def _dump(source: str, path: str, args: argparse.Namespace, out) -> Optional[int]:
+    front = api.check_source(source, path)
+    if front.parse_diagnostics:
+        for d in front.parse_diagnostics:
             print(f"{path}: {d.format()}", file=sys.stderr)
-        return 1
-    checked = frontend.mode_check(program)
-    if checked.diagnostics:
-        for d in checked.diagnostics:
-            print(f"{path}: {d.format()}", file=sys.stderr)
-        return 1
+        return 2
     try:
-        table = speclogic.build_invariant_table(checked)
-        if cfg.dump_invariants:
-            json.dump(table.to_json(), out, indent=2, sort_keys=True)
+        if args.dump_invariants:
+            json.dump(front.table.to_json(), out, indent=2, sort_keys=True)
             out.write("\n")
-        if cfg.dump_primitives:
+        if args.dump_primitives:
             obligations = []
-            for proc in program.procedures:
-                obligations.extend(encoder.build_obligations(checked, table, proc))
-            out.write(encoder.dump_primitives(obligations, table))
+            for proc in front.program.procedures:
+                obligations.extend(encoder.build_obligations(
+                    front.checked, front.table, proc))
+            out.write(encoder.dump_primitives(obligations, front.table))
     except UnsupportedFeature as exc:
         print(f"{path}: unsupported: {exc.reason}", file=sys.stderr)
         return 1
@@ -247,12 +225,12 @@ def _loc_of(source: str) -> int:
     return count
 
 
-def run_corpus(manifest_path: str, cfg: RunConfig, out=None) -> int:
+def run_corpus(args: argparse.Namespace, out=None) -> int:
     out = out or sys.stdout
     import os
-    entries = load_manifest(manifest_path)
-    base = os.path.dirname(os.path.abspath(manifest_path))
-    opts = _options(cfg)
+    entries = load_manifest(args.manifest)
+    base = os.path.dirname(os.path.abspath(args.manifest))
+    opts = _options(args)
     mismatches: list[str] = []
     rows: list[dict] = []
     for entry in entries:
@@ -315,8 +293,8 @@ def run_corpus(manifest_path: str, cfg: RunConfig, out=None) -> int:
     print(fmt.format(**header), file=out)
     for r in rows:
         print(fmt.format(**r), file=out)
-    if cfg.json_out:
-        with open(cfg.json_out, "w", encoding="utf-8") as fh:
+    if args.json_out:
+        with open(args.json_out, "w", encoding="utf-8") as fh:
             json.dump({"schema": SCHEMA_VERSION, "rows": rows,
                        "mismatches": mismatches}, fh, indent=2, sort_keys=True)
             fh.write("\n")
@@ -335,28 +313,10 @@ def main(argv: Optional[list] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    cfg = RunConfig(
-        paths=getattr(args, "files", []),
-        backend=args.backend,
-        solver_cmd=args.solver_cmd,
-        solver_timeout_ms=args.solver_timeout_ms,
-        branch_cap=args.branch_cap,
-        trace=args.trace,
-        dump_primitives=getattr(args, "dump_primitives", False),
-        dump_invariants=getattr(args, "dump_invariants", False),
-        check_soundness=args.check_soundness,
-        strict_invariants=args.strict_invariants,
-        json_out=args.json_out,
-    )
-    try:
-        cfg.validate()
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     try:
         if args.command == "verify":
-            return cmd_verify(cfg)
-        return run_corpus(args.manifest, cfg)
+            return cmd_verify(args)
+        return run_corpus(args)
     except ManifestError as exc:
         print(f"manifest error: {exc}", file=sys.stderr)
         return 2

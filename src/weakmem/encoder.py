@@ -201,7 +201,7 @@ class Obligation:
 
 class EncodeCtx:
     def __init__(self, checked: CheckedProgram, table: InvariantTable,
-                 proc_name: str, solver=None):
+                 proc_name: str):
         self.checked = checked
         self.program = checked.program
         self.table = table
@@ -209,7 +209,6 @@ class EncodeCtx:
         self.classes = checked.info[proc_name].classes
         self.lower_ctx = LowerCtx(table, self.classes)
         self.inv_vars = checked.inv_vars
-        self.solver = solver
         self._fresh = 0
         self.extra_obligations: list[Obligation] = []
         self._thread_count = 0
@@ -722,9 +721,9 @@ def _describe(st: S.Stmt) -> str:
 
 
 def build_obligations(checked: CheckedProgram, table: InvariantTable,
-                      proc: S.Procedure, solver=None) -> list[Obligation]:
+                      proc: S.Procedure) -> list[Obligation]:
     """Encode one procedure: its own obligation plus one per forked thread."""
-    ctx = EncodeCtx(checked, table, proc.name, solver)
+    ctx = EncodeCtx(checked, table, proc.name)
     free = S.deep_assertion_vars(proc.pre, ctx.inv_vars)
     free |= S.deep_assertion_vars(proc.post, ctx.inv_vars)
     free |= _used_vars(proc.body)

@@ -19,7 +19,7 @@ records the rewrite.
 Non-linear atoms (general products, modulo, bitwise operations) are treated
 as uninterpreted, so "unsat" answers remain sound; queries whose verdict
 would depend on their semantics come back ``unknown`` unless an external SMT
-backend is configured.
+solver command is given.
 
 ``unknown`` is never treated as success by callers: the verifier turns it
 into a verification failure tagged ``incomplete-solver``.
@@ -526,26 +526,19 @@ def _format_model(model: Optional[dict[Term, int | Fraction]]) -> Optional[str]:
 # Public interface
 # ---------------------------------------------------------------------------
 
-@dataclass
-class SolverConfig:
-    backend: str = "builtin"            # builtin | external
-    solver_cmd: Optional[str] = None
-    timeout_ms: int = 10000
-
-
 class Solver:
     """Entailment and feasibility queries over a path condition.
 
     Stateless apart from memoisation; safe to share across obligations.
     Besides the verdict caches it keeps, for its own lifetime, each linear
     form compiled for the simplex and each rewritten negation, so a fact is
-    prepared once however many queries mention it.
+    prepared once however many queries mention it.  With ``solver_cmd`` set,
+    queries the built-in procedure leaves unknown go to that external solver.
     """
 
-    def __init__(self, config: Optional[SolverConfig] = None):
-        self.config = config or SolverConfig()
-        if self.config.backend == "external" and not self.config.solver_cmd:
-            raise ValueError("external backend requires a solver command")
+    def __init__(self, solver_cmd: Optional[str] = None, timeout_ms: int = 10000):
+        self.solver_cmd = solver_cmd
+        self.timeout_ms = timeout_ms
         self._feas_cache: dict[frozenset[int], str] = {}
         self._ent_cache: dict[tuple[frozenset[int], int], Result] = {}
         self._compiled: dict[int, _Compiled] = {}   # linear form tid -> entry
@@ -568,7 +561,7 @@ class Solver:
         self.queries += 1
         res, _model, _ = self._sat(facts)
         out = YES if res == SAT else NO if res == UNSAT else UNKNOWN
-        if out == UNKNOWN and self.config.backend == "external":
+        if out == UNKNOWN and self.solver_cmd:
             ext = self._external_sat(facts)
             if ext is not None:
                 out = ext
@@ -595,7 +588,7 @@ class Solver:
             out = Result(NO, _format_model(model))
         else:
             out = Result(UNKNOWN)
-        if out.verdict == UNKNOWN and self.config.backend == "external":
+        if out.verdict == UNKNOWN and self.solver_cmd:
             ext = self._external_sat(facts + [terms.not_(goal)])
             if ext == NO:
                 out = Result(YES)
@@ -631,7 +624,7 @@ class Solver:
         """Run the external solver on sat(/\\ facts); returns yes/no/None."""
         script = emit_smtlib(facts, terms.FALSE, negate_goal=False)
         try:
-            verdict = run_external(script, self.config.solver_cmd, self.config.timeout_ms)
+            verdict = run_external(script, self.solver_cmd, self.timeout_ms)
         except ExternalSolverError:
             return None
         if verdict == SAT:

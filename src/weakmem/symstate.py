@@ -184,13 +184,6 @@ class SymState:
 # Execution context
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ExecConfig:
-    branch_cap: int = 4096
-    trace: Optional[Callable] = None          # (span, text, digest) -> None
-    on_boundary: Optional[Callable] = None    # (state, span, desc) -> None
-
-
 class AbortObligation(Exception):
     pass
 
@@ -201,10 +194,13 @@ class _Fail(Exception):
 
 class ExecContext:
     def __init__(self, solver: Solver, var_classes: dict[str, str],
-                 config: Optional[ExecConfig] = None):
+                 branch_cap: int = 4096, trace: Optional[Callable] = None,
+                 on_boundary: Optional[Callable] = None):
         self.solver = solver
         self.var_classes = var_classes
-        self.config = config or ExecConfig()
+        self.branch_cap = branch_cap
+        self.trace = trace                # (span, text, digest) -> None
+        self.on_boundary = on_boundary    # (state, span, desc) -> None
         self.diagnostics: list[Diagnostic] = []
         self._count = itertools.count()
         self._ref_ids = itertools.count(1)
@@ -325,10 +321,10 @@ def _branch_states(ctx: ExecContext, state: SymState, cond: T.Term):
     if cond is T.FALSE:
         return [], [state]
     ctx.branches += 1
-    if ctx.branches > ctx.config.branch_cap:
+    if ctx.branches > ctx.branch_cap:
         ctx.diagnostics.append(Diagnostic(
             BRANCH_CAP_EXCEEDED, NO_SPAN, rule="exploration",
-            message=f"more than {ctx.config.branch_cap} branches explored"))
+            message=f"more than {ctx.branch_cap} branches explored"))
         raise AbortObligation()
     s_then = state.clone()
     s_then.assume(cond)
@@ -831,9 +827,9 @@ def _branch_cond_term(ctx: ExecContext, state: SymState, cond: E.BranchCond):
 
 def run_prim(ctx: ExecContext, state: SymState, prim) -> list[SymState]:
     ctx.states_seen += 1
-    if ctx.config.trace is not None:
-        ctx.config.trace(getattr(prim, "span", NO_SPAN),
-                         E.pp_primitive(prim)[0].strip(), state.digest())
+    if ctx.trace is not None:
+        ctx.trace(getattr(prim, "span", NO_SPAN),
+                  E.pp_primitive(prim)[0].strip(), state.digest())
     try:
         if isinstance(prim, E.Inhale):
             return inhale(ctx, state, prim.enc)
@@ -866,10 +862,10 @@ def run_prim(ctx: ExecContext, state: SymState, prim) -> list[SymState]:
             cond = _branch_cond_term(ctx, state, prim.cond)
             if cond is None:
                 ctx.branches += 1
-                if ctx.branches > ctx.config.branch_cap:
+                if ctx.branches > ctx.branch_cap:
                     ctx.diagnostics.append(Diagnostic(
                         BRANCH_CAP_EXCEEDED, prim.span, rule="exploration",
-                        message=f"more than {ctx.config.branch_cap} branches explored"))
+                        message=f"more than {ctx.branch_cap} branches explored"))
                     raise AbortObligation()
                 thens, elses = [state.clone()], [state]
             else:
@@ -979,24 +975,25 @@ class ObligationResult:
         return not self.diagnostics
 
 
-def run_obligation(ob: E.Obligation, solver: Solver,
-                   config: Optional[ExecConfig] = None) -> ObligationResult:
-    ctx = ExecContext(solver, ob.var_classes, config)
+def run_obligation(ob: E.Obligation, solver: Solver, branch_cap: int = 4096,
+                   trace: Optional[Callable] = None,
+                   on_boundary: Optional[Callable] = None) -> ObligationResult:
+    ctx = ExecContext(solver, ob.var_classes, branch_cap, trace, on_boundary)
     states = [SymState()]
     try:
         for blk in ob.blocks:
-            if ctx.config.on_boundary is not None:
+            if ctx.on_boundary is not None:
                 for s in states:
-                    ctx.config.on_boundary(s, blk.span, blk.desc)
+                    ctx.on_boundary(s, blk.span, blk.desc)
             next_states: list[SymState] = []
             for s in states:
                 next_states.extend(run_seq(ctx, s, blk.prims))
             states = next_states
             if not states:
                 break
-        if ctx.config.on_boundary is not None:
+        if ctx.on_boundary is not None:
             for s in states:
-                ctx.config.on_boundary(s, ob.span, "final")
+                ctx.on_boundary(s, ob.span, "final")
     except AbortObligation:
         states = []
     return ObligationResult(ob.name, ob.kind, ctx.diagnostics, states,

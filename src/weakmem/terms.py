@@ -181,7 +181,11 @@ def neg(t: Term) -> Term:
 
 
 def sub(a: Term, b: Term) -> Term:
-    return add(a, neg(b))
+    const, coeffs = linear_parts(a)
+    c, parts = linear_parts(b)
+    for t, k in parts.items():
+        coeffs[t] = coeffs.get(t, 0) - k
+    return mk_linear(const - c, coeffs)
 
 
 def scale(k, t: Term) -> Term:

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 
+import pytest
 from conftest import CORPUS, MANIFEST, corpus_path
 from weakmem.cli import count_annotations, main
 from weakmem.frontend import parse
@@ -30,9 +31,42 @@ def test_missing_file_exit_two():
     assert run_cli("verify", "no/such/file.rsl") == 2
 
 
-def test_external_backend_needs_cmd():
-    assert run_cli("verify", corpus_path("RelAcqMsgPass.rsl"),
-                   "--backend", "external") == 2
+def write(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    return str(path)
+
+
+MALFORMED = {
+    "parse": "proc main() requires { true } ensures {",
+    "fraction": "proc main() requires { true } ensures { true } "
+                "{ alloc_na(a); fence_rel(a |-> 1 @ 2); }",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(MALFORMED))
+def test_malformed_input_exit_two(tmp_path, capsys, kind):
+    path = write(tmp_path, "bad.rsl", MALFORMED[kind])
+    assert run_cli("verify", path) == 2
+    assert "SyntaxError" in capsys.readouterr().out
+    assert run_cli("verify", path, "--dump-primitives") == 2
+    err = capsys.readouterr().err
+    assert f"{path}: " in err and "Traceback" not in err
+
+
+MOD_GOAL = "proc main(x) requires { x == 8 } ensures { x % 2 == 0 } { skip; }"
+
+
+def test_unknown_goal_fails_without_solver_cmd(tmp_path, capsys):
+    assert run_cli("verify", write(tmp_path, "mod.rsl", MOD_GOAL)) == 1
+    assert "IncompleteSolver" in capsys.readouterr().out
+
+
+def test_solver_cmd_resolves_unknown_goal(tmp_path, capsys):
+    cmd = f"{sys.executable} -c \"print('unsat')\""
+    assert run_cli("verify", write(tmp_path, "mod.rsl", MOD_GOAL),
+                   "--solver-cmd", cmd) == 0
+    assert "main: ok" in capsys.readouterr().out
 
 
 def strip_times(obj):
@@ -100,12 +134,13 @@ def test_no_crash_on_error_corpus(capsys):
 
 
 def test_soundness_flag_adds_section(tmp_path, capsys):
-    out = tmp_path / "r.json"
-    run_cli("verify", corpus_path("RelAcqMsgPass.rsl"),
-            "--check-soundness-invariants", "--json", str(out))
-    capsys.readouterr()
-    report = json.loads(out.read_text())
-    assert "soundness" in report
+    # strict mode checks the invariants too, so it reports them as well
+    for flag in ("--check-soundness-invariants", "--strict-invariants"):
+        out = tmp_path / "r.json"
+        run_cli("verify", corpus_path("RelAcqMsgPass.rsl"), flag, "--json", str(out))
+        capsys.readouterr()
+        report = json.loads(out.read_text())
+        assert report["soundness"], flag
 
 
 def manifest_entries():

@@ -20,7 +20,7 @@ def run_main(source: str):
     """Run just the 'main' obligation; returns (result, checked, table, solver)."""
     chk, table, solver = pipeline(source)
     proc = next(p for p in chk.program.procedures if p.name == "main")
-    obligations = encoder.build_obligations(chk, table, proc, solver)
+    obligations = encoder.build_obligations(chk, table, proc)
     result = symstate.run_obligation(obligations[0], solver)
     return result, chk, table, solver
 
@@ -234,13 +234,13 @@ proc main() requires { true } ensures { true }
 { alloc_rmw(l, Q); [l]_rel := 0; t := CAS_rlx(l, 0, 1); }
 """)
     proc = chk.program.procedures[0]
-    ob = encoder.build_obligations(chk, table, proc, solver)[0]
+    ob = encoder.build_obligations(chk, table, proc)[0]
     ctx = symstate.ExecContext(solver, ob.var_classes)
     states = [symstate.SymState()]
     for blk in ob.blocks[:3]:   # setup, alloc, release write
         states = [s2 for s in states for s2 in symstate.run_seq(ctx, s, blk.prims)]
     assert not ctx.diagnostics
-    read_ctx = encoder.EncodeCtx(chk, table, "main", solver)
+    read_ctx = encoder.EncodeCtx(chk, table, "main")
     prims = encoder.encode_stmt(
         S.SRead(mode="acq", target="t", loc="l"), read_ctx)
     for s in states:

@@ -27,7 +27,7 @@ def test_alloc_state_has_no_violations():
     source = "proc main() requires { true } ensures { true } { alloc_na(a); }"
     chk, table, solver = pipeline(source)
     proc = chk.program.procedures[0]
-    ob = encoder.build_obligations(chk, table, proc, solver)[0]
+    ob = encoder.build_obligations(chk, table, proc)[0]
     result = symstate.run_obligation(ob, solver)
     (st,) = result.final_states
     assert check_state_invariants(st, solver, ob.var_classes) == []
@@ -51,6 +51,13 @@ def test_full_corpus_entry_sweep():
     assert res.ok
     assert res.soundness, "boundary reports expected"
     assert all(rep.violations == [] for rep in res.soundness)
+
+
+def test_strict_invariants_runs_the_monitor():
+    opts = api.VerifyOptions(strict_invariants=True)
+    assert opts.check_soundness
+    res = api.verify_source(corpus_text("RelAcqDblMsgPassSplit.rsl"), opts=opts)
+    assert res.ok and res.soundness
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from hypothesis import event, given, settings, strategies as st
 
 from weakmem import terms as T
 from weakmem.solver import (
-    ExternalSolverError, NO, SAT, Solver, SolverConfig, UNKNOWN, YES,
+    ExternalSolverError, NO, SAT, Solver, UNKNOWN, YES,
     _sat_conjunction, emit_smtlib, run_external,
 )
 
@@ -325,15 +325,10 @@ def test_external_error_on_garbage():
         run_external("(check-sat)", cmd, 5000)
 
 
-def test_external_backend_requires_cmd():
-    with pytest.raises(ValueError):
-        Solver(SolverConfig(backend="external"))
-
-
 def test_external_backend_resolves_unknown():
     # an always-unsat stub lets the external path upgrade unknown to yes
     cmd = f"{sys.executable} -c \"print('unsat')\""
-    s = Solver(SolverConfig(backend="external", solver_cmd=cmd))
+    s = Solver(solver_cmd=cmd)
     res = s.assert_entailed([T.eq(x, T.mk_int(8))],
                             T.eq(T.mod_(x, T.mk_int(2)), T.ZERO))
     assert res.verdict == YES

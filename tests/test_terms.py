@@ -24,6 +24,14 @@ def test_linear_normalisation():
     assert T.scale(2, T.scale(Fraction(1, 2), x)) is x
 
 
+def test_sub_interns_only_its_result():
+    b = T.add(T.scale(3, T.mk_var("tsub", T.INT)), T.mk_frac(Fraction(1, 3)))
+    before = len(T._pool)
+    d = T.sub(x, b)
+    assert len(T._pool) == before + 1     # no separate -b term
+    assert d is T.add(x, T.neg(b))
+
+
 def test_comparison_canonical():
     assert T.eq(x, y) is T.eq(y, x)
     assert T.le(x, y) is T.le(x, y)
