@@ -18,7 +18,7 @@ from . import terms as T
 from .frontend import GHOST, NA
 from .solver import Solver, YES
 from .speclogic import HeapLabel, InvariantTable
-from .symstate import PERM_ONE, PermExpr, SymState
+from .symstate import PERM_ONE, PermExpr, SymState, entailed, model_value
 from .syntax import Span
 
 
@@ -69,8 +69,8 @@ def check_state_invariants(state: SymState, solver: Solver,
         name = chunk.ref.data[1]
         pv = state.field_perm(chunk.ref, "val", chunk.label)
         pi = state.field_perm(chunk.ref, "init", chunk.label)
-        if pv != pi and solver.assert_entailed(
-                state.path, T.eq(pv.term(), pi.term())).verdict != YES:
+        if pv != pi and entailed(
+                solver, state, T.eq(pv.term(), pi.term())).verdict != YES:
             out.append(Violation(
                 name, chunk.label,
                 f"val permission {pv} differs from init permission {pi}"))
@@ -78,10 +78,10 @@ def check_state_invariants(state: SymState, solver: Solver,
         init_chunk = state.fields.get(state.field_key(chunk.ref, "init", chunk.label))
         if init_chunk is None or pv.is_zero:
             continue
-        init_true = solver.assert_entailed(state.path, init_chunk.value).verdict == YES
+        init_true = entailed(solver, state, init_chunk.value).verdict == YES
         if not init_true:
-            full = pv == PERM_ONE or solver.assert_entailed(
-                state.path, T.eq(pv.term(), T.ONE)).verdict == YES
+            full = pv == PERM_ONE or entailed(
+                solver, state, T.eq(pv.term(), T.ONE)).verdict == YES
             if not full:
                 out.append(Violation(
                     name, chunk.label,
@@ -106,10 +106,10 @@ def _value_str(state: SymState, solver: Solver, value: T.Term) -> str:
         return str(value.data)
     if value.sort == T.BOOL:
         for lit, txt in ((value, "true"), (T.not_(value), "false")):
-            if solver.assert_entailed(state.path, lit).verdict == YES:
+            if entailed(solver, state, lit).verdict == YES:
                 return txt
         return T.pretty(value)
-    v = solver.model_value(state.path, value)
+    v = model_value(solver, state, value)
     return str(v) if v is not None else T.pretty(value)
 
 
@@ -143,8 +143,8 @@ def reconstruct_assertion(state: SymState, solver: Solver,
             val_chunk = state.fields.get(state.field_key(ref, "val", label))
             init_chunk = state.fields.get(state.field_key(ref, "init", label))
             if val_chunk is not None:
-                init_false = (init_chunk is not None and solver.assert_entailed(
-                    state.path, T.not_(init_chunk.value)).verdict == YES)
+                init_false = (init_chunk is not None and entailed(
+                    solver, state, T.not_(init_chunk.value)).verdict == YES)
                 if init_false:
                     parts.append(f"Uninit({name})")
                 else:
@@ -161,7 +161,7 @@ def reconstruct_assertion(state: SymState, solver: Solver,
             conjuncts = [state.preds[k] for k in sorted(state.preds)
                          if k[0] == label.value and k[1] == ref.data[0]]
             if acq_chunk is not None and conjuncts:
-                is_acq = solver.assert_entailed(state.path, acq_chunk.value).verdict == YES
+                is_acq = entailed(solver, state, acq_chunk.value).verdict == YES
                 bodies = []
                 for pc in conjuncts:
                     nm = table.names.get(pc.idx, f"#{pc.idx}") if table else f"#{pc.idx}"
@@ -193,7 +193,7 @@ def reconstruct_assertion(state: SymState, solver: Solver,
 
 def _inv_name(state: SymState, solver: Solver, value: T.Term,
               table: Optional[InvariantTable]) -> str:
-    v = solver.model_value(state.path, value)
+    v = model_value(solver, state, value)
     if v is not None and table is not None:
         idx = int(v)
         if idx in table.names:

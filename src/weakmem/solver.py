@@ -527,12 +527,15 @@ def _format_model(model: Optional[dict[Term, int | Fraction]]) -> Optional[str]:
 # ---------------------------------------------------------------------------
 
 class Solver:
-    """Entailment and feasibility queries over a path condition.
+    """Entailment and feasibility queries over a set of facts.
 
-    Stateless apart from memoisation; safe to share across obligations.
-    Besides the verdict caches it keeps, for its own lifetime, each linear
-    form compiled for the simplex and each rewritten negation, so a fact is
-    prepared once however many queries mention it.  With ``solver_cmd`` set,
+    The verifier's queries arrive already sliced: ``symstate`` splits each
+    path condition into independence groups and asks about one group, or
+    about the groups a goal reaches, at a time, so the verdict caches are
+    keyed by those facts.  Apart from the caches a Solver keeps, for its own
+    lifetime, each linear form compiled for the simplex and each rewritten
+    negation, so a fact is prepared once however many queries mention it;
+    it is safe to share across obligations.  With ``solver_cmd`` set,
     queries the built-in procedure leaves unknown go to that external solver.
     """
 
@@ -550,19 +553,24 @@ class Solver:
 
     # -- feasibility -------------------------------------------------------
 
-    def is_feasible(self, path: Iterable[Term]) -> str:
-        facts = [f for f in path if f is not terms.TRUE]
-        if any(f is terms.FALSE for f in facts):
-            return NO
-        key = frozenset(f.tid for f in facts)
+    def is_feasible(self, path: Iterable[Term],
+                    key: Optional[frozenset[int]] = None) -> str:
+        """Whether the facts have a model: ``yes`` even if it uses an opaque
+        atom.  ``key`` is the frozenset of the facts' tids when the caller
+        keeps it (and then ``path`` holds no TRUE); it saves rebuilding it."""
+        if key is None:
+            path = [f for f in path if f is not terms.TRUE]
+            key = frozenset(f.tid for f in path)
         hit = self._feas_cache.get(key)
         if hit is not None:
             return hit
+        if terms.FALSE.tid in key:
+            return NO
         self.queries += 1
-        res, _model, _ = self._sat(facts)
+        res, _model, _ = self._sat(path)
         out = YES if res == SAT else NO if res == UNSAT else UNKNOWN
         if out == UNKNOWN and self.solver_cmd:
-            ext = self._external_sat(facts)
+            ext = self._external_sat(path)
             if ext is not None:
                 out = ext
         self._feas_cache[key] = out
@@ -570,18 +578,28 @@ class Solver:
 
     # -- entailment --------------------------------------------------------
 
-    def assert_entailed(self, path: Iterable[Term], goal: Term) -> Result:
+    def assert_entailed(self, path: Iterable[Term], goal: Term,
+                        key: Optional[frozenset[int]] = None) -> Result:
+        """Whether the facts entail ``goal``; ``key`` as for ``is_feasible``.
+
+        ``no`` comes only with a model that uses no opaque literal, so
+        ``assert_entailed(facts, FALSE)`` is the decided satisfiability
+        check: ``yes`` if the facts are unsatisfiable, ``no`` if they have
+        such a model, else ``unknown``.
+        """
         if goal is terms.TRUE:
             return Result(YES)
-        facts = [f for f in path if f is not terms.TRUE]
-        if any(f is terms.FALSE for f in facts):
+        if key is None:
+            path = [f for f in path if f is not terms.TRUE]
+            key = frozenset(f.tid for f in path)
+        if terms.FALSE.tid in key:
             return Result(YES)  # anything follows from an infeasible path
-        key = (frozenset(f.tid for f in facts), goal.tid)
-        hit = self._ent_cache.get(key)
+        hit = self._ent_cache.get((key, goal.tid))
         if hit is not None:
             return hit
         self.queries += 1
-        res, model, opaque = self._sat(facts + [terms.not_(goal)])
+        facts = list(path) + [terms.not_(goal)]
+        res, model, opaque = self._sat(facts)
         if res == UNSAT:
             out = Result(YES)
         elif res == SAT and not opaque:
@@ -589,12 +607,12 @@ class Solver:
         else:
             out = Result(UNKNOWN)
         if out.verdict == UNKNOWN and self.solver_cmd:
-            ext = self._external_sat(facts + [terms.not_(goal)])
+            ext = self._external_sat(facts)
             if ext == NO:
                 out = Result(YES)
             elif ext == YES:
                 out = Result(UNKNOWN)  # external model may rely on opaque atoms
-        self._ent_cache[key] = out
+        self._ent_cache[(key, goal.tid)] = out
         return out
 
     # -- model probing -------------------------------------------------------

@@ -7,6 +7,14 @@ every token carries a strict positivity fact, and tokens drawn by an exhale
 carry a strict upper bound by the amount held at draw time, so wildcard
 remainders stay provably positive.
 
+The path condition is kept as independence groups, as in KLEE's constraint
+independence: facts that share an atom, directly or through other facts,
+form one group, and facts of different groups share none.  So the path is
+feasible iff every group is, and it entails a goal iff the groups the goal's
+atoms reach entail it or some other group is infeasible.  Every solver query
+is sliced this way, and a branch re-solves only the group its condition
+lands in.
+
 Exhales are two-phase, matching the check-then-remove reading of the
 operation: all value and purity checks are evaluated against the state at
 the start of the exhale, permission demands are summed per chunk, and only
@@ -129,16 +137,35 @@ class PredChunk:
     vals: tuple = ()    # values-read snapshot: terms, insertion-ordered
 
 
+_GROUND = frozenset({-1})   # the atom set of an atomless fact, such as FALSE
+
+
+class Group:
+    """An independence group: path facts that share atoms, transitively.
+
+    Immutable, so clones share it; ``assume`` replaces the groups it merges.
+    Atomless facts form the ground group, whose atom set is ``_GROUND``.
+    """
+
+    __slots__ = ("facts", "atoms", "key")
+
+    def __init__(self, facts: tuple, atoms: frozenset[int], key: frozenset[int]):
+        self.facts = facts    # in path order
+        self.atoms = atoms    # atom tids
+        self.key = key        # fact tids: the solver's cache key
+
+
 class SymState:
     """One symbolic state; cheap to clone for branching."""
 
-    __slots__ = ("fields", "preds", "path", "env")
+    __slots__ = ("fields", "preds", "path", "env", "groups")
 
     def __init__(self):
         self.fields: dict[tuple, FieldChunk] = {}
         self.preds: dict[tuple, PredChunk] = {}
         self.path: list[T.Term] = []
         self.env: dict[str, T.Term] = {}
+        self.groups: dict[int, Group] = {}    # atom tid -> its group
 
     def clone(self) -> "SymState":
         s = SymState()
@@ -148,11 +175,39 @@ class SymState:
                    for k, c in self.preds.items()}
         s.path = list(self.path)
         s.env = dict(self.env)
+        s.groups = dict(self.groups)
         return s
 
     def assume(self, fact: T.Term) -> None:
-        if fact is not T.TRUE:
-            self.path.append(fact)
+        if fact is T.TRUE:
+            return
+        self.path.append(fact)
+        atoms = T.atom_ids(fact) or _GROUND
+        touched = self.touched_groups(atoms)
+        if not touched:
+            g = Group((fact,), atoms, frozenset((fact.tid,)))
+        elif len(touched) == 1:
+            old = touched[0]
+            if fact.tid in old.key:
+                return
+            g = Group(old.facts + (fact,), old.atoms | atoms, old.key | {fact.tid})
+        else:
+            key = frozenset((fact.tid,)).union(*(h.key for h in touched))
+            g = Group(tuple(f for f in self.path if f.tid in key),
+                      atoms.union(*(h.atoms for h in touched)), key)
+        self.groups.update(dict.fromkeys(g.atoms, g))
+
+    def touched_groups(self, atoms) -> list[Group]:
+        """The groups that hold any of the atoms."""
+        out: list[Group] = []
+        for a in atoms:
+            g = self.groups.get(a)
+            if g is not None and g not in out:
+                out.append(g)
+        return out
+
+    def all_groups(self) -> list[Group]:
+        return list({id(g): g for g in self.groups.values()}.values())
 
     def field_key(self, ref: T.Term, fld: str, label: HeapLabel) -> tuple:
         return (label.value, ref.data[0], fld)
@@ -178,6 +233,56 @@ class SymState:
             vals = "{" + ",".join(T.pretty(v) for v in c.vals) + "}"
             bits.append(f"{c.label}:AcqConjunct({T.ref_name(c.ref)},{c.idx})={c.perm}:{vals}")
         return "; ".join(bits)
+
+
+# ---------------------------------------------------------------------------
+# Sliced solver queries
+# ---------------------------------------------------------------------------
+
+def _slice(state: SymState, atoms: frozenset[int]) -> tuple[list[Group], tuple, frozenset]:
+    """The groups the atoms reach, with the ground group; their facts and key."""
+    mine = state.touched_groups(atoms | _GROUND)
+    if len(mine) == 1:
+        return mine, mine[0].facts, mine[0].key
+    facts = tuple(f for g in mine for f in g.facts)
+    return mine, facts, frozenset().union(*(g.key for g in mine))
+
+
+def entailed(solver: Solver, state: SymState, goal: T.Term) -> Result:
+    """Whether the path entails ``goal``, asking about the goal's groups.
+
+    The groups share no atom, so the path entails the goal iff the goal's
+    groups do or another group is unsatisfiable.  A sliced ``yes`` is thus a
+    proof.  A sliced ``no`` stands only if every other group has a model with
+    no opaque literal, the standard a full-path ``no`` meets; it turns into
+    ``yes`` if another group is unsatisfiable and ``unknown`` if one is
+    undecided.  That check stays outside the entailment cache, which is keyed
+    by the sliced facts: states with the same slice may differ elsewhere.
+    """
+    if goal is T.TRUE:
+        return Result(YES)
+    mine, facts, key = _slice(state, T.atom_ids(goal))
+    res = solver.assert_entailed(facts, goal, key)
+    if res.verdict != NO:
+        return res
+    for g in state.all_groups():
+        if g not in mine:
+            other = solver.assert_entailed(g.facts, T.FALSE, g.key).verdict
+            if other == YES:
+                return Result(YES)
+            if other == UNKNOWN:
+                res = Result(UNKNOWN)
+    return res
+
+
+def model_value(solver: Solver, state: SymState, term: T.Term):
+    """``Solver.model_value`` of a term, asked about the term's groups; None,
+    as on the full path, unless every other group is satisfiable."""
+    mine, facts, _key = _slice(state, T.atom_ids(term))
+    if any(solver.is_feasible(g.facts, g.key) != YES
+           for g in state.all_groups() if g not in mine):
+        return None
+    return solver.model_value(facts, term)
 
 
 # ---------------------------------------------------------------------------
@@ -237,10 +342,22 @@ class ExecContext:
     # -- solver shorthands ------------------------------------------------------
 
     def feasible(self, state: SymState) -> bool:
-        return self.solver.is_feasible(state.path) != NO
+        """The path is feasible iff every group is; the solver caches each
+        group's verdict, so a branch re-solves only the group it touched."""
+        return all(self.solver.is_feasible(g.facts, g.key) != NO
+                   for g in state.all_groups())
 
     def entailed(self, state: SymState, goal: T.Term) -> Result:
-        return self.solver.assert_entailed(state.path, goal)
+        return entailed(self.solver, state, goal)
+
+    def count_branch(self, span: Span) -> None:
+        """Count one branch; past the cap, report it at span and abort."""
+        self.branches += 1
+        if self.branches > self.branch_cap:
+            self.diagnostics.append(Diagnostic(
+                BRANCH_CAP_EXCEEDED, span, rule="exploration",
+                message=f"more than {self.branch_cap} branches explored"))
+            raise AbortObligation()
 
     # -- diagnostics ---------------------------------------------------------------
 
@@ -320,12 +437,7 @@ def _branch_states(ctx: ExecContext, state: SymState, cond: T.Term):
         return [state], []
     if cond is T.FALSE:
         return [], [state]
-    ctx.branches += 1
-    if ctx.branches > ctx.branch_cap:
-        ctx.diagnostics.append(Diagnostic(
-            BRANCH_CAP_EXCEEDED, NO_SPAN, rule="exploration",
-            message=f"more than {ctx.branch_cap} branches explored"))
-        raise AbortObligation()
+    ctx.count_branch(NO_SPAN)
     s_then = state.clone()
     s_then.assume(cond)
     s_else = state
@@ -861,12 +973,7 @@ def run_prim(ctx: ExecContext, state: SymState, prim) -> list[SymState]:
         if isinstance(prim, E.Branch):
             cond = _branch_cond_term(ctx, state, prim.cond)
             if cond is None:
-                ctx.branches += 1
-                if ctx.branches > ctx.branch_cap:
-                    ctx.diagnostics.append(Diagnostic(
-                        BRANCH_CAP_EXCEEDED, prim.span, rule="exploration",
-                        message=f"more than {ctx.branch_cap} branches explored"))
-                    raise AbortObligation()
+                ctx.count_branch(prim.span)
                 thens, elses = [state.clone()], [state]
             else:
                 thens, elses = _branch_states(ctx, state, cond)
@@ -930,8 +1037,10 @@ def _spin_leak_check(ctx: ExecContext, state: SymState, prim) -> None:
     def walk(enc, guards: list) -> None:
         if isinstance(enc, (EAcc, EPredAcc)):
             # a ghost-free resource would be gained and then discarded
-            query = probe_state.path + [cont] + guards
-            if ctx.solver.is_feasible(query) != NO:
+            probe = probe_state.clone()
+            for fact in [cont] + guards:
+                probe.assume(fact)
+            if ctx.feasible(probe):
                 ctx.fail(state, SPIN_PATTERN_RESOURCE_LEAK, prim.span, "spin loop",
                          "a value the spin loop discards would carry resources; "
                          "annotate the loop with an invariant instead")

@@ -547,6 +547,21 @@ def free_atoms(t: Term) -> set[Term]:
     return out
 
 
+_atom_ids: dict[int, frozenset[int]] = {}
+
+
+def atom_ids(t: Term) -> frozenset[int]:
+    """The tids of ``free_atoms(t)``, memoised by tid: terms are interned,
+    so each term is scanned once however many facts share it."""
+    ids = _atom_ids.get(t.tid)
+    if ids is None:
+        ids = frozenset().union(*map(atom_ids, t.args))
+        if t.kind in ("var", "ref") or t.kind in OPAQUE_KINDS:
+            ids |= {t.tid}
+        _atom_ids[t.tid] = ids
+    return ids
+
+
 # ---------------------------------------------------------------------------
 # Pretty printing (debugging, traces, SMT hints)
 # ---------------------------------------------------------------------------

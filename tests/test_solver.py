@@ -12,6 +12,7 @@ from weakmem.solver import (
     ExternalSolverError, NO, SAT, Solver, UNKNOWN, YES,
     _sat_conjunction, emit_smtlib, run_external,
 )
+from weakmem.symstate import ExecContext, SymState
 
 x = T.mk_var("x", T.INT)
 y = T.mk_var("y", T.INT)
@@ -350,3 +351,25 @@ def test_differential_builtin_vs_external(solver):
         if solver.assert_entailed(path, goal).verdict == YES:
             script = emit_smtlib(path, goal)
             assert run_external(script, "z3 -in", 10000) == "unsat"
+
+
+@settings(max_examples=120, deadline=None)
+@given(oracle_queries())
+def test_grouped_queries_agree_with_full_path(query):
+    # Sliced to independence groups, feasibility and entailment give the
+    # full-path answer whenever that answer is decided; in particular
+    # grouping never turns a full-path `no` into `yes`.
+    variables, facts, goal = query
+    state = SymState()
+    for f in facts:
+        state.assume(f)
+    ctx = ExecContext(Solver(), {})
+    full = Solver()
+    feasible = full.is_feasible(facts)
+    if feasible != UNKNOWN:
+        assert ctx.feasible(state) == (feasible == YES)
+    res = full.assert_entailed(facts, goal)
+    grouped = ctx.entailed(state, goal)
+    if res.verdict != UNKNOWN:
+        assert grouped.verdict == res.verdict
+    event(f"groups: {len(state.all_groups())}")

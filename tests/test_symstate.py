@@ -311,3 +311,61 @@ def test_assert_check_preserves_state():
     (st2,) = run_prim(ctx, st, prim)
     assert val_perm(st2, st2.env["a"]) == PERM_ONE
     assert not ctx.diagnostics
+
+
+# ---------------------------------------------------------------------------
+# Independence groups: every query is sliced to the goal's groups
+# ---------------------------------------------------------------------------
+
+gx = T.mk_var("gx", T.INT)
+gy = T.mk_var("gy", T.INT)
+
+
+def assumed(*facts):
+    st = SymState()
+    for f in facts:
+        st.assume(f)
+    return st
+
+
+def test_infeasible_remainder_entails_anything():
+    # 4*gy = 3 has no integer solution, so the full path entails gx = 1 even
+    # though the goal's own slice is empty
+    ctx = make_ctx()
+    st = assumed(T.eq(T.scale(4, gy), T.mk_int(3)))
+    assert ctx.entailed(st, T.eq(gx, T.ONE)).verdict == "yes"
+    assert not ctx.feasible(st)
+
+
+def test_same_slice_different_remainder_not_leaked_by_cache():
+    # both states slice gx = 2 to [gx = 1]; only the first has a dead remainder
+    dead = assumed(T.eq(gx, T.ONE), T.eq(T.scale(4, gy), T.mk_int(3)))
+    live = assumed(T.eq(gx, T.ONE), T.eq(gy, T.ZERO))
+    goal = T.eq(gx, T.mk_int(2))
+    ctx = make_ctx()
+    assert [ctx.entailed(s, goal).verdict for s in (dead, live, dead)] == ["yes", "no", "yes"]
+    ctx = make_ctx()
+    res = ctx.entailed(live, goal)
+    assert res.verdict == "no" and res.hint == "gx = 1"
+    assert ctx.entailed(dead, goal).verdict == "yes"
+
+
+def test_opaque_remainder_makes_sliced_no_unknown():
+    st = assumed(T.eq(gx, T.ONE), T.eq(T.mod_(gy, T.mk_int(2)), T.ONE))
+    res = make_ctx().entailed(st, T.eq(gx, T.mk_int(2)))
+    assert res.verdict == "unknown" and res.hint is None
+
+
+def test_assume_on_clone_keeps_parent_groups():
+    parent = assumed(T.eq(gx, T.ONE), T.eq(gy, T.mk_int(2)))
+    before = {a: g.facts for a, g in parent.groups.items()}
+    child = parent.clone()
+    child.assume(T.lt(gx, gy))
+    assert len(child.all_groups()) == 1 and len(parent.all_groups()) == 2
+    assert {a: g.facts for a, g in parent.groups.items()} == before
+    assert parent.groups[gx.tid].facts == (T.eq(gx, T.ONE),)
+    assert child.groups[gx.tid].facts == tuple(child.path)
+    ctx = make_ctx()
+    assert ctx.entailed(parent, T.lt(gx, gy)).verdict == "yes"
+    assert ctx.entailed(parent, T.eq(gy, T.mk_int(2))).verdict == "yes"
+    assert ctx.entailed(child, T.eq(gy, T.mk_int(2))).verdict == "yes"
