@@ -395,9 +395,9 @@ def _collect_set_defs(facts: Iterable[Term]) -> dict[Term, Term]:
     for f in facts:
         if f.kind == "seteq":
             a, b = f.args
-            if a.kind == "var" and a not in terms.free_atoms(b):
+            if a.kind == "var" and a.tid not in terms.atom_ids(b):
                 defs.setdefault(a, b)
-            elif b.kind == "var" and b not in terms.free_atoms(a):
+            elif b.kind == "var" and b.tid not in terms.atom_ids(a):
                 defs.setdefault(b, a)
     # one substitution round handles chained definitions used in practice
     for v, d in list(defs.items()):
@@ -553,24 +553,21 @@ class Solver:
 
     # -- feasibility -------------------------------------------------------
 
-    def is_feasible(self, path: Iterable[Term],
-                    key: Optional[frozenset[int]] = None) -> str:
+    def is_feasible(self, path: Iterable[Term]) -> str:
         """Whether the facts have a model: ``yes`` even if it uses an opaque
-        atom.  ``key`` is the frozenset of the facts' tids when the caller
-        keeps it (and then ``path`` holds no TRUE); it saves rebuilding it."""
-        if key is None:
-            path = [f for f in path if f is not terms.TRUE]
-            key = frozenset(f.tid for f in path)
+        atom."""
+        facts = [f for f in path if f is not terms.TRUE]
+        key = frozenset(f.tid for f in facts)
         hit = self._feas_cache.get(key)
         if hit is not None:
             return hit
         if terms.FALSE.tid in key:
             return NO
         self.queries += 1
-        res, _model, _ = self._sat(path)
+        res, _model, _ = self._sat(facts)
         out = YES if res == SAT else NO if res == UNSAT else UNKNOWN
         if out == UNKNOWN and self.solver_cmd:
-            ext = self._external_sat(path)
+            ext = self._external_sat(facts)
             if ext is not None:
                 out = ext
         self._feas_cache[key] = out
@@ -578,9 +575,8 @@ class Solver:
 
     # -- entailment --------------------------------------------------------
 
-    def assert_entailed(self, path: Iterable[Term], goal: Term,
-                        key: Optional[frozenset[int]] = None) -> Result:
-        """Whether the facts entail ``goal``; ``key`` as for ``is_feasible``.
+    def assert_entailed(self, path: Iterable[Term], goal: Term) -> Result:
+        """Whether the facts entail ``goal``.
 
         ``no`` comes only with a model that uses no opaque literal, so
         ``assert_entailed(facts, FALSE)`` is the decided satisfiability
@@ -589,16 +585,15 @@ class Solver:
         """
         if goal is terms.TRUE:
             return Result(YES)
-        if key is None:
-            path = [f for f in path if f is not terms.TRUE]
-            key = frozenset(f.tid for f in path)
+        facts = [f for f in path if f is not terms.TRUE]
+        key = frozenset(f.tid for f in facts)
         if terms.FALSE.tid in key:
             return Result(YES)  # anything follows from an infeasible path
         hit = self._ent_cache.get((key, goal.tid))
         if hit is not None:
             return hit
         self.queries += 1
-        facts = list(path) + [terms.not_(goal)]
+        facts.append(terms.not_(goal))
         res, model, opaque = self._sat(facts)
         if res == UNSAT:
             out = Result(YES)

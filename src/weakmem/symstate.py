@@ -147,23 +147,24 @@ class Group:
     Atomless facts form the ground group, whose atom set is ``_GROUND``.
     """
 
-    __slots__ = ("facts", "atoms", "key")
+    __slots__ = ("facts", "atoms")
 
-    def __init__(self, facts: tuple, atoms: frozenset[int], key: frozenset[int]):
-        self.facts = facts    # in path order
+    def __init__(self, facts: tuple, atoms: frozenset[int]):
+        self.facts = facts    # in the order they were assumed or merged
         self.atoms = atoms    # atom tids
-        self.key = key        # fact tids: the solver's cache key
 
 
 class SymState:
-    """One symbolic state; cheap to clone for branching."""
+    """One symbolic state; cheap to clone for branching.
 
-    __slots__ = ("fields", "preds", "path", "env", "groups")
+    The path condition is kept only as its independence groups, ``groups``.
+    """
+
+    __slots__ = ("fields", "preds", "env", "groups")
 
     def __init__(self):
         self.fields: dict[tuple, FieldChunk] = {}
         self.preds: dict[tuple, PredChunk] = {}
-        self.path: list[T.Term] = []
         self.env: dict[str, T.Term] = {}
         self.groups: dict[int, Group] = {}    # atom tid -> its group
 
@@ -173,28 +174,24 @@ class SymState:
                     for k, c in self.fields.items()}
         s.preds = {k: PredChunk(c.ref, c.idx, c.label, c.perm, c.vals)
                    for k, c in self.preds.items()}
-        s.path = list(self.path)
         s.env = dict(self.env)
         s.groups = dict(self.groups)
         return s
 
+    @property
+    def path(self) -> list[T.Term]:
+        """The path condition's facts, group by group."""
+        return [f for g in self.all_groups() for f in g.facts]
+
     def assume(self, fact: T.Term) -> None:
         if fact is T.TRUE:
             return
-        self.path.append(fact)
         atoms = T.atom_ids(fact) or _GROUND
         touched = self.touched_groups(atoms)
-        if not touched:
-            g = Group((fact,), atoms, frozenset((fact.tid,)))
-        elif len(touched) == 1:
-            old = touched[0]
-            if fact.tid in old.key:
-                return
-            g = Group(old.facts + (fact,), old.atoms | atoms, old.key | {fact.tid})
-        else:
-            key = frozenset((fact.tid,)).union(*(h.key for h in touched))
-            g = Group(tuple(f for f in self.path if f.tid in key),
-                      atoms.union(*(h.atoms for h in touched)), key)
+        if len(touched) == 1 and any(f is fact for f in touched[0].facts):
+            return
+        g = Group(tuple(f for h in touched for f in h.facts) + (fact,),
+                  atoms.union(*(h.atoms for h in touched)))
         self.groups.update(dict.fromkeys(g.atoms, g))
 
     def touched_groups(self, atoms) -> list[Group]:
@@ -239,13 +236,10 @@ class SymState:
 # Sliced solver queries
 # ---------------------------------------------------------------------------
 
-def _slice(state: SymState, atoms: frozenset[int]) -> tuple[list[Group], tuple, frozenset]:
-    """The groups the atoms reach, with the ground group; their facts and key."""
+def _slice(state: SymState, atoms: frozenset[int]) -> tuple[list[Group], list[T.Term]]:
+    """The groups the atoms reach, with the ground group, and their facts."""
     mine = state.touched_groups(atoms | _GROUND)
-    if len(mine) == 1:
-        return mine, mine[0].facts, mine[0].key
-    facts = tuple(f for g in mine for f in g.facts)
-    return mine, facts, frozenset().union(*(g.key for g in mine))
+    return mine, [f for g in mine for f in g.facts]
 
 
 def entailed(solver: Solver, state: SymState, goal: T.Term) -> Result:
@@ -261,13 +255,13 @@ def entailed(solver: Solver, state: SymState, goal: T.Term) -> Result:
     """
     if goal is T.TRUE:
         return Result(YES)
-    mine, facts, key = _slice(state, T.atom_ids(goal))
-    res = solver.assert_entailed(facts, goal, key)
+    mine, facts = _slice(state, T.atom_ids(goal))
+    res = solver.assert_entailed(facts, goal)
     if res.verdict != NO:
         return res
     for g in state.all_groups():
         if g not in mine:
-            other = solver.assert_entailed(g.facts, T.FALSE, g.key).verdict
+            other = solver.assert_entailed(g.facts, T.FALSE).verdict
             if other == YES:
                 return Result(YES)
             if other == UNKNOWN:
@@ -278,8 +272,8 @@ def entailed(solver: Solver, state: SymState, goal: T.Term) -> Result:
 def model_value(solver: Solver, state: SymState, term: T.Term):
     """``Solver.model_value`` of a term, asked about the term's groups; None,
     as on the full path, unless every other group is satisfiable."""
-    mine, facts, _key = _slice(state, T.atom_ids(term))
-    if any(solver.is_feasible(g.facts, g.key) != YES
+    mine, facts = _slice(state, T.atom_ids(term))
+    if any(solver.is_feasible(g.facts) != YES
            for g in state.all_groups() if g not in mine):
         return None
     return solver.model_value(facts, term)
@@ -344,7 +338,7 @@ class ExecContext:
     def feasible(self, state: SymState) -> bool:
         """The path is feasible iff every group is; the solver caches each
         group's verdict, so a branch re-solves only the group it touched."""
-        return all(self.solver.is_feasible(g.facts, g.key) != NO
+        return all(self.solver.is_feasible(g.facts) != NO
                    for g in state.all_groups())
 
     def entailed(self, state: SymState, goal: T.Term) -> Result:

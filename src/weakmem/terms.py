@@ -531,28 +531,13 @@ def rebuild(t: Term, args: tuple[Term, ...]) -> Term:
     raise AssertionError(f"rebuild: {k}")
 
 
-def free_atoms(t: Term) -> set[Term]:
-    """All variable / ref / opaque leaves occurring in the term."""
-    out: set[Term] = set()
-    stack = [t]
-    seen: set[int] = set()
-    while stack:
-        u = stack.pop()
-        if u.tid in seen:
-            continue
-        seen.add(u.tid)
-        if u.kind in ("var", "ref") or u.kind in OPAQUE_KINDS:
-            out.add(u)
-        stack.extend(u.args)
-    return out
-
-
 _atom_ids: dict[int, frozenset[int]] = {}
 
 
 def atom_ids(t: Term) -> frozenset[int]:
-    """The tids of ``free_atoms(t)``, memoised by tid: terms are interned,
-    so each term is scanned once however many facts share it."""
+    """The tids of the variable, ref and opaque leaves occurring in the term,
+    memoised by tid: terms are interned, so each term is scanned once however
+    many facts share it."""
     ids = _atom_ids.get(t.tid)
     if ids is None:
         ids = frozenset().union(*map(atom_ids, t.args))
