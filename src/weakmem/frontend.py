@@ -23,6 +23,7 @@ programs that mix classifications for one variable.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -57,11 +58,17 @@ LOCATION_CLASSES = (NA, ACQ, RMW, GHOST, ATOMIC)
 # Lexer
 # ---------------------------------------------------------------------------
 
-_PUNCT = [
-    "==>", "|->", ":=", "==", "!=", "<=", ">=", "<<", ">>", "&&", "||",
-    "(", ")", "{", "}", "[", "]", ",", ";", "@", "?", ":", "+", "-", "*",
-    "/", "%", "&", "|", "^", "!", "<", ">", "=", "_",
-]
+# One alternative per token class, tried in order at each position.  Comments
+# come before the `/` operator, and longer operators before their prefixes.
+# Names and integers are ASCII; any other character is a `bad` token.
+_TOKEN_RE = re.compile(r"""
+    (?P<skip>[ \t\r]+|//[^\n]*)
+  | (?P<newline>\n)
+  | (?P<name>[A-Za-z][A-Za-z0-9_]*|_[A-Za-z0-9_]+)
+  | (?P<int>[0-9]+)
+  | (?P<punct>==>|\|->|:=|==|!=|<=|>=|<<|>>|&&|\|\||[(){}\[\],;@?:+\-*/%&|^!<>=_])
+  | (?P<bad>.)
+""", re.VERBOSE)
 
 
 @dataclass
@@ -79,51 +86,22 @@ class Token:
 def tokenize(source: str) -> tuple[list[Token], list[Diagnostic]]:
     toks: list[Token] = []
     diags: list[Diagnostic] = []
-    line, col = 1, 1
-    i, n = 0, len(source)
-    while i < n:
-        c = source[i]
-        if c == "\n":
+    line, line_start = 1, 0
+    for m in _TOKEN_RE.finditer(source):
+        kind = m.lastgroup
+        if kind == "skip":
+            continue
+        if kind == "newline":
             line += 1
-            col = 1
-            i += 1
+            line_start = m.end()
             continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if source.startswith("//", i):
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        if c.isalpha() or (c == "_" and i + 1 < n and (source[i + 1].isalnum() or source[i + 1] == "_")):
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            toks.append(Token("name", source[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and source[j].isdigit():
-                j += 1
-            toks.append(Token("int", source[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        for p in _PUNCT:
-            if source.startswith(p, i):
-                toks.append(Token("punct", p, line, col))
-                col += len(p)
-                i += len(p)
-                break
-        else:
+        col = m.start() - line_start + 1
+        if kind == "bad":
             diags.append(Diagnostic(SYNTAX_ERROR, Span(line, col, line, col + 1),
-                                    message=f"unexpected character {c!r}"))
-            i += 1
-            col += 1
-    toks.append(Token("eof", "", line, col))
+                                    message=f"unexpected character {m.group()!r}"))
+        else:
+            toks.append(Token(kind, m.group(), line, col))
+    toks.append(Token("eof", "", line, len(source) - line_start + 1))
     return toks, diags
 
 
@@ -142,26 +120,33 @@ class _Define:
     body: S.Assertion
 
 
+# statements of the form  kw "(" NAME ")" ";"  and  kw ";"
+_VAR_STMTS = {"alloc_na": S.SAllocNa, "ghost_alloc": S.SGhostAlloc, "free": S.SFree}
+_BARE_STMTS = {"fence_acq": S.SFenceAcq, "skip": S.SSkip}
+# assertions of the form  kw "(" NAME ")"  and  kw "(" NAME "," invref ")"
+_LOC_ASSERTIONS = {"Uninit": S.AUninit, "Init": S.AInit}
+_INV_ASSERTIONS = {"Acq": S.AAcq, "Rel": S.ARel, "RMWAcq": S.ARMWAcq}
+
+
 class Parser:
     def __init__(self, source: str):
         self.toks, self.diags = tokenize(source)
         self.pos = 0
+        self.tok = self.toks[0]   # the current token, self.toks[self.pos]
         self.defines: dict[str, _Define] = {}
         self.inv_param: Optional[str] = None  # active invariant-declaration parameter
 
     # -- token helpers ------------------------------------------------------
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
-
     def next(self) -> Token:
-        t = self.toks[self.pos]
+        t = self.tok
         if t.kind != "eof":
             self.pos += 1
+            self.tok = self.toks[self.pos]
         return t
 
     def at(self, text: str) -> bool:
-        return self.peek().text == text and self.peek().kind in ("punct", "name")
+        return self.tok.text == text
 
     def accept(self, text: str) -> Optional[Token]:
         if self.at(text):
@@ -171,28 +156,23 @@ class Parser:
     def expect(self, text: str) -> Token:
         if self.at(text):
             return self.next()
-        t = self.peek()
-        found = repr(t.text) if t.text else "end of input"
-        raise _ParseError(Diagnostic(
-            SYNTAX_ERROR, t.span,
-            message=f"expected {text!r}, found {found}"))
+        raise self._error(f"expected {text!r}, found {self._found()}")
 
     def expect_name(self) -> Token:
-        t = self.peek()
-        if t.kind != "name":
-            found = repr(t.text) if t.text else "end of input"
-            raise _ParseError(Diagnostic(
-                SYNTAX_ERROR, t.span,
-                message=f"expected a name, found {found}"))
+        if self.tok.kind != "name":
+            raise self._error(f"expected a name, found {self._found()}")
         return self.next()
 
+    def _found(self) -> str:
+        return repr(self.tok.text) if self.tok.text else "end of input"
+
     def _error(self, msg: str, span: Optional[Span] = None) -> _ParseError:
-        return _ParseError(Diagnostic(SYNTAX_ERROR, span or self.peek().span, message=msg))
+        return _ParseError(Diagnostic(SYNTAX_ERROR, span or self.tok.span, message=msg))
 
     def _sync_stmt(self) -> None:
         depth = 0
         while True:
-            t = self.peek()
+            t = self.tok
             if t.kind == "eof":
                 return
             if t.text == ";" and depth == 0:
@@ -210,7 +190,7 @@ class Parser:
 
     def parse_program(self) -> S.Program:
         prog = S.Program()
-        while self.peek().kind != "eof":
+        while self.tok.kind != "eof":
             try:
                 if self.at("invariant"):
                     self._parse_invariant_decl(prog)
@@ -219,14 +199,12 @@ class Parser:
                 elif self.at("proc"):
                     prog.procedures.append(self._parse_proc())
                 else:
-                    t = self.peek()
                     raise self._error(
-                        f"expected 'invariant', 'define' or 'proc', found {t.text!r}")
+                        f"expected 'invariant', 'define' or 'proc', found {self.tok.text!r}")
             except _ParseError as e:
                 self.diags.append(e.diag)
                 self._sync_stmt()
-                if self.at("}"):
-                    self.next()
+                self.accept("}")
         self._check_duplicates(prog)
         if any(p.name == "main" for p in prog.procedures):
             prog.entry = "main"
@@ -249,9 +227,7 @@ class Parser:
     def _parse_invariant_decl(self, prog: S.Program) -> None:
         start = self.expect("invariant")
         name = self.expect_name().text
-        self.expect("(")
-        param = self.expect_name().text
-        self.expect(")")
+        param = self._paren_name()
         self.expect("=")
         self.inv_param = param
         try:
@@ -296,7 +272,7 @@ class Parser:
 
     def _parse_params(self) -> list[S.Param]:
         out: list[S.Param] = []
-        while self.peek().kind == "name":
+        while self.tok.kind == "name":
             ghost = bool(self.accept("ghost"))
             out.append(S.Param(self.expect_name().text, ghost))
             if not self.accept(","):
@@ -305,9 +281,8 @@ class Parser:
 
     def _parse_spec(self) -> tuple[S.Assertion, S.Assertion, bool]:
         true_a = S.APure(expr=S.TRUE_E)
-        if not self.at("requires"):
+        if not self.accept("requires"):
             return true_a, true_a, False
-        self.expect("requires")
         self.expect("{")
         pre = self.parse_assertion()
         self.expect("}")
@@ -320,7 +295,7 @@ class Parser:
     def _parse_block(self) -> list[S.Stmt]:
         self.expect("{")
         stmts: list[S.Stmt] = []
-        while not self.at("}") and self.peek().kind != "eof":
+        while not self.at("}") and self.tok.kind != "eof":
             try:
                 stmts.append(self.parse_stmt())
             except _ParseError as e:
@@ -332,36 +307,23 @@ class Parser:
     # -- statements -----------------------------------------------------------
 
     def parse_stmt(self) -> S.Stmt:
-        t = self.peek()
+        t = self.tok
         text = t.text
-        if text == "alloc_na":
+        if text in _VAR_STMTS:
             self.next()
-            self.expect("(")
-            var = self.expect_name().text
-            self.expect(")")
+            var = self._paren_name()
             end = self.expect(";")
-            return S.SAllocNa(var=var, span=self._span(t, end))
+            return _VAR_STMTS[text](var=var, span=self._span(t, end))
+        if text in _BARE_STMTS:
+            self.next()
+            end = self.expect(";")
+            return _BARE_STMTS[text](span=self._span(t, end))
         if text in ("alloc_acq", "alloc_rmw"):
             self.next()
-            self.expect("(")
-            var = self.expect_name().text
-            self.expect(",")
-            inv = self._parse_invref()
-            self.expect(")")
+            var, inv = self._paren_loc_inv()
             end = self.expect(";")
             kind = "acq" if text == "alloc_acq" else "rmw"
             return S.SAllocAtomic(var=var, kind=kind, inv=inv, span=self._span(t, end))
-        if text == "ghost_alloc":
-            self.next()
-            self.expect("(")
-            var = self.expect_name().text
-            self.expect(")")
-            end = self.expect(";")
-            return S.SGhostAlloc(var=var, span=self._span(t, end))
-        if text == "fence_acq":
-            self.next()
-            end = self.expect(";")
-            return S.SFenceAcq(span=self._span(t, end))
         if text == "fence_rel":
             self.next()
             self.expect("(")
@@ -383,17 +345,6 @@ class Parser:
             args = self._parse_args()
             end = self.expect(";")
             return S.SCall(target=None, callee=callee, args=args, span=self._span(t, end))
-        if text == "free":
-            self.next()
-            self.expect("(")
-            var = self.expect_name().text
-            self.expect(")")
-            end = self.expect(";")
-            return S.SFree(var=var, span=self._span(t, end))
-        if text == "skip":
-            self.next()
-            end = self.expect(";")
-            return S.SSkip(span=self._span(t, end))
         if text == "[":
             return self._parse_write()
         if t.kind == "name":
@@ -403,23 +354,41 @@ class Parser:
     def _span(self, start: Token, end: Token) -> Span:
         return Span(start.line, start.col, end.line, end.col + len(end.text))
 
-    def _parse_mode_suffix(self, allowed: tuple[str, ...], what: str) -> str:
-        t = self.peek()
+    def _paren_name(self) -> str:
+        """``( NAME )``: the name."""
+        self.expect("(")
+        name = self.expect_name().text
+        self.expect(")")
+        return name
+
+    def _paren_loc_inv(self) -> tuple[str, S.InvRef]:
+        """``( NAME , invref )``: the name and the invariant reference."""
+        self.expect("(")
+        loc = self.expect_name().text
+        self.expect(",")
+        inv = self._parse_invref()
+        self.expect(")")
+        return loc, inv
+
+    def _parse_access(self, allowed: tuple[str, ...], what: str) -> tuple[str, str]:
+        """``[ NAME ] _mode``: the location and the mode, which must be allowed."""
+        self.expect("[")
+        loc = self.expect_name().text
+        self.expect("]")
+        t = self.tok
         if t.kind == "name" and t.text.startswith("_"):
             mode = t.text[1:]
             if mode in allowed:
                 self.next()
-                return mode
+                return loc, mode
             raise self._error(
                 f"{what} mode '_{mode}' is not allowed; expected one of "
                 + ", ".join("_" + m for m in allowed), t.span)
-        raise self._error(f"expected an access mode suffix after ']'", t.span)
+        raise self._error("expected an access mode suffix after ']'", t.span)
 
     def _parse_write(self) -> S.Stmt:
-        start = self.expect("[")
-        loc = self.expect_name().text
-        self.expect("]")
-        mode = self._parse_mode_suffix(WRITE_MODES, "write")
+        start = self.tok
+        loc, mode = self._parse_access(WRITE_MODES, "write")
         self.expect(":=")
         value = self.parse_expr()
         end = self.expect(";")
@@ -429,35 +398,18 @@ class Parser:
         start = self.expect_name()
         target = start.text
         self.expect(":=")
-        t = self.peek()
+        t = self.tok
         if t.text == "[":
-            self.next()
-            loc = self.expect_name().text
-            self.expect("]")
-            mode = self._parse_mode_suffix(READ_MODES, "read")
+            loc, mode = self._parse_access(READ_MODES, "read")
             end = self.expect(";")
             return S.SRead(mode=mode, target=target, loc=loc, span=self._span(start, end))
         if t.kind == "name" and t.text.startswith("CAS_"):
-            tau = self._tau_of(t)
-            self.next()
-            self.expect("(")
-            loc = self.expect_name().text
-            self.expect(",")
-            expected = self.parse_expr()
-            self.expect(",")
-            newval = self.parse_expr()
-            self.expect(")")
+            tau, loc, (expected, newval) = self._parse_rmw(2)
             end = self.expect(";")
             return S.SCas(target=target, tau=tau, loc=loc, expected=expected,
                           newval=newval, span=self._span(start, end))
         if t.kind == "name" and t.text.startswith("FAA_"):
-            tau = self._tau_of(t)
-            self.next()
-            self.expect("(")
-            loc = self.expect_name().text
-            self.expect(",")
-            delta = self.parse_expr()
-            self.expect(")")
+            tau, loc, (delta,) = self._parse_rmw(1)
             end = self.expect(";")
             return S.SFaa(target=target, tau=tau, loc=loc, delta=delta,
                           span=self._span(start, end))
@@ -472,11 +424,22 @@ class Parser:
         end = self.expect(";")
         return S.SAssign(var=target, value=value, span=self._span(start, end))
 
-    def _tau_of(self, t: Token) -> str:
+    def _parse_rmw(self, nargs: int) -> tuple[str, str, list[S.Expr]]:
+        """``CAS_tau(NAME, expr, expr)`` or ``FAA_tau(NAME, expr)``: the mode
+        ``tau``, the location and the ``nargs`` expressions."""
+        t = self.tok
         tau = t.text.split("_", 1)[1]
         if tau not in CAS_MODES:
             raise self._error(f"unknown atomic update mode {t.text!r}", t.span)
-        return tau
+        self.next()
+        self.expect("(")
+        loc = self.expect_name().text
+        args: list[S.Expr] = []
+        for _ in range(nargs):
+            self.expect(",")
+            args.append(self.parse_expr())
+        self.expect(")")
+        return tau, loc, args
 
     def _parse_args(self) -> list[S.Expr]:
         self.expect("(")
@@ -491,18 +454,10 @@ class Parser:
     def _parse_rewrite(self) -> S.Stmt:
         start = self.expect("rewrite")
         self.expect("Acq")
-        self.expect("(")
-        loc = self.expect_name().text
-        self.expect(",")
-        old = self._parse_invref()
-        self.expect(")")
+        loc, old = self._paren_loc_inv()
         self.expect("to")
         self.expect("Acq")
-        self.expect("(")
-        loc2 = self.expect_name().text
-        self.expect(",")
-        new = self._parse_invref()
-        self.expect(")")
+        loc2, new = self._paren_loc_inv()
         end = self.expect(";")
         if loc2 != loc:
             raise self._error(f"rewrite must target one location, got {loc!r} and {loc2!r}",
@@ -515,8 +470,7 @@ class Parser:
         cond = self._parse_loop_cond()
         self.expect(")")
         invariant = None
-        if self.at("invariant"):
-            self.next()
+        if self.accept("invariant"):
             self.expect("{")
             invariant = self.parse_assertion()
             self.expect("}")
@@ -530,35 +484,21 @@ class Parser:
                         span=self._span(start, end))
 
     def _parse_loop_cond(self) -> S.LoopCond:
-        t = self.peek()
+        t = self.tok
         if t.text == "[":
-            self.next()
-            loc = self.expect_name().text
-            self.expect("]")
-            mode = self._parse_mode_suffix(READ_MODES, "read")
+            loc, mode = self._parse_access(READ_MODES, "read")
             op = self._parse_cmp_op()
-            rhs = self.parse_expr()
-            return S.LoopCond(kind="read", mode=mode, loc=loc, op=op, rhs=rhs)
+            return S.LoopCond(kind="read", mode=mode, loc=loc, op=op, rhs=self.parse_expr())
         if t.kind == "name" and t.text.startswith("CAS_"):
-            tau = self._tau_of(t)
-            self.next()
-            self.expect("(")
-            loc = self.expect_name().text
-            self.expect(",")
-            expected = self.parse_expr()
-            self.expect(",")
-            newval = self.parse_expr()
-            self.expect(")")
+            tau, loc, (expected, newval) = self._parse_rmw(2)
             op = self._parse_cmp_op()
-            rhs = self.parse_expr()
-            return S.LoopCond(kind="cas", mode=tau, loc=loc, op=op, rhs=rhs,
+            return S.LoopCond(kind="cas", mode=tau, loc=loc, op=op, rhs=self.parse_expr(),
                               expected=expected, newval=newval)
         return S.LoopCond(kind="pure", expr=self.parse_expr())
 
     def _parse_cmp_op(self) -> str:
-        for op in ("==", "!=", "<=", ">=", "<", ">"):
-            if self.accept(op):
-                return op
+        if S.PREC.get(self.tok.text) == S.CMP_PREC:
+            return self.next().text
         raise self._error("expected a comparison operator")
 
     def _parse_if(self) -> S.Stmt:
@@ -603,79 +543,53 @@ class Parser:
         return S.star(parts)
 
     def _parse_assertion_term(self) -> S.Assertion:
-        t = self.peek()
-        if t.text == "Uninit":
-            return self._loc_assertion(S.AUninit)
-        if t.text == "Init":
-            return self._loc_assertion(S.AInit)
-        if t.text in ("Acq", "Rel", "RMWAcq"):
-            cls = {"Acq": S.AAcq, "Rel": S.ARel, "RMWAcq": S.ARMWAcq}[t.text]
+        t = self.tok
+        text = t.text
+        if text in _LOC_ASSERTIONS:
             self.next()
-            self.expect("(")
-            loc = self.expect_name().text
-            self.expect(",")
-            inv = self._parse_invref()
-            self.expect(")")
-            return cls(loc=loc, inv=inv, span=t.span)
-        if t.text in ("Up", "Down"):
+            return _LOC_ASSERTIONS[text](loc=self._paren_name(), span=t.span)
+        if text in _INV_ASSERTIONS:
+            self.next()
+            loc, inv = self._paren_loc_inv()
+            return _INV_ASSERTIONS[text](loc=loc, inv=inv, span=t.span)
+        if text in ("Up", "Down"):
             self.next()
             self.expect("(")
             body = self.parse_assertion()
             self.expect(")")
-            return (S.AUp if t.text == "Up" else S.ADown)(body=body, span=t.span)
-        if t.text == "(":
+            return (S.AUp if text == "Up" else S.ADown)(body=body, span=t.span)
+        if text == "(":
             self.next()
             inner = self.parse_assertion()
             self.expect(")")
+            if not isinstance(inner, S.APure):
+                return inner
             # "(e) == e2" and friends: the parentheses belonged to a pure
             # expression, so keep parsing at the expression level
-            if isinstance(inner, S.APure):
-                expr = self._continue_expr(inner.expr)
-                if expr is not inner.expr:
-                    inner = S.APure(expr=expr, span=t.span)
-                if self.accept("==>"):
-                    return S.AImplies(cond=inner.expr,
-                                      body=self._parse_assertion_term(), span=t.span)
-                if self.accept("?"):
-                    then = self._parse_assertion_term()
-                    self.expect(":")
-                    els = self._parse_assertion_term()
-                    return S.ACond(cond=inner.expr, then=then, els=els, span=t.span)
-            return inner
-        # points-to, macro use, or a pure expression (possibly ==> / ?:)
-        if t.kind == "name" and self.peek(1).text == "|->":
+            expr = self._parse_binary(inner.expr, S.CMP_PREC)
+            if expr is not inner.expr:
+                inner = S.APure(expr=expr, span=t.span)
+            return self._pure_tail(inner, t.span)
+        if t.kind == "name" and self.toks[self.pos + 1].text == "|->":
             self.next()
             self.next()
-            value = self._parse_points_to_value()
-            frac = None
-            if self.accept("@"):
-                frac = self.parse_expr(no_bool=True)
-            return S.APointsTo(loc=t.text, value=value, frac=frac, span=t.span)
-        if t.kind == "name" and t.text in self.defines:
+            value = S.EAny() if self.accept("_") else self.parse_expr(no_bool=True)
+            frac = self.parse_expr(no_bool=True) if self.accept("@") else None
+            return S.APointsTo(loc=text, value=value, frac=frac, span=t.span)
+        if t.kind == "name" and text in self.defines:
             return self._expand_define(t)
-        expr = self.parse_expr(no_bool=True)
+        return self._pure_tail(S.APure(expr=self.parse_expr(no_bool=True), span=t.span), t.span)
+
+    def _pure_tail(self, pure: S.APure, span: Span) -> S.Assertion:
+        """``pure ==> aterm``, ``pure ? aterm : aterm``, or ``pure`` alone."""
         if self.accept("==>"):
-            body = self._parse_assertion_term()
-            return S.AImplies(cond=expr, body=body, span=t.span)
+            return S.AImplies(cond=pure.expr, body=self._parse_assertion_term(), span=span)
         if self.accept("?"):
             then = self._parse_assertion_term()
             self.expect(":")
-            els = self._parse_assertion_term()
-            return S.ACond(cond=expr, then=then, els=els, span=t.span)
-        return S.APure(expr=expr, span=t.span)
-
-    def _parse_points_to_value(self) -> S.Expr:
-        if self.at("_"):
-            self.next()
-            return S.EAny()
-        return self.parse_expr(no_bool=True)
-
-    def _loc_assertion(self, cls):
-        t = self.next()
-        self.expect("(")
-        loc = self.expect_name().text
-        self.expect(")")
-        return cls(loc=loc, span=t.span)
+            return S.ACond(cond=pure.expr, then=then, els=self._parse_assertion_term(),
+                           span=span)
+        return pure
 
     def _expand_define(self, t: Token) -> S.Assertion:
         self.next()
@@ -696,123 +610,48 @@ class Parser:
 
     # -- expressions ------------------------------------------------------------
 
-    def _continue_expr(self, e: S.Expr) -> S.Expr:
-        """Extend a parsed (parenthesised) expression with trailing operators."""
-        while True:
-            t = self.peek().text
-            if t in ("*", "/", "%"):
-                self.next()
-                e = S.EBin(t, e, self._parse_unary(True))
-            elif t in ("+", "-"):
-                self.next()
-                e = S.EBin(t, e, self._parse_mul(True))
-            elif t in ("<<", ">>"):
-                self.next()
-                e = S.EBin(t, e, self._parse_add(True))
-            elif t in ("&", "^", "|") and not self.at("&&"):
-                self.next()
-                e = S.EBin(t, e, self._parse_shift(True))
-            elif t in ("==", "!=", "<=", ">=", "<", ">"):
-                self.next()
-                e = S.EBin(t, e, self._parse_bitor(True))
-            else:
-                return e
-
     def parse_expr(self, no_bool: bool = False) -> S.Expr:
-        return self._parse_or(no_bool)
+        """An expression; with ``no_bool``, one whose top level has no ``&&``
+        or ``||``, since in an assertion ``&&`` is the separating conjunction.
+        Inside parentheses the full grammar is available either way."""
+        return self._parse_binary(self._parse_unary(), S.CMP_PREC if no_bool else 1)
 
-    def _parse_or(self, no_bool: bool) -> S.Expr:
-        e = self._parse_and(no_bool)
-        while not no_bool and self.at("||"):
+    def _parse_binary(self, lhs: S.Expr, min_prec: int) -> S.Expr:
+        """Precedence climbing over ``S.PREC`` (Norvell): extend ``lhs`` with
+        every operator that binds at least ``min_prec``.  After an operator of
+        level p only levels up to p may follow here (tighter ones went to the
+        recursive call), and after a comparison only looser ones, so that
+        comparisons do not chain."""
+        max_prec = float("inf")
+        while True:
+            op = self.tok.text
+            p = S.PREC.get(op, 0)
+            if not min_prec <= p <= max_prec:
+                return lhs
             self.next()
-            e = S.EBin("||", e, self._parse_and(no_bool))
-        return e
+            lhs = S.EBin(op, lhs, self._parse_binary(self._parse_unary(), p + 1))
+            max_prec = p - 1 if p == S.CMP_PREC else p
 
-    def _parse_and(self, no_bool: bool) -> S.Expr:
-        e = self._parse_cmp(no_bool)
-        while not no_bool and self.at("&&"):
-            self.next()
-            e = S.EBin("&&", e, self._parse_cmp(no_bool))
-        return e
-
-    def _parse_cmp(self, no_bool: bool) -> S.Expr:
-        e = self._parse_bitor(no_bool)
-        for op in ("==", "!=", "<=", ">=", "<", ">"):
-            if self.at(op):
-                self.next()
-                return S.EBin(op, e, self._parse_bitor(no_bool))
-        return e
-
-    def _parse_bitor(self, no_bool: bool) -> S.Expr:
-        e = self._parse_bitxor(no_bool)
-        while self.at("|"):
-            self.next()
-            e = S.EBin("|", e, self._parse_bitxor(no_bool))
-        return e
-
-    def _parse_bitxor(self, no_bool: bool) -> S.Expr:
-        e = self._parse_bitand(no_bool)
-        while self.at("^"):
-            self.next()
-            e = S.EBin("^", e, self._parse_bitand(no_bool))
-        return e
-
-    def _parse_bitand(self, no_bool: bool) -> S.Expr:
-        e = self._parse_shift(no_bool)
-        while self.at("&") and not self.at("&&"):
-            self.next()
-            e = S.EBin("&", e, self._parse_shift(no_bool))
-        return e
-
-    def _parse_shift(self, no_bool: bool) -> S.Expr:
-        e = self._parse_add(no_bool)
-        while self.at("<<") or self.at(">>"):
-            op = self.next().text
-            e = S.EBin(op, e, self._parse_add(no_bool))
-        return e
-
-    def _parse_add(self, no_bool: bool) -> S.Expr:
-        e = self._parse_mul(no_bool)
-        while self.at("+") or self.at("-"):
-            op = self.next().text
-            e = S.EBin(op, e, self._parse_mul(no_bool))
-        return e
-
-    def _parse_mul(self, no_bool: bool) -> S.Expr:
-        e = self._parse_unary(no_bool)
-        while self.at("*") or self.at("/") or self.at("%"):
-            op = self.next().text
-            e = S.EBin(op, e, self._parse_unary(no_bool))
-        return e
-
-    def _parse_unary(self, no_bool: bool) -> S.Expr:
-        if self.accept("-"):
-            return S.EUn("-", self._parse_unary(no_bool))
-        if self.accept("!"):
-            return S.EUn("!", self._parse_unary(no_bool))
-        return self._parse_primary(no_bool)
-
-    def _parse_primary(self, no_bool: bool) -> S.Expr:
-        t = self.peek()
+    def _parse_unary(self) -> S.Expr:
+        t = self.tok
         if t.kind == "int":
             self.next()
             return S.EInt(int(t.text))
-        if t.text == "true":
-            self.next()
-            return S.EBool(True)
-        if t.text == "false":
-            self.next()
-            return S.EBool(False)
-        if t.text == "(":
-            self.next()
-            e = self.parse_expr(no_bool)
-            self.expect(")")
-            return e
         if t.kind == "name":
             self.next()
-            if self.inv_param is not None and t.text == self.inv_param:
+            if t.text in ("true", "false"):
+                return S.EBool(t.text == "true")
+            if t.text == self.inv_param:
                 return S.EInvVal()
             return S.EVar(t.text)
+        if t.text in ("-", "!"):
+            self.next()
+            return S.EUn(t.text, self._parse_unary())
+        if t.text == "(":
+            self.next()
+            e = self.parse_expr()
+            self.expect(")")
+            return e
         raise self._error(f"expected an expression, found {t.text!r}")
 
 

@@ -369,12 +369,16 @@ class Program:
 # Pretty printing
 # ---------------------------------------------------------------------------
 
-_PREC = {
+# Binding strength of every binary operator, read by the parser and the
+# printer alike.  Comparisons (CMP_PREC) do not chain; every other level is
+# left-associative.  Unary operators bind tighter than all of these.
+PREC = {
     "||": 1, "&&": 2,
     "==": 3, "!=": 3, "<": 3, "<=": 3, ">": 3, ">=": 3,
     "|": 4, "^": 5, "&": 6, "<<": 7, ">>": 7,
     "+": 8, "-": 8, "*": 9, "/": 9, "%": 9,
 }
+CMP_PREC = PREC["=="]
 
 
 def pp_expr(e: Expr, prec: int = 0) -> str:
@@ -391,8 +395,9 @@ def pp_expr(e: Expr, prec: int = 0) -> str:
     if isinstance(e, EUn):
         return f"{e.op}{pp_expr(e.operand, 10)}"
     if isinstance(e, EBin):
-        p = _PREC[e.op]
-        s = f"{pp_expr(e.left, p)} {e.op} {pp_expr(e.right, p + 1)}"
+        p = PREC[e.op]
+        left = p + 1 if p == CMP_PREC else p
+        s = f"{pp_expr(e.left, left)} {e.op} {pp_expr(e.right, p + 1)}"
         return f"({s})" if p < prec else s
     raise AssertionError(e)
 
@@ -403,7 +408,7 @@ def _pp_inv(inv: InvRef) -> str:
 
 def pp_assertion(a: Assertion, prec: int = 0) -> str:
     if isinstance(a, APure):
-        return pp_expr(a.expr, 3)
+        return pp_expr(a.expr, CMP_PREC)
     if isinstance(a, APointsTo):
         s = f"{a.loc} |-> {pp_expr(a.value, 10)}"
         if a.frac is not None:
@@ -413,10 +418,10 @@ def pp_assertion(a: Assertion, prec: int = 0) -> str:
         s = " && ".join(pp_assertion(p, 2) for p in a.parts)
         return f"({s})" if prec > 1 else s
     if isinstance(a, AImplies):
-        s = f"{pp_expr(a.cond, 3)} ==> {pp_assertion(a.body, 2)}"
+        s = f"{pp_expr(a.cond, CMP_PREC)} ==> {pp_assertion(a.body, 2)}"
         return f"({s})" if prec > 0 else s
     if isinstance(a, ACond):
-        s = f"{pp_expr(a.cond, 3)} ? {pp_assertion(a.then, 2)} : {pp_assertion(a.els, 2)}"
+        s = f"{pp_expr(a.cond, CMP_PREC)} ? {pp_assertion(a.then, 2)} : {pp_assertion(a.els, 2)}"
         return f"({s})"
     if isinstance(a, AUninit):
         return f"Uninit({a.loc})"

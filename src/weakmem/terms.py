@@ -280,8 +280,10 @@ def _cmp(kind: str, t: Term) -> Term:
         if coeffs[first] < 0:
             const = -const
             coeffs = {a: -c for a, c in coeffs.items()}
-        if _int_valued(0, coeffs) and const.denominator != 1:
-            return FALSE  # integer combination can never equal a non-integer
+        # GCD test: _norm_scale left gcd(coefficients, const) = 1, so the
+        # coefficients' gcd divides const only when it is 1
+        if _int_valued(const, coeffs) and gcd(*coeffs.values()) > 1:
+            return FALSE
     if kind == "lt0" and _int_valued(const, coeffs):
         # integer tightening:  t < 0  <=>  t + 1 <= 0
         kind, const = "le0", const + 1

@@ -33,7 +33,7 @@ def test_missing_file_exit_two():
 
 def write(tmp_path, name, text):
     path = tmp_path / name
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     return str(path)
 
 
@@ -41,6 +41,9 @@ MALFORMED = {
     "parse": "proc main() requires { true } ensures {",
     "fraction": "proc main() requires { true } ensures { true } "
                 "{ alloc_na(a); fence_rel(a |-> 1 @ 2); }",
+    # digits outside ASCII are not integers
+    "superscript-digit": "proc main() { x := ²; }",
+    "arabic-indic-digits": "proc main() { x := ١٢; }",
 }
 
 

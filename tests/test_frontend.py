@@ -96,9 +96,8 @@ ROUND_TRIP_SOURCES = [
 ]
 
 
-@pytest.mark.parametrize("name", ROUND_TRIP_SOURCES)
-def test_round_trip_idempotent(name):
-    first, diags = parse(corpus_text(name))
+def assert_round_trip(source):
+    first, diags = parse(source)
     assert not diags
     printed = S.pp_program(first)
     second, diags2 = parse(printed)
@@ -106,6 +105,95 @@ def test_round_trip_idempotent(name):
     assert second == first
     # and printing again is a fixed point
     assert S.pp_program(second) == printed
+
+
+@pytest.mark.parametrize("name", ROUND_TRIP_SOURCES)
+def test_round_trip_idempotent(name):
+    assert_round_trip(corpus_text(name))
+
+
+@pytest.mark.parametrize("expr", [
+    "(a == b) == c", "a == (b == c)", "(a < b) != (c < d)", "(a | b) & c",
+    "a | b & c ^ d", "-(a - b) * (c % d)", "a - (b - c)", "c == (a && b || !d)",
+])
+def test_round_trip_expressions(expr):
+    assert_round_trip(f"proc main() requires {{ {expr} }} ensures {{ true }} "
+                      f"{{ x := {expr}; }}")
+
+
+# ---------------------------------------------------------------------------
+# Lexing and expression grammar
+# ---------------------------------------------------------------------------
+
+# Malformed inputs with the exact position of each diagnostic.
+PARSE_ERRORS = {
+    "missing-semicolon": (
+        "proc main() {\n  x := 1\n  skip;\n}",
+        ["3:3: SyntaxError: expected ';', found 'skip'"]),
+    "bad-mode-suffix": (
+        "proc main() {\n  [l]_acq := 5;\n}",
+        ["2:6: SyntaxError: write mode '_acq' is not allowed; "
+         "expected one of _na, _rel, _rlx, _rel_acq"]),
+    "unknown-character": (
+        "proc main() {\n  x := 1 $ 2;\n}",
+        ["2:10: SyntaxError: unexpected character '$'",
+         "2:12: SyntaxError: expected ';', found '2'"]),
+    # comparisons do not chain, with or without parentheses on the left
+    "chained-comparison": (
+        "proc main() {\n  x := a == b == c;\n}",
+        ["2:15: SyntaxError: expected ';', found '=='"]),
+    "chained-comparison-after-parentheses": (
+        "proc main()\n  requires { (a) == b == c }\n  ensures { true }\n{ skip; }",
+        ["2:23: SyntaxError: expected '}', found '=='",
+         "3:3: SyntaxError: expected 'invariant', 'define' or 'proc', found 'ensures'"]),
+    "unclosed-block": (
+        "proc main() {\n  skip;\n",
+        ["3:1: SyntaxError: expected '}', found end of input"]),
+    # end of input is where the input ends, after a trailing comment
+    "eof-after-comment": (
+        "proc main() {\n  skip; // done",
+        ["2:16: SyntaxError: expected '}', found end of input"]),
+    # names and integers are ASCII
+    "non-ascii-letter": (
+        "proc main() {\n  café := 1;\n}",
+        ["2:6: SyntaxError: unexpected character 'é'"]),
+    "superscript-digit": (
+        "proc main() {\n  x := ²;\n}",
+        ["2:8: SyntaxError: unexpected character '²'",
+         "2:9: SyntaxError: expected an expression, found ';'"]),
+    "arabic-indic-digits": (
+        "proc main() {\n  x := ١٢;\n}",
+        ["2:8: SyntaxError: unexpected character '١'",
+         "2:9: SyntaxError: unexpected character '٢'",
+         "2:10: SyntaxError: expected an expression, found ';'"]),
+}
+
+
+@pytest.mark.parametrize("source,expected", PARSE_ERRORS.values(), ids=PARSE_ERRORS)
+def test_parse_error_positions(source, expected):
+    _, diags = parse(source)
+    assert [d.format() for d in diags] == expected
+
+
+def pre_expr(source_expr):
+    program, diags = parse(f"proc main() requires {{ {source_expr} }} ensures {{ true }} "
+                           "{ skip; }")
+    assert diags == []
+    return program.procedures[0].pre.expr
+
+
+def test_parentheses_open_the_full_expression_grammar():
+    # an assertion's pure fact has no top-level && or ||, but inside
+    # parentheses both are ordinary operators
+    assert pre_expr("c == (a || b)") == S.EBin(
+        "==", S.EVar("c"), S.EBin("||", S.EVar("a"), S.EVar("b")))
+
+
+def test_parenthesised_left_operand_keeps_precedence():
+    # `|` binds looser than `&` also after a parenthesised first operand
+    a, b, c = S.EVar("a"), S.EVar("b"), S.EVar("c")
+    assert pre_expr("(a) | b & c == 1") == pre_expr("a | b & c == 1") == S.EBin(
+        "==", S.EBin("|", a, S.EBin("&", b, c)), S.EInt(1))
 
 
 # ---------------------------------------------------------------------------

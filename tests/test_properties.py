@@ -4,13 +4,15 @@ The randomised suites are seeded and self-contained so the acceptance module
 can re-run them under its time budget.
 """
 
+import os
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from weakmem import syntax as S, terms as T
+from conftest import CORPUS, corpus_text
+from weakmem import api, syntax as S, terms as T
 from weakmem.diagnostics import EXHALE_FAILURE
 from weakmem.encoder import Exhale
 from weakmem.solver import Solver, YES
@@ -363,3 +365,34 @@ def test_inhale_exhale_restores_permissions_once_more():
     (stt,) = exhale(ctx, stt, Exhale(enc, rule="rt", kind=EXHALE_FAILURE))
     assert all(p.is_zero for p in perm_map(stt).values())
     assert not ctx.diagnostics
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing: edited corpus programs never make the verifier raise
+# ---------------------------------------------------------------------------
+
+# Inserted by the edits: the language's own symbols, and letters and digits
+# outside ASCII, which the lexer must report rather than read.
+FUZZ_INSERTS = list("aV0_ ;:=(){}[]<>!&|+-*/@?,\n") + [
+    "==>", "|->", "//", "_rlx", "CAS_rel(", "é", "ß", "²", "١٢", "٣"]
+
+
+def fuzz_edit(rng: random.Random, text: str) -> str:
+    for _ in range(rng.randint(1, 3)):
+        k = rng.randrange(len(text) + 1)
+        if rng.random() < 0.6:
+            text = text[:k] + rng.choice(FUZZ_INSERTS) + text[k:]
+        else:
+            text = text[:k] + text[k + rng.randint(1, 4):]
+    return text
+
+
+def test_edited_corpus_programs_never_raise():
+    rng = random.Random(11)
+    sources = [corpus_text(n) for n in sorted(os.listdir(CORPUS)) if n.endswith(".rsl")]
+    for _ in range(300):
+        source = fuzz_edit(rng, rng.choice(sources))
+        try:
+            api.verify_source(source)
+        except Exception as exc:  # report the input that broke it
+            raise AssertionError(f"{type(exc).__name__} on input:\n{source}") from exc

@@ -46,12 +46,23 @@ def test_integer_tightening():
 
 
 def test_integer_equality_with_fraction_scales():
-    # x == 1/2 over ints canonicalises to 2x - 1 == 0; deciding it is the
-    # solver's job (integer branch-and-bound proves it unsat)
+    # x == 1/2 over ints scales to 2x - 1 == 0, which the GCD test folds
     from weakmem.solver import Solver
     e = T.eq(x, T.mk_frac(Fraction(1, 2)))
-    assert e.kind == "eq0"
+    assert e is T.FALSE
     assert Solver().is_feasible([e]) == "no"
+
+
+def test_gcd_test_folds_unsolvable_integer_equations():
+    o1 = T.mk_var("o1", T.INT)
+    assert T.eq(T.scale(4, o1), T.mk_int(3)) is T.FALSE
+    assert T.eq(T.add(T.scale(2, x), T.scale(2, y)), T.ONE) is T.FALSE
+    # solvable ones are kept in canonical form
+    assert T.eq(T.scale(4, o1), T.mk_int(8)) is T.eq(o1, T.mk_int(2))
+    assert T.eq(T.add(T.scale(2, x), T.scale(3, y)), T.ONE).kind == "eq0"
+    # the test is for integers only: 2f == 1 has the solution f = 1/2
+    f = T.mk_var("tf", T.FRAC)
+    assert T.eq(T.scale(2, f), T.ONE).kind == "eq0"
 
 
 def test_bool_structure():
