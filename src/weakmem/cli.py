@@ -142,7 +142,7 @@ def _dump(source: str, path: str, args: argparse.Namespace, out) -> Optional[int
             for proc in front.program.procedures:
                 obligations.extend(encoder.build_obligations(
                     front.checked, front.table, proc))
-            out.write(encoder.dump_primitives(obligations, front.table))
+            out.write(encoder.dump_primitives(obligations))
     except UnsupportedFeature as exc:
         print(f"{path}: unsupported: {exc.reason}", file=sys.stderr)
         return 1

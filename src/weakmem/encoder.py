@@ -1,11 +1,12 @@
 """Translation of source statements into verification primitives.
 
 Each statement becomes a short, state-independent sequence of primitives
-(inhale, exhale, checks, havocs, branches, heap transfers).  All state
-dependence lives in the primitive executor: in particular the iteration
-over held invariant conjuncts is a runtime iteration over held predicate
-instances rather than a static expansion over every table index, which is
-equivalent because only held conjuncts pass the permission guard.
+(inhale, exhale, checks, havocs, branches, heap transfers), all of them
+plain data.  Where a statement acts on one invariant conjunct at a time,
+the encoder builds the body for every table index up front; the executor
+iterates over the conjuncts a state holds and runs only their bodies, which
+is equivalent to a static expansion over every index because only held
+conjuncts pass the permission guard.
 
 Loops take one of two shapes: with an annotated invariant they get the
 standard exhale/havoc/inhale treatment (the body is verified against the
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Optional
 
 from . import syntax as S
 from . import speclogic as L
@@ -84,13 +85,6 @@ class HavocVar:
 
 
 @dataclass
-class HavocLoc:
-    loc: str
-    fld: str
-    span: Span = NO_SPAN
-
-
-@dataclass
 class AssignVar:
     name: str
     # rhs: ("expr", Expr) or ("fieldval", loc, fld)
@@ -110,7 +104,7 @@ class Branch:
 class ForEachHeldConjunct:
     loc: str
     need_full: bool                      # full instance (acq) vs any positive (RMW)
-    body: Callable[[int], list]
+    bodies: dict                         # table index -> primitives
     span: Span = NO_SPAN
 
 
@@ -172,9 +166,6 @@ class SpinLeakCheck:
     span: Span = NO_SPAN
 
 
-Primitive = object
-
-
 # ---------------------------------------------------------------------------
 # Obligations
 # ---------------------------------------------------------------------------
@@ -225,6 +216,16 @@ class EncodeCtx:
 
     def inv_at(self, idx: int, value: S.Expr) -> S.Assertion:
         return substitute(self.table.body(idx), value)
+
+    def inv_bodies(self, value: S.Expr,
+                   modality: Optional[dict] = None) -> dict[int, EncAssertion]:
+        """Every table index's invariant body at ``value``, lowered and, given
+        a modality, relabeled."""
+        out = {}
+        for idx in self.table.all_indices():
+            enc = self.lower(self.inv_at(idx, value))
+            out[idx] = enc if modality is None else relabel(enc, modality, self.lower_ctx)
+        return out
 
 
 def _enc_err(kind: str, span: Span, rule: str, msg: str) -> FrontendError:
@@ -352,47 +353,41 @@ def _nonatomic_read(st: S.SRead, ctx: EncodeCtx) -> list:
 
 # -- release / relaxed writes ----------------------------------------------------
 
-def _rel_index_chain(loc: str, make_body: Callable[[int], list],
-                     indices: list[int], span: Span, rule: str) -> list:
+def _rel_index_chain(loc: str, bodies: dict[int, list], span: Span,
+                     rule: str) -> list:
     """Branch on the invariant index stored in the rel field."""
     chain: list = [AssertCheck(EPure(S.FALSE_E, span), rule,
                                kind=NO_REL_PERMISSION, span=span)]
-    for idx in reversed(indices):
+    for idx in reversed(list(bodies)):
         chain = [Branch(BranchCond("releq", loc=loc, idx=idx),
-                        make_body(idx), chain, span)]
+                        bodies[idx], chain, span)]
     return chain
 
 
 def _atomic_write(loc: str, value: S.Expr, modality: Optional[dict],
                   rule: str, span: Span, ctx: EncodeCtx) -> list:
-    def body(idx: int) -> list:
-        enc = ctx.lower(ctx.inv_at(idx, value))
-        if modality is not None:
-            enc = relabel(enc, modality, ctx.lower_ctx)
-        return [Exhale(enc, rule, span=span)]
-
+    bodies = {idx: [Exhale(enc, rule, span=span)]
+              for idx, enc in ctx.inv_bodies(value, modality).items()}
     prims: list = [
         AssertCheck(EAcc(loc, FIELD_REL, WILDCARD, span=span),
                     rule, kind=NO_REL_PERMISSION, span=span),
     ]
-    prims += _rel_index_chain(loc, body, ctx.table.all_indices(), span, rule)
+    prims += _rel_index_chain(loc, bodies, span, rule)
     prims.append(Inhale(EAcc(loc, FIELD_INIT, WILDCARD, span=span), rule, span))
     return prims
 
 
 # -- acquire / relaxed reads ------------------------------------------------------
 
-def _read_gain_body(loc: str, value: S.Expr, modality: Optional[dict],
-                    rule: str, span: Span, ctx: EncodeCtx) -> Callable[[int], list]:
-    def body(idx: int) -> list:
-        enc = ctx.lower(ctx.inv_at(idx, value))
-        if modality is not None:
-            enc = relabel(enc, modality, ctx.lower_ctx)
-        return [Branch(
-            BranchCond("notread", loc=loc, idx=idx, value=value),
-            [Inhale(enc, rule, span), RecordReadValue(loc, idx, value, span)],
-            [], span)]
-    return body
+def _read_gain(loc: str, value: S.Expr, modality: Optional[dict],
+               rule: str, span: Span, ctx: EncodeCtx) -> ForEachHeldConjunct:
+    """Gain each held conjunct's body at a value not read through it before."""
+    bodies = {idx: [Branch(
+                  BranchCond("notread", loc=loc, idx=idx, value=value),
+                  [Inhale(enc, rule, span), RecordReadValue(loc, idx, value, span)],
+                  [], span)]
+              for idx, enc in ctx.inv_bodies(value, modality).items()}
+    return ForEachHeldConjunct(loc, need_full=True, bodies=bodies, span=span)
 
 
 def _atomic_read(target: str, loc: str, modality: Optional[dict],
@@ -404,10 +399,7 @@ def _atomic_read(target: str, loc: str, modality: Optional[dict],
                            EFieldEq(loc, FIELD_ACQ, S.TRUE_E, span=span)]),
                     rule, kind=NO_ACQ_PERMISSION, span=span),
         HavocVar(target, span),
-        ForEachHeldConjunct(
-            loc, need_full=True,
-            body=_read_gain_body(loc, S.EVar(target), modality, rule, span, ctx),
-            span=span),
+        _read_gain(loc, S.EVar(target), modality, rule, span, ctx),
     ]
     return prims
 
@@ -420,20 +412,15 @@ def _cas(target: str, tau: str, loc: str, expected: S.Expr, newval: S.Expr,
     write_sync = tau in ("rel", "rel_acq")
     read_sync = tau in ("acq", "rel_acq")
 
-    def tmp_gain(idx: int) -> list:
-        enc = relabel(ctx.lower(ctx.inv_at(idx, S.EVar(target))), TO_TMP, ctx.lower_ctx)
-        return [Inhale(enc, rule + " read gain", span)]
-
-    def release_body(idx: int) -> list:
-        enc = ctx.lower(ctx.inv_at(idx, newval))
-        if not write_sync:
-            enc = relabel(enc, TO_UP, ctx.lower_ctx)
-        return [ExhalePreferTmp(enc, rule + " release", span=span)]
-
+    tmp_gain = {idx: [Inhale(enc, rule + " read gain", span)]
+                for idx, enc in ctx.inv_bodies(S.EVar(target), TO_TMP).items()}
+    release = {idx: [ExhalePreferTmp(enc, rule + " release", span=span)]
+               for idx, enc in ctx.inv_bodies(
+                   newval, None if write_sync else TO_UP).items()}
     success: list = [
-        ForEachHeldConjunct(loc, need_full=False, body=tmp_gain, span=span),
+        ForEachHeldConjunct(loc, need_full=False, bodies=tmp_gain, span=span),
     ]
-    success += _rel_index_chain(loc, release_body, ctx.table.all_indices(), span, rule)
+    success += _rel_index_chain(loc, release, span, rule)
     success.append(TransferHeap(
         HeapLabel.TMP, HeapLabel.REAL if read_sync else HeapLabel.DOWN,
         rule + " read transfer", span))
@@ -546,8 +533,7 @@ def _spin_read(st: S.SWhile, ctx: EncodeCtx) -> list:
     rule = "spin loop (" + ("relaxed" if modality else "acquire") + " read)"
     probe = ctx.fresh("spin")
     cont = S.EBin(cond.op, S.EVar(probe), cond.rhs)
-    lowered = {i: ctx.lower(ctx.inv_at(i, S.EVar(probe)))
-               for i in ctx.table.all_indices()}
+    lowered = ctx.inv_bodies(S.EVar(probe))
     prims: list = [
         AssertCheck(EAcc(cond.loc, FIELD_INIT, WILDCARD, span=st.span),
                     rule, kind=UNINITIALISED, span=st.span),
@@ -558,15 +544,12 @@ def _spin_read(st: S.SWhile, ctx: EncodeCtx) -> list:
     ]
     if cond.op == "==":
         # the only discarded value is the compare constant: record it
-        def record(idx: int) -> list:
-            return [RecordReadValue(cond.loc, idx, cond.rhs, st.span)]
+        record = {idx: [RecordReadValue(cond.loc, idx, cond.rhs, st.span)]
+                  for idx in ctx.table.all_indices()}
         prims.append(ForEachHeldConjunct(cond.loc, True, record, st.span))
     prims += [
         HavocVar(probe, st.span),
-        ForEachHeldConjunct(
-            cond.loc, need_full=True,
-            body=_read_gain_body(cond.loc, S.EVar(probe), modality, rule, st.span, ctx),
-            span=st.span),
+        _read_gain(cond.loc, S.EVar(probe), modality, rule, st.span, ctx),
         Inhale(EPure(_negate_cmp(cond.op, S.EVar(probe), cond.rhs), st.span),
                rule + " exit", st.span),
     ]
@@ -744,7 +727,7 @@ def build_obligations(checked: CheckedProgram, table: InvariantTable,
 # Primitive pretty-printing (--dump-primitives)
 # ---------------------------------------------------------------------------
 
-def pp_primitive(p, table: Optional[InvariantTable] = None, indent: int = 0) -> list[str]:
+def pp_primitive(p, indent: int = 0) -> list[str]:
     pad = "  " * indent
     if isinstance(p, Inhale):
         return [f"{pad}inhale {L.pp_enc(p.enc)}"]
@@ -754,8 +737,6 @@ def pp_primitive(p, table: Optional[InvariantTable] = None, indent: int = 0) -> 
         return [f"{pad}assert {L.pp_enc(p.enc)}"]
     if isinstance(p, HavocVar):
         return [f"{pad}havoc {p.name}"]
-    if isinstance(p, HavocLoc):
-        return [f"{pad}havoc {p.loc}.{p.fld}"]
     if isinstance(p, AssignVar):
         rhs = (S.pp_expr(p.rhs[1]) if p.rhs[0] == "expr"
                else f"{p.rhs[1]}.{p.rhs[2]}")
@@ -772,21 +753,20 @@ def pp_primitive(p, table: Optional[InvariantTable] = None, indent: int = 0) -> 
             cond = f"{c.loc}.rel == {c.idx}"
         out = [f"{pad}branch {cond} {{"]
         for q in p.then:
-            out.extend(pp_primitive(q, table, indent + 1))
+            out.extend(pp_primitive(q, indent + 1))
         if p.els:
             out.append(f"{pad}}} else {{")
             for q in p.els:
-                out.extend(pp_primitive(q, table, indent + 1))
+                out.extend(pp_primitive(q, indent + 1))
         out.append(f"{pad}}}")
         return out
     if isinstance(p, ForEachHeldConjunct):
         guard = "== 1" if p.need_full else "> 0"
         out = [f"{pad}foreach held AcqConjunct({p.loc}, i) with perm {guard} {{"]
-        indices = table.all_indices() if table else []
-        for i in indices:
+        for i, body in p.bodies.items():
             out.append(f"{pad}  // i = {i}")
-            for q in p.body(i):
-                out.extend(pp_primitive(q, table, indent + 1))
+            for q in body:
+                out.extend(pp_primitive(q, indent + 1))
         out.append(f"{pad}}}")
         return out
     if isinstance(p, TransferHeap):
@@ -807,13 +787,12 @@ def pp_primitive(p, table: Optional[InvariantTable] = None, indent: int = 0) -> 
     raise AssertionError(p)
 
 
-def dump_primitives(obligations: list[Obligation],
-                    table: Optional[InvariantTable] = None) -> str:
+def dump_primitives(obligations: list[Obligation]) -> str:
     lines: list[str] = []
     for ob in obligations:
         lines.append(f"=== {ob.kind} {ob.name} ===")
         for blk in ob.blocks:
             lines.append(f"-- {blk.desc} @ {blk.span.line}:{blk.span.col}")
             for p in blk.prims:
-                lines.extend(pp_primitive(p, table, 1))
+                lines.extend(pp_primitive(p, 1))
     return "\n".join(lines) + "\n"

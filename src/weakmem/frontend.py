@@ -559,8 +559,16 @@ class Parser:
             self.expect(")")
             return (S.AUp if text == "Up" else S.ADown)(body=body, span=t.span)
         if text == "(":
+            start = self.pos
             self.next()
             inner = self.parse_assertion()
+            parts = inner.parts if isinstance(inner, S.AStar) else (inner,)
+            if self.at("||") and all(isinstance(p, S.APure) for p in parts):
+                # "(a || b)": pure facts in parentheses have the full
+                # expression grammar, so read them again as one expression
+                self.pos, self.tok = start, t
+                pure = S.APure(expr=self.parse_expr(no_bool=True), span=t.span)
+                return self._pure_tail(pure, t.span)
             self.expect(")")
             if not isinstance(inner, S.APure):
                 return inner

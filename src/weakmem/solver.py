@@ -531,12 +531,13 @@ class Solver:
 
     The verifier's queries arrive already sliced: ``symstate`` splits each
     path condition into independence groups and asks about one group, or
-    about the groups a goal reaches, at a time, so the verdict caches are
-    keyed by those facts.  Apart from the caches a Solver keeps, for its own
-    lifetime, each linear form compiled for the simplex and each rewritten
-    negation, so a fact is prepared once however many queries mention it;
-    it is safe to share across obligations.  With ``solver_cmd`` set,
-    queries the built-in procedure leaves unknown go to that external solver.
+    about the groups a goal reaches, at a time, so its caches of verdicts
+    and of model values are keyed by those facts.  Apart from the caches a
+    Solver keeps, for its own lifetime, each linear form compiled for the
+    simplex and each rewritten negation, so a fact is prepared once however
+    many queries mention it; it is safe to share across obligations.  With
+    ``solver_cmd`` set, queries the built-in procedure leaves unknown go to
+    that external solver.
     """
 
     def __init__(self, solver_cmd: Optional[str] = None, timeout_ms: int = 10000):
@@ -544,6 +545,7 @@ class Solver:
         self.timeout_ms = timeout_ms
         self._feas_cache: dict[frozenset[int], str] = {}
         self._ent_cache: dict[tuple[frozenset[int], int], Result] = {}
+        self._value_cache: dict[tuple[frozenset[int], int], object] = {}
         self._compiled: dict[int, _Compiled] = {}   # linear form tid -> entry
         self._negated: dict[int, Term] = {}         # negated term tid -> rewrite
         self.queries = 0
@@ -619,6 +621,12 @@ class Solver:
         returns an exact number (int or Fraction) or None.
         """
         facts = [f for f in path if f is not terms.TRUE]
+        key = (frozenset(f.tid for f in facts), term.tid)
+        if key not in self._value_cache:
+            self._value_cache[key] = self._model_value(facts, term)
+        return self._value_cache[key]
+
+    def _model_value(self, facts: list[Term], term: Term):
         res, model, _ = self._sat(facts)
         if res != SAT:
             return None

@@ -425,13 +425,14 @@ def resolve_loc(state: SymState, loc, what: str = "location") -> T.Term:
 # Inhale
 # ---------------------------------------------------------------------------
 
-def _branch_states(ctx: ExecContext, state: SymState, cond: T.Term):
-    """Split on a condition; returns (then-states, else-states), pruned."""
+def _branch_states(ctx: ExecContext, state: SymState, cond: T.Term, span: Span):
+    """Split on a condition; returns (then-states, else-states), pruned.
+    A split past the branch cap is reported at ``span``."""
     if cond is T.TRUE:
         return [state], []
     if cond is T.FALSE:
         return [], [state]
-    ctx.count_branch(NO_SPAN)
+    ctx.count_branch(span)
     s_then = state.clone()
     s_then.assume(cond)
     s_else = state
@@ -452,7 +453,7 @@ def inhale(ctx: ExecContext, state: SymState, enc) -> list[SymState]:
         return states
     if isinstance(enc, EImplies):
         cond = eval_expr(state, enc.cond)
-        thens, elses = _branch_states(ctx, state, cond)
+        thens, elses = _branch_states(ctx, state, cond, enc.span)
         out = []
         for s in thens:
             out.extend(inhale(ctx, s, enc.body))
@@ -460,7 +461,7 @@ def inhale(ctx: ExecContext, state: SymState, enc) -> list[SymState]:
         return out
     if isinstance(enc, ECond):
         cond = eval_expr(state, enc.cond)
-        thens, elses = _branch_states(ctx, state, cond)
+        thens, elses = _branch_states(ctx, state, cond, enc.span)
         out = []
         for s in thens:
             out.extend(inhale(ctx, s, enc.then))
@@ -552,7 +553,7 @@ def _collect_cases(ctx: ExecContext, case: _Case, enc) -> list[_Case]:
         return cases
     if isinstance(enc, EImplies):
         cond = eval_expr(case.state, enc.cond)
-        thens, elses = _branch_states(ctx, case.state, cond)
+        thens, elses = _branch_states(ctx, case.state, cond, enc.span)
         out = []
         for s in thens:
             out.extend(_collect_cases(ctx, case.split(s), enc.body))
@@ -561,7 +562,7 @@ def _collect_cases(ctx: ExecContext, case: _Case, enc) -> list[_Case]:
         return out
     if isinstance(enc, ECond):
         cond = eval_expr(case.state, enc.cond)
-        thens, elses = _branch_states(ctx, case.state, cond)
+        thens, elses = _branch_states(ctx, case.state, cond, enc.span)
         out = []
         for s in thens:
             out.extend(_collect_cases(ctx, case.split(s), enc.then))
@@ -946,12 +947,6 @@ def run_prim(ctx: ExecContext, state: SymState, prim) -> list[SymState]:
         if isinstance(prim, E.HavocVar):
             state.env[prim.name] = ctx.fresh_for_class(prim.name)
             return [state]
-        if isinstance(prim, E.HavocLoc):
-            ref = resolve_loc(state, prim.loc)
-            chunk = state.fields.get(state.field_key(ref, prim.fld, HeapLabel.REAL))
-            if chunk is not None:
-                chunk.value = ctx.fresh_field_value(prim.fld)
-            return [state]
         if isinstance(prim, E.AssignVar):
             if prim.rhs[0] == "expr":
                 state.env[prim.name] = eval_expr(state, prim.rhs[1])
@@ -970,7 +965,7 @@ def run_prim(ctx: ExecContext, state: SymState, prim) -> list[SymState]:
                 ctx.count_branch(prim.span)
                 thens, elses = [state.clone()], [state]
             else:
-                thens, elses = _branch_states(ctx, state, cond)
+                thens, elses = _branch_states(ctx, state, cond, prim.span)
             out = []
             for s in thens:
                 out.extend(run_seq(ctx, s, prim.then))
@@ -981,7 +976,7 @@ def run_prim(ctx: ExecContext, state: SymState, prim) -> list[SymState]:
             ref = resolve_loc(state, prim.loc)
             states = [state]
             for idx in _held_conjuncts(ctx, state, ref, prim.need_full):
-                body = prim.body(idx)
+                body = prim.bodies[idx]
                 states = [s2 for s in states for s2 in run_seq(ctx, s, body)]
             return states
         if isinstance(prim, E.TransferHeap):

@@ -265,6 +265,18 @@ def test_branch_cap_reported(capsys):
     assert "BranchCapExceeded" in out
 
 
+def test_branch_cap_reported_at_splitting_statement(tmp_path, capsys):
+    path = write(tmp_path, "ifs.rsl", (
+        "proc main(x, y) requires { true } ensures { true }\n"
+        "{\n"
+        "  if (x == 0) { skip; } else { skip; }\n"
+        "  if (y == 0) { skip; } else { skip; }\n"
+        "}\n"))
+    assert run_cli("verify", path, "--branch-cap", "1") == 1
+    out = capsys.readouterr().out
+    assert "4:3: BranchCapExceeded" in out
+
+
 def test_strict_invariants_flag(capsys):
     assert run_cli("verify", corpus_path("RelAcqMsgPass.rsl"),
                    "--check-soundness-invariants", "--strict-invariants") == 0

@@ -1,12 +1,16 @@
 """Per-statement encoding tests, driven through the full pipeline."""
 
-from conftest import corpus_text, pipeline, single_verdict, verify
-from weakmem import encoder, symstate, syntax as S, terms as T
+import dataclasses
+import os
+
+from conftest import CORPUS, corpus_text, pipeline, single_verdict, verify
+from weakmem import api, cli, encoder, symstate, syntax as S, terms as T
 from weakmem.diagnostics import (
-    DOWN_IN_LOOP_INVARIANT, EXHALE_FAILURE, INSUFFICIENT_PERMISSION,
+    DOWN_IN_LOOP_INVARIANT, EXHALE_FAILURE, FrontendError, INSUFFICIENT_PERMISSION,
     MISSING_LOOP_INVARIANT, MISSING_RMW_PERMISSIONS, NO_ACQ_PERMISSION,
     NO_REL_PERMISSION, READ_OF_UNINITIALISED, REWRITE_AFTER_READ,
     REWRITE_NOT_JUSTIFIED, SPIN_PATTERN_RESOURCE_LEAK, UNINITIALISED,
+    UnsupportedFeature,
 )
 from weakmem.speclogic import HeapLabel
 from weakmem.solver import Solver
@@ -692,10 +696,64 @@ proc main(m, a)
 # Statement locality / dumps
 # ---------------------------------------------------------------------------
 
+def _nested_prims(prims):
+    """Every primitive of a list, with those nested in branches and bodies."""
+    for p in prims:
+        yield p
+        if isinstance(p, encoder.Branch):
+            yield from _nested_prims(p.then + p.els)
+        if isinstance(p, encoder.ForEachHeldConjunct):
+            for body in p.bodies.values():
+                yield from _nested_prims(body)
+
+
 def test_encoding_is_state_independent():
     chk, table, solver = pipeline(corpus_text("RelAcqDblMsgPassSplit.rsl"))
     proc = chk.program.procedures[0]
-    a = encoder.dump_primitives(encoder.build_obligations(chk, table, proc), table)
-    b = encoder.dump_primitives(encoder.build_obligations(chk, table, proc), table)
-    assert a == b
+    first = encoder.build_obligations(chk, table, proc)
+    second = encoder.build_obligations(chk, table, proc)
+    assert first == second
+    a = encoder.dump_primitives(first)
+    assert a == encoder.dump_primitives(second)
     assert "exhale" in a and "foreach held AcqConjunct" in a
+    # primitives are plain data: no field of any corpus primitive is callable
+    checked_prims = 0
+    for name in sorted(os.listdir(CORPUS)):
+        if not name.endswith(".rsl"):
+            continue
+        front = api.check_source(corpus_text(name), name)
+        if front.parse_diagnostics:
+            continue
+        for proc in front.program.procedures:
+            try:
+                obligations = encoder.build_obligations(front.checked, front.table, proc)
+            except (FrontendError, UnsupportedFeature):
+                continue
+            for ob in obligations:
+                for blk in ob.blocks:
+                    for p in _nested_prims(blk.prims):
+                        checked_prims += 1
+                        for f in dataclasses.fields(p):
+                            assert not callable(getattr(p, f.name)), (name, p, f.name)
+    assert checked_prims > 1000
+
+
+DOUBLE_MODALITY_SRC = """\
+invariant Q1(V) = V != 0 ==> Up(a |-> 42);
+invariant Q2(V) = V != 0 ==> b |-> 7;
+proc main() requires { true } ensures { true }
+{ alloc_na(b); alloc_na(a); alloc_acq(l, Q2); alloc_acq(m, Q1);
+  [l]_rel := 0; x := [l]_rlx; }
+"""
+
+
+def test_verify_and_dump_agree_on_double_modality(tmp_path, capsys):
+    path = tmp_path / "stacked.rsl"
+    path.write_text(DOUBLE_MODALITY_SRC, encoding="utf-8")
+    assert cli.main(["verify", str(path), "--dump-primitives"]) == 1
+    dumped = capsys.readouterr().err
+    assert cli.main(["verify", str(path)]) == 1
+    verified = capsys.readouterr().out
+    line = "1:33: DoubleModality"
+    assert line in dumped and "{real->down}" in dumped
+    assert line in verified and "{real->down}" in verified

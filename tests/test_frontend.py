@@ -121,6 +121,14 @@ def test_round_trip_expressions(expr):
                       f"{{ x := {expr}; }}")
 
 
+@pytest.mark.parametrize("fact", ["a || b", "a && b || c", "(a || b) == c"])
+def test_round_trip_disjunctive_pure_fact(fact):
+    # a macro is the only way to write a pure fact with a top-level ||
+    assert_round_trip(f"define D(p) = p;\n"
+                      f"proc main(a, b, c) requires {{ D({fact}) && D({fact}) }} "
+                      f"ensures {{ ({fact}) ==> c == 1 }} {{ skip; }}")
+
+
 # ---------------------------------------------------------------------------
 # Lexing and expression grammar
 # ---------------------------------------------------------------------------

@@ -129,6 +129,17 @@ def test_model_value(solver):
     assert solver.model_value([T.ge(x, T.ZERO)], x) is None
 
 
+def test_model_value_cached(solver, monkeypatch):
+    path = [T.eq(x, T.mk_int(41)), T.eq(y, T.add(x, T.ONE))]
+    assert solver.model_value(path, y) == 42
+    assert solver.model_value([T.ge(x, T.ZERO)], x) is None
+    calls = []
+    monkeypatch.setattr(solver, "_sat", lambda facts: calls.append(facts))
+    assert solver.model_value(list(reversed(path)), y) == 42
+    assert solver.model_value([T.TRUE, T.ge(x, T.ZERO)], x) is None
+    assert calls == []
+
+
 def cache_queries():
     w1 = T.mk_var("w1", T.FRAC)
     w2 = T.mk_var("w2", T.FRAC)
