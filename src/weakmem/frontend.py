@@ -128,6 +128,11 @@ _LOC_ASSERTIONS = {"Uninit": S.AUninit, "Init": S.AInit}
 _INV_ASSERTIONS = {"Acq": S.AAcq, "Rel": S.ARel, "RMWAcq": S.ARMWAcq}
 
 
+def _extends_fact(text: str) -> bool:
+    """Whether a token after a pure fact's ``)`` continues that fact."""
+    return text in ("==>", "?") or S.PREC.get(text, 0) >= S.CMP_PREC
+
+
 class Parser:
     def __init__(self, source: str):
         self.toks, self.diags = tokenize(source)
@@ -563,9 +568,12 @@ class Parser:
             self.next()
             inner = self.parse_assertion()
             parts = inner.parts if isinstance(inner, S.AStar) else (inner,)
-            if self.at("||") and all(isinstance(p, S.APure) for p in parts):
-                # "(a || b)": pure facts in parentheses have the full
-                # expression grammar, so read them again as one expression
+            if all(isinstance(p, S.APure) for p in parts) and (
+                    self.at("||") or len(parts) > 1 and self.at(")")
+                    and _extends_fact(self.toks[self.pos + 1].text)):
+                # "(a || b)", "(a && b) ==> c": pure facts in parentheses have
+                # the full expression grammar, so read them again as one
+                # expression when they are not a star on their own
                 self.pos, self.tok = start, t
                 pure = S.APure(expr=self.parse_expr(no_bool=True), span=t.span)
                 return self._pure_tail(pure, t.span)
@@ -613,8 +621,17 @@ class Parser:
             body = S.subst_assertion(d.body, dict(zip(d.params, args)))
         except ValueError as exc:
             raise self._error(str(exc), t.span)
-        # diagnostics about the expansion point at its use, not at the define
-        return S.map_assertion(body, None, on_node=lambda n: replace(n, span=t.span))
+        def at_use(n):
+            # diagnostics about the expansion point at its use, not at the
+            # define; and a pure fact that an argument made a top-level `&&`
+            # is a star of facts, as if the argument had been written in place
+            n = replace(n, span=t.span)
+            if isinstance(n, S.APure) and isinstance(n.expr, S.EBin) and n.expr.op == "&&":
+                return S.star([at_use(S.APure(expr=e, span=t.span))
+                               for e in (n.expr.left, n.expr.right)])
+            return S.star(n.parts) if isinstance(n, S.AStar) else n
+
+        return S.map_assertion(body, None, on_node=at_use)
 
     # -- expressions ------------------------------------------------------------
 

@@ -47,6 +47,11 @@ UNSAT = "unsat"
 _CASE_CAP = 4096
 _BRANCH_DEPTH_CAP = 48
 
+# why a query came back unknown
+CASE_CAP_HIT = f"more than {_CASE_CAP} case splits"
+DEPTH_CAP_HIT = f"branch-and-bound depth {_BRANCH_DEPTH_CAP} reached"
+OPAQUE_ATOM = "the model relies on an opaque atom"
+
 
 class ExternalSolverError(Exception):
     """The external SMT process failed or produced no usable verdict."""
@@ -56,6 +61,7 @@ class ExternalSolverError(Exception):
 class Result:
     verdict: str                  # yes | no | unknown
     hint: Optional[str] = None    # counter-model sketch for "no"
+    reason: Optional[str] = None  # the bound behind "unknown"
 
 
 # ---------------------------------------------------------------------------
@@ -495,24 +501,24 @@ class _CapExceeded(Exception):
 
 def _sat_conjunction(facts: list[Term], compiled: dict[int, _Compiled],
                      negated: dict[int, Term]):
-    """(SAT/UNSAT/UNKNOWN, model, used_opaque)."""
+    """(SAT/UNSAT/UNKNOWN, model, reason): the reason is why the answer is
+    not decided, for UNKNOWN and for a SAT model that uses an opaque literal,
+    else None."""
     defs = _collect_set_defs(facts)
     resolved = [_resolve_sets(f, defs) for f in facts]
     any_unknown = False
-    any_opaque = False
     try:
         for case in _split(resolved, compiled, negated):
             res, model = _check_linear(case.linear, compiled)
             if res == SAT:
-                return SAT, model, case.opaque
+                return SAT, model, OPAQUE_ATOM if case.opaque else None
             if res == UNKNOWN:
                 any_unknown = True
-            any_opaque = any_opaque or case.opaque
     except _CapExceeded:
-        return UNKNOWN, None, True
+        return UNKNOWN, None, CASE_CAP_HIT
     if any_unknown:
-        return UNKNOWN, None, any_opaque
-    return UNSAT, None, any_opaque
+        return UNKNOWN, None, DEPTH_CAP_HIT
+    return UNSAT, None, None
 
 
 def _format_model(model: Optional[dict[Term, int | Fraction]]) -> Optional[str]:
@@ -596,19 +602,16 @@ class Solver:
             return hit
         self.queries += 1
         facts.append(terms.not_(goal))
-        res, model, opaque = self._sat(facts)
+        res, model, reason = self._sat(facts)
         if res == UNSAT:
             out = Result(YES)
-        elif res == SAT and not opaque:
+        elif reason is None:
             out = Result(NO, _format_model(model))
         else:
-            out = Result(UNKNOWN)
-        if out.verdict == UNKNOWN and self.solver_cmd:
-            ext = self._external_sat(facts)
-            if ext == NO:
-                out = Result(YES)
-            elif ext == YES:
-                out = Result(UNKNOWN)  # external model may rely on opaque atoms
+            out = Result(UNKNOWN, reason=reason)
+        # an external "sat" leaves it unknown: its model may rely on opaque atoms
+        if out.verdict == UNKNOWN and self.solver_cmd and self._external_sat(facts) == NO:
+            out = Result(YES)
         self._ent_cache[(key, goal.tid)] = out
         return out
 

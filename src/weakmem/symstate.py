@@ -261,11 +261,11 @@ def entailed(solver: Solver, state: SymState, goal: T.Term) -> Result:
         return res
     for g in state.all_groups():
         if g not in mine:
-            other = solver.assert_entailed(g.facts, T.FALSE).verdict
-            if other == YES:
-                return Result(YES)
-            if other == UNKNOWN:
-                res = Result(UNKNOWN)
+            other = solver.assert_entailed(g.facts, T.FALSE)
+            if other.verdict == YES:
+                return other
+            if other.verdict == UNKNOWN:
+                res = other
     return res
 
 
@@ -368,7 +368,7 @@ class ExecContext:
                    rule: str, message: str) -> None:
         if res.verdict == UNKNOWN:
             self.fail(state, INCOMPLETE_SOLVER, span, rule,
-                      message + " (solver returned unknown)")
+                      f"{message} (solver returned unknown: {res.reason})")
         self.fail(state, kind, span, rule, message, counter=res.hint)
 
 

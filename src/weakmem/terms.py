@@ -9,6 +9,12 @@ constraints without re-walking trees.  Non-linear operations (general
 products, modulo, bitwise) are kept as opaque atoms; the built-in solver
 treats them as uninterpreted, which preserves soundness of "unsat" verdicts.
 
+Operations on interned terms are pure functions of their operands, so
+``add``, ``sub``, ``scale`` and the comparisons (and with them ``neg``,
+``eq``, ``le``, ``lt``, ``ge`` and ``gt``) are memoised by operand tid.  The
+memo table, like the intern pool, is process-global and never freed: a
+long-lived process grows with the distinct terms it has seen.
+
 Sorts: ``int`` (program values), ``bool``, ``frac`` (permission amounts),
 ``ref`` (heap locations) and ``set`` (finite sets of ints).
 """
@@ -28,6 +34,7 @@ SET = "set"
 
 _ids = itertools.count()
 _pool: dict[tuple, "Term"] = {}
+_memo: dict[tuple, "Term"] = {}  # (op, operand tids or scale factor) -> result
 
 
 class Term:
@@ -166,14 +173,18 @@ def mk_linear(const, coeffs: dict[Term, int | Fraction]) -> Term:
 
 
 def add(*ts: Term) -> Term:
-    const = 0
-    coeffs: dict[Term, int | Fraction] = {}
-    for t in ts:
-        c, parts = linear_parts(t)
-        const += c
-        for a, k in parts.items():
-            coeffs[a] = coeffs.get(a, 0) + k
-    return mk_linear(const, coeffs)
+    key = ("add", *[t.tid for t in ts])
+    r = _memo.get(key)
+    if r is None:
+        const = 0
+        coeffs: dict[Term, int | Fraction] = {}
+        for t in ts:
+            c, parts = linear_parts(t)
+            const += c
+            for a, k in parts.items():
+                coeffs[a] = coeffs.get(a, 0) + k
+        r = _memo[key] = mk_linear(const, coeffs)
+    return r
 
 
 def neg(t: Term) -> Term:
@@ -181,17 +192,25 @@ def neg(t: Term) -> Term:
 
 
 def sub(a: Term, b: Term) -> Term:
-    const, coeffs = linear_parts(a)
-    c, parts = linear_parts(b)
-    for t, k in parts.items():
-        coeffs[t] = coeffs.get(t, 0) - k
-    return mk_linear(const - c, coeffs)
+    key = ("sub", a.tid, b.tid)
+    r = _memo.get(key)
+    if r is None:
+        const, coeffs = linear_parts(a)
+        c, parts = linear_parts(b)
+        for t, k in parts.items():
+            coeffs[t] = coeffs.get(t, 0) - k
+        r = _memo[key] = mk_linear(const - c, coeffs)
+    return r
 
 
 def scale(k, t: Term) -> Term:
     k = _q(k)
-    const, coeffs = linear_parts(t)
-    return mk_linear(const * k, {a: c * k for a, c in coeffs.items()})
+    key = ("scale", k, t.tid)
+    r = _memo.get(key)
+    if r is None:
+        const, coeffs = linear_parts(t)
+        r = _memo[key] = mk_linear(const * k, {a: c * k for a, c in coeffs.items()})
+    return r
 
 
 def mul(a: Term, b: Term) -> Term:
@@ -266,6 +285,14 @@ def _norm_scale(const, coeffs: dict[Term, int | Fraction]):
 # ---------------------------------------------------------------------------
 
 def _cmp(kind: str, t: Term) -> Term:
+    key = (kind, t.tid)
+    r = _memo.get(key)
+    if r is None:
+        r = _memo[key] = _cmp_build(kind, t)
+    return r
+
+
+def _cmp_build(kind: str, t: Term) -> Term:
     const, coeffs = linear_parts(t)
     if not coeffs:
         if kind == "eq0":

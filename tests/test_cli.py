@@ -62,7 +62,19 @@ MOD_GOAL = "proc main(x) requires { x == 8 } ensures { x % 2 == 0 } { skip; }"
 
 def test_unknown_goal_fails_without_solver_cmd(tmp_path, capsys):
     assert run_cli("verify", write(tmp_path, "mod.rsl", MOD_GOAL)) == 1
-    assert "IncompleteSolver" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "IncompleteSolver" in out
+    assert "(solver returned unknown: the model relies on an opaque atom)" in out
+
+
+def test_unknown_goal_names_the_depth_bound(tmp_path, capsys):
+    # linear, but branch-and-bound on unbounded integers hits its depth cap
+    src = ("proc main(dx, dy, dz) requires { dx + dz + 3 == 0 } "
+           "ensures { 3*dx + 2*dy - dz + 2 != 0 } { skip; }")
+    assert run_cli("verify", write(tmp_path, "depth.rsl", src)) == 1
+    assert ("IncompleteSolver [postcondition]: cannot establish 3 * dx + 2 * dy - dz + 2 != 0 "
+            "(solver returned unknown: branch-and-bound depth 48 reached)"
+            in capsys.readouterr().out)
 
 
 def test_solver_cmd_resolves_unknown_goal(tmp_path, capsys):
@@ -152,13 +164,17 @@ def manifest_entries():
 
 
 def run_fresh(*argv, module="weakmem.cli"):
+    return run_python("-m", module, *argv)
+
+
+def run_python(*args):
     # A fresh process, so term ids (and with them column order and the
     # counter-model hints) do not depend on what other tests interned first.
     src = os.path.join(os.path.dirname(__file__), "..", "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (os.path.abspath(src), env.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, "-m", module, *argv],
+    return subprocess.run([sys.executable, *args],
                           cwd=CORPUS, env=env, capture_output=True, text=True)
 
 
@@ -174,6 +190,21 @@ def test_corpus_report_matches_golden(tmp_path):
     with open(golden_path("corpus_report.golden.json"), encoding="utf-8") as fh:
         expected = json.load(fh)
     assert strip_times(json.loads(out.read_text())) == expected
+
+
+def test_warm_process_reports_like_a_cold_one(tmp_path):
+    # The second run finds every term, and every memoised operation on
+    # terms, already built by the first; its report must not change.
+    files = [e["file"] for e in manifest_entries()]
+    outs = [tmp_path / "cold.json", tmp_path / "warm.json"]
+    script = ("import sys\nfrom weakmem.cli import main\n"
+              "for out in sys.argv[1:3]:\n    main(sys.argv[3:] + ['--json', out])")
+    proc = run_python("-c", script, *map(str, outs), "verify", *files)
+    assert proc.returncode == 0, proc.stderr
+    cold, warm = (strip_times(json.loads(o.read_text())) for o in outs)
+    assert cold == warm
+    with open(golden_path("corpus_report.golden.json"), encoding="utf-8") as fh:
+        assert cold == json.load(fh)
 
 
 def test_corpus_dumps_match_golden():

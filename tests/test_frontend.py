@@ -121,9 +121,11 @@ def test_round_trip_expressions(expr):
                       f"{{ x := {expr}; }}")
 
 
-@pytest.mark.parametrize("fact", ["a || b", "a && b || c", "(a || b) == c"])
+@pytest.mark.parametrize("fact", ["a || b", "a && b || c", "(a || b) == c", "a && b",
+                                  "(a && b) == c"])
 def test_round_trip_disjunctive_pure_fact(fact):
-    # a macro is the only way to write a pure fact with a top-level ||
+    # a macro is the only way to write a pure fact with a top-level || (a
+    # top-level && splits into a star); either may be an implication's condition
     assert_round_trip(f"define D(p) = p;\n"
                       f"proc main(a, b, c) requires {{ D({fact}) && D({fact}) }} "
                       f"ensures {{ ({fact}) ==> c == 1 }} {{ skip; }}")

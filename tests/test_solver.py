@@ -9,8 +9,8 @@ from hypothesis import event, given, settings, strategies as st
 
 from weakmem import terms as T
 from weakmem.solver import (
-    ExternalSolverError, NO, SAT, Solver, UNKNOWN, YES,
-    _sat_conjunction, emit_smtlib, run_external,
+    CASE_CAP_HIT, DEPTH_CAP_HIT, ExternalSolverError, NO, OPAQUE_ATOM, SAT, Solver,
+    UNKNOWN, YES, _sat_conjunction, emit_smtlib, run_external,
 )
 from weakmem.symstate import ExecContext, SymState
 
@@ -103,6 +103,23 @@ def test_opaque_modulo_is_unknown(solver):
     res = solver.assert_entailed([T.eq(x, T.mk_int(8))],
                                  T.eq(T.mod_(x, T.mk_int(2)), T.ZERO))
     assert res.verdict == UNKNOWN
+
+
+def test_unknown_names_its_bound(solver):
+    dx, dy, dz = (T.mk_var(n, T.INT) for n in ("udx", "udy", "udz"))
+    # dx+dz+3 = 0 |- 3dx+2dy-dz+2 != 0: branch-and-bound on unbounded integers
+    res = solver.assert_entailed(
+        [T.eq(T.add(dx, dz, T.mk_int(3)), T.ZERO)],
+        T.ne(T.add(T.scale(3, dx), T.scale(2, dy), T.neg(dz), T.mk_int(2)), T.ZERO))
+    assert (res.verdict, res.reason) == (UNKNOWN, DEPTH_CAP_HIT)
+    res = solver.assert_entailed([T.eq(x, T.mk_int(8))], T.eq(T.mul(x, y), T.ZERO))
+    assert (res.verdict, res.reason) == (UNKNOWN, OPAQUE_ATOM)
+    # 13 two-way splits, every case infeasible, go past the case-split cap
+    cs = [T.mk_var(f"uc{i}", T.INT) for i in range(13)]
+    facts = [T.or_(T.eq(c, T.ZERO), T.eq(c, T.ONE)) for c in cs]
+    res = solver.assert_entailed(facts + [T.gt(T.add(*cs), T.mk_int(13))], T.FALSE)
+    assert (res.verdict, res.reason) == (UNKNOWN, CASE_CAP_HIT)
+    assert solver.assert_entailed([T.eq(x, T.mk_int(8))], T.eq(x, y)).reason is None
 
 
 def test_unknown_never_yes_on_opaque_negative(solver):

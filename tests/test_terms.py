@@ -65,6 +65,25 @@ def test_gcd_test_folds_unsolvable_integer_equations():
     assert T.eq(T.scale(2, f), T.ONE).kind == "eq0"
 
 
+def test_memo_keys_keep_every_operand():
+    # fresh atoms, so each first call below computes its result
+    a, b, c = (T.mk_var(n, T.INT) for n in ("ma", "mb", "mc"))
+    assert len({T.le(a, b), T.lt(a, b), T.eq(a, b)}) == 3
+    assert T.le(a, c) is not T.le(c, a)
+    assert T.sub(a, b) is not T.sub(b, a)
+    assert T.sub(a, a) is T.ZERO
+    assert len({T.add(a, b), T.add(a, c), T.add(c, b)}) == 3
+    t = T.add(a, T.ONE)
+    assert T.scale(2, t) is not T.scale(3, t)
+    assert T.scale(2, a) is not T.scale(2, b)
+    assert T.scale(Fraction(2), t) is T.scale(2, t)
+    # a repeat from freshly built operands finds every term already interned
+    first = T.le(T.add(a, T.ONE), T.scale(2, b))
+    before = len(T._pool)
+    assert T.le(T.add(T.ONE, a), T.scale(Fraction(4, 2), b)) is first
+    assert len(T._pool) == before
+
+
 def test_bool_structure():
     a = T.mk_var("ba", T.BOOL)
     assert T.and_(a, T.TRUE) is a
