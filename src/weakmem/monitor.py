@@ -18,7 +18,7 @@ from . import terms as T
 from .frontend import GHOST, NA
 from .solver import Solver, YES
 from .speclogic import HeapLabel, InvariantTable
-from .symstate import PERM_ONE, PermExpr, SymState, entailed, model_value
+from .symstate import SymState, entailed, model_value, perm_str
 from .syntax import Span
 
 
@@ -69,23 +69,22 @@ def check_state_invariants(state: SymState, solver: Solver,
         name = chunk.ref.data[1]
         pv = state.field_perm(chunk.ref, "val", chunk.label)
         pi = state.field_perm(chunk.ref, "init", chunk.label)
-        if pv != pi and entailed(
-                solver, state, T.eq(pv.term(), pi.term())).verdict != YES:
+        if pv is not pi and entailed(solver, state, T.eq(pv, pi)).verdict != YES:
             out.append(Violation(
-                name, chunk.label,
-                f"val permission {pv} differs from init permission {pi}"))
+                name, chunk.label, f"val permission {perm_str(pv)} differs "
+                f"from init permission {perm_str(pi)}"))
             continue
         init_chunk = state.fields.get(state.field_key(chunk.ref, "init", chunk.label))
-        if init_chunk is None or pv.is_zero:
+        if init_chunk is None or pv is T.ZERO:
             continue
         init_true = entailed(solver, state, init_chunk.value).verdict == YES
         if not init_true:
-            full = pv == PERM_ONE or entailed(
-                solver, state, T.eq(pv.term(), T.ONE)).verdict == YES
+            full = pv is T.ONE or entailed(
+                solver, state, T.eq(pv, T.ONE)).verdict == YES
             if not full:
                 out.append(Violation(
-                    name, chunk.label,
-                    f"position may be uninitialised but permission is {pv}, not 1"))
+                    name, chunk.label, "position may be uninitialised but "
+                    f"permission is {perm_str(pv)}, not 1"))
     return out
 
 
@@ -93,12 +92,8 @@ def check_state_invariants(state: SymState, solver: Solver,
 # Reconstruction
 # ---------------------------------------------------------------------------
 
-def _perm_str(p: PermExpr) -> str:
-    if p == PERM_ONE:
-        return "¹"
-    if p.is_exact:
-        return f"[{p.const}]"
-    return f"[{p}]"
+def _perm_str(p: T.Term) -> str:
+    return "¹" if p is T.ONE else f"[{perm_str(p)}]"
 
 
 def _value_str(state: SymState, solver: Solver, value: T.Term) -> str:
@@ -152,7 +147,7 @@ def reconstruct_assertion(state: SymState, solver: Solver,
                                  f"{_value_str(state, solver, val_chunk.value)}")
         else:
             init_chunk = state.fields.get(state.field_key(ref, "init", label))
-            if init_chunk is not None and not init_chunk.perm.is_zero:
+            if init_chunk is not None and init_chunk.perm is not T.ZERO:
                 parts.append(f"Init({name})")
             rel_chunk = state.fields.get(state.field_key(ref, "rel", label))
             if rel_chunk is not None:

@@ -11,10 +11,10 @@ It is a standard two-layer design: a splitting layer reduces formulas to
 conjunctions of literals, and a simplex over exact rationals, held as int when
 integral (general simplex with infinitesimals for strict bounds, plus
 branch-and-bound for integer-sorted atoms), decides each conjunction.  Each
-query builds its own tableau, but from literals its ``Solver`` prepared once:
-the first time a Solver sees a linear form it records the form's column or
-slack row and its bounds, and the first time it splits a negated comparison it
-records the rewrite.
+query builds its own tableau, but from literals prepared once per process:
+the first time any query sees a linear form its column or slack row and its
+bounds are recorded, and the first time a negated comparison is split its
+rewrite is.
 
 Non-linear atoms (general products, modulo, bitwise operations) are treated
 as uninterpreted, so "unsat" answers remain sound; queries whose verdict
@@ -102,10 +102,10 @@ _D0 = Delta(0)
 # variable v:  ``v kind bound``, with the direction reversed when ``flip``.
 # v is the column of ``atom`` for a single-atom form, the slack row of
 # ``pairs`` for a longer one, and the constant 0 when the form has no atoms.
-# A Solver compiles each linear form once, on first sight.  ``pairs`` are the
-# row's (atom, coefficient) pairs in tid order and ``key`` identifies the row
-# (ints only, so it hashes fast); ``bound`` and ``strict`` are the bounds of
-# the non-strict and of the strict literal.
+# Each linear form is compiled once per process, on first sight.  ``pairs``
+# are the row's (atom, coefficient) pairs in tid order and ``key`` identifies
+# the row (ints only, so it hashes fast); ``bound`` and ``strict`` are the
+# bounds of the non-strict and of the strict literal.
 
 
 class _Compiled(NamedTuple):
@@ -132,10 +132,16 @@ def _compile(lin: Term) -> _Compiled:
     return _Compiled(None, pairs, key, Delta(-const), Delta(-const, -1), False, opaque)
 
 
-def _compiled(table: dict[int, _Compiled], lin: Term) -> _Compiled:
-    entry = table.get(lin.tid)
+# Both tables are pure functions of interned terms, so like ``terms._pool``
+# and ``terms._memo`` they are process-global and never freed.
+_compiled_forms: dict[int, _Compiled] = {}   # linear form tid -> entry
+_negations: dict[int, Term] = {}             # negated term tid -> rewrite
+
+
+def _compiled(lin: Term) -> _Compiled:
+    entry = _compiled_forms.get(lin.tid)
     if entry is None:
-        entry = table[lin.tid] = _compile(lin)
+        entry = _compiled_forms[lin.tid] = _compile(lin)
     return entry
 
 
@@ -344,12 +350,10 @@ class _Simplex:
         return out
 
 
-def _check_linear(literals: list[tuple[str, _Compiled]],
-                  compiled: dict[int, _Compiled], depth: int = 0):
+def _check_linear(literals: list[tuple[str, _Compiled]], depth: int = 0):
     """Decide a conjunction of compiled linear literals.
 
-    ``compiled`` is the Solver's table; branch-and-bound literals go through
-    it too.  Returns (SAT, model) / (UNSAT, None) / (UNKNOWN, None).
+    Returns (SAT, model) / (UNSAT, None) / (UNKNOWN, None).
     """
     sx = _Simplex()
     for kind, lit in literals:
@@ -363,13 +367,13 @@ def _check_linear(literals: list[tuple[str, _Compiled]],
             if depth >= _BRANCH_DEPTH_CAP:
                 return UNKNOWN, None
             lin = terms.sub(atom, terms.mk_int(floor(val)))
-            lo = literals + [("le0", _compiled(compiled, lin))]
-            r, m = _check_linear(lo, compiled, depth + 1)
+            lo = literals + [("le0", _compiled(lin))]
+            r, m = _check_linear(lo, depth + 1)
             if r == SAT:
                 return r, m
             lin = terms.sub(terms.mk_int(ceil(val)), atom)
-            hi = literals + [("le0", _compiled(compiled, lin))]
-            r2, m2 = _check_linear(hi, compiled, depth + 1)
+            hi = literals + [("le0", _compiled(lin))]
+            r2, m2 = _check_linear(hi, depth + 1)
             if r2 == SAT:
                 return r2, m2
             if r == UNKNOWN or r2 == UNKNOWN:
@@ -426,13 +430,8 @@ def _negation(g: Term) -> Term:
     return terms.or_(*[terms.not_(a) for a in g.args])
 
 
-def _split(facts: list[Term], compiled: dict[int, _Compiled],
-           negated: dict[int, Term]):
-    """Yield literal cases; raises _CapExceeded if the split blows up.
-
-    ``compiled`` and ``negated`` are the Solver's tables of compiled linear
-    forms and of rewritten negations, both keyed by term id.
-    """
+def _split(facts: list[Term]):
+    """Yield literal cases; raises _CapExceeded if the split blows up."""
     produced = 0
     stack: list[tuple[list[Term], _Case]] = [(list(facts), _Case())]
     while stack:
@@ -462,9 +461,9 @@ def _split(facts: list[Term], compiled: dict[int, _Compiled],
                 g = f.args[0]
                 gk = g.kind
                 if gk in ("eq0", "le0", "lt0", "and"):
-                    r = negated.get(g.tid)
+                    r = _negations.get(g.tid)
                     if r is None:
-                        r = negated[g.tid] = _negation(g)
+                        r = _negations[g.tid] = _negation(g)
                     todo.append(r)
                 elif gk == "or":
                     todo.extend(terms.not_(a) for a in g.args)
@@ -477,7 +476,7 @@ def _split(facts: list[Term], compiled: dict[int, _Compiled],
                     if gk not in ("var", "eqref", "inset", "seteq"):
                         case.opaque = True
             elif k in ("eq0", "le0", "lt0"):
-                lit = _compiled(compiled, f.args[0])
+                lit = _compiled(f.args[0])
                 if lit.opaque:
                     case.opaque = True
                 case.linear.append((k, lit))
@@ -499,8 +498,7 @@ class _CapExceeded(Exception):
     pass
 
 
-def _sat_conjunction(facts: list[Term], compiled: dict[int, _Compiled],
-                     negated: dict[int, Term]):
+def _sat_conjunction(facts: list[Term]):
     """(SAT/UNSAT/UNKNOWN, model, reason): the reason is why the answer is
     not decided, for UNKNOWN and for a SAT model that uses an opaque literal,
     else None."""
@@ -508,8 +506,8 @@ def _sat_conjunction(facts: list[Term], compiled: dict[int, _Compiled],
     resolved = [_resolve_sets(f, defs) for f in facts]
     any_unknown = False
     try:
-        for case in _split(resolved, compiled, negated):
-            res, model = _check_linear(case.linear, compiled)
+        for case in _split(resolved):
+            res, model = _check_linear(case.linear)
             if res == SAT:
                 return SAT, model, OPAQUE_ATOM if case.opaque else None
             if res == UNKNOWN:
@@ -538,12 +536,12 @@ class Solver:
     The verifier's queries arrive already sliced: ``symstate`` splits each
     path condition into independence groups and asks about one group, or
     about the groups a goal reaches, at a time, so its caches of verdicts
-    and of model values are keyed by those facts.  Apart from the caches a
-    Solver keeps, for its own lifetime, each linear form compiled for the
-    simplex and each rewritten negation, so a fact is prepared once however
-    many queries mention it; it is safe to share across obligations.  With
-    ``solver_cmd`` set, queries the built-in procedure leaves unknown go to
-    that external solver.
+    and of model values are keyed by those facts; it is safe to share across
+    obligations.  The linear forms compiled for the simplex and the rewritten
+    negations are not per Solver: the module keeps each once per process,
+    beside the term pool, so a fact is prepared once however many queries
+    and Solvers mention it.  With ``solver_cmd`` set, queries the built-in
+    procedure leaves unknown go to that external solver.
     """
 
     def __init__(self, solver_cmd: Optional[str] = None, timeout_ms: int = 10000):
@@ -552,12 +550,7 @@ class Solver:
         self._feas_cache: dict[frozenset[int], str] = {}
         self._ent_cache: dict[tuple[frozenset[int], int], Result] = {}
         self._value_cache: dict[tuple[frozenset[int], int], object] = {}
-        self._compiled: dict[int, _Compiled] = {}   # linear form tid -> entry
-        self._negated: dict[int, Term] = {}         # negated term tid -> rewrite
         self.queries = 0
-
-    def _sat(self, facts: list[Term]):
-        return _sat_conjunction(facts, self._compiled, self._negated)
 
     # -- feasibility -------------------------------------------------------
 
@@ -572,7 +565,7 @@ class Solver:
         if terms.FALSE.tid in key:
             return NO
         self.queries += 1
-        res, _model, _ = self._sat(facts)
+        res, _model, _ = _sat_conjunction(facts)
         out = YES if res == SAT else NO if res == UNSAT else UNKNOWN
         if out == UNKNOWN and self.solver_cmd:
             ext = self._external_sat(facts)
@@ -602,7 +595,7 @@ class Solver:
             return hit
         self.queries += 1
         facts.append(terms.not_(goal))
-        res, model, reason = self._sat(facts)
+        res, model, reason = _sat_conjunction(facts)
         if res == UNSAT:
             out = Result(YES)
         elif reason is None:
@@ -630,7 +623,7 @@ class Solver:
         return self._value_cache[key]
 
     def _model_value(self, facts: list[Term], term: Term):
-        res, model, _ = self._sat(facts)
+        res, model, _ = _sat_conjunction(facts)
         if res != SAT:
             return None
         const, coeffs = terms.linear_parts(term)

@@ -2,7 +2,7 @@
 
 A state holds field chunks and predicate chunks, both keyed by heap label
 and location, a path condition, and an environment binding program variables
-to terms.  Permission amounts are linear expressions over wildcard tokens;
+to terms.  Permission amounts are linear terms over wildcard tokens;
 every token carries a strict positivity fact, and tokens drawn by an exhale
 carry a strict upper bound by the amount held at draw time, so wildcard
 remainders stay provably positive.
@@ -52,67 +52,26 @@ FIELD_SORT = {"val": T.INT, "init": T.BOOL, "rel": T.INT, "acq": T.BOOL}
 
 
 # ---------------------------------------------------------------------------
-# Permission expressions
+# Permission amounts
 # ---------------------------------------------------------------------------
+#
+# An amount is an interned linear term: a ``num`` for an exact amount, built
+# with ``T.mk_int`` only so that equal amounts are one object and zero is
+# ``T.ZERO``, and otherwise a linear form over wildcard tokens.
 
-@dataclass(frozen=True)
-class PermExpr:
-    """const + sum of wildcard tokens, each with a rational coefficient."""
-
-    const: Fraction = Fraction(0)
-    parts: tuple = ()   # ((token, coeff), ...) sorted by token id
-
-    @staticmethod
-    def exact(k) -> "PermExpr":
-        return PermExpr(Fraction(k), ())
-
-    @staticmethod
-    def token(w: T.Term) -> "PermExpr":
-        return PermExpr(Fraction(0), ((w, Fraction(1)),))
-
-    def add(self, other: "PermExpr") -> "PermExpr":
-        coeffs = dict(self.parts)
-        for w, c in other.parts:
-            coeffs[w] = coeffs.get(w, Fraction(0)) + c
-        parts = tuple(sorted(((w, c) for w, c in coeffs.items() if c != 0),
-                             key=lambda wc: wc[0].tid))
-        return PermExpr(self.const + other.const, parts)
-
-    def sub(self, other: "PermExpr") -> "PermExpr":
-        return self.add(other.scale(-1))
-
-    def scale(self, k) -> "PermExpr":
-        k = Fraction(k)
-        return PermExpr(self.const * k, tuple((w, c * k) for w, c in self.parts))
-
-    @property
-    def is_exact(self) -> bool:
-        return not self.parts
-
-    @property
-    def is_zero(self) -> bool:
-        return self.const == 0 and not self.parts
-
-    def definitely_positive(self) -> bool:
-        """True if positivity follows from token positivity alone."""
-        return (self.const > 0 and all(c > 0 for _, c in self.parts)) or \
-               (self.const >= 0 and bool(self.parts) and all(c > 0 for _, c in self.parts))
-
-    def term(self) -> T.Term:
-        if not self.parts:
-            return T.mk_frac(self.const)   # keeps the FRAC sort of an exact amount
-        return T.mk_linear(self.const, dict(self.parts))
-
-    def __str__(self) -> str:
-        if self.is_exact:
-            return str(self.const)
-        bits = [str(self.const)] if self.const else []
-        bits += [f"{c}*{T.pretty(w)}" if c != 1 else T.pretty(w) for w, c in self.parts]
-        return " + ".join(bits)
+def definitely_positive(p: T.Term) -> bool:
+    """True if positivity follows from token positivity alone."""
+    const, coeffs = T.linear_parts(p)
+    return p is not T.ZERO and const >= 0 and all(c > 0 for c in coeffs.values())
 
 
-PERM_ZERO = PermExpr.exact(0)
-PERM_ONE = PermExpr.exact(1)
+def perm_str(p: T.Term) -> str:
+    """An amount as text: the constant, left out when zero beside tokens,
+    then each token with its coefficient."""
+    const, coeffs = T.linear_parts(p)
+    bits = [str(const)] if const or not coeffs else []
+    bits += [T.pretty(w) if c == 1 else f"{c}*{T.pretty(w)}" for w, c in coeffs.items()]
+    return " + ".join(bits)
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +83,7 @@ class FieldChunk:
     ref: T.Term
     fld: str
     label: HeapLabel
-    perm: PermExpr
+    perm: T.Term
     value: T.Term
 
 
@@ -133,7 +92,7 @@ class PredChunk:
     ref: T.Term
     idx: int
     label: HeapLabel
-    perm: PermExpr
+    perm: T.Term
     vals: tuple = ()    # values-read snapshot: terms, insertion-ordered
 
 
@@ -212,23 +171,25 @@ class SymState:
     def pred_key(self, ref: T.Term, idx: int, label: HeapLabel) -> tuple:
         return (label.value, ref.data[0], idx)
 
-    def field_perm(self, ref: T.Term, fld: str, label: HeapLabel) -> PermExpr:
+    def field_perm(self, ref: T.Term, fld: str, label: HeapLabel) -> T.Term:
         c = self.fields.get(self.field_key(ref, fld, label))
-        return c.perm if c is not None else PERM_ZERO
+        return c.perm if c is not None else T.ZERO
 
-    def pred_perm(self, ref: T.Term, idx: int, label: HeapLabel) -> PermExpr:
+    def pred_perm(self, ref: T.Term, idx: int, label: HeapLabel) -> T.Term:
         c = self.preds.get(self.pred_key(ref, idx, label))
-        return c.perm if c is not None else PERM_ZERO
+        return c.perm if c is not None else T.ZERO
 
     def digest(self) -> str:
         bits = []
         for k in sorted(self.fields):
             c = self.fields[k]
-            bits.append(f"{c.label}:{T.ref_name(c.ref)}.{c.fld}={c.perm}:{T.pretty(c.value)}")
+            bits.append(f"{c.label}:{T.ref_name(c.ref)}.{c.fld}="
+                        f"{perm_str(c.perm)}:{T.pretty(c.value)}")
         for k in sorted(self.preds):
             c = self.preds[k]
             vals = "{" + ",".join(T.pretty(v) for v in c.vals) + "}"
-            bits.append(f"{c.label}:AcqConjunct({T.ref_name(c.ref)},{c.idx})={c.perm}:{vals}")
+            bits.append(f"{c.label}:AcqConjunct({T.ref_name(c.ref)},{c.idx})="
+                        f"{perm_str(c.perm)}:{vals}")
         return "; ".join(bits)
 
 
@@ -478,9 +439,9 @@ def inhale(ctx: ExecContext, state: SymState, enc) -> list[SymState]:
                                ctx.fresh_field_value(enc.fld))
             state.fields[key] = chunk
         else:
-            chunk.perm = chunk.perm.add(amount)
+            chunk.perm = T.add(chunk.perm, amount)
         # field permissions cannot exceed 1: assumed, so overfull paths die
-        state.assume(T.le(chunk.perm.term(), T.ONE))
+        state.assume(T.le(chunk.perm, T.ONE))
         return [state]
     if isinstance(enc, EFieldEq):
         ref = resolve_loc(state, enc.loc)
@@ -501,17 +462,17 @@ def inhale(ctx: ExecContext, state: SymState, enc) -> list[SymState]:
             state.preds[key] = PredChunk(ref, enc.idx, enc.label, amount, ())
         else:
             # re-inhaling a held conjunct must not reset the values read
-            chunk.perm = chunk.perm.add(amount)
+            chunk.perm = T.add(chunk.perm, amount)
         return [state]
     raise AssertionError(enc)
 
 
-def _inhale_amount(ctx: ExecContext, state: SymState, perm) -> PermExpr:
+def _inhale_amount(ctx: ExecContext, state: SymState, perm) -> T.Term:
     if perm == WILDCARD:
         w = ctx.fresh_token()
         state.assume(T.lt(T.ZERO, w))
-        return PermExpr.token(w)
-    return PermExpr.exact(perm)
+        return w
+    return T.mk_int(perm)
 
 
 # ---------------------------------------------------------------------------
@@ -648,46 +609,43 @@ def _run_checks(ctx: ExecContext, case: _Case, prim) -> None:
                      f"values {{{vals}}} were already read through {name}")
 
 
-def _check_demand(ctx: ExecContext, state: SymState, held: PermExpr,
+def _check_demand(ctx: ExecContext, state: SymState, held: T.Term,
                   demand: _Demand, prim, span: Span) -> None:
     name = demand.name
     if demand.exact > 0:
-        if held.is_exact:
-            if held.const < demand.exact:
+        if held.kind == "num":
+            if held.data < demand.exact:
                 ctx.fail(state, prim.kind, span, prim.rule,
                          f"insufficient permission to {name}: need {demand.exact}, "
-                         f"hold {held.const}")
+                         f"hold {held.data}")
         else:
-            res = ctx.entailed(state, T.ge(held.term(), T.mk_frac(demand.exact)))
+            res = ctx.entailed(state, T.ge(held, T.mk_int(demand.exact)))
             if res.verdict != YES:
                 ctx.fail_query(state, res, prim.kind, span, prim.rule,
                                f"insufficient permission to {name}: need {demand.exact}")
     if demand.wildcards > 0:
-        floor = T.mk_frac(demand.exact)
-        if held.is_zero:
+        if held is T.ZERO:
             ctx.fail(state, prim.kind, span, prim.rule,
                      f"no permission to {name}")
-        if held.is_exact and held.const > demand.exact:
+        if held.kind == "num" and held.data > demand.exact:
             return
-        res = ctx.entailed(state, T.lt(floor, held.term()))
+        res = ctx.entailed(state, T.lt(T.mk_int(demand.exact), held))
         if res.verdict != YES:
             ctx.fail_query(state, res, prim.kind, span, prim.rule,
                            f"no spare permission to {name} for a wildcard")
 
 
-def _deduct(ctx: ExecContext, state: SymState, chunk, demand: _Demand) -> PermExpr:
+def _deduct(ctx: ExecContext, state: SymState, chunk, demand: _Demand) -> T.Term:
     """Remove the demanded amount; returns the remainder."""
-    taken = PermExpr.exact(demand.exact)
+    taken = T.mk_int(demand.exact)
     if demand.wildcards:
-        tokens = []
         for _ in range(demand.wildcards):
             w = ctx.fresh_token()
             state.assume(T.lt(T.ZERO, w))
-            tokens.append(w)
-            taken = taken.add(PermExpr.token(w))
+            taken = T.add(taken, w)
         # all wildcards together stay strictly below the amount held
-        state.assume(T.lt(taken.term(), chunk.perm.term()))
-    return chunk.perm.sub(taken)
+        state.assume(T.lt(taken, chunk.perm))
+    return T.sub(chunk.perm, taken)
 
 
 def _apply_demands(ctx: ExecContext, case: _Case, prim, span: Span,
@@ -696,28 +654,28 @@ def _apply_demands(ctx: ExecContext, case: _Case, prim, span: Span,
     for key in sorted(case.field_demands):
         demand = case.field_demands[key]
         chunk = state.fields.get(key)
-        held = chunk.perm if chunk is not None else PERM_ZERO
+        held = chunk.perm if chunk is not None else T.ZERO
         if chunk is None and (demand.exact > 0 or demand.wildcards > 0):
             ctx.fail(state, prim.kind, span, prim.rule,
                      f"no permission to {demand.name}")
         _check_demand(ctx, state, held, demand, prim, span)
         if deduct and chunk is not None:
             rest = _deduct(ctx, state, chunk, demand)
-            if rest.is_zero:
+            if rest is T.ZERO:
                 del state.fields[key]   # value is havoced with the chunk
             else:
                 chunk.perm = rest
     for key in sorted(case.pred_demands):
         demand = case.pred_demands[key]
         chunk = state.preds.get(key)
-        held = chunk.perm if chunk is not None else PERM_ZERO
+        held = chunk.perm if chunk is not None else T.ZERO
         if chunk is None and (demand.exact > 0 or demand.wildcards > 0):
             ctx.fail(state, prim.kind, span, prim.rule,
                      f"no {demand.name} instance held")
         _check_demand(ctx, state, held, demand, prim, span)
         if deduct and chunk is not None:
             rest = _deduct(ctx, state, chunk, demand)
-            if rest.is_zero:
+            if rest is T.ZERO:
                 del state.preds[key]
             else:
                 chunk.perm = rest
@@ -752,8 +710,8 @@ def transfer_heap(ctx: ExecContext, state: SymState, src: HeapLabel,
             state.fields[dkey] = chunk
         else:
             state.assume(T.eq(dst_chunk.value, chunk.value))
-            dst_chunk.perm = dst_chunk.perm.add(chunk.perm)
-            state.assume(T.le(dst_chunk.perm.term(), T.ONE))
+            dst_chunk.perm = T.add(dst_chunk.perm, chunk.perm)
+            state.assume(T.le(dst_chunk.perm, T.ONE))
     for key in sorted(k for k in state.preds if k[0] == src.value):
         chunk = state.preds.pop(key)
         dkey = state.pred_key(chunk.ref, chunk.idx, dst)
@@ -762,7 +720,7 @@ def transfer_heap(ctx: ExecContext, state: SymState, src: HeapLabel,
             chunk.label = dst
             state.preds[dkey] = chunk
         else:
-            dst_chunk.perm = dst_chunk.perm.add(chunk.perm)
+            dst_chunk.perm = T.add(dst_chunk.perm, chunk.perm)
             merged = list(dst_chunk.vals)
             merged += [v for v in chunk.vals if v not in dst_chunk.vals]
             dst_chunk.vals = tuple(merged)
@@ -786,19 +744,22 @@ def exhale_prefer_tmp(ctx: ExecContext, state: SymState, prim) -> list[SymState]
     return out
 
 
-def _split_amounts(ctx: ExecContext, state: SymState, tmp_held: PermExpr,
+def _split_amounts(ctx: ExecContext, state: SymState, tmp_held: T.Term,
                    need: Fraction, name: str, prim) -> tuple[Fraction, Fraction]:
     """How much of an exact demand comes from tmp vs. the fallback heap."""
-    if tmp_held.is_exact:
-        take = min(tmp_held.const, need)
+    if tmp_held.kind == "num":
+        take = min(tmp_held.data, need)
         return take, need - take
     # symbolic tmp holdings (wildcard RMW conjunct bodies): ask the solver
-    res = ctx.entailed(state, T.ge(tmp_held.term(), T.mk_frac(need)))
+    res = ctx.entailed(state, T.ge(tmp_held, T.mk_int(need)))
     if res.verdict == YES:
         return need, Fraction(0)
+    why = (f"solver returned unknown: {res.reason}" if res.verdict == UNKNOWN else
+           f"the tmp heap's wildcard amount {perm_str(tmp_held)} is not known "
+           f"to cover {need}")
     ctx.fail(state, INCOMPLETE_SOLVER, prim.span, prim.rule,
              f"cannot split the demand on {name} between the tmp heap and its "
-             "fallback")
+             f"fallback ({why})")
 
 
 def _take_split(ctx: ExecContext, state: SymState, store: dict, key: tuple,
@@ -809,27 +770,27 @@ def _take_split(ctx: ExecContext, state: SymState, store: dict, key: tuple,
     """
     tmp_chunk = store.get(tmp_key)
     fb_chunk = store.get(key)
-    tmp_held = tmp_chunk.perm if tmp_chunk is not None else PERM_ZERO
+    tmp_held = tmp_chunk.perm if tmp_chunk is not None else T.ZERO
     from_tmp, from_fb = _split_amounts(ctx, state, tmp_held, demand.exact,
                                        demand.name, prim)
-    wc_from_tmp = demand.wildcards if tmp_held.definitely_positive() else 0
+    wc_from_tmp = demand.wildcards if definitely_positive(tmp_held) else 0
     wc_from_fb = demand.wildcards - wc_from_tmp
     if from_fb > 0 or wc_from_fb > 0:
         if fb_chunk is None:
             ctx.fail(state, prim.kind, prim.span, prim.rule,
                      f"insufficient permission to {demand.name}: tmp heap holds "
-                     f"{tmp_held} and the fallback heap holds nothing")
+                     f"{perm_str(tmp_held)} and the fallback heap holds nothing")
         _check_demand(ctx, state, fb_chunk.perm,
                       _Demand(from_fb, wc_from_fb, demand.name), prim, prim.span)
     if tmp_chunk is not None and (from_tmp > 0 or wc_from_tmp > 0):
         rest = _deduct(ctx, state, tmp_chunk, _Demand(from_tmp, wc_from_tmp))
-        if rest.is_zero:
+        if rest is T.ZERO:
             del store[tmp_key]
         else:
             tmp_chunk.perm = rest
     if fb_chunk is not None and (from_fb > 0 or wc_from_fb > 0):
         rest = _deduct(ctx, state, fb_chunk, _Demand(from_fb, wc_from_fb))
-        if rest.is_zero:
+        if rest is T.ZERO:
             del store[key]
         else:
             fb_chunk.perm = rest
@@ -898,17 +859,14 @@ def _held_conjuncts(ctx: ExecContext, state: SymState, ref: T.Term,
                       and k[1] == ref.data[0]):
         chunk = state.preds[key]
         if need_full:
-            if chunk.perm.is_exact and chunk.perm.const >= 1:
-                held.append(chunk.idx)
-            elif not chunk.perm.is_exact:
-                res = ctx.entailed(state, T.ge(chunk.perm.term(), T.ONE))
-                if res.verdict == YES:
+            if chunk.perm.kind == "num":
+                if chunk.perm.data >= 1:
                     held.append(chunk.idx)
-        else:
-            if chunk.perm.definitely_positive():
+            elif ctx.entailed(state, T.ge(chunk.perm, T.ONE)).verdict == YES:
                 held.append(chunk.idx)
-            elif ctx.entailed(state, T.lt(T.ZERO, chunk.perm.term())).verdict == YES:
-                held.append(chunk.idx)
+        elif (definitely_positive(chunk.perm)
+              or ctx.entailed(state, T.lt(T.ZERO, chunk.perm)).verdict == YES):
+            held.append(chunk.idx)
     return held
 
 

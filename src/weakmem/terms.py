@@ -12,11 +12,19 @@ treats them as uninterpreted, which preserves soundness of "unsat" verdicts.
 Operations on interned terms are pure functions of their operands, so
 ``add``, ``sub``, ``scale`` and the comparisons (and with them ``neg``,
 ``eq``, ``le``, ``lt``, ``ge`` and ``gt``) are memoised by operand tid.  The
-memo table, like the intern pool, is process-global and never freed: a
-long-lived process grows with the distinct terms it has seen.
+process-global tables keyed by term, none of them ever freed, are:
 
-Sorts: ``int`` (program values), ``bool``, ``frac`` (permission amounts),
-``ref`` (heap locations) and ``set`` (finite sets of ints).
+* ``_pool``, the intern pool;
+* ``_memo``, the arithmetic and comparison results;
+* ``_atom_ids``, each term's atom set;
+* ``solver._compiled_forms`` and ``solver._negations``, each linear form
+  compiled for the simplex and each rewritten negation.
+
+So a long-lived process grows with the distinct terms it has seen.
+
+Sorts: ``int`` (program values and integral amounts), ``bool``, ``frac``
+(wildcard tokens and fractional amounts), ``ref`` (heap locations) and
+``set`` (finite sets of ints).
 """
 
 from __future__ import annotations

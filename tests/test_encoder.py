@@ -41,8 +41,8 @@ def test_alloc_na_state():
     assert result.verified
     (st,) = result.final_states
     ref = st.env["a"]
-    assert st.field_perm(ref, "val", HeapLabel.REAL) == symstate.PERM_ONE
-    assert st.field_perm(ref, "init", HeapLabel.REAL) == symstate.PERM_ONE
+    assert st.field_perm(ref, "val", HeapLabel.REAL) is T.ONE
+    assert st.field_perm(ref, "init", HeapLabel.REAL) is T.ONE
     init = st.fields[st.field_key(ref, "init", HeapLabel.REAL)]
     assert solver.assert_entailed(st.path, T.not_(init.value)).verdict == "yes"
 
@@ -153,8 +153,8 @@ def test_acq_splitting():
     (st,) = result.final_states
     ref = st.env["l"]
     i1, i2 = table.whole(("Q1",)), table.whole(("Q2",))
-    assert st.pred_perm(ref, i1, HeapLabel.REAL).is_zero
-    assert st.pred_perm(ref, i2, HeapLabel.REAL) == symstate.PERM_ONE
+    assert st.pred_perm(ref, i1, HeapLabel.REAL) is T.ZERO
+    assert st.pred_perm(ref, i2, HeapLabel.REAL) is T.ONE
 
 
 # ---------------------------------------------------------------------------
@@ -506,7 +506,7 @@ proc main() requires { true } ensures { true }
 """)
     assert result.verified
     (st,) = result.final_states
-    assert st.field_perm(st.env["a"], "val", HeapLabel.REAL) == symstate.PERM_ONE
+    assert st.field_perm(st.env["a"], "val", HeapLabel.REAL) is T.ONE
 
 
 def test_annotated_loop_verifies():

@@ -3,12 +3,13 @@
 from fractions import Fraction
 
 from conftest import corpus_text, pipeline, verify
-from weakmem import api, encoder, symstate, terms as T
+from test_symstate import acc, do_exhale, do_inhale, fresh_state, points_to
+from weakmem import api, encoder, symstate, syntax as S, terms as T
 from weakmem.frontend import NA
 from weakmem.monitor import check_state_invariants, reconstruct_assertion
 from weakmem.solver import Solver
-from weakmem.speclogic import HeapLabel
-from weakmem.symstate import ExecContext, FieldChunk, PermExpr, SymState
+from weakmem.speclogic import EFieldEq, HeapLabel, WILDCARD, estar
+from weakmem.symstate import ExecContext, FieldChunk, SymState
 
 
 def hand_state(perm_val, perm_init, init_value=T.TRUE):
@@ -17,9 +18,9 @@ def hand_state(perm_val, perm_init, init_value=T.TRUE):
     ref = ctx.fresh_ref("a", False)
     st.env["a"] = ref
     st.fields[st.field_key(ref, "val", HeapLabel.REAL)] = FieldChunk(
-        ref, "val", HeapLabel.REAL, PermExpr.exact(perm_val), ctx.fresh_int("v"))
+        ref, "val", HeapLabel.REAL, T.mk_int(perm_val), ctx.fresh_int("v"))
     st.fields[st.field_key(ref, "init", HeapLabel.REAL)] = FieldChunk(
-        ref, "init", HeapLabel.REAL, PermExpr.exact(perm_init), init_value)
+        ref, "init", HeapLabel.REAL, T.mk_int(perm_init), init_value)
     return st
 
 
@@ -130,3 +131,27 @@ proc main() requires { true } ensures { true }
     (st,) = main.obligations[0].final_states
     text = reconstruct_assertion(st, res.solver, res.checked.info["main"].classes)
     assert "⇑" in text and "a ↦¹ 5" in text
+
+
+def test_wildcard_remainder_rendering():
+    # pinned text: the constant comes first, then each token in tid order
+    classes = {"a": NA, "b": NA, "c": NA}
+    ctx = ExecContext(Solver(), classes)
+    st = fresh_state(ctx, ("a", "b", "c"))
+    st = do_inhale(ctx, st, estar([points_to("a", 7), points_to("b", 5, "1/2"),
+                                   points_to("c", 1)]))
+    (st,) = do_exhale(ctx, st, acc("a", "val", WILDCARD))
+    st = do_inhale(ctx, st, estar(
+        [acc("a", f, "1/2", HeapLabel.UP) for f in ("val", "init")]
+        + [acc("a", "val", WILDCARD, HeapLabel.UP),
+           EFieldEq("a", "val", S.EInt(3), HeapLabel.UP)]))
+    assert st.digest() == (
+        "real:a.init=1:init!1; real:a.val=1 + -1*w!6:val!0; "
+        "real:b.init=1/2:init!3; real:b.val=1/2:val!2; "
+        "real:c.init=1:init!5; real:c.val=1:val!4; "
+        "up:a.init=1/2:init!8; up:a.val=1/2 + w!9:val!7")
+    assert reconstruct_assertion(st, ctx.solver, classes) == (
+        "a ↦[1 + -1*w!6] 7 ∗ b ↦[1/2] 5 ∗ c ↦¹ 1 ∗ ⇑(a ↦[1/2 + w!9] 3)")
+    assert [v.format() for v in check_state_invariants(st, ctx.solver, classes)] == [
+        "a: val permission 1 + -1*w!6 differs from init permission 1",
+        "a under up: val permission 1/2 + w!9 differs from init permission 1/2"]

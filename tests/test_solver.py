@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
-from weakmem import terms as T
+from weakmem import solver as SV, terms as T
 from weakmem.solver import (
     CASE_CAP_HIT, DEPTH_CAP_HIT, ExternalSolverError, NO, OPAQUE_ATOM, SAT, Solver,
     UNKNOWN, YES, _sat_conjunction, emit_smtlib, run_external,
@@ -151,7 +151,7 @@ def test_model_value_cached(solver, monkeypatch):
     assert solver.model_value(path, y) == 42
     assert solver.model_value([T.ge(x, T.ZERO)], x) is None
     calls = []
-    monkeypatch.setattr(solver, "_sat", lambda facts: calls.append(facts))
+    monkeypatch.setattr(SV, "_sat_conjunction", lambda facts: calls.append(facts))
     assert solver.model_value(list(reversed(path)), y) == 42
     assert solver.model_value([T.TRUE, T.ge(x, T.ZERO)], x) is None
     assert calls == []
@@ -294,7 +294,7 @@ def test_solver_agrees_with_brute_force(query):
     if res.verdict == YES:
         assert all(evaluate(goal, p) for p in points)
     elif res.verdict == NO:
-        sat, model, _ = _sat_conjunction(facts + [T.not_(goal)], {}, {})
+        sat, model, _ = _sat_conjunction(facts + [T.not_(goal)])
         assert sat == SAT
         assert all(model[v].denominator == 1 for v in model if v.sort == T.INT)
         assert all(evaluate(f, model) for f in facts)

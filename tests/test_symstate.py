@@ -3,14 +3,14 @@
 from fractions import Fraction
 
 from weakmem import terms as T
-from weakmem.diagnostics import EXHALE_FAILURE
+from weakmem.diagnostics import EXHALE_FAILURE, INCOMPLETE_SOLVER
 from weakmem.encoder import AssertCheck, Exhale
-from weakmem.solver import Solver
+from weakmem.solver import OPAQUE_ATOM, Solver
 from weakmem.speclogic import (
     EAcc, EFieldEq, EPredAcc, EPure, HeapLabel, WILDCARD, estar,
 )
 from weakmem.symstate import (
-    ExecContext, PERM_ONE, PermExpr, SymState, exhale, inhale, run_prim,
+    ExecContext, SymState, exhale, inhale, run_prim,
     transfer_heap,
 )
 from weakmem import syntax as S
@@ -67,7 +67,7 @@ def test_inhale_halves_merge():
     st = fresh_state(ctx)
     st = do_inhale(ctx, st, acc("a", "val", "1/2"))
     st = do_inhale(ctx, st, acc("a", "val", "1/2"))
-    assert val_perm(st, st.env["a"]) == PERM_ONE
+    assert val_perm(st, st.env["a"]) is T.ONE
 
 
 def test_inhale_true_unchanged():
@@ -97,7 +97,7 @@ def test_exhale_rational_accounting():
     st = do_inhale(ctx, st, acc("a", "val", 1))
     (st,) = do_exhale(ctx, st, acc("a", "val", "1/2"))
     (st,) = do_exhale(ctx, st, acc("a", "val", "1/2"))
-    assert val_perm(st, st.env["a"]).is_zero
+    assert val_perm(st, st.env["a"]) is T.ZERO
     do_exhale(ctx, st, acc("a", "val", "1/2"), expect_fail=True)
 
 
@@ -115,7 +115,7 @@ def test_init_wildcard_duplicable():
     st = do_inhale(ctx, st, acc("l", "init", WILDCARD))
     (st,) = do_exhale(ctx, st, acc("l", "init", WILDCARD))
     (st,) = do_exhale(ctx, st, acc("l", "init", WILDCARD))
-    assert not val_perm(st, st.env["l"], "init").is_zero
+    assert val_perm(st, st.env["l"], "init") is not T.ZERO
 
 
 def test_value_dropped_at_zero_permission():
@@ -142,7 +142,7 @@ def test_exhale_value_mismatch_fails():
 def test_perm_of_absent_chunk_zero():
     ctx = make_ctx()
     st = fresh_state(ctx)
-    assert val_perm(st, st.env["a"]).is_zero
+    assert val_perm(st, st.env["a"]) is T.ZERO
 
 
 def test_havoc_fresh_symbol_semantics():
@@ -168,8 +168,8 @@ def test_transfer_down_to_real():
     ]))
     st = transfer_heap(ctx, st, HeapLabel.DOWN, HeapLabel.REAL)
     ref = st.env["a"]
-    assert val_perm(st, ref) == PERM_ONE
-    assert val_perm(st, ref, label=HeapLabel.DOWN).is_zero
+    assert val_perm(st, ref) is T.ONE
+    assert val_perm(st, ref, label=HeapLabel.DOWN) is T.ZERO
     chunk = st.fields[st.field_key(ref, "val", HeapLabel.REAL)]
     assert ctx.solver.assert_entailed(st.path, T.eq(chunk.value, T.mk_int(42))).verdict == "yes"
 
@@ -194,7 +194,7 @@ def test_transfer_merges_and_unifies_values():
     st = do_inhale(ctx, st, acc("a", "val", "1/2", HeapLabel.REAL))
     st = transfer_heap(ctx, st, HeapLabel.DOWN, HeapLabel.REAL)
     ref = st.env["a"]
-    assert val_perm(st, ref) == PERM_ONE
+    assert val_perm(st, ref) is T.ONE
     chunk = st.fields[st.field_key(ref, "val", HeapLabel.REAL)]
     assert ctx.solver.assert_entailed(st.path, T.eq(chunk.value, T.mk_int(7))).verdict == "yes"
 
@@ -218,7 +218,7 @@ def test_rmw_conjunct_duplicable():
     st = do_inhale(ctx, st, EPredAcc("l", 0, WILDCARD))
     (st,) = do_exhale(ctx, st, EPredAcc("l", 0, WILDCARD))
     (st,) = do_exhale(ctx, st, EPredAcc("l", 0, WILDCARD))
-    assert not st.pred_perm(st.env["l"], 0, HeapLabel.REAL).is_zero
+    assert st.pred_perm(st.env["l"], 0, HeapLabel.REAL) is not T.ZERO
 
 
 def test_reinhale_keeps_vals_read():
@@ -230,7 +230,7 @@ def test_reinhale_keeps_vals_read():
     st.preds[key].vals = (T.mk_int(1),)
     st = do_inhale(ctx, st, EPredAcc("l", 0, Fraction(1), vals_empty=True))
     assert st.preds[key].vals == (T.mk_int(1),)
-    assert st.preds[key].perm == PermExpr.exact(2)
+    assert st.preds[key].perm is T.mk_int(2)
 
 
 # ---------------------------------------------------------------------------
@@ -262,8 +262,8 @@ def test_prefer_tmp_all_from_tmp():
     st = do_inhale(ctx, st, tmp_points_to("a", 7))    # tmp holds 1
     (st,) = run_prefer_tmp(ctx, st, points_to("a", 7))
     ref = st.env["a"]
-    assert val_perm(st, ref, label=HeapLabel.TMP).is_zero   # min(1,1) from tmp
-    assert val_perm(st, ref) == PERM_ONE                     # real untouched
+    assert val_perm(st, ref, label=HeapLabel.TMP) is T.ZERO   # min(1,1) from tmp
+    assert val_perm(st, ref) is T.ONE                         # real untouched
 
 
 def test_prefer_tmp_empty_tmp_falls_back():
@@ -271,7 +271,7 @@ def test_prefer_tmp_empty_tmp_falls_back():
     st = fresh_state(ctx)
     st = do_inhale(ctx, st, points_to("a", 7))
     (st,) = run_prefer_tmp(ctx, st, points_to("a", 7))
-    assert val_perm(st, st.env["a"]).is_zero
+    assert val_perm(st, st.env["a"]) is T.ZERO
 
 
 def test_prefer_tmp_split_sources_equates_values():
@@ -288,8 +288,8 @@ def test_prefer_tmp_split_sources_equates_values():
     ]))
     (st,) = run_prefer_tmp(ctx, st, points_to("a", 7))
     ref = st.env["a"]
-    assert val_perm(st, ref).is_zero
-    assert val_perm(st, ref, label=HeapLabel.TMP).is_zero
+    assert val_perm(st, ref) is T.ZERO
+    assert val_perm(st, ref, label=HeapLabel.TMP) is T.ZERO
 
 
 def test_prefer_tmp_insufficient_fails():
@@ -309,7 +309,7 @@ def test_assert_check_preserves_state():
     st = do_inhale(ctx, st, points_to("a", 42))
     prim = AssertCheck(points_to("a", 42), rule="test", kind=EXHALE_FAILURE)
     (st2,) = run_prim(ctx, st, prim)
-    assert val_perm(st2, st2.env["a"]) == PERM_ONE
+    assert val_perm(st2, st2.env["a"]) is T.ONE
     assert not ctx.diagnostics
 
 
@@ -369,3 +369,46 @@ def test_assume_on_clone_keeps_parent_groups():
     assert ctx.entailed(parent, T.lt(gx, gy)).verdict == "yes"
     assert ctx.entailed(parent, T.eq(gy, T.mk_int(2))).verdict == "yes"
     assert ctx.entailed(child, T.eq(gy, T.mk_int(2))).verdict == "yes"
+
+
+def test_prefer_tmp_names_a_wildcard_remainder():
+    # a tmp remainder not provably positive sends the wildcard to the fallback
+    ctx = make_ctx()
+    st = fresh_state(ctx)
+    st = do_inhale(ctx, st, tmp_points_to("a", 7))
+    (st,) = do_exhale(ctx, st, acc("a", "val", WILDCARD, HeapLabel.TMP))
+    run_prefer_tmp(ctx, st, acc("a", "val", WILDCARD), expect_fail=True)
+    assert ctx.diagnostics[-1].message == (
+        "insufficient permission to a.val: tmp heap holds 1 + -1*w!2 "
+        "and the fallback heap holds nothing")
+
+
+def split_failure(assume=None):
+    """The diagnostic of taking 1/2 of a.val from a tmp heap holding a
+    wildcard amount, with an optional extra fact over that amount, and the
+    amount's name."""
+    ctx = make_ctx()
+    st = fresh_state(ctx)
+    st = do_inhale(ctx, st, acc("a", "val", WILDCARD, HeapLabel.TMP))
+    w = val_perm(st, st.env["a"], label=HeapLabel.TMP)
+    if assume is not None:
+        st.assume(assume(w))
+    run_prefer_tmp(ctx, st, acc("a", "val", "1/2"), expect_fail=True)
+    return ctx.diagnostics[-1], T.pretty(w)
+
+
+def test_split_amounts_names_an_uncovered_demand():
+    d, w = split_failure()
+    assert d.kind == INCOMPLETE_SOLVER
+    assert d.message == (
+        "cannot split the demand on a.val between the tmp heap and its fallback "
+        f"(the tmp heap's wildcard amount {w} is not known to cover 1/2)")
+
+
+def test_split_amounts_names_the_unknown_bound():
+    x, y = T.mk_var("x", T.INT), T.mk_var("y", T.INT)
+    d, _ = split_failure(lambda w: T.le(w, T.mul(x, y)))
+    assert d.kind == INCOMPLETE_SOLVER
+    assert d.message == (
+        "cannot split the demand on a.val between the tmp heap and its fallback "
+        f"(solver returned unknown: {OPAQUE_ATOM})")

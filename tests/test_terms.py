@@ -191,7 +191,7 @@ def check_stored_numbers(facts):
     bounds = [*sx.lower.values(), *sx.upper.values(), *sx.assign.values()]
     assert all(exact(d.real) and exact(d.eps) for d in bounds)
     assert all(exact(c) for row in sx.tableau.values() for c in row.values())
-    _, model, _ = SV._sat_conjunction(facts, {}, {})
+    _, model, _ = SV._sat_conjunction(facts)
     assert all(exact(v) for v in (model or {}).values())
 
 
