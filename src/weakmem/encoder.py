@@ -197,7 +197,8 @@ class EncodeCtx:
         self.program = checked.program
         self.table = table
         self.proc_name = proc_name
-        self.classes = checked.info[proc_name].classes
+        self.info = checked.info[proc_name]
+        self.classes = self.info.classes
         self.lower_ctx = LowerCtx(table, self.classes)
         self.inv_vars = checked.inv_vars
         self._fresh = 0
@@ -500,7 +501,7 @@ def _while(st: S.SWhile, ctx: EncodeCtx) -> list:
         raise _enc_err(DOWN_IN_LOOP_INVARIANT, st.span, "loop",
                        "loop invariants must not hold resources under the "
                        "down modality; insert an acquire fence first")
-    targets = sorted(set(S.assigned_vars(st.body)))
+    targets = sorted(ctx.info.scope(st.body).binds)
     rule = "loop invariant"
     body_arm: list = [DropAllPerms(st.span)]
     body_arm += [HavocVar(v, st.span) for v in targets]
@@ -590,43 +591,10 @@ def _par(st: S.SPar, ctx: EncodeCtx) -> list:
     return prims
 
 
-def _used_vars(stmts: list) -> set[str]:
-    out: set[str] = set()
-    for s in S.walk_stmts(stmts):
-        for attr in ("value", "expected", "newval", "delta", "cond"):
-            e = getattr(s, attr, None)
-            if isinstance(e, S.Expr):
-                out |= S.expr_vars(e)
-        if isinstance(s, S.SWhile):
-            c = s.cond
-            if c.kind == "pure":
-                out |= S.expr_vars(c.expr)
-            else:
-                out.add(c.loc)
-                out |= S.expr_vars(c.rhs)
-                if c.kind == "cas":
-                    out |= S.expr_vars(c.expected) | S.expr_vars(c.newval)
-            if s.invariant is not None:
-                out |= S.assertion_vars(s.invariant)
-        if isinstance(s, S.SFenceRel):
-            out |= S.assertion_vars(s.assertion)
-        if isinstance(s, S.SPar):
-            for th in s.threads:
-                out |= S.assertion_vars(th.pre) | S.assertion_vars(th.post)
-        if isinstance(s, S.SCall):
-            for a in s.args:
-                out |= S.expr_vars(a)
-        for attr in ("loc", "var", "target"):
-            v = getattr(s, attr, None)
-            if isinstance(v, str) and v:
-                out.add(v)
-    return out
-
-
 def _thread_obligation(name: str, th: S.Thread, ctx: EncodeCtx) -> Obligation:
     free = S.deep_assertion_vars(th.pre, ctx.inv_vars)
     free |= S.deep_assertion_vars(th.post, ctx.inv_vars)
-    free |= _used_vars(th.body)
+    free |= ctx.info.scope(th.body).uses
     setup: list = [HavocVar(v, th.span) for v in sorted(free)]
     setup.append(Inhale(ctx.lower(th.pre), "thread precondition", th.span))
     ob = Obligation(name=name, kind="thread", span=th.span,
@@ -709,7 +677,7 @@ def build_obligations(checked: CheckedProgram, table: InvariantTable,
     ctx = EncodeCtx(checked, table, proc.name)
     free = S.deep_assertion_vars(proc.pre, ctx.inv_vars)
     free |= S.deep_assertion_vars(proc.post, ctx.inv_vars)
-    free |= _used_vars(proc.body)
+    free |= ctx.info.scope(proc.body).uses
     free |= {p.name for p in proc.params} | {p.name for p in proc.returns}
     setup: list = [HavocVar(v, proc.span) for v in sorted(free)]
     setup.append(Inhale(ctx.lower(proc.pre), "precondition", proc.span))

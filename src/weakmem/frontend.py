@@ -19,6 +19,15 @@ positions and the parser resynchronises at the next statement.  ``mode_check``
 classifies every variable as a non-atomic location, an atomic location
 (acquire-read or RMW flavour), a ghost location or a plain value, and rejects
 programs that mix classifications for one variable.
+
+The mode check walks each procedure's statements once, and is the only place
+that knows which names and invariants each statement kind reads or binds.
+Besides the classes it records what later stages would otherwise walk again
+for: on each ``ProcInfo``, the ``Scope`` of every body (the variables it
+uses, not following the invariants annotations name, and those it binds) and
+the call sites; on the ``CheckedProgram``, every invariant reference of an
+annotation with its span, in source order.  The invariant table is built
+from those sites, and the encoder havocs from those scopes.
 """
 
 from __future__ import annotations
@@ -710,14 +719,26 @@ class _Evidence:
         self.uses.setdefault(tag, span)
 
 
+@dataclass(frozen=True)
+class Scope:
+    """The variables a statement list mentions and binds, nested bodies
+    included.  `uses` is shallow: it does not follow the invariants that
+    annotations name."""
+    uses: frozenset
+    binds: frozenset
+
+
 @dataclass
 class ProcInfo:
     classes: dict[str, str] = field(default_factory=dict)
     declared: set[str] = field(default_factory=set)
-    ghost_vars: set[str] = field(default_factory=set)
+    scopes: dict[int, Scope] = field(default_factory=dict)   # id(body) -> its scope
+    calls: list = field(default_factory=list)                # S.SCall sites, in order
 
-    def class_of(self, var: str) -> str:
-        return self.classes.get(var, UNKNOWN)
+    def scope(self, body: list) -> Scope:
+        """The scope of a procedure, thread, loop or branch body of this
+        procedure's tree."""
+        return self.scopes[id(body)]
 
 
 @dataclass
@@ -726,6 +747,10 @@ class CheckedProgram:
     info: dict[str, ProcInfo]
     diagnostics: list[Diagnostic]
     inv_vars: dict[str, frozenset[str]]     # S.invariant_vars of the program
+    # the invariant reference of every annotation of every procedure, with its
+    # span, in source order: specs, allocations, rewrites, fences, loop
+    # invariants and thread specs (not invariant bodies)
+    inv_sites: list[tuple[S.InvRef, Span]]
 
     @property
     def ok(self) -> bool:
@@ -738,95 +763,102 @@ class _Classifier:
         self.diags: list[Diagnostic] = []
         self.inv_by_name = {d.name: d for d in program.invariants}
         self.inv_vars = S.invariant_vars(self.inv_by_name)
+        self.inv_sites: list[tuple[S.InvRef, Span]] = []
 
     def run(self) -> CheckedProgram:
         info: dict[str, ProcInfo] = {}
         evidence: dict[str, dict[str, _Evidence]] = {}
         for proc in self.program.procedures:
-            evidence[proc.name] = self._collect_proc(proc)
-        # propagate classes through call sites (two passes suffice in practice)
-        for _ in range(3):
-            resolved = {
-                name: {v: self._resolve(ev, report=False)[0] for v, ev in evs.items()}
-                for name, evs in evidence.items()
-            }
-            changed = False
-            for proc in self.program.procedures:
-                for st in S.walk_stmts(proc.body):
-                    if not isinstance(st, S.SCall):
-                        continue
-                    callee = next((p for p in self.program.procedures
-                                   if p.name == st.callee), None)
-                    if callee is None:
-                        continue
-                    callee_cls = resolved.get(callee.name, {})
-                    for formal, actual in zip(callee.params, st.args):
-                        if isinstance(actual, S.EVar):
-                            tag = self._class_use_tag(callee_cls.get(formal.name, UNKNOWN))
-                            if tag:
-                                ev = evidence[proc.name].setdefault(actual.name, _Evidence())
-                                if tag not in ev.uses:
-                                    ev.add_use(tag, st.span)
-                                    changed = True
-                    if st.target and callee.returns:
-                        tag = self._class_use_tag(
-                            callee_cls.get(callee.returns[0].name, UNKNOWN))
-                        if tag:
-                            ev = evidence[proc.name].setdefault(st.target, _Evidence())
-                            if tag not in ev.uses:
-                                ev.add_use(tag, st.span)
-                                changed = True
-            if not changed:
-                break
+            info[proc.name] = ProcInfo()
+            evidence[proc.name] = self._collect_proc(proc, info[proc.name])
+        self._propagate_calls(info, evidence)
         for proc in self.program.procedures:
-            pi = ProcInfo()
+            pi = info[proc.name]
             for var, ev in sorted(evidence[proc.name].items()):
-                cls, _ = self._resolve(ev, report=True, var=var)
-                pi.classes[var] = cls
-                if cls == GHOST:
-                    pi.ghost_vars.add(var)
-            pi.declared = self._declared(proc)
+                pi.classes[var] = self._resolve(ev, report=True, var=var)
             self._check_declared(proc, pi)
-            info[proc.name] = pi
         self._check_posts()
         self._check_fractions()
         self.diags.sort(key=lambda d: (d.span.line, d.span.col, d.kind))
-        return CheckedProgram(self.program, info, self.diags, self.inv_vars)
+        return CheckedProgram(self.program, info, self.diags, self.inv_vars, self.inv_sites)
+
+    def _propagate_calls(self, info: dict[str, ProcInfo],
+                         evidence: dict[str, dict[str, _Evidence]]) -> None:
+        """Give each actual argument and call target the use tag of the
+        callee's class for its formal, until nothing changes.  Tags are only
+        ever added, so this ends."""
+        procs = {p.name: p for p in self.program.procedures}
+        changed = any(pi.calls for pi in info.values())
+        while changed:
+            changed = False
+            resolved = {
+                name: {v: self._resolve(ev, report=False) for v, ev in evs.items()}
+                for name, evs in evidence.items()
+            }
+            for name, pi in info.items():
+                for st in pi.calls:
+                    callee = procs.get(st.callee)
+                    if callee is None:
+                        continue
+                    links = [(a.name, f.name) for f, a in zip(callee.params, st.args)
+                             if isinstance(a, S.EVar)]
+                    if st.target and callee.returns:
+                        links.append((st.target, callee.returns[0].name))
+                    for var, formal in links:
+                        tag = self._class_use_tag(resolved[callee.name].get(formal, UNKNOWN))
+                        ev = evidence[name][var]
+                        if tag and tag not in ev.uses:
+                            ev.add_use(tag, st.span)
+                            changed = True
 
     @staticmethod
     def _class_use_tag(cls: str) -> Optional[str]:
         return {NA: "owns", ACQ: "acq_use", RMW: "rmw_use",
                 GHOST: "owns", ATOMIC: "atomic_use", VALUE: "int_use"}.get(cls)
 
-    # -- evidence collection ---------------------------------------------------
+    # -- the statement walk -----------------------------------------------------
 
-    def _collect_proc(self, proc: S.Procedure) -> dict[str, _Evidence]:
+    def _collect_proc(self, proc: S.Procedure, pi: ProcInfo) -> dict[str, _Evidence]:
+        """Walk a procedure once.  Returns each variable's evidence; records on
+        `pi` the scope of every body, the call sites and the declared names,
+        and appends the procedure's invariant sites to `self.inv_sites`."""
         ev: dict[str, _Evidence] = {}
+        uses: set[str] = set()      # of the innermost body being walked
+        binds: set[str] = set()
+        declared = {p.name for p in proc.params + proc.returns}
 
         def E(var: str) -> _Evidence:
             return ev.setdefault(var, _Evidence())
 
-        for p in proc.params + proc.returns:
-            E(p.name)
-            if p.ghost:
-                E(p.name).add_alloc("alloc_ghost", proc.span)
+        def use(var: str, tag: Optional[str], span: Span, shallow: bool = True) -> None:
+            e = E(var)
+            if tag:
+                e.add_use(tag, span)
+            if shallow:
+                uses.add(var)
 
-        def expr_use(e: S.Expr, span: Span) -> None:
+        def expr_use(e: S.Expr, span: Span, shallow: bool = True) -> None:
             for v in sorted(S.expr_vars(e)):
-                E(v).add_use("int_use", span)
+                use(v, "int_use", span, shallow)
 
         def assertion_use(a: S.Assertion, span: Span, seen_invs: frozenset = frozenset()) -> None:
+            # an annotation itself, not an invariant body it names
+            direct = not seen_invs
             for x in S.walk_assertion(a):
                 tag = _LOC_USE.get(type(x))
                 if tag:
-                    E(x.loc).add_use(tag, x.span)
+                    use(x.loc, tag, x.span, direct)
                 if isinstance(x, S.APure):
-                    expr_use(x.expr, span)
+                    expr_use(x.expr, span, direct)
                 elif isinstance(x, S.APointsTo):
-                    expr_use(x.value, span)
+                    expr_use(x.value, span, direct)
+                    if direct:
+                        self._check_fraction(x)
                 elif isinstance(x, (S.AImplies, S.ACond)):
-                    expr_use(x.cond, span)
+                    expr_use(x.cond, span, direct)
                 elif isinstance(x, (S.AAcq, S.ARel, S.ARMWAcq)):
+                    if direct:
+                        self.inv_sites.append((x.inv, x.span))
                     inv_use(x.inv, span, seen_invs)
 
         def inv_use(inv: S.InvRef, span: Span, seen: frozenset) -> None:
@@ -841,43 +873,54 @@ class _Classifier:
                     continue
                 assertion_use(decl.body, span, seen | {name})
 
-        if proc.pre is not None:
-            assertion_use(proc.pre, proc.span)
-        if proc.post is not None:
-            assertion_use(proc.post, proc.span)
+        def inv_site(inv: S.InvRef, span: Span) -> None:
+            self.inv_sites.append((inv, span))
+            inv_use(inv, span, frozenset())
 
-        for st in S.walk_stmts(proc.body):
+        def bind(var: str, tag: Optional[str], span: Span) -> None:
+            use(var, tag, span)
+            binds.add(var)
+
+        def block(stmts: list) -> None:
+            nonlocal uses, binds
+            outer_uses, outer_binds = uses, binds
+            uses, binds = set(), set()
+            for st in stmts:
+                stmt(st)
+            pi.scopes[id(stmts)] = Scope(frozenset(uses), frozenset(binds))
+            outer_uses |= uses
+            outer_binds |= binds
+            uses, binds = outer_uses, outer_binds
+
+        def stmt(st: S.Stmt) -> None:
             if isinstance(st, S.SAllocNa):
                 E(st.var).add_alloc("alloc_na", st.span)
+                bind(st.var, None, st.span)
             elif isinstance(st, S.SAllocAtomic):
                 E(st.var).add_alloc("alloc_acq" if st.kind == "acq" else "alloc_rmw", st.span)
-                inv_use(st.inv, st.span, frozenset())
+                bind(st.var, None, st.span)
+                inv_site(st.inv, st.span)
             elif isinstance(st, S.SGhostAlloc):
                 E(st.var).add_alloc("alloc_ghost", st.span)
+                bind(st.var, None, st.span)
             elif isinstance(st, S.SWrite):
-                if st.mode == "na":
-                    E(st.loc).add_use("na_access", st.span)
-                else:
-                    E(st.loc).add_use("atomic_use", st.span)
+                use(st.loc, "na_access" if st.mode == "na" else "atomic_use", st.span)
                 expr_use(st.value, st.span)
             elif isinstance(st, S.SRead):
-                if st.mode == "na":
-                    E(st.loc).add_use("na_access", st.span)
-                else:
-                    E(st.loc).add_use("acq_use", st.span)
-                E(st.target).add_use("int_use", st.span)
+                use(st.loc, "na_access" if st.mode == "na" else "acq_use", st.span)
+                bind(st.target, "int_use", st.span)
             elif isinstance(st, (S.SCas, S.SFaa)):
-                E(st.loc).add_use("rmw_use", st.span)
-                E(st.target).add_use("int_use", st.span)
+                use(st.loc, "rmw_use", st.span)
+                bind(st.target, "int_use", st.span)
                 if isinstance(st, S.SCas):
                     expr_use(st.expected, st.span)
                     expr_use(st.newval, st.span)
                 else:
                     expr_use(st.delta, st.span)
             elif isinstance(st, S.SRewrite):
-                E(st.loc).add_use("acq_use", st.span)
-                inv_use(st.old, st.span, frozenset())
-                inv_use(st.new, st.span, frozenset())
+                use(st.loc, "acq_use", st.span)
+                inv_site(st.old, st.span)
+                inv_site(st.new, st.span)
             elif isinstance(st, S.SFenceRel):
                 assertion_use(st.assertion, st.span)
             elif isinstance(st, S.SWhile):
@@ -885,40 +928,60 @@ class _Classifier:
                 if c.kind == "pure":
                     expr_use(c.expr, st.span)
                 elif c.kind == "read":
-                    tag = "na_access" if c.mode == "na" else "acq_use"
-                    E(c.loc).add_use(tag, st.span)
+                    use(c.loc, "na_access" if c.mode == "na" else "acq_use", st.span)
                     expr_use(c.rhs, st.span)
                 else:
-                    E(c.loc).add_use("rmw_use", st.span)
+                    use(c.loc, "rmw_use", st.span)
                     expr_use(c.expected, st.span)
                     expr_use(c.newval, st.span)
                     expr_use(c.rhs, st.span)
                 if st.invariant is not None:
                     assertion_use(st.invariant, st.span)
+                block(st.body)
             elif isinstance(st, S.SIf):
                 expr_use(st.cond, st.span)
+                block(st.then)
+                block(st.els)
             elif isinstance(st, S.SPar):
                 for th in st.threads:
                     assertion_use(th.pre, th.span)
                     assertion_use(th.post, th.span)
+                    # logical variables bound by a thread precondition are in scope
+                    declared.update(S.deep_assertion_vars(th.pre, self.inv_vars))
+                for th in st.threads:
+                    block(th.body)
             elif isinstance(st, S.SCall):
+                pi.calls.append(st)
                 for a in st.args:
-                    if not isinstance(a, S.EVar):
-                        expr_use(a, st.span)
+                    if isinstance(a, S.EVar):
+                        use(a.name, None, st.span)
                     else:
-                        E(a.name)
+                        expr_use(a, st.span)
                 if st.target:
-                    E(st.target)
+                    bind(st.target, None, st.span)
             elif isinstance(st, S.SAssign):
-                E(st.var).add_use("int_use", st.span)
+                bind(st.var, "int_use", st.span)
                 expr_use(st.value, st.span)
             elif isinstance(st, S.SFree):
-                E(st.var).add_use("owns", st.span)
+                use(st.var, "owns", st.span)
+
+        for p in proc.params + proc.returns:
+            E(p.name)
+            if p.ghost:
+                E(p.name).add_alloc("alloc_ghost", proc.span)
+        if proc.pre is not None:
+            assertion_use(proc.pre, proc.span)
+            # logical variables bound by the precondition are in scope
+            declared |= S.deep_assertion_vars(proc.pre, self.inv_vars)
+        if proc.post is not None:
+            assertion_use(proc.post, proc.span)
+        block(proc.body)
+        pi.declared = declared | pi.scope(proc.body).binds
         return ev
 
     # -- resolution --------------------------------------------------------------
 
-    def _resolve(self, ev: _Evidence, report: bool, var: str = "") -> tuple[str, Optional[Span]]:
+    def _resolve(self, ev: _Evidence, report: bool, var: str = "") -> str:
         alloc_kinds = {_ALLOC_TAGS[t] for t in ev.alloc}
         uses = ev.uses
 
@@ -927,16 +990,15 @@ class _Classifier:
                 self.diags.append(Diagnostic(kind, span, rule="mode-check", message=msg))
 
         if len(alloc_kinds) > 1:
-            span = next(iter(ev.alloc.values()))
-            diag(MIXED_MODE_ACCESS, span,
+            diag(MIXED_MODE_ACCESS, next(iter(ev.alloc.values())),
                  f"location {var!r} allocated with conflicting kinds")
-            return sorted(alloc_kinds)[0], span
+            return sorted(alloc_kinds)[0]
         base = next(iter(alloc_kinds)) if alloc_kinds else None
         if base is None:
             if "rmw_use" in uses and "acq_use" in uses:
                 diag(CAS_ON_ACQ_LOCATION, uses["rmw_use"],
                      f"location {var!r} used both for atomic reads and RMW updates")
-                return RMW, uses["rmw_use"]
+                return RMW
             if "rmw_use" in uses:
                 base = RMW
             elif "acq_use" in uses:
@@ -976,21 +1038,9 @@ class _Classifier:
         if base in LOCATION_CLASSES and "int_use" in uses:
             diag(MIXED_MODE_ACCESS, uses["int_use"],
                  f"{var!r} used both as a location and as a value")
-        return base, None
+        return base
 
     # -- other well-formedness ----------------------------------------------------
-
-    def _declared(self, proc: S.Procedure) -> set[str]:
-        declared = {p.name for p in proc.params} | {p.name for p in proc.returns}
-        declared.update(S.assigned_vars(proc.body))
-        # logical variables bound by a precondition are in scope
-        if proc.pre is not None:
-            declared |= S.deep_assertion_vars(proc.pre, self.inv_vars)
-        for st in S.walk_stmts(proc.body):
-            if isinstance(st, S.SPar):
-                for th in st.threads:
-                    declared |= S.deep_assertion_vars(th.pre, self.inv_vars)
-        return declared
 
     def _check_declared(self, proc: S.Procedure, pi: ProcInfo) -> None:
         # free variables of referenced invariants count as this scope's names
@@ -1017,31 +1067,18 @@ class _Classifier:
                             "parameters, returns or the precondition"))
 
     def _check_fractions(self) -> None:
-        def walk(a: S.Assertion) -> None:
-            for x in S.walk_assertion(a):
-                if isinstance(x, S.APointsTo) and x.frac is not None:
-                    k = const_fraction(x.frac)
-                    if k is not None and not (0 < k <= 1):
-                        self.diags.append(Diagnostic(
-                            SYNTAX_ERROR, x.span, rule="well-formedness",
-                            message=f"fraction {k} outside (0, 1]"))
-
+        """Fractions of invariant bodies; the walk checks those of annotations."""
         for d in self.program.invariants:
-            walk(d.body)
-        for proc in self.program.procedures:
-            if proc.pre is not None:
-                walk(proc.pre)
-            if proc.post is not None:
-                walk(proc.post)
-            for st in S.walk_stmts(proc.body):
-                if isinstance(st, S.SFenceRel):
-                    walk(st.assertion)
-                elif isinstance(st, S.SWhile) and st.invariant is not None:
-                    walk(st.invariant)
-                elif isinstance(st, S.SPar):
-                    for th in st.threads:
-                        walk(th.pre)
-                        walk(th.post)
+            for x in S.walk_assertion(d.body):
+                if isinstance(x, S.APointsTo):
+                    self._check_fraction(x)
+
+    def _check_fraction(self, x: S.APointsTo) -> None:
+        k = const_fraction(x.frac) if x.frac is not None else None
+        if k is not None and not (0 < k <= 1):
+            self.diags.append(Diagnostic(
+                SYNTAX_ERROR, x.span, rule="well-formedness",
+                message=f"fraction {k} outside (0, 1]"))
 
 
 def const_fraction(e: S.Expr):

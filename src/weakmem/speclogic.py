@@ -80,9 +80,10 @@ class InvariantTable:
 def build_invariant_table(checked: CheckedProgram) -> InvariantTable:
     """Index every syntactic invariant occurrence of the program.
 
-    Occurrences are collected from allocation annotations, Acq/Rel/RMWAcq
-    assertion parameters (in specs, loop invariants and fence annotations)
-    and rewrite statements.  Forms are deduplicated syntactically, so the
+    Occurrences are the annotation sites the mode check recorded
+    (allocations, rewrites, and Acq/Rel/RMWAcq parameters in specs, loop
+    invariants and fences), then those in invariant bodies.  Forms are
+    deduplicated syntactically, so the
     same named combination always maps to the same index; the star of the
     conjunct entries reassembles the whole invariant by construction.
     """
@@ -118,33 +119,13 @@ def build_invariant_table(checked: CheckedProgram) -> InvariantTable:
             table.conjuncts_of[inv] = tuple(table.whole_of[(n,)] for n in inv)
         _assert_reassembles(table, inv)
 
-    def scan_assertion(a: S.Assertion) -> None:
-        for x in S.walk_assertion(a):
-            if isinstance(x, (S.AAcq, S.ARel, S.ARMWAcq)):
-                ensure(x.inv, x.span)
-
-    for proc in program.procedures:
-        if proc.pre is not None:
-            scan_assertion(proc.pre)
-        if proc.post is not None:
-            scan_assertion(proc.post)
-        for st in S.walk_stmts(proc.body):
-            if isinstance(st, S.SAllocAtomic):
-                ensure(st.inv, st.span)
-            elif isinstance(st, S.SRewrite):
-                ensure(st.old, st.span)
-                ensure(st.new, st.span)
-            elif isinstance(st, S.SFenceRel):
-                scan_assertion(st.assertion)
-            elif isinstance(st, S.SWhile) and st.invariant is not None:
-                scan_assertion(st.invariant)
-            elif isinstance(st, S.SPar):
-                for th in st.threads:
-                    scan_assertion(th.pre)
-                    scan_assertion(th.post)
+    for inv, span in checked.inv_sites:
+        ensure(inv, span)
     # invariant bodies may themselves mention Acq/Rel resources
     for d in program.invariants:
-        scan_assertion(d.body)
+        for x in S.walk_assertion(d.body):
+            if isinstance(x, (S.AAcq, S.ARel, S.ARMWAcq)):
+                ensure(x.inv, x.span)
     return table
 
 

@@ -272,9 +272,6 @@ class ExecContext:
     def fresh_int(self, hint: str) -> T.Term:
         return T.mk_var(f"{hint}!{next(self._count)}", T.INT)
 
-    def fresh_bool(self, hint: str) -> T.Term:
-        return T.mk_var(f"{hint}!{next(self._count)}", T.BOOL)
-
     def fresh_token(self) -> T.Term:
         return T.mk_var(f"w!{next(self._count)}", T.FRAC)
 
@@ -733,6 +730,12 @@ def exhale_prefer_tmp(ctx: ExecContext, state: SymState, prim) -> list[SymState]
     Atom labels name the fallback heap (real or up).  Value constraints are
     checked against whichever heap a portion is taken from; if a demand is
     split across both, the two values are equated.
+
+    A symbolic (wildcard) tmp amount serves an exact demand only if the
+    solver proves it covers all of it.  If the solver decides it does not,
+    the whole exact part comes from the fallback heap, which must hold it or
+    the exhale fails with the primitive's kind; only a solver ``unknown``
+    there is reported as IncompleteSolver.
     """
     out: list[SymState] = []
     for case in _collect_cases(ctx, _Case(state), prim.enc):
@@ -754,12 +757,11 @@ def _split_amounts(ctx: ExecContext, state: SymState, tmp_held: T.Term,
     res = ctx.entailed(state, T.ge(tmp_held, T.mk_int(need)))
     if res.verdict == YES:
         return need, Fraction(0)
-    why = (f"solver returned unknown: {res.reason}" if res.verdict == UNKNOWN else
-           f"the tmp heap's wildcard amount {perm_str(tmp_held)} is not known "
-           f"to cover {need}")
-    ctx.fail(state, INCOMPLETE_SOLVER, prim.span, prim.rule,
-             f"cannot split the demand on {name} between the tmp heap and its "
-             f"fallback ({why})")
+    if res.verdict == UNKNOWN:
+        ctx.fail(state, INCOMPLETE_SOLVER, prim.span, prim.rule,
+                 f"cannot split the demand on {name} between the tmp heap and its "
+                 f"fallback (solver returned unknown: {res.reason})")
+    return Fraction(0), need
 
 
 def _take_split(ctx: ExecContext, state: SymState, store: dict, key: tuple,

@@ -572,31 +572,6 @@ def walk_stmts(stmts: list) -> list[Stmt]:
     return out
 
 
-def assigned_vars(stmts: list) -> list[str]:
-    """Variables (re)bound anywhere in the statement list, in first-seen order."""
-    seen: dict[str, None] = {}
-    for s in walk_stmts(stmts):
-        for name in _binds(s):
-            seen.setdefault(name)
-    return list(seen)
-
-
-def _binds(s: Stmt) -> list[str]:
-    if isinstance(s, (SAllocNa, SGhostAlloc)):
-        return [s.var]
-    if isinstance(s, SAllocAtomic):
-        return [s.var]
-    if isinstance(s, SRead):
-        return [s.target]
-    if isinstance(s, (SCas, SFaa)):
-        return [s.target]
-    if isinstance(s, SAssign):
-        return [s.var]
-    if isinstance(s, SCall) and s.target:
-        return [s.target]
-    return []
-
-
 def walk_expr(e: Expr) -> Iterator[Expr]:
     """Every node of an expression, pre-order, left to right."""
     stack = [e]

@@ -757,3 +757,49 @@ def test_verify_and_dump_agree_on_double_modality(tmp_path, capsys):
     line = "1:33: DoubleModality"
     assert line in dumped and "{real->down}" in dumped
     assert line in verified and "{real->down}" in verified
+
+
+SCOPE_SRC = """
+invariant Q(V) = V == 1 ==> z |-> 3;
+invariant R(V) = V == 1 ==> w |-> 5;
+proc main(l) requires { Acq(l, Q) } ensures { true }
+{
+  par {
+    thread requires { Acq(l, R) } ensures { true }
+    {
+      c := 5;
+      i := 0;
+      while (i < 2) invariant { i >= 0 } { a := c; i := i + 1; }
+    }
+  }
+}
+"""
+
+
+def _havocs(dump: str, block: str) -> list:
+    """The havoc lines of each block of a primitive dump with that title."""
+    out, current = [], None
+    for line in dump.splitlines():
+        if line.startswith("-- "):
+            current = [] if line.startswith(f"-- {block} @") else None
+            if current is not None:
+                out.append(current)
+        elif current is not None and line.strip().startswith("havoc "):
+            current.append(line.strip()[len("havoc "):])
+    return out
+
+
+def test_scope_havoc_sets():
+    # main's own setup havocs what its body and annotations mention, not the
+    # `w` of the invariant a thread precondition names; the thread does
+    chk, table, _ = pipeline(SCOPE_SRC)
+    assert "w" in chk.info["main"].classes
+    proc = chk.program.procedures[0]
+    dump = encoder.dump_primitives(encoder.build_obligations(chk, table, proc))
+    [setup] = _havocs(dump, "setup")
+    assert "l" in setup and "z" in setup and "w" not in setup
+    [thread_setup] = _havocs(dump, "thread setup")
+    assert "w" in thread_setup
+    # both arms of the loop havoc exactly what its body assigns
+    [loop] = _havocs(dump, "while")
+    assert loop == ["a", "i", "a", "i"]

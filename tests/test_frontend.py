@@ -264,6 +264,27 @@ def test_mode_check_order_independent():
     assert [d.kind for d in ca.diagnostics] == [d.kind for d in cb.diagnostics]
 
 
+def call_chain(depth: int) -> str:
+    """main writes x non-atomically and passes it down a chain of `depth`
+    calls whose last callee updates it with a CAS."""
+    lines = ["proc main() requires { true } ensures { true }",
+             "{ alloc_na(x); [x]_na := 1; r := call p1(x); }"]
+    for k in range(1, depth + 1):
+        body = f"r := call p{k + 1}(x);" if k < depth else "r := CAS_rlx(x, 0, 1);"
+        lines += [f"proc p{k}(x) returns (r) requires {{ true }} ensures {{ true }}",
+                  f"{{ {body} }}"]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("depth", range(1, 7))
+def test_call_classes_propagate_through_any_chain(depth):
+    program, diags = parse(call_chain(depth))
+    assert diags == []
+    checked = mode_check(program)
+    assert checked.info["main"].classes["x"] == NA
+    assert MIXED_MODE_ACCESS in [d.kind for d in checked.diagnostics]
+
+
 def test_define_expansion_reports_the_use_site():
     program, diags = parse("""define P(x) = x |-> 1 @ 2;
 

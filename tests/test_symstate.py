@@ -398,11 +398,24 @@ def split_failure(assume=None):
 
 
 def test_split_amounts_names_an_uncovered_demand():
+    # the solver decides the wildcard amount may be below 1/2, so the whole
+    # demand goes to the fallback heap, which holds nothing
     d, w = split_failure()
-    assert d.kind == INCOMPLETE_SOLVER
+    assert d.kind == EXHALE_FAILURE
     assert d.message == (
-        "cannot split the demand on a.val between the tmp heap and its fallback "
-        f"(the tmp heap's wildcard amount {w} is not known to cover 1/2)")
+        f"insufficient permission to a.val: tmp heap holds {w} "
+        "and the fallback heap holds nothing")
+
+
+def test_split_amounts_takes_an_uncovered_demand_from_the_fallback():
+    ctx = make_ctx()
+    st = fresh_state(ctx)
+    st = do_inhale(ctx, st, acc("a", "val", "1/2"))
+    st = do_inhale(ctx, st, acc("a", "val", WILDCARD, HeapLabel.TMP))
+    w = val_perm(st, st.env["a"], label=HeapLabel.TMP)
+    (st,) = run_prefer_tmp(ctx, st, acc("a", "val", "1/2"))
+    assert val_perm(st, st.env["a"]) is T.ZERO
+    assert val_perm(st, st.env["a"], label=HeapLabel.TMP) is w
 
 
 def test_split_amounts_names_the_unknown_bound():
