@@ -14,7 +14,6 @@ MIXED_MODE_ACCESS = "MixedModeAccess"
 CAS_ON_ACQ_LOCATION = "CASOnAcqLocation"
 ATOMIC_ACCESS_TO_NON_ATOMIC = "AtomicAccessToNonAtomic"
 DOUBLE_MODALITY = "DoubleModality"
-UNSUPPORTED_FEATURE = "UnsupportedFeature"
 
 # verification failures
 EXHALE_FAILURE = "ExhaleFailure"
@@ -32,7 +31,6 @@ DOWN_IN_LOOP_INVARIANT = "DownInLoopInvariant"
 INCOMPLETE_SOLVER = "IncompleteSolver"
 BRANCH_CAP_EXCEEDED = "BranchCapExceeded"
 SOUNDNESS_VIOLATION = "SoundnessViolation"
-EXTERNAL_SOLVER_ERROR = "ExternalSolverError"
 
 
 @dataclass

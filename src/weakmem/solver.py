@@ -4,8 +4,7 @@ The built-in procedure decides conjunctions of:
 
 * linear (in)equalities over integer-sorted terms,
 * linear constraints over rational permission amounts (wildcard tokens),
-* boolean combinations of the above (with bounded case splitting),
-* ground membership / equality facts over finite integer sets.
+* boolean combinations of the above (with bounded case splitting).
 
 It is a standard two-layer design: a splitting layer reduces formulas to
 conjunctions of literals, and a simplex over exact rationals, held as int when
@@ -61,7 +60,7 @@ class ExternalSolverError(Exception):
 class Result:
     verdict: str                  # yes | no | unknown
     hint: Optional[str] = None    # counter-model sketch for "no"
-    reason: Optional[str] = None  # the bound behind "unknown"
+    reason: Optional[str] = None  # why the verdict is "unknown"
 
 
 # ---------------------------------------------------------------------------
@@ -393,28 +392,6 @@ class _Case:
     opaque: bool = False
 
 
-def _resolve_sets(fact: Term, defs: dict[Term, Term]) -> Term:
-    """Substitute set-variable definitions collected from equalities."""
-    if not defs:
-        return fact
-    return terms.substitute(fact, defs)
-
-
-def _collect_set_defs(facts: Iterable[Term]) -> dict[Term, Term]:
-    defs: dict[Term, Term] = {}
-    for f in facts:
-        if f.kind == "seteq":
-            a, b = f.args
-            if a.kind == "var" and a.tid not in terms.atom_ids(b):
-                defs.setdefault(a, b)
-            elif b.kind == "var" and b.tid not in terms.atom_ids(a):
-                defs.setdefault(b, a)
-    # one substitution round handles chained definitions used in practice
-    for v, d in list(defs.items()):
-        defs[v] = terms.substitute(d, {k: x for k, x in defs.items() if k is not v})
-    return defs
-
-
 def _negation(g: Term) -> Term:
     """The rewrite of ``not g`` for a comparison or a conjunction."""
     gk = g.kind
@@ -473,7 +450,7 @@ def _split(facts: list[Term]):
                         contradictory = True
                         break
                     case.bools[g] = False
-                    if gk not in ("var", "eqref", "inset", "seteq"):
+                    if gk not in ("var", "eqref"):
                         case.opaque = True
             elif k in ("eq0", "le0", "lt0"):
                 lit = _compiled(f.args[0])
@@ -486,7 +463,7 @@ def _split(facts: list[Term]):
                     contradictory = True
                     break
                 case.bools[f] = True
-                if k not in ("var", "eqref", "inset", "seteq"):
+                if k not in ("var", "eqref"):
                     case.opaque = True
         if case is None or contradictory:
             continue
@@ -502,11 +479,9 @@ def _sat_conjunction(facts: list[Term]):
     """(SAT/UNSAT/UNKNOWN, model, reason): the reason is why the answer is
     not decided, for UNKNOWN and for a SAT model that uses an opaque literal,
     else None."""
-    defs = _collect_set_defs(facts)
-    resolved = [_resolve_sets(f, defs) for f in facts]
     any_unknown = False
     try:
-        for case in _split(resolved):
+        for case in _split(facts):
             res, model = _check_linear(case.linear)
             if res == SAT:
                 return SAT, model, OPAQUE_ATOM if case.opaque else None
@@ -568,9 +543,10 @@ class Solver:
         res, _model, _ = _sat_conjunction(facts)
         out = YES if res == SAT else NO if res == UNSAT else UNKNOWN
         if out == UNKNOWN and self.solver_cmd:
-            ext = self._external_sat(facts)
-            if ext is not None:
-                out = ext
+            try:
+                out = self._external_sat(facts) or out
+            except ExternalSolverError:
+                pass  # stays unknown: a feasibility verdict carries no reason
         self._feas_cache[key] = out
         return out
 
@@ -603,8 +579,12 @@ class Solver:
         else:
             out = Result(UNKNOWN, reason=reason)
         # an external "sat" leaves it unknown: its model may rely on opaque atoms
-        if out.verdict == UNKNOWN and self.solver_cmd and self._external_sat(facts) == NO:
-            out = Result(YES)
+        if out.verdict == UNKNOWN and self.solver_cmd:
+            try:
+                if self._external_sat(facts) == NO:
+                    out = Result(YES)
+            except ExternalSolverError as exc:
+                out = Result(UNKNOWN, reason=f"{out.reason}; the external solver failed: {exc}")
         self._ent_cache[(key, goal.tid)] = out
         return out
 
@@ -638,12 +618,10 @@ class Solver:
     # -- external backend ----------------------------------------------------
 
     def _external_sat(self, facts: list[Term]) -> Optional[str]:
-        """Run the external solver on sat(/\\ facts); returns yes/no/None."""
-        script = emit_smtlib(facts, terms.FALSE, negate_goal=False)
-        try:
-            verdict = run_external(script, self.solver_cmd, self.timeout_ms)
-        except ExternalSolverError:
-            return None
+        """Run the external solver on sat(/\\ facts); returns yes/no/None,
+        or raises ExternalSolverError."""
+        verdict = run_external(emit_smtlib(facts, terms.FALSE, negate_goal=False),
+                               self.solver_cmd, self.timeout_ms)
         if verdict == SAT:
             return YES
         if verdict == UNSAT:
@@ -664,7 +642,7 @@ def emit_smtlib(path: Iterable[Term], goal: Term, negate_goal: bool = True) -> s
     """Emit a script whose unsat-ness witnesses ``path |= goal``.
 
     Integer terms map to Int, permission amounts to Real, refs to Int
-    constants (pairwise distinct), sets to (Array Int Bool).  Bitwise
+    constants (pairwise distinct).  Bitwise
     operations are emitted as uninterpreted functions: the built-in solver
     treats them identically, so verdicts agree on the shared fragment.
     """
@@ -674,7 +652,7 @@ def emit_smtlib(path: Iterable[Term], goal: Term, negate_goal: bool = True) -> s
 
     def smt_sort(sort: str) -> str:
         return {"int": "Int", "frac": "Real", "bool": "Bool",
-                "ref": "Int", "set": "(Array Int Bool)"}[sort]
+                "ref": "Int"}[sort]
 
     def name_of(t: Term) -> str:
         if t.kind == "var":
@@ -725,20 +703,6 @@ def emit_smtlib(path: Iterable[Term], goal: Term, negate_goal: bool = True) -> s
             return f"(not {emit(t.args[0])})"
         if k == "eqref":
             return f"(= {emit(t.args[0])} {emit(t.args[1])})"
-        if k == "inset":
-            return f"(select {emit(t.args[1])} {emit(t.args[0])})"
-        if k == "seteq":
-            return f"(= {emit(t.args[0])} {emit(t.args[1])})"
-        if k == "setlit":
-            s = "((as const (Array Int Bool)) false)"
-            for e in t.args:
-                s = f"(store {s} {emit(e)} true)"
-            return s
-        if k == "setunion":
-            out = emit(t.args[0])
-            for a in t.args[1:]:
-                out = f"((_ map or) {out} {emit(a)})"
-            return out
         if k in _SMT_OP:
             return f"({_SMT_OP[k]} {emit(t.args[0])} {emit(t.args[1])})"
         if k in _SMT_UF:
@@ -773,7 +737,8 @@ def run_external(script: str, cmd: str, timeout_ms: int) -> str:
     except (subprocess.TimeoutExpired, OSError) as exc:
         raise ExternalSolverError(str(exc)) from exc
     if proc.returncode != 0:
-        raise ExternalSolverError(f"exit code {proc.returncode}: {proc.stderr.decode()[:200]}")
+        raise ExternalSolverError(
+            f"exit code {proc.returncode}: {proc.stderr.decode()[:200].strip()}")
     for line in proc.stdout.decode().splitlines():
         word = line.strip()
         if word in (SAT, UNSAT):

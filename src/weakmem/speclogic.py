@@ -364,7 +364,6 @@ TO_UP = {HeapLabel.REAL: HeapLabel.UP}
 TO_DOWN = {HeapLabel.REAL: HeapLabel.DOWN}
 TO_TMP = {HeapLabel.REAL: HeapLabel.TMP}
 FROM_UP = {HeapLabel.UP: HeapLabel.REAL}
-FROM_DOWN = {HeapLabel.DOWN: HeapLabel.REAL}
 
 
 def relabel(a: EncAssertion, mapping: dict[HeapLabel, HeapLabel],

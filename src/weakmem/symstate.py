@@ -882,7 +882,7 @@ def _branch_cond_term(ctx: ExecContext, state: SymState, cond: E.BranchCond):
         chunk = state.preds.get(state.pred_key(ref, cond.idx, HeapLabel.REAL))
         vals = chunk.vals if chunk is not None else ()
         x = eval_expr(state, cond.value)
-        return T.not_(T.in_set(x, T.set_lit(vals)))
+        return T.not_(T.or_(*[T.eq(x, v) for v in sorted(vals, key=lambda v: v.tid)]))
     if cond.kind == "releq":
         ref = resolve_loc(state, cond.loc)
         chunk = state.fields.get(state.field_key(ref, "rel", HeapLabel.REAL))

@@ -23,8 +23,7 @@ process-global tables keyed by term, none of them ever freed, are:
 So a long-lived process grows with the distinct terms it has seen.
 
 Sorts: ``int`` (program values and integral amounts), ``bool``, ``frac``
-(wildcard tokens and fractional amounts), ``ref`` (heap locations) and
-``set`` (finite sets of ints).
+(wildcard tokens and fractional amounts) and ``ref`` (heap locations).
 """
 
 from __future__ import annotations
@@ -32,13 +31,11 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import gcd
-from typing import Iterable
 
 INT = "int"
 BOOL = "bool"
 FRAC = "frac"
 REF = "ref"
-SET = "set"
 
 _ids = itertools.count()
 _pool: dict[tuple, "Term"] = {}
@@ -139,8 +136,6 @@ def ref_name(t: Term) -> str:
         return t.data[1]
     return t.data if t.kind == "var" else pretty(t)
 
-
-ANY = _intern("any", INT, None, ())  # the `_` wildcard value in assertions
 
 
 # ---------------------------------------------------------------------------
@@ -333,8 +328,6 @@ def eq(a: Term, b: Term) -> Term:
         return iff(a, b)
     if a.sort == REF or b.sort == REF:
         return eq_ref(a, b)
-    if a.sort == SET or b.sort == SET:
-        return set_eq(a, b)
     return _cmp("eq0", sub(a, b))
 
 
@@ -417,10 +410,6 @@ def not_(t: Term) -> Term:
     return _intern("not", BOOL, None, (t,))
 
 
-def implies(a: Term, b: Term) -> Term:
-    return or_(not_(a), b)
-
-
 def iff(a: Term, b: Term) -> Term:
     if a is b:
         return TRUE
@@ -428,145 +417,8 @@ def iff(a: Term, b: Term) -> Term:
 
 
 # ---------------------------------------------------------------------------
-# Finite integer sets (used for the values-read snapshots)
+# Queries
 # ---------------------------------------------------------------------------
-
-def set_lit(elems: Iterable[Term]) -> Term:
-    uniq = sorted({e.tid: e for e in elems}.values(), key=lambda t: t.tid)
-    return _intern("setlit", SET, None, tuple(uniq))
-
-
-EMPTY_SET = set_lit(())
-
-
-def set_union(a: Term, b: Term) -> Term:
-    parts: list[Term] = []
-    elems: dict[int, Term] = {}
-
-    def walk(t: Term):
-        if t.kind == "setlit":
-            for e in t.args:
-                elems[e.tid] = e
-        elif t.kind == "setunion":
-            for p in t.args:
-                walk(p)
-        else:
-            parts.append(t)
-
-    walk(a)
-    walk(b)
-    lit = set_lit(elems.values())
-    uniq = sorted({p.tid: p for p in parts}.values(), key=lambda t: t.tid)
-    if not uniq:
-        return lit
-    args = tuple(uniq) + ((lit,) if lit.args else ())
-    if len(args) == 1:
-        return args[0]
-    return _intern("setunion", SET, None, args)
-
-
-def flatten_set(t: Term) -> tuple[tuple[Term, ...], tuple[Term, ...]]:
-    """Split a set term into (opaque base sets, explicit elements)."""
-    bases: list[Term] = []
-    elems: list[Term] = []
-
-    def walk(s: Term):
-        if s.kind == "setlit":
-            elems.extend(s.args)
-        elif s.kind == "setunion":
-            for p in s.args:
-                walk(p)
-        else:
-            bases.append(s)
-
-    walk(t)
-    return tuple(bases), tuple(elems)
-
-
-def in_set(e: Term, s: Term) -> Term:
-    bases, elems = flatten_set(s)
-    disjuncts = [eq(e, el) for el in elems]
-    disjuncts += [_intern("inset", BOOL, None, (e, b)) for b in bases]
-    return or_(*disjuncts)
-
-
-def set_eq(a: Term, b: Term) -> Term:
-    if a is b:
-        return TRUE
-    ab, ae = flatten_set(a)
-    bb, be = flatten_set(b)
-    if not ab and not bb and {t.tid for t in ae} == {t.tid for t in be}:
-        return TRUE
-    x, y = (a, b) if a.tid <= b.tid else (b, a)
-    return _intern("seteq", BOOL, None, (x, y))
-
-
-# ---------------------------------------------------------------------------
-# Substitution and queries
-# ---------------------------------------------------------------------------
-
-def substitute(t: Term, mapping: dict[Term, Term]) -> Term:
-    """Replace variables (or arbitrary atoms) by terms, bottom-up."""
-    if not mapping:
-        return t
-    memo: dict[int, Term] = {}
-
-    def go(u: Term) -> Term:
-        if u in mapping:
-            return mapping[u]
-        r = memo.get(u.tid)
-        if r is not None:
-            return r
-        if not u.args:
-            memo[u.tid] = u
-            return u
-        new_args = tuple(go(a) for a in u.args)
-        if all(x is y for x, y in zip(new_args, u.args)):
-            r = u
-        else:
-            r = rebuild(u, new_args)
-        memo[u.tid] = r
-        return r
-
-    return go(t)
-
-
-def rebuild(t: Term, args: tuple[Term, ...]) -> Term:
-    k = t.kind
-    if k == "lin":
-        const, pairs = t.data
-        return add(mk_frac(const), *[scale(c, a) for a, (_, c) in zip(args, pairs)])
-    if k == "eq0":
-        return _cmp("eq0", args[0])
-    if k == "le0":
-        return _cmp("le0", args[0])
-    if k == "lt0":
-        return _cmp("lt0", args[0])
-    if k == "and":
-        return and_(*args)
-    if k == "or":
-        return or_(*args)
-    if k == "not":
-        return not_(args[0])
-    if k == "eqref":
-        return eq_ref(*args)
-    if k == "inset":
-        return in_set(args[0], args[1])
-    if k == "seteq":
-        return set_eq(args[0], args[1])
-    if k == "setlit":
-        return set_lit(args)
-    if k == "setunion":
-        out = args[0]
-        for a in args[1:]:
-            out = set_union(out, a)
-        return out
-    if k == "mul":
-        return mul(args[0], args[1])
-    if k in OPAQUE_KINDS:
-        return _opaque(k, args[0], args[1])
-    raise AssertionError(f"rebuild: {k}")
-
 
 _atom_ids: dict[int, frozenset[int]] = {}
 
@@ -604,8 +456,6 @@ def pretty(t: Term) -> str:
         return t.data
     if k == "ref":
         return f"{t.data[1]}#{t.data[0]}"
-    if k == "any":
-        return "_"
     if k == "lin":
         const, pairs = t.data
         bits = []
@@ -625,14 +475,6 @@ def pretty(t: Term) -> str:
         return f"!{pretty(t.args[0])}"
     if k == "eqref":
         return f"({pretty(t.args[0])} === {pretty(t.args[1])})"
-    if k == "inset":
-        return f"({pretty(t.args[0])} in {pretty(t.args[1])})"
-    if k == "seteq":
-        return f"({pretty(t.args[0])} =s= {pretty(t.args[1])})"
-    if k == "setlit":
-        return "{" + ", ".join(pretty(a) for a in t.args) + "}"
-    if k == "setunion":
-        return " u ".join(pretty(a) for a in t.args)
     if k in _OP_SYMBOL:
         return f"({pretty(t.args[0])} {_OP_SYMBOL[k]} {pretty(t.args[1])})"
     return f"<{k}>"  # pragma: no cover

@@ -84,6 +84,15 @@ def test_solver_cmd_resolves_unknown_goal(tmp_path, capsys):
     assert "main: ok" in capsys.readouterr().out
 
 
+def test_failing_solver_cmd_names_its_error(tmp_path, capsys):
+    cmd = f"{sys.executable} -c \"import sys; sys.exit('solver crashed')\""
+    assert run_cli("verify", write(tmp_path, "mod.rsl", MOD_GOAL),
+                   "--solver-cmd", cmd) == 1
+    assert ("(solver returned unknown: the model relies on an opaque atom; "
+            "the external solver failed: exit code 1: solver crashed)"
+            in capsys.readouterr().out)
+
+
 def strip_times(obj):
     if isinstance(obj, dict):
         return {k: strip_times(v) for k, v in obj.items() if k != "time_ms"}

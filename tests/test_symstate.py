@@ -233,6 +233,24 @@ def test_reinhale_keeps_vals_read():
     assert st.preds[key].perm is T.mk_int(2)
 
 
+def test_notread_branch_is_a_disjunction_of_equalities():
+    # the snapshot lists values in the order they were read, not by tid
+    from weakmem.encoder import BranchCond
+    from weakmem.symstate import _branch_cond_term
+    ctx = make_ctx()
+    st = fresh_state(ctx, ("l",))
+    st = do_inhale(ctx, st, EPredAcc("l", 0, Fraction(1), vals_empty=True))
+    x, v1, v2 = (T.mk_var(n, T.INT) for n in ("nr_x", "nr_v1", "nr_v2"))
+    st.env["x"] = x
+    cond = BranchCond("notread", loc="l", idx=0, value=S.EVar("x"))
+    assert _branch_cond_term(ctx, st, cond) is T.TRUE
+    st.preds[st.pred_key(st.env["l"], 0, HeapLabel.REAL)].vals = (v2, v1)
+    got = _branch_cond_term(ctx, st, cond)
+    assert got is T.not_(T.or_(T.eq(x, v1), T.eq(x, v2)))
+    assert [T.pretty(a) for a in got.args[0].args] == [
+        T.pretty(T.eq(x, v1)), T.pretty(T.eq(x, v2))]
+
+
 # ---------------------------------------------------------------------------
 # Tmp-preferring exhale (the CAS release step)
 # ---------------------------------------------------------------------------

@@ -99,24 +99,6 @@ def test_ref_equality():
     assert T.eq_ref(r1, r2) is T.FALSE
 
 
-def test_set_flattening():
-    s = T.mk_var("tS", T.SET)
-    lit = T.set_lit([T.mk_int(1), T.mk_int(2)])
-    u = T.set_union(s, lit)
-    bases, elems = T.flatten_set(u)
-    assert bases == (s,)
-    assert set(elems) == {T.mk_int(1), T.mk_int(2)}
-    # membership in a literal expands to equalities
-    m = T.in_set(x, lit)
-    assert m.kind == "or"
-
-
-def test_substitute_terms():
-    t = T.add(x, T.scale(2, y))
-    out = T.substitute(t, {y: T.mk_int(3)})
-    assert out is T.add(x, T.mk_int(6))
-
-
 # ---------------------------------------------------------------------------
 # Exact numbers: an int when integral, else a non-integral Fraction
 # ---------------------------------------------------------------------------
