@@ -19,7 +19,7 @@ from .api import (
 from .diagnostics import Diagnostic
 from .frontend import mode_check, parse
 from .monitor import check_state_invariants, reconstruct_assertion
-from .solver import Solver, emit_smtlib
+from .solver import Solver
 from .speclogic import InvariantTable, build_invariant_table, relabel, substitute
 
 __version__ = "0.1.0"
@@ -27,7 +27,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Diagnostic", "FAILED", "FileResult", "InvariantTable", "ProcVerdict",
     "Solver", "UNSUPPORTED", "VERIFIED", "VerifyOptions",
-    "build_invariant_table", "check_state_invariants", "emit_smtlib",
-    "mode_check", "parse", "reconstruct_assertion", "relabel", "substitute",
-    "verify_file", "verify_source",
+    "build_invariant_table", "check_state_invariants", "mode_check", "parse",
+    "reconstruct_assertion", "relabel", "substitute", "verify_file", "verify_source",
 ]

@@ -17,11 +17,8 @@ UNSUPPORTED = "unsupported"
 
 @dataclass
 class VerifyOptions:
-    """The settings of one run.  A ``solver_cmd`` gets the queries the
-    built-in solver leaves unknown; ``strict_invariants`` implies
+    """The settings of one run; ``strict_invariants`` implies
     ``check_soundness``."""
-    solver_cmd: Optional[str] = None
-    solver_timeout_ms: int = 10000
     branch_cap: int = 4096
     check_soundness: bool = False
     strict_invariants: bool = False
@@ -130,7 +127,7 @@ def verify_source(source: str, path: str = "<input>",
     result = check_source(source, path)
     if result.parse_diagnostics:
         return result
-    solver = result.solver = Solver(opts.solver_cmd, opts.solver_timeout_ms)
+    solver = result.solver = Solver()
     result.verdicts = [_verify_proc(p, result.checked, result.table, solver, opts,
                                     result.soundness)
                        for p in result.program.procedures]

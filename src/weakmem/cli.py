@@ -1,12 +1,13 @@
 """Command-line driver.
 
-    weakmem verify <files> [--solver-cmd CMD] [--json out.json] ...
+    weakmem verify <files> [--json out.json] [--branch-cap N] ...
     weakmem corpus <manifest.json>
 
 Exit codes: 0 all verified / all expectations met; 1 verification failures,
 unsupported features or expectation mismatches; 2 usage, IO or manifest
-errors, and for `verify` malformed input (a parse, mode-check or
-invariant-table diagnostic).
+errors (a file that cannot be read, is not UTF-8 text or cannot be written),
+and for `verify` malformed input (a parse, mode-check or invariant-table
+diagnostic).
 """
 
 from __future__ import annotations
@@ -25,6 +26,35 @@ from .diagnostics import FrontendError, UnsupportedFeature
 SCHEMA_VERSION = 1
 
 
+class FileError(Exception):
+    """A file the command reads or writes cannot be used."""
+
+
+def _read(path: str) -> str:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise FileError(f"{path}: not UTF-8 text: {exc}") from exc
+    except OSError as exc:
+        raise FileError(str(exc)) from exc
+
+
+def _write_json(path: str, report: dict) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(report, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+    except OSError as exc:
+        raise FileError(str(exc)) from exc
+
+
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return int(text)
+
+
 def _make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="weakmem",
@@ -32,10 +62,7 @@ def _make_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--solver-cmd", help="external SMT solver command line, "
-                       "asked when the built-in solver answers unknown")
-        p.add_argument("--solver-timeout-ms", type=int, default=10000)
-        p.add_argument("--branch-cap", type=int, default=4096)
+        p.add_argument("--branch-cap", type=_positive_int, default=4096)
         p.add_argument("--trace", action="store_true",
                        help="stream executed primitives as JSON lines on stderr")
         p.add_argument("--check-soundness-invariants", action="store_true",
@@ -65,7 +92,6 @@ def _trace(span, text, digest) -> None:
 
 def _options(args: argparse.Namespace) -> VerifyOptions:
     return VerifyOptions(
-        solver_cmd=args.solver_cmd, solver_timeout_ms=args.solver_timeout_ms,
         branch_cap=args.branch_cap, check_soundness=args.check_soundness,
         strict_invariants=args.strict_invariants,
         trace=_trace if args.trace else None)
@@ -103,12 +129,7 @@ def cmd_verify(args: argparse.Namespace, out=None) -> int:
     opts = _options(args)
     results: list[api.FileResult] = []
     for path in args.files:
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                source = fh.read()
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        source = _read(path)
         if args.dump_invariants or args.dump_primitives:
             code = _dump(source, path, args, out)
             if code is not None:
@@ -118,10 +139,7 @@ def cmd_verify(args: argparse.Namespace, out=None) -> int:
     for r in results:
         _print_result(r, out)
     if args.json_out and results:
-        report = _report_json(results, opts.check_soundness)
-        with open(args.json_out, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(args.json_out, _report_json(results, opts.check_soundness))
     if any(r.parse_diagnostics for r in results):
         return 2
     return 0 if all(r.ok for r in results) else 1
@@ -173,19 +191,25 @@ class CorpusEntry:
 
 def load_manifest(path: str) -> list[CorpusEntry]:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+        raw = json.loads(_read(path))
+    except (FileError, json.JSONDecodeError) as exc:
         raise ManifestError(str(exc)) from exc
+    if not isinstance(raw, dict) or not isinstance(raw.get("entries", []), list):
+        raise ManifestError('a manifest is an object with an "entries" list')
     entries = []
     for item in raw.get("entries", []):
-        try:
-            entries.append(CorpusEntry(
-                name=item["name"], file=item["file"], expect=item["expect"],
-                pp_max=item.get("pp_max"), li_max=item.get("li_max"),
-                error_line=item.get("error_line"), reason=item.get("reason", "")))
-        except KeyError as exc:
-            raise ManifestError(f"manifest entry missing key {exc}") from exc
+        if not isinstance(item, dict):
+            raise ManifestError(f"manifest entry is not an object: {item!r}")
+        for key in ("name", "file", "expect"):
+            if not isinstance(item.get(key), str):
+                raise ManifestError(f"manifest entry {item!r} lacks a string {key!r}")
+        for key in ("pp_max", "li_max", "error_line"):
+            if not isinstance(item.get(key, 0), int):
+                raise ManifestError(f"manifest entry {item!r}: {key!r} is not an integer")
+        entries.append(CorpusEntry(
+            name=item["name"], file=item["file"], expect=item["expect"],
+            pp_max=item.get("pp_max"), li_max=item.get("li_max"),
+            error_line=item.get("error_line"), reason=item.get("reason", "")))
     if not entries:
         raise ManifestError("manifest has no entries")
     return entries
@@ -236,9 +260,8 @@ def run_corpus(args: argparse.Namespace, out=None) -> int:
     for entry in entries:
         path = os.path.join(base, entry.file)
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                source = fh.read()
-        except OSError as exc:
+            source = _read(path)
+        except FileError as exc:
             raise ManifestError(f"{entry.name}: {exc}") from exc
         start = time.monotonic()
         result = api.verify_source(source, path=path, opts=opts)
@@ -294,10 +317,8 @@ def run_corpus(args: argparse.Namespace, out=None) -> int:
     for r in rows:
         print(fmt.format(**r), file=out)
     if args.json_out:
-        with open(args.json_out, "w", encoding="utf-8") as fh:
-            json.dump({"schema": SCHEMA_VERSION, "rows": rows,
-                       "mismatches": mismatches}, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(args.json_out, {"schema": SCHEMA_VERSION, "rows": rows,
+                                    "mismatches": mismatches})
     if mismatches:
         print("", file=out)
         for m in mismatches:
@@ -319,6 +340,9 @@ def main(argv: Optional[list] = None) -> int:
         return run_corpus(args)
     except ManifestError as exc:
         print(f"manifest error: {exc}", file=sys.stderr)
+        return 2
+    except FileError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
 
 

@@ -4,21 +4,25 @@ The built-in procedure decides conjunctions of:
 
 * linear (in)equalities over integer-sorted terms,
 * linear constraints over rational permission amounts (wildcard tokens),
+* ``x % c`` and ``x / c`` for a nonzero integer literal ``c``, with SMT-LIB's
+  Euclidean meaning: ``x = c*(x / c) + x % c`` and ``0 <= x % c <= |c| - 1``,
 * boolean combinations of the above (with bounded case splitting).
 
 It is a standard two-layer design: a splitting layer reduces formulas to
 conjunctions of literals, and a simplex over exact rationals, held as int when
-integral (general simplex with infinitesimals for strict bounds, plus
-branch-and-bound for integer-sorted atoms), decides each conjunction.  Each
-query builds its own tableau, but from literals prepared once per process:
-the first time any query sees a linear form its column or slack row and its
-bounds are recorded, and the first time a negated comparison is split its
-rewrite is.
+integral (general simplex with infinitesimals for strict bounds), decides each
+conjunction.  Integer-sorted atoms need more: when the rational model is not
+integral, the conjunction's integer equalities are solved away first (the
+equality step of Pugh's Omega test), and branch-and-bound decides the
+inequalities that remain.  Each query builds its own tableau, but from
+literals prepared once per process: the first time any query sees a linear
+form its column or slack row and its bounds are recorded, and the first time
+a negated comparison is split its rewrite is.
 
-Non-linear atoms (general products, modulo, bitwise operations) are treated
-as uninterpreted, so "unsat" answers remain sound; queries whose verdict
-would depend on their semantics come back ``unknown`` unless an external SMT
-solver command is given.
+Other non-linear atoms (general products, bitwise operations, division by a
+non-literal) are uninterpreted, so "unsat" answers remain sound; a query
+whose verdict would depend on their meaning comes back ``unknown`` with the
+reason ``OPAQUE_ATOM``, as does one that reaches a resource bound.
 
 ``unknown`` is never treated as success by callers: the verifier turns it
 into a verification failure tagged ``incomplete-solver``.
@@ -26,8 +30,6 @@ into a verification failure tagged ``incomplete-solver``.
 
 from __future__ import annotations
 
-import shlex
-import subprocess
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil, floor
@@ -44,16 +46,14 @@ SAT = "sat"
 UNSAT = "unsat"
 
 _CASE_CAP = 4096
+_SIMPLEX_STEP_CAP = 20000
 _BRANCH_DEPTH_CAP = 48
 
 # why a query came back unknown
 CASE_CAP_HIT = f"more than {_CASE_CAP} case splits"
+STEP_CAP_HIT = f"more than {_SIMPLEX_STEP_CAP} simplex steps"
 DEPTH_CAP_HIT = f"branch-and-bound depth {_BRANCH_DEPTH_CAP} reached"
 OPAQUE_ATOM = "the model relies on an opaque atom"
-
-
-class ExternalSolverError(Exception):
-    """The external SMT process failed or produced no usable verdict."""
 
 
 @dataclass
@@ -104,7 +104,9 @@ _D0 = Delta(0)
 # Each linear form is compiled once per process, on first sight.  ``pairs``
 # are the row's (atom, coefficient) pairs in tid order and ``key`` identifies
 # the row (ints only, so it hashes fast); ``bound`` and ``strict`` are the
-# bounds of the non-strict and of the strict literal.
+# bounds of the non-strict and of the strict literal.  ``defs`` are the
+# definitions of the form's ``x % c`` and ``x / c`` atoms, which every case
+# that mentions one of them adds once.
 
 
 class _Compiled(NamedTuple):
@@ -114,21 +116,43 @@ class _Compiled(NamedTuple):
     bound: Delta
     strict: Delta
     flip: bool
-    opaque: bool                # mentions a non-linear atom
+    opaque: bool                # mentions an uninterpreted atom
+    lin: Term                   # the form itself
+    defs: tuple
+
+
+def _euclidean(atom: Term) -> bool:
+    """Whether the atom is ``x % c`` or ``x / c`` for an integer ``x`` and a
+    nonzero integer literal ``c``."""
+    if atom.kind not in ("mod", "div"):
+        return False
+    x, c = atom.args
+    return x.sort == terms.INT and c.kind == "num" and c.sort == terms.INT and c.data != 0
+
+
+def _definition(atom: Term) -> Term:
+    """``x = c*q + r`` and ``0 <= r <= |c| - 1`` for ``q = x / c`` and
+    ``r = x % c``: SMT-LIB's Euclidean division, one term for both atoms."""
+    x, c = atom.args
+    q, r = terms.div_(x, c), terms.mod_(x, c)
+    return terms.and_(terms.eq(x, terms.add(terms.scale(c.data, q), r)),
+                      terms.ge(r, terms.ZERO), terms.le(r, terms.mk_int(abs(c.data) - 1)))
 
 
 def _compile(lin: Term) -> _Compiled:
     const, coeffs = terms.linear_parts(lin)
-    opaque = any(a.kind in terms.OPAQUE_KINDS for a in coeffs)
+    defs = tuple(_definition(a) for a in coeffs if _euclidean(a))
+    opaque = any(a.kind in terms.OPAQUE_KINDS and not _euclidean(a) for a in coeffs)
     if len(coeffs) == 1:
         (atom, c), = coeffs.items()
         flip = c < 0
         bound = _div(-const, c)
         return _Compiled(atom, (), None, Delta(bound), Delta(bound, 1 if flip else -1),
-                         flip, opaque)
+                         flip, opaque, lin, defs)
     pairs = tuple(coeffs.items())
     key = tuple(n for a, c in pairs for n in (a.tid, c.numerator, c.denominator))
-    return _Compiled(None, pairs, key, Delta(-const), Delta(-const, -1), False, opaque)
+    return _Compiled(None, pairs, key, Delta(-const), Delta(-const, -1), False, opaque,
+                     lin, defs)
 
 
 # Both tables are pure functions of interned terms, so like ``terms._pool``
@@ -203,7 +227,7 @@ class _Simplex:
         return Delta(_q(real), _q(eps))
 
     def add_literal(self, kind: str, lit: _Compiled) -> None:
-        atom, pairs, key, bound, strict, flip, _ = lit
+        atom, pairs, key, bound, strict, flip, _, _, _ = lit
         if atom is not None:
             x = self._var(atom)
         elif pairs:
@@ -283,11 +307,8 @@ class _Simplex:
                 self.assign[x] = v
         for b in self.basic:
             self.assign[b] = self._row_value(self.tableau[b])
-        steps = 0
-        while True:
-            steps += 1
-            if steps > 20000:  # safety valve; Bland's rule should terminate long before
-                return UNKNOWN
+        # a safety valve: Bland's rule should terminate long before the cap
+        for _ in range(_SIMPLEX_STEP_CAP):
             bad = self._out_of_bounds()
             if bad is None:
                 return SAT
@@ -316,6 +337,7 @@ class _Simplex:
                     if akj:
                         self.assign[xk] = self.assign[xk] + theta.scaled(akj)
             self._pivot(xb, picked)
+        return UNKNOWN
 
     def _can_increase(self, x: int) -> bool:
         hi = self.upper.get(x)
@@ -352,19 +374,23 @@ class _Simplex:
 def _check_linear(literals: list[tuple[str, _Compiled]], depth: int = 0):
     """Decide a conjunction of compiled linear literals.
 
-    Returns (SAT, model) / (UNSAT, None) / (UNKNOWN, None).
+    Returns (SAT, model) / (UNSAT, None) / (UNKNOWN, reason).
     """
     sx = _Simplex()
     for kind, lit in literals:
         sx.add_literal(kind, lit)
     res = sx.check()
-    if res != SAT:
-        return res, None
+    if res == UNKNOWN:
+        return UNKNOWN, STEP_CAP_HIT
+    if res == UNSAT:
+        return UNSAT, None
     model = sx.concrete_model()
     for atom, val in sorted(model.items(), key=lambda kv: kv[0].tid):
         if atom.sort == terms.INT and val.denominator != 1:
+            if depth == 0 and any(k == "eq0" for k, _ in literals):
+                return _solve_equalities(literals)
             if depth >= _BRANCH_DEPTH_CAP:
-                return UNKNOWN, None
+                return UNKNOWN, DEPTH_CAP_HIT
             lin = terms.sub(atom, terms.mk_int(floor(val)))
             lo = literals + [("le0", _compiled(lin))]
             r, m = _check_linear(lo, depth + 1)
@@ -375,10 +401,81 @@ def _check_linear(literals: list[tuple[str, _Compiled]], depth: int = 0):
             r2, m2 = _check_linear(hi, depth + 1)
             if r2 == SAT:
                 return r2, m2
-            if r == UNKNOWN or r2 == UNKNOWN:
-                return UNKNOWN, None
-            return UNSAT, None
+            return (r, m) if r == UNKNOWN else (r2, m2)
     return SAT, model
+
+
+def _mod_hat(a: int, m: int) -> int:
+    """Pugh's symmetric remainder: ``a - m*floor(a/m + 1/2)``."""
+    return a - m * ((2 * a + m) // (2 * m))
+
+
+def _solve_equalities(literals: list[tuple[str, _Compiled]]):
+    """Decide a conjunction by first solving its equalities away.
+
+    An equality that mentions a rational (frac-sorted) atom is solved for it.
+    An integer one is solved by the equality step of Pugh's Omega test: for
+    an atom with a unit coefficient if it has one; otherwise, with ``a`` its
+    smallest coefficient and ``m = |a| + 1``, a fresh integer ``sigma`` is
+    defined by ``m*sigma = sum of (a_i mod^ m)*x_i``, in which that atom's
+    coefficient is -sign(a), and solving that for the atom shrinks the
+    equality's other coefficients, until one is a unit.  Each substitution is
+    exact, and every literal is canonicalised again, so the gcd tests of
+    ``terms._cmp`` apply to the results.  The model of what remains is
+    extended to every atom of the literals; the sigmas are left out of it.
+    """
+    forms = [(kind, lit.lin) for kind, lit in literals]
+    solved: list[tuple[Term, Term]] = []
+    sigmas: list[Term] = []
+    while True:
+        eq = next((lin for kind, lin in forms if kind == "eq0"), None)
+        if eq is None:
+            break
+        const, coeffs = terms.linear_parts(eq)
+        rational = [x for x in coeffs if x.sort != terms.INT]
+        if rational:
+            atom = rational[0]
+        else:
+            atom = min(coeffs, key=lambda x: (abs(coeffs[x]), x.tid))
+        a = coeffs[atom]
+        if rational or abs(a) == 1:
+            value = terms.scale(_div(-1, a), terms.sub(eq, terms.scale(a, atom)))
+        else:
+            m, s = abs(a) + 1, 1 if a > 0 else -1
+            sigma = terms.mk_var(f"σ!{len(sigmas)}", terms.INT)
+            sigmas.append(sigma)
+            rest = {x: s * _mod_hat(c, m) for x, c in coeffs.items() if x is not atom}
+            value = terms.mk_linear(s * _mod_hat(const, m), {**rest, sigma: -s * m})
+        solved.append((atom, value))
+        reduced = []
+        for kind, lin in forms:
+            k = terms.linear_parts(lin)[1].get(atom)
+            if k is not None:
+                lit = terms._cmp(kind, terms.add(lin, terms.scale(k, terms.sub(value, atom))))
+                if lit is terms.FALSE:
+                    return UNSAT, None
+                if lit is terms.TRUE:
+                    continue
+                kind, lin = lit.kind, lit.args[0]
+            reduced.append((kind, lin))
+        forms = reduced
+    res, model = _check_linear([(kind, _compiled(lin)) for kind, lin in forms])
+    if res != SAT:
+        return res, model
+    for atom, value in reversed(solved):
+        model[atom] = _value_at(value, model)
+    for sigma in sigmas:
+        model.pop(sigma, None)
+    for _, lit in literals:
+        for atom in terms.linear_parts(lit.lin)[1]:
+            model.setdefault(atom, 0)     # left unconstrained by the solving
+    return SAT, model
+
+
+def _value_at(term: Term, model: dict[Term, int | Fraction]):
+    """The value of a numeric term in a model (atoms it lacks read as 0)."""
+    const, coeffs = terms.linear_parts(term)
+    return _q(const + sum(c * model.get(a, 0) for a, c in coeffs.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -390,6 +487,7 @@ class _Case:
     linear: list[tuple[str, _Compiled]] = field(default_factory=list)
     bools: dict[Term, bool] = field(default_factory=dict)
     opaque: bool = False
+    defined: frozenset = frozenset()   # the definitions added
 
 
 def _negation(g: Term) -> Term:
@@ -429,7 +527,8 @@ def _split(facts: list[Term]):
                 if produced > _CASE_CAP:
                     raise _CapExceeded
                 for arm in f.args:
-                    branch = _Case(list(case.linear), dict(case.bools), case.opaque)
+                    branch = _Case(list(case.linear), dict(case.bools), case.opaque,
+                                   case.defined)
                     stack.append((todo + [arm], branch))
                 todo = None
                 case = None
@@ -457,6 +556,10 @@ def _split(facts: list[Term]):
                 if lit.opaque:
                     case.opaque = True
                 case.linear.append((k, lit))
+                for d in lit.defs:
+                    if d not in case.defined:
+                        case.defined |= {d}
+                        todo.append(d)
             else:
                 prev = case.bools.get(f)
                 if prev is False:
@@ -479,26 +582,28 @@ def _sat_conjunction(facts: list[Term]):
     """(SAT/UNSAT/UNKNOWN, model, reason): the reason is why the answer is
     not decided, for UNKNOWN and for a SAT model that uses an opaque literal,
     else None."""
-    any_unknown = False
+    unknown = None
     try:
         for case in _split(facts):
             res, model = _check_linear(case.linear)
             if res == SAT:
                 return SAT, model, OPAQUE_ATOM if case.opaque else None
             if res == UNKNOWN:
-                any_unknown = True
+                unknown = unknown or model
     except _CapExceeded:
         return UNKNOWN, None, CASE_CAP_HIT
-    if any_unknown:
-        return UNKNOWN, None, DEPTH_CAP_HIT
+    if unknown:
+        return UNKNOWN, None, unknown
     return UNSAT, None, None
 
 
-def _format_model(model: Optional[dict[Term, int | Fraction]]) -> Optional[str]:
-    if not model:
-        return None
-    bits = [f"{terms.pretty(a)} = {v}" for a, v in sorted(model.items(), key=lambda kv: kv[0].tid)]
-    return ", ".join(bits[:8])
+def _format_model(model: dict[Term, int | Fraction], facts: list[Term]) -> Optional[str]:
+    """The model on the atoms of the facts: not on a quotient or remainder
+    that only the definition of a ``%`` or ``/`` brought in."""
+    ids = frozenset().union(*map(terms.atom_ids, facts))
+    bits = [f"{terms.pretty(a)} = {v}"
+            for a, v in sorted(model.items(), key=lambda kv: kv[0].tid) if a.tid in ids]
+    return ", ".join(bits[:8]) or None
 
 
 # ---------------------------------------------------------------------------
@@ -515,13 +620,10 @@ class Solver:
     obligations.  The linear forms compiled for the simplex and the rewritten
     negations are not per Solver: the module keeps each once per process,
     beside the term pool, so a fact is prepared once however many queries
-    and Solvers mention it.  With ``solver_cmd`` set, queries the built-in
-    procedure leaves unknown go to that external solver.
+    and Solvers mention it.
     """
 
-    def __init__(self, solver_cmd: Optional[str] = None, timeout_ms: int = 10000):
-        self.solver_cmd = solver_cmd
-        self.timeout_ms = timeout_ms
+    def __init__(self):
         self._feas_cache: dict[frozenset[int], str] = {}
         self._ent_cache: dict[tuple[frozenset[int], int], Result] = {}
         self._value_cache: dict[tuple[frozenset[int], int], object] = {}
@@ -542,11 +644,6 @@ class Solver:
         self.queries += 1
         res, _model, _ = _sat_conjunction(facts)
         out = YES if res == SAT else NO if res == UNSAT else UNKNOWN
-        if out == UNKNOWN and self.solver_cmd:
-            try:
-                out = self._external_sat(facts) or out
-            except ExternalSolverError:
-                pass  # stays unknown: a feasibility verdict carries no reason
         self._feas_cache[key] = out
         return out
 
@@ -575,16 +672,9 @@ class Solver:
         if res == UNSAT:
             out = Result(YES)
         elif reason is None:
-            out = Result(NO, _format_model(model))
+            out = Result(NO, _format_model(model, facts))
         else:
             out = Result(UNKNOWN, reason=reason)
-        # an external "sat" leaves it unknown: its model may rely on opaque atoms
-        if out.verdict == UNKNOWN and self.solver_cmd:
-            try:
-                if self._external_sat(facts) == NO:
-                    out = Result(YES)
-            except ExternalSolverError as exc:
-                out = Result(UNKNOWN, reason=f"{out.reason}; the external solver failed: {exc}")
         self._ent_cache[(key, goal.tid)] = out
         return out
 
@@ -603,146 +693,11 @@ class Solver:
         return self._value_cache[key]
 
     def _model_value(self, facts: list[Term], term: Term):
-        res, model, _ = _sat_conjunction(facts)
+        # with the definitions of the term's own `%` and `/` atoms in the model
+        res, model, _ = _sat_conjunction(facts + list(_compiled(term).defs))
         if res != SAT:
             return None
-        const, coeffs = terms.linear_parts(term)
-        val = const
-        for atom, c in coeffs.items():
-            val += c * model.get(atom, 0)
-        val = _q(val)
+        val = _value_at(term, model)
         if self.assert_entailed(facts, terms.eq(term, terms.mk_int(val))).verdict == YES:
             return val
         return None
-
-    # -- external backend ----------------------------------------------------
-
-    def _external_sat(self, facts: list[Term]) -> Optional[str]:
-        """Run the external solver on sat(/\\ facts); returns yes/no/None,
-        or raises ExternalSolverError."""
-        verdict = run_external(emit_smtlib(facts, terms.FALSE, negate_goal=False),
-                               self.solver_cmd, self.timeout_ms)
-        if verdict == SAT:
-            return YES
-        if verdict == UNSAT:
-            return NO
-        return None
-
-
-# ---------------------------------------------------------------------------
-# SMT-LIB 2 emission
-# ---------------------------------------------------------------------------
-
-_SMT_OP = {"mod": "mod", "div": "div"}
-_SMT_UF = {"bitand": "bvop.and", "bitor": "bvop.or", "bitxor": "bvop.xor",
-           "shl": "bvop.shl", "shr": "bvop.shr", "mul": "nl.mul"}
-
-
-def emit_smtlib(path: Iterable[Term], goal: Term, negate_goal: bool = True) -> str:
-    """Emit a script whose unsat-ness witnesses ``path |= goal``.
-
-    Integer terms map to Int, permission amounts to Real, refs to Int
-    constants (pairwise distinct).  Bitwise
-    operations are emitted as uninterpreted functions: the built-in solver
-    treats them identically, so verdicts agree on the shared fragment.
-    """
-    decls: dict[str, str] = {}
-    ref_lits: list[Term] = []
-    lines: list[str] = ["(set-logic ALL)"]
-
-    def smt_sort(sort: str) -> str:
-        return {"int": "Int", "frac": "Real", "bool": "Bool",
-                "ref": "Int"}[sort]
-
-    def name_of(t: Term) -> str:
-        if t.kind == "var":
-            n = "v!" + "".join(ch if ch.isalnum() or ch in "_.!$" else "_" for ch in t.data)
-        elif t.kind == "ref":
-            n = f"ref!{t.data[0]}"
-            if t not in ref_lits:
-                ref_lits.append(t)
-        else:
-            n = f"op!{t.kind}!{t.tid}"
-        if n not in decls:
-            decls[n] = f"(declare-const {n} {smt_sort(t.sort)})"
-        return n
-
-    def emit(t: Term) -> str:
-        k = t.kind
-        if k == "num":
-            v = t.data
-            if t.sort == terms.INT:
-                return str(v.numerator) if v >= 0 else f"(- {-v.numerator})"
-            return f"(/ {v.numerator} {v.denominator})" if v >= 0 else \
-                f"(- (/ {-v.numerator} {v.denominator}))"
-        if k == "boollit":
-            return "true" if t.data else "false"
-        if k in ("var", "ref"):
-            return name_of(t)
-        if k == "lin":
-            const, pairs = t.data
-            frac = t.sort == terms.FRAC
-            c = emit(terms.mk_frac(const) if frac else terms.mk_int(const))
-            parts = [c] if const != 0 else []
-            for a, co in pairs:
-                ea = emit(a)
-                if frac and a.sort == terms.INT:
-                    ea = f"(to_real {ea})"
-                co_t = terms.mk_frac(co) if frac else terms.mk_int(co)
-                parts.append(ea if co == 1 else f"(* {emit(co_t)} {ea})")
-            return parts[0] if len(parts) == 1 else f"(+ {' '.join(parts)})"
-        if k in ("eq0", "le0", "lt0"):
-            op = {"eq0": "=", "le0": "<=", "lt0": "<"}[k]
-            zero = "0" if t.args[0].sort == terms.INT else "(/ 0 1)"
-            return f"({op} {emit(t.args[0])} {zero})"
-        if k == "and":
-            return f"(and {' '.join(emit(a) for a in t.args)})"
-        if k == "or":
-            return f"(or {' '.join(emit(a) for a in t.args)})"
-        if k == "not":
-            return f"(not {emit(t.args[0])})"
-        if k == "eqref":
-            return f"(= {emit(t.args[0])} {emit(t.args[1])})"
-        if k in _SMT_OP:
-            return f"({_SMT_OP[k]} {emit(t.args[0])} {emit(t.args[1])})"
-        if k in _SMT_UF:
-            fn = _SMT_UF[k].replace(".", "_")
-            if fn not in decls:
-                decls[fn] = f"(declare-fun {fn} (Int Int) Int)"
-            return f"({fn} {emit(t.args[0])} {emit(t.args[1])})"
-        raise AssertionError(k)  # pragma: no cover
-
-    asserts = [f"(assert {emit(f)})" for f in path]
-    if negate_goal:
-        asserts.append(f"(assert (not {emit(goal)}))")
-    elif goal is not terms.FALSE:
-        asserts.append(f"(assert {emit(goal)})")
-    if len(ref_lits) > 1:
-        asserts.append("(assert (distinct " + " ".join(name_of(r) for r in ref_lits) + "))")
-    lines += sorted(decls.values())
-    lines += asserts
-    lines.append("(check-sat)")
-    return "\n".join(lines) + "\n"
-
-
-def run_external(script: str, cmd: str, timeout_ms: int) -> str:
-    """Feed the script to the solver process on stdin; parse sat/unsat."""
-    try:
-        proc = subprocess.run(
-            shlex.split(cmd),
-            input=script.encode(),
-            capture_output=True,
-            timeout=timeout_ms / 1000.0,
-        )
-    except (subprocess.TimeoutExpired, OSError) as exc:
-        raise ExternalSolverError(str(exc)) from exc
-    if proc.returncode != 0:
-        raise ExternalSolverError(
-            f"exit code {proc.returncode}: {proc.stderr.decode()[:200].strip()}")
-    for line in proc.stdout.decode().splitlines():
-        word = line.strip()
-        if word in (SAT, UNSAT):
-            return word
-        if word == "unknown":
-            return "unknown"
-    raise ExternalSolverError(f"no verdict in output: {proc.stdout.decode()[:200]}")

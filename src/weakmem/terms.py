@@ -6,8 +6,10 @@ deep comparisons.  Numeric terms are kept in a linear canonical form
 (rational constant plus a sorted coefficient list over atoms), which makes
 ``x + 1`` and ``1 + x`` identical and lets the solver read off linear
 constraints without re-walking trees.  Non-linear operations (general
-products, modulo, bitwise) are kept as opaque atoms; the built-in solver
-treats them as uninterpreted, which preserves soundness of "unsat" verdicts.
+products, modulo, division, bitwise) are kept as atoms; the solver gives
+``%`` and ``/`` by a nonzero integer literal their Euclidean meaning and
+treats the rest as uninterpreted, which preserves soundness of "unsat"
+verdicts.
 
 Operations on interned terms are pure functions of their operands, so
 ``add``, ``sub``, ``scale`` and the comparisons (and with them ``neg``,
@@ -314,9 +316,15 @@ def _cmp_build(kind: str, t: Term) -> Term:
         # coefficients' gcd divides const only when it is 1
         if _int_valued(const, coeffs) and gcd(*coeffs.values()) > 1:
             return FALSE
-    if kind == "lt0" and _int_valued(const, coeffs):
-        # integer tightening:  t < 0  <=>  t + 1 <= 0
-        kind, const = "le0", const + 1
+    elif _int_valued(const, coeffs):
+        if kind == "lt0":
+            # integer tightening:  t < 0  <=>  t + 1 <= 0
+            kind, const = "le0", const + 1
+        # and by the coefficients' gcd g:  g*s + c <= 0  <=>  s + ceil(c/g) <= 0
+        g = gcd(*coeffs.values())
+        if g > 1:
+            const = -(-const // g)
+            coeffs = {a: c // g for a, c in coeffs.items()}
     lin = mk_linear(const, coeffs)
     return _intern(kind, BOOL, None, (lin,))
 
@@ -437,7 +445,7 @@ def atom_ids(t: Term) -> frozenset[int]:
 
 
 # ---------------------------------------------------------------------------
-# Pretty printing (debugging, traces, SMT hints)
+# Pretty printing (debugging, traces, counter-model hints)
 # ---------------------------------------------------------------------------
 
 _OP_SYMBOL = {

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 from conftest import CORPUS, MANIFEST, corpus_path
+from weakmem import solver
 from weakmem.cli import count_annotations, main
 from weakmem.frontend import parse
 
@@ -57,39 +58,50 @@ def test_malformed_input_exit_two(tmp_path, capsys, kind):
     assert f"{path}: " in err and "Traceback" not in err
 
 
+def test_undecodable_input_exit_two(tmp_path, capsys):
+    path = tmp_path / "bad.rsl"
+    path.write_bytes(b"\xff\xfe bad")
+    for extra in ([], ["--dump-primitives"], ["--dump-invariants"]):
+        assert run_cli("verify", str(path), *extra) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: not UTF-8 text") and "Traceback" not in err
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"entries": [
+        {"name": "bad", "file": "bad.rsl", "expect": "verified"}]}))
+    assert run_cli("corpus", str(manifest)) == 2
+    assert f"manifest error: bad: {path}: not UTF-8 text" in capsys.readouterr().err
+
+
 MOD_GOAL = "proc main(x) requires { x == 8 } ensures { x % 2 == 0 } { skip; }"
 
 
 def test_unknown_goal_fails_without_solver_cmd(tmp_path, capsys):
-    assert run_cli("verify", write(tmp_path, "mod.rsl", MOD_GOAL)) == 1
+    # `%` by a literal is decided; `&` stays an opaque atom
+    assert run_cli("verify", write(tmp_path, "mod.rsl", MOD_GOAL)) == 0
+    assert "main: ok" in capsys.readouterr().out
+    src = MOD_GOAL.replace("x % 2", "(x & 1)")
+    assert run_cli("verify", write(tmp_path, "and.rsl", src)) == 1
     out = capsys.readouterr().out
-    assert "IncompleteSolver" in out
-    assert "(solver returned unknown: the model relies on an opaque atom)" in out
+    assert ("IncompleteSolver [postcondition]: cannot establish x & 1 == 0 "
+            "(solver returned unknown: the model relies on an opaque atom)" in out)
 
 
-def test_unknown_goal_names_the_depth_bound(tmp_path, capsys):
-    # linear, but branch-and-bound on unbounded integers hits its depth cap
-    src = ("proc main(dx, dy, dz) requires { dx + dz + 3 == 0 } "
-           "ensures { 3*dx + 2*dy - dz + 2 != 0 } { skip; }")
-    assert run_cli("verify", write(tmp_path, "depth.rsl", src)) == 1
-    assert ("IncompleteSolver [postcondition]: cannot establish 3 * dx + 2 * dy - dz + 2 != 0 "
+def test_unknown_goal_names_the_depth_bound(tmp_path, capsys, monkeypatch):
+    # 3x + 2y = 1 by two inequalities: the rational model x = 1/3 needs a split
+    src = ("proc main(x, y) requires { 3*x + 2*y >= 1 && 3*x + 2*y <= 1 } "
+           "ensures { false } { skip; }")
+    path = write(tmp_path, "depth.rsl", src)
+    assert run_cli("verify", path) == 1
+    assert "ExhaleFailure [postcondition]: cannot establish false" in capsys.readouterr().out
+    monkeypatch.setattr(solver, "_BRANCH_DEPTH_CAP", 0)
+    assert run_cli("verify", path) == 1
+    assert ("IncompleteSolver [postcondition]: cannot establish false "
             "(solver returned unknown: branch-and-bound depth 48 reached)"
             in capsys.readouterr().out)
-
-
-def test_solver_cmd_resolves_unknown_goal(tmp_path, capsys):
-    cmd = f"{sys.executable} -c \"print('unsat')\""
-    assert run_cli("verify", write(tmp_path, "mod.rsl", MOD_GOAL),
-                   "--solver-cmd", cmd) == 0
-    assert "main: ok" in capsys.readouterr().out
-
-
-def test_failing_solver_cmd_names_its_error(tmp_path, capsys):
-    cmd = f"{sys.executable} -c \"import sys; sys.exit('solver crashed')\""
-    assert run_cli("verify", write(tmp_path, "mod.rsl", MOD_GOAL),
-                   "--solver-cmd", cmd) == 1
-    assert ("(solver returned unknown: the model relies on an opaque atom; "
-            "the external solver failed: exit code 1: solver crashed)"
+    monkeypatch.setattr(solver, "_SIMPLEX_STEP_CAP", 1)
+    assert run_cli("verify", path) == 1
+    assert ("IncompleteSolver [postcondition]: cannot establish false "
+            "(solver returned unknown: more than 20000 simplex steps)"
             in capsys.readouterr().out)
 
 
@@ -262,6 +274,43 @@ def test_manifest_error_exit_two(tmp_path):
     bad = tmp_path / "manifest.json"
     bad.write_text("{not json")
     assert run_cli("corpus", str(bad)) == 2
+
+
+def manifest_of(tmp_path, raw):
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(raw))
+    return str(path)
+
+
+CLI_ERRORS = {
+    "json-verify": (lambda tmp: ["verify", corpus_path("RelAcqMsgPass.rsl"),
+                                 "--json", str(tmp / "no" / "out.json")],
+                    "error: [Errno 2] No such file or directory"),
+    "json-corpus": (lambda tmp: ["corpus", MANIFEST, "--json", str(tmp / "no" / "out.json")],
+                    "error: [Errno 2] No such file or directory"),
+    "manifest-list": (lambda tmp: ["corpus", manifest_of(tmp, [])],
+                      'manifest error: a manifest is an object with an "entries" list'),
+    "manifest-entry-number": (lambda tmp: ["corpus", manifest_of(tmp, {"entries": [1]})],
+                              "manifest error: manifest entry is not an object: 1"),
+    "manifest-file-number": (lambda tmp: ["corpus", manifest_of(tmp, {"entries": [
+        {"name": "a", "file": 5, "expect": "verified"}]})],
+        "manifest error: manifest entry {'name': 'a', 'file': 5, 'expect': 'verified'} "
+        "lacks a string 'file'"),
+    "manifest-budget-string": (lambda tmp: ["corpus", manifest_of(tmp, {"entries": [
+        {"name": "a", "file": "a.rsl", "expect": "verified", "pp_max": "2"}]})],
+        "'pp_max' is not an integer"),
+    "branch-cap-negative": (lambda tmp: ["verify", corpus_path("RelAcqMsgPass.rsl"),
+                                         "--branch-cap", "-5"],
+                            "argument --branch-cap: '-5' is not a positive integer"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(CLI_ERRORS))
+def test_cli_errors_exit_two(tmp_path, capsys, kind):
+    argv, message = CLI_ERRORS[kind]
+    assert run_cli(*argv(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
 
 
 def test_annotation_counts():

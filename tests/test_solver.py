@@ -1,16 +1,16 @@
-"""Solver tests: entailment, feasibility, sets, fractions, SMT emission."""
+"""Solver tests: entailment, feasibility, fractions, integer arithmetic
+with Euclidean `%` and `/`, and oracles against brute force."""
 
-import shutil
-import sys
+import itertools
+import random
 from fractions import Fraction
 
-import pytest
 from hypothesis import event, given, settings, strategies as st
 
 from weakmem import solver as SV, terms as T
 from weakmem.solver import (
-    CASE_CAP_HIT, DEPTH_CAP_HIT, ExternalSolverError, NO, OPAQUE_ATOM, SAT, Solver,
-    UNKNOWN, YES, _sat_conjunction, emit_smtlib, run_external,
+    CASE_CAP_HIT, DEPTH_CAP_HIT, NO, OPAQUE_ATOM, SAT, STEP_CAP_HIT, Solver, UNKNOWN, YES,
+    _sat_conjunction,
 )
 from weakmem.symstate import ExecContext, SymState
 
@@ -93,18 +93,32 @@ def test_membership_over_literal_set(solver):
 
 
 def test_opaque_modulo_is_unknown(solver):
-    res = solver.assert_entailed([T.eq(x, T.mk_int(8))],
-                                 T.eq(T.mod_(x, T.mk_int(2)), T.ZERO))
-    assert res.verdict == UNKNOWN
+    # only a nonzero integer literal divisor gives `%` a meaning
+    for goal in (T.eq(T.mod_(x, y), T.ZERO), T.eq(T.bitand(x, T.ONE), T.ZERO)):
+        res = solver.assert_entailed([T.eq(x, T.mk_int(8)), T.eq(y, T.mk_int(2))], goal)
+        assert (res.verdict, res.reason) == (UNKNOWN, OPAQUE_ATOM)
 
 
-def test_unknown_names_its_bound(solver):
+def test_unknown_names_its_bound(solver, monkeypatch):
     dx, dy, dz = (T.mk_var(n, T.INT) for n in ("udx", "udy", "udz"))
-    # dx+dz+3 = 0 |- 3dx+2dy-dz+2 != 0: branch-and-bound on unbounded integers
+    # dx+dz+3 = 0 |- 3dx+2dy-dz+2 != 0 ran branch-and-bound into its depth cap
+    # on unbounded integers; solving dz away leaves 4dx+2dy+5 = 0, no solution
     res = solver.assert_entailed(
         [T.eq(T.add(dx, dz, T.mk_int(3)), T.ZERO)],
         T.ne(T.add(T.scale(3, dx), T.scale(2, dy), T.neg(dz), T.mk_int(2)), T.ZERO))
+    assert (res.verdict, res.reason) == (YES, None)
+    # 3dx+2dy = 1 by two inequalities: the rational model dx = 1/3 needs a split
+    form = T.add(T.scale(3, dx), T.scale(2, dy))
+    split = [T.ge(form, T.ONE), T.le(form, T.ONE)]
+    assert solver.assert_entailed(split, T.FALSE).verdict == NO
+    monkeypatch.setattr(SV, "_BRANCH_DEPTH_CAP", 0)
+    res = Solver().assert_entailed(split, T.FALSE)
     assert (res.verdict, res.reason) == (UNKNOWN, DEPTH_CAP_HIT)
+    # dx+dy >= 1 needs one pivot before the tableau is checked again
+    monkeypatch.setattr(SV, "_SIMPLEX_STEP_CAP", 1)
+    res = Solver().assert_entailed([T.ge(T.add(dx, dy), T.ONE)], T.FALSE)
+    assert (res.verdict, res.reason) == (UNKNOWN, STEP_CAP_HIT)
+    monkeypatch.undo()
     res = solver.assert_entailed([T.eq(x, T.mk_int(8))], T.eq(T.mul(x, y), T.ZERO))
     assert (res.verdict, res.reason) == (UNKNOWN, OPAQUE_ATOM)
     # 13 two-way splits, every case infeasible, go past the case-split cap
@@ -154,7 +168,7 @@ def cache_queries():
     w1 = T.mk_var("w1", T.FRAC)
     w2 = T.mk_var("w2", T.FRAC)
     wildcards = [T.gt(w1, T.ZERO), T.lt(w1, T.ONE), T.gt(w2, T.ZERO), T.lt(w2, w1)]
-    parity = T.mod_(x, T.mk_int(2))
+    parity = T.bitand(x, T.ONE)
     return [
         ("feasible", [T.gt(x, T.ZERO), T.lt(x, T.ONE)], None),
         ("feasible", [T.eq(T.scale(2, x), T.add(y, T.ONE)), T.ne(x, y)], None),
@@ -201,8 +215,9 @@ def test_solver_tables_carry_no_query_state():
 # int- or frac-sorted variables, goals combined with and/or/not.  A `yes` must
 # hold at every point of a small box that satisfies the facts; a `no` must
 # come with a model that satisfies the facts and falsifies the goal, exactly;
-# an infeasible path must have no point in the box.  `unknown` is allowed; each
-# answer is counted as a hypothesis event (see --hypothesis-show-statistics).
+# an infeasible path must have no point in the box.  The input is linear, so
+# `unknown` is a failure; each answer is counted as a hypothesis event (see
+# --hypothesis-show-statistics).
 
 ORACLE_INTS = range(-3, 4)
 ORACLE_FRACS = [Fraction(n, 2) for n in range(-4, 5)]
@@ -284,6 +299,7 @@ def test_solver_agrees_with_brute_force(query):
     if feasible == NO:
         assert points == []
     res = solver.assert_entailed(facts, goal)
+    assert UNKNOWN not in (feasible, res.verdict)
     if res.verdict == YES:
         assert all(evaluate(goal, p) for p in points)
     elif res.verdict == NO:
@@ -294,84 +310,6 @@ def test_solver_agrees_with_brute_force(query):
         assert not evaluate(goal, model)
     event(f"feasible: {feasible}")
     event(f"entailed: {res.verdict}")
-
-
-# ---------------------------------------------------------------------------
-# SMT-LIB emission and the external backend
-# ---------------------------------------------------------------------------
-
-def test_emit_smtlib_structure():
-    script = emit_smtlib([T.ne(x, T.ZERO)], T.not_(T.eq(x, T.ZERO)))
-    assert script.startswith("(set-logic")
-    assert "(check-sat)" in script
-    assert script.count("(assert") == 2
-    assert "declare-const" in script
-
-
-def test_emit_smtlib_goal_false_is_sat_shape():
-    # an entailment of false from an empty path must leave the script satisfiable
-    script = emit_smtlib([], T.FALSE)
-    assert "(assert (not false))" in script
-
-
-def test_emit_smtlib_bitwise_uses_uninterpreted():
-    script = emit_smtlib([T.eq(T.bitand(x, y), T.ZERO)], T.FALSE, negate_goal=False)
-    assert "declare-fun" in script
-
-
-def test_emit_smtlib_fractions_real():
-    w = T.mk_var("w", T.FRAC)
-    script = emit_smtlib([T.lt(w, T.ONE)], T.gt(w, T.ZERO))
-    assert "Real" in script
-
-
-def test_external_stub_unsat():
-    cmd = f"{sys.executable} -c \"print('unsat')\""
-    assert run_external("(check-sat)", cmd, 5000) == "unsat"
-
-
-def test_external_stub_sat():
-    cmd = f"{sys.executable} -c \"print('sat')\""
-    assert run_external("(check-sat)", cmd, 5000) == "sat"
-
-
-def test_external_error_on_bad_exit():
-    cmd = f"{sys.executable} -c \"import sys; sys.exit(3)\""
-    with pytest.raises(ExternalSolverError):
-        run_external("(check-sat)", cmd, 5000)
-
-
-def test_external_error_on_garbage():
-    cmd = f"{sys.executable} -c \"print('maybe')\""
-    with pytest.raises(ExternalSolverError):
-        run_external("(check-sat)", cmd, 5000)
-
-
-def test_external_backend_resolves_unknown():
-    # an always-unsat stub lets the external path upgrade unknown to yes
-    cmd = f"{sys.executable} -c \"print('unsat')\""
-    s = Solver(solver_cmd=cmd)
-    res = s.assert_entailed([T.eq(x, T.mk_int(8))],
-                            T.eq(T.mod_(x, T.mk_int(2)), T.ZERO))
-    assert res.verdict == YES
-
-
-HAVE_Z3 = shutil.which("z3") is not None
-
-
-@pytest.mark.skipif(not HAVE_Z3, reason="no external SMT solver installed")
-def test_differential_builtin_vs_external(solver):
-    # on the shared fragment, every builtin "yes" must be unsat externally
-    queries = [
-        ([T.ne(x, T.ZERO)], T.not_(T.eq(x, T.ZERO))),
-        ([T.ge(x, T.mk_int(5))], T.ge(x, T.mk_int(3))),
-        ([T.eq(T.add(x, y), T.mk_int(10)), T.eq(T.sub(x, y), T.mk_int(4))],
-         T.eq(x, T.mk_int(7))),
-    ]
-    for path, goal in queries:
-        if solver.assert_entailed(path, goal).verdict == YES:
-            script = emit_smtlib(path, goal)
-            assert run_external(script, "z3 -in", 10000) == "unsat"
 
 
 @settings(max_examples=120, deadline=None)
@@ -394,3 +332,85 @@ def test_grouped_queries_agree_with_full_path(query):
     if res.verdict != UNKNOWN:
         assert grouped.verdict == res.verdict
     event(f"groups: {len(state.all_groups())}")
+
+
+# ---------------------------------------------------------------------------
+# Integer completeness: a seeded trial, and `%` and `/` by a literal
+# ---------------------------------------------------------------------------
+
+def test_random_integer_queries_are_decided():
+    # 1500 queries over three int variables, 1-3 facts and a goal, each a
+    # comparison of a form with coefficients +-1..3 against a constant -4..4.
+    # Branch-and-bound alone left a few of these unknown at its depth cap.
+    rng = random.Random(13)
+    ints = [T.mk_var(f"r{i}", T.INT) for i in range(3)]
+    points = [dict(zip(ints, p)) for p in itertools.product(range(-4, 5), repeat=3)]
+
+    def comparison():
+        form = T.add(*[T.scale(rng.choice([-3, -2, -1, 1, 2, 3]), v)
+                       for v in rng.sample(ints, rng.randint(1, 3))])
+        return rng.choice(ORACLE_CMPS)(form, T.mk_int(rng.randint(-4, 4)))
+
+    verdicts = []
+    for _ in range(1500):
+        facts = [comparison() for _ in range(rng.randint(1, 3))]
+        goal = comparison()
+        res = Solver().assert_entailed(facts, goal)
+        verdicts.append(res.verdict)
+        if res.verdict == YES:
+            assert all(evaluate(goal, p) for p in points if all(evaluate(f, p) for f in facts))
+        elif res.verdict == NO:
+            sat, model, reason = _sat_conjunction(facts + [T.not_(goal)])
+            assert (sat, reason) == (SAT, None)
+            assert all(type(model[v]) is int for v in model)
+            assert all(evaluate(f, model) for f in facts) and not evaluate(goal, model)
+    assert verdicts.count(UNKNOWN) == 0
+    assert verdicts.count(YES) > 100 and verdicts.count(NO) > 100
+
+
+def euclid(v, c):
+    """SMT-LIB's integer division: v = c*q + r with 0 <= r < |c|."""
+    r = v % abs(c)
+    return (v - r) // c, r
+
+
+def test_literal_divisor_is_euclidean(solver):
+    for v in range(-12, 13):
+        path = [T.eq(x, T.mk_int(v))]
+        for c in (-5, -4, -3, -2, -1, 1, 2, 3, 4, 5):
+            q, r = euclid(v, c)
+            assert solver.model_value(path, T.div_(x, T.mk_int(c))) == q, (v, c)
+            assert solver.model_value(path, T.mod_(x, T.mk_int(c))) == r, (v, c)
+        nested = T.mod_(T.mod_(x, T.mk_int(4)), T.mk_int(2))
+        assert solver.model_value(path, nested) == euclid(euclid(v, 4)[1], 2)[1]
+    # over all x, not just at a point
+    assert solver.assert_entailed([], T.lt(T.mod_(x, T.mk_int(-3)), T.mk_int(3))).verdict == YES
+    half = T.div_(x, T.mk_int(2))
+    assert solver.assert_entailed([T.gt(x, T.ZERO)], T.le(half, x)).verdict == YES
+    res = solver.assert_entailed([], T.eq(T.mod_(x, T.mk_int(2)), T.ZERO))
+    assert (res.verdict, res.hint) == (NO, "x = 1, (x % 2) = 1")
+
+
+def test_equalities_are_solved_before_branching(monkeypatch):
+    z = T.mk_var("z", T.INT)
+    solved = []
+    solve = SV._solve_equalities
+    monkeypatch.setattr(SV, "_solve_equalities", lambda lits: solved.append(1) or solve(lits))
+    # the example of Pugh's Omega test paper: two equalities without a unit
+    # coefficient, and bounds
+    facts = [T.eq(T.add(T.scale(7, x), T.scale(12, y), T.scale(31, z)), T.mk_int(17)),
+             T.eq(T.add(T.scale(3, x), T.scale(5, y), T.scale(14, z)), T.mk_int(7)),
+             T.ge(x, T.ONE), T.le(x, T.mk_int(40)),
+             T.ge(y, T.mk_int(-50)), T.le(y, T.mk_int(50))]
+    sat, model, reason = _sat_conjunction(facts)
+    assert (sat, reason, set(model)) == (SAT, None, {x, y, z})
+    assert all(type(v) is int for v in model.values())
+    assert all(evaluate(f, model) for f in facts)
+    # 3x + 5y = 1 has no solution with 0 <= x <= 1
+    facts = [T.eq(T.add(T.scale(3, x), T.scale(5, y)), T.ONE), T.ge(x, T.ZERO), T.le(x, T.ONE)]
+    assert Solver().assert_entailed(facts, T.FALSE).verdict == YES
+    # 12x - 18y + 27z = 6: y is left free, and the model still names it
+    facts = [T.eq(T.add(T.scale(12, x), T.scale(-18, y), T.scale(27, z)), T.mk_int(6))]
+    sat, model, _ = _sat_conjunction(facts)
+    assert sat == SAT and set(model) == {x, y, z} and evaluate(facts[0], model)
+    assert len(solved) == 3

@@ -369,7 +369,7 @@ def test_same_slice_different_remainder_not_leaked_by_cache():
 
 
 def test_opaque_remainder_makes_sliced_no_unknown():
-    st = assumed(T.eq(gx, T.ONE), T.eq(T.mod_(gy, T.mk_int(2)), T.ONE))
+    st = assumed(T.eq(gx, T.ONE), T.eq(T.bitand(gy, T.ONE), T.ONE))
     res = make_ctx().entailed(st, T.eq(gx, T.mk_int(2)))
     assert res.verdict == "unknown" and res.hint is None
 
