@@ -18,7 +18,6 @@ treated as a single read or update constrained by the exit condition.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
 from typing import Optional
 
 from . import syntax as S
@@ -34,7 +33,7 @@ from .diagnostics import (
 from .frontend import GHOST, NA, CheckedProgram
 from .speclogic import (
     EAcc, EFieldEq, EPredAcc, EPure, EncAssertion, HeapLabel, InvariantTable,
-    LowerCtx, TO_DOWN, TO_TMP, TO_UP, WILDCARD, estar, lower, relabel,
+    FULL, LowerCtx, TO_DOWN, TO_TMP, TO_UP, WILDCARD, estar, lower, relabel,
     substitute, enc_labels, FIELD_ACQ, FIELD_INIT, FIELD_REL, FIELD_VAL,
 )
 from .syntax import Span, NO_SPAN
@@ -303,8 +302,8 @@ def encode_block(stmts: list, ctx: EncodeCtx) -> list:
 
 def _alloc_nonatomic(var: str, ghost: bool, span: Span, ctx: EncodeCtx) -> list:
     uninit = estar([
-        EAcc(var, FIELD_VAL, Fraction(1), span=span),
-        EAcc(var, FIELD_INIT, Fraction(1), span=span),
+        EAcc(var, FIELD_VAL, FULL, span=span),
+        EAcc(var, FIELD_INIT, FULL, span=span),
         EFieldEq(var, FIELD_INIT, S.FALSE_E, span=span),
     ])
     rule = "ghost allocation" if ghost else "non-atomic allocation"
@@ -325,12 +324,12 @@ def _alloc_atomic(st: S.SAllocAtomic, ctx: EncodeCtx) -> list:
 
 def _nonatomic_write(st: S.SWrite, ctx: EncodeCtx) -> list:
     full = estar([
-        EAcc(st.loc, FIELD_VAL, Fraction(1), span=st.span),
-        EAcc(st.loc, FIELD_INIT, Fraction(1), span=st.span),
+        EAcc(st.loc, FIELD_VAL, FULL, span=st.span),
+        EAcc(st.loc, FIELD_INIT, FULL, span=st.span),
     ])
     after = estar([
-        EAcc(st.loc, FIELD_VAL, Fraction(1), span=st.span),
-        EAcc(st.loc, FIELD_INIT, Fraction(1), span=st.span),
+        EAcc(st.loc, FIELD_VAL, FULL, span=st.span),
+        EAcc(st.loc, FIELD_INIT, FULL, span=st.span),
         EFieldEq(st.loc, FIELD_VAL, st.value, span=st.span),
         EFieldEq(st.loc, FIELD_INIT, S.TRUE_E, span=st.span),
     ])
@@ -460,9 +459,9 @@ def _rewrite(st: S.SRewrite, ctx: EncodeCtx) -> list:
         Exhale(new_at, rule, kind=REWRITE_NOT_JUSTIFIED, span=st.span),
         KillBranch(st.span),
     ]
-    old_insts = estar([EPredAcc(st.loc, i, Fraction(1), vals_empty=True, span=st.span)
+    old_insts = estar([EPredAcc(st.loc, i, FULL, vals_empty=True, span=st.span)
                        for i in ctx.table.conjuncts(st.old)])
-    new_insts = estar([EPredAcc(st.loc, i, Fraction(1), vals_empty=True, span=st.span)
+    new_insts = estar([EPredAcc(st.loc, i, FULL, vals_empty=True, span=st.span)
                        for i in ctx.table.conjuncts(st.new)])
     return [
         AssertCheck(estar([EAcc(st.loc, FIELD_ACQ, WILDCARD, span=st.span),
@@ -652,8 +651,8 @@ def _free(st: S.SFree, ctx: EncodeCtx) -> list:
         raise UnsupportedFeature("free is modelled for non-atomic and ghost "
                                  "locations only", st.span)
     full = estar([
-        EAcc(st.var, FIELD_VAL, Fraction(1), span=st.span),
-        EAcc(st.var, FIELD_INIT, Fraction(1), span=st.span),
+        EAcc(st.var, FIELD_VAL, FULL, span=st.span),
+        EAcc(st.var, FIELD_INIT, FULL, span=st.span),
     ])
     return [Exhale(full, rule="free", kind=INSUFFICIENT_PERMISSION, span=st.span)]
 

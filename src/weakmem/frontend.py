@@ -62,55 +62,67 @@ UNKNOWN = "unknown"
 
 LOCATION_CLASSES = (NA, ACQ, RMW, GHOST, ATOMIC)
 
+# Bounds on the input, reported as syntax errors.  An integer literal has at
+# most MAX_INT_DIGITS digits.  Nesting is at most MAX_NESTING levels deep:
+# each enclosing block, parenthesis, unary operator, `==>`, `?`, `Up` and
+# `Down` is a level, and an expression adds the height of its tree, so each
+# operator of `1 + 1 + 1` is one more.  The parser and every later walk of
+# the trees recurse on nesting; the bound keeps them within Python's
+# recursion limit.
+MAX_INT_DIGITS = 1000
+MAX_NESTING = 100
+
 
 # ---------------------------------------------------------------------------
 # Lexer
 # ---------------------------------------------------------------------------
 
-# One alternative per token class, tried in order at each position.  Comments
-# come before the `/` operator, and longer operators before their prefixes.
-# Names and integers are ASCII; any other character is a `bad` token.
+# One match per token: the blanks and comments before it, then one
+# alternative per token class, tried in order.  Longer operators come before
+# their prefixes.  Names and integers are ASCII; any other character is a
+# `bad` token.  The last match is the blanks and comments before the end.
 _TOKEN_RE = re.compile(r"""
-    (?P<skip>[ \t\r]+|//[^\n]*)
-  | (?P<newline>\n)
-  | (?P<name>[A-Za-z][A-Za-z0-9_]*|_[A-Za-z0-9_]+)
-  | (?P<int>[0-9]+)
-  | (?P<punct>==>|\|->|:=|==|!=|<=|>=|<<|>>|&&|\|\||[(){}\[\],;@?:+\-*/%&|^!<>=_])
-  | (?P<bad>.)
+    [ \t\r\n]*(?://[^\n]*[ \t\r\n]*)*
+    (?:(?P<name>[A-Za-z][A-Za-z0-9_]*|_[A-Za-z0-9_]+)
+      | (?P<int>[0-9]+)
+      | (?P<punct>==>|\|->|:=|==|!=|<=|>=|<<|>>|&&|\|\||[(){}\[\],;@?:+\-*/%&|^!<>=_])
+      | (?P<bad>.)
+      | \Z)
 """, re.VERBOSE)
 
+# A token is a plain tuple (kind, text, line, col), kind one of name, int,
+# punct and eof; these name its fields.
+KIND, TEXT, LINE, COL = range(4)
+Token = tuple[str, str, int, int]
 
-@dataclass
-class Token:
-    kind: str   # name | int | punct | eof
-    text: str
-    line: int
-    col: int
 
-    @property
-    def span(self) -> Span:
-        return Span(self.line, self.col, self.line, self.col + len(self.text))
+def token_span(t: Token) -> Span:
+    _, text, line, col = t
+    return Span(line, col, line, col + len(text))
 
 
 def tokenize(source: str) -> tuple[list[Token], list[Diagnostic]]:
+    """The tokens of `source`, then an eof token; and the unexpected characters."""
     toks: list[Token] = []
     diags: list[Diagnostic] = []
-    line, line_start = 1, 0
+    lines = source.split("\n")          # not splitlines(), which also splits at \r
+    line, line_start, next_line_start = 1, 0, len(lines[0]) + 1
     for m in _TOKEN_RE.finditer(source):
         kind = m.lastgroup
-        if kind == "skip":
-            continue
-        if kind == "newline":
+        if kind is None:                # the end of the input
+            break
+        start = m.start(kind)
+        while start >= next_line_start:
+            line_start = next_line_start
+            next_line_start += len(lines[line]) + 1
             line += 1
-            line_start = m.end()
-            continue
-        col = m.start() - line_start + 1
+        col = start - line_start + 1
         if kind == "bad":
             diags.append(Diagnostic(SYNTAX_ERROR, Span(line, col, line, col + 1),
-                                    message=f"unexpected character {m.group()!r}"))
+                                    message=f"unexpected character {m[kind]!r}"))
         else:
-            toks.append(Token(kind, m.group(), line, col))
-    toks.append(Token("eof", "", line, len(source) - line_start + 1))
+            toks.append((kind, m[kind], line, col))
+    toks.append(("eof", "", len(lines), len(lines[-1]) + 1))
     return toks, diags
 
 
@@ -148,19 +160,20 @@ class Parser:
         self.pos = 0
         self.tok = self.toks[0]   # the current token, self.toks[self.pos]
         self.defines: dict[str, _Define] = {}
+        self.depth = 0      # the nesting of the current position
         self.inv_param: Optional[str] = None  # active invariant-declaration parameter
 
     # -- token helpers ------------------------------------------------------
 
     def next(self) -> Token:
         t = self.tok
-        if t.kind != "eof":
+        if t[KIND] != "eof":
             self.pos += 1
             self.tok = self.toks[self.pos]
         return t
 
     def at(self, text: str) -> bool:
-        return self.tok.text == text
+        return self.tok[TEXT] == text
 
     def accept(self, text: str) -> Optional[Token]:
         if self.at(text):
@@ -172,29 +185,35 @@ class Parser:
             return self.next()
         raise self._error(f"expected {text!r}, found {self._found()}")
 
-    def expect_name(self) -> Token:
-        if self.tok.kind != "name":
+    def expect_name(self) -> str:
+        if self.tok[KIND] != "name":
             raise self._error(f"expected a name, found {self._found()}")
-        return self.next()
+        return self.next()[TEXT]
 
     def _found(self) -> str:
-        return repr(self.tok.text) if self.tok.text else "end of input"
+        return repr(self.tok[TEXT]) if self.tok[TEXT] else "end of input"
 
     def _error(self, msg: str, span: Optional[Span] = None) -> _ParseError:
-        return _ParseError(Diagnostic(SYNTAX_ERROR, span or self.tok.span, message=msg))
+        return _ParseError(Diagnostic(SYNTAX_ERROR, span or token_span(self.tok), message=msg))
+
+    def _nest(self) -> None:
+        """Go one level deeper; the caller comes back with ``self.depth -= 1``."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise self._error(f"nesting deeper than {MAX_NESTING} levels")
 
     def _sync_stmt(self) -> None:
         depth = 0
         while True:
             t = self.tok
-            if t.kind == "eof":
+            if t[KIND] == "eof":
                 return
-            if t.text == ";" and depth == 0:
+            if t[TEXT] == ";" and depth == 0:
                 self.next()
                 return
-            if t.text == "{":
+            if t[TEXT] == "{":
                 depth += 1
-            elif t.text == "}":
+            elif t[TEXT] == "}":
                 if depth == 0:
                     return
                 depth -= 1
@@ -204,7 +223,7 @@ class Parser:
 
     def parse_program(self) -> S.Program:
         prog = S.Program()
-        while self.tok.kind != "eof":
+        while self.tok[KIND] != "eof":
             try:
                 if self.at("invariant"):
                     self._parse_invariant_decl(prog)
@@ -214,9 +233,10 @@ class Parser:
                     prog.procedures.append(self._parse_proc())
                 else:
                     raise self._error(
-                        f"expected 'invariant', 'define' or 'proc', found {self.tok.text!r}")
+                        f"expected 'invariant', 'define' or 'proc', found {self.tok[TEXT]!r}")
             except _ParseError as e:
                 self.diags.append(e.diag)
+                self.depth = 0
                 self._sync_stmt()
                 self.accept("}")
         self._check_duplicates(prog)
@@ -240,7 +260,7 @@ class Parser:
 
     def _parse_invariant_decl(self, prog: S.Program) -> None:
         start = self.expect("invariant")
-        name = self.expect_name().text
+        name = self.expect_name()
         param = self._paren_name()
         self.expect("=")
         self.inv_param = param
@@ -250,15 +270,15 @@ class Parser:
             self.inv_param = None
         self.expect(";")
         prog.invariants.append(S.InvariantDecl(
-            name=name, param=param, body=body, span=start.span))
+            name=name, param=param, body=body, span=token_span(start)))
 
     def _parse_define(self) -> None:
         self.expect("define")
-        name = self.expect_name().text
+        name = self.expect_name()
         params: list[str] = []
         if self.accept("("):
             while not self.at(")"):
-                params.append(self.expect_name().text)
+                params.append(self.expect_name())
                 if not self.accept(","):
                     break
             self.expect(")")
@@ -269,7 +289,7 @@ class Parser:
 
     def _parse_proc(self) -> S.Procedure:
         start = self.expect("proc")
-        name = self.expect_name().text
+        name = self.expect_name()
         self.expect("(")
         params = self._parse_params()
         self.expect(")")
@@ -282,13 +302,13 @@ class Parser:
         body = self._parse_block()
         return S.Procedure(name=name, params=params, returns=returns,
                            pre=pre, post=post, body=body,
-                           has_spec=has_spec, span=start.span)
+                           has_spec=has_spec, span=token_span(start))
 
     def _parse_params(self) -> list[S.Param]:
         out: list[S.Param] = []
-        while self.tok.kind == "name":
+        while self.tok[KIND] == "name":
             ghost = bool(self.accept("ghost"))
-            out.append(S.Param(self.expect_name().text, ghost))
+            out.append(S.Param(self.expect_name(), ghost))
             if not self.accept(","):
                 break
         return out
@@ -307,22 +327,27 @@ class Parser:
         return pre, post, True
 
     def _parse_block(self) -> list[S.Stmt]:
+        if self.at("{"):
+            self._nest()
         self.expect("{")
+        depth = self.depth
         stmts: list[S.Stmt] = []
-        while not self.at("}") and self.tok.kind != "eof":
+        while not self.at("}") and self.tok[KIND] != "eof":
             try:
                 stmts.append(self.parse_stmt())
             except _ParseError as e:
                 self.diags.append(e.diag)
+                self.depth = depth
                 self._sync_stmt()
         self.expect("}")
+        self.depth -= 1
         return stmts
 
     # -- statements -----------------------------------------------------------
 
     def parse_stmt(self) -> S.Stmt:
         t = self.tok
-        text = t.text
+        text = t[TEXT]
         if text in _VAR_STMTS:
             self.next()
             var = self._paren_name()
@@ -355,30 +380,30 @@ class Parser:
             return self._parse_par()
         if text == "call":
             self.next()
-            callee = self.expect_name().text
+            callee = self.expect_name()
             args = self._parse_args()
             end = self.expect(";")
             return S.SCall(target=None, callee=callee, args=args, span=self._span(t, end))
         if text == "[":
             return self._parse_write()
-        if t.kind == "name":
+        if t[KIND] == "name":
             return self._parse_assign_like()
         raise self._error(f"expected a statement, found {text!r}")
 
     def _span(self, start: Token, end: Token) -> Span:
-        return Span(start.line, start.col, end.line, end.col + len(end.text))
+        return Span(start[LINE], start[COL], end[LINE], end[COL] + len(end[TEXT]))
 
     def _paren_name(self) -> str:
         """``( NAME )``: the name."""
         self.expect("(")
-        name = self.expect_name().text
+        name = self.expect_name()
         self.expect(")")
         return name
 
     def _paren_loc_inv(self) -> tuple[str, S.InvRef]:
         """``( NAME , invref )``: the name and the invariant reference."""
         self.expect("(")
-        loc = self.expect_name().text
+        loc = self.expect_name()
         self.expect(",")
         inv = self._parse_invref()
         self.expect(")")
@@ -387,18 +412,18 @@ class Parser:
     def _parse_access(self, allowed: tuple[str, ...], what: str) -> tuple[str, str]:
         """``[ NAME ] _mode``: the location and the mode, which must be allowed."""
         self.expect("[")
-        loc = self.expect_name().text
+        loc = self.expect_name()
         self.expect("]")
         t = self.tok
-        if t.kind == "name" and t.text.startswith("_"):
-            mode = t.text[1:]
+        if t[KIND] == "name" and t[TEXT].startswith("_"):
+            mode = t[TEXT][1:]
             if mode in allowed:
                 self.next()
                 return loc, mode
             raise self._error(
                 f"{what} mode '_{mode}' is not allowed; expected one of "
-                + ", ".join("_" + m for m in allowed), t.span)
-        raise self._error("expected an access mode suffix after ']'", t.span)
+                + ", ".join("_" + m for m in allowed), token_span(t))
+        raise self._error("expected an access mode suffix after ']'", token_span(t))
 
     def _parse_write(self) -> S.Stmt:
         start = self.tok
@@ -409,27 +434,27 @@ class Parser:
         return S.SWrite(mode=mode, loc=loc, value=value, span=self._span(start, end))
 
     def _parse_assign_like(self) -> S.Stmt:
-        start = self.expect_name()
-        target = start.text
+        start = self.tok
+        target = self.expect_name()
         self.expect(":=")
         t = self.tok
-        if t.text == "[":
+        if t[TEXT] == "[":
             loc, mode = self._parse_access(READ_MODES, "read")
             end = self.expect(";")
             return S.SRead(mode=mode, target=target, loc=loc, span=self._span(start, end))
-        if t.kind == "name" and t.text.startswith("CAS_"):
+        if t[KIND] == "name" and t[TEXT].startswith("CAS_"):
             tau, loc, (expected, newval) = self._parse_rmw(2)
             end = self.expect(";")
             return S.SCas(target=target, tau=tau, loc=loc, expected=expected,
                           newval=newval, span=self._span(start, end))
-        if t.kind == "name" and t.text.startswith("FAA_"):
+        if t[KIND] == "name" and t[TEXT].startswith("FAA_"):
             tau, loc, (delta,) = self._parse_rmw(1)
             end = self.expect(";")
             return S.SFaa(target=target, tau=tau, loc=loc, delta=delta,
                           span=self._span(start, end))
-        if t.text == "call":
+        if t[TEXT] == "call":
             self.next()
-            callee = self.expect_name().text
+            callee = self.expect_name()
             args = self._parse_args()
             end = self.expect(";")
             return S.SCall(target=target, callee=callee, args=args,
@@ -442,12 +467,12 @@ class Parser:
         """``CAS_tau(NAME, expr, expr)`` or ``FAA_tau(NAME, expr)``: the mode
         ``tau``, the location and the ``nargs`` expressions."""
         t = self.tok
-        tau = t.text.split("_", 1)[1]
+        tau = t[TEXT].split("_", 1)[1]
         if tau not in CAS_MODES:
-            raise self._error(f"unknown atomic update mode {t.text!r}", t.span)
+            raise self._error(f"unknown atomic update mode {t[TEXT]!r}", token_span(t))
         self.next()
         self.expect("(")
-        loc = self.expect_name().text
+        loc = self.expect_name()
         args: list[S.Expr] = []
         for _ in range(nargs):
             self.expect(",")
@@ -475,7 +500,7 @@ class Parser:
         end = self.expect(";")
         if loc2 != loc:
             raise self._error(f"rewrite must target one location, got {loc!r} and {loc2!r}",
-                              start.span)
+                              token_span(start))
         return S.SRewrite(loc=loc, old=old, new=new, span=self._span(start, end))
 
     def _parse_while(self) -> S.Stmt:
@@ -499,11 +524,11 @@ class Parser:
 
     def _parse_loop_cond(self) -> S.LoopCond:
         t = self.tok
-        if t.text == "[":
+        if t[TEXT] == "[":
             loc, mode = self._parse_access(READ_MODES, "read")
             op = self._parse_cmp_op()
             return S.LoopCond(kind="read", mode=mode, loc=loc, op=op, rhs=self.parse_expr())
-        if t.kind == "name" and t.text.startswith("CAS_"):
+        if t[KIND] == "name" and t[TEXT].startswith("CAS_"):
             tau, loc, (expected, newval) = self._parse_rmw(2)
             op = self._parse_cmp_op()
             return S.LoopCond(kind="cas", mode=tau, loc=loc, op=op, rhs=self.parse_expr(),
@@ -511,8 +536,8 @@ class Parser:
         return S.LoopCond(kind="pure", expr=self.parse_expr())
 
     def _parse_cmp_op(self) -> str:
-        if S.PREC.get(self.tok.text) == S.CMP_PREC:
-            return self.next().text
+        if S.PREC.get(self.tok[TEXT]) == S.CMP_PREC:
+            return self.next()[TEXT]
         raise self._error("expected a comparison operator")
 
     def _parse_if(self) -> S.Stmt:
@@ -536,16 +561,16 @@ class Parser:
             pre, post, has_spec = self._parse_spec()
             body = self._parse_block()
             threads.append(S.Thread(pre=pre, post=post, body=body,
-                                    has_spec=has_spec, span=tstart.span))
+                                    has_spec=has_spec, span=token_span(tstart)))
         end = self.expect("}")
         if not threads:
-            raise self._error("par block needs at least one thread", start.span)
+            raise self._error("par block needs at least one thread", token_span(start))
         return S.SPar(threads=threads, span=self._span(start, end))
 
     def _parse_invref(self) -> S.InvRef:
-        names = [self.expect_name().text]
+        names = [self.expect_name()]
         while self.accept("&&"):
-            names.append(self.expect_name().text)
+            names.append(self.expect_name())
         return tuple(names)
 
     # -- assertions -----------------------------------------------------------
@@ -558,85 +583,100 @@ class Parser:
 
     def _parse_assertion_term(self) -> S.Assertion:
         t = self.tok
-        text = t.text
+        kind, text, _, _ = t
+        span = token_span(t)
         if text in _LOC_ASSERTIONS:
             self.next()
-            return _LOC_ASSERTIONS[text](loc=self._paren_name(), span=t.span)
+            return _LOC_ASSERTIONS[text](loc=self._paren_name(), span=span)
         if text in _INV_ASSERTIONS:
             self.next()
             loc, inv = self._paren_loc_inv()
-            return _INV_ASSERTIONS[text](loc=loc, inv=inv, span=t.span)
+            return _INV_ASSERTIONS[text](loc=loc, inv=inv, span=span)
         if text in ("Up", "Down"):
+            self._nest()
             self.next()
             self.expect("(")
             body = self.parse_assertion()
             self.expect(")")
-            return (S.AUp if text == "Up" else S.ADown)(body=body, span=t.span)
+            self.depth -= 1
+            return (S.AUp if text == "Up" else S.ADown)(body=body, span=span)
         if text == "(":
             start = self.pos
+            self._nest()
             self.next()
             inner = self.parse_assertion()
+            self.depth -= 1
             parts = inner.parts if isinstance(inner, S.AStar) else (inner,)
             if all(isinstance(p, S.APure) for p in parts) and (
                     self.at("||") or len(parts) > 1 and self.at(")")
-                    and _extends_fact(self.toks[self.pos + 1].text)):
+                    and _extends_fact(self.toks[self.pos + 1][TEXT])):
                 # "(a || b)", "(a && b) ==> c": pure facts in parentheses have
                 # the full expression grammar, so read them again as one
                 # expression when they are not a star on their own
                 self.pos, self.tok = start, t
-                pure = S.APure(expr=self.parse_expr(no_bool=True), span=t.span)
-                return self._pure_tail(pure, t.span)
+                pure = S.APure(expr=self.parse_expr(no_bool=True), span=span)
+                return self._pure_tail(pure, span)
             self.expect(")")
             if not isinstance(inner, S.APure):
                 return inner
             # "(e) == e2" and friends: the parentheses belonged to a pure
             # expression, so keep parsing at the expression level
-            expr = self._parse_binary(inner.expr, S.CMP_PREC)
+            expr, _ = self._parse_binary(S.CMP_PREC, inner.expr, _height(inner.expr))
             if expr is not inner.expr:
-                inner = S.APure(expr=expr, span=t.span)
-            return self._pure_tail(inner, t.span)
-        if t.kind == "name" and self.toks[self.pos + 1].text == "|->":
+                inner = S.APure(expr=expr, span=span)
+            return self._pure_tail(inner, span)
+        if kind == "name" and self.toks[self.pos + 1][TEXT] == "|->":
             self.next()
             self.next()
             value = S.EAny() if self.accept("_") else self.parse_expr(no_bool=True)
             frac = self.parse_expr(no_bool=True) if self.accept("@") else None
-            return S.APointsTo(loc=text, value=value, frac=frac, span=t.span)
-        if t.kind == "name" and text in self.defines:
-            return self._expand_define(t)
-        return self._pure_tail(S.APure(expr=self.parse_expr(no_bool=True), span=t.span), t.span)
+            return S.APointsTo(loc=text, value=value, frac=frac, span=span)
+        if kind == "name" and text in self.defines:
+            return self._expand_define(text, span)
+        return self._pure_tail(S.APure(expr=self.parse_expr(no_bool=True), span=span), span)
 
     def _pure_tail(self, pure: S.APure, span: Span) -> S.Assertion:
         """``pure ==> aterm``, ``pure ? aterm : aterm``, or ``pure`` alone."""
-        if self.accept("==>"):
-            return S.AImplies(cond=pure.expr, body=self._parse_assertion_term(), span=span)
-        if self.accept("?"):
+        if self.at("==>"):
+            self._nest()
+            self.next()
+            body = self._parse_assertion_term()
+            self.depth -= 1
+            return S.AImplies(cond=pure.expr, body=body, span=span)
+        if self.at("?"):
+            self._nest()
+            self.next()
             then = self._parse_assertion_term()
             self.expect(":")
-            return S.ACond(cond=pure.expr, then=then, els=self._parse_assertion_term(),
-                           span=span)
+            els = self._parse_assertion_term()
+            self.depth -= 1
+            return S.ACond(cond=pure.expr, then=then, els=els, span=span)
         return pure
 
-    def _expand_define(self, t: Token) -> S.Assertion:
+    def _expand_define(self, name: str, span: Span) -> S.Assertion:
         self.next()
-        d = self.defines[t.text]
+        d = self.defines[name]
         args: list[S.Expr] = []
         if d.params:
             args = self._parse_args()
         if len(args) != len(d.params):
             raise self._error(
-                f"macro {t.text!r} expects {len(d.params)} argument(s), got {len(args)}",
-                t.span)
+                f"macro {name!r} expects {len(d.params)} argument(s), got {len(args)}",
+                span)
         try:
             body = S.subst_assertion(d.body, dict(zip(d.params, args)))
         except ValueError as exc:
-            raise self._error(str(exc), t.span)
+            raise self._error(str(exc), span)
+        if self.depth + _height(body) > MAX_NESTING:
+            raise self._error(f"macro {name!r} expands deeper than {MAX_NESTING} levels",
+                              span)
         def at_use(n):
             # diagnostics about the expansion point at its use, not at the
             # define; and a pure fact that an argument made a top-level `&&`
             # is a star of facts, as if the argument had been written in place
-            n = replace(n, span=t.span)
+            n = replace(n, span=span)
             if isinstance(n, S.APure) and isinstance(n.expr, S.EBin) and n.expr.op == "&&":
-                return S.star([at_use(S.APure(expr=e, span=t.span))
+                return S.star([at_use(S.APure(expr=e, span=span))
                                for e in (n.expr.left, n.expr.right)])
             return S.star(n.parts) if isinstance(n, S.AStar) else n
 
@@ -648,45 +688,80 @@ class Parser:
         """An expression; with ``no_bool``, one whose top level has no ``&&``
         or ``||``, since in an assertion ``&&`` is the separating conjunction.
         Inside parentheses the full grammar is available either way."""
-        return self._parse_binary(self._parse_unary(), S.CMP_PREC if no_bool else 1)
+        return self._parse_binary(S.CMP_PREC if no_bool else 1)[0]
 
-    def _parse_binary(self, lhs: S.Expr, min_prec: int) -> S.Expr:
-        """Precedence climbing over ``S.PREC`` (Norvell): extend ``lhs`` with
-        every operator that binds at least ``min_prec``.  After an operator of
-        level p only levels up to p may follow here (tighter ones went to the
-        recursive call), and after a comparison only looser ones, so that
-        comparisons do not chain."""
+    def _parse_binary(self, min_prec: int, lhs: Optional[S.Expr] = None,
+                      height: int = 0) -> tuple[S.Expr, int]:
+        """Precedence climbing over ``S.PREC`` (Norvell): extend ``lhs``, of
+        the given height, or else the next operand, with every operator that
+        binds at least ``min_prec``.  After an operator of level p only levels
+        up to p may follow here (tighter ones went to the recursive call), and
+        after a comparison only looser ones, so that comparisons do not
+        chain.  Returns the expression and its height."""
+        if lhs is None:
+            lhs, height = self._parse_unary()
         max_prec = float("inf")
         while True:
-            op = self.tok.text
+            t = self.tok
+            op = t[TEXT]
             p = S.PREC.get(op, 0)
             if not min_prec <= p <= max_prec:
-                return lhs
+                return lhs, height
             self.next()
-            lhs = S.EBin(op, lhs, self._parse_binary(self._parse_unary(), p + 1))
+            rhs, rhs_height = self._parse_binary(p + 1)
+            lhs = S.EBin(op, lhs, rhs)
+            height = (height if height > rhs_height else rhs_height) + 1
+            if self.depth + height > MAX_NESTING:
+                raise self._error(f"nesting deeper than {MAX_NESTING} levels", token_span(t))
             max_prec = p - 1 if p == S.CMP_PREC else p
 
-    def _parse_unary(self) -> S.Expr:
-        t = self.tok
-        if t.kind == "int":
+    def _parse_unary(self) -> tuple[S.Expr, int]:
+        """An operand and its height."""
+        kind, text, _, _ = self.tok
+        if kind == "int":
+            if len(text) > MAX_INT_DIGITS:
+                raise self._error(f"integer literal longer than {MAX_INT_DIGITS} digits")
             self.next()
-            return S.EInt(int(t.text))
-        if t.kind == "name":
+            return S.EInt(int(text)), 0
+        if kind == "name":
             self.next()
-            if t.text in ("true", "false"):
-                return S.EBool(t.text == "true")
-            if t.text == self.inv_param:
-                return S.EInvVal()
-            return S.EVar(t.text)
-        if t.text in ("-", "!"):
+            if text in ("true", "false"):
+                return S.EBool(text == "true"), 0
+            return (S.EInvVal() if text == self.inv_param else S.EVar(text)), 0
+        if text in ("-", "!"):
+            self._nest()
             self.next()
-            return S.EUn(t.text, self._parse_unary())
-        if t.text == "(":
+            operand, height = self._parse_unary()
+            e, height = S.EUn(text, operand), height + 1
+        elif text == "(":
+            self._nest()
             self.next()
-            e = self.parse_expr()
+            e, height = self._parse_binary(1)
             self.expect(")")
-            return e
-        raise self._error(f"expected an expression, found {t.text!r}")
+        else:
+            raise self._error(f"expected an expression, found {text!r}")
+        self.depth -= 1
+        return e, height
+
+
+def _height(a) -> int:
+    """The height of an assertion or expression tree, expressions included:
+    a leaf has height 0."""
+    height, stack = 0, [(a, 0)]
+    while stack:
+        x, level = stack.pop()
+        height = max(height, level)
+        if isinstance(x, S.EBin):
+            subs = (x.left, x.right)
+        elif isinstance(x, S.EUn):
+            subs = (x.operand,)
+        elif isinstance(x, S.Expr):
+            subs = ()
+        else:
+            exprs = (getattr(x, f, None) for f in ("expr", "cond", "value", "frac"))
+            subs = S.sub_assertions(x) + tuple(e for e in exprs if e is not None)
+        stack += [(y, level + 1) for y in subs]
+    return height
 
 
 def parse(source: str) -> tuple[S.Program, list[Diagnostic]]:
@@ -711,12 +786,6 @@ _LOC_USE = {S.APointsTo: "owns", S.AUninit: "owns", S.AInit: "atomic_use",
 class _Evidence:
     alloc: dict[str, Span] = field(default_factory=dict)   # alloc tag -> first span
     uses: dict[str, Span] = field(default_factory=dict)    # use tag -> first span
-
-    def add_alloc(self, tag: str, span: Span) -> None:
-        self.alloc.setdefault(tag, span)
-
-    def add_use(self, tag: str, span: Span) -> None:
-        self.uses.setdefault(tag, span)
 
 
 @dataclass(frozen=True)
@@ -808,7 +877,7 @@ class _Classifier:
                         tag = self._class_use_tag(resolved[callee.name].get(formal, UNKNOWN))
                         ev = evidence[name][var]
                         if tag and tag not in ev.uses:
-                            ev.add_use(tag, st.span)
+                            ev.uses[tag] = st.span
                             changed = True
 
     @staticmethod
@@ -828,18 +897,20 @@ class _Classifier:
         declared = {p.name for p in proc.params + proc.returns}
 
         def E(var: str) -> _Evidence:
-            return ev.setdefault(var, _Evidence())
+            e = ev.get(var)
+            return e if e is not None else ev.setdefault(var, _Evidence())
 
         def use(var: str, tag: Optional[str], span: Span, shallow: bool = True) -> None:
             e = E(var)
             if tag:
-                e.add_use(tag, span)
+                e.uses.setdefault(tag, span)
             if shallow:
                 uses.add(var)
 
         def expr_use(e: S.Expr, span: Span, shallow: bool = True) -> None:
-            for v in sorted(S.expr_vars(e)):
-                use(v, "int_use", span, shallow)
+            for x in S.walk_expr(e):
+                if isinstance(x, S.EVar):
+                    use(x.name, "int_use", span, shallow)
 
         def assertion_use(a: S.Assertion, span: Span, seen_invs: frozenset = frozenset()) -> None:
             # an annotation itself, not an invariant body it names
@@ -894,14 +965,14 @@ class _Classifier:
 
         def stmt(st: S.Stmt) -> None:
             if isinstance(st, S.SAllocNa):
-                E(st.var).add_alloc("alloc_na", st.span)
+                E(st.var).alloc.setdefault("alloc_na", st.span)
                 bind(st.var, None, st.span)
             elif isinstance(st, S.SAllocAtomic):
-                E(st.var).add_alloc("alloc_acq" if st.kind == "acq" else "alloc_rmw", st.span)
+                E(st.var).alloc.setdefault("alloc_" + st.kind, st.span)
                 bind(st.var, None, st.span)
                 inv_site(st.inv, st.span)
             elif isinstance(st, S.SGhostAlloc):
-                E(st.var).add_alloc("alloc_ghost", st.span)
+                E(st.var).alloc.setdefault("alloc_ghost", st.span)
                 bind(st.var, None, st.span)
             elif isinstance(st, S.SWrite):
                 use(st.loc, "na_access" if st.mode == "na" else "atomic_use", st.span)
@@ -968,7 +1039,7 @@ class _Classifier:
         for p in proc.params + proc.returns:
             E(p.name)
             if p.ghost:
-                E(p.name).add_alloc("alloc_ghost", proc.span)
+                E(p.name).alloc.setdefault("alloc_ghost", proc.span)
         if proc.pre is not None:
             assertion_use(proc.pre, proc.span)
             # logical variables bound by the precondition are in scope

@@ -158,6 +158,7 @@ def substitute(q: S.Assertion, value: S.Expr) -> S.Assertion:
 # ---------------------------------------------------------------------------
 
 WILDCARD = "wildcard"
+FULL = Fraction(1)   # the whole permission to a field or a predicate instance
 
 PermSpec = Union[Fraction, str]  # exact amount, or the WILDCARD marker
 
@@ -196,7 +197,7 @@ class EPredAcc:
     """An AcqConjunct instance for one invariant conjunct."""
     loc: str
     idx: int
-    perm: PermSpec          # Fraction(1) for acquire mode, WILDCARD for RMW
+    perm: PermSpec          # FULL for acquire mode, WILDCARD for RMW
     label: HeapLabel = HeapLabel.REAL
     vals_empty: bool = False   # assert/assume the values-read snapshot is empty
     span: Span = NO_SPAN
@@ -275,8 +276,8 @@ def lower(a: S.Assertion, ctx: LowerCtx, label: HeapLabel = HeapLabel.REAL) -> E
     if isinstance(a, S.AUninit):
         lbl = _loc_label(a.loc, label, ctx)
         return estar([
-            EAcc(a.loc, FIELD_VAL, Fraction(1), lbl, a.span),
-            EAcc(a.loc, FIELD_INIT, Fraction(1), lbl, a.span),
+            EAcc(a.loc, FIELD_VAL, FULL, lbl, a.span),
+            EAcc(a.loc, FIELD_INIT, FULL, lbl, a.span),
             EFieldEq(a.loc, FIELD_INIT, S.FALSE_E, lbl, a.span),
         ])
     if isinstance(a, S.AInit):
@@ -295,7 +296,7 @@ def lower(a: S.Assertion, ctx: LowerCtx, label: HeapLabel = HeapLabel.REAL) -> E
             EFieldEq(a.loc, FIELD_ACQ, S.TRUE_E, lbl, a.span),
         ]
         for i in ctx.table.conjuncts(a.inv):
-            parts.append(EPredAcc(a.loc, i, Fraction(1), lbl, vals_empty=True, span=a.span))
+            parts.append(EPredAcc(a.loc, i, FULL, lbl, vals_empty=True, span=a.span))
         return estar(parts)
     if isinstance(a, S.ARMWAcq):
         lbl = _loc_label(a.loc, label, ctx)
@@ -335,7 +336,7 @@ def _shift(current: HeapLabel, target: HeapLabel, span: Span) -> HeapLabel:
 
 def _perm_of(frac: Optional[S.Expr], span: Span) -> PermSpec:
     if frac is None:
-        return Fraction(1)
+        return FULL
     k = const_fraction(frac)
     if k is None:
         raise UnsupportedFeature(

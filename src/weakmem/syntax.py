@@ -18,11 +18,12 @@ The assertion walkers at the end serve both this tree and the encoded one in
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 
-@dataclass(frozen=True)
-class Span:
+class Span(NamedTuple):
+    """A source range.  A named tuple: the parser makes one per statement,
+    and a tuple costs about half as much to build as a frozen dataclass."""
     line: int = 0
     col: int = 0
     end_line: int = 0

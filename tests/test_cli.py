@@ -45,6 +45,14 @@ MALFORMED = {
     # digits outside ASCII are not integers
     "superscript-digit": "proc main() { x := ²; }",
     "arabic-indic-digits": "proc main() { x := ١٢; }",
+    # past Python's 4300-digit limit for int(str) on 3.11 and later
+    "long-integer": "proc main() { x := " + "9" * 5000 + "; }",
+    # nesting past the parser's bound, which every later walk relies on
+    "deep-parentheses": "proc main() { x := " + "(" * 600 + "1" + ")" * 600 + "; }",
+    "deep-if": "proc main() { " + "if (true) { " * 330 + "skip;" + " }" * 330 + " }",
+    "deep-implies": "proc main(x) requires { " + "x == 1 ==> " * 300 + "true } "
+                    "ensures { true } { skip; }",
+    "long-sum": "proc main() { x := " + " + ".join(["1"] * 1500) + "; }",
 }
 
 

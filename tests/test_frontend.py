@@ -135,6 +135,39 @@ def test_round_trip_disjunctive_pure_fact(fact):
 # Lexing and expression grammar
 # ---------------------------------------------------------------------------
 
+# Token streams, eof included, and the characters reported as unexpected.
+# Only `\n` starts a line: `\r` is a blank, and `\x0c` and `\u2028` are
+# unexpected characters.
+TOKEN_STREAMS = {
+    "empty": ("", [("eof", "", 1, 1)], []),
+    "crlf": ("a\r\nb\r\n", [("name", "a", 1, 1), ("name", "b", 2, 1), ("eof", "", 3, 1)], []),
+    "lone-cr": ("a\rb", [("name", "a", 1, 1), ("name", "b", 1, 3), ("eof", "", 1, 4)], []),
+    "tabs": ("\tx\t:=\t1;", [("name", "x", 1, 2), ("punct", ":=", 1, 4), ("int", "1", 1, 7),
+                              ("punct", ";", 1, 8), ("eof", "", 1, 9)], []),
+    "comment-at-eof": ("x // note", [("name", "x", 1, 1), ("eof", "", 1, 10)], []),
+    "comment-then-line": ("// a\n//\nx", [("name", "x", 3, 1), ("eof", "", 3, 2)], []),
+    "trailing-blanks": ("x  \n  ", [("name", "x", 1, 1), ("eof", "", 2, 3)], []),
+    "non-ascii": ("a \u00e9\u2028b\x0c\nc", [("name", "a", 1, 1), ("name", "b", 1, 5),
+                                            ("name", "c", 2, 1), ("eof", "", 2, 2)],
+                  [(1, 3, "\u00e9"), (1, 4, "\u2028"), (1, 6, "\x0c")]),
+    "underscores": ("[a]_na := _;_ _na", [
+        ("punct", "[", 1, 1), ("name", "a", 1, 2), ("punct", "]", 1, 3),
+        ("name", "_na", 1, 4), ("punct", ":=", 1, 8), ("punct", "_", 1, 11),
+        ("punct", ";", 1, 12), ("punct", "_", 1, 13), ("name", "_na", 1, 15),
+        ("eof", "", 1, 18)], []),
+    "slashes": ("a//b\na / b", [("name", "a", 1, 1), ("name", "a", 2, 1),
+                                ("punct", "/", 2, 3), ("name", "b", 2, 5), ("eof", "", 2, 6)], []),
+}
+
+
+@pytest.mark.parametrize("source,tokens,bad", TOKEN_STREAMS.values(), ids=TOKEN_STREAMS)
+def test_token_stream(source, tokens, bad):
+    toks, diags = frontend.tokenize(source)
+    assert toks == tokens
+    assert [(d.span.line, d.span.col, d.message) for d in diags] == [
+        (line, col, f"unexpected character {ch!r}") for line, col, ch in bad]
+
+
 # Malformed inputs with the exact position of each diagnostic.
 PARSE_ERRORS = {
     "missing-semicolon": (
@@ -183,6 +216,55 @@ PARSE_ERRORS = {
 def test_parse_error_positions(source, expected):
     _, diags = parse(source)
     assert [d.format() for d in diags] == expected
+
+
+N = frontend.MAX_NESTING
+# For each kind of nesting: the program nested k deep, the largest k the
+# parser accepts, and the diagnostics one level further.  A procedure body is
+# one level, and each operator of a chain nests the chain one level deeper.
+NESTING = {
+    "binary-chain": (lambda k: "proc main() { x := " + " + ".join(["1"] * (k + 1)) + "; }",
+                     N - 1, [f"1:{4 * N + 18}: SyntaxError: nesting deeper than {N} levels"]),
+    # the chain to the left of the outer one counts although it is closed
+    "chain-of-chains": (lambda k: "proc main() { x := (1" + " + 1" * 50 + ")" + " + 1" * k + "; }",
+                        N - 51, [f"1:{4 * N + 20}: SyntaxError: nesting deeper than {N} levels"]),
+    "parentheses": (lambda k: "proc main() { x := " + "(" * k + "1" + ")" * k + "; }",
+                    N - 1, [f"1:{N + 19}: SyntaxError: nesting deeper than {N} levels"]),
+    "if": (lambda k: "proc main() { " + "if (true) { " * k + "skip;" + " }" * k + " }",
+           N - 1, [f"1:{12 * N + 13}: SyntaxError: nesting deeper than {N} levels"]),
+    "implies": (lambda k: "proc main(x) requires { " + "x == 1 ==> " * k + "true }\n"
+                "ensures { true } { skip; }",
+                N, [f"1:{11 * N + 27}: SyntaxError: nesting deeper than {N} levels",
+                    "2:1: SyntaxError: expected 'invariant', 'define' or 'proc', "
+                    "found 'ensures'"]),
+    # the expansion of `D(...)` holds its pure fact and the `>` above the sum
+    "macro": (lambda k: "define D(p) = p > 0;\nproc main() requires { D("
+              + " + ".join(["1"] * (k + 1)) + ") } ensures { true } { skip; }",
+              N - 2, [f"2:24: SyntaxError: macro 'D' expands deeper than {N} levels",
+                      f"2:{4 * N + 27}: SyntaxError: expected 'invariant', 'define' or 'proc', "
+                      "found 'ensures'"]),
+}
+
+
+@pytest.mark.parametrize("nested,bound,expected", NESTING.values(), ids=NESTING)
+def test_nesting_bound(nested, bound, expected):
+    assert parse(nested(bound))[1] == []
+    assert [d.format() for d in parse(nested(bound + 1))[1]] == expected
+
+
+def test_missing_operand_at_the_nesting_bound():
+    _, diags = parse("proc main() { x := " + "(" * (N - 1) + "; }")
+    assert [d.format() for d in diags] == [
+        f"1:{N + 19}: SyntaxError: expected an expression, found ';'"]
+
+
+def test_integer_literal_bound():
+    digits = frontend.MAX_INT_DIGITS
+    program, diags = parse(f"proc main() {{ x := {'9' * digits}; }}")
+    assert diags == [] and program.procedures[0].body[0].value == S.EInt(10 ** digits - 1)
+    _, diags = parse(f"proc main() {{ x := {'9' * (digits + 1)}; }}")
+    assert [d.format() for d in diags] == [
+        f"1:20: SyntaxError: integer literal longer than {digits} digits"]
 
 
 def pre_expr(source_expr):
