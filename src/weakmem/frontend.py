@@ -46,6 +46,7 @@ from .diagnostics import (
     SYNTAX_ERROR,
 )
 from .syntax import Span
+from .terms import num_str
 
 WRITE_MODES = ("na", "rel", "rlx", "rel_acq")
 READ_MODES = ("na", "acq", "rlx", "rel_acq")
@@ -1149,7 +1150,7 @@ class _Classifier:
         if k is not None and not (0 < k <= 1):
             self.diags.append(Diagnostic(
                 SYNTAX_ERROR, x.span, rule="well-formedness",
-                message=f"fraction {k} outside (0, 1]"))
+                message=f"fraction {num_str(k)} outside (0, 1]"))
 
 
 def const_fraction(e: S.Expr):

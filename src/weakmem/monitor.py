@@ -98,14 +98,14 @@ def _perm_str(p: T.Term) -> str:
 
 def _value_str(state: SymState, solver: Solver, value: T.Term) -> str:
     if value.kind == "num":
-        return str(value.data)
+        return T.num_str(value.data)
     if value.sort == T.BOOL:
         for lit, txt in ((value, "true"), (T.not_(value), "false")):
             if entailed(solver, state, lit).verdict == YES:
                 return txt
         return T.pretty(value)
     v = model_value(solver, state, value)
-    return str(v) if v is not None else T.pretty(value)
+    return T.num_str(v) if v is not None else T.pretty(value)
 
 
 def reconstruct_assertion(state: SymState, solver: Solver,

@@ -601,7 +601,7 @@ def _format_model(model: dict[Term, int | Fraction], facts: list[Term]) -> Optio
     """The model on the atoms of the facts: not on a quotient or remainder
     that only the definition of a ``%`` or ``/`` brought in."""
     ids = frozenset().union(*map(terms.atom_ids, facts))
-    bits = [f"{terms.pretty(a)} = {v}"
+    bits = [f"{terms.pretty(a)} = {terms.num_str(v)}"
             for a, v in sorted(model.items(), key=lambda kv: kv[0].tid) if a.tid in ids]
     return ", ".join(bits[:8]) or None
 

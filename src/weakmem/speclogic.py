@@ -25,6 +25,7 @@ from . import syntax as S
 from .diagnostics import DOUBLE_MODALITY, Diagnostic, FrontendError, UnsupportedFeature
 from .frontend import GHOST, CheckedProgram, const_fraction
 from .syntax import Span, NO_SPAN
+from .terms import num_str
 
 
 class HeapLabel(Enum):
@@ -345,7 +346,7 @@ def _perm_of(frac: Optional[S.Expr], span: Span) -> PermSpec:
     if not (0 < k <= 1):
         raise FrontendError(Diagnostic(
             "SyntaxError", span, rule="well-formedness",
-            message=f"fraction {k} outside (0, 1]"))
+            message=f"fraction {num_str(k)} outside (0, 1]"))
     return k
 
 

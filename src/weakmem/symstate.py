@@ -15,12 +15,19 @@ atoms reach entail it or some other group is infeasible.  Every solver query
 is sliced this way, and a branch re-solves only the group its condition
 lands in.
 
-Exhales are two-phase, matching the check-then-remove reading of the
-operation: all value and purity checks are evaluated against the state at
-the start of the exhale, permission demands are summed per chunk, and only
-then deducted.  Inhaling more than a full field permission is not an error
-but an inconsistency: the capacity fact is assumed, so such paths become
-infeasible and later obligations on them hold vacuously.
+One routine, ``exhale``, runs every exhale: it sums the permission demands
+per chunk and, fields sorted and then predicates sorted, decides for each
+where it comes from, checks that heap holds it, and deducts it.  A plain
+exhale (and a check-only assert) takes each demand from its atom's own heap;
+it runs its purity and value checks in assertion order against the state at
+the start of the exhale, then its values-read checks, and only then takes
+its demands.  The CAS release takes from the tmp heap first, so which heap a
+value is read from is known only once its demand is split: it runs its
+purity checks, then takes each demand and checks that atom's values against
+the portions taken, and runs its values-read checks last.  Inhaling more
+than a full field permission is not an error but an inconsistency: the
+capacity fact is assumed, so such paths become infeasible and later
+obligations on them hold vacuously.
 
 Branch exploration is depth-first with a configurable cap; a failed check
 records a diagnostic and kills its path while sibling branches continue.
@@ -38,7 +45,7 @@ from . import syntax as S
 from . import terms as T
 from .diagnostics import (
     BRANCH_CAP_EXCEEDED, Diagnostic, INCOMPLETE_SOLVER,
-    INSUFFICIENT_PERMISSION, SPIN_PATTERN_RESOURCE_LEAK,
+    INSUFFICIENT_PERMISSION, SPIN_PATTERN_RESOURCE_LEAK, UnsupportedFeature,
 )
 from .frontend import ACQ, ATOMIC, GHOST, NA, RMW
 from .solver import NO, Result, Solver, UNKNOWN, YES
@@ -69,8 +76,9 @@ def perm_str(p: T.Term) -> str:
     """An amount as text: the constant, left out when zero beside tokens,
     then each token with its coefficient."""
     const, coeffs = T.linear_parts(p)
-    bits = [str(const)] if const or not coeffs else []
-    bits += [T.pretty(w) if c == 1 else f"{c}*{T.pretty(w)}" for w, c in coeffs.items()]
+    bits = [T.num_str(const)] if const or not coeffs else []
+    bits += [T.pretty(w) if c == 1 else f"{T.num_str(c)}*{T.pretty(w)}"
+             for w, c in coeffs.items()]
     return " + ".join(bits)
 
 
@@ -363,11 +371,15 @@ def eval_expr(state: SymState, e: S.Expr) -> T.Term:
     if isinstance(e, S.EInvVal):
         raise EvalError("unsubstituted invariant value parameter")
     if isinstance(e, S.EBin):
-        return _BIN_OPS[e.op](eval_expr(state, e.left), eval_expr(state, e.right))
-    if isinstance(e, S.EUn):
+        t = _BIN_OPS[e.op](eval_expr(state, e.left), eval_expr(state, e.right))
+    elif isinstance(e, S.EUn):
         v = eval_expr(state, e.operand)
-        return T.not_(v) if e.op == "!" else T.neg(v)
-    raise AssertionError(e)
+        t = T.not_(v) if e.op == "!" else T.neg(v)
+    else:
+        raise AssertionError(e)
+    if t.height > T.MAX_HEIGHT:
+        raise UnsupportedFeature(f"a value nested more than {T.MAX_HEIGHT} terms deep")
+    return t
 
 
 def resolve_loc(state: SymState, loc, what: str = "location") -> T.Term:
@@ -473,7 +485,7 @@ def _inhale_amount(ctx: ExecContext, state: SymState, perm) -> T.Term:
 
 
 # ---------------------------------------------------------------------------
-# Exhale (two-phase)
+# Exhale
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -567,9 +579,9 @@ def _pred_name(ref: T.Term, idx: int, label: HeapLabel) -> str:
     return f"AcqConjunct({ref.data[1]}, {idx}){tag}"
 
 
-def _run_checks(ctx: ExecContext, case: _Case, prim) -> None:
-    state = case.state
-    for check in case.checks:
+def _run_checks(ctx: ExecContext, state: SymState, checks: list, prim) -> None:
+    """Pure and value checks, in assertion order."""
+    for check in checks:
         if check[0] == "pure":
             _, expr = check
             fact = eval_expr(state, expr)
@@ -591,108 +603,170 @@ def _run_checks(ctx: ExecContext, case: _Case, prim) -> None:
                     and expr.name in getattr(prim, "bindable", ())):
                 state.env[expr.name] = chunk.value   # unify the logical variable
                 continue
-            want = eval_expr(state, expr)
-            res = ctx.entailed(state, T.eq(chunk.value, want))
-            if res.verdict != YES:
-                ctx.fail_query(
-                    state, res, prim.kind, prim.span, prim.rule,
-                    f"value of {name} is not known to be {S.pp_expr(expr)}")
-    for key, name in case.vals_checks:
+            _check_value(ctx, state, chunk, name, expr, prim)
+
+
+def _check_value(ctx: ExecContext, state: SymState, chunk: FieldChunk, name: str,
+                 expr: S.Expr, prim) -> None:
+    res = ctx.entailed(state, T.eq(chunk.value, eval_expr(state, expr)))
+    if res.verdict != YES:
+        ctx.fail_query(state, res, prim.kind, prim.span, prim.rule,
+                       f"value of {name} is not known to be {S.pp_expr(expr)}")
+
+
+def _check_values_read(ctx: ExecContext, state: SymState, vals_checks: list,
+                       prim) -> None:
+    for key, name in vals_checks:
         chunk = state.preds.get(key)
         if chunk is not None and chunk.vals:
             vals = ", ".join(T.pretty(v) for v in chunk.vals)
-            ctx.fail(state, prim.vals_kind if hasattr(prim, "vals_kind") else prim.kind,
-                     prim.span, prim.rule,
-                     f"values {{{vals}}} were already read through {name}")
+            ctx.fail(state, getattr(prim, "vals_kind", prim.kind), prim.span,
+                     prim.rule, f"values {{{vals}}} were already read through {name}")
 
 
-def _check_demand(ctx: ExecContext, state: SymState, held: T.Term,
-                  demand: _Demand, prim, span: Span) -> None:
-    name = demand.name
-    if demand.exact > 0:
+def _check_demand(ctx: ExecContext, state: SymState, held: T.Term, exact: Fraction,
+                  wildcards: int, name: str, prim) -> None:
+    if exact:
         if held.kind == "num":
-            if held.data < demand.exact:
-                ctx.fail(state, prim.kind, span, prim.rule,
-                         f"insufficient permission to {name}: need {demand.exact}, "
+            if held.data < exact:
+                ctx.fail(state, prim.kind, prim.span, prim.rule,
+                         f"insufficient permission to {name}: need {exact}, "
                          f"hold {held.data}")
         else:
-            res = ctx.entailed(state, T.ge(held, T.mk_int(demand.exact)))
+            res = ctx.entailed(state, T.ge(held, T.mk_int(exact)))
             if res.verdict != YES:
-                ctx.fail_query(state, res, prim.kind, span, prim.rule,
-                               f"insufficient permission to {name}: need {demand.exact}")
-    if demand.wildcards > 0:
+                ctx.fail_query(state, res, prim.kind, prim.span, prim.rule,
+                               f"insufficient permission to {name}: need {exact}")
+    if wildcards:
         if held is T.ZERO:
-            ctx.fail(state, prim.kind, span, prim.rule,
+            ctx.fail(state, prim.kind, prim.span, prim.rule,
                      f"no permission to {name}")
-        if held.kind == "num" and held.data > demand.exact:
+        if held.kind == "num" and held.data > exact:
             return
-        res = ctx.entailed(state, T.lt(T.mk_int(demand.exact), held))
+        res = ctx.entailed(state, T.lt(T.mk_int(exact), held))
         if res.verdict != YES:
-            ctx.fail_query(state, res, prim.kind, span, prim.rule,
+            ctx.fail_query(state, res, prim.kind, prim.span, prim.rule,
                            f"no spare permission to {name} for a wildcard")
 
 
-def _deduct(ctx: ExecContext, state: SymState, chunk, demand: _Demand) -> T.Term:
-    """Remove the demanded amount; returns the remainder."""
-    taken = T.mk_int(demand.exact)
-    if demand.wildcards:
-        for _ in range(demand.wildcards):
+def _take(ctx: ExecContext, state: SymState, store: dict, key: tuple, chunk,
+          exact: Fraction, wildcards: int) -> None:
+    """Deduct the amount from the chunk, which goes (and with it a field's
+    value) when nothing is left."""
+    taken = T.mk_int(exact)
+    if wildcards:
+        for _ in range(wildcards):
             w = ctx.fresh_token()
             state.assume(T.lt(T.ZERO, w))
             taken = T.add(taken, w)
         # all wildcards together stay strictly below the amount held
         state.assume(T.lt(taken, chunk.perm))
-    return T.sub(chunk.perm, taken)
+    rest = T.sub(chunk.perm, taken)
+    if rest is T.ZERO:
+        del store[key]
+    else:
+        chunk.perm = rest
 
 
-def _apply_demands(ctx: ExecContext, case: _Case, prim, span: Span,
-                   deduct: bool) -> None:
-    state = case.state
-    for key in sorted(case.field_demands):
-        demand = case.field_demands[key]
-        chunk = state.fields.get(key)
-        held = chunk.perm if chunk is not None else T.ZERO
-        if chunk is None and (demand.exact > 0 or demand.wildcards > 0):
-            ctx.fail(state, prim.kind, span, prim.rule,
-                     f"no permission to {demand.name}")
-        _check_demand(ctx, state, held, demand, prim, span)
-        if deduct and chunk is not None:
-            rest = _deduct(ctx, state, chunk, demand)
-            if rest is T.ZERO:
-                del state.fields[key]   # value is havoced with the chunk
-            else:
-                chunk.perm = rest
-    for key in sorted(case.pred_demands):
-        demand = case.pred_demands[key]
-        chunk = state.preds.get(key)
-        held = chunk.perm if chunk is not None else T.ZERO
-        if chunk is None and (demand.exact > 0 or demand.wildcards > 0):
-            ctx.fail(state, prim.kind, span, prim.rule,
-                     f"no {demand.name} instance held")
-        _check_demand(ctx, state, held, demand, prim, span)
-        if deduct and chunk is not None:
-            rest = _deduct(ctx, state, chunk, demand)
-            if rest is T.ZERO:
-                del state.preds[key]
-            else:
-                chunk.perm = rest
+def _split_amounts(ctx: ExecContext, state: SymState, tmp_held: T.Term,
+                   need: Fraction, name: str, prim) -> tuple[Fraction, Fraction]:
+    """How much of an exact demand comes from tmp vs. the fallback heap."""
+    if tmp_held.kind == "num":
+        take = min(tmp_held.data, need)
+        return take, need - take
+    # symbolic tmp holdings (wildcard RMW conjunct bodies): ask the solver
+    res = ctx.entailed(state, T.ge(tmp_held, T.mk_int(need)))
+    if res.verdict == YES:
+        return need, Fraction(0)
+    if res.verdict == UNKNOWN:
+        ctx.fail(state, INCOMPLETE_SOLVER, prim.span, prim.rule,
+                 f"cannot split the demand on {name} between the tmp heap and its "
+                 f"fallback (solver returned unknown: {res.reason})")
+    return Fraction(0), need
 
 
-def exhale(ctx: ExecContext, state: SymState, prim, deduct: bool = True) -> list[SymState]:
-    """Execute an exhale (or a check-only assert when deduct is false)."""
+def exhale(ctx: ExecContext, state: SymState, prim) -> list[SymState]:
+    """Execute an ``Exhale``, an ``AssertCheck`` (which checks the same and
+    deducts nothing) or an ``ExhalePreferTmp`` (the CAS release).
+
+    For each demand, fields sorted and then predicates sorted, the exhale
+    decides where the permission comes from, checks that heap holds it, and
+    deducts it.  A plain exhale takes the whole demand from its atom's heap.
+    A tmp-first exhale takes from the tmp twin first: an exact part only as
+    far as tmp provably covers it (``_split_amounts``; if the solver decides
+    a wildcard amount does not cover it, all of it comes from the fallback),
+    a wildcard only if tmp's amount is positive by token positivity alone,
+    and the rest from the atom's heap, its fallback.
+    """
+    deduct = not isinstance(prim, E.AssertCheck)
+    tmp_first = isinstance(prim, E.ExhalePreferTmp)
     out: list[SymState] = []
     for case in _collect_cases(ctx, _Case(state), prim.enc):
+        state = case.state
         try:
-            _run_checks(ctx, case, prim)
-            _apply_demands(ctx, case, prim, prim.span, deduct)
+            if tmp_first:
+                # value checks wait for the portions each demand takes
+                later: dict = {}
+                for check in case.checks:
+                    if check[0] == "value":
+                        later.setdefault(check[1], []).append(check)
+                _run_checks(ctx, state, [c for c in case.checks if c[0] == "pure"], prim)
+            else:
+                _run_checks(ctx, state, case.checks, prim)
+                if case.vals_checks:
+                    _check_values_read(ctx, state, case.vals_checks, prim)
+            for store, demands in ((state.fields, case.field_demands),
+                                   (state.preds, case.pred_demands)):
+                for key in sorted(demands):
+                    d = demands[key]
+                    exact, wildcards = d.exact, d.wildcards
+                    chunk = store.get(key)
+                    if tmp_first:
+                        tmp_key = (HeapLabel.TMP.value, key[1], key[2])
+                        tmp = store.get(tmp_key)
+                        tmp_held = tmp.perm if tmp is not None else T.ZERO
+                        tmp_exact, exact = _split_amounts(ctx, state, tmp_held, exact,
+                                                          d.name, prim)
+                        tmp_wildcards = wildcards if definitely_positive(tmp_held) else 0
+                        wildcards -= tmp_wildcards
+                    if chunk is not None:
+                        _check_demand(ctx, state, chunk.perm, exact, wildcards, d.name, prim)
+                    elif exact or wildcards:
+                        if tmp_first:
+                            msg = (f"insufficient permission to {d.name}: tmp heap holds "
+                                   f"{perm_str(tmp_held)} and the fallback heap holds nothing")
+                        elif store is state.fields:
+                            msg = f"no permission to {d.name}"
+                        else:
+                            msg = f"no {d.name} instance held"
+                        ctx.fail(state, prim.kind, prim.span, prim.rule, msg)
+                    if not deduct:
+                        continue
+                    if tmp_first:
+                        from_tmp = tmp is not None and (tmp_exact or tmp_wildcards)
+                        if from_tmp:
+                            _take(ctx, state, store, tmp_key, tmp, tmp_exact, tmp_wildcards)
+                    from_fb = chunk is not None and (exact or wildcards)
+                    if from_fb:
+                        _take(ctx, state, store, key, chunk, exact, wildcards)
+                    if tmp_first and store is state.fields:
+                        # each value is read from the portions taken
+                        for _, _, name, expr in later.get(key, ()):
+                            for c, used in ((tmp, from_tmp), (chunk, from_fb)):
+                                if used and not isinstance(expr, S.EAny):
+                                    _check_value(ctx, state, c, name, expr, prim)
+                        if from_tmp and from_fb:
+                            state.assume(T.eq(tmp.value, chunk.value))
+            if tmp_first:
+                _check_values_read(ctx, state, case.vals_checks, prim)
         except _Fail:
             continue
-        out.append(case.state)
+        out.append(state)
     return out
 
 
 # ---------------------------------------------------------------------------
-# Heap transfer and the CAS tmp-preferring exhale
+# Heap transfer
 # ---------------------------------------------------------------------------
 
 def transfer_heap(ctx: ExecContext, state: SymState, src: HeapLabel,
@@ -722,132 +796,6 @@ def transfer_heap(ctx: ExecContext, state: SymState, src: HeapLabel,
             merged += [v for v in chunk.vals if v not in dst_chunk.vals]
             dst_chunk.vals = tuple(merged)
     return state
-
-
-def exhale_prefer_tmp(ctx: ExecContext, state: SymState, prim) -> list[SymState]:
-    """Exhale taking each permission first from the tmp heap.
-
-    Atom labels name the fallback heap (real or up).  Value constraints are
-    checked against whichever heap a portion is taken from; if a demand is
-    split across both, the two values are equated.
-
-    A symbolic (wildcard) tmp amount serves an exact demand only if the
-    solver proves it covers all of it.  If the solver decides it does not,
-    the whole exact part comes from the fallback heap, which must hold it or
-    the exhale fails with the primitive's kind; only a solver ``unknown``
-    there is reported as IncompleteSolver.
-    """
-    out: list[SymState] = []
-    for case in _collect_cases(ctx, _Case(state), prim.enc):
-        try:
-            _apply_prefer_tmp(ctx, case, prim)
-        except _Fail:
-            continue
-        out.append(case.state)
-    return out
-
-
-def _split_amounts(ctx: ExecContext, state: SymState, tmp_held: T.Term,
-                   need: Fraction, name: str, prim) -> tuple[Fraction, Fraction]:
-    """How much of an exact demand comes from tmp vs. the fallback heap."""
-    if tmp_held.kind == "num":
-        take = min(tmp_held.data, need)
-        return take, need - take
-    # symbolic tmp holdings (wildcard RMW conjunct bodies): ask the solver
-    res = ctx.entailed(state, T.ge(tmp_held, T.mk_int(need)))
-    if res.verdict == YES:
-        return need, Fraction(0)
-    if res.verdict == UNKNOWN:
-        ctx.fail(state, INCOMPLETE_SOLVER, prim.span, prim.rule,
-                 f"cannot split the demand on {name} between the tmp heap and its "
-                 f"fallback (solver returned unknown: {res.reason})")
-    return Fraction(0), need
-
-
-def _take_split(ctx: ExecContext, state: SymState, store: dict, key: tuple,
-                tmp_key: tuple, demand: _Demand, prim) -> tuple:
-    """Split one demand between the tmp chunk and its fallback; deduct both.
-
-    Returns (took_tmp, took_fallback, tmp_chunk, fb_chunk).
-    """
-    tmp_chunk = store.get(tmp_key)
-    fb_chunk = store.get(key)
-    tmp_held = tmp_chunk.perm if tmp_chunk is not None else T.ZERO
-    from_tmp, from_fb = _split_amounts(ctx, state, tmp_held, demand.exact,
-                                       demand.name, prim)
-    wc_from_tmp = demand.wildcards if definitely_positive(tmp_held) else 0
-    wc_from_fb = demand.wildcards - wc_from_tmp
-    if from_fb > 0 or wc_from_fb > 0:
-        if fb_chunk is None:
-            ctx.fail(state, prim.kind, prim.span, prim.rule,
-                     f"insufficient permission to {demand.name}: tmp heap holds "
-                     f"{perm_str(tmp_held)} and the fallback heap holds nothing")
-        _check_demand(ctx, state, fb_chunk.perm,
-                      _Demand(from_fb, wc_from_fb, demand.name), prim, prim.span)
-    if tmp_chunk is not None and (from_tmp > 0 or wc_from_tmp > 0):
-        rest = _deduct(ctx, state, tmp_chunk, _Demand(from_tmp, wc_from_tmp))
-        if rest is T.ZERO:
-            del store[tmp_key]
-        else:
-            tmp_chunk.perm = rest
-    if fb_chunk is not None and (from_fb > 0 or wc_from_fb > 0):
-        rest = _deduct(ctx, state, fb_chunk, _Demand(from_fb, wc_from_fb))
-        if rest is T.ZERO:
-            del store[key]
-        else:
-            fb_chunk.perm = rest
-    return (from_tmp > 0 or wc_from_tmp > 0, from_fb > 0 or wc_from_fb > 0,
-            tmp_chunk, fb_chunk)
-
-
-def _apply_prefer_tmp(ctx: ExecContext, case: _Case, prim) -> None:
-    state = case.state
-    # group value constraints by chunk; pure checks run as usual
-    value_checks: dict[tuple, list] = {}
-    plain_checks = []
-    for check in case.checks:
-        if check[0] == "value":
-            value_checks.setdefault(check[1], []).append(check)
-        else:
-            plain_checks.append(check)
-    _run_checks(ctx, _Case(state, plain_checks), prim)
-
-    for key in sorted(set(case.field_demands) | set(value_checks)):
-        demand = case.field_demands.get(key)
-        if demand is None:
-            demand = _Demand(name=value_checks[key][0][2])
-        tmp_key = (HeapLabel.TMP.value, key[1], key[2])
-        # value constraints are read from the heap each portion is taken from
-        tmp_chunk_before = state.fields.get(tmp_key)
-        fb_chunk_before = state.fields.get(key)
-        took_tmp, took_fb, tmp_chunk, fb_chunk = _take_split(
-            ctx, state, state.fields, key, tmp_key, demand, prim)
-        for check in value_checks.get(key, []):
-            _, _, name, expr = check
-            if isinstance(expr, S.EAny):
-                continue
-            want = eval_expr(state, expr)
-            for used, chunk in ((took_tmp, tmp_chunk_before),
-                                (took_fb, fb_chunk_before)):
-                if used and chunk is not None:
-                    res = ctx.entailed(state, T.eq(chunk.value, want))
-                    if res.verdict != YES:
-                        ctx.fail_query(
-                            state, res, prim.kind, prim.span, prim.rule,
-                            f"value of {name} is not known to be {S.pp_expr(expr)}")
-        if took_tmp and took_fb:
-            state.assume(T.eq(tmp_chunk_before.value, fb_chunk_before.value))
-
-    for key in sorted(case.pred_demands):
-        demand = case.pred_demands[key]
-        tmp_key = (HeapLabel.TMP.value, key[1], key[2])
-        _take_split(ctx, state, state.preds, key, tmp_key, demand, prim)
-
-    for key, name in case.vals_checks:
-        chunk = state.preds.get(key)
-        if chunk is not None and chunk.vals:
-            ctx.fail(state, prim.kind, prim.span, prim.rule,
-                     f"values were already read through {name}")
 
 
 # ---------------------------------------------------------------------------
@@ -900,10 +848,8 @@ def run_prim(ctx: ExecContext, state: SymState, prim) -> list[SymState]:
     try:
         if isinstance(prim, E.Inhale):
             return inhale(ctx, state, prim.enc)
-        if isinstance(prim, E.Exhale):
-            return exhale(ctx, state, prim, deduct=True)
-        if isinstance(prim, E.AssertCheck):
-            return exhale(ctx, state, prim, deduct=False)
+        if isinstance(prim, (E.Exhale, E.AssertCheck, E.ExhalePreferTmp)):
+            return exhale(ctx, state, prim)
         if isinstance(prim, E.HavocVar):
             state.env[prim.name] = ctx.fresh_for_class(prim.name)
             return [state]
@@ -941,8 +887,6 @@ def run_prim(ctx: ExecContext, state: SymState, prim) -> list[SymState]:
             return states
         if isinstance(prim, E.TransferHeap):
             return [transfer_heap(ctx, state, prim.src, prim.dst)]
-        if isinstance(prim, E.ExhalePreferTmp):
-            return exhale_prefer_tmp(ctx, state, prim)
         if isinstance(prim, E.KillBranch):
             return []
         if isinstance(prim, E.DropAllPerms):

@@ -44,10 +44,15 @@ _pool: dict[tuple, "Term"] = {}
 _memo: dict[tuple, "Term"] = {}  # (op, operand tids or scale factor) -> result
 
 
+# The term walks recurse, so terms stay well below the recursion limit: the
+# verifier reports a program value higher than this as unsupported.
+MAX_HEIGHT = 256
+
+
 class Term:
     """One interned node.  Never construct directly; use the mk_* helpers."""
 
-    __slots__ = ("kind", "sort", "data", "args", "tid")
+    __slots__ = ("kind", "sort", "data", "args", "tid", "height")
 
     def __init__(self, kind: str, sort: str, data, args: tuple["Term", ...]):
         self.kind = kind
@@ -55,6 +60,7 @@ class Term:
         self.data = data
         self.args = args
         self.tid = next(_ids)
+        self.height = 1 + max([a.height for a in args]) if args else 1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{pretty(self)}>"
@@ -95,6 +101,26 @@ def _div(a, b):
         q, r = divmod(a, b)
         return q if not r else Fraction(a, b)
     return _q(a / b)
+
+
+# A number longer than this renders as its length: Python 3.11+ refuses to
+# turn an int of over 4300 digits into text, and a folded product can be that
+# long however short the literals are.
+MAX_NUM_DIGITS = 1000
+_NUM_LIMIT = 10 ** MAX_NUM_DIGITS
+
+
+def num_str(x) -> str:
+    """An exact number as text, the same on every Python version."""
+    if type(x) is Fraction and x.denominator != 1:
+        return f"{num_str(x.numerator)}/{num_str(x.denominator)}"
+    n = abs(int(x))
+    if n < _NUM_LIMIT:
+        return str(x)
+    digits = int((n.bit_length() - 1) * 0.30102999566398120)   # log10(2)
+    while n >= 10 ** digits:
+        digits += 1
+    return f"{'-' if x < 0 else ''}<{digits}-digit number>"
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +483,7 @@ _OP_SYMBOL = {
 def pretty(t: Term) -> str:
     k = t.kind
     if k == "num":
-        return str(t.data)
+        return num_str(t.data)
     if k == "boollit":
         return "true" if t.data else "false"
     if k == "var":
@@ -468,9 +494,9 @@ def pretty(t: Term) -> str:
         const, pairs = t.data
         bits = []
         for a, c in pairs:
-            bits.append(f"{c}*{pretty(a)}" if c != 1 else pretty(a))
+            bits.append(f"{num_str(c)}*{pretty(a)}" if c != 1 else pretty(a))
         if const != 0 or not bits:
-            bits.append(str(const))
+            bits.append(num_str(const))
         return " + ".join(bits)
     if k in ("eq0", "le0", "lt0"):
         op = {"eq0": "==", "le0": "<=", "lt0": "<"}[k]

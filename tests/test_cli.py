@@ -113,6 +113,42 @@ def test_unknown_goal_names_the_depth_bound(tmp_path, capsys, monkeypatch):
             in capsys.readouterr().out)
 
 
+# (10**1000 - 1)**5 has 5000 digits, past Python's 4300-digit limit for
+# str(int) on 3.11 and later; reports render such a number by its length
+HUGE = " * ".join(["9" * 1000] * 5)
+
+
+def test_huge_numbers_render_by_length(tmp_path, capsys):
+    path = write(tmp_path, "huge.rsl", f"proc main(x) requires {{ x == {HUGE} }} "
+                                       "ensures { x == 0 } { skip; }")
+    report = tmp_path / "r.json"
+    for extra in ([], ["--json", str(report)], ["--check-soundness-invariants"]):
+        assert run_cli("verify", path, *extra) == 1
+        out, err = capsys.readouterr()
+        assert ("ExhaleFailure [postcondition]: cannot establish x == 0 "
+                "(counter: x!0 = <5000-digit number>)") in out, extra
+        assert "Traceback" not in err
+    (diag,) = json.loads(report.read_text())["files"][0]["procedures"][0]["diagnostics"]
+    assert diag["counter_facts"] == "x!0 = <5000-digit number>"
+    # the soundness monitor renders a held value the same way
+    path = write(tmp_path, "held.rsl", f"proc main(a, x) requires {{ x == {HUGE} && "
+                                       "a |-> x } ensures { true } { skip; }")
+    assert run_cli("verify", path, "--check-soundness-invariants", "--json", str(report)) == 0
+    capsys.readouterr()
+    soundness = json.loads(report.read_text())["soundness"]
+    assert soundness[-1]["assertion"] == "a ↦¹ <5000-digit number>"
+
+
+def test_deep_value_is_unsupported(tmp_path, capsys):
+    body = "\n".join(["  x := x * y;"] * 1200)
+    path = write(tmp_path, "deep.rsl", "proc main(x, y)\n  requires { true }\n"
+                                       f"  ensures {{ true }}\n{{\n{body}\n}}\n")
+    assert run_cli("verify", path) == 1
+    out, err = capsys.readouterr()
+    assert "main: unsupported (a value nested more than 256 terms deep)" in out
+    assert "Traceback" not in err
+
+
 def strip_times(obj):
     if isinstance(obj, dict):
         return {k: strip_times(v) for k, v in obj.items() if k != "time_ms"}

@@ -2,9 +2,11 @@
 
 from fractions import Fraction
 
+from conftest import verify
+
 from weakmem import terms as T
 from weakmem.diagnostics import EXHALE_FAILURE, INCOMPLETE_SOLVER
-from weakmem.encoder import AssertCheck, Exhale
+from weakmem.encoder import AssertCheck, Exhale, ExhalePreferTmp
 from weakmem.solver import OPAQUE_ATOM, Solver
 from weakmem.speclogic import (
     EAcc, EFieldEq, EPredAcc, EPure, HeapLabel, WILDCARD, estar,
@@ -264,10 +266,8 @@ def tmp_points_to(loc, value, k=1):
 
 
 def run_prefer_tmp(ctx, st, enc, expect_fail=False):
-    from weakmem.encoder import ExhalePreferTmp
-    from weakmem.symstate import exhale_prefer_tmp
     before = len(ctx.diagnostics)
-    out = exhale_prefer_tmp(ctx, st, ExhalePreferTmp(enc, rule="test"))
+    out = exhale(ctx, st, ExhalePreferTmp(enc, rule="test"))
     failed = len(ctx.diagnostics) > before
     assert failed == expect_fail, [d.format() for d in ctx.diagnostics[before:]]
     return out
@@ -315,6 +315,31 @@ def test_prefer_tmp_insufficient_fails():
     st = fresh_state(ctx)
     st = do_inhale(ctx, st, tmp_points_to("a", 7, "1/2"))
     run_prefer_tmp(ctx, st, points_to("a", 7), expect_fail=True)
+
+
+def test_plain_and_tmp_first_exhales_fail_in_their_own_order():
+    # a plain exhale checks values first, against the entry state; a
+    # tmp-first exhale takes its demands first, fields sorted (init < val)
+    ctx = make_ctx()
+    do_exhale(ctx, fresh_state(ctx), points_to("a", 7), expect_fail=True)
+    assert ctx.diagnostics[-1].message == "no permission to a.val"
+    run_prefer_tmp(ctx, fresh_state(ctx), points_to("a", 7), expect_fail=True)
+    assert ctx.diagnostics[-1].message == (
+        "insufficient permission to a.init: tmp heap holds 0 "
+        "and the fallback heap holds nothing")
+
+
+def test_prefer_tmp_values_read_failure_names_the_values():
+    # the check runs after the demands, on what is left of the instance
+    ctx = make_ctx()
+    st = fresh_state(ctx, ("l",))
+    st = do_inhale(ctx, st, EPredAcc("l", 0, Fraction(1)))
+    st.preds[st.pred_key(st.env["l"], 0, HeapLabel.REAL)].vals = (T.mk_int(3),)
+    run_prefer_tmp(ctx, st, EPredAcc("l", 0, Fraction(1, 2), vals_empty=True),
+                   expect_fail=True)
+    d = ctx.diagnostics[-1]
+    assert d.kind == EXHALE_FAILURE
+    assert d.message == "values {3} were already read through AcqConjunct(l, 0)"
 
 
 # ---------------------------------------------------------------------------
@@ -443,3 +468,25 @@ def test_split_amounts_names_the_unknown_bound():
     assert d.message == (
         "cannot split the demand on a.val between the tmp heap and its fallback "
         f"(solver returned unknown: {OPAQUE_ATOM})")
+
+
+# ---------------------------------------------------------------------------
+# Values nest at most T.MAX_HEIGHT terms deep
+# ---------------------------------------------------------------------------
+
+def products(n, op="*"):
+    body = " ".join([f"x := x {op} y;"] * n)
+    return f"proc main(x, y) requires {{ true }} ensures {{ true }} {{ {body} }}"
+
+
+def test_value_height_bound():
+    # x starts as a variable, one term high, and each product adds a level
+    (v,) = verify(products(T.MAX_HEIGHT - 1)).verdicts
+    assert v.status == "verified"
+    reason = f"a value nested more than {T.MAX_HEIGHT} terms deep"
+    (v,) = verify(products(T.MAX_HEIGHT)).verdicts
+    assert (v.status, v.reason) == ("unsupported", reason)
+    # these operators do not flatten, so long chains of them reach the bound
+    for op in ("*", "/", "%", "<<", "==", "<"):
+        (v,) = verify(products(1200, op)).verdicts
+        assert (v.status, v.reason) == ("unsupported", reason), op

@@ -192,3 +192,13 @@ def test_pivots_keep_integral_entries_int():
         T.lt(r, q),
         T.eq(T.add(p, T.scale(3, q), T.scale(3, r), T.mk_int(3)), T.ZERO),
     ])
+
+
+def test_num_str_bounds_the_digits():
+    limit = 10 ** T.MAX_NUM_DIGITS
+    assert T.num_str(limit - 1) == "9" * T.MAX_NUM_DIGITS
+    assert T.num_str(limit) == f"<{T.MAX_NUM_DIGITS + 1}-digit number>"
+    assert T.num_str(-7 ** 9000) == "-<7606-digit number>"
+    assert T.num_str(Fraction(-3, 4)) == "-3/4"
+    assert T.num_str(Fraction(1, 10 ** 5000)) == "1/<5001-digit number>"
+    assert T.pretty(T.mk_int(limit)) == f"<{T.MAX_NUM_DIGITS + 1}-digit number>"
