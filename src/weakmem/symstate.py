@@ -4,8 +4,13 @@ A state holds field chunks and predicate chunks, both keyed by heap label
 and location, a path condition, and an environment binding program variables
 to terms.  Permission amounts are linear terms over wildcard tokens;
 every token carries a strict positivity fact, and tokens drawn by an exhale
-carry a strict upper bound by the amount held at draw time, so wildcard
-remainders stay provably positive.
+carry a strict upper bound by the amount held at draw time.  So each chunk's
+``pos`` flag records that its amount is positive on its path by construction.
+An inhale into the chunk sets it, and so does a take with wildcards, whose
+assumed bound makes the rest positive.  An exact-only take clears it unless
+the rest is positive by token positivity alone.  A heap transfer that merges
+two chunks ORs their flags.  Where it is set, the flag answers a positivity
+check in place of the solver; it never decides which heap pays.
 
 The path condition is kept as independence groups, as in KLEE's constraint
 independence: facts that share an atom, directly or through other facts,
@@ -93,6 +98,7 @@ class FieldChunk:
     label: HeapLabel
     perm: T.Term
     value: T.Term
+    pos: bool = False   # perm is positive on this path by construction
 
 
 @dataclass
@@ -102,6 +108,7 @@ class PredChunk:
     label: HeapLabel
     perm: T.Term
     vals: tuple = ()    # values-read snapshot: terms, insertion-ordered
+    pos: bool = False   # as for FieldChunk
 
 
 _GROUND = frozenset({-1})   # the atom set of an atomless fact, such as FALSE
@@ -137,9 +144,9 @@ class SymState:
 
     def clone(self) -> "SymState":
         s = SymState()
-        s.fields = {k: FieldChunk(c.ref, c.fld, c.label, c.perm, c.value)
+        s.fields = {k: FieldChunk(c.ref, c.fld, c.label, c.perm, c.value, c.pos)
                     for k, c in self.fields.items()}
-        s.preds = {k: PredChunk(c.ref, c.idx, c.label, c.perm, c.vals)
+        s.preds = {k: PredChunk(c.ref, c.idx, c.label, c.perm, c.vals, c.pos)
                    for k, c in self.preds.items()}
         s.env = dict(self.env)
         s.groups = dict(self.groups)
@@ -445,10 +452,11 @@ def inhale(ctx: ExecContext, state: SymState, enc) -> list[SymState]:
         chunk = state.fields.get(key)
         if chunk is None:
             chunk = FieldChunk(ref, enc.fld, enc.label, amount,
-                               ctx.fresh_field_value(enc.fld))
+                               ctx.fresh_field_value(enc.fld), pos=True)
             state.fields[key] = chunk
         else:
             chunk.perm = T.add(chunk.perm, amount)
+            chunk.pos = True
         # field permissions cannot exceed 1: assumed, so overfull paths die
         state.assume(T.le(chunk.perm, T.ONE))
         return [state]
@@ -468,10 +476,11 @@ def inhale(ctx: ExecContext, state: SymState, enc) -> list[SymState]:
         chunk = state.preds.get(key)
         if chunk is None:
             # a fresh conjunct instance starts with an empty snapshot
-            state.preds[key] = PredChunk(ref, enc.idx, enc.label, amount, ())
+            state.preds[key] = PredChunk(ref, enc.idx, enc.label, amount, pos=True)
         else:
             # re-inhaling a held conjunct must not reset the values read
             chunk.perm = T.add(chunk.perm, amount)
+            chunk.pos = True
         return [state]
     raise AssertionError(enc)
 
@@ -624,8 +633,17 @@ def _check_values_read(ctx: ExecContext, state: SymState, vals_checks: list,
                      prim.rule, f"values {{{vals}}} were already read through {name}")
 
 
-def _check_demand(ctx: ExecContext, state: SymState, held: T.Term, exact: Fraction,
+def _positive(ctx: ExecContext, state: SymState, chunk) -> Result:
+    """Whether the chunk's amount is positive: ``yes`` by its ``pos`` flag,
+    otherwise as the solver answers."""
+    if chunk.pos:
+        return Result(YES)
+    return ctx.entailed(state, T.lt(T.ZERO, chunk.perm))
+
+
+def _check_demand(ctx: ExecContext, state: SymState, chunk, exact: Fraction,
                   wildcards: int, name: str, prim) -> None:
+    held = chunk.perm
     if exact:
         if held.kind == "num":
             if held.data < exact:
@@ -643,7 +661,8 @@ def _check_demand(ctx: ExecContext, state: SymState, held: T.Term, exact: Fracti
                      f"no permission to {name}")
         if held.kind == "num" and held.data > exact:
             return
-        res = ctx.entailed(state, T.lt(T.mk_int(exact), held))
+        res = (ctx.entailed(state, T.lt(T.mk_int(exact), held)) if exact
+               else _positive(ctx, state, chunk))
         if res.verdict != YES:
             ctx.fail_query(state, res, prim.kind, prim.span, prim.rule,
                            f"no spare permission to {name} for a wildcard")
@@ -666,6 +685,7 @@ def _take(ctx: ExecContext, state: SymState, store: dict, key: tuple, chunk,
         del store[key]
     else:
         chunk.perm = rest
+        chunk.pos = bool(wildcards) or definitely_positive(rest)
 
 
 def _split_amounts(ctx: ExecContext, state: SymState, tmp_held: T.Term,
@@ -730,7 +750,7 @@ def exhale(ctx: ExecContext, state: SymState, prim) -> list[SymState]:
                         tmp_wildcards = wildcards if definitely_positive(tmp_held) else 0
                         wildcards -= tmp_wildcards
                     if chunk is not None:
-                        _check_demand(ctx, state, chunk.perm, exact, wildcards, d.name, prim)
+                        _check_demand(ctx, state, chunk, exact, wildcards, d.name, prim)
                     elif exact or wildcards:
                         if tmp_first:
                             msg = (f"insufficient permission to {d.name}: tmp heap holds "
@@ -782,6 +802,7 @@ def transfer_heap(ctx: ExecContext, state: SymState, src: HeapLabel,
         else:
             state.assume(T.eq(dst_chunk.value, chunk.value))
             dst_chunk.perm = T.add(dst_chunk.perm, chunk.perm)
+            dst_chunk.pos = dst_chunk.pos or chunk.pos
             state.assume(T.le(dst_chunk.perm, T.ONE))
     for key in sorted(k for k in state.preds if k[0] == src.value):
         chunk = state.preds.pop(key)
@@ -792,6 +813,7 @@ def transfer_heap(ctx: ExecContext, state: SymState, src: HeapLabel,
             state.preds[dkey] = chunk
         else:
             dst_chunk.perm = T.add(dst_chunk.perm, chunk.perm)
+            dst_chunk.pos = dst_chunk.pos or chunk.pos
             merged = list(dst_chunk.vals)
             merged += [v for v in chunk.vals if v not in dst_chunk.vals]
             dst_chunk.vals = tuple(merged)
@@ -814,8 +836,7 @@ def _held_conjuncts(ctx: ExecContext, state: SymState, ref: T.Term,
                     held.append(chunk.idx)
             elif ctx.entailed(state, T.ge(chunk.perm, T.ONE)).verdict == YES:
                 held.append(chunk.idx)
-        elif (definitely_positive(chunk.perm)
-              or ctx.entailed(state, T.lt(T.ZERO, chunk.perm)).verdict == YES):
+        elif _positive(ctx, state, chunk).verdict == YES:
             held.append(chunk.idx)
     return held
 

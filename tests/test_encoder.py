@@ -3,17 +3,19 @@
 import dataclasses
 import os
 
+import pytest
+
 from conftest import CORPUS, corpus_text, pipeline, single_verdict, verify
 from weakmem import api, cli, encoder, symstate, syntax as S, terms as T
 from weakmem.diagnostics import (
-    DOWN_IN_LOOP_INVARIANT, EXHALE_FAILURE, FrontendError, INSUFFICIENT_PERMISSION,
-    MISSING_LOOP_INVARIANT, MISSING_RMW_PERMISSIONS, NO_ACQ_PERMISSION,
+    DOWN_IN_LOOP_INVARIANT, EXHALE_FAILURE, FrontendError, INCOMPLETE_SOLVER,
+    INSUFFICIENT_PERMISSION, MISSING_LOOP_INVARIANT, MIXED_MODE_ACCESS, MISSING_RMW_PERMISSIONS, NO_ACQ_PERMISSION,
     NO_REL_PERMISSION, READ_OF_UNINITIALISED, REWRITE_AFTER_READ,
     REWRITE_NOT_JUSTIFIED, SPIN_PATTERN_RESOURCE_LEAK, UNINITIALISED,
     UnsupportedFeature,
 )
 from weakmem.speclogic import HeapLabel
-from weakmem.solver import Solver
+from weakmem.solver import OPAQUE_ATOM, Solver
 
 
 def kinds(verdict):
@@ -803,3 +805,53 @@ def test_scope_havoc_sets():
     # both arms of the loop havoc exactly what its body assigns
     [loop] = _havocs(dump, "while")
     assert loop == ["a", "i", "a", "i"]
+
+
+# ---------------------------------------------------------------------------
+# free, and the bitwise operators
+# ---------------------------------------------------------------------------
+
+def test_free_gives_up_the_location():
+    v = single_verdict(WRAP.format(body="alloc_na(x); [x]_na := 1; free(x);"))
+    assert v.status == "verified"
+    v = single_verdict(WRAP.format(body="alloc_na(x); [x]_na := 1; free(x); free(x);"))
+    assert v.status == "failed"
+    (d,) = v.diagnostics
+    assert (d.kind, d.rule, d.message) == (
+        INSUFFICIENT_PERMISSION, "free", "no permission to x.init")
+
+
+FREE_RMW = """
+invariant Q(V) = V >= 0;
+proc main() requires {{ true }} ensures {{ true }} {{ alloc_rmw(l, Q); {body} }}
+"""
+
+
+def test_free_of_an_atomic_location():
+    # the mode check rejects the program first ...
+    res = verify(FREE_RMW.format(body="free(l);"))
+    assert [d.kind for d in res.parse_diagnostics] == [MIXED_MODE_ACCESS]
+    # ... and the encoder, given an atomic location, reports it unsupported
+    chk, table, _ = pipeline(FREE_RMW.format(body=""))
+    ctx = encoder.EncodeCtx(chk, table, "main")
+    with pytest.raises(UnsupportedFeature, match="non-atomic and ghost locations only"):
+        encoder.encode_stmt(S.SFree(var="l"), ctx)
+
+
+BIT_OPS = (("|", T.bitor, 3), ("^", T.bitxor, 3), (">>", T.shr, 0))
+BIT_PROC = "proc main(x, y) requires {{ x == 1 && y == 2 }} ensures {{ {post} }} {{ skip; }}"
+
+
+def test_bitwise_operators_are_opaque_atoms():
+    st = symstate.SymState()
+    x, y = T.mk_var("x", T.INT), T.mk_var("y", T.INT)
+    st.env.update(x=x, y=y)
+    for op, mk, value in BIT_OPS:
+        assert symstate.eval_expr(st, S.EBin(op, S.EVar("x"), S.EVar("y"))) is mk(x, y)
+        v = single_verdict(BIT_PROC.format(post=f"(x {op} y) == (x {op} y)"))
+        assert v.status == "verified", op
+        # the value is right for x == 1 and y == 2, but the operator is opaque
+        v = single_verdict(BIT_PROC.format(post=f"(x {op} y) == {value}"))
+        assert v.status == "failed", op
+        (d,) = v.diagnostics
+        assert d.kind == INCOMPLETE_SOLVER and OPAQUE_ATOM in d.message, op

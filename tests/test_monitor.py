@@ -110,7 +110,8 @@ proc main() requires { true } ensures { true }
 def test_reconstruction_stable_across_runs():
     a = reconstruct_assertion(*final_main_state("RelAcqDblMsgPassSplit.rsl"))
     b = reconstruct_assertion(*final_main_state("RelAcqDblMsgPassSplit.rsl"))
-    assert a == b
+    # pinned, so a run under another hash seed also compares the text
+    assert a == b == "a ↦¹ 43 ∗ b ↦¹ 8 ∗ Init(l) ∗ Rel(l, Q1 && Q2)"
 
 
 def test_uninit_rendering():

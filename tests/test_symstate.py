@@ -2,18 +2,19 @@
 
 from fractions import Fraction
 
-from conftest import verify
+from conftest import MANIFEST, corpus_path, verify
 
-from weakmem import terms as T
+from weakmem import api, symstate, terms as T
+from weakmem.cli import load_manifest
 from weakmem.diagnostics import EXHALE_FAILURE, INCOMPLETE_SOLVER
 from weakmem.encoder import AssertCheck, Exhale, ExhalePreferTmp
-from weakmem.solver import OPAQUE_ATOM, Solver
+from weakmem.solver import OPAQUE_ATOM, Solver, YES
 from weakmem.speclogic import (
     EAcc, EFieldEq, EPredAcc, EPure, HeapLabel, WILDCARD, estar,
 )
 from weakmem.symstate import (
-    ExecContext, SymState, exhale, inhale, run_prim,
-    transfer_heap,
+    ExecContext, FieldChunk, PredChunk, SymState, exhale, inhale, perm_str,
+    run_prim, transfer_heap,
 )
 from weakmem import syntax as S
 
@@ -490,3 +491,128 @@ def test_value_height_bound():
     for op in ("*", "/", "%", "<<", "==", "<"):
         (v,) = verify(products(1200, op)).verdicts
         assert (v.status, v.reason) == ("unsupported", reason), op
+
+
+# ---------------------------------------------------------------------------
+# The pos flag: amounts positive by construction
+# ---------------------------------------------------------------------------
+
+def chunk_of(st, fld="val", label=HeapLabel.REAL):
+    return st.fields[st.field_key(st.env["a"], fld, label)]
+
+
+def test_inhale_sets_pos():
+    ctx = make_ctx()
+    st = fresh_state(ctx)
+    enc = estar([acc("a", "val", "1/2"), acc("a", "init", WILDCARD),
+                 EPredAcc("a", 0, WILDCARD)])
+    pkey = st.pred_key(st.env["a"], 0, HeapLabel.REAL)
+    st = do_inhale(ctx, st, enc)
+    assert chunk_of(st).pos and chunk_of(st, "init").pos and st.preds[pkey].pos
+    # inhaling into a held chunk sets it too
+    chunk_of(st).pos = chunk_of(st, "init").pos = st.preds[pkey].pos = False
+    st = do_inhale(ctx, st, enc)
+    assert chunk_of(st).pos and chunk_of(st, "init").pos and st.preds[pkey].pos
+
+
+def test_takes_keep_or_clear_pos():
+    ctx = make_ctx()
+    st = fresh_state(ctx)
+    st = do_inhale(ctx, st, acc("a", "val", 1))
+    (st,) = do_exhale(ctx, st, acc("a", "val", WILDCARD))
+    # a wildcard take assumes w < 1, so the rest 1 - w stays positive
+    (w,) = T.linear_parts(chunk_of(st).perm)[1]
+    assert chunk_of(st).perm is T.sub(T.ONE, w) and chunk_of(st).pos
+    # the flag answers with no solver to ask
+    assert symstate._positive(ExecContext(None, {}), st, chunk_of(st)).verdict == YES
+    # an exact take leaving 1/2 - w clears it, though this path bounds w
+    st.assume(T.le(w, T.mk_int(Fraction(1, 4))))
+    (st,) = do_exhale(ctx, st, acc("a", "val", "1/2"))
+    assert chunk_of(st).perm is T.sub(T.mk_int(Fraction(1, 2)), w)
+    assert not chunk_of(st).pos
+    assert symstate._positive(ctx, st, chunk_of(st)).verdict == YES   # by the solver
+    # an exact take whose rest is positive by token positivity alone sets it
+    st = do_inhale(ctx, st, acc("a", "init", "1/2"))
+    st = do_inhale(ctx, st, acc("a", "init", WILDCARD))
+    (st,) = do_exhale(ctx, st, acc("a", "init", "1/2"))
+    assert chunk_of(st, "init").pos
+    chunk_of(st, "init").pos = False
+    (st,) = do_exhale(ctx, st, acc("a", "init", WILDCARD))
+    assert chunk_of(st, "init").pos
+
+
+def test_transfer_merge_ors_pos():
+    for src_pos, dst_pos in ((True, False), (False, True), (False, False)):
+        ctx = make_ctx()
+        st = fresh_state(ctx)
+        ref = st.env["a"]
+        for label, pos in ((HeapLabel.DOWN, src_pos), (HeapLabel.REAL, dst_pos)):
+            w = ctx.fresh_token()
+            st.fields[st.field_key(ref, "val", label)] = FieldChunk(
+                ref, "val", label, w, ctx.fresh_field_value("val"), pos)
+            st.preds[st.pred_key(ref, 0, label)] = PredChunk(ref, 0, label, w, (), pos)
+        st = transfer_heap(ctx, st, HeapLabel.DOWN, HeapLabel.REAL)
+        assert len(st.fields) == len(st.preds) == 1
+        assert chunk_of(st).pos == (src_pos or dst_pos)
+        assert st.preds[st.pred_key(ref, 0, HeapLabel.REAL)].pos == (src_pos or dst_pos)
+
+
+def test_clone_pos_is_independent():
+    ctx = make_ctx()
+    st = fresh_state(ctx)
+    st = do_inhale(ctx, st, estar([acc("a", "val", 1), EPredAcc("a", 0, WILDCARD)]))
+    copy = st.clone()
+    pkey = st.pred_key(st.env["a"], 0, HeapLabel.REAL)
+    assert chunk_of(copy).pos and copy.preds[pkey].pos
+    chunk_of(copy).pos = copy.preds[pkey].pos = False
+    assert chunk_of(st).pos and st.preds[pkey].pos
+    copy = st.clone()
+    chunk_of(st).pos = st.preds[pkey].pos = False
+    assert chunk_of(copy).pos and copy.preds[pkey].pos
+
+
+# A lockchain-shaped client: it takes the lock of corpus/RSLLockNoSpin.rsl
+# three times, changing and restoring the protected location each time.
+LOCK_CLIENT = """
+define J = j |-> 4;
+invariant Q(V) = V == 0 ? true : (V == 1 ? J : false);
+define Lock(x) = Init(x) && RMWAcq(x, Q) && Rel(x, Q);
+
+proc lock(x, j) requires { Lock(x) } ensures { Lock(x) && J }
+{ while (CAS_rel_acq(x, 1, 0) != 1); }
+
+proc unlock(x, j) requires { Lock(x) && J } ensures { Lock(x) }
+{ [x]_rel := 1; }
+
+proc client(x, j) requires { Lock(x) } ensures { Lock(x) }
+{
+""" + "".join(f"  call lock(x, j); v{r} := [j]_na; [j]_na := v{r} + {r + 1};\n"
+              f"  w{r} := [j]_na; [j]_na := w{r} - {r + 1}; call unlock(x, j);\n"
+              for r in range(3)) + "}\n"
+
+
+def test_pos_flag_agrees_with_the_solver(monkeypatch):
+    """Each positivity check the flag answers, the solver also answers yes."""
+    answered = []
+    flag_or_solver = symstate._positive
+
+    def checked(ctx, state, chunk):
+        if chunk.pos:
+            res = ctx.entailed(state, T.lt(T.ZERO, chunk.perm))
+            assert res.verdict == YES, (perm_str(chunk.perm), state.path)
+            answered.append(chunk.perm)
+        return flag_or_solver(ctx, state, chunk)
+
+    monkeypatch.setattr(symstate, "_positive", checked)
+    entries = load_manifest(MANIFEST)
+    assert len(entries) == 21
+    for entry in entries:
+        for soundness in (False, True):
+            api.verify_file(corpus_path(entry.file),
+                            opts=api.VerifyOptions(check_soundness=soundness))
+    on_corpus = len(answered)
+    assert on_corpus > 0
+    for soundness in (False, True):
+        res = verify(LOCK_CLIENT, check_soundness=soundness)
+        assert res.ok, [d.format() for v in res.verdicts for d in v.diagnostics]
+    assert len(answered) > on_corpus
