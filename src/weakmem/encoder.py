@@ -3,10 +3,18 @@
 Each statement becomes a short, state-independent sequence of primitives
 (inhale, exhale, checks, havocs, branches, heap transfers), all of them
 plain data.  Where a statement acts on one invariant conjunct at a time,
-the encoder builds the body for every table index up front; the executor
-iterates over the conjuncts a state holds and runs only their bodies, which
-is equivalent to a static expansion over every index because only held
+the encoder gives it the body of every table index; the executor iterates
+over the conjuncts a state holds and runs only their bodies, which is
+equivalent to a static expansion over every index because only held
 conjuncts pass the permission guard.
+
+Each table body is lowered once per procedure and modality, with its value
+parameter ``V`` left in place, as the paper encodes an invariant once as a
+function of its value.  A primitive that runs a body carries the expression
+``V`` stands for at its site, and the executor binds it; the printer
+instantiates it, so dumps and traces read as if the body were lowered at
+each site.  A body whose fractions mention ``V`` is the exception: lowering
+checks amounts, so it is instantiated and lowered per site.
 
 Loops take one of two shapes: with an annotated invariant they get the
 standard exhale/havoc/inhale treatment (the body is verified against the
@@ -57,6 +65,7 @@ class Inhale:
     enc: EncAssertion
     rule: str = ""
     span: Span = NO_SPAN
+    value: Optional[S.Expr] = None       # what `V` stands for in an invariant body
 
 
 @dataclass
@@ -67,6 +76,7 @@ class Exhale:
     vals_kind: str = EXHALE_FAILURE      # kind for values-read emptiness failures
     bindable: frozenset = frozenset()    # logical variables open for unification
     span: Span = NO_SPAN
+    value: Optional[S.Expr] = None       # as for Inhale
 
 
 @dataclass
@@ -121,6 +131,7 @@ class ExhalePreferTmp:
     rule: str = ""
     kind: str = EXHALE_FAILURE
     span: Span = NO_SPAN
+    value: Optional[S.Expr] = None       # as for Inhale
 
 
 @dataclass
@@ -152,10 +163,10 @@ class RecordReadValue:
 class SpinLeakCheck:
     """Reject spin loops whose discarded reads would gain resources.
 
-    ``lowered`` maps each invariant index to its body instantiated at the
-    probe variable; the executor checks, for every held conjunct, that no
-    permission atom is feasibly gained for a value satisfying the continue
-    condition.
+    ``lowered`` maps each invariant index to its lowered body, whose ``V``
+    stands for ``value``, the probe variable; the executor checks, for every
+    held conjunct, that no permission atom is feasibly gained for a value
+    satisfying the continue condition.
     """
     loc: str
     need_full: bool
@@ -163,6 +174,7 @@ class SpinLeakCheck:
     cont: S.Expr                          # continue condition over the probe
     lowered: dict
     span: Span = NO_SPAN
+    value: Optional[S.Expr] = None        # None if no body mentions `V`
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +211,8 @@ class EncodeCtx:
         self.info = checked.info[proc_name]
         self.classes = self.info.classes
         self.lower_ctx = LowerCtx(table, self.classes)
-        self.inv_vars = checked.inv_vars
+        self._body_ctx = LowerCtx(table, self.classes, inv_body=True)
+        self._bodies: dict[tuple, EncAssertion] = {}    # (index, modality) -> body
         self._fresh = 0
         self.extra_obligations: list[Obligation] = []
         self._thread_count = 0
@@ -214,18 +227,33 @@ class EncodeCtx:
     def lower(self, a: S.Assertion, label: HeapLabel = HeapLabel.REAL) -> EncAssertion:
         return lower(a, self.lower_ctx, label)
 
-    def inv_at(self, idx: int, value: S.Expr) -> S.Assertion:
-        return substitute(self.table.body(idx), value)
+    def inv_body(self, idx: int, value: S.Expr, modality: Optional[dict] = None
+                 ) -> tuple[EncAssertion, Optional[S.Expr]]:
+        """Table entry ``idx``'s body at ``value``, lowered and, given a
+        modality, relabeled: the encoded body and what its ``V`` stands for,
+        None if it does not mention ``V``.
 
-    def inv_bodies(self, value: S.Expr,
-                   modality: Optional[dict] = None) -> dict[int, EncAssertion]:
-        """Every table index's invariant body at ``value``, lowered and, given
-        a modality, relabeled."""
-        out = {}
-        for idx in self.table.all_indices():
-            enc = self.lower(self.inv_at(idx, value))
-            out[idx] = enc if modality is None else relabel(enc, modality, self.lower_ctx)
-        return out
+        Each body is lowered once per modality, with ``V`` left in place; the
+        executor binds it.  A body whose fractions mention ``V`` is
+        instantiated and lowered at each site instead, since lowering checks
+        its amounts."""
+        if idx in self.table.value_fractions:
+            enc = self.lower(substitute(self.table.body(idx), value))
+            return (enc if modality is None else relabel(enc, modality, self.lower_ctx)), None
+        key = (idx, tuple(modality.items()) if modality else ())
+        enc = self._bodies.get(key)
+        if enc is None:
+            enc = lower(self.table.body(idx), self._body_ctx)
+            if modality is not None:
+                enc = relabel(enc, modality, self.lower_ctx)
+            self._bodies[key] = enc
+        return enc, (value if idx in self.table.uses_value else None)
+
+    def inv_bodies(self, value: S.Expr, modality: Optional[dict] = None
+                   ) -> dict[int, tuple[EncAssertion, Optional[S.Expr]]]:
+        """``inv_body`` of every table index."""
+        return {idx: self.inv_body(idx, value, modality)
+                for idx in self.table.all_indices()}
 
 
 def _enc_err(kind: str, span: Span, rule: str, msg: str) -> FrontendError:
@@ -366,8 +394,8 @@ def _rel_index_chain(loc: str, bodies: dict[int, list], span: Span,
 
 def _atomic_write(loc: str, value: S.Expr, modality: Optional[dict],
                   rule: str, span: Span, ctx: EncodeCtx) -> list:
-    bodies = {idx: [Exhale(enc, rule, span=span)]
-              for idx, enc in ctx.inv_bodies(value, modality).items()}
+    bodies = {idx: [Exhale(enc, rule, span=span, value=v)]
+              for idx, (enc, v) in ctx.inv_bodies(value, modality).items()}
     prims: list = [
         AssertCheck(EAcc(loc, FIELD_REL, WILDCARD, span=span),
                     rule, kind=NO_REL_PERMISSION, span=span),
@@ -384,9 +412,9 @@ def _read_gain(loc: str, value: S.Expr, modality: Optional[dict],
     """Gain each held conjunct's body at a value not read through it before."""
     bodies = {idx: [Branch(
                   BranchCond("notread", loc=loc, idx=idx, value=value),
-                  [Inhale(enc, rule, span), RecordReadValue(loc, idx, value, span)],
+                  [Inhale(enc, rule, span, v), RecordReadValue(loc, idx, value, span)],
                   [], span)]
-              for idx, enc in ctx.inv_bodies(value, modality).items()}
+              for idx, (enc, v) in ctx.inv_bodies(value, modality).items()}
     return ForEachHeldConjunct(loc, need_full=True, bodies=bodies, span=span)
 
 
@@ -412,10 +440,10 @@ def _cas(target: str, tau: str, loc: str, expected: S.Expr, newval: S.Expr,
     write_sync = tau in ("rel", "rel_acq")
     read_sync = tau in ("acq", "rel_acq")
 
-    tmp_gain = {idx: [Inhale(enc, rule + " read gain", span)]
-                for idx, enc in ctx.inv_bodies(S.EVar(target), TO_TMP).items()}
-    release = {idx: [ExhalePreferTmp(enc, rule + " release", span=span)]
-               for idx, enc in ctx.inv_bodies(
+    tmp_gain = {idx: [Inhale(enc, rule + " read gain", span, v)]
+                for idx, (enc, v) in ctx.inv_bodies(S.EVar(target), TO_TMP).items()}
+    release = {idx: [ExhalePreferTmp(enc, rule + " release", span=span, value=v)]
+               for idx, (enc, v) in ctx.inv_bodies(
                    newval, None if write_sync else TO_UP).items()}
     success: list = [
         ForEachHeldConjunct(loc, need_full=False, bodies=tmp_gain, span=span),
@@ -448,15 +476,19 @@ def _cas(target: str, tau: str, loc: str, expected: S.Expr, newval: S.Expr,
 def _rewrite(st: S.SRewrite, ctx: EncodeCtx) -> list:
     rule = "invariant rewrite"
     probe = ctx.fresh("rw")
-    old_at = estar([ctx.lower(ctx.inv_at(i, S.EVar(probe)))
-                    for i in ctx.table.conjuncts(st.old)])
-    new_at = estar([ctx.lower(ctx.inv_at(i, S.EVar(probe)))
-                    for i in ctx.table.conjuncts(st.new)])
+
+    def at_probe(inv: S.InvRef) -> tuple[EncAssertion, Optional[S.Expr]]:
+        parts = [ctx.inv_body(i, S.EVar(probe)) for i in ctx.table.conjuncts(inv)]
+        uses_value = any(v is not None for _, v in parts)
+        return estar([enc for enc, _ in parts]), (S.EVar(probe) if uses_value else None)
+
+    old_at, old_v = at_probe(st.old)
+    new_at, new_v = at_probe(st.new)
     justification = [
         DropAllPerms(st.span),
         HavocVar(probe, st.span),
-        Inhale(old_at, rule + " assumption", st.span),
-        Exhale(new_at, rule, kind=REWRITE_NOT_JUSTIFIED, span=st.span),
+        Inhale(old_at, rule + " assumption", st.span, old_v),
+        Exhale(new_at, rule, kind=REWRITE_NOT_JUSTIFIED, span=st.span, value=new_v),
         KillBranch(st.span),
     ]
     old_insts = estar([EPredAcc(st.loc, i, FULL, vals_empty=True, span=st.span)
@@ -533,14 +565,16 @@ def _spin_read(st: S.SWhile, ctx: EncodeCtx) -> list:
     rule = "spin loop (" + ("relaxed" if modality else "acquire") + " read)"
     probe = ctx.fresh("spin")
     cont = S.EBin(cond.op, S.EVar(probe), cond.rhs)
-    lowered = ctx.inv_bodies(S.EVar(probe))
+    bodies = ctx.inv_bodies(S.EVar(probe))
+    lowered = {idx: enc for idx, (enc, _) in bodies.items()}
+    value = S.EVar(probe) if any(v is not None for _, v in bodies.values()) else None
     prims: list = [
         AssertCheck(EAcc(cond.loc, FIELD_INIT, WILDCARD, span=st.span),
                     rule, kind=UNINITIALISED, span=st.span),
         AssertCheck(estar([EAcc(cond.loc, FIELD_ACQ, WILDCARD, span=st.span),
                            EFieldEq(cond.loc, FIELD_ACQ, S.TRUE_E, span=st.span)]),
                     rule, kind=NO_ACQ_PERMISSION, span=st.span),
-        SpinLeakCheck(cond.loc, True, probe, cont, lowered, st.span),
+        SpinLeakCheck(cond.loc, True, probe, cont, lowered, st.span, value),
     ]
     if cond.op == "==":
         # the only discarded value is the compare constant: record it
@@ -591,8 +625,7 @@ def _par(st: S.SPar, ctx: EncodeCtx) -> list:
 
 
 def _thread_obligation(name: str, th: S.Thread, ctx: EncodeCtx) -> Obligation:
-    free = S.deep_assertion_vars(th.pre, ctx.inv_vars)
-    free |= S.deep_assertion_vars(th.post, ctx.inv_vars)
+    free = ctx.info.spec_vars(th.pre) | ctx.info.spec_vars(th.post)
     free |= ctx.info.scope(th.body).uses
     setup: list = [HavocVar(v, th.span) for v in sorted(free)]
     setup.append(Inhale(ctx.lower(th.pre), "thread precondition", th.span))
@@ -628,7 +661,7 @@ def _call(st: S.SCall, ctx: EncodeCtx) -> list:
         for p, t in zip(callee.returns, ret_targets):
             mapping[p.name] = S.EVar(t)
     bound = {p.name for p in callee.params} | {p.name for p in callee.returns}
-    logical = sorted(S.deep_assertion_vars(callee.pre, ctx.inv_vars) - bound)
+    logical = sorted(ctx.checked.info[callee.name].spec_vars(callee.pre) - bound)
     fresh_logical = {v: S.EVar(ctx.fresh("log")) for v in logical}
     mapping.update(fresh_logical)
     try:
@@ -674,8 +707,7 @@ def build_obligations(checked: CheckedProgram, table: InvariantTable,
                       proc: S.Procedure) -> list[Obligation]:
     """Encode one procedure: its own obligation plus one per forked thread."""
     ctx = EncodeCtx(checked, table, proc.name)
-    free = S.deep_assertion_vars(proc.pre, ctx.inv_vars)
-    free |= S.deep_assertion_vars(proc.post, ctx.inv_vars)
+    free = ctx.info.spec_vars(proc.pre) | ctx.info.spec_vars(proc.post)
     free |= ctx.info.scope(proc.body).uses
     free |= {p.name for p in proc.params} | {p.name for p in proc.returns}
     setup: list = [HavocVar(v, proc.span) for v in sorted(free)]
@@ -697,9 +729,9 @@ def build_obligations(checked: CheckedProgram, table: InvariantTable,
 def pp_primitive(p, indent: int = 0) -> list[str]:
     pad = "  " * indent
     if isinstance(p, Inhale):
-        return [f"{pad}inhale {L.pp_enc(p.enc)}"]
+        return [f"{pad}inhale {_pp_bound(p)}"]
     if isinstance(p, Exhale):
-        return [f"{pad}exhale {L.pp_enc(p.enc)}"]
+        return [f"{pad}exhale {_pp_bound(p)}"]
     if isinstance(p, AssertCheck):
         return [f"{pad}assert {L.pp_enc(p.enc)}"]
     if isinstance(p, HavocVar):
@@ -739,7 +771,7 @@ def pp_primitive(p, indent: int = 0) -> list[str]:
     if isinstance(p, TransferHeap):
         return [f"{pad}transfer {p.src} -> {p.dst}"]
     if isinstance(p, ExhalePreferTmp):
-        return [f"{pad}exhale[tmp-first] {L.pp_enc(p.enc)}"]
+        return [f"{pad}exhale[tmp-first] {_pp_bound(p)}"]
     if isinstance(p, KillBranch):
         return [f"{pad}assume false // kill branch"]
     if isinstance(p, DropAllPerms):
@@ -752,6 +784,11 @@ def pp_primitive(p, indent: int = 0) -> list[str]:
     if isinstance(p, SpinLeakCheck):
         return [f"{pad}check spin-discarded reads of {p.loc} gain no resources"]
     raise AssertionError(p)
+
+
+def _pp_bound(p) -> str:
+    """A primitive's assertion with ``V`` instantiated at its value."""
+    return L.pp_enc(p.enc if p.value is None else substitute(p.enc, p.value))
 
 
 def dump_primitives(obligations: list[Obligation]) -> str:

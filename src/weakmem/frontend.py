@@ -803,6 +803,7 @@ class ProcInfo:
     classes: dict[str, str] = field(default_factory=dict)
     declared: set[str] = field(default_factory=set)
     scopes: dict[int, Scope] = field(default_factory=dict)   # id(body) -> its scope
+    specs: dict[int, frozenset] = field(default_factory=dict)   # id(spec) -> its variables
     calls: list = field(default_factory=list)                # S.SCall sites, in order
 
     def scope(self, body: list) -> Scope:
@@ -810,13 +811,17 @@ class ProcInfo:
         procedure's tree."""
         return self.scopes[id(body)]
 
+    def spec_vars(self, spec: S.Assertion) -> frozenset:
+        """The variables of a pre- or postcondition, of the procedure or of
+        a thread of its tree, and of the invariant bodies it reaches."""
+        return self.specs[id(spec)]
+
 
 @dataclass
 class CheckedProgram:
     program: S.Program
     info: dict[str, ProcInfo]
     diagnostics: list[Diagnostic]
-    inv_vars: dict[str, frozenset[str]]     # S.invariant_vars of the program
     # the invariant reference of every annotation of every procedure, with its
     # span, in source order: specs, allocations, rewrites, fences, loop
     # invariants and thread specs (not invariant bodies)
@@ -832,7 +837,6 @@ class _Classifier:
         self.program = program
         self.diags: list[Diagnostic] = []
         self.inv_by_name = {d.name: d for d in program.invariants}
-        self.inv_vars = S.invariant_vars(self.inv_by_name)
         self.inv_sites: list[tuple[S.InvRef, Span]] = []
 
     def run(self) -> CheckedProgram:
@@ -847,10 +851,10 @@ class _Classifier:
             for var, ev in sorted(evidence[proc.name].items()):
                 pi.classes[var] = self._resolve(ev, report=True, var=var)
             self._check_declared(proc, pi)
-        self._check_posts()
+        self._check_posts(info)
         self._check_fractions()
         self.diags.sort(key=lambda d: (d.span.line, d.span.col, d.kind))
-        return CheckedProgram(self.program, info, self.diags, self.inv_vars, self.inv_sites)
+        return CheckedProgram(self.program, info, self.diags, self.inv_sites)
 
     def _propagate_calls(self, info: dict[str, ProcInfo],
                          evidence: dict[str, dict[str, _Evidence]]) -> None:
@@ -890,8 +894,9 @@ class _Classifier:
 
     def _collect_proc(self, proc: S.Procedure, pi: ProcInfo) -> dict[str, _Evidence]:
         """Walk a procedure once.  Returns each variable's evidence; records on
-        `pi` the scope of every body, the call sites and the declared names,
-        and appends the procedure's invariant sites to `self.inv_sites`."""
+        `pi` the scope of every body, the variables of every spec, the call
+        sites and the declared names, and appends the procedure's invariant
+        sites to `self.inv_sites`."""
         ev: dict[str, _Evidence] = {}
         uses: set[str] = set()      # of the innermost body being walked
         binds: set[str] = set()
@@ -908,46 +913,66 @@ class _Classifier:
             if shallow:
                 uses.add(var)
 
-        def expr_use(e: S.Expr, span: Span, shallow: bool = True) -> None:
+        def expr_use(e: S.Expr, span: Span) -> None:
             for x in S.walk_expr(e):
                 if isinstance(x, S.EVar):
-                    use(x.name, "int_use", span, shallow)
+                    use(x.name, "int_use", span)
 
-        def assertion_use(a: S.Assertion, span: Span, seen_invs: frozenset = frozenset()) -> None:
-            # an annotation itself, not an invariant body it names
-            direct = not seen_invs
+        def assertion_use(a: S.Assertion, span: Span, found: set,
+                          walked: Optional[set] = None) -> None:
+            """Use the variables of an annotation and of the invariant bodies
+            it reaches, and add them to `found`.  `walked`, the bodies walked
+            for the annotation so far, is None for the annotation itself."""
+            direct = walked is None
+            if direct:
+                walked = set()
             for x in S.walk_assertion(a):
                 tag = _LOC_USE.get(type(x))
                 if tag:
                     use(x.loc, tag, x.span, direct)
+                    found.add(x.loc)
                 if isinstance(x, S.APure):
-                    expr_use(x.expr, span, direct)
+                    value_use(x.expr, span, direct, found)
                 elif isinstance(x, S.APointsTo):
-                    expr_use(x.value, span, direct)
+                    value_use(x.value, span, direct, found)
                     if direct:
                         self._check_fraction(x)
                 elif isinstance(x, (S.AImplies, S.ACond)):
-                    expr_use(x.cond, span, direct)
+                    value_use(x.cond, span, direct, found)
                 elif isinstance(x, (S.AAcq, S.ARel, S.ARMWAcq)):
                     if direct:
                         self.inv_sites.append((x.inv, x.span))
-                    inv_use(x.inv, span, seen_invs)
+                    inv_use(x.inv, span, found, walked)
 
-        def inv_use(inv: S.InvRef, span: Span, seen: frozenset) -> None:
+        def value_use(e: S.Expr, span: Span, direct: bool, found: set) -> None:
+            for x in S.walk_expr(e):
+                if isinstance(x, S.EVar):
+                    use(x.name, "int_use", span, direct)
+                    found.add(x.name)
+
+        def inv_use(inv: S.InvRef, span: Span, found: set, walked: set) -> None:
+            # each body once per annotation, however many paths reach it
             for name in inv:
-                if name in seen:
+                if name in walked:
                     continue
+                walked.add(name)
                 decl = self.inv_by_name.get(name)
                 if decl is None:
                     self.diags.append(Diagnostic(
                         SYNTAX_ERROR, span, rule="well-formedness",
                         message=f"unknown invariant {name!r}"))
                     continue
-                assertion_use(decl.body, span, seen | {name})
+                assertion_use(decl.body, span, found, walked)
+
+        def spec_use(spec: S.Assertion, span: Span) -> frozenset:
+            found: set[str] = set()
+            assertion_use(spec, span, found)
+            pi.specs[id(spec)] = out = frozenset(found)
+            return out
 
         def inv_site(inv: S.InvRef, span: Span) -> None:
             self.inv_sites.append((inv, span))
-            inv_use(inv, span, frozenset())
+            inv_use(inv, span, set(), set())
 
         def bind(var: str, tag: Optional[str], span: Span) -> None:
             use(var, tag, span)
@@ -994,7 +1019,7 @@ class _Classifier:
                 inv_site(st.old, st.span)
                 inv_site(st.new, st.span)
             elif isinstance(st, S.SFenceRel):
-                assertion_use(st.assertion, st.span)
+                assertion_use(st.assertion, st.span, set())
             elif isinstance(st, S.SWhile):
                 c = st.cond
                 if c.kind == "pure":
@@ -1008,7 +1033,7 @@ class _Classifier:
                     expr_use(c.newval, st.span)
                     expr_use(c.rhs, st.span)
                 if st.invariant is not None:
-                    assertion_use(st.invariant, st.span)
+                    assertion_use(st.invariant, st.span, set())
                 block(st.body)
             elif isinstance(st, S.SIf):
                 expr_use(st.cond, st.span)
@@ -1016,10 +1041,9 @@ class _Classifier:
                 block(st.els)
             elif isinstance(st, S.SPar):
                 for th in st.threads:
-                    assertion_use(th.pre, th.span)
-                    assertion_use(th.post, th.span)
                     # logical variables bound by a thread precondition are in scope
-                    declared.update(S.deep_assertion_vars(th.pre, self.inv_vars))
+                    declared.update(spec_use(th.pre, th.span))
+                    spec_use(th.post, th.span)
                 for th in st.threads:
                     block(th.body)
             elif isinstance(st, S.SCall):
@@ -1042,11 +1066,10 @@ class _Classifier:
             if p.ghost:
                 E(p.name).alloc.setdefault("alloc_ghost", proc.span)
         if proc.pre is not None:
-            assertion_use(proc.pre, proc.span)
             # logical variables bound by the precondition are in scope
-            declared |= S.deep_assertion_vars(proc.pre, self.inv_vars)
+            declared |= spec_use(proc.pre, proc.span)
         if proc.post is not None:
-            assertion_use(proc.post, proc.span)
+            spec_use(proc.post, proc.span)
         block(proc.body)
         pi.declared = declared | pi.scope(proc.body).binds
         return ev
@@ -1124,13 +1147,14 @@ class _Classifier:
                 SYNTAX_ERROR, proc.span, rule="well-formedness",
                 message=f"variable {v!r} used in {proc.name!r} but never declared"))
 
-    def _check_posts(self) -> None:
+    def _check_posts(self, info: dict[str, ProcInfo]) -> None:
         for proc in self.program.procedures:
             if proc.pre is None or proc.post is None:
                 continue
+            pi = info[proc.name]
             allowed = {p.name for p in proc.params} | {p.name for p in proc.returns}
-            allowed |= S.deep_assertion_vars(proc.pre, self.inv_vars)
-            extra = sorted(S.deep_assertion_vars(proc.post, self.inv_vars) - allowed)
+            allowed |= pi.spec_vars(proc.pre)
+            extra = sorted(pi.spec_vars(proc.post) - allowed)
             if extra:
                 self.diags.append(Diagnostic(
                     SYNTAX_ERROR, proc.span, rule="well-formedness",

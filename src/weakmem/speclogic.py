@@ -5,7 +5,12 @@ finitely many appear in a program, each distinct syntactic form gets an
 integer index; holding a ``Rel``/``Acq``/``RMWAcq`` resource then only needs
 to mention indices.  The table records the whole-invariant index of every
 form plus the indices of its top-level star conjuncts, so acquire resources
-can be split along conjuncts.
+can be split along conjuncts, and which bodies mention the value parameter
+``V``, in fractions or elsewhere.
+
+A table body is lowered with ``V`` in place (``lower`` accepts it only for a
+table body, and rejects it anywhere else); ``substitute`` instantiates a
+body, surface or encoded, at a value.
 
 The encoder works on *encoded* assertions: permission atoms, predicate atoms
 and field-value constraints, each tagged with the heap it lives in (real, up,
@@ -51,6 +56,23 @@ class InvariantTable:
     whole_of: dict[S.InvRef, int] = field(default_factory=dict)
     conjuncts_of: dict[S.InvRef, tuple[int, ...]] = field(default_factory=dict)
     spans: dict[int, Span] = field(default_factory=dict)
+    # the entries whose body mentions `V` outside fractions, and those whose
+    # fractions mention it (their amounts are only known at a value)
+    uses_value: set[int] = field(default_factory=set)
+    value_fractions: set[int] = field(default_factory=set)
+
+    def add(self, body: S.Assertion, name: str, span: Span) -> int:
+        """Index a body under the next index, noting where it mentions `V`."""
+        idx = len(self.entries)
+        self.entries[idx] = body
+        self.names[idx] = name
+        self.spans[idx] = span
+        for x in S.walk_assertion(body):
+            if any(_mentions_value(getattr(x, f, None)) for f in ("expr", "cond", "value")):
+                self.uses_value.add(idx)
+            if isinstance(x, S.APointsTo) and _mentions_value(x.frac):
+                self.value_fractions.add(idx)
+        return idx
 
     def whole(self, inv: S.InvRef) -> int:
         return self.whole_of[inv]
@@ -104,18 +126,12 @@ def build_invariant_table(checked: CheckedProgram) -> InvariantTable:
         for name in inv:
             single = (name,)
             if single not in table.whole_of:
-                idx = len(table.entries)
                 d = decl_of[name]
-                table.entries[idx] = d.body
-                table.names[idx] = name
-                table.spans[idx] = d.span
+                idx = table.add(d.body, name, d.span)
                 table.whole_of[single] = idx
                 table.conjuncts_of[single] = (idx,)
         if len(inv) > 1:
-            idx = len(table.entries)
-            table.entries[idx] = S.star([decl_of[n].body for n in inv])
-            table.names[idx] = " && ".join(inv)
-            table.spans[idx] = span
+            idx = table.add(S.star([decl_of[n].body for n in inv]), " && ".join(inv), span)
             table.whole_of[inv] = idx
             table.conjuncts_of[inv] = tuple(table.whole_of[(n,)] for n in inv)
         _assert_reassembles(table, inv)
@@ -142,16 +158,24 @@ def _assert_reassembles(table: InvariantTable, inv: S.InvRef) -> None:
 # Value substitution
 # ---------------------------------------------------------------------------
 
-def substitute(q: S.Assertion, value: S.Expr) -> S.Assertion:
-    """Instantiate an invariant body at a value.
+def _mentions_value(e: Optional[S.Expr]) -> bool:
+    return e is not None and any(isinstance(x, S.EInvVal) for x in S.walk_expr(e))
+
+
+def substitute(q, value: S.Expr):
+    """Instantiate an invariant body, surface or encoded, at a value.
 
     The assertion language has no binders, so plain structural replacement
-    of the distinguished parameter is already capture-avoiding.
+    of the distinguished parameter is already capture-avoiding.  An encoded
+    star is flattened again, as lowering the instantiated body would.
     """
     def at_value(e: S.Expr) -> S.Expr:
         return value if isinstance(e, S.EInvVal) else e
 
-    return S.map_assertion(q, lambda e: S.map_expr(e, at_value))
+    def restar(x):
+        return estar(list(x.parts)) if isinstance(x, EStar) else x
+
+    return S.map_assertion(q, lambda e: S.map_expr(e, at_value), on_node=restar)
 
 
 # ---------------------------------------------------------------------------
@@ -253,6 +277,7 @@ def estar(parts: list) -> EncAssertion:
 class LowerCtx:
     table: InvariantTable
     classes: dict[str, str]          # variable classifications for this scope
+    inv_body: bool = False           # lowering a table body: `V` may appear
 
     def is_ghost(self, loc: str) -> bool:
         return self.classes.get(loc) == GHOST
@@ -261,9 +286,10 @@ class LowerCtx:
 def lower(a: S.Assertion, ctx: LowerCtx, label: HeapLabel = HeapLabel.REAL) -> EncAssertion:
     """Encode a surface assertion; atoms on ghost locations keep the real label."""
     if isinstance(a, S.APure):
-        _reject_inv_val(a.expr, a.span)
+        _reject_inv_val(a.expr, a.span, ctx)
         return EPure(a.expr, a.span)
     if isinstance(a, S.APointsTo):
+        _reject_inv_val(a.value, a.span, ctx)
         k = _perm_of(a.frac, a.span)
         lbl = _loc_label(a.loc, label, ctx)
         parts = [
@@ -311,10 +337,10 @@ def lower(a: S.Assertion, ctx: LowerCtx, label: HeapLabel = HeapLabel.REAL) -> E
     if isinstance(a, S.AStar):
         return estar([lower(p, ctx, label) for p in a.parts])
     if isinstance(a, S.AImplies):
-        _reject_inv_val(a.cond, a.span)
+        _reject_inv_val(a.cond, a.span, ctx)
         return EImplies(a.cond, lower(a.body, ctx, label), a.span)
     if isinstance(a, S.ACond):
-        _reject_inv_val(a.cond, a.span)
+        _reject_inv_val(a.cond, a.span, ctx)
         return ECond(a.cond, lower(a.then, ctx, label), lower(a.els, ctx, label), a.span)
     if isinstance(a, S.AUp):
         return lower(a.body, ctx, _shift(label, HeapLabel.UP, a.span))
@@ -350,8 +376,8 @@ def _perm_of(frac: Optional[S.Expr], span: Span) -> PermSpec:
     return k
 
 
-def _reject_inv_val(e: S.Expr, span: Span) -> None:
-    if any(isinstance(x, S.EInvVal) for x in S.walk_expr(e)):
+def _reject_inv_val(e: S.Expr, span: Span, ctx: LowerCtx) -> None:
+    if not ctx.inv_body and _mentions_value(e):
         raise FrontendError(Diagnostic(
             "SyntaxError", span, rule="well-formedness",
             message="the invariant value parameter is only meaningful inside "

@@ -34,6 +34,15 @@ than a full field permission is not an error but an inconsistency: the
 capacity fact is assumed, so such paths become infeasible and later
 obligations on them hold vacuously.
 
+Invariant bodies arrive lowered once, with their value parameter ``V`` in
+place.  A primitive that runs one carries the expression ``V`` stands for;
+the executor evaluates it to a term at the start of the primitive and binds
+``V`` to that term under a name no program variable can take, only until the
+primitive ends.  The term is the one the substituted expression would give,
+and no fresh symbol is made, so the paths and queries are those of a body
+instantiated at the site.  A primitive whose body does not mention ``V``
+carries no value, and nothing is evaluated.
+
 Branch exploration is depth-first with a configurable cap; a failed check
 records a diagnostic and kills its path while sibling branches continue.
 """
@@ -355,6 +364,11 @@ class EvalError(Exception):
         self.message = message
 
 
+# The environment entry an invariant body's ``V`` is bound to while its
+# primitive runs; no program variable or encoder temporary can be named so.
+VALUE = "<V>"
+
+
 _BIN_OPS = {
     "+": T.add, "-": T.sub, "*": T.mul, "/": T.div_, "%": T.mod_,
     "&": T.bitand, "|": T.bitor, "^": T.bitxor, "<<": T.shl, ">>": T.shr,
@@ -376,7 +390,7 @@ def eval_expr(state: SymState, e: S.Expr) -> T.Term:
     if isinstance(e, S.EAny):
         raise EvalError("the placeholder value '_' is only allowed in points-to")
     if isinstance(e, S.EInvVal):
-        raise EvalError("unsubstituted invariant value parameter")
+        return state.env[VALUE]
     if isinstance(e, S.EBin):
         t = _BIN_OPS[e.op](eval_expr(state, e.left), eval_expr(state, e.right))
     elif isinstance(e, S.EUn):
@@ -868,8 +882,12 @@ def run_prim(ctx: ExecContext, state: SymState, prim) -> list[SymState]:
                   E.pp_primitive(prim)[0].strip(), state.digest())
     try:
         if isinstance(prim, E.Inhale):
+            if prim.value is not None:
+                return _run_bound(ctx, state, prim)
             return inhale(ctx, state, prim.enc)
         if isinstance(prim, (E.Exhale, E.AssertCheck, E.ExhalePreferTmp)):
+            if getattr(prim, "value", None) is not None:
+                return _run_bound(ctx, state, prim)
             return exhale(ctx, state, prim)
         if isinstance(prim, E.HavocVar):
             state.env[prim.name] = ctx.fresh_for_class(prim.name)
@@ -939,6 +957,17 @@ def run_prim(ctx: ExecContext, state: SymState, prim) -> list[SymState]:
     raise AssertionError(prim)
 
 
+def _run_bound(ctx: ExecContext, state: SymState, prim) -> list[SymState]:
+    """Run an inhale or exhale with ``V`` bound to the term of the
+    primitive's value, for this primitive only."""
+    state.env[VALUE] = eval_expr(state, prim.value)
+    out = (inhale(ctx, state, prim.enc) if isinstance(prim, E.Inhale)
+           else exhale(ctx, state, prim))
+    for s in out:
+        del s.env[VALUE]
+    return out
+
+
 def _spin_leak_check(ctx: ExecContext, state: SymState, prim) -> None:
     ref = resolve_loc(state, prim.loc)
     held = _held_conjuncts(ctx, state, ref, prim.need_full)
@@ -946,6 +975,8 @@ def _spin_leak_check(ctx: ExecContext, state: SymState, prim) -> None:
         return
     probe_state = state.clone()
     probe_state.env[prim.probe] = ctx.fresh_int(prim.probe)
+    if prim.value is not None:
+        probe_state.env[VALUE] = eval_expr(probe_state, prim.value)
     cont = eval_expr(probe_state, prim.cont)
 
     def walk(enc, guards: list) -> None:

@@ -690,38 +690,3 @@ def assertion_vars(a: Assertion) -> set[str]:
             if e is not None:
                 out |= expr_vars(e)
     return out
-
-
-def inv_refs(a: Assertion) -> list[InvRef]:
-    """The invariant references of an assertion's Acq/Rel/RMWAcq nodes, pre-order."""
-    return [x.inv for x in walk_assertion(a) if isinstance(x, (AAcq, ARel, ARMWAcq))]
-
-
-def invariant_vars(decls: dict[str, InvariantDecl]) -> dict[str, frozenset[str]]:
-    """For each invariant in `decls`, the free variables of its body and of
-    every invariant body in `decls` that it reaches."""
-    own = {n: assertion_vars(d.body) for n, d in decls.items()}
-    refs = {n: [m for inv in inv_refs(d.body) for m in inv if m in decls]
-            for n, d in decls.items()}
-    out: dict[str, frozenset[str]] = {}
-    for name in decls:
-        found, seen, todo = set(), {name}, [name]
-        while todo:
-            m = todo.pop()
-            found |= own[m]
-            for r in refs[m]:
-                if r not in seen:
-                    seen.add(r)
-                    todo.append(r)
-        out[name] = frozenset(found)
-    return out
-
-
-def deep_assertion_vars(a: Assertion, inv_vars: dict[str, frozenset[str]]) -> set[str]:
-    """Free variables of an assertion and of the invariant bodies it reaches;
-    `inv_vars` is the `invariant_vars` of the declarations."""
-    out = assertion_vars(a)
-    for inv in inv_refs(a):
-        for name in inv:
-            out |= inv_vars.get(name, frozenset())
-    return out

@@ -51,3 +51,23 @@ def pipeline(source: str):
     chk = checked(source)
     table = speclogic.build_invariant_table(chk)
     return chk, table, Solver()
+
+
+# A lockchain-shaped client: it takes the lock of corpus/RSLLockNoSpin.rsl
+# three times, changing and restoring the protected location each time.
+LOCK_CLIENT = """
+define J = j |-> 4;
+invariant Q(V) = V == 0 ? true : (V == 1 ? J : false);
+define Lock(x) = Init(x) && RMWAcq(x, Q) && Rel(x, Q);
+
+proc lock(x, j) requires { Lock(x) } ensures { Lock(x) && J }
+{ while (CAS_rel_acq(x, 1, 0) != 1); }
+
+proc unlock(x, j) requires { Lock(x) && J } ensures { Lock(x) }
+{ [x]_rel := 1; }
+
+proc client(x, j) requires { Lock(x) } ensures { Lock(x) }
+{
+""" + "".join(f"  call lock(x, j); v{r} := [j]_na; [j]_na := v{r} + {r + 1};\n"
+              f"  w{r} := [j]_na; [j]_na := w{r} - {r + 1}; call unlock(x, j);\n"
+              for r in range(3)) + "}\n"

@@ -414,3 +414,33 @@ def test_strict_invariants_flag(capsys):
     assert run_cli("verify", corpus_path("RelAcqMsgPass.rsl"),
                    "--check-soundness-invariants", "--strict-invariants") == 0
     capsys.readouterr()
+
+
+FRACTION_OF_V = """invariant Q(V) = V == 0 ? true : j |-> 7 @ V;
+proc main(j) requires { j |-> 7 } ensures { true }
+{ alloc_rmw(x, Q); [x]_rel := VALUE; }
+"""
+
+
+@pytest.mark.parametrize("value, code, message", [
+    (1, 0, None),
+    (2, 1, "fraction 2 outside (0, 1]"),
+    (0, 1, "fraction 0 outside (0, 1]"),
+])
+def test_fraction_mentioning_v_is_checked_at_the_written_value(
+        tmp_path, capsys, value, code, message):
+    # the amount of `j |-> 7 @ V` is known only at the value written
+    path = write(tmp_path, "frac.rsl", FRACTION_OF_V.replace("VALUE", str(value)))
+    report = tmp_path / "r.json"
+    assert run_cli("verify", path) == code
+    out = capsys.readouterr().out
+    assert run_cli("verify", path, "--json", str(report)) == code
+    [proc] = json.loads(report.read_text())["files"][0]["procedures"]
+    if message is None:
+        assert "main: ok" in out
+        assert (proc["status"], proc["diagnostics"]) == ("verified", [])
+        return
+    assert f"1:34: SyntaxError [well-formedness]: {message}" in out
+    assert proc["status"] == "failed"
+    assert [(d["line"], d["col"], d["kind"], d["rule"], d["message"])
+            for d in proc["diagnostics"]] == [(1, 34, "SyntaxError", "well-formedness", message)]

@@ -6,7 +6,7 @@ import os
 import pytest
 
 from conftest import CORPUS, corpus_text, pipeline, single_verdict, verify
-from weakmem import api, cli, encoder, symstate, syntax as S, terms as T
+from weakmem import api, cli, encoder, speclogic as L, symstate, syntax as S, terms as T
 from weakmem.diagnostics import (
     DOWN_IN_LOOP_INVARIANT, EXHALE_FAILURE, FrontendError, INCOMPLETE_SOLVER,
     INSUFFICIENT_PERMISSION, MISSING_LOOP_INVARIANT, MIXED_MODE_ACCESS, MISSING_RMW_PERMISSIONS, NO_ACQ_PERMISSION,
@@ -14,7 +14,7 @@ from weakmem.diagnostics import (
     REWRITE_NOT_JUSTIFIED, SPIN_PATTERN_RESOURCE_LEAK, UNINITIALISED,
     UnsupportedFeature,
 )
-from weakmem.speclogic import HeapLabel
+from weakmem.speclogic import EImplies, HeapLabel
 from weakmem.solver import OPAQUE_ATOM, Solver
 
 
@@ -747,6 +747,47 @@ proc main() requires { true } ensures { true }
 { alloc_na(b); alloc_na(a); alloc_acq(l, Q2); alloc_acq(m, Q1);
   [l]_rel := 0; x := [l]_rlx; }
 """
+
+
+VALUE_SITES = """
+invariant P(V) = a |-> 1;
+invariant Q(V) = V == 1 ==> b |-> V;
+proc main(a, b, k) requires { a |-> 1 && b |-> 1 } ensures { true }
+{ alloc_rmw(x, P); alloc_rmw(y, Q); [x]_rel := k; [y]_rel := k + 1; c := CAS_rel_acq(y, 1, 2); }
+"""
+
+
+def test_lowered_bodies_carry_the_value_of_v():
+    chk, table, _ = pipeline(VALUE_SITES)
+    [ob] = encoder.build_obligations(chk, table, chk.program.procedures[0])
+    k = S.EVar("k")
+    body_rules = ("release write", "compare-and-swap read gain", "compare-and-swap release")
+    seen = {}
+    for blk in ob.blocks:
+        for p in _nested_prims(blk.prims):
+            if isinstance(p, encoder.AssertCheck) or getattr(p, "rule", "") not in body_rules:
+                continue
+            # Q's body is an implication, P's a points-to to `a`
+            body = "Q" if isinstance(p.enc, EImplies) else "P" if "a.val" in L.pp_enc(p.enc) else None
+            if body:
+                seen.setdefault((p.rule, body), []).append(p.value)
+    assert seen == {
+        # a body without V leaves the value unset ...
+        ("release write", "P"): [None, None],
+        ("compare-and-swap read gain", "P"): [None],
+        ("compare-and-swap release", "P"): [None],
+        # ... one with V carries the site's expression
+        ("release write", "Q"): [k, S.EBin("+", k, S.EInt(1))],
+        ("compare-and-swap read gain", "Q"): [S.EVar("c")],
+        ("compare-and-swap release", "Q"): [S.EInt(2)],
+    }
+    # each (entry, modality) is lowered once: both writes share Q's body
+    q_writes = [p.enc for blk in ob.blocks for p in _nested_prims(blk.prims)
+                if isinstance(p, encoder.Exhale) and isinstance(p.enc, EImplies)]
+    assert len(q_writes) == 2 and q_writes[0] is q_writes[1]
+    dump = encoder.dump_primitives([ob])
+    assert "exhale (k + 1 == 1 ==> acc(b.val, 1)@real" in dump
+    assert "exhale[tmp-first] (2 == 1 ==> acc(b.val, 1)@real" in dump
 
 
 def test_verify_and_dump_agree_on_double_modality(tmp_path, capsys):

@@ -1,9 +1,12 @@
 """Parser and mode-checker tests."""
 
+from collections import deque
+
 import pytest
 
-from conftest import corpus_text
+from conftest import LOCK_CLIENT, MANIFEST, corpus_path, corpus_text
 from weakmem import frontend, syntax as S
+from weakmem.cli import load_manifest
 from weakmem.diagnostics import (
     CAS_ON_ACQ_LOCATION, DUPLICATE_NAME, MIXED_MODE_ACCESS, SYNTAX_ERROR,
 )
@@ -407,3 +410,111 @@ def test_undeclared_variable():
     program, _ = parse("proc f() requires { true } ensures { true } { [q]_na := 1; }")
     checked = mode_check(program)
     assert any("never declared" in d.message for d in checked.diagnostics)
+
+
+# ---------------------------------------------------------------------------
+# Invariant bodies in the mode check's walk
+# ---------------------------------------------------------------------------
+
+def diamond(n: int, owned: bool = False) -> str:
+    """Invariants Q0 .. Q(n-1), each naming the next two, so the number of
+    paths from Q0 grows like the Fibonacci numbers; the last body, or with
+    `owned` every body, also holds points-to resources."""
+    lines = []
+    for i in range(n):
+        parts = [f"Rel(r{j}, Q{j})" for j in (i + 1, i + 2) if j < n]
+        if owned or not parts:
+            parts += [f"r{(i + 3) % n} |-> k", f"r0 |-> {i}"]
+        lines.append(f"invariant Q{i}(V) = V == 0 ? true : ({' && '.join(parts)});")
+    lines.append("proc main(r0) requires { Rel(r0, Q0) } ensures { true } { skip; }")
+    return "\n".join(lines) + "\n"
+
+
+def test_invariant_diamond_walks_each_body_once(monkeypatch):
+    program, diags = parse(diamond(60))
+    assert diags == []
+    walked = []
+    walk = S.walk_assertion
+
+    def counted(a):
+        walked.append(a)
+        return walk(a)
+
+    monkeypatch.setattr(S, "walk_assertion", counted)
+    checked = mode_check(program)
+    # the precondition, the postcondition and each of the 60 bodies once,
+    # then each body once more for its fractions
+    assert len(walked) == 2 + 60 + 60
+    info = checked.info["main"]
+    assert info.spec_vars(program.procedures[0].pre) == {"k"} | {f"r{i}" for i in range(60)}
+
+
+def test_small_diamond_keeps_classes_and_diagnostics():
+    # pinned from the per-path walk that visited each body once per path
+    checked = mode_check(parse(diamond(6, owned=True))[0])
+    assert checked.info["main"].classes == {
+        "k": VALUE, "r0": "atomic", "r1": "atomic", "r2": "atomic",
+        "r3": "atomic", "r4": "atomic", "r5": "atomic"}
+    assert [(d.kind, d.span.line, d.span.col, d.message) for d in checked.diagnostics] == [
+        (MIXED_MODE_ACCESS, 1, 66, "points-to resource for atomic location 'r3'"),
+        (MIXED_MODE_ACCESS, 2, 66, "points-to resource for atomic location 'r4'"),
+        (MIXED_MODE_ACCESS, 3, 66, "points-to resource for atomic location 'r5'"),
+        (MIXED_MODE_ACCESS, 5, 51, "points-to resource for atomic location 'r1'"),
+        (MIXED_MODE_ACCESS, 6, 36, "points-to resource for atomic location 'r2'"),
+        (MIXED_MODE_ACCESS, 6, 48, "points-to resource for atomic location 'r0'"),
+    ]
+
+
+def test_unknown_invariant_reported_once_per_annotation():
+    program, _ = parse("""invariant A(V) = Rel(y, Nope);
+invariant B(V) = Rel(y, A) && Acq(y, Nope);
+proc main(x, y) requires { Rel(x, B && A) && Acq(x, Nope) } ensures { Rel(x, Nope) }
+{ skip; }
+""")
+    diags = [d.format() for d in mode_check(program).diagnostics]
+    assert diags == ["3:1: SyntaxError [well-formedness]: unknown invariant 'Nope'"] * 2
+
+
+def reached_vars(program: S.Program, spec: S.Assertion) -> set:
+    """The variables of a spec and of every invariant declaration it
+    reaches, found breadth-first, independently of the mode check."""
+    decls = {d.name: d.body for d in program.invariants}
+    out, seen, queue = set(), set(), deque([spec])
+    while queue:
+        a = queue.popleft()
+        out |= S.assertion_vars(a)
+        for x in S.walk_assertion(a):
+            if isinstance(x, (S.AAcq, S.ARel, S.ARMWAcq)):
+                for name in x.inv:
+                    if name in decls and name not in seen:
+                        seen.add(name)
+                        queue.append(decls[name])
+    return out
+
+
+def test_recorded_spec_vars_agree_with_a_breadth_first_walk():
+    sources = []
+    for entry in load_manifest(MANIFEST):
+        with open(corpus_path(entry.file), encoding="utf-8") as fh:
+            sources.append(fh.read())
+    assert len(sources) == 21
+    sources.append(LOCK_CLIENT)
+    specs = deeper = 0
+    for source in sources:
+        program, diags = parse(source)
+        if diags:
+            continue
+        checked = mode_check(program)
+        for proc in program.procedures:
+            info = checked.info[proc.name]
+            owners = [proc] + [th for st in S.walk_stmts(proc.body)
+                               if isinstance(st, S.SPar) for th in st.threads]
+            for owner in owners:
+                for spec in (owner.pre, owner.post):
+                    expected = reached_vars(program, spec)
+                    assert info.spec_vars(spec) == expected, (proc.name, S.pp_assertion(spec))
+                    specs += 1
+                    deeper += expected != S.assertion_vars(spec)
+    assert specs > 60
+    # some specs reach invariant bodies with variables of their own
+    assert deeper > 5

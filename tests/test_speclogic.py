@@ -161,3 +161,17 @@ def test_relabel_double_modality_rejected():
     up = relabel(enc, TO_UP, ctx)
     with pytest.raises(FrontendError):
         relabel(up, TO_UP, ctx)
+
+
+@pytest.mark.parametrize("a", [
+    S.APure(expr=S.EInvVal()),
+    S.APointsTo(loc="a", value=S.EInvVal()),
+    S.AImplies(cond=S.EInvVal(), body=S.APure(expr=S.TRUE_E)),
+    S.ACond(cond=S.EInvVal(), then=S.APure(expr=S.TRUE_E), els=S.APure(expr=S.TRUE_E)),
+])
+def test_value_parameter_lowered_only_in_a_table_body(a):
+    body = lower(a, LowerCtx(table=None, classes={}, inv_body=True))
+    assert any(isinstance(getattr(x, f, None), S.EInvVal)
+               for x in S.walk_assertion(body) for f in ("expr", "cond", "value"))
+    with pytest.raises(FrontendError, match="only meaningful inside a location invariant"):
+        lower(a, lower_ctx())

@@ -2,18 +2,18 @@
 
 from fractions import Fraction
 
-from conftest import MANIFEST, corpus_path, verify
+from conftest import LOCK_CLIENT, MANIFEST, corpus_path, verify
 
 from weakmem import api, symstate, terms as T
 from weakmem.cli import load_manifest
 from weakmem.diagnostics import EXHALE_FAILURE, INCOMPLETE_SOLVER
-from weakmem.encoder import AssertCheck, Exhale, ExhalePreferTmp
+from weakmem.encoder import AssertCheck, Exhale, ExhalePreferTmp, Inhale
 from weakmem.solver import OPAQUE_ATOM, Solver, YES
 from weakmem.speclogic import (
-    EAcc, EFieldEq, EPredAcc, EPure, HeapLabel, WILDCARD, estar,
+    EAcc, EFieldEq, EImplies, EPredAcc, EPure, HeapLabel, WILDCARD, estar, substitute,
 )
 from weakmem.symstate import (
-    ExecContext, FieldChunk, PredChunk, SymState, exhale, inhale, perm_str,
+    VALUE, ExecContext, FieldChunk, PredChunk, SymState, exhale, inhale, perm_str,
     run_prim, transfer_heap,
 )
 from weakmem import syntax as S
@@ -571,26 +571,6 @@ def test_clone_pos_is_independent():
     assert chunk_of(copy).pos and copy.preds[pkey].pos
 
 
-# A lockchain-shaped client: it takes the lock of corpus/RSLLockNoSpin.rsl
-# three times, changing and restoring the protected location each time.
-LOCK_CLIENT = """
-define J = j |-> 4;
-invariant Q(V) = V == 0 ? true : (V == 1 ? J : false);
-define Lock(x) = Init(x) && RMWAcq(x, Q) && Rel(x, Q);
-
-proc lock(x, j) requires { Lock(x) } ensures { Lock(x) && J }
-{ while (CAS_rel_acq(x, 1, 0) != 1); }
-
-proc unlock(x, j) requires { Lock(x) && J } ensures { Lock(x) }
-{ [x]_rel := 1; }
-
-proc client(x, j) requires { Lock(x) } ensures { Lock(x) }
-{
-""" + "".join(f"  call lock(x, j); v{r} := [j]_na; [j]_na := v{r} + {r + 1};\n"
-              f"  w{r} := [j]_na; [j]_na := w{r} - {r + 1}; call unlock(x, j);\n"
-              for r in range(3)) + "}\n"
-
-
 def test_pos_flag_agrees_with_the_solver(monkeypatch):
     """Each positivity check the flag answers, the solver also answers yes."""
     answered = []
@@ -616,3 +596,28 @@ def test_pos_flag_agrees_with_the_solver(monkeypatch):
         res = verify(LOCK_CLIENT, check_soundness=soundness)
         assert res.ok, [d.format() for v in res.verdicts for d in v.diagnostics]
     assert len(answered) > on_corpus
+
+
+# ---------------------------------------------------------------------------
+# The value an invariant body's V stands for
+# ---------------------------------------------------------------------------
+
+def test_value_binding_acts_as_substitution_for_one_primitive():
+    v = S.EInvVal()
+    body = EImplies(S.EBin("==", v, S.EInt(1)), estar([
+        acc("a", "val", 1), acc("a", "init", 1), EFieldEq("a", "val", v)]))
+    value = S.EBin("+", S.EVar("k"), S.EInt(1))
+    runs = []
+    for prim in (Inhale(body, "test", value=value), Inhale(substitute(body, value), "test")):
+        ctx = make_ctx()
+        st = fresh_state(ctx)
+        st.env["k"] = T.mk_var("k", T.INT)
+        out = run_prim(ctx, st, prim)
+        runs.append(([s.digest() for s in out], [s.path for s in out],
+                     [dict(s.env) for s in out], next(ctx._count)))
+        # the binding does not survive the primitive
+        assert len(out) == 2 and all(VALUE not in s.env for s in out)
+    # same states, facts and environments, and no fresh symbol of its own
+    assert runs[0] == runs[1]
+    # no program variable or encoder temporary can take the name
+    assert not VALUE.isidentifier() and not VALUE.startswith("$")

@@ -1,0 +1,108 @@
+#!/usr/bin/env python3
+"""Print one digest of the verifier's observable behaviour.
+
+    python3 tools/behaviour_digest.py [--out FILE]
+
+Every program of the three benchmark workloads (corpus, lockchain and
+manyprocs, built by bench/workloads.py for seeds 1-3) is verified with
+soundness checking off, on and strict.  Each run records:
+
+- the file's diagnostics, and each procedure's status, reason and
+  diagnostics in their JSON form (counter-model hints included);
+- each obligation's `states_seen` and the digests of its final states;
+- the soundness reports;
+- `Solver.queries`;
+- a sha256 of the `--trace` stream;
+- what `workloads.mismatches` finds.
+
+The last line of output is a sha256 over all records.  Two source trees
+behave alike on these inputs when their digests are equal; `--out FILE`
+writes the records as JSON, to diff two trees that differ.  Timings are left
+out, so the digest does not depend on the host.  bench/ is only read.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.dont_write_bytecode = True          # write nothing under bench/
+sys.path.insert(0, os.path.join(ROOT, "bench"))
+sys.path.insert(0, os.path.join(ROOT, "src"))
+
+import workloads                         # noqa: E402
+from weakmem import api                  # noqa: E402
+
+WORKLOADS = ("corpus", "lockchain", "manyprocs")
+SEEDS = (1, 2, 3)
+MODES = {
+    "off": {},
+    "soundness": {"check_soundness": True},
+    "strict": {"strict_invariants": True},
+}
+
+
+def run_record(prog: workloads.Program, mode: str) -> dict:
+    trace = hashlib.sha256()
+
+    def on_trace(span, text, digest) -> None:
+        trace.update(json.dumps({"line": span.line, "col": span.col,
+                                 "primitive": text, "state": digest},
+                                sort_keys=True).encode() + b"\n")
+
+    opts = api.VerifyOptions(trace=on_trace, **MODES[mode])
+    result = api.verify_source(prog.source, path=prog.name, opts=opts)
+    return {
+        "program": prog.name,
+        "mode": mode,
+        "parse_diagnostics": [d.to_json() for d in result.parse_diagnostics],
+        "verdicts": [{
+            "name": v.name,
+            "status": v.status,
+            "reason": v.reason,
+            "diagnostics": [d.to_json() for d in v.diagnostics],
+            "obligations": [{
+                "name": ob.name,
+                "kind": ob.kind,
+                "states_seen": ob.states_seen,
+                "final_states": [s.digest() for s in ob.final_states],
+            } for ob in v.obligations],
+        } for v in result.verdicts],
+        "soundness": [r.to_json() for r in result.soundness],
+        "queries": result.solver.queries if result.solver is not None else 0,
+        "trace": trace.hexdigest(),
+        "mismatches": workloads.mismatches(prog, result),
+    }
+
+
+def records() -> list[dict]:
+    out = []
+    for workload in WORKLOADS:
+        for seed in SEEDS:
+            for prog in workloads.make(workload, ROOT, seed):
+                for mode in MODES:
+                    out.append(dict(run_record(prog, mode),
+                                    workload=workload, seed=seed))
+    return out
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("--out", help="also write every record as JSON to this file")
+    args = ap.parse_args(argv)
+    recs = records()
+    text = json.dumps(recs, sort_keys=True, indent=1) + "\n"
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    print(f"{len(recs)} runs")
+    print(hashlib.sha256(text.encode()).hexdigest())
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
