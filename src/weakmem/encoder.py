@@ -610,32 +610,35 @@ def _spin_cas(st: S.SWhile, ctx: EncodeCtx) -> list:
 # -- structured parallelism and calls ---------------------------------------------
 
 def _par(st: S.SPar, ctx: EncodeCtx) -> list:
+    pres = [ctx.lower(th.pre) for th in st.threads]
+    posts = [ctx.lower(th.post) for th in st.threads]
     prims: list = []
-    for k, th in enumerate(st.threads, start=1):
-        prims.append(Exhale(ctx.lower(th.pre), rule=f"thread {k} fork",
-                            span=th.span))
-    for k, th in enumerate(st.threads, start=1):
-        prims.append(Inhale(ctx.lower(th.post), rule=f"thread {k} join",
-                            span=th.span))
-    for th in st.threads:
+    for k, (th, pre) in enumerate(zip(st.threads, pres), start=1):
+        prims.append(Exhale(pre, rule=f"thread {k} fork", span=th.span))
+    for k, (th, post) in enumerate(zip(st.threads, posts), start=1):
+        prims.append(Inhale(post, rule=f"thread {k} join", span=th.span))
+    for th, pre, post in zip(st.threads, pres, posts):
         ctx._thread_count += 1
         name = f"{ctx.proc_name}::thread{ctx._thread_count}"
-        ctx.extra_obligations.append(_thread_obligation(name, th, ctx))
+        ctx.extra_obligations.append(_thread_obligation(name, th, pre, post, ctx))
     return prims
 
 
-def _thread_obligation(name: str, th: S.Thread, ctx: EncodeCtx) -> Obligation:
+def _thread_obligation(name: str, th: S.Thread, pre: EncAssertion, post: EncAssertion,
+                       ctx: EncodeCtx) -> Obligation:
+    """The thread's own obligation, given its pre- and postcondition as
+    ``_par`` lowered them for the fork and the join."""
     free = ctx.info.spec_vars(th.pre) | ctx.info.spec_vars(th.post)
     free |= ctx.info.scope(th.body).uses
     setup: list = [HavocVar(v, th.span) for v in sorted(free)]
-    setup.append(Inhale(ctx.lower(th.pre), "thread precondition", th.span))
+    setup.append(Inhale(pre, "thread precondition", th.span))
     ob = Obligation(name=name, kind="thread", span=th.span,
                     var_classes=dict(ctx.classes))
     ob.blocks.append(Block(th.span, "thread setup", setup))
     _encode_body_blocks(th.body, ctx, ob)
     ob.blocks.append(Block(
         th.span, "thread postcondition",
-        [Exhale(ctx.lower(th.post), rule="thread postcondition", span=th.span)]))
+        [Exhale(post, rule="thread postcondition", span=th.span)]))
     return ob
 
 

@@ -19,6 +19,15 @@ literals prepared once per process: the first time any query sees a linear
 form its column or slack row and its bounds are recorded, and the first time
 a negated comparison is split its rewrite is.
 
+A query reaches the splitting layer only when neither of two cheaper steps
+decides it.  First the Solver's tables of earlier answers: one
+satisfiability table, keyed by the fact set, serves both feasibility and the
+decided-satisfiability check ``assert_entailed(facts, FALSE)``.  Then the
+syntax of the query (KLEE's query elimination, "reduce before you solve" in
+Green): a goal among the facts is entailed, a fact beside its own negation
+makes the facts unsatisfiable, and one literal that no ``%``, ``/`` or
+opaque atom constrains has a model.
+
 Other non-linear atoms (general products, bitwise operations, division by a
 non-literal) are uninterpreted, so "unsat" answers remain sound; a query
 whose verdict would depend on their meaning comes back ``unknown`` with the
@@ -597,6 +606,38 @@ def _sat_conjunction(facts: list[Term]):
     return UNSAT, None, None
 
 
+def _free_literal(f: Term) -> bool:
+    """Whether the fact alone has a model with no opaque literal: a boolean
+    atom, a linear comparison with no ``%``, ``/`` or opaque atom, or the
+    negation of either.  Comparisons arrive canonical from ``terms._cmp``,
+    which folds one that is constant, or an integer equality that fails the
+    gcd test, to ``FALSE``; any other has an integer point, and so does its
+    negation."""
+    if f.kind == "not":
+        f = f.args[0]
+    k = f.kind
+    if k == "var" or k == "eqref":
+        return True
+    if k == "eq0" or k == "le0" or k == "lt0":
+        lit = _compiled(f.args[0])
+        return not (lit.opaque or lit.defs)
+    return False
+
+
+def _by_syntax(facts: list[Term], key: frozenset[int]) -> Optional[str]:
+    """SAT or UNSAT when the fact set's syntax shows it, else None: a set
+    with ``FALSE`` or with a fact beside its own negation is unsatisfiable,
+    and a set of one free literal is satisfiable."""
+    if terms.FALSE.tid in key:
+        return UNSAT
+    for f in facts:
+        if f.kind == "not" and f.args[0].tid in key:
+            return UNSAT
+    if len(key) == 1 and _free_literal(facts[0]):
+        return SAT
+    return None
+
+
 def _format_model(model: dict[Term, int | Fraction], facts: list[Term]) -> Optional[str]:
     """The model on the atoms of the facts: not on a quotient or remainder
     that only the definition of a ``%`` or ``/`` brought in."""
@@ -615,19 +656,40 @@ class Solver:
 
     The verifier's queries arrive already sliced: ``symstate`` splits each
     path condition into independence groups and asks about one group, or
-    about the groups a goal reaches, at a time, so its caches of verdicts
+    about the groups a goal reaches, at a time, so its tables of verdicts
     and of model values are keyed by those facts; it is safe to share across
     obligations.  The linear forms compiled for the simplex and the rewritten
     negations are not per Solver: the module keeps each once per process,
     beside the term pool, so a fact is prepared once however many queries
     and Solvers mention it.
+
+    A query is decided by the first of three steps that can: the tables, the
+    syntax of the facts (``_by_syntax``), and only then the split and the
+    simplex, which ``queries`` counts.  One satisfiability table, keyed by
+    the fact set, holds ``(SAT/UNSAT/UNKNOWN, reason)`` and answers both
+    ``is_feasible`` and ``assert_entailed(facts, FALSE)``; so the ``no`` of
+    the latter carries no hint.  The entailment table holds the other goals.
     """
 
     def __init__(self):
-        self._feas_cache: dict[frozenset[int], str] = {}
+        self._sat_cache: dict[frozenset[int], tuple[str, Optional[str]]] = {}
         self._ent_cache: dict[tuple[frozenset[int], int], Result] = {}
         self._value_cache: dict[tuple[frozenset[int], int], object] = {}
         self.queries = 0
+
+    def _satisfiable(self, facts: list[Term], key: frozenset[int]) -> tuple[str, Optional[str]]:
+        """(SAT/UNSAT/UNKNOWN, reason), as ``_sat_conjunction`` gives them."""
+        hit = self._sat_cache.get(key)
+        if hit is None:
+            verdict = _by_syntax(facts, key)
+            if verdict is not None:
+                hit = (verdict, None)
+            else:
+                self.queries += 1
+                res, _model, reason = _sat_conjunction(facts)
+                hit = (res, reason)
+            self._sat_cache[key] = hit
+        return hit
 
     # -- feasibility -------------------------------------------------------
 
@@ -635,17 +697,8 @@ class Solver:
         """Whether the facts have a model: ``yes`` even if it uses an opaque
         atom."""
         facts = [f for f in path if f is not terms.TRUE]
-        key = frozenset(f.tid for f in facts)
-        hit = self._feas_cache.get(key)
-        if hit is not None:
-            return hit
-        if terms.FALSE.tid in key:
-            return NO
-        self.queries += 1
-        res, _model, _ = _sat_conjunction(facts)
-        out = YES if res == SAT else NO if res == UNSAT else UNKNOWN
-        self._feas_cache[key] = out
-        return out
+        res, _ = self._satisfiable(facts, frozenset(f.tid for f in facts))
+        return YES if res == SAT else NO if res == UNSAT else UNKNOWN
 
     # -- entailment --------------------------------------------------------
 
@@ -655,26 +708,36 @@ class Solver:
         ``no`` comes only with a model that uses no opaque literal, so
         ``assert_entailed(facts, FALSE)`` is the decided satisfiability
         check: ``yes`` if the facts are unsatisfiable, ``no`` if they have
-        such a model, else ``unknown``.
+        such a model, else ``unknown``.  That ``no`` carries no hint.
         """
         if goal is terms.TRUE:
             return Result(YES)
         facts = [f for f in path if f is not terms.TRUE]
         key = frozenset(f.tid for f in facts)
-        if terms.FALSE.tid in key:
-            return Result(YES)  # anything follows from an infeasible path
+        if goal is terms.FALSE:
+            res, reason = self._satisfiable(facts, key)
+            if res == UNSAT:
+                return Result(YES)
+            if res == SAT and reason is None:
+                return Result(NO)
+            return Result(UNKNOWN, reason=reason)
+        if goal.tid in key:
+            return Result(YES)
         hit = self._ent_cache.get((key, goal.tid))
         if hit is not None:
             return hit
-        self.queries += 1
-        facts.append(terms.not_(goal))
-        res, model, reason = _sat_conjunction(facts)
-        if res == UNSAT:
-            out = Result(YES)
-        elif reason is None:
-            out = Result(NO, _format_model(model, facts))
+        if _by_syntax(facts, key) == UNSAT:
+            out = Result(YES)   # anything follows from an infeasible path
         else:
-            out = Result(UNKNOWN, reason=reason)
+            self.queries += 1
+            facts.append(terms.not_(goal))
+            res, model, reason = _sat_conjunction(facts)
+            if res == UNSAT:
+                out = Result(YES)
+            elif reason is None:
+                out = Result(NO, _format_model(model, facts))
+            else:
+                out = Result(UNKNOWN, reason=reason)
         self._ent_cache[(key, goal.tid)] = out
         return out
 

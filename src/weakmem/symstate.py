@@ -128,13 +128,21 @@ class Group:
 
     Immutable, so clones share it; ``assume`` replaces the groups it merges.
     Atomless facts form the ground group, whose atom set is ``_GROUND``.
+    ``is_feasible`` asks the solver about the facts once and keeps the
+    verdict, which depends on nothing else.
     """
 
-    __slots__ = ("facts", "atoms")
+    __slots__ = ("facts", "atoms", "feasible")
 
     def __init__(self, facts: tuple, atoms: frozenset[int]):
         self.facts = facts    # in the order they were assumed or merged
         self.atoms = atoms    # atom tids
+        self.feasible: Optional[str] = None   # is_feasible's verdict, once asked
+
+    def is_feasible(self, solver: Solver) -> str:
+        if self.feasible is None:
+            self.feasible = solver.is_feasible(self.facts)
+        return self.feasible
 
 
 class SymState:
@@ -258,8 +266,7 @@ def model_value(solver: Solver, state: SymState, term: T.Term):
     """``Solver.model_value`` of a term, asked about the term's groups; None,
     as on the full path, unless every other group is satisfiable."""
     mine, facts = _slice(state, T.atom_ids(term))
-    if any(solver.is_feasible(g.facts) != YES
-           for g in state.all_groups() if g not in mine):
+    if any(g.is_feasible(solver) != YES for g in state.all_groups() if g not in mine):
         return None
     return solver.model_value(facts, term)
 
@@ -318,10 +325,9 @@ class ExecContext:
     # -- solver shorthands ------------------------------------------------------
 
     def feasible(self, state: SymState) -> bool:
-        """The path is feasible iff every group is; the solver caches each
-        group's verdict, so a branch re-solves only the group it touched."""
-        return all(self.solver.is_feasible(g.facts) != NO
-                   for g in state.all_groups())
+        """The path is feasible iff every group is; each group keeps its
+        verdict, so a branch asks only about the group it touched."""
+        return all(g.is_feasible(self.solver) != NO for g in state.all_groups())
 
     def entailed(self, state: SymState, goal: T.Term) -> Result:
         return entailed(self.solver, state, goal)
@@ -348,10 +354,17 @@ class ExecContext:
 
     def fail_query(self, state: SymState, res: Result, kind: str, span: Span,
                    rule: str, message: str) -> None:
-        if res.verdict == UNKNOWN:
-            self.fail(state, INCOMPLETE_SOLVER, span, rule,
-                      f"{message} (solver returned unknown: {res.reason})")
-        self.fail(state, kind, span, rule, message, counter=res.hint)
+        """Record the failure of a check that ``entailed`` did not answer
+        ``yes``, then kill the path.  A ``no`` stands only once every group
+        has a model, so the path is feasible and is not checked again; an
+        ``unknown`` is recorded as ``IncompleteSolver`` unless the path is
+        infeasible."""
+        if res.verdict == NO:
+            self.diagnostics.append(Diagnostic(kind, span, rule=rule, message=message,
+                                               counter_facts=res.hint))
+            raise _Fail()
+        self.fail(state, INCOMPLETE_SOLVER, span, rule,
+                  f"{message} (solver returned unknown: {res.reason})")
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,15 @@
 """Per-statement encoding tests, driven through the full pipeline."""
 
+import collections
 import dataclasses
 import os
+import sys
 
 import pytest
 
-from conftest import CORPUS, corpus_text, pipeline, single_verdict, verify
+from conftest import (
+    CORPUS, MANIFEST, corpus_path, corpus_text, pipeline, single_verdict, verify,
+)
 from weakmem import api, cli, encoder, speclogic as L, symstate, syntax as S, terms as T
 from weakmem.diagnostics import (
     DOWN_IN_LOOP_INVARIANT, EXHALE_FAILURE, FrontendError, INCOMPLETE_SOLVER,
@@ -896,3 +900,24 @@ def test_bitwise_operators_are_opaque_atoms():
         assert v.status == "failed", op
         (d,) = v.diagnostics
         assert d.kind == INCOMPLETE_SOLVER and OPAQUE_ATOM in d.message, op
+
+
+def test_each_thread_spec_is_lowered_once(monkeypatch):
+    # a thread's pre- and postcondition are lowered for the fork and the join,
+    # and the thread's own obligation reuses those trees; the corpus forks
+    # 30 threads
+    callers = collections.Counter()
+    lower = encoder.EncodeCtx.lower
+
+    def counted(self, a, *rest):
+        frame = sys._getframe(1)
+        while frame.f_code.co_name.startswith("<"):   # a comprehension's frame
+            frame = frame.f_back
+        callers[frame.f_code.co_name] += 1
+        return lower(self, a, *rest)
+
+    monkeypatch.setattr(encoder.EncodeCtx, "lower", counted)
+    for entry in cli.load_manifest(MANIFEST):
+        api.verify_file(corpus_path(entry.file))
+    assert callers["_par"] == 60
+    assert callers["_thread_obligation"] == 0

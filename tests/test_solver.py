@@ -9,8 +9,8 @@ from hypothesis import event, given, settings, strategies as st
 
 from weakmem import solver as SV, terms as T
 from weakmem.solver import (
-    CASE_CAP_HIT, DEPTH_CAP_HIT, NO, OPAQUE_ATOM, SAT, STEP_CAP_HIT, Solver, UNKNOWN, YES,
-    _sat_conjunction,
+    CASE_CAP_HIT, DEPTH_CAP_HIT, NO, OPAQUE_ATOM, SAT, STEP_CAP_HIT, Solver, UNKNOWN, UNSAT,
+    YES, _sat_conjunction,
 )
 from weakmem.symstate import ExecContext, SymState
 
@@ -114,10 +114,13 @@ def test_unknown_names_its_bound(solver, monkeypatch):
     monkeypatch.setattr(SV, "_BRANCH_DEPTH_CAP", 0)
     res = Solver().assert_entailed(split, T.FALSE)
     assert (res.verdict, res.reason) == (UNKNOWN, DEPTH_CAP_HIT)
-    # dx+dy >= 1 needs one pivot before the tableau is checked again
+    # dx+dy >= 1 with dx >= 0 needs one pivot before the tableau is checked
+    # again; dx+dy >= 1 alone is one free literal, decided without the simplex
     monkeypatch.setattr(SV, "_SIMPLEX_STEP_CAP", 1)
-    res = Solver().assert_entailed([T.ge(T.add(dx, dy), T.ONE)], T.FALSE)
+    res = Solver().assert_entailed([T.ge(T.add(dx, dy), T.ONE), T.ge(dx, T.ZERO)], T.FALSE)
     assert (res.verdict, res.reason) == (UNKNOWN, STEP_CAP_HIT)
+    res = Solver().assert_entailed([T.ge(T.add(dx, dy), T.ONE)], T.FALSE)
+    assert (res.verdict, res.reason) == (NO, None)
     monkeypatch.undo()
     res = solver.assert_entailed([T.eq(x, T.mk_int(8))], T.eq(T.mul(x, y), T.ZERO))
     assert (res.verdict, res.reason) == (UNKNOWN, OPAQUE_ATOM)
@@ -195,8 +198,9 @@ def ask(solver, query):
 
 def test_solver_tables_carry_no_query_state():
     # Every answer from one long-lived Solver, asked in reverse order, equals
-    # the answer of a fresh Solver: the per-Solver tables of compiled literals
-    # and negations change how fast a query is answered, never the answer.
+    # the answer of a fresh Solver: the tables of compiled literals, of
+    # negations and of earlier answers change how fast a query is answered,
+    # never the answer.
     queries = cache_queries()
     fresh = [ask(Solver(), q) for q in queries]
     shared = Solver()
@@ -332,6 +336,113 @@ def test_grouped_queries_agree_with_full_path(query):
     if res.verdict != UNKNOWN:
         assert grouped.verdict == res.verdict
     event(f"groups: {len(state.all_groups())}")
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the decisions made by syntax against the split and the simplex
+# ---------------------------------------------------------------------------
+#
+# Single facts over int and frac atoms: comparisons of forms that may hold
+# `%` and `/` by a literal or a product, boolean vars and eqrefs, and `not`
+# of each; sets of them, some with a fact beside its own negation.  Every
+# answer of the Solver, whether the table, the syntax or the simplex gave
+# it, must be the one `_sat_conjunction` gives on the same facts.
+
+SYNTAX_INTS = [T.mk_var(f"s{i}", T.INT) for i in range(2)]
+SYNTAX_FRACS = [T.mk_var(f"sw{i}", T.FRAC) for i in range(2)]
+SYNTAX_BOOLS = [T.mk_var(f"sp{i}", T.BOOL) for i in range(2)]
+SYNTAX_REFS = [T.mk_var(f"sr{i}", T.REF) for i in range(3)]
+
+
+def syntax_atom():
+    divisor = st.sampled_from([-3, -2, 2, 3]).map(T.mk_int)
+    ints = st.sampled_from(SYNTAX_INTS)
+    return st.one_of(
+        ints, st.sampled_from(SYNTAX_FRACS),
+        st.builds(T.mod_, ints, divisor), st.builds(T.div_, ints, divisor),
+        st.builds(T.mul, ints, ints))
+
+
+@st.composite
+def syntax_fact(draw):
+    kind = draw(st.sampled_from(["cmp", "cmp", "cmp", "bool", "eqref"]))
+    if kind == "bool":
+        fact = draw(st.sampled_from(SYNTAX_BOOLS))
+    elif kind == "eqref":
+        a, b = draw(st.lists(st.sampled_from(SYNTAX_REFS), min_size=2, max_size=2,
+                             unique=True))
+        fact = T.eq_ref(a, b)
+    else:
+        parts = draw(st.lists(st.tuples(syntax_atom(), st.sampled_from(ORACLE_COEFFS)),
+                              min_size=1, max_size=2))
+        form = T.add(*[T.scale(c, a) for a, c in parts])
+        fact = draw(st.sampled_from(ORACLE_CMPS))(form, T.mk_frac(draw(
+            st.sampled_from(ORACLE_FRACS))))
+    return T.not_(fact) if draw(st.booleans()) else fact
+
+
+@st.composite
+def syntax_facts(draw):
+    facts = draw(st.lists(syntax_fact(), min_size=1, max_size=3))
+    if draw(st.booleans()):
+        facts.append(T.not_(draw(st.sampled_from(facts))))
+    return [f for f in facts if f is not T.TRUE] or [T.TRUE]
+
+
+def entailment_verdict(facts, goal):
+    """What `assert_entailed(facts, goal)` must answer, by `_sat_conjunction`."""
+    sat, _, reason = _sat_conjunction(facts + [T.not_(goal)])
+    return YES if sat == UNSAT else NO if reason is None else UNKNOWN
+
+
+@settings(max_examples=300, deadline=None)
+@given(syntax_facts())
+def test_syntax_decisions_agree_with_the_simplex(facts):
+    sat, _, _ = _sat_conjunction(facts)
+    feasible = {SAT: YES, UNSAT: NO, UNKNOWN: UNKNOWN}[sat]
+    decided = entailment_verdict(facts, T.FALSE)
+    # the shared table, filled first by either entry point
+    first_feasible, first_decided = Solver(), Solver()
+    assert first_feasible.is_feasible(facts) == feasible
+    assert first_feasible.assert_entailed(facts, T.FALSE).verdict == decided
+    assert first_decided.assert_entailed(facts, T.FALSE).verdict == decided
+    assert first_decided.is_feasible(facts) == feasible
+    for f in facts:
+        assert Solver().assert_entailed(facts, f).verdict == entailment_verdict(facts, f)
+    event(f"feasible: {feasible}, decided: {decided}")
+    event(f"simplex runs: {first_feasible.queries}")
+
+
+def test_syntax_decides_without_the_simplex():
+    s, w, p = SYNTAX_INTS[0], SYNTAX_FRACS[0], SYNTAX_BOOLS[0]
+    r0, r1 = SYNTAX_REFS[:2]
+    sum3 = T.add(T.scale(3, s), T.scale(2, SYNTAX_INTS[1]))
+    decided = [
+        ([T.eq(sum3, T.ONE)], YES),
+        ([T.lt(T.add(s, w), T.ZERO)], YES),
+        ([T.le(s, T.mk_int(-4))], YES),
+        ([T.ne(s, T.ZERO)], YES),
+        ([T.not_(T.le(s, T.ONE))], YES),
+        ([p], YES),
+        ([T.not_(p)], YES),
+        ([T.eq_ref(r0, r1)], YES),
+        ([T.not_(T.eq_ref(r0, r1))], YES),
+        ([T.ge(s, T.ONE), T.not_(T.ge(s, T.ONE)), T.le(w, T.ONE)], NO),
+        ([p, T.le(w, T.ONE), T.not_(p)], NO),
+        ([T.FALSE, T.le(w, T.ONE)], NO),
+    ]
+    for facts, feasible in decided:
+        solver = Solver()
+        assert solver.is_feasible(facts) == feasible, facts
+        assert solver.assert_entailed(facts, T.FALSE).verdict == (NO if feasible == YES else YES)
+        assert solver.assert_entailed(facts, facts[-1]).verdict == YES
+        assert solver.queries == 0, facts
+    # `%`, `/` and products can make one literal unsatisfiable or opaque
+    for fact in (T.eq(T.mod_(s, T.mk_int(3)), T.mk_int(5)), T.eq(T.div_(s, T.mk_int(2)), s),
+                 T.eq(T.mul(s, s), T.ONE), T.not_(T.eq(T.mul(s, s), T.ONE))):
+        solver = Solver()
+        solver.is_feasible([fact])
+        assert solver.queries == 1, fact
 
 
 # ---------------------------------------------------------------------------

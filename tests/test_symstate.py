@@ -4,11 +4,11 @@ from fractions import Fraction
 
 from conftest import LOCK_CLIENT, MANIFEST, corpus_path, verify
 
-from weakmem import api, symstate, terms as T
+from weakmem import api, solver as SV, symstate, terms as T
 from weakmem.cli import load_manifest
 from weakmem.diagnostics import EXHALE_FAILURE, INCOMPLETE_SOLVER
 from weakmem.encoder import AssertCheck, Exhale, ExhalePreferTmp, Inhale
-from weakmem.solver import OPAQUE_ATOM, Solver, YES
+from weakmem.solver import NO, OPAQUE_ATOM, SAT, UNSAT, Solver, YES
 from weakmem.speclogic import (
     EAcc, EFieldEq, EImplies, EPredAcc, EPure, HeapLabel, WILDCARD, estar, substitute,
 )
@@ -596,6 +596,53 @@ def test_pos_flag_agrees_with_the_solver(monkeypatch):
         res = verify(LOCK_CLIENT, check_soundness=soundness)
         assert res.ok, [d.format() for v in res.verdicts for d in v.diagnostics]
     assert len(answered) > on_corpus
+
+
+def test_shortcuts_agree_with_the_solver(monkeypatch):
+    """Each answer given without the split and the simplex, the simplex
+    gives too: a fact set decided by syntax, a goal among the facts, and a
+    `no` that fail_query records without checking the path's feasibility."""
+    seen = {SAT: 0, UNSAT: 0, "goal": 0, "no": 0}
+    by_syntax = SV._by_syntax
+
+    def checked_syntax(facts, key):
+        out = by_syntax(facts, key)
+        if out is not None:
+            res, _, reason = SV._sat_conjunction(facts)
+            assert (res, reason) == (out, None), facts
+            seen[out] += 1
+        return out
+
+    entailed = Solver.assert_entailed
+
+    def checked_entailed(self, path, goal):
+        path = [f for f in path if f is not T.TRUE]
+        if goal is not T.FALSE and goal in path:
+            assert SV._sat_conjunction(path + [T.not_(goal)])[0] == UNSAT, (path, goal)
+            seen["goal"] += 1
+        return entailed(self, path, goal)
+
+    fail_query = symstate.ExecContext.fail_query
+
+    def checked_fail_query(self, state, res, *rest):
+        if res.verdict == NO:
+            assert SV._sat_conjunction(state.path)[0] == SAT, state.path
+            seen["no"] += 1
+        return fail_query(self, state, res, *rest)
+
+    monkeypatch.setattr(SV, "_by_syntax", checked_syntax)
+    monkeypatch.setattr(Solver, "assert_entailed", checked_entailed)
+    monkeypatch.setattr(symstate.ExecContext, "fail_query", checked_fail_query)
+    entries = load_manifest(MANIFEST)
+    assert len(entries) == 21
+    for entry in entries:
+        for soundness in (False, True):
+            api.verify_file(corpus_path(entry.file),
+                            opts=api.VerifyOptions(check_soundness=soundness))
+    for soundness in (False, True):
+        res = verify(LOCK_CLIENT, check_soundness=soundness)
+        assert res.ok, [d.format() for v in res.verdicts for d in v.diagnostics]
+    assert all(seen.values()), seen
 
 
 # ---------------------------------------------------------------------------

@@ -15,10 +15,13 @@ soundness checking off, on and strict.  Each run records:
 - a sha256 of the `--trace` stream;
 - what `workloads.mismatches` finds.
 
-The last line of output is a sha256 over all records.  Two source trees
-behave alike on these inputs when their digests are equal; `--out FILE`
-writes the records as JSON, to diff two trees that differ.  Timings are left
-out, so the digest does not depend on the host.  bench/ is only read.
+The output gives the number of runs, the total of `Solver.queries`, and a
+sha256 of the records with `queries` left out.  Its last line is a sha256
+over all records.  Two source trees behave alike on these inputs when their
+digests are equal; a change that only asks the solver less keeps the digest
+without `queries` and changes the last line.  `--out FILE` writes the
+records as JSON, to diff two trees that differ.  Timings are left out, so
+the digests do not depend on the host.  bench/ is only read.
 """
 
 from __future__ import annotations
@@ -90,17 +93,27 @@ def records() -> list[dict]:
     return out
 
 
+def sha256(recs: list[dict]) -> str:
+    return hashlib.sha256(dump(recs).encode()).hexdigest()
+
+
+def dump(recs: list[dict]) -> str:
+    return json.dumps(recs, sort_keys=True, indent=1) + "\n"
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--out", help="also write every record as JSON to this file")
     args = ap.parse_args(argv)
     recs = records()
-    text = json.dumps(recs, sort_keys=True, indent=1) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.write(dump(recs))
+    without = [{k: v for k, v in r.items() if k != "queries"} for r in recs]
     print(f"{len(recs)} runs")
-    print(hashlib.sha256(text.encode()).hexdigest())
+    print(f"queries: {sum(r['queries'] for r in recs)}")
+    print(f"without queries: {sha256(without)}")
+    print(sha256(recs))
     return 0
 
 
