@@ -643,14 +643,7 @@ def _thread_obligation(name: str, th: S.Thread, pre: EncAssertion, post: EncAsse
 
 
 def _call(st: S.SCall, ctx: EncodeCtx) -> list:
-    callee = next((p for p in ctx.program.procedures if p.name == st.callee), None)
-    if callee is None:
-        raise _enc_err(SYNTAX_ERROR, st.span, "call",
-                       f"unknown procedure {st.callee!r}")
-    if len(st.args) != len(callee.params):
-        raise _enc_err(SYNTAX_ERROR, st.span, "call",
-                       f"{st.callee!r} expects {len(callee.params)} argument(s), "
-                       f"got {len(st.args)}")
+    callee = next(p for p in ctx.program.procedures if p.name == st.callee)
     mapping: dict[str, S.Expr] = {
         p.name: a for p, a in zip(callee.params, st.args)
     }

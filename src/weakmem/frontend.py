@@ -804,7 +804,7 @@ class ProcInfo:
     declared: set[str] = field(default_factory=set)
     scopes: dict[int, Scope] = field(default_factory=dict)   # id(body) -> its scope
     specs: dict[int, frozenset] = field(default_factory=dict)   # id(spec) -> its variables
-    calls: list = field(default_factory=list)                # S.SCall sites, in order
+    calls: list = field(default_factory=list)                # well-formed S.SCall sites, in order
 
     def scope(self, body: list) -> Scope:
         """The scope of a procedure, thread, loop or branch body of this
@@ -837,6 +837,7 @@ class _Classifier:
         self.program = program
         self.diags: list[Diagnostic] = []
         self.inv_by_name = {d.name: d for d in program.invariants}
+        self.procs = {p.name: p for p in program.procedures}
         self.inv_sites: list[tuple[S.InvRef, Span]] = []
 
     def run(self) -> CheckedProgram:
@@ -861,7 +862,6 @@ class _Classifier:
         """Give each actual argument and call target the use tag of the
         callee's class for its formal, until nothing changes.  Tags are only
         ever added, so this ends."""
-        procs = {p.name: p for p in self.program.procedures}
         changed = any(pi.calls for pi in info.values())
         while changed:
             changed = False
@@ -871,9 +871,7 @@ class _Classifier:
             }
             for name, pi in info.items():
                 for st in pi.calls:
-                    callee = procs.get(st.callee)
-                    if callee is None:
-                        continue
+                    callee = self.procs[st.callee]
                     links = [(a.name, f.name) for f, a in zip(callee.params, st.args)
                              if isinstance(a, S.EVar)]
                     if st.target and callee.returns:
@@ -1047,7 +1045,15 @@ class _Classifier:
                 for th in st.threads:
                     block(th.body)
             elif isinstance(st, S.SCall):
-                pi.calls.append(st)
+                callee = self.procs.get(st.callee)
+                if callee is not None and len(st.args) == len(callee.params):
+                    pi.calls.append(st)
+                else:
+                    self.diags.append(Diagnostic(
+                        SYNTAX_ERROR, st.span, rule="call",
+                        message=f"unknown procedure {st.callee!r}" if callee is None
+                        else f"{st.callee!r} expects {len(callee.params)} "
+                             f"argument(s), got {len(st.args)}"))
                 for a in st.args:
                     if isinstance(a, S.EVar):
                         use(a.name, None, st.span)

@@ -212,7 +212,7 @@ class EAcc:
 class EFieldEq:
     loc: str
     fld: str
-    value: S.Expr          # EAny means "no constraint"
+    value: S.Expr          # never EAny: lowering drops a "_" points-to value
     label: HeapLabel = HeapLabel.REAL
     span: Span = NO_SPAN
 

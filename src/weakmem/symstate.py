@@ -20,11 +20,19 @@ atoms reach entail it or some other group is infeasible.  Every solver query
 is sliced this way, and a branch re-solves only the group its condition
 lands in.
 
-One routine, ``exhale``, runs every exhale: it sums the permission demands
-per chunk and, fields sorted and then predicates sorted, decides for each
-where it comes from, checks that heap holds it, and deducts it.  A plain
-exhale (and a check-only assert) takes each demand from its atom's own heap;
-it runs its purity and value checks in assertion order against the state at
+One walk, ``_cases``, splits an encoded assertion into cases, as produce
+and consume share one brancher in Viper's symbolic executor, and hands each
+atom a case reaches to a leaf.  The inhale leaf produces it at once, so a
+pure fact is assumed before a later condition branches; the exhale leaf
+records its check or demand on the case; the spin-leak leaf fails on the
+first permission atom reached by a case in which the loop spins on.
+
+One routine, ``exhale``, runs every exhale over its cases: it sums the
+permission demands per chunk and, fields sorted and then predicates sorted,
+decides for each where it comes from, checks that heap holds it, and
+deducts it.  A plain exhale (and a check-only assert) takes each demand from
+its atom's own heap; it binds the logical variables a call may unify, then
+runs its purity and value checks in assertion order against the state at
 the start of the exhale, then its values-read checks, and only then takes
 its demands.  The CAS release takes from the tmp heap first, so which heap a
 value is read from is known only once its demand is split: it runs its
@@ -400,8 +408,6 @@ def eval_expr(state: SymState, e: S.Expr) -> T.Term:
         if t is None:
             raise EvalError(f"variable {e.name!r} has no value here")
         return t
-    if isinstance(e, S.EAny):
-        raise EvalError("the placeholder value '_' is only allowed in points-to")
     if isinstance(e, S.EInvVal):
         return state.env[VALUE]
     if isinstance(e, S.EBin):
@@ -426,7 +432,7 @@ def resolve_loc(state: SymState, loc, what: str = "location") -> T.Term:
 
 
 # ---------------------------------------------------------------------------
-# Inhale
+# The case walk
 # ---------------------------------------------------------------------------
 
 def _branch_states(ctx: ExecContext, state: SymState, cond: T.Term, span: Span):
@@ -446,84 +452,6 @@ def _branch_states(ctx: ExecContext, state: SymState, cond: T.Term, span: Span):
     return thens, elses
 
 
-def inhale(ctx: ExecContext, state: SymState, enc) -> list[SymState]:
-    if isinstance(enc, EPure):
-        state.assume(eval_expr(state, enc.expr))
-        return [state]
-    if isinstance(enc, EStar):
-        states = [state]
-        for part in enc.parts:
-            states = [s2 for s in states for s2 in inhale(ctx, s, part)]
-        return states
-    if isinstance(enc, EImplies):
-        cond = eval_expr(state, enc.cond)
-        thens, elses = _branch_states(ctx, state, cond, enc.span)
-        out = []
-        for s in thens:
-            out.extend(inhale(ctx, s, enc.body))
-        out.extend(elses)
-        return out
-    if isinstance(enc, ECond):
-        cond = eval_expr(state, enc.cond)
-        thens, elses = _branch_states(ctx, state, cond, enc.span)
-        out = []
-        for s in thens:
-            out.extend(inhale(ctx, s, enc.then))
-        for s in elses:
-            out.extend(inhale(ctx, s, enc.els))
-        return out
-    if isinstance(enc, EAcc):
-        ref = resolve_loc(state, enc.loc)
-        amount = _inhale_amount(ctx, state, enc.perm)
-        key = state.field_key(ref, enc.fld, enc.label)
-        chunk = state.fields.get(key)
-        if chunk is None:
-            chunk = FieldChunk(ref, enc.fld, enc.label, amount,
-                               ctx.fresh_field_value(enc.fld), pos=True)
-            state.fields[key] = chunk
-        else:
-            chunk.perm = T.add(chunk.perm, amount)
-            chunk.pos = True
-        # field permissions cannot exceed 1: assumed, so overfull paths die
-        state.assume(T.le(chunk.perm, T.ONE))
-        return [state]
-    if isinstance(enc, EFieldEq):
-        ref = resolve_loc(state, enc.loc)
-        chunk = state.fields.get(state.field_key(ref, enc.fld, enc.label))
-        if chunk is None:
-            raise EvalError(
-                f"no permission to {T.ref_name(ref)}.{enc.fld} while assuming its value")
-        if not isinstance(enc.value, S.EAny):
-            state.assume(T.eq(chunk.value, eval_expr(state, enc.value)))
-        return [state]
-    if isinstance(enc, EPredAcc):
-        ref = resolve_loc(state, enc.loc)
-        amount = _inhale_amount(ctx, state, enc.perm)
-        key = state.pred_key(ref, enc.idx, enc.label)
-        chunk = state.preds.get(key)
-        if chunk is None:
-            # a fresh conjunct instance starts with an empty snapshot
-            state.preds[key] = PredChunk(ref, enc.idx, enc.label, amount, pos=True)
-        else:
-            # re-inhaling a held conjunct must not reset the values read
-            chunk.perm = T.add(chunk.perm, amount)
-            chunk.pos = True
-        return [state]
-    raise AssertionError(enc)
-
-
-def _inhale_amount(ctx: ExecContext, state: SymState, perm) -> T.Term:
-    if perm == WILDCARD:
-        w = ctx.fresh_token()
-        state.assume(T.lt(T.ZERO, w))
-        return w
-    return T.mk_int(perm)
-
-
-# ---------------------------------------------------------------------------
-# Exhale
-# ---------------------------------------------------------------------------
-
 @dataclass
 class _Demand:
     exact: Fraction = Fraction(0)
@@ -533,6 +461,8 @@ class _Demand:
 
 @dataclass
 class _Case:
+    """One case of an encoded assertion: its state and, for an exhale, what
+    its atoms demand of that state."""
     state: SymState
     checks: list = dc_field(default_factory=list)       # ("pure", expr) | ("value", key, name, expr)
     field_demands: dict = dc_field(default_factory=dict)
@@ -548,61 +478,112 @@ class _Case:
                      list(self.vals_checks))
 
 
-def _collect_cases(ctx: ExecContext, case: _Case, enc) -> list[_Case]:
-    if isinstance(enc, EPure):
-        case.checks.append(("pure", enc.expr))
-        return [case]
+def _cases(ctx: ExecContext, case: _Case, enc, leaf: Callable) -> list[_Case]:
+    """The cases ``enc`` splits ``case`` into.  A star folds its parts left
+    to right over every case so far; an implication or a conditional splits
+    each case on its condition, then-cases before else-cases.  Every atom a
+    case reaches is passed to ``leaf(ctx, case, atom)``, in assertion order."""
     if isinstance(enc, EStar):
         cases = [case]
         for part in enc.parts:
-            cases = [c2 for c in cases for c2 in _collect_cases(ctx, c, part)]
+            cases = [c2 for c in cases for c2 in _cases(ctx, c, part, leaf)]
         return cases
-    if isinstance(enc, EImplies):
+    if isinstance(enc, (EImplies, ECond)):
+        then, els = (enc.body, None) if isinstance(enc, EImplies) else (enc.then, enc.els)
         cond = eval_expr(case.state, enc.cond)
         thens, elses = _branch_states(ctx, case.state, cond, enc.span)
-        out = []
-        for s in thens:
-            out.extend(_collect_cases(ctx, case.split(s), enc.body))
+        out = [c for s in thens for c in _cases(ctx, case.split(s), then, leaf)]
         for s in elses:
-            out.append(case.split(s))
+            out += [case.split(s)] if els is None else _cases(ctx, case.split(s), els, leaf)
         return out
-    if isinstance(enc, ECond):
-        cond = eval_expr(case.state, enc.cond)
-        thens, elses = _branch_states(ctx, case.state, cond, enc.span)
-        out = []
-        for s in thens:
-            out.extend(_collect_cases(ctx, case.split(s), enc.then))
-        for s in elses:
-            out.extend(_collect_cases(ctx, case.split(s), enc.els))
-        return out
-    if isinstance(enc, EAcc):
-        ref = resolve_loc(case.state, enc.loc)
-        key = case.state.field_key(ref, enc.fld, enc.label)
-        d = case.field_demands.setdefault(
-            key, _Demand(name=_atom_name(ref, enc.fld, enc.label)))
-        if enc.perm == WILDCARD:
-            d.wildcards += 1
+    leaf(ctx, case, enc)
+    return [case]
+
+
+# ---------------------------------------------------------------------------
+# Inhale
+# ---------------------------------------------------------------------------
+
+def inhale(ctx: ExecContext, state: SymState, enc) -> list[SymState]:
+    return [c.state for c in _cases(ctx, _Case(state), enc, _produce)]
+
+
+def _produce(ctx: ExecContext, case: _Case, enc) -> None:
+    """Inhale one atom into the case's state."""
+    state = case.state
+    if isinstance(enc, EPure):
+        state.assume(eval_expr(state, enc.expr))
+    elif isinstance(enc, EAcc):
+        ref = resolve_loc(state, enc.loc)
+        amount = _inhale_amount(ctx, state, enc.perm)
+        key = state.field_key(ref, enc.fld, enc.label)
+        chunk = state.fields.get(key)
+        if chunk is None:
+            chunk = FieldChunk(ref, enc.fld, enc.label, amount,
+                               ctx.fresh_field_value(enc.fld), pos=True)
+            state.fields[key] = chunk
         else:
-            d.exact += enc.perm
-        return [case]
-    if isinstance(enc, EFieldEq):
-        ref = resolve_loc(case.state, enc.loc)
-        key = case.state.field_key(ref, enc.fld, enc.label)
-        case.checks.append(("value", key, _atom_name(ref, enc.fld, enc.label), enc.value))
-        return [case]
+            chunk.perm = T.add(chunk.perm, amount)
+            chunk.pos = True
+        # field permissions cannot exceed 1: assumed, so overfull paths die
+        state.assume(T.le(chunk.perm, T.ONE))
+    elif isinstance(enc, EFieldEq):
+        # every value atom follows its permission atom in the same star
+        ref = resolve_loc(state, enc.loc)
+        chunk = state.fields[state.field_key(ref, enc.fld, enc.label)]
+        state.assume(T.eq(chunk.value, eval_expr(state, enc.value)))
+    elif isinstance(enc, EPredAcc):
+        ref = resolve_loc(state, enc.loc)
+        amount = _inhale_amount(ctx, state, enc.perm)
+        key = state.pred_key(ref, enc.idx, enc.label)
+        chunk = state.preds.get(key)
+        if chunk is None:
+            # a fresh conjunct instance starts with an empty snapshot
+            state.preds[key] = PredChunk(ref, enc.idx, enc.label, amount, pos=True)
+        else:
+            # re-inhaling a held conjunct must not reset the values read
+            chunk.perm = T.add(chunk.perm, amount)
+            chunk.pos = True
+    else:
+        raise AssertionError(enc)
+
+
+def _inhale_amount(ctx: ExecContext, state: SymState, perm) -> T.Term:
+    if perm == WILDCARD:
+        w = ctx.fresh_token()
+        state.assume(T.lt(T.ZERO, w))
+        return w
+    return T.mk_int(perm)
+
+
+# ---------------------------------------------------------------------------
+# Exhale
+# ---------------------------------------------------------------------------
+
+def _demand(ctx: ExecContext, case: _Case, enc) -> None:
+    """Record one atom's check or permission demand on the case."""
+    if isinstance(enc, EPure):
+        case.checks.append(("pure", enc.expr))
+        return
+    ref = resolve_loc(case.state, enc.loc)
     if isinstance(enc, EPredAcc):
-        ref = resolve_loc(case.state, enc.loc)
         key = case.state.pred_key(ref, enc.idx, enc.label)
-        d = case.pred_demands.setdefault(
-            key, _Demand(name=_pred_name(ref, enc.idx, enc.label)))
-        if enc.perm == WILDCARD:
-            d.wildcards += 1
-        else:
-            d.exact += enc.perm
+        name = _pred_name(ref, enc.idx, enc.label)
+        demands = case.pred_demands
         if enc.vals_empty:
-            case.vals_checks.append((key, _pred_name(ref, enc.idx, enc.label)))
-        return [case]
-    raise AssertionError(enc)
+            case.vals_checks.append((key, name))
+    else:
+        key = case.state.field_key(ref, enc.fld, enc.label)
+        name = _atom_name(ref, enc.fld, enc.label)
+        if isinstance(enc, EFieldEq):
+            case.checks.append(("value", key, name, enc.value))
+            return
+        demands = case.field_demands
+    d = demands.setdefault(key, _Demand(name=name))
+    if enc.perm == WILDCARD:
+        d.wildcards += 1
+    else:
+        d.exact += enc.perm
 
 
 def _atom_name(ref: T.Term, fld: str, label: HeapLabel) -> str:
@@ -616,14 +597,20 @@ def _pred_name(ref: T.Term, idx: int, label: HeapLabel) -> str:
 
 
 def _run_checks(ctx: ExecContext, state: SymState, checks: list, prim) -> None:
-    """Pure and value checks, in assertion order."""
+    """Pure and value checks, in assertion order.  Each logical variable open
+    for unification is first bound to the value of the first held chunk that
+    a value check names it for, so a pure check may name it earlier."""
+    bindable = getattr(prim, "bindable", ())
+    for check in checks:
+        if (check[0] == "value" and isinstance(check[3], S.EVar)
+                and check[3].name in bindable and check[3].name not in state.env):
+            chunk = state.fields.get(check[1])
+            if chunk is not None:
+                state.env[check[3].name] = chunk.value
     for check in checks:
         if check[0] == "pure":
             _, expr = check
-            fact = eval_expr(state, expr)
-            if fact is T.TRUE:
-                continue
-            res = ctx.entailed(state, fact)
+            res = ctx.entailed(state, eval_expr(state, expr))
             if res.verdict != YES:
                 ctx.fail_query(state, res, prim.kind, prim.span, prim.rule,
                                f"cannot establish {S.pp_expr(expr)}")
@@ -633,12 +620,6 @@ def _run_checks(ctx: ExecContext, state: SymState, checks: list, prim) -> None:
             if chunk is None:
                 ctx.fail(state, prim.kind, prim.span, prim.rule,
                          f"no permission to {name}")
-            if isinstance(expr, S.EAny):
-                continue
-            if (isinstance(expr, S.EVar) and expr.name not in state.env
-                    and expr.name in getattr(prim, "bindable", ())):
-                state.env[expr.name] = chunk.value   # unify the logical variable
-                continue
             _check_value(ctx, state, chunk, name, expr, prim)
 
 
@@ -748,7 +729,7 @@ def exhale(ctx: ExecContext, state: SymState, prim) -> list[SymState]:
     deduct = not isinstance(prim, E.AssertCheck)
     tmp_first = isinstance(prim, E.ExhalePreferTmp)
     out: list[SymState] = []
-    for case in _collect_cases(ctx, _Case(state), prim.enc):
+    for case in _cases(ctx, _Case(state), prim.enc, _demand):
         state = case.state
         try:
             if tmp_first:
@@ -800,7 +781,7 @@ def exhale(ctx: ExecContext, state: SymState, prim) -> list[SymState]:
                         # each value is read from the portions taken
                         for _, _, name, expr in later.get(key, ()):
                             for c, used in ((tmp, from_tmp), (chunk, from_fb)):
-                                if used and not isinstance(expr, S.EAny):
+                                if used:
                                     _check_value(ctx, state, c, name, expr, prim)
                         if from_tmp and from_fb:
                             state.assume(T.eq(tmp.value, chunk.value))
@@ -894,14 +875,17 @@ def run_prim(ctx: ExecContext, state: SymState, prim) -> list[SymState]:
         ctx.trace(getattr(prim, "span", NO_SPAN),
                   E.pp_primitive(prim)[0].strip(), state.digest())
     try:
-        if isinstance(prim, E.Inhale):
-            if prim.value is not None:
-                return _run_bound(ctx, state, prim)
-            return inhale(ctx, state, prim.enc)
-        if isinstance(prim, (E.Exhale, E.AssertCheck, E.ExhalePreferTmp)):
-            if getattr(prim, "value", None) is not None:
-                return _run_bound(ctx, state, prim)
-            return exhale(ctx, state, prim)
+        if isinstance(prim, (E.Inhale, E.Exhale, E.AssertCheck, E.ExhalePreferTmp)):
+            # an invariant body's V is bound for this primitive only
+            value = getattr(prim, "value", None)
+            if value is not None:
+                state.env[VALUE] = eval_expr(state, value)
+            out = (inhale(ctx, state, prim.enc) if isinstance(prim, E.Inhale)
+                   else exhale(ctx, state, prim))
+            if value is not None:
+                for s in out:
+                    del s.env[VALUE]
+            return out
         if isinstance(prim, E.HavocVar):
             state.env[prim.name] = ctx.fresh_for_class(prim.name)
             return [state]
@@ -970,50 +954,28 @@ def run_prim(ctx: ExecContext, state: SymState, prim) -> list[SymState]:
     raise AssertionError(prim)
 
 
-def _run_bound(ctx: ExecContext, state: SymState, prim) -> list[SymState]:
-    """Run an inhale or exhale with ``V`` bound to the term of the
-    primitive's value, for this primitive only."""
-    state.env[VALUE] = eval_expr(state, prim.value)
-    out = (inhale(ctx, state, prim.enc) if isinstance(prim, E.Inhale)
-           else exhale(ctx, state, prim))
-    for s in out:
-        del s.env[VALUE]
-    return out
-
-
 def _spin_leak_check(ctx: ExecContext, state: SymState, prim) -> None:
     ref = resolve_loc(state, prim.loc)
     held = _held_conjuncts(ctx, state, ref, prim.need_full)
     if not held:
         return
-    probe_state = state.clone()
-    probe_state.env[prim.probe] = ctx.fresh_int(prim.probe)
+    probe = state.clone()
+    probe.env[prim.probe] = ctx.fresh_int(prim.probe)
     if prim.value is not None:
-        probe_state.env[VALUE] = eval_expr(probe_state, prim.value)
-    cont = eval_expr(probe_state, prim.cont)
+        probe.env[VALUE] = eval_expr(probe, prim.value)
+    probe.assume(eval_expr(probe, prim.cont))
+    if not ctx.feasible(probe):
+        return
 
-    def walk(enc, guards: list) -> None:
+    def leak(ctx: ExecContext, case: _Case, enc) -> None:
+        # a ghost-free resource would be gained and then discarded
         if isinstance(enc, (EAcc, EPredAcc)):
-            # a ghost-free resource would be gained and then discarded
-            probe = probe_state.clone()
-            for fact in [cont] + guards:
-                probe.assume(fact)
-            if ctx.feasible(probe):
-                ctx.fail(state, SPIN_PATTERN_RESOURCE_LEAK, prim.span, "spin loop",
-                         "a value the spin loop discards would carry resources; "
-                         "annotate the loop with an invariant instead")
-        elif isinstance(enc, EStar):
-            for p in enc.parts:
-                walk(p, guards)
-        elif isinstance(enc, EImplies):
-            walk(enc.body, guards + [eval_expr(probe_state, enc.cond)])
-        elif isinstance(enc, ECond):
-            c = eval_expr(probe_state, enc.cond)
-            walk(enc.then, guards + [c])
-            walk(enc.els, guards + [T.not_(c)])
+            ctx.fail(state, SPIN_PATTERN_RESOURCE_LEAK, prim.span, "spin loop",
+                     "a value the spin loop discards would carry resources; "
+                     "annotate the loop with an invariant instead")
 
     for idx in held:
-        walk(prim.lowered[idx], [])
+        _cases(ctx, _Case(probe.clone()), prim.lowered[idx], leak)
 
 
 def run_seq(ctx: ExecContext, state: SymState, prims: list) -> list[SymState]:

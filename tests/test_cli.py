@@ -53,6 +53,9 @@ MALFORMED = {
     "deep-implies": "proc main(x) requires { " + "x == 1 ==> " * 300 + "true } "
                     "ensures { true } { skip; }",
     "long-sum": "proc main() { x := " + " + ".join(["1"] * 1500) + "; }",
+    # calls that name no procedure, or pass the wrong number of arguments
+    "unknown-callee": "proc main() { call g(1); }",
+    "call-arity": "proc f(a) { skip; } proc main() { call f(1, 2); }",
 }
 
 

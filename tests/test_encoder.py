@@ -553,6 +553,34 @@ proc main(l, a)
     assert SPIN_PATTERN_RESOURCE_LEAK in kinds(v)
 
 
+SPIN_ON = """
+invariant Q(V) = {q};
+invariant R(V) = V == 0 ==> b |-> 1;
+proc main(l, a, b)
+  requires {{ Acq(l, {inv}) && Init(l) }}
+  ensures {{ true }}
+{{
+  while ([l]_acq == 0);
+}}
+"""
+
+
+@pytest.mark.parametrize("q, inv, leaks", [
+    # a resource in the branch the loop discards leaks, one in the exit does not
+    ("V == 0 ? a |-> 1 : true", "Q", True),
+    ("V == 0 ? true : a |-> 1", "Q", False),
+    # each held conjunct is scanned: Q is clean on V == 0, R is not
+    ("V != 0 ==> a |-> 1", "Q && R", True),
+    ("V != 0 ==> a |-> 1", "Q", False),
+])
+def test_spin_leak_scans_each_branch_and_conjunct(q, inv, leaks):
+    v = single_verdict(SPIN_ON.format(q=q, inv=inv))
+    if leaks:
+        assert kinds(v) == [SPIN_PATTERN_RESOURCE_LEAK]
+    else:
+        assert v.status == "verified", [d.format() for d in v.diagnostics]
+
+
 def test_cas_spin_must_exit_on_success():
     v = single_verdict("""
 invariant Q(V) = true;
@@ -640,6 +668,30 @@ proc main() requires { true } ensures { true }
 { alloc_na(a); [a]_na := 1; call eat(a); call eat(a); }
 """).verdict_of("main")
     assert v.status == "failed"
+
+
+CALL_F = """
+proc f(a) requires {{ {pre} }} ensures {{ {post} }} {{ skip; }}
+proc main() requires {{ true }} ensures {{ true }}
+{{ alloc_na(b); [b]_na := 1; call f(b); }}
+"""
+
+
+@pytest.mark.parametrize("pre, post, kind, message", [
+    # the points-to binds v though a pure fact names it first
+    ("v == 1 && a |-> v", "a |-> v", None, None),
+    ("v == 2 && a |-> v", "a |-> v", EXHALE_FAILURE, "cannot establish $log1 == 2"),
+    # a logical variable no points-to binds
+    ("x |-> 1", "true", INSUFFICIENT_PERMISSION, "location '$log1' is not bound"),
+    ("v == 1", "true", INSUFFICIENT_PERMISSION, "variable '$log1' has no value here"),
+])
+def test_call_binds_logical_variables_from_points_to(pre, post, kind, message):
+    v = verify(CALL_F.format(pre=pre, post=post)).verdict_of("main")
+    if kind is None:
+        assert v.status == "verified", [d.format() for d in v.diagnostics]
+    else:
+        (d,) = v.diagnostics
+        assert (d.kind, d.message, d.span.line) == (kind, message, 4)
 
 
 def test_invariant_carrying_atomic_resources():

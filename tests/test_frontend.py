@@ -412,6 +412,16 @@ def test_undeclared_variable():
     assert any("never declared" in d.message for d in checked.diagnostics)
 
 
+def test_malformed_calls_rejected_at_the_call():
+    program, _ = parse("proc f(a) { skip; }\n"
+                       "proc main(x) { call g(x);\n  y := call f(x, 2); call f(x); }")
+    checked = mode_check(program)
+    assert [(d.kind, d.span.line, d.span.col, d.message) for d in checked.diagnostics] == [
+        (SYNTAX_ERROR, 2, 16, "unknown procedure 'g'"),
+        (SYNTAX_ERROR, 3, 3, "'f' expects 1 argument(s), got 2"),
+    ]
+
+
 # ---------------------------------------------------------------------------
 # Invariant bodies in the mode check's walk
 # ---------------------------------------------------------------------------
