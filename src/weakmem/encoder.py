@@ -1,20 +1,23 @@
 """Translation of source statements into verification primitives.
 
 Each statement becomes a short, state-independent sequence of primitives
-(inhale, exhale, checks, havocs, branches, heap transfers), all of them
-plain data.  Where a statement acts on one invariant conjunct at a time,
-the encoder gives it the body of every table index; the executor iterates
-over the conjuncts a state holds and runs only their bodies, which is
-equivalent to a static expansion over every index because only held
+(inhale, exhale, havocs, branches, heap transfers), all of them plain data.
+One ``Exhale`` serves every consume; its ``take`` is ``"own"`` (each atom's
+heap pays), ``"tmp"`` (the CAS release: the tmp heap first) or ``"none"`` (a
+check-only assert).  Where a statement acts on one invariant conjunct at a
+time, the encoder gives it the body of every table index; the executor
+iterates over the conjuncts a state holds and runs only their bodies, which
+is equivalent to a static expansion over every index because only held
 conjuncts pass the permission guard.
 
-Each table body is lowered once per procedure and modality, with its value
-parameter ``V`` left in place, as the paper encodes an invariant once as a
-function of its value.  A primitive that runs a body carries the expression
-``V`` stands for at its site, and the executor binds it; the printer
-instantiates it, so dumps and traces read as if the body were lowered at
-each site.  A body whose fractions mention ``V`` is the exception: lowering
-checks amounts, so it is instantiated and lowered per site.
+Each table body is lowered once per procedure and modality (the heap its
+real-heap atoms move to), with its value parameter ``V`` left in place, as
+the paper encodes an invariant once as a function of its value.  A
+primitive that runs a body carries the expression ``V`` stands for at its
+site, and the executor binds it; the printer instantiates it, so dumps and
+traces read as if the body were lowered at each site.  A body whose
+fractions mention ``V`` is the exception: lowering checks amounts, so it is
+instantiated and lowered per site.
 
 Loops take one of two shapes: with an annotated invariant they get the
 standard exhale/havoc/inhale treatment (the body is verified against the
@@ -31,17 +34,16 @@ from typing import Optional
 from . import syntax as S
 from . import speclogic as L
 from .diagnostics import (
-    Diagnostic, FrontendError, UnsupportedFeature,
+    Diagnostic, FrontendError,
     EXHALE_FAILURE, INSUFFICIENT_PERMISSION, READ_OF_UNINITIALISED,
     UNINITIALISED, NO_REL_PERMISSION, NO_ACQ_PERMISSION,
     MISSING_RMW_PERMISSIONS, REWRITE_NOT_JUSTIFIED, REWRITE_AFTER_READ,
     MISSING_LOOP_INVARIANT, SPIN_PATTERN_RESOURCE_LEAK, DOWN_IN_LOOP_INVARIANT,
-    SYNTAX_ERROR,
 )
-from .frontend import GHOST, NA, CheckedProgram
+from .frontend import CheckedProgram
 from .speclogic import (
     EAcc, EFieldEq, EPredAcc, EPure, EncAssertion, HeapLabel, InvariantTable,
-    FULL, LowerCtx, TO_DOWN, TO_TMP, TO_UP, WILDCARD, estar, lower, relabel,
+    FULL, LowerCtx, WILDCARD, estar, lower, relabel,
     substitute, enc_labels, FIELD_ACQ, FIELD_INIT, FIELD_REL, FIELD_VAL,
 )
 from .syntax import Span, NO_SPAN
@@ -77,14 +79,7 @@ class Exhale:
     bindable: frozenset = frozenset()    # logical variables open for unification
     span: Span = NO_SPAN
     value: Optional[S.Expr] = None       # as for Inhale
-
-
-@dataclass
-class AssertCheck:
-    enc: EncAssertion
-    rule: str = ""
-    kind: str = EXHALE_FAILURE
-    span: Span = NO_SPAN
+    take: str = "own"                    # own | tmp (tmp heap first) | none (assert)
 
 
 @dataclass
@@ -126,15 +121,6 @@ class TransferHeap:
 
 
 @dataclass
-class ExhalePreferTmp:
-    enc: EncAssertion                    # atom labels name the fallback heap
-    rule: str = ""
-    kind: str = EXHALE_FAILURE
-    span: Span = NO_SPAN
-    value: Optional[S.Expr] = None       # as for Inhale
-
-
-@dataclass
 class KillBranch:
     span: Span = NO_SPAN
 
@@ -164,17 +150,15 @@ class SpinLeakCheck:
     """Reject spin loops whose discarded reads would gain resources.
 
     ``lowered`` maps each invariant index to its lowered body, whose ``V``
-    stands for ``value``, the probe variable; the executor checks, for every
+    stands for the probe variable; the executor checks, for every fully
     held conjunct, that no permission atom is feasibly gained for a value
     satisfying the continue condition.
     """
     loc: str
-    need_full: bool
     probe: str
     cont: S.Expr                          # continue condition over the probe
     lowered: dict
     span: Span = NO_SPAN
-    value: Optional[S.Expr] = None        # None if no body mentions `V`
 
 
 # ---------------------------------------------------------------------------
@@ -211,8 +195,7 @@ class EncodeCtx:
         self.info = checked.info[proc_name]
         self.classes = self.info.classes
         self.lower_ctx = LowerCtx(table, self.classes)
-        self._body_ctx = LowerCtx(table, self.classes, inv_body=True)
-        self._bodies: dict[tuple, EncAssertion] = {}    # (index, modality) -> body
+        self._bodies: dict[tuple, EncAssertion] = {}    # (index, label) -> body
         self._fresh = 0
         self.extra_obligations: list[Obligation] = []
         self._thread_count = 0
@@ -221,38 +204,32 @@ class EncodeCtx:
         self._fresh += 1
         return f"${hint}{self._fresh}"
 
-    def class_of(self, var: str) -> str:
-        return self.classes.get(var, "value")
+    def lower(self, a: S.Assertion) -> EncAssertion:
+        return lower(a, self.lower_ctx)
 
-    def lower(self, a: S.Assertion, label: HeapLabel = HeapLabel.REAL) -> EncAssertion:
-        return lower(a, self.lower_ctx, label)
-
-    def inv_body(self, idx: int, value: S.Expr, modality: Optional[dict] = None
+    def inv_body(self, idx: int, value: S.Expr, label: HeapLabel = HeapLabel.REAL
                  ) -> tuple[EncAssertion, Optional[S.Expr]]:
-        """Table entry ``idx``'s body at ``value``, lowered and, given a
-        modality, relabeled: the encoded body and what its ``V`` stands for,
-        None if it does not mention ``V``.
+        """Table entry ``idx``'s body at ``value``, lowered into the ``label``
+        heap: the encoded body and what its ``V`` stands for, None if it does
+        not mention ``V``.
 
-        Each body is lowered once per modality, with ``V`` left in place; the
+        Each body is lowered once per heap, with ``V`` left in place; the
         executor binds it.  A body whose fractions mention ``V`` is
         instantiated and lowered at each site instead, since lowering checks
         its amounts."""
         if idx in self.table.value_fractions:
-            enc = self.lower(substitute(self.table.body(idx), value))
-            return (enc if modality is None else relabel(enc, modality, self.lower_ctx)), None
-        key = (idx, tuple(modality.items()) if modality else ())
-        enc = self._bodies.get(key)
+            body = substitute(self.table.body(idx), value)
+            return relabel(self.lower(body), label, self.lower_ctx), None
+        enc = self._bodies.get((idx, label))
         if enc is None:
-            enc = lower(self.table.body(idx), self._body_ctx)
-            if modality is not None:
-                enc = relabel(enc, modality, self.lower_ctx)
-            self._bodies[key] = enc
+            enc = relabel(self.lower(self.table.body(idx)), label, self.lower_ctx)
+            self._bodies[idx, label] = enc
         return enc, (value if idx in self.table.uses_value else None)
 
-    def inv_bodies(self, value: S.Expr, modality: Optional[dict] = None
+    def inv_bodies(self, value: S.Expr, label: HeapLabel = HeapLabel.REAL
                    ) -> dict[int, tuple[EncAssertion, Optional[S.Expr]]]:
         """``inv_body`` of every table index."""
-        return {idx: self.inv_body(idx, value, modality)
+        return {idx: self.inv_body(idx, value, label)
                 for idx in self.table.all_indices()}
 
 
@@ -275,21 +252,22 @@ def encode_stmt(st: S.Stmt, ctx: EncodeCtx) -> list:
         if st.mode == "na":
             return _nonatomic_write(st, ctx)
         if st.mode == "rlx":
-            return _atomic_write(st.loc, st.value, TO_UP, "relaxed write", st.span, ctx)
-        return _atomic_write(st.loc, st.value, None, "release write", st.span, ctx)
+            return _atomic_write(st.loc, st.value, HeapLabel.UP, "relaxed write", st.span, ctx)
+        return _atomic_write(st.loc, st.value, HeapLabel.REAL, "release write", st.span, ctx)
     if isinstance(st, S.SRead):
         if st.mode == "na":
             return _nonatomic_read(st, ctx)
         if st.mode == "rlx":
-            return _atomic_read(st.target, st.loc, TO_DOWN, "relaxed read", st.span, ctx)
-        return _atomic_read(st.target, st.loc, None, "acquire read", st.span, ctx)
+            return _atomic_read(st.target, st.loc, HeapLabel.DOWN, "relaxed read", st.span, ctx)
+        return _atomic_read(st.target, st.loc, HeapLabel.REAL, "acquire read", st.span, ctx)
     if isinstance(st, S.SFenceAcq):
         return [TransferHeap(HeapLabel.DOWN, HeapLabel.REAL, "acquire fence", st.span)]
     if isinstance(st, S.SFenceRel):
         enc = ctx.lower(st.assertion)
         return [
             Exhale(enc, rule="release fence", span=st.span),
-            Inhale(relabel(enc, TO_UP, ctx.lower_ctx), rule="release fence", span=st.span),
+            Inhale(relabel(enc, HeapLabel.UP, ctx.lower_ctx), rule="release fence",
+                   span=st.span),
         ]
     if isinstance(st, S.SCas):
         return _cas(st.target, st.tau, st.loc, st.expected, st.newval,
@@ -371,10 +349,10 @@ def _nonatomic_write(st: S.SWrite, ctx: EncodeCtx) -> list:
 def _nonatomic_read(st: S.SRead, ctx: EncodeCtx) -> list:
     rule = "non-atomic read"
     return [
-        AssertCheck(EAcc(st.loc, FIELD_VAL, WILDCARD, span=st.span),
-                    rule, kind=INSUFFICIENT_PERMISSION, span=st.span),
-        AssertCheck(EFieldEq(st.loc, FIELD_INIT, S.TRUE_E, span=st.span),
-                    rule, kind=READ_OF_UNINITIALISED, span=st.span),
+        Exhale(EAcc(st.loc, FIELD_VAL, WILDCARD, span=st.span),
+               rule, kind=INSUFFICIENT_PERMISSION, span=st.span, take="none"),
+        Exhale(EFieldEq(st.loc, FIELD_INIT, S.TRUE_E, span=st.span),
+               rule, kind=READ_OF_UNINITIALISED, span=st.span, take="none"),
         AssignVar(st.target, ("fieldval", st.loc, FIELD_VAL), st.span),
     ]
 
@@ -384,21 +362,21 @@ def _nonatomic_read(st: S.SRead, ctx: EncodeCtx) -> list:
 def _rel_index_chain(loc: str, bodies: dict[int, list], span: Span,
                      rule: str) -> list:
     """Branch on the invariant index stored in the rel field."""
-    chain: list = [AssertCheck(EPure(S.FALSE_E, span), rule,
-                               kind=NO_REL_PERMISSION, span=span)]
+    chain: list = [Exhale(EPure(S.FALSE_E, span), rule,
+                          kind=NO_REL_PERMISSION, span=span, take="none")]
     for idx in reversed(list(bodies)):
         chain = [Branch(BranchCond("releq", loc=loc, idx=idx),
                         bodies[idx], chain, span)]
     return chain
 
 
-def _atomic_write(loc: str, value: S.Expr, modality: Optional[dict],
+def _atomic_write(loc: str, value: S.Expr, label: HeapLabel,
                   rule: str, span: Span, ctx: EncodeCtx) -> list:
     bodies = {idx: [Exhale(enc, rule, span=span, value=v)]
-              for idx, (enc, v) in ctx.inv_bodies(value, modality).items()}
+              for idx, (enc, v) in ctx.inv_bodies(value, label).items()}
     prims: list = [
-        AssertCheck(EAcc(loc, FIELD_REL, WILDCARD, span=span),
-                    rule, kind=NO_REL_PERMISSION, span=span),
+        Exhale(EAcc(loc, FIELD_REL, WILDCARD, span=span),
+               rule, kind=NO_REL_PERMISSION, span=span, take="none"),
     ]
     prims += _rel_index_chain(loc, bodies, span, rule)
     prims.append(Inhale(EAcc(loc, FIELD_INIT, WILDCARD, span=span), rule, span))
@@ -407,27 +385,27 @@ def _atomic_write(loc: str, value: S.Expr, modality: Optional[dict],
 
 # -- acquire / relaxed reads ------------------------------------------------------
 
-def _read_gain(loc: str, value: S.Expr, modality: Optional[dict],
+def _read_gain(loc: str, value: S.Expr, label: HeapLabel,
                rule: str, span: Span, ctx: EncodeCtx) -> ForEachHeldConjunct:
     """Gain each held conjunct's body at a value not read through it before."""
     bodies = {idx: [Branch(
                   BranchCond("notread", loc=loc, idx=idx, value=value),
                   [Inhale(enc, rule, span, v), RecordReadValue(loc, idx, value, span)],
                   [], span)]
-              for idx, (enc, v) in ctx.inv_bodies(value, modality).items()}
+              for idx, (enc, v) in ctx.inv_bodies(value, label).items()}
     return ForEachHeldConjunct(loc, need_full=True, bodies=bodies, span=span)
 
 
-def _atomic_read(target: str, loc: str, modality: Optional[dict],
+def _atomic_read(target: str, loc: str, label: HeapLabel,
                  rule: str, span: Span, ctx: EncodeCtx) -> list:
     prims: list = [
-        AssertCheck(EAcc(loc, FIELD_INIT, WILDCARD, span=span),
-                    rule, kind=UNINITIALISED, span=span),
-        AssertCheck(estar([EAcc(loc, FIELD_ACQ, WILDCARD, span=span),
-                           EFieldEq(loc, FIELD_ACQ, S.TRUE_E, span=span)]),
-                    rule, kind=NO_ACQ_PERMISSION, span=span),
+        Exhale(EAcc(loc, FIELD_INIT, WILDCARD, span=span),
+               rule, kind=UNINITIALISED, span=span, take="none"),
+        Exhale(estar([EAcc(loc, FIELD_ACQ, WILDCARD, span=span),
+                      EFieldEq(loc, FIELD_ACQ, S.TRUE_E, span=span)]),
+               rule, kind=NO_ACQ_PERMISSION, span=span, take="none"),
         HavocVar(target, span),
-        _read_gain(loc, S.EVar(target), modality, rule, span, ctx),
+        _read_gain(loc, S.EVar(target), label, rule, span, ctx),
     ]
     return prims
 
@@ -441,10 +419,10 @@ def _cas(target: str, tau: str, loc: str, expected: S.Expr, newval: S.Expr,
     read_sync = tau in ("acq", "rel_acq")
 
     tmp_gain = {idx: [Inhale(enc, rule + " read gain", span, v)]
-                for idx, (enc, v) in ctx.inv_bodies(S.EVar(target), TO_TMP).items()}
-    release = {idx: [ExhalePreferTmp(enc, rule + " release", span=span, value=v)]
+                for idx, (enc, v) in ctx.inv_bodies(S.EVar(target), HeapLabel.TMP).items()}
+    release = {idx: [Exhale(enc, rule + " release", span=span, value=v, take="tmp")]
                for idx, (enc, v) in ctx.inv_bodies(
-                   newval, None if write_sync else TO_UP).items()}
+                   newval, HeapLabel.REAL if write_sync else HeapLabel.UP).items()}
     success: list = [
         ForEachHeldConjunct(loc, need_full=False, bodies=tmp_gain, span=span),
     ]
@@ -454,13 +432,13 @@ def _cas(target: str, tau: str, loc: str, expected: S.Expr, newval: S.Expr,
         rule + " read transfer", span))
 
     prims: list = [
-        AssertCheck(EAcc(loc, FIELD_INIT, WILDCARD, span=span),
-                    rule, kind=UNINITIALISED, span=span),
-        AssertCheck(estar([EAcc(loc, FIELD_ACQ, WILDCARD, span=span),
-                           EFieldEq(loc, FIELD_ACQ, S.FALSE_E, span=span)]),
-                    rule, kind=MISSING_RMW_PERMISSIONS, span=span),
-        AssertCheck(EAcc(loc, FIELD_REL, WILDCARD, span=span),
-                    rule, kind=NO_REL_PERMISSION, span=span),
+        Exhale(EAcc(loc, FIELD_INIT, WILDCARD, span=span),
+               rule, kind=UNINITIALISED, span=span, take="none"),
+        Exhale(estar([EAcc(loc, FIELD_ACQ, WILDCARD, span=span),
+                      EFieldEq(loc, FIELD_ACQ, S.FALSE_E, span=span)]),
+               rule, kind=MISSING_RMW_PERMISSIONS, span=span, take="none"),
+        Exhale(EAcc(loc, FIELD_REL, WILDCARD, span=span),
+               rule, kind=NO_REL_PERMISSION, span=span, take="none"),
         HavocVar(target, span),
     ]
     if never_fails:
@@ -477,18 +455,16 @@ def _rewrite(st: S.SRewrite, ctx: EncodeCtx) -> list:
     rule = "invariant rewrite"
     probe = ctx.fresh("rw")
 
-    def at_probe(inv: S.InvRef) -> tuple[EncAssertion, Optional[S.Expr]]:
-        parts = [ctx.inv_body(i, S.EVar(probe)) for i in ctx.table.conjuncts(inv)]
-        uses_value = any(v is not None for _, v in parts)
-        return estar([enc for enc, _ in parts]), (S.EVar(probe) if uses_value else None)
+    def at_probe(inv: S.InvRef) -> EncAssertion:
+        return estar([ctx.inv_body(i, S.EVar(probe))[0] for i in ctx.table.conjuncts(inv)])
 
-    old_at, old_v = at_probe(st.old)
-    new_at, new_v = at_probe(st.new)
+    # V is bound to the probe even where no body mentions it
     justification = [
         DropAllPerms(st.span),
         HavocVar(probe, st.span),
-        Inhale(old_at, rule + " assumption", st.span, old_v),
-        Exhale(new_at, rule, kind=REWRITE_NOT_JUSTIFIED, span=st.span, value=new_v),
+        Inhale(at_probe(st.old), rule + " assumption", st.span, S.EVar(probe)),
+        Exhale(at_probe(st.new), rule, kind=REWRITE_NOT_JUSTIFIED, span=st.span,
+               value=S.EVar(probe)),
         KillBranch(st.span),
     ]
     old_insts = estar([EPredAcc(st.loc, i, FULL, vals_empty=True, span=st.span)
@@ -496,9 +472,9 @@ def _rewrite(st: S.SRewrite, ctx: EncodeCtx) -> list:
     new_insts = estar([EPredAcc(st.loc, i, FULL, vals_empty=True, span=st.span)
                        for i in ctx.table.conjuncts(st.new)])
     return [
-        AssertCheck(estar([EAcc(st.loc, FIELD_ACQ, WILDCARD, span=st.span),
-                           EFieldEq(st.loc, FIELD_ACQ, S.TRUE_E, span=st.span)]),
-                    rule, kind=NO_ACQ_PERMISSION, span=st.span),
+        Exhale(estar([EAcc(st.loc, FIELD_ACQ, WILDCARD, span=st.span),
+                      EFieldEq(st.loc, FIELD_ACQ, S.TRUE_E, span=st.span)]),
+               rule, kind=NO_ACQ_PERMISSION, span=st.span, take="none"),
         Branch(BranchCond("nondet"), justification, [], st.span),
         Exhale(old_insts, rule + " update", kind=EXHALE_FAILURE,
                vals_kind=REWRITE_AFTER_READ, span=st.span),
@@ -523,10 +499,6 @@ def _while(st: S.SWhile, ctx: EncodeCtx) -> list:
         raise _enc_err(MISSING_LOOP_INVARIANT, st.span, "loop",
                        "loop needs an invariant (only empty spin loops over a "
                        "single atomic read or CAS may omit one)")
-    if cond.kind != "pure":
-        raise _enc_err(SYNTAX_ERROR, st.span, "loop",
-                       "annotated loops need a pure condition; move the atomic "
-                       "access into the loop body")
     inv_enc = ctx.lower(st.invariant)
     if HeapLabel.DOWN in enc_labels(inv_enc):
         raise _enc_err(DOWN_IN_LOOP_INVARIANT, st.span, "loop",
@@ -561,20 +533,18 @@ def _spin_read(st: S.SWhile, ctx: EncodeCtx) -> list:
     if cond.mode == "na":
         raise _enc_err(MISSING_LOOP_INVARIANT, st.span, "spin loop",
                        "spin loops must read atomically")
-    modality = TO_DOWN if cond.mode == "rlx" else None
-    rule = "spin loop (" + ("relaxed" if modality else "acquire") + " read)"
+    label = HeapLabel.DOWN if cond.mode == "rlx" else HeapLabel.REAL
+    rule = "spin loop (" + ("relaxed" if cond.mode == "rlx" else "acquire") + " read)"
     probe = ctx.fresh("spin")
     cont = S.EBin(cond.op, S.EVar(probe), cond.rhs)
-    bodies = ctx.inv_bodies(S.EVar(probe))
-    lowered = {idx: enc for idx, (enc, _) in bodies.items()}
-    value = S.EVar(probe) if any(v is not None for _, v in bodies.values()) else None
+    lowered = {idx: enc for idx, (enc, _) in ctx.inv_bodies(S.EVar(probe)).items()}
     prims: list = [
-        AssertCheck(EAcc(cond.loc, FIELD_INIT, WILDCARD, span=st.span),
-                    rule, kind=UNINITIALISED, span=st.span),
-        AssertCheck(estar([EAcc(cond.loc, FIELD_ACQ, WILDCARD, span=st.span),
-                           EFieldEq(cond.loc, FIELD_ACQ, S.TRUE_E, span=st.span)]),
-                    rule, kind=NO_ACQ_PERMISSION, span=st.span),
-        SpinLeakCheck(cond.loc, True, probe, cont, lowered, st.span, value),
+        Exhale(EAcc(cond.loc, FIELD_INIT, WILDCARD, span=st.span),
+               rule, kind=UNINITIALISED, span=st.span, take="none"),
+        Exhale(estar([EAcc(cond.loc, FIELD_ACQ, WILDCARD, span=st.span),
+                      EFieldEq(cond.loc, FIELD_ACQ, S.TRUE_E, span=st.span)]),
+               rule, kind=NO_ACQ_PERMISSION, span=st.span, take="none"),
+        SpinLeakCheck(cond.loc, probe, cont, lowered, st.span),
     ]
     if cond.op == "==":
         # the only discarded value is the compare constant: record it
@@ -583,7 +553,7 @@ def _spin_read(st: S.SWhile, ctx: EncodeCtx) -> list:
         prims.append(ForEachHeldConjunct(cond.loc, True, record, st.span))
     prims += [
         HavocVar(probe, st.span),
-        _read_gain(cond.loc, S.EVar(probe), modality, rule, st.span, ctx),
+        _read_gain(cond.loc, S.EVar(probe), label, rule, st.span, ctx),
         Inhale(EPure(_negate_cmp(cond.op, S.EVar(probe), cond.rhs), st.span),
                rule + " exit", st.span),
     ]
@@ -660,25 +630,17 @@ def _call(st: S.SCall, ctx: EncodeCtx) -> list:
     logical = sorted(ctx.checked.info[callee.name].spec_vars(callee.pre) - bound)
     fresh_logical = {v: S.EVar(ctx.fresh("log")) for v in logical}
     mapping.update(fresh_logical)
-    try:
-        pre_s = S.subst_assertion(callee.pre, mapping)
-        post_s = S.subst_assertion(callee.post, mapping)
-    except ValueError as exc:
-        raise _enc_err(SYNTAX_ERROR, st.span, "call", str(exc))
     prims: list = [Exhale(
-        ctx.lower(pre_s), rule=f"precondition of {st.callee}",
+        ctx.lower(S.subst_assertion(callee.pre, mapping)),
+        rule=f"precondition of {st.callee}",
         bindable=frozenset(e.name for e in fresh_logical.values()), span=st.span)]
     prims += [HavocVar(t, st.span) for t in ret_targets]
-    prims.append(Inhale(ctx.lower(post_s), rule=f"postcondition of {st.callee}",
-                        span=st.span))
+    prims.append(Inhale(ctx.lower(S.subst_assertion(callee.post, mapping)),
+                        rule=f"postcondition of {st.callee}", span=st.span))
     return prims
 
 
 def _free(st: S.SFree, ctx: EncodeCtx) -> list:
-    cls = ctx.class_of(st.var)
-    if cls not in (NA, GHOST):
-        raise UnsupportedFeature("free is modelled for non-atomic and ghost "
-                                 "locations only", st.span)
     full = estar([
         EAcc(st.var, FIELD_VAL, FULL, span=st.span),
         EAcc(st.var, FIELD_INIT, FULL, span=st.span),
@@ -722,14 +684,15 @@ def build_obligations(checked: CheckedProgram, table: InvariantTable,
 # Primitive pretty-printing (--dump-primitives)
 # ---------------------------------------------------------------------------
 
+_EXHALE_WORDS = {"own": "exhale", "none": "assert", "tmp": "exhale[tmp-first]"}
+
+
 def pp_primitive(p, indent: int = 0) -> list[str]:
     pad = "  " * indent
     if isinstance(p, Inhale):
         return [f"{pad}inhale {_pp_bound(p)}"]
     if isinstance(p, Exhale):
-        return [f"{pad}exhale {_pp_bound(p)}"]
-    if isinstance(p, AssertCheck):
-        return [f"{pad}assert {L.pp_enc(p.enc)}"]
+        return [f"{pad}{_EXHALE_WORDS[p.take]} {_pp_bound(p)}"]
     if isinstance(p, HavocVar):
         return [f"{pad}havoc {p.name}"]
     if isinstance(p, AssignVar):
@@ -766,8 +729,6 @@ def pp_primitive(p, indent: int = 0) -> list[str]:
         return out
     if isinstance(p, TransferHeap):
         return [f"{pad}transfer {p.src} -> {p.dst}"]
-    if isinstance(p, ExhalePreferTmp):
-        return [f"{pad}exhale[tmp-first] {_pp_bound(p)}"]
     if isinstance(p, KillBranch):
         return [f"{pad}assume false // kill branch"]
     if isinstance(p, DropAllPerms):

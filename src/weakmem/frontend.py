@@ -15,10 +15,12 @@ The concrete syntax is keyword-based, one statement per line:
     }
 
 Parsing is total: syntax problems are reported as diagnostics with source
-positions and the parser resynchronises at the next statement.  ``mode_check``
-classifies every variable as a non-atomic location, an atomic location
-(acquire-read or RMW flavour), a ghost location or a plain value, and rejects
-programs that mix classifications for one variable.
+positions and the parser resynchronises at the next statement (at the next
+declaration after an error in a header or spec).  ``mode_check`` classifies
+every variable as a non-atomic location, an atomic location (acquire-read or
+RMW flavour), a ghost location or a plain value, and rejects programs that
+mix classifications for one variable, pass an expression for a location
+parameter or give an annotated loop an atomic condition.
 
 The mode check walks each procedure's statements once, and is the only place
 that knows which names and invariants each statement kind reads or binds.
@@ -220,6 +222,16 @@ class Parser:
                 depth -= 1
             self.next()
 
+    def _sync_decl(self) -> None:
+        """Skip to the next declaration: a ``proc`` or ``define``, or an
+        ``invariant`` after a ``;`` or ``}`` (a loop invariant follows a ``)``)."""
+        prev = self.toks[self.pos - 1][TEXT] if self.pos else ""
+        while self.tok[KIND] != "eof":
+            t = self.tok[TEXT]
+            if t in ("proc", "define") or (t == "invariant" and prev in (";", "}")):
+                return
+            prev = self.next()[TEXT]
+
     # -- program ------------------------------------------------------------
 
     def parse_program(self) -> S.Program:
@@ -238,8 +250,7 @@ class Parser:
             except _ParseError as e:
                 self.diags.append(e.diag)
                 self.depth = 0
-                self._sync_stmt()
-                self.accept("}")
+                self._sync_decl()
         self._check_duplicates(prog)
         if any(p.name == "main" for p in prog.procedures):
             prog.entry = "main"
@@ -827,10 +838,6 @@ class CheckedProgram:
     # invariants and thread specs (not invariant bodies)
     inv_sites: list[tuple[S.InvRef, Span]]
 
-    @property
-    def ok(self) -> bool:
-        return not self.diagnostics
-
 
 class _Classifier:
     def __init__(self, program: S.Program):
@@ -852,6 +859,7 @@ class _Classifier:
             for var, ev in sorted(evidence[proc.name].items()):
                 pi.classes[var] = self._resolve(ev, report=True, var=var)
             self._check_declared(proc, pi)
+        self._check_call_args(info)
         self._check_posts(info)
         self._check_fractions()
         self.diags.sort(key=lambda d: (d.span.line, d.span.col, d.kind))
@@ -1032,6 +1040,11 @@ class _Classifier:
                     expr_use(c.rhs, st.span)
                 if st.invariant is not None:
                     assertion_use(st.invariant, st.span, set())
+                    if c.kind != "pure":
+                        self.diags.append(Diagnostic(
+                            SYNTAX_ERROR, st.span, rule="loop",
+                            message="annotated loops need a pure condition; move "
+                                    "the atomic access into the loop body"))
                 block(st.body)
             elif isinstance(st, S.SIf):
                 expr_use(st.cond, st.span)
@@ -1152,6 +1165,19 @@ class _Classifier:
             self.diags.append(Diagnostic(
                 SYNTAX_ERROR, proc.span, rule="well-formedness",
                 message=f"variable {v!r} used in {proc.name!r} but never declared"))
+
+    def _check_call_args(self, info: dict[str, ProcInfo]) -> None:
+        """A location parameter, by its class in the callee, takes a variable."""
+        for pi in info.values():
+            for st in pi.calls:
+                callee = self.procs[st.callee]
+                classes = info[callee.name].classes
+                for f, a in zip(callee.params, st.args):
+                    if not isinstance(a, S.EVar) and classes.get(f.name) in LOCATION_CLASSES:
+                        self.diags.append(Diagnostic(
+                            SYNTAX_ERROR, st.span, rule="call",
+                            message=f"location position for '{f.name}' needs a "
+                                    "variable, got an expression"))
 
     def _check_posts(self, info: dict[str, ProcInfo]) -> None:
         for proc in self.program.procedures:

@@ -200,8 +200,7 @@ def _inv_name(state: SymState, solver: Solver, value: T.Term,
 
 def make_report(obligation: str, boundary: str, span: Span, state: SymState,
                 solver: Solver, classes: dict[str, str],
-                table: Optional[InvariantTable] = None,
-                reconstruct: bool = True) -> StateReport:
+                table: Optional[InvariantTable] = None) -> StateReport:
     violations = check_state_invariants(state, solver, classes)
-    text = reconstruct_assertion(state, solver, classes, table) if reconstruct else ""
-    return StateReport(obligation, boundary, span, violations, text)
+    return StateReport(obligation, boundary, span, violations,
+                       reconstruct_assertion(state, solver, classes, table))

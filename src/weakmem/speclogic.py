@@ -8,15 +8,17 @@ form plus the indices of its top-level star conjuncts, so acquire resources
 can be split along conjuncts, and which bodies mention the value parameter
 ``V``, in fractions or elsewhere.
 
-A table body is lowered with ``V`` in place (``lower`` accepts it only for a
-table body, and rejects it anywhere else); ``substitute`` instantiates a
-body, surface or encoded, at a value.
+A table body is lowered with ``V`` in place; ``substitute`` instantiates a
+body, surface or encoded, at a value.  Only the parser keeps ``V`` out of
+specifications: it reads a name as the value parameter (``EInvVal``) only
+inside the invariant declaration that binds it, so ``lower`` checks nothing.
 
 The encoder works on *encoded* assertions: permission atoms, predicate atoms
 and field-value constraints, each tagged with the heap it lives in (real, up,
 down, or the tmp heap used inside the CAS encoding).  Carrying the heap as a
 tag on each atom makes the up/down mappings bijective by construction, so
-no mapping axioms are needed.  Ghost locations are immune to relabeling.
+no mapping axioms are needed.  A modality is the heap ``relabel`` moves
+real-heap atoms to.  Ghost locations are immune to relabeling.
 """
 
 from __future__ import annotations
@@ -277,7 +279,6 @@ def estar(parts: list) -> EncAssertion:
 class LowerCtx:
     table: InvariantTable
     classes: dict[str, str]          # variable classifications for this scope
-    inv_body: bool = False           # lowering a table body: `V` may appear
 
     def is_ghost(self, loc: str) -> bool:
         return self.classes.get(loc) == GHOST
@@ -286,10 +287,8 @@ class LowerCtx:
 def lower(a: S.Assertion, ctx: LowerCtx, label: HeapLabel = HeapLabel.REAL) -> EncAssertion:
     """Encode a surface assertion; atoms on ghost locations keep the real label."""
     if isinstance(a, S.APure):
-        _reject_inv_val(a.expr, a.span, ctx)
         return EPure(a.expr, a.span)
     if isinstance(a, S.APointsTo):
-        _reject_inv_val(a.value, a.span, ctx)
         k = _perm_of(a.frac, a.span)
         lbl = _loc_label(a.loc, label, ctx)
         parts = [
@@ -337,10 +336,8 @@ def lower(a: S.Assertion, ctx: LowerCtx, label: HeapLabel = HeapLabel.REAL) -> E
     if isinstance(a, S.AStar):
         return estar([lower(p, ctx, label) for p in a.parts])
     if isinstance(a, S.AImplies):
-        _reject_inv_val(a.cond, a.span, ctx)
         return EImplies(a.cond, lower(a.body, ctx, label), a.span)
     if isinstance(a, S.ACond):
-        _reject_inv_val(a.cond, a.span, ctx)
         return ECond(a.cond, lower(a.then, ctx, label), lower(a.els, ctx, label), a.span)
     if isinstance(a, S.AUp):
         return lower(a.body, ctx, _shift(label, HeapLabel.UP, a.span))
@@ -376,44 +373,30 @@ def _perm_of(frac: Optional[S.Expr], span: Span) -> PermSpec:
     return k
 
 
-def _reject_inv_val(e: S.Expr, span: Span, ctx: LowerCtx) -> None:
-    if not ctx.inv_body and _mentions_value(e):
-        raise FrontendError(Diagnostic(
-            "SyntaxError", span, rule="well-formedness",
-            message="the invariant value parameter is only meaningful inside "
-                    "a location invariant"))
-
-
 # ---------------------------------------------------------------------------
-# Relabeling (the up/down/tmp mappings)
+# Relabeling (the up/down/tmp modalities)
 # ---------------------------------------------------------------------------
 
-TO_UP = {HeapLabel.REAL: HeapLabel.UP}
-TO_DOWN = {HeapLabel.REAL: HeapLabel.DOWN}
-TO_TMP = {HeapLabel.REAL: HeapLabel.TMP}
-FROM_UP = {HeapLabel.UP: HeapLabel.REAL}
+def relabel(a: EncAssertion, target: HeapLabel, ctx: LowerCtx) -> EncAssertion:
+    """Move every real-heap location atom to the ``target`` heap.
 
-
-def relabel(a: EncAssertion, mapping: dict[HeapLabel, HeapLabel],
-            ctx: LowerCtx) -> EncAssertion:
-    """Apply a heap-label mapping to every location atom.
-
-    Ghost-location atoms are left untouched (the mappings act as the identity
-    on them).  Applying a mapping to an atom outside its domain means a
-    modality was stacked on another one, which the logic never does.
+    The real heap is the identity modality, and ghost-location atoms are
+    left untouched by every modality.  An atom already in another heap means
+    a modality was stacked on another one, which the logic never does.
     """
+    if target == HeapLabel.REAL:
+        return a
+
     def on_node(x: EncAssertion) -> EncAssertion:
         if isinstance(x, EStar):
             return estar(list(x.parts))
         if not hasattr(x, "label") or ctx.is_ghost(x.loc):
             return x
-        new = mapping.get(x.label)
-        if new is None:
+        if x.label != HeapLabel.REAL:
             raise FrontendError(Diagnostic(
                 DOUBLE_MODALITY, x.span, rule="assertion-encoding",
-                message=f"cannot relabel a {x.label} atom with "
-                        f"{{{', '.join(str(k) + '->' + str(v) for k, v in mapping.items())}}}"))
-        return replace(x, label=new)
+                message=f"cannot relabel a {x.label} atom with {{real->{target}}}"))
+        return replace(x, label=target)
 
     return S.map_assertion(a, None, on_node=on_node)
 

@@ -27,20 +27,22 @@ pure fact is assumed before a later condition branches; the exhale leaf
 records its check or demand on the case; the spin-leak leaf fails on the
 first permission atom reached by a case in which the loop spins on.
 
-One routine, ``exhale``, runs every exhale over its cases: it sums the
+One routine, ``exhale``, runs every ``Exhale`` over its cases: it sums the
 permission demands per chunk and, fields sorted and then predicates sorted,
 decides for each where it comes from, checks that heap holds it, and
-deducts it.  A plain exhale (and a check-only assert) takes each demand from
-its atom's own heap; it binds the logical variables a call may unify, then
-runs its purity and value checks in assertion order against the state at
-the start of the exhale, then its values-read checks, and only then takes
-its demands.  The CAS release takes from the tmp heap first, so which heap a
-value is read from is known only once its demand is split: it runs its
-purity checks, then takes each demand and checks that atom's values against
-the portions taken, and runs its values-read checks last.  Inhaling more
-than a full field permission is not an error but an inconsistency: the
-capacity fact is assumed, so such paths become infeasible and later
-obligations on them hold vacuously.
+deducts it.  Its ``take`` says which heap pays.  A plain exhale (``own``)
+takes each demand from its atom's own heap, and a check-only assert
+(``none``) checks the same and deducts nothing; either binds the logical
+variables a call may unify, then runs its purity and value checks in
+assertion order against the state at the start of the exhale, then its
+values-read checks, and only then takes its demands.  The CAS release
+(``tmp``) takes from the tmp heap first, so which heap a value is read from
+is known only once its demand is split: it runs its purity checks, then
+takes each demand and checks that atom's values against the portions
+taken, and runs its values-read checks last.  Inhaling more than a full
+field permission is not an error but an inconsistency: the capacity fact
+is assumed, so such paths become infeasible and later obligations on them
+hold vacuously.
 
 Invariant bodies arrive lowered once, with their value parameter ``V`` in
 place.  A primitive that runs one carries the expression ``V`` stands for;
@@ -75,7 +77,7 @@ from .speclogic import (
     EAcc, ECond, EFieldEq, EImplies, EPredAcc, EPure, EStar, HeapLabel,
     WILDCARD,
 )
-from .syntax import Span, NO_SPAN
+from .syntax import Span
 
 FIELD_SORT = {"val": T.INT, "init": T.BOOL, "rel": T.INT, "acq": T.BOOL}
 
@@ -352,12 +354,10 @@ class ExecContext:
     # -- diagnostics ---------------------------------------------------------------
 
     def fail(self, state: SymState, kind: str, span: Span, rule: str,
-             message: str, counter: Optional[str] = None) -> None:
+             message: str) -> None:
         """Record a failure unless the path is infeasible, then kill the path."""
-        if not self.feasible(state):
-            raise _Fail()
-        self.diagnostics.append(Diagnostic(kind, span, rule=rule, message=message,
-                                           counter_facts=counter))
+        if self.feasible(state):
+            self.diagnostics.append(Diagnostic(kind, span, rule=rule, message=message))
         raise _Fail()
 
     def fail_query(self, state: SymState, res: Result, kind: str, span: Span,
@@ -422,12 +422,12 @@ def eval_expr(state: SymState, e: S.Expr) -> T.Term:
     return t
 
 
-def resolve_loc(state: SymState, loc, what: str = "location") -> T.Term:
-    t = state.env.get(loc) if isinstance(loc, str) else loc
+def resolve_loc(state: SymState, loc: str) -> T.Term:
+    # the mode check gives a name in a location position a location class,
+    # and a name of that class is only ever bound to a location
+    t = state.env.get(loc)
     if t is None:
-        raise EvalError(f"{what} {loc!r} is not bound")
-    if t.sort != T.REF:
-        raise EvalError(f"{what} {loc!r} does not hold a memory location")
+        raise EvalError(f"location {loc!r} is not bound")
     return t
 
 
@@ -600,7 +600,7 @@ def _run_checks(ctx: ExecContext, state: SymState, checks: list, prim) -> None:
     """Pure and value checks, in assertion order.  Each logical variable open
     for unification is first bound to the value of the first held chunk that
     a value check names it for, so a pure check may name it earlier."""
-    bindable = getattr(prim, "bindable", ())
+    bindable = prim.bindable
     for check in checks:
         if (check[0] == "value" and isinstance(check[3], S.EVar)
                 and check[3].name in bindable and check[3].name not in state.env):
@@ -637,7 +637,7 @@ def _check_values_read(ctx: ExecContext, state: SymState, vals_checks: list,
         chunk = state.preds.get(key)
         if chunk is not None and chunk.vals:
             vals = ", ".join(T.pretty(v) for v in chunk.vals)
-            ctx.fail(state, getattr(prim, "vals_kind", prim.kind), prim.span,
+            ctx.fail(state, prim.vals_kind, prim.span,
                      prim.rule, f"values {{{vals}}} were already read through {name}")
 
 
@@ -664,9 +664,6 @@ def _check_demand(ctx: ExecContext, state: SymState, chunk, exact: Fraction,
                 ctx.fail_query(state, res, prim.kind, prim.span, prim.rule,
                                f"insufficient permission to {name}: need {exact}")
     if wildcards:
-        if held is T.ZERO:
-            ctx.fail(state, prim.kind, prim.span, prim.rule,
-                     f"no permission to {name}")
         if held.kind == "num" and held.data > exact:
             return
         res = (ctx.entailed(state, T.lt(T.mk_int(exact), held)) if exact
@@ -713,21 +710,21 @@ def _split_amounts(ctx: ExecContext, state: SymState, tmp_held: T.Term,
     return Fraction(0), need
 
 
-def exhale(ctx: ExecContext, state: SymState, prim) -> list[SymState]:
-    """Execute an ``Exhale``, an ``AssertCheck`` (which checks the same and
-    deducts nothing) or an ``ExhalePreferTmp`` (the CAS release).
+def exhale(ctx: ExecContext, state: SymState, prim: E.Exhale) -> list[SymState]:
+    """Execute an ``Exhale``; its ``take`` says which heap pays.
 
     For each demand, fields sorted and then predicates sorted, the exhale
     decides where the permission comes from, checks that heap holds it, and
-    deducts it.  A plain exhale takes the whole demand from its atom's heap.
-    A tmp-first exhale takes from the tmp twin first: an exact part only as
-    far as tmp provably covers it (``_split_amounts``; if the solver decides
-    a wildcard amount does not cover it, all of it comes from the fallback),
-    a wildcard only if tmp's amount is positive by token positivity alone,
-    and the rest from the atom's heap, its fallback.
+    deducts it.  ``own`` takes the whole demand from its atom's heap, and
+    ``none`` (an assert) checks as ``own`` does but deducts nothing.
+    ``tmp`` (the CAS release) takes from the tmp twin first: an exact part
+    only as far as tmp provably covers it (``_split_amounts``; if the solver
+    decides a wildcard amount does not cover it, all of it comes from the
+    fallback), a wildcard only if tmp's amount is positive by token
+    positivity alone, and the rest from the atom's heap, its fallback.
     """
-    deduct = not isinstance(prim, E.AssertCheck)
-    tmp_first = isinstance(prim, E.ExhalePreferTmp)
+    deduct = prim.take != "none"
+    tmp_first = prim.take == "tmp"
     out: list[SymState] = []
     for case in _cases(ctx, _Case(state), prim.enc, _demand):
         state = case.state
@@ -741,8 +738,7 @@ def exhale(ctx: ExecContext, state: SymState, prim) -> list[SymState]:
                 _run_checks(ctx, state, [c for c in case.checks if c[0] == "pure"], prim)
             else:
                 _run_checks(ctx, state, case.checks, prim)
-                if case.vals_checks:
-                    _check_values_read(ctx, state, case.vals_checks, prim)
+                _check_values_read(ctx, state, case.vals_checks, prim)
             for store, demands in ((state.fields, case.field_demands),
                                    (state.preds, case.pred_demands)):
                 for key in sorted(demands):
@@ -861,10 +857,9 @@ def _branch_cond_term(ctx: ExecContext, state: SymState, cond: E.BranchCond):
         x = eval_expr(state, cond.value)
         return T.not_(T.or_(*[T.eq(x, v) for v in sorted(vals, key=lambda v: v.tid)]))
     if cond.kind == "releq":
+        # the encoder asserts acc(rel, wildcard) first
         ref = resolve_loc(state, cond.loc)
-        chunk = state.fields.get(state.field_key(ref, "rel", HeapLabel.REAL))
-        if chunk is None:
-            return T.FALSE
+        chunk = state.fields[state.field_key(ref, "rel", HeapLabel.REAL)]
         return T.eq(chunk.value, T.mk_int(cond.idx))
     raise AssertionError(cond)
 
@@ -872,12 +867,12 @@ def _branch_cond_term(ctx: ExecContext, state: SymState, cond: E.BranchCond):
 def run_prim(ctx: ExecContext, state: SymState, prim) -> list[SymState]:
     ctx.states_seen += 1
     if ctx.trace is not None:
-        ctx.trace(getattr(prim, "span", NO_SPAN),
+        ctx.trace(prim.span,
                   E.pp_primitive(prim)[0].strip(), state.digest())
     try:
-        if isinstance(prim, (E.Inhale, E.Exhale, E.AssertCheck, E.ExhalePreferTmp)):
+        if isinstance(prim, (E.Inhale, E.Exhale)):
             # an invariant body's V is bound for this primitive only
-            value = getattr(prim, "value", None)
+            value = prim.value
             if value is not None:
                 state.env[VALUE] = eval_expr(state, value)
             out = (inhale(ctx, state, prim.enc) if isinstance(prim, E.Inhale)
@@ -893,12 +888,10 @@ def run_prim(ctx: ExecContext, state: SymState, prim) -> list[SymState]:
             if prim.rhs[0] == "expr":
                 state.env[prim.name] = eval_expr(state, prim.rhs[1])
             else:
+                # the encoder asserts acc(val, wildcard) first
                 _, loc, fld = prim.rhs
                 ref = resolve_loc(state, loc)
-                chunk = state.fields.get(state.field_key(ref, fld, HeapLabel.REAL))
-                if chunk is None:
-                    ctx.fail(state, INSUFFICIENT_PERMISSION, prim.span, "read",
-                             f"no permission to read {T.ref_name(ref)}.{fld}")
+                chunk = state.fields[state.field_key(ref, fld, HeapLabel.REAL)]
                 state.env[prim.name] = chunk.value
             return [state]
         if isinstance(prim, E.Branch):
@@ -947,7 +940,7 @@ def run_prim(ctx: ExecContext, state: SymState, prim) -> list[SymState]:
         return []
     except EvalError as exc:
         try:
-            ctx.fail(state, INSUFFICIENT_PERMISSION, getattr(prim, "span", NO_SPAN),
+            ctx.fail(state, INSUFFICIENT_PERMISSION, prim.span,
                      "well-definedness", exc.message)
         except _Fail:
             return []
@@ -956,13 +949,12 @@ def run_prim(ctx: ExecContext, state: SymState, prim) -> list[SymState]:
 
 def _spin_leak_check(ctx: ExecContext, state: SymState, prim) -> None:
     ref = resolve_loc(state, prim.loc)
-    held = _held_conjuncts(ctx, state, ref, prim.need_full)
+    held = _held_conjuncts(ctx, state, ref, True)
     if not held:
         return
     probe = state.clone()
-    probe.env[prim.probe] = ctx.fresh_int(prim.probe)
-    if prim.value is not None:
-        probe.env[VALUE] = eval_expr(probe, prim.value)
+    # V stands for the probe in every body, whether it mentions V or not
+    probe.env[prim.probe] = probe.env[VALUE] = ctx.fresh_int(prim.probe)
     probe.assume(eval_expr(probe, prim.cont))
     if not ctx.feasible(probe):
         return

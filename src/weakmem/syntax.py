@@ -359,12 +359,6 @@ class Program:
     procedures: list = field(default_factory=list)
     entry: Optional[str] = None
 
-    def invariant(self, name: str) -> InvariantDecl:
-        for d in self.invariants:
-            if d.name == name:
-                return d
-        raise KeyError(name)
-
 
 # ---------------------------------------------------------------------------
 # Pretty printing

@@ -56,6 +56,15 @@ MALFORMED = {
     # calls that name no procedure, or pass the wrong number of arguments
     "unknown-callee": "proc main() { call g(1); }",
     "call-arity": "proc f(a) { skip; } proc main() { call f(1, 2); }",
+    # an expression passed for a location parameter
+    "call-location-literal": "proc f(a) requires { a |-> 1 } ensures { a |-> 1 } { skip; }\n"
+                             "proc main() requires { true } ensures { true } { call f(5); }",
+    # an annotated loop whose condition is an atomic read
+    "annotated-atomic-loop": "invariant Q(V) = V >= 0;\nproc main() requires { true } "
+                             "ensures { true } { alloc_acq(l, Q); "
+                             "while ([l]_acq == 0) invariant { true } { skip; } }",
+    # the rule goes by class: `a` is a location in f's body only
+    "call-body-location-literal": "proc f(a) { free(a); }\nproc main() { call f(5); }",
 }
 
 

@@ -297,6 +297,24 @@ def test_fence_acq_empty_noop():
     assert result.verified
 
 
+RELAXED_CONJUNCT = """
+invariant R(V) = V >= 0;
+invariant Q(V) = V == 1 ==> Acq(m, R);
+proc main() returns (m, r) requires {{ true }} ensures {{ r == 1 ==> Acq(m, R) }}
+{{ alloc_acq(m, R); alloc_acq(l, Q); [l]_rel := 1; r := [l]_rlx; {fence} }}
+"""
+
+
+def test_fence_acq_moves_a_conjunct_instance_into_an_empty_real_heap():
+    # the relaxed read gains Acq(m, R) under the down modality; the fence
+    # moves its conjunct instance to the real heap, which holds none
+    v = single_verdict(RELAXED_CONJUNCT.format(fence="fence_acq;"))
+    assert v.status == "verified", [d.format() for d in v.diagnostics]
+    v = single_verdict(RELAXED_CONJUNCT.format(fence=""))
+    assert [d.format() for d in v.diagnostics] == [
+        "4:1: ExhaleFailure [postcondition]: no AcqConjunct(m, 0) instance held"]
+
+
 def test_fence_rel_value_mismatch():
     v = single_verdict("""
 proc main() requires { true } ensures { true }
@@ -537,6 +555,12 @@ proc main() requires { true } ensures { true }
 """)
     assert v.status == "failed"
     assert INSUFFICIENT_PERMISSION in kinds(v)
+
+
+def test_spin_loop_over_a_non_atomic_read_rejected():
+    v = single_verdict(WRAP.format(body="alloc_na(a); [a]_na := 1; while ([a]_na == 0);"))
+    assert [(d.kind, d.rule, d.message) for d in v.diagnostics] == [
+        (MISSING_LOOP_INVARIANT, "spin loop", "spin loops must read atomically")]
 
 
 def test_spin_leak_rejected():
@@ -821,7 +845,7 @@ def test_lowered_bodies_carry_the_value_of_v():
     seen = {}
     for blk in ob.blocks:
         for p in _nested_prims(blk.prims):
-            if isinstance(p, encoder.AssertCheck) or getattr(p, "rule", "") not in body_rules:
+            if getattr(p, "take", "own") == "none" or getattr(p, "rule", "") not in body_rules:
                 continue
             # Q's body is an implication, P's a points-to to `a`
             body = "Q" if isinstance(p.enc, EImplies) else "P" if "a.val" in L.pp_enc(p.enc) else None
@@ -839,7 +863,8 @@ def test_lowered_bodies_carry_the_value_of_v():
     }
     # each (entry, modality) is lowered once: both writes share Q's body
     q_writes = [p.enc for blk in ob.blocks for p in _nested_prims(blk.prims)
-                if isinstance(p, encoder.Exhale) and isinstance(p.enc, EImplies)]
+                if isinstance(p, encoder.Exhale) and p.take == "own"
+                and isinstance(p.enc, EImplies)]
     assert len(q_writes) == 2 and q_writes[0] is q_writes[1]
     dump = encoder.dump_primitives([ob])
     assert "exhale (k + 1 == 1 ==> acc(b.val, 1)@real" in dump
@@ -925,14 +950,9 @@ proc main() requires {{ true }} ensures {{ true }} {{ alloc_rmw(l, Q); {body} }}
 
 
 def test_free_of_an_atomic_location():
-    # the mode check rejects the program first ...
+    # the mode check rejects the program
     res = verify(FREE_RMW.format(body="free(l);"))
     assert [d.kind for d in res.parse_diagnostics] == [MIXED_MODE_ACCESS]
-    # ... and the encoder, given an atomic location, reports it unsupported
-    chk, table, _ = pipeline(FREE_RMW.format(body=""))
-    ctx = encoder.EncodeCtx(chk, table, "main")
-    with pytest.raises(UnsupportedFeature, match="non-atomic and ghost locations only"):
-        encoder.encode_stmt(S.SFree(var="l"), ctx)
 
 
 BIT_OPS = (("|", T.bitor, 3), ("^", T.bitxor, 3), (">>", T.shr, 0))

@@ -7,7 +7,7 @@ from weakmem import syntax as S
 from weakmem.diagnostics import FrontendError
 from weakmem.frontend import GHOST, NA
 from weakmem.speclogic import (
-    EAcc, EFieldEq, EPure, HeapLabel, LowerCtx, TO_DOWN, TO_UP,
+    EAcc, EFieldEq, EPure, HeapLabel, LowerCtx,
     build_invariant_table, lower, relabel, substitute,
 )
 
@@ -124,29 +124,22 @@ def lower_ctx(classes=None):
 def test_relabel_points_to_up():
     ctx = lower_ctx({"a": NA})
     enc = lower(S.APointsTo(loc="a", value=S.EInt(42)), ctx)
-    up = relabel(enc, TO_UP, ctx)
+    up = relabel(enc, HeapLabel.UP, ctx)
     assert all(p.label == HeapLabel.UP for p in up.parts
                if isinstance(p, (EAcc, EFieldEq)))
 
 
 def test_relabel_pure_unchanged():
     ctx, e = lower_ctx(), EPure(S.EBin(">", S.EVar("x"), S.EInt(0)))
-    assert relabel(e, TO_UP, ctx) is e
+    assert relabel(e, HeapLabel.UP, ctx) is e
 
 
 def test_relabel_ghost_identity():
     ctx = lower_ctx({"g": GHOST})
     enc = lower(S.APointsTo(loc="g", value=S.EInt(5)), ctx)
-    down = relabel(enc, TO_DOWN, ctx)
+    down = relabel(enc, HeapLabel.DOWN, ctx)
     assert all(p.label == HeapLabel.REAL for p in down.parts
                if isinstance(p, (EAcc, EFieldEq)))
-
-
-def test_relabel_round_trip():
-    from weakmem.speclogic import FROM_UP
-    ctx = lower_ctx({"a": NA})
-    enc = lower(S.APointsTo(loc="a", value=S.EInt(1)), ctx)
-    assert relabel(relabel(enc, TO_UP, ctx), FROM_UP, ctx) == enc
 
 
 def test_double_modality_rejected():
@@ -158,9 +151,9 @@ def test_double_modality_rejected():
 def test_relabel_double_modality_rejected():
     ctx = lower_ctx({"a": NA})
     enc = lower(S.APointsTo(loc="a", value=S.EInt(1)), ctx)
-    up = relabel(enc, TO_UP, ctx)
+    up = relabel(enc, HeapLabel.UP, ctx)
     with pytest.raises(FrontendError):
-        relabel(up, TO_UP, ctx)
+        relabel(up, HeapLabel.UP, ctx)
 
 
 @pytest.mark.parametrize("a", [
@@ -170,8 +163,6 @@ def test_relabel_double_modality_rejected():
     S.ACond(cond=S.EInvVal(), then=S.APure(expr=S.TRUE_E), els=S.APure(expr=S.TRUE_E)),
 ])
 def test_value_parameter_lowered_only_in_a_table_body(a):
-    body = lower(a, LowerCtx(table=None, classes={}, inv_body=True))
+    body = lower(a, lower_ctx())
     assert any(isinstance(getattr(x, f, None), S.EInvVal)
                for x in S.walk_assertion(body) for f in ("expr", "cond", "value"))
-    with pytest.raises(FrontendError, match="only meaningful inside a location invariant"):
-        lower(a, lower_ctx())

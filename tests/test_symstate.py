@@ -7,7 +7,7 @@ from conftest import LOCK_CLIENT, MANIFEST, corpus_path, verify
 from weakmem import api, solver as SV, symstate, terms as T
 from weakmem.cli import load_manifest
 from weakmem.diagnostics import EXHALE_FAILURE, INCOMPLETE_SOLVER
-from weakmem.encoder import AssertCheck, Exhale, ExhalePreferTmp, Inhale
+from weakmem.encoder import Exhale, Inhale
 from weakmem.solver import NO, OPAQUE_ATOM, SAT, UNSAT, Solver, YES
 from weakmem.speclogic import (
     EAcc, EFieldEq, EImplies, EPredAcc, EPure, HeapLabel, WILDCARD, estar, substitute,
@@ -142,6 +142,23 @@ def test_exhale_value_mismatch_fails():
 # permOf / havoc
 # ---------------------------------------------------------------------------
 
+def test_symbolic_and_spare_demands_fail_with_their_amounts():
+    # no source program reaches these: the front end keeps exact demands
+    # off the fields and instances that hold wildcard amounts
+    ctx = make_ctx()
+    st = fresh_state(ctx)
+    st = do_inhale(ctx, st, acc("a", "val", 1))
+    (st,) = do_exhale(ctx, st, acc("a", "val", WILDCARD))
+    # 1 - w covers 1/2 only if w <= 1/2, which this path does not know
+    do_exhale(ctx, st.clone(), acc("a", "val", "1/2"), expect_fail=True)
+    assert ctx.diagnostics[-1].message == "insufficient permission to a.val: need 1/2"
+    st = do_inhale(ctx, fresh_state(ctx), acc("a", "val", 1))
+    # the exact part takes all that is held, and a wildcard needs more
+    do_exhale(ctx, st, estar([acc("a", "val", 1), acc("a", "val", WILDCARD)]),
+              expect_fail=True)
+    assert ctx.diagnostics[-1].message == "no spare permission to a.val for a wildcard"
+
+
 def test_perm_of_absent_chunk_zero():
     ctx = make_ctx()
     st = fresh_state(ctx)
@@ -268,7 +285,7 @@ def tmp_points_to(loc, value, k=1):
 
 def run_prefer_tmp(ctx, st, enc, expect_fail=False):
     before = len(ctx.diagnostics)
-    out = exhale(ctx, st, ExhalePreferTmp(enc, rule="test"))
+    out = exhale(ctx, st, Exhale(enc, rule="test", take="tmp"))
     failed = len(ctx.diagnostics) > before
     assert failed == expect_fail, [d.format() for d in ctx.diagnostics[before:]]
     return out
@@ -351,7 +368,7 @@ def test_assert_check_preserves_state():
     ctx = make_ctx()
     st = fresh_state(ctx)
     st = do_inhale(ctx, st, points_to("a", 42))
-    prim = AssertCheck(points_to("a", 42), rule="test", kind=EXHALE_FAILURE)
+    prim = Exhale(points_to("a", 42), rule="test", kind=EXHALE_FAILURE, take="none")
     (st2,) = run_prim(ctx, st, prim)
     assert val_perm(st2, st2.env["a"]) is T.ONE
     assert not ctx.diagnostics
