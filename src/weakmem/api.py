@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from . import encoder, frontend, monitor, speclogic, symstate, syntax
@@ -15,27 +14,31 @@ FAILED = "failed"
 UNSUPPORTED = "unsupported"
 
 
-@dataclass
-class VerifyOptions:
+class VerifyOptions(syntax.Record):
     """The settings of one run; ``strict_invariants`` implies
     ``check_soundness``."""
-    branch_cap: int = 4096
-    check_soundness: bool = False
-    strict_invariants: bool = False
-    trace: Optional[Callable] = None       # (span, text, digest) -> None
+    __slots__ = ("branch_cap", "check_soundness", "strict_invariants", "trace")
 
-    def __post_init__(self):
-        self.check_soundness = self.check_soundness or self.strict_invariants
+    def __init__(self, branch_cap: int = 4096, check_soundness: bool = False,
+                 strict_invariants: bool = False, trace: Optional[Callable] = None):
+        self.branch_cap = branch_cap
+        self.check_soundness = check_soundness or strict_invariants
+        self.strict_invariants = strict_invariants
+        self.trace = trace      # (span, text, digest) -> None
 
 
-@dataclass
-class ProcVerdict:
-    name: str
-    status: str
-    diagnostics: list = field(default_factory=list)
-    reason: str = ""                   # for unsupported
-    time_ms: float = 0.0
-    obligations: list = field(default_factory=list)   # ObligationResult per obligation
+class ProcVerdict(syntax.Record):
+    __slots__ = ("name", "status", "diagnostics", "reason", "time_ms", "obligations")
+
+    def __init__(self, name: str, status: str, diagnostics: list = None, reason: str = "",
+                 time_ms: float = 0.0, obligations: list = None):
+        self.name = name
+        self.status = status
+        self.diagnostics = [] if diagnostics is None else diagnostics
+        self.reason = reason            # for unsupported
+        self.time_ms = time_ms
+        # ObligationResult per obligation
+        self.obligations = [] if obligations is None else obligations
 
     def to_json(self) -> dict:
         out = {
@@ -49,16 +52,23 @@ class ProcVerdict:
         return out
 
 
-@dataclass
-class FileResult:
-    path: str
-    program: Optional[syntax.Program] = None
-    checked: Optional[frontend.CheckedProgram] = None
-    table: Optional[speclogic.InvariantTable] = None
-    parse_diagnostics: list = field(default_factory=list)
-    verdicts: list = field(default_factory=list)
-    soundness: list = field(default_factory=list)      # StateReport per boundary
-    solver: Optional[Solver] = None
+class FileResult(syntax.Record):
+    __slots__ = ("path", "program", "checked", "table", "parse_diagnostics", "verdicts",
+                 "soundness", "solver")
+
+    def __init__(self, path: str, program: Optional[syntax.Program] = None,
+                 checked: Optional[frontend.CheckedProgram] = None,
+                 table: Optional[speclogic.InvariantTable] = None,
+                 parse_diagnostics: list = None, verdicts: list = None,
+                 soundness: list = None, solver: Optional[Solver] = None):
+        self.path = path
+        self.program = program
+        self.checked = checked
+        self.table = table
+        self.parse_diagnostics = [] if parse_diagnostics is None else parse_diagnostics
+        self.verdicts = [] if verdicts is None else verdicts
+        self.soundness = [] if soundness is None else soundness    # StateReport per boundary
+        self.solver = solver
 
     @property
     def ok(self) -> bool:

@@ -16,7 +16,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
 from typing import Optional
 
 from . import api, encoder, syntax
@@ -178,15 +177,19 @@ class ManifestError(Exception):
     pass
 
 
-@dataclass
-class CorpusEntry:
-    name: str
-    file: str
-    expect: str                      # verified | failed | unsupported
-    pp_max: Optional[int] = None
-    li_max: Optional[int] = None
-    error_line: Optional[int] = None
-    reason: str = ""
+class CorpusEntry(syntax.Record):
+    __slots__ = ("name", "file", "expect", "pp_max", "li_max", "error_line", "reason")
+
+    def __init__(self, name: str, file: str, expect: str, pp_max: Optional[int] = None,
+                 li_max: Optional[int] = None, error_line: Optional[int] = None,
+                 reason: str = ""):
+        self.name = name
+        self.file = file
+        self.expect = expect      # verified | failed | unsupported
+        self.pp_max = pp_max
+        self.li_max = li_max
+        self.error_line = error_line
+        self.reason = reason
 
 
 def load_manifest(path: str) -> list[CorpusEntry]:

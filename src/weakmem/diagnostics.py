@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
-from .syntax import Span, NO_SPAN
+from .syntax import NO_SPAN, Record, Span
 
 # frontend / well-formedness
 SYNTAX_ERROR = "SyntaxError"
@@ -33,15 +32,17 @@ BRANCH_CAP_EXCEEDED = "BranchCapExceeded"
 SOUNDNESS_VIOLATION = "SoundnessViolation"
 
 
-@dataclass
-class Diagnostic:
+class Diagnostic(Record):
     """One verification failure or well-formedness problem."""
+    __slots__ = ("kind", "span", "rule", "message", "counter_facts")
 
-    kind: str
-    span: Span = NO_SPAN
-    rule: str = ""                 # the proof rule / encoding step involved
-    message: str = ""
-    counter_facts: Optional[str] = None   # solver counter-model sketch
+    def __init__(self, kind: str, span: Span = NO_SPAN, rule: str = "", message: str = "",
+                 counter_facts: Optional[str] = None):
+        self.kind = kind
+        self.span = span
+        self.rule = rule                    # the proof rule / encoding step involved
+        self.message = message
+        self.counter_facts = counter_facts  # solver counter-model sketch
 
     def format(self) -> str:
         loc = f"{self.span.line}:{self.span.col}"

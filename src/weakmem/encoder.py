@@ -28,7 +28,6 @@ treated as a single read or update constrained by the exit condition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
 from . import syntax as S
@@ -46,107 +45,134 @@ from .speclogic import (
     FULL, LowerCtx, WILDCARD, estar, lower, relabel,
     substitute, enc_labels, FIELD_ACQ, FIELD_INIT, FIELD_REL, FIELD_VAL,
 )
-from .syntax import Span, NO_SPAN
+from .syntax import NO_SPAN, Record, Span
 
 
 # ---------------------------------------------------------------------------
 # Primitives
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BranchCond:
-    kind: str                      # expr | nondet | notread | releq
-    expr: Optional[S.Expr] = None  # expr
-    loc: str = ""                  # notread / releq
-    idx: int = 0                   # notread / releq
-    value: Optional[S.Expr] = None  # notread: the candidate value
+class BranchCond(Record, hashable=True):
+    __slots__ = ("kind", "expr", "loc", "idx", "value")
+
+    def __init__(self, kind: str, expr: Optional[S.Expr] = None, loc: str = "",
+                 idx: int = 0, value: Optional[S.Expr] = None):
+        self.kind = kind      # expr | nondet | notread | releq
+        self.expr = expr      # expr
+        self.loc = loc        # notread / releq
+        self.idx = idx        # notread / releq
+        self.value = value    # notread: the candidate value
 
 
-@dataclass
-class Inhale:
-    enc: EncAssertion
-    rule: str = ""
-    span: Span = NO_SPAN
-    value: Optional[S.Expr] = None       # what `V` stands for in an invariant body
+class Inhale(Record):
+    __slots__ = ("enc", "rule", "span", "value")
+
+    def __init__(self, enc: EncAssertion, rule: str = "", span: Span = NO_SPAN,
+                 value: Optional[S.Expr] = None):
+        self.enc = enc
+        self.rule = rule
+        self.span = span
+        self.value = value    # what `V` stands for in an invariant body
 
 
-@dataclass
-class Exhale:
-    enc: EncAssertion
-    rule: str = ""
-    kind: str = EXHALE_FAILURE
-    vals_kind: str = EXHALE_FAILURE      # kind for values-read emptiness failures
-    bindable: frozenset = frozenset()    # logical variables open for unification
-    span: Span = NO_SPAN
-    value: Optional[S.Expr] = None       # as for Inhale
-    take: str = "own"                    # own | tmp (tmp heap first) | none (assert)
+class Exhale(Record):
+    __slots__ = ("enc", "rule", "kind", "vals_kind", "bindable", "span", "value", "take")
+
+    def __init__(self, enc: EncAssertion, rule: str = "", kind: str = EXHALE_FAILURE,
+                 vals_kind: str = EXHALE_FAILURE, bindable: frozenset = frozenset(),
+                 span: Span = NO_SPAN, value: Optional[S.Expr] = None, take: str = "own"):
+        self.enc = enc
+        self.rule = rule
+        self.kind = kind
+        self.vals_kind = vals_kind    # kind for values-read emptiness failures
+        self.bindable = bindable      # logical variables open for unification
+        self.span = span
+        self.value = value            # as for Inhale
+        self.take = take              # own | tmp (tmp heap first) | none (assert)
 
 
-@dataclass
-class HavocVar:
-    name: str
-    span: Span = NO_SPAN
+class HavocVar(Record):
+    __slots__ = ("name", "span")
+
+    def __init__(self, name: str, span: Span = NO_SPAN):
+        self.name = name
+        self.span = span
 
 
-@dataclass
-class AssignVar:
-    name: str
-    # rhs: ("expr", Expr) or ("fieldval", loc, fld)
-    rhs: tuple
-    span: Span = NO_SPAN
+class AssignVar(Record):
+    __slots__ = ("name", "rhs", "span")
+
+    def __init__(self, name: str, rhs: tuple, span: Span = NO_SPAN):
+        self.name = name
+        self.rhs = rhs    # ("expr", Expr) or ("fieldval", loc, fld)
+        self.span = span
 
 
-@dataclass
-class Branch:
-    cond: BranchCond
-    then: list
-    els: list
-    span: Span = NO_SPAN
+class Branch(Record):
+    __slots__ = ("cond", "then", "els", "span")
+
+    def __init__(self, cond: BranchCond, then: list, els: list, span: Span = NO_SPAN):
+        self.cond = cond
+        self.then = then
+        self.els = els
+        self.span = span
 
 
-@dataclass
-class ForEachHeldConjunct:
-    loc: str
-    need_full: bool                      # full instance (acq) vs any positive (RMW)
-    bodies: dict                         # table index -> primitives
-    span: Span = NO_SPAN
+class ForEachHeldConjunct(Record):
+    __slots__ = ("loc", "need_full", "bodies", "span")
+
+    def __init__(self, loc: str, need_full: bool, bodies: dict, span: Span = NO_SPAN):
+        self.loc = loc
+        self.need_full = need_full    # full instance (acq) vs any positive (RMW)
+        self.bodies = bodies          # table index -> primitives
+        self.span = span
 
 
-@dataclass
-class TransferHeap:
-    src: HeapLabel
-    dst: HeapLabel
-    rule: str = ""
-    span: Span = NO_SPAN
+class TransferHeap(Record):
+    __slots__ = ("src", "dst", "rule", "span")
+
+    def __init__(self, src: HeapLabel, dst: HeapLabel, rule: str = "",
+                 span: Span = NO_SPAN):
+        self.src = src
+        self.dst = dst
+        self.rule = rule
+        self.span = span
 
 
-@dataclass
-class KillBranch:
-    span: Span = NO_SPAN
+class KillBranch(Record):
+    __slots__ = ("span",)
+
+    def __init__(self, span: Span = NO_SPAN):
+        self.span = span
 
 
-@dataclass
-class DropAllPerms:
-    span: Span = NO_SPAN
+class DropAllPerms(Record):
+    __slots__ = ("span",)
+
+    def __init__(self, span: Span = NO_SPAN):
+        self.span = span
 
 
-@dataclass
-class NewLoc:
-    var: str
-    ghost: bool = False
-    span: Span = NO_SPAN
+class NewLoc(Record):
+    __slots__ = ("var", "ghost", "span")
+
+    def __init__(self, var: str, ghost: bool = False, span: Span = NO_SPAN):
+        self.var = var
+        self.ghost = ghost
+        self.span = span
 
 
-@dataclass
-class RecordReadValue:
-    loc: str
-    idx: int
-    value: S.Expr
-    span: Span = NO_SPAN
+class RecordReadValue(Record):
+    __slots__ = ("loc", "idx", "value", "span")
+
+    def __init__(self, loc: str, idx: int, value: S.Expr, span: Span = NO_SPAN):
+        self.loc = loc
+        self.idx = idx
+        self.value = value
+        self.span = span
 
 
-@dataclass
-class SpinLeakCheck:
+class SpinLeakCheck(Record):
     """Reject spin loops whose discarded reads would gain resources.
 
     ``lowered`` maps each invariant index to its lowered body, whose ``V``
@@ -154,31 +180,40 @@ class SpinLeakCheck:
     held conjunct, that no permission atom is feasibly gained for a value
     satisfying the continue condition.
     """
-    loc: str
-    probe: str
-    cont: S.Expr                          # continue condition over the probe
-    lowered: dict
-    span: Span = NO_SPAN
+    __slots__ = ("loc", "probe", "cont", "lowered", "span")
+
+    def __init__(self, loc: str, probe: str, cont: S.Expr, lowered: dict,
+                 span: Span = NO_SPAN):
+        self.loc = loc
+        self.probe = probe
+        self.cont = cont      # continue condition over the probe
+        self.lowered = lowered
+        self.span = span
 
 
 # ---------------------------------------------------------------------------
 # Obligations
 # ---------------------------------------------------------------------------
 
-@dataclass
-class Block:
-    span: Span
-    desc: str
-    prims: list
+class Block(Record):
+    __slots__ = ("span", "desc", "prims")
+
+    def __init__(self, span: Span, desc: str, prims: list):
+        self.span = span
+        self.desc = desc
+        self.prims = prims
 
 
-@dataclass
-class Obligation:
-    name: str
-    kind: str                  # procedure | thread
-    span: Span
-    blocks: list = dc_field(default_factory=list)
-    var_classes: dict = dc_field(default_factory=dict)
+class Obligation(Record):
+    __slots__ = ("name", "kind", "span", "blocks", "var_classes")
+
+    def __init__(self, name: str, kind: str, span: Span, blocks: list = None,
+                 var_classes: dict = None):
+        self.name = name
+        self.kind = kind      # procedure | thread
+        self.span = span
+        self.blocks = [] if blocks is None else blocks
+        self.var_classes = {} if var_classes is None else var_classes
 
 
 # ---------------------------------------------------------------------------

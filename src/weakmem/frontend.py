@@ -35,7 +35,6 @@ from those sites, and the encoder havocs from those scopes.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from . import syntax as S
@@ -138,10 +137,12 @@ class _ParseError(Exception):
         self.diag = diag
 
 
-@dataclass
-class _Define:
-    params: list[str]
-    body: S.Assertion
+class _Define(S.Record):
+    __slots__ = ("params", "body")
+
+    def __init__(self, params: list[str], body: S.Assertion):
+        self.params = params
+        self.body = body
 
 
 # statements of the form  kw "(" NAME ")" ";"  and  kw ";"
@@ -686,7 +687,7 @@ class Parser:
             # diagnostics about the expansion point at its use, not at the
             # define; and a pure fact that an argument made a top-level `&&`
             # is a star of facts, as if the argument had been written in place
-            n = replace(n, span=span)
+            n = n.replace(span=span)
             if isinstance(n, S.APure) and isinstance(n.expr, S.EBin) and n.expr.op == "&&":
                 return S.star([at_use(S.APure(expr=e, span=span))
                                for e in (n.expr.left, n.expr.right)])
@@ -794,28 +795,36 @@ _LOC_USE = {S.APointsTo: "owns", S.AUninit: "owns", S.AInit: "atomic_use",
             S.AAcq: "acq_use", S.ARel: "atomic_use", S.ARMWAcq: "rmw_use"}
 
 
-@dataclass
-class _Evidence:
-    alloc: dict[str, Span] = field(default_factory=dict)   # alloc tag -> first span
-    uses: dict[str, Span] = field(default_factory=dict)    # use tag -> first span
+class _Evidence(S.Record):
+    __slots__ = ("alloc", "uses")
+
+    def __init__(self, alloc: dict[str, Span] = None, uses: dict[str, Span] = None):
+        self.alloc = {} if alloc is None else alloc   # alloc tag -> first span
+        self.uses = {} if uses is None else uses      # use tag -> first span
 
 
-@dataclass(frozen=True)
-class Scope:
+class Scope(S.Record, hashable=True):
     """The variables a statement list mentions and binds, nested bodies
     included.  `uses` is shallow: it does not follow the invariants that
     annotations name."""
-    uses: frozenset
-    binds: frozenset
+    __slots__ = ("uses", "binds")
+
+    def __init__(self, uses: frozenset, binds: frozenset):
+        self.uses = uses
+        self.binds = binds
 
 
-@dataclass
-class ProcInfo:
-    classes: dict[str, str] = field(default_factory=dict)
-    declared: set[str] = field(default_factory=set)
-    scopes: dict[int, Scope] = field(default_factory=dict)   # id(body) -> its scope
-    specs: dict[int, frozenset] = field(default_factory=dict)   # id(spec) -> its variables
-    calls: list = field(default_factory=list)                # well-formed S.SCall sites, in order
+class ProcInfo(S.Record):
+    __slots__ = ("classes", "declared", "scopes", "specs", "calls")
+
+    def __init__(self, classes: dict[str, str] = None, declared: set[str] = None,
+                 scopes: dict[int, Scope] = None, specs: dict[int, frozenset] = None,
+                 calls: list = None):
+        self.classes = {} if classes is None else classes
+        self.declared = set() if declared is None else declared
+        self.scopes = {} if scopes is None else scopes    # id(body) -> its scope
+        self.specs = {} if specs is None else specs       # id(spec) -> its variables
+        self.calls = [] if calls is None else calls       # well-formed S.SCall sites, in order
 
     def scope(self, body: list) -> Scope:
         """The scope of a procedure, thread, loop or branch body of this
@@ -828,15 +837,18 @@ class ProcInfo:
         return self.specs[id(spec)]
 
 
-@dataclass
-class CheckedProgram:
-    program: S.Program
-    info: dict[str, ProcInfo]
-    diagnostics: list[Diagnostic]
-    # the invariant reference of every annotation of every procedure, with its
-    # span, in source order: specs, allocations, rewrites, fences, loop
-    # invariants and thread specs (not invariant bodies)
-    inv_sites: list[tuple[S.InvRef, Span]]
+class CheckedProgram(S.Record):
+    __slots__ = ("program", "info", "diagnostics", "inv_sites")
+
+    def __init__(self, program: S.Program, info: dict[str, ProcInfo],
+                 diagnostics: list[Diagnostic], inv_sites: list[tuple[S.InvRef, Span]]):
+        self.program = program
+        self.info = info
+        self.diagnostics = diagnostics
+        # the invariant reference of every annotation of every procedure, with
+        # its span, in source order: specs, allocations, rewrites, fences, loop
+        # invariants and thread specs (not invariant bodies)
+        self.inv_sites = inv_sites
 
 
 class _Classifier:

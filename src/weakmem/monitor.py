@@ -11,7 +11,6 @@ inspected and tested.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
 from . import terms as T
@@ -19,27 +18,32 @@ from .frontend import GHOST, NA
 from .solver import Solver, YES
 from .speclogic import HeapLabel, InvariantTable
 from .symstate import SymState, entailed, model_value, perm_str
-from .syntax import Span
+from .syntax import Record, Span
 
 
-@dataclass
-class Violation:
-    location: str
-    label: HeapLabel
-    message: str
+class Violation(Record):
+    __slots__ = ("location", "label", "message")
+
+    def __init__(self, location: str, label: HeapLabel, message: str):
+        self.location = location
+        self.label = label
+        self.message = message
 
     def format(self) -> str:
         tag = "" if self.label == HeapLabel.REAL else f" under {self.label}"
         return f"{self.location}{tag}: {self.message}"
 
 
-@dataclass
-class StateReport:
-    obligation: str
-    boundary: str
-    span: Span
-    violations: list = field(default_factory=list)
-    assertion: str = ""
+class StateReport(Record):
+    __slots__ = ("obligation", "boundary", "span", "violations", "assertion")
+
+    def __init__(self, obligation: str, boundary: str, span: Span, violations: list = None,
+                 assertion: str = ""):
+        self.obligation = obligation
+        self.boundary = boundary
+        self.span = span
+        self.violations = [] if violations is None else violations
+        self.assertion = assertion
 
     def to_json(self) -> dict:
         return {

@@ -39,12 +39,12 @@ into a verification failure tagged ``incomplete-solver``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil, floor
 from typing import Iterable, NamedTuple, Optional
 
 from . import terms
+from .syntax import Record
 from .terms import Term, _div, _q
 
 YES = "yes"
@@ -65,11 +65,14 @@ DEPTH_CAP_HIT = f"branch-and-bound depth {_BRANCH_DEPTH_CAP} reached"
 OPAQUE_ATOM = "the model relies on an opaque atom"
 
 
-@dataclass
-class Result:
-    verdict: str                  # yes | no | unknown
-    hint: Optional[str] = None    # counter-model sketch for "no"
-    reason: Optional[str] = None  # why the verdict is "unknown"
+class Result(Record):
+    __slots__ = ("verdict", "hint", "reason")
+
+    def __init__(self, verdict: str, hint: Optional[str] = None,
+                 reason: Optional[str] = None):
+        self.verdict = verdict    # yes | no | unknown
+        self.hint = hint          # counter-model sketch for "no"
+        self.reason = reason      # why the verdict is "unknown"
 
 
 # ---------------------------------------------------------------------------
@@ -491,12 +494,16 @@ def _value_at(term: Term, model: dict[Term, int | Fraction]):
 # Splitting layer: formulas -> conjunctions of literals
 # ---------------------------------------------------------------------------
 
-@dataclass
-class _Case:
-    linear: list[tuple[str, _Compiled]] = field(default_factory=list)
-    bools: dict[Term, bool] = field(default_factory=dict)
-    opaque: bool = False
-    defined: frozenset = frozenset()   # the definitions added
+class _Case(Record):
+    __slots__ = ("linear", "bools", "opaque", "defined")
+
+    def __init__(self, linear: list[tuple[str, _Compiled]] = None,
+                 bools: dict[Term, bool] = None, opaque: bool = False,
+                 defined: frozenset = frozenset()):
+        self.linear = [] if linear is None else linear
+        self.bools = {} if bools is None else bools
+        self.opaque = opaque
+        self.defined = defined    # the definitions added
 
 
 def _negation(g: Term) -> Term:

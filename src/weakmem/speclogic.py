@@ -23,7 +23,6 @@ real-heap atoms to.  Ghost locations are immune to relabeling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
 from typing import Optional, Union
@@ -31,7 +30,7 @@ from typing import Optional, Union
 from . import syntax as S
 from .diagnostics import DOUBLE_MODALITY, Diagnostic, FrontendError, UnsupportedFeature
 from .frontend import GHOST, CheckedProgram, const_fraction
-from .syntax import Span, NO_SPAN
+from .syntax import NO_SPAN, Record, Span
 from .terms import num_str
 
 
@@ -49,19 +48,25 @@ class HeapLabel(Enum):
 # Invariant table
 # ---------------------------------------------------------------------------
 
-@dataclass
-class InvariantTable:
+class InvariantTable(Record):
     """Defunctionalised invariants: index -> body over the value parameter."""
+    __slots__ = ("entries", "names", "whole_of", "conjuncts_of", "spans",
+                 "uses_value", "value_fractions")
 
-    entries: dict[int, S.Assertion] = field(default_factory=dict)
-    names: dict[int, str] = field(default_factory=dict)          # display names
-    whole_of: dict[S.InvRef, int] = field(default_factory=dict)
-    conjuncts_of: dict[S.InvRef, tuple[int, ...]] = field(default_factory=dict)
-    spans: dict[int, Span] = field(default_factory=dict)
-    # the entries whose body mentions `V` outside fractions, and those whose
-    # fractions mention it (their amounts are only known at a value)
-    uses_value: set[int] = field(default_factory=set)
-    value_fractions: set[int] = field(default_factory=set)
+    def __init__(self, entries: dict[int, S.Assertion] = None, names: dict[int, str] = None,
+                 whole_of: dict[S.InvRef, int] = None,
+                 conjuncts_of: dict[S.InvRef, tuple[int, ...]] = None,
+                 spans: dict[int, Span] = None, uses_value: set[int] = None,
+                 value_fractions: set[int] = None):
+        self.entries = {} if entries is None else entries
+        self.names = {} if names is None else names              # display names
+        self.whole_of = {} if whole_of is None else whole_of
+        self.conjuncts_of = {} if conjuncts_of is None else conjuncts_of
+        self.spans = {} if spans is None else spans
+        # the entries whose body mentions `V` outside fractions, and those whose
+        # fractions mention it (their amounts are only known at a value)
+        self.uses_value = set() if uses_value is None else uses_value
+        self.value_fractions = set() if value_fractions is None else value_fractions
 
     def add(self, body: S.Assertion, name: str, span: Span) -> int:
         """Index a body under the next index, noting where it mentions `V`."""
@@ -195,59 +200,78 @@ FIELD_REL = "rel"
 FIELD_ACQ = "acq"
 
 
-@dataclass(frozen=True)
-class EPure:
-    expr: S.Expr
-    span: Span = NO_SPAN
+class EPure(Record, hashable=True):
+    __slots__ = ("expr", "span")
+
+    def __init__(self, expr: S.Expr, span: Span = NO_SPAN):
+        self.expr = expr
+        self.span = span
 
 
-@dataclass(frozen=True)
-class EAcc:
-    loc: str
-    fld: str
-    perm: PermSpec
-    label: HeapLabel = HeapLabel.REAL
-    span: Span = NO_SPAN
+class EAcc(Record, hashable=True):
+    __slots__ = ("loc", "fld", "perm", "label", "span")
+
+    def __init__(self, loc: str, fld: str, perm: PermSpec,
+                 label: HeapLabel = HeapLabel.REAL, span: Span = NO_SPAN):
+        self.loc = loc
+        self.fld = fld
+        self.perm = perm
+        self.label = label
+        self.span = span
 
 
-@dataclass(frozen=True)
-class EFieldEq:
-    loc: str
-    fld: str
-    value: S.Expr          # never EAny: lowering drops a "_" points-to value
-    label: HeapLabel = HeapLabel.REAL
-    span: Span = NO_SPAN
+class EFieldEq(Record, hashable=True):
+    __slots__ = ("loc", "fld", "value", "label", "span")
+
+    def __init__(self, loc: str, fld: str, value: S.Expr,
+                 label: HeapLabel = HeapLabel.REAL, span: Span = NO_SPAN):
+        self.loc = loc
+        self.fld = fld
+        self.value = value    # never EAny: lowering drops a "_" points-to value
+        self.label = label
+        self.span = span
 
 
-@dataclass(frozen=True)
-class EPredAcc:
+class EPredAcc(Record, hashable=True):
     """An AcqConjunct instance for one invariant conjunct."""
-    loc: str
-    idx: int
-    perm: PermSpec          # FULL for acquire mode, WILDCARD for RMW
-    label: HeapLabel = HeapLabel.REAL
-    vals_empty: bool = False   # assert/assume the values-read snapshot is empty
-    span: Span = NO_SPAN
+    __slots__ = ("loc", "idx", "perm", "label", "vals_empty", "span")
+
+    def __init__(self, loc: str, idx: int, perm: PermSpec,
+                 label: HeapLabel = HeapLabel.REAL, vals_empty: bool = False,
+                 span: Span = NO_SPAN):
+        self.loc = loc
+        self.idx = idx
+        self.perm = perm                # FULL for acquire mode, WILDCARD for RMW
+        self.label = label
+        self.vals_empty = vals_empty    # assert/assume the values-read snapshot is empty
+        self.span = span
 
 
-@dataclass(frozen=True)
-class EStar:
-    parts: tuple
+class EStar(Record, hashable=True):
+    __slots__ = ("parts",)
+
+    def __init__(self, parts: tuple):
+        self.parts = parts
 
 
-@dataclass(frozen=True)
-class EImplies:
-    cond: S.Expr
-    body: "EncAssertion"
-    span: Span = NO_SPAN
+class EImplies(Record, hashable=True):
+    __slots__ = ("cond", "body", "span")
+
+    def __init__(self, cond: S.Expr, body: EncAssertion, span: Span = NO_SPAN):
+        self.cond = cond
+        self.body = body
+        self.span = span
 
 
-@dataclass(frozen=True)
-class ECond:
-    cond: S.Expr
-    then: "EncAssertion"
-    els: "EncAssertion"
-    span: Span = NO_SPAN
+class ECond(Record, hashable=True):
+    __slots__ = ("cond", "then", "els", "span")
+
+    def __init__(self, cond: S.Expr, then: EncAssertion, els: EncAssertion,
+                 span: Span = NO_SPAN):
+        self.cond = cond
+        self.then = then
+        self.els = els
+        self.span = span
 
 
 EncAssertion = Union[EPure, EAcc, EFieldEq, EPredAcc, EStar, EImplies, ECond]
@@ -275,10 +299,12 @@ def estar(parts: list) -> EncAssertion:
 # Lowering: surface assertion -> encoded assertion
 # ---------------------------------------------------------------------------
 
-@dataclass
-class LowerCtx:
-    table: InvariantTable
-    classes: dict[str, str]          # variable classifications for this scope
+class LowerCtx(Record):
+    __slots__ = ("table", "classes")
+
+    def __init__(self, table: InvariantTable, classes: dict[str, str]):
+        self.table = table
+        self.classes = classes    # variable classifications for this scope
 
     def is_ghost(self, loc: str) -> bool:
         return self.classes.get(loc) == GHOST
@@ -396,7 +422,7 @@ def relabel(a: EncAssertion, target: HeapLabel, ctx: LowerCtx) -> EncAssertion:
             raise FrontendError(Diagnostic(
                 DOUBLE_MODALITY, x.span, rule="assertion-encoding",
                 message=f"cannot relabel a {x.label} atom with {{real->{target}}}"))
-        return replace(x, label=target)
+        return x.replace(label=target)
 
     return S.map_assertion(a, None, on_node=on_node)
 

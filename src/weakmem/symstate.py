@@ -60,7 +60,6 @@ records a diagnostic and kills its path while sibling branches continue.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -110,24 +109,30 @@ def perm_str(p: T.Term) -> str:
 # Chunks and states
 # ---------------------------------------------------------------------------
 
-@dataclass
-class FieldChunk:
-    ref: T.Term
-    fld: str
-    label: HeapLabel
-    perm: T.Term
-    value: T.Term
-    pos: bool = False   # perm is positive on this path by construction
+class FieldChunk(S.Record):
+    __slots__ = ("ref", "fld", "label", "perm", "value", "pos")
+
+    def __init__(self, ref: T.Term, fld: str, label: HeapLabel, perm: T.Term,
+                 value: T.Term, pos: bool = False):
+        self.ref = ref
+        self.fld = fld
+        self.label = label
+        self.perm = perm
+        self.value = value
+        self.pos = pos      # perm is positive on this path by construction
 
 
-@dataclass
-class PredChunk:
-    ref: T.Term
-    idx: int
-    label: HeapLabel
-    perm: T.Term
-    vals: tuple = ()    # values-read snapshot: terms, insertion-ordered
-    pos: bool = False   # as for FieldChunk
+class PredChunk(S.Record):
+    __slots__ = ("ref", "idx", "label", "perm", "vals", "pos")
+
+    def __init__(self, ref: T.Term, idx: int, label: HeapLabel, perm: T.Term,
+                 vals: tuple = (), pos: bool = False):
+        self.ref = ref
+        self.idx = idx
+        self.label = label
+        self.perm = perm
+        self.vals = vals    # values-read snapshot: terms, insertion-ordered
+        self.pos = pos      # as for FieldChunk
 
 
 _GROUND = frozenset({-1})   # the atom set of an atomless fact, such as FALSE
@@ -452,22 +457,28 @@ def _branch_states(ctx: ExecContext, state: SymState, cond: T.Term, span: Span):
     return thens, elses
 
 
-@dataclass
-class _Demand:
-    exact: Fraction = Fraction(0)
-    wildcards: int = 0
-    name: str = ""
+class _Demand(S.Record):
+    __slots__ = ("exact", "wildcards", "name")
+
+    def __init__(self, exact: Fraction = Fraction(0), wildcards: int = 0, name: str = ""):
+        self.exact = exact
+        self.wildcards = wildcards
+        self.name = name
 
 
-@dataclass
-class _Case:
+class _Case(S.Record):
     """One case of an encoded assertion: its state and, for an exhale, what
     its atoms demand of that state."""
-    state: SymState
-    checks: list = dc_field(default_factory=list)       # ("pure", expr) | ("value", key, name, expr)
-    field_demands: dict = dc_field(default_factory=dict)
-    pred_demands: dict = dc_field(default_factory=dict)
-    vals_checks: list = dc_field(default_factory=list)  # (predkey, name)
+    __slots__ = ("state", "checks", "field_demands", "pred_demands", "vals_checks")
+
+    def __init__(self, state: SymState, checks: list = None, field_demands: dict = None,
+                 pred_demands: dict = None, vals_checks: list = None):
+        self.state = state
+        # ("pure", expr) | ("value", key, name, expr)
+        self.checks = [] if checks is None else checks
+        self.field_demands = {} if field_demands is None else field_demands
+        self.pred_demands = {} if pred_demands is None else pred_demands
+        self.vals_checks = [] if vals_checks is None else vals_checks    # (predkey, name)
 
     def split(self, state: SymState) -> "_Case":
         return _Case(state, list(self.checks),
@@ -793,8 +804,7 @@ def exhale(ctx: ExecContext, state: SymState, prim: E.Exhale) -> list[SymState]:
 # Heap transfer
 # ---------------------------------------------------------------------------
 
-def transfer_heap(ctx: ExecContext, state: SymState, src: HeapLabel,
-                  dst: HeapLabel) -> SymState:
+def transfer_heap(state: SymState, src: HeapLabel, dst: HeapLabel) -> SymState:
     """Move every chunk labeled src to dst, merging amounts and values."""
     for key in sorted(k for k in state.fields if k[0] == src.value):
         chunk = state.fields.pop(key)
@@ -915,7 +925,7 @@ def run_prim(ctx: ExecContext, state: SymState, prim) -> list[SymState]:
                 states = [s2 for s in states for s2 in run_seq(ctx, s, body)]
             return states
         if isinstance(prim, E.TransferHeap):
-            return [transfer_heap(ctx, state, prim.src, prim.dst)]
+            return [transfer_heap(state, prim.src, prim.dst)]
         if isinstance(prim, E.KillBranch):
             return []
         if isinstance(prim, E.DropAllPerms):
@@ -983,13 +993,16 @@ def run_seq(ctx: ExecContext, state: SymState, prims: list) -> list[SymState]:
 # Obligation execution
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ObligationResult:
-    name: str
-    kind: str
-    diagnostics: list
-    final_states: list
-    states_seen: int = 0
+class ObligationResult(S.Record):
+    __slots__ = ("name", "kind", "diagnostics", "final_states", "states_seen")
+
+    def __init__(self, name: str, kind: str, diagnostics: list, final_states: list,
+                 states_seen: int = 0):
+        self.name = name
+        self.kind = kind
+        self.diagnostics = diagnostics
+        self.final_states = final_states
+        self.states_seen = states_seen
 
     @property
     def verified(self) -> bool:

@@ -7,8 +7,10 @@ separation-logic fragment used by specifications: points-to with fractional
 permissions, implication and conditional assertions, the atomic-location
 resources (Uninit / Init / Acq / Rel / RMWAcq) and the up/down modalities.
 
-Node equality ignores source spans, so parse -> pretty-print -> parse is
-expected to reproduce an equal tree.
+Nodes are `Record`s, whose equality ignores source spans, so a program
+printed back and parsed again gives an equal tree.  This module prints
+expressions and assertions, which diagnostics need; the statement printer
+is kept with the tests, its only users.
 
 The assertion walkers at the end serve both this tree and the encoded one in
 `speclogic`, whose nodes use the same field names (`parts`, `body`, `then`,
@@ -17,13 +19,13 @@ The assertion walkers at the end serve both this tree and the encoded one in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from operator import attrgetter
 from typing import Callable, Iterator, NamedTuple, Optional
 
 
 class Span(NamedTuple):
     """A source range.  A named tuple: the parser makes one per statement,
-    and a tuple costs about half as much to build as a frozen dataclass."""
+    and a tuple is cheap to build and compares and hashes by value."""
     line: int = 0
     col: int = 0
     end_line: int = 0
@@ -36,55 +38,113 @@ class Span(NamedTuple):
 NO_SPAN = Span()
 
 
-def _span_field():
-    return field(default=NO_SPAN, compare=False, repr=False)
+class Record:
+    """Base of the package's record classes.
+
+    A subclass names its fields in `__slots__` and sets them in its own
+    `__init__`, whose parameters are the fields of its bases and then its
+    own, in that order.  Records are equal when they are of the same class
+    and their fields are equal; fields named in `_hidden` are left out of
+    equality and repr.  A record is unhashable unless its class is declared
+    with `hashable=True`; it then hashes by value and is never changed once
+    built.
+    """
+
+    __slots__ = ()
+    _hidden: tuple = ()
+    _fields: tuple = ()    # every field, in `__init__` order
+
+    def __init_subclass__(cls, hashable: bool = False, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(f for k in reversed(cls.__mro__)
+                            for f in k.__dict__.get("__slots__", ()))
+        cls._shown = tuple(f for f in cls._fields if f not in cls._hidden)
+        cls._key = attrgetter(*cls._shown) if cls._shown else _no_fields
+        if hashable:
+            cls.__hash__ = _hash_by_value
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._shown)
+        return f"{type(self).__qualname__}({fields})"
+
+    def replace(self, **changes):
+        """A copy with the named fields changed."""
+        for f in self._fields:
+            if f not in changes:
+                changes[f] = getattr(self, f)
+        return type(self)(**changes)
+
+
+# the key of a class with no shown fields; a plain function would bind to
+# the instance, as `attrgetter` does not
+_no_fields = staticmethod(lambda r: ())
+
+
+def _hash_by_value(self) -> int:
+    return hash(self._key(self))
 
 
 # ---------------------------------------------------------------------------
 # Expressions
 # ---------------------------------------------------------------------------
 
-@dataclass
-class Expr:
-    pass
+class Expr(Record):
+    __slots__ = ()
 
 
-@dataclass
 class EInt(Expr):
-    value: int
+    __slots__ = ("value",)
+
+    def __init__(self, value: int):
+        self.value = value
 
 
-@dataclass
 class EBool(Expr):
-    value: bool
+    __slots__ = ("value",)
+
+    def __init__(self, value: bool):
+        self.value = value
 
 
-@dataclass
 class EVar(Expr):
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name
 
 
-@dataclass
 class EInvVal(Expr):
     """The distinguished value parameter of a location invariant."""
+    __slots__ = ()
 
 
-@dataclass
 class EAny(Expr):
     """The `_` placeholder: any value."""
+    __slots__ = ()
 
 
-@dataclass
 class EBin(Expr):
-    op: str
-    left: Expr
-    right: Expr
+    __slots__ = ("op", "left", "right")
+
+    def __init__(self, op: str, left: Expr, right: Expr):
+        self.op = op
+        self.left = left
+        self.right = right
 
 
-@dataclass
 class EUn(Expr):
-    op: str  # '!' or '-'
-    operand: Expr
+    __slots__ = ("op", "operand")
+
+    def __init__(self, op: str, operand: Expr):
+        self.op = op  # '!' or '-'
+        self.operand = operand
 
 
 TRUE_E = EBool(True)
@@ -98,77 +158,112 @@ FALSE_E = EBool(False)
 InvRef = tuple[str, ...]  # star-combination of named invariants, in order
 
 
-@dataclass
-class Assertion:
-    span: Span = _span_field()
+class Assertion(Record):
+    __slots__ = ("span",)
+    _hidden = ("span",)
+
+    def __init__(self, span: Span = NO_SPAN):
+        self.span = span
 
 
-@dataclass
 class APure(Assertion):
-    expr: Expr = None
+    __slots__ = ("expr",)
+
+    def __init__(self, span: Span = NO_SPAN, expr: Expr = None):
+        self.span = span
+        self.expr = expr
 
 
-@dataclass
 class APointsTo(Assertion):
-    loc: str = ""
-    value: Expr = None
-    frac: Optional[Expr] = None  # None means full permission
+    __slots__ = ("loc", "value", "frac")
+
+    def __init__(self, span: Span = NO_SPAN, loc: str = "", value: Expr = None,
+                 frac: Optional[Expr] = None):
+        self.span = span
+        self.loc = loc
+        self.value = value
+        self.frac = frac  # None means full permission
 
 
-@dataclass
 class AStar(Assertion):
-    parts: tuple = ()
+    __slots__ = ("parts",)
+
+    def __init__(self, span: Span = NO_SPAN, parts: tuple = ()):
+        self.span = span
+        self.parts = parts
 
 
-@dataclass
 class AImplies(Assertion):
-    cond: Expr = None
-    body: Assertion = None
+    __slots__ = ("cond", "body")
+
+    def __init__(self, span: Span = NO_SPAN, cond: Expr = None, body: Assertion = None):
+        self.span = span
+        self.cond = cond
+        self.body = body
 
 
-@dataclass
 class ACond(Assertion):
-    cond: Expr = None
-    then: Assertion = None
-    els: Assertion = None
+    __slots__ = ("cond", "then", "els")
+
+    def __init__(self, span: Span = NO_SPAN, cond: Expr = None, then: Assertion = None,
+                 els: Assertion = None):
+        self.span = span
+        self.cond = cond
+        self.then = then
+        self.els = els
 
 
-@dataclass
-class AUninit(Assertion):
-    loc: str = ""
+class _LocAssertion(Assertion):
+    __slots__ = ("loc",)
+
+    def __init__(self, span: Span = NO_SPAN, loc: str = ""):
+        self.span = span
+        self.loc = loc
 
 
-@dataclass
-class AInit(Assertion):
-    loc: str = ""
+class AUninit(_LocAssertion):
+    __slots__ = ()
 
 
-@dataclass
-class AAcq(Assertion):
-    loc: str = ""
-    inv: InvRef = ()
+class AInit(_LocAssertion):
+    __slots__ = ()
 
 
-@dataclass
-class ARel(Assertion):
-    loc: str = ""
-    inv: InvRef = ()
+class _InvAssertion(Assertion):
+    __slots__ = ("loc", "inv")
+
+    def __init__(self, span: Span = NO_SPAN, loc: str = "", inv: InvRef = ()):
+        self.span = span
+        self.loc = loc
+        self.inv = inv
 
 
-@dataclass
-class ARMWAcq(Assertion):
-    loc: str = ""
-    inv: InvRef = ()
+class AAcq(_InvAssertion):
+    __slots__ = ()
 
 
-@dataclass
-class AUp(Assertion):
-    body: Assertion = None
+class ARel(_InvAssertion):
+    __slots__ = ()
 
 
-@dataclass
-class ADown(Assertion):
-    body: Assertion = None
+class ARMWAcq(_InvAssertion):
+    __slots__ = ()
+
+
+class _Modality(Assertion):
+    __slots__ = ("body",)
+
+    def __init__(self, span: Span = NO_SPAN, body: Assertion = None):
+        self.span = span
+        self.body = body
+
+
+class AUp(_Modality):
+    __slots__ = ()
+
+
+class ADown(_Modality):
+    __slots__ = ()
 
 
 def star(parts: list[Assertion]) -> Assertion:
@@ -189,175 +284,249 @@ def star(parts: list[Assertion]) -> Assertion:
 # Statements
 # ---------------------------------------------------------------------------
 
-@dataclass
-class Stmt:
-    span: Span = _span_field()
+class Stmt(Record):
+    __slots__ = ("span",)
+    _hidden = ("span",)
+
+    def __init__(self, span: Span = NO_SPAN):
+        self.span = span
 
 
-@dataclass
-class SAllocNa(Stmt):
-    var: str = ""
+class _VarStmt(Stmt):
+    """The statements of the form  kw "(" NAME ")" ";"."""
+    __slots__ = ("var",)
+
+    def __init__(self, span: Span = NO_SPAN, var: str = ""):
+        self.span = span
+        self.var = var
 
 
-@dataclass
+class SAllocNa(_VarStmt):
+    __slots__ = ()
+
+
 class SAllocAtomic(Stmt):
-    var: str = ""
-    kind: str = "acq"  # acq | rmw
-    inv: InvRef = ()
+    __slots__ = ("var", "kind", "inv")
+
+    def __init__(self, span: Span = NO_SPAN, var: str = "", kind: str = "acq",
+                 inv: InvRef = ()):
+        self.span = span
+        self.var = var
+        self.kind = kind  # acq | rmw
+        self.inv = inv
 
 
-@dataclass
-class SGhostAlloc(Stmt):
-    var: str = ""
+class SGhostAlloc(_VarStmt):
+    __slots__ = ()
 
 
-@dataclass
 class SWrite(Stmt):
-    mode: str = "na"  # na | rel | rlx | rel_acq
-    loc: str = ""
-    value: Expr = None
+    __slots__ = ("mode", "loc", "value")
+
+    def __init__(self, span: Span = NO_SPAN, mode: str = "na", loc: str = "",
+                 value: Expr = None):
+        self.span = span
+        self.mode = mode  # na | rel | rlx | rel_acq
+        self.loc = loc
+        self.value = value
 
 
-@dataclass
 class SRead(Stmt):
-    mode: str = "na"  # na | acq | rlx | rel_acq
-    target: str = ""
-    loc: str = ""
+    __slots__ = ("mode", "target", "loc")
+
+    def __init__(self, span: Span = NO_SPAN, mode: str = "na", target: str = "",
+                 loc: str = ""):
+        self.span = span
+        self.mode = mode  # na | acq | rlx | rel_acq
+        self.target = target
+        self.loc = loc
 
 
-@dataclass
 class SFenceAcq(Stmt):
-    pass
+    __slots__ = ()
 
 
-@dataclass
 class SFenceRel(Stmt):
-    assertion: Assertion = None
+    __slots__ = ("assertion",)
+
+    def __init__(self, span: Span = NO_SPAN, assertion: Assertion = None):
+        self.span = span
+        self.assertion = assertion
 
 
-@dataclass
 class SCas(Stmt):
-    target: str = ""
-    tau: str = "rel_acq"  # acq | rel | rel_acq | rlx
-    loc: str = ""
-    expected: Expr = None
-    newval: Expr = None
+    __slots__ = ("target", "tau", "loc", "expected", "newval")
+
+    def __init__(self, span: Span = NO_SPAN, target: str = "", tau: str = "rel_acq",
+                 loc: str = "", expected: Expr = None, newval: Expr = None):
+        self.span = span
+        self.target = target
+        self.tau = tau  # acq | rel | rel_acq | rlx
+        self.loc = loc
+        self.expected = expected
+        self.newval = newval
 
 
-@dataclass
 class SFaa(Stmt):
-    target: str = ""
-    tau: str = "rel_acq"
-    loc: str = ""
-    delta: Expr = None
+    __slots__ = ("target", "tau", "loc", "delta")
+
+    def __init__(self, span: Span = NO_SPAN, target: str = "", tau: str = "rel_acq",
+                 loc: str = "", delta: Expr = None):
+        self.span = span
+        self.target = target
+        self.tau = tau
+        self.loc = loc
+        self.delta = delta
 
 
-@dataclass
 class SRewrite(Stmt):
-    loc: str = ""
-    old: InvRef = ()
-    new: InvRef = ()
+    __slots__ = ("loc", "old", "new")
+
+    def __init__(self, span: Span = NO_SPAN, loc: str = "", old: InvRef = (),
+                 new: InvRef = ()):
+        self.span = span
+        self.loc = loc
+        self.old = old
+        self.new = new
 
 
-@dataclass
-class LoopCond:
+class LoopCond(Record):
     """Loop condition: pure, or a single atomic read / CAS compared to a value."""
-    kind: str = "pure"  # pure | read | cas
-    expr: Expr = None                 # pure condition
-    mode: str = ""                    # read: access mode; cas: tau
-    loc: str = ""
-    op: str = "=="                    # comparison against rhs
-    rhs: Expr = None
-    expected: Expr = None             # cas only
-    newval: Expr = None               # cas only
+    __slots__ = ("kind", "expr", "mode", "loc", "op", "rhs", "expected", "newval")
+
+    def __init__(self, kind: str = "pure", expr: Expr = None, mode: str = "",
+                 loc: str = "", op: str = "==", rhs: Expr = None,
+                 expected: Expr = None, newval: Expr = None):
+        self.kind = kind          # pure | read | cas
+        self.expr = expr          # pure condition
+        self.mode = mode          # read: access mode; cas: tau
+        self.loc = loc
+        self.op = op              # comparison against rhs
+        self.rhs = rhs
+        self.expected = expected  # cas only
+        self.newval = newval      # cas only
 
 
-@dataclass
 class SWhile(Stmt):
-    cond: LoopCond = None
-    invariant: Optional[Assertion] = None
-    body: list = field(default_factory=list)
+    __slots__ = ("cond", "invariant", "body")
+
+    def __init__(self, span: Span = NO_SPAN, cond: LoopCond = None,
+                 invariant: Optional[Assertion] = None, body: list = None):
+        self.span = span
+        self.cond = cond
+        self.invariant = invariant
+        self.body = [] if body is None else body
 
 
-@dataclass
 class SIf(Stmt):
-    cond: Expr = None
-    then: list = field(default_factory=list)
-    els: list = field(default_factory=list)
+    __slots__ = ("cond", "then", "els")
+
+    def __init__(self, span: Span = NO_SPAN, cond: Expr = None, then: list = None,
+                 els: list = None):
+        self.span = span
+        self.cond = cond
+        self.then = [] if then is None else then
+        self.els = [] if els is None else els
 
 
-@dataclass
-class Thread:
-    pre: Assertion = None
-    post: Assertion = None
-    body: list = field(default_factory=list)
-    has_spec: bool = True
-    span: Span = _span_field()
+class Thread(Record):
+    __slots__ = ("pre", "post", "body", "has_spec", "span")
+    _hidden = ("span",)
+
+    def __init__(self, pre: Assertion = None, post: Assertion = None, body: list = None,
+                 has_spec: bool = True, span: Span = NO_SPAN):
+        self.pre = pre
+        self.post = post
+        self.body = [] if body is None else body
+        self.has_spec = has_spec
+        self.span = span
 
 
-@dataclass
 class SPar(Stmt):
-    threads: list = field(default_factory=list)
+    __slots__ = ("threads",)
+
+    def __init__(self, span: Span = NO_SPAN, threads: list = None):
+        self.span = span
+        self.threads = [] if threads is None else threads
 
 
-@dataclass
 class SCall(Stmt):
-    target: Optional[str] = None
-    callee: str = ""
-    args: list = field(default_factory=list)
+    __slots__ = ("target", "callee", "args")
+
+    def __init__(self, span: Span = NO_SPAN, target: Optional[str] = None,
+                 callee: str = "", args: list = None):
+        self.span = span
+        self.target = target
+        self.callee = callee
+        self.args = [] if args is None else args
 
 
-@dataclass
 class SAssign(Stmt):
-    var: str = ""
-    value: Expr = None
+    __slots__ = ("var", "value")
+
+    def __init__(self, span: Span = NO_SPAN, var: str = "", value: Expr = None):
+        self.span = span
+        self.var = var
+        self.value = value
 
 
-@dataclass
-class SFree(Stmt):
-    var: str = ""
+class SFree(_VarStmt):
+    __slots__ = ()
 
 
-@dataclass
 class SSkip(Stmt):
-    pass
+    __slots__ = ()
 
 
 # ---------------------------------------------------------------------------
 # Declarations
 # ---------------------------------------------------------------------------
 
-@dataclass
-class Param:
-    name: str
-    ghost: bool = False
+class Param(Record):
+    __slots__ = ("name", "ghost")
+
+    def __init__(self, name: str, ghost: bool = False):
+        self.name = name
+        self.ghost = ghost
 
 
-@dataclass
-class InvariantDecl:
-    name: str = ""
-    param: str = "V"
-    body: Assertion = None
-    span: Span = _span_field()
+class InvariantDecl(Record):
+    __slots__ = ("name", "param", "body", "span")
+    _hidden = ("span",)
+
+    def __init__(self, name: str = "", param: str = "V", body: Assertion = None,
+                 span: Span = NO_SPAN):
+        self.name = name
+        self.param = param
+        self.body = body
+        self.span = span
 
 
-@dataclass
-class Procedure:
-    name: str = ""
-    params: list = field(default_factory=list)
-    returns: list = field(default_factory=list)
-    pre: Assertion = None
-    post: Assertion = None
-    body: list = field(default_factory=list)
-    has_spec: bool = True  # explicit requires/ensures pair in the source
-    span: Span = _span_field()
+class Procedure(Record):
+    __slots__ = ("name", "params", "returns", "pre", "post", "body", "has_spec", "span")
+    _hidden = ("span",)
+
+    def __init__(self, name: str = "", params: list = None, returns: list = None,
+                 pre: Assertion = None, post: Assertion = None, body: list = None,
+                 has_spec: bool = True, span: Span = NO_SPAN):
+        self.name = name
+        self.params = [] if params is None else params
+        self.returns = [] if returns is None else returns
+        self.pre = pre
+        self.post = post
+        self.body = [] if body is None else body
+        self.has_spec = has_spec  # explicit requires/ensures pair in the source
+        self.span = span
 
 
-@dataclass
-class Program:
-    invariants: list = field(default_factory=list)
-    procedures: list = field(default_factory=list)
-    entry: Optional[str] = None
+class Program(Record):
+    __slots__ = ("invariants", "procedures", "entry")
+
+    def __init__(self, invariants: list = None, procedures: list = None,
+                 entry: Optional[str] = None):
+        self.invariants = [] if invariants is None else invariants
+        self.procedures = [] if procedures is None else procedures
+        self.entry = entry
 
 
 # ---------------------------------------------------------------------------
@@ -433,118 +602,6 @@ def pp_assertion(a: Assertion, prec: int = 0) -> str:
     if isinstance(a, ADown):
         return f"Down({pp_assertion(a.body)})"
     raise AssertionError(a)
-
-
-def _pp_block(stmts: list, indent: int) -> list[str]:
-    pad = "  " * indent
-    out: list[str] = []
-    for s in stmts:
-        out.extend(pp_stmt(s, indent))
-    return out or [pad + "skip;"]
-
-
-def pp_stmt(s: Stmt, indent: int = 0) -> list[str]:
-    pad = "  " * indent
-    if isinstance(s, SAllocNa):
-        return [f"{pad}alloc_na({s.var});"]
-    if isinstance(s, SAllocAtomic):
-        kw = "alloc_acq" if s.kind == "acq" else "alloc_rmw"
-        return [f"{pad}{kw}({s.var}, {_pp_inv(s.inv)});"]
-    if isinstance(s, SGhostAlloc):
-        return [f"{pad}ghost_alloc({s.var});"]
-    if isinstance(s, SWrite):
-        return [f"{pad}[{s.loc}]_{s.mode} := {pp_expr(s.value)};"]
-    if isinstance(s, SRead):
-        return [f"{pad}{s.target} := [{s.loc}]_{s.mode};"]
-    if isinstance(s, SFenceAcq):
-        return [f"{pad}fence_acq;"]
-    if isinstance(s, SFenceRel):
-        return [f"{pad}fence_rel({pp_assertion(s.assertion)});"]
-    if isinstance(s, SCas):
-        return [f"{pad}{s.target} := CAS_{s.tau}({s.loc}, {pp_expr(s.expected)}, "
-                f"{pp_expr(s.newval)});"]
-    if isinstance(s, SFaa):
-        return [f"{pad}{s.target} := FAA_{s.tau}({s.loc}, {pp_expr(s.delta)});"]
-    if isinstance(s, SRewrite):
-        return [f"{pad}rewrite Acq({s.loc}, {_pp_inv(s.old)}) to "
-                f"Acq({s.loc}, {_pp_inv(s.new)});"]
-    if isinstance(s, SWhile):
-        c = s.cond
-        if c.kind == "pure":
-            cond = pp_expr(c.expr)
-        elif c.kind == "read":
-            cond = f"[{c.loc}]_{c.mode} {c.op} {pp_expr(c.rhs)}"
-        else:
-            cond = (f"CAS_{c.mode}({c.loc}, {pp_expr(c.expected)}, "
-                    f"{pp_expr(c.newval)}) {c.op} {pp_expr(c.rhs)}")
-        head = f"{pad}while ({cond})"
-        lines = [head]
-        if s.invariant is not None:
-            lines.append(f"{pad}  invariant {{ {pp_assertion(s.invariant)} }}")
-        if s.body:
-            lines.append(pad + "{")
-            lines.extend(_pp_block(s.body, indent + 1))
-            lines.append(pad + "}")
-        else:
-            lines[-1] += " ;" if s.invariant is not None else ";"
-            if s.invariant is None:
-                lines[0] = head + ";"
-                lines = [lines[0]]
-        return lines
-    if isinstance(s, SIf):
-        lines = [f"{pad}if ({pp_expr(s.cond)}) {{"]
-        lines.extend(_pp_block(s.then, indent + 1))
-        if s.els:
-            lines.append(pad + "} else {")
-            lines.extend(_pp_block(s.els, indent + 1))
-        lines.append(pad + "}")
-        return lines
-    if isinstance(s, SPar):
-        lines = [pad + "par {"]
-        for t in s.threads:
-            lines.append(f"{pad}  thread")
-            lines.append(f"{pad}    requires {{ {pp_assertion(t.pre)} }}")
-            lines.append(f"{pad}    ensures {{ {pp_assertion(t.post)} }}")
-            lines.append(pad + "  {")
-            lines.extend(_pp_block(t.body, indent + 2))
-            lines.append(pad + "  }")
-        lines.append(pad + "}")
-        return lines
-    if isinstance(s, SCall):
-        args = ", ".join(pp_expr(a) for a in s.args)
-        if s.target:
-            return [f"{pad}{s.target} := call {s.callee}({args});"]
-        return [f"{pad}call {s.callee}({args});"]
-    if isinstance(s, SAssign):
-        return [f"{pad}{s.var} := {pp_expr(s.value)};"]
-    if isinstance(s, SFree):
-        return [f"{pad}free({s.var});"]
-    if isinstance(s, SSkip):
-        return [f"{pad}skip;"]
-    raise AssertionError(s)
-
-
-def pp_program(p: Program) -> str:
-    lines: list[str] = []
-    for d in p.invariants:
-        lines.append(f"invariant {d.name}({d.param}) = {pp_assertion(d.body)};")
-    if p.invariants:
-        lines.append("")
-    for proc in p.procedures:
-        def params_of(ps):
-            return ", ".join(("ghost " if q.ghost else "") + q.name for q in ps)
-        head = f"proc {proc.name}({params_of(proc.params)})"
-        if proc.returns:
-            head += f" returns ({params_of(proc.returns)})"
-        lines.append(head)
-        if proc.has_spec:
-            lines.append(f"  requires {{ {pp_assertion(proc.pre)} }}")
-            lines.append(f"  ensures {{ {pp_assertion(proc.post)} }}")
-        lines.append("{")
-        lines.extend(_pp_block(proc.body, 1))
-        lines.append("}")
-        lines.append("")
-    return "\n".join(lines).rstrip() + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -650,7 +707,7 @@ def map_assertion(a, on_expr: Optional[Callable[[Expr], Expr]],
         sub = getattr(a, f, None)
         if sub is not None and (new := map_assertion(sub, on_expr, on_loc, on_node)) is not sub:
             changes[f] = new
-    out = replace(a, **changes) if changes else a
+    out = a.replace(**changes) if changes else a
     return on_node(out) if on_node is not None else out
 
 

@@ -1,7 +1,6 @@
 """Per-statement encoding tests, driven through the full pipeline."""
 
 import collections
-import dataclasses
 import os
 import sys
 
@@ -605,6 +604,33 @@ def test_spin_leak_scans_each_branch_and_conjunct(q, inv, leaks):
         assert v.status == "verified", [d.format() for d in v.diagnostics]
 
 
+SPIN_AFTER = """
+invariant Q(V) = V == 0 ==> a |-> 1;
+proc give(l) requires {{ Acq(l, Q) }} ensures {{ true }} {{ skip; }}
+proc main(l, a, x)
+  requires {{ Acq(l, Q) && Init(l){pre} }}
+  ensures {{ true }}
+{{
+  {before}while ([l]_acq == 0);
+}}
+"""
+
+
+@pytest.mark.parametrize("pre, before, leaks", [
+    ("", "", True),
+    # `give` takes the only conjunct instance: no held conjunct to scan
+    ("", "call give(l); ", False),
+    # on a contradictory path no continue value is feasible
+    (" && x == 1 && x == 2", "", False),
+])
+def test_spin_leak_scans_only_held_conjuncts_on_feasible_values(pre, before, leaks):
+    v = verify(SPIN_AFTER.format(pre=pre, before=before)).verdict_of("main")
+    if leaks:
+        assert kinds(v) == [SPIN_PATTERN_RESOURCE_LEAK]
+    else:
+        assert v.status == "verified", [d.format() for d in v.diagnostics]
+
+
 def test_cas_spin_must_exit_on_success():
     v = single_verdict("""
 invariant Q(V) = true;
@@ -692,6 +718,26 @@ proc main() requires { true } ensures { true }
 { alloc_na(a); [a]_na := 1; call eat(a); call eat(a); }
 """).verdict_of("main")
     assert v.status == "failed"
+
+
+CALL_NO_TARGET = """
+proc f(a) returns (r)
+  requires {{ a |-> 0 }}
+  ensures {{ a |-> 1 && r == 2 }}
+{{ [a]_na := 1; r := 2; }}
+proc main(a) requires {{ a |-> 0 }} ensures {{ a |-> {post} }}
+{{ call f(a); }}
+"""
+
+
+def test_call_without_target_havocs_a_fresh_return():
+    ok = CALL_NO_TARGET.format(post=1)
+    chk, table, _ = pipeline(ok)
+    main = chk.program.procedures[1]
+    assert "havoc $ret1" in encoder.dump_primitives(encoder.build_obligations(chk, table, main))
+    assert verify(ok).verdict_of("main").status == "verified"
+    v = verify(CALL_NO_TARGET.format(post=2)).verdict_of("main")
+    assert [(d.kind, d.span.line) for d in v.diagnostics] == [(EXHALE_FAILURE, 6)]
 
 
 CALL_F = """
@@ -815,8 +861,9 @@ def test_encoding_is_state_independent():
                 for blk in ob.blocks:
                     for p in _nested_prims(blk.prims):
                         checked_prims += 1
-                        for f in dataclasses.fields(p):
-                            assert not callable(getattr(p, f.name)), (name, p, f.name)
+                        assert not hasattr(p, "__dict__"), p   # _fields is all it holds
+                        for f in p._fields:
+                            assert not callable(getattr(p, f)), (name, p, f)
     assert checked_prims > 1000
 
 

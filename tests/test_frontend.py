@@ -5,6 +5,7 @@ from collections import deque
 import pytest
 
 from conftest import LOCK_CLIENT, MANIFEST, corpus_path, corpus_text
+from printer import pp_program
 from weakmem import frontend, syntax as S
 from weakmem.cli import load_manifest
 from weakmem.diagnostics import (
@@ -102,12 +103,12 @@ ROUND_TRIP_SOURCES = [
 def assert_round_trip(source):
     first, diags = parse(source)
     assert not diags
-    printed = S.pp_program(first)
+    printed = pp_program(first)
     second, diags2 = parse(printed)
     assert not diags2, [d.format() for d in diags2] + [printed]
     assert second == first
     # and printing again is a fixed point
-    assert S.pp_program(second) == printed
+    assert pp_program(second) == printed
 
 
 @pytest.mark.parametrize("name", ROUND_TRIP_SOURCES)

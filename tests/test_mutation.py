@@ -8,7 +8,7 @@ Each mutant changes one occurrence of one operator in one core entry:
   weakened, a fence dropped, a written literal incremented, an empty spin
   loop dropped;
 * an AST operator: one top-level conjunct dropped from a procedure's or a
-  thread's precondition, printed back with ``syntax.pp_program``.
+  thread's precondition, printed back with ``printer.pp_program``.
 
 A mutant survives when every procedure still verifies.  Each survivor must
 be on ``EQUIVALENT`` with the reason it is equivalent; a new survivor and a
@@ -18,6 +18,7 @@ stale entry both fail the test.
 import re
 
 from conftest import corpus_text
+from printer import pp_program
 from weakmem import api, frontend, syntax as S
 
 CORE_ENTRIES = [
@@ -91,7 +92,7 @@ def precondition_mutants(entry, source):
         for i, part in enumerate(pre.parts):
             owner.pre = S.star(list(pre.parts[:i] + pre.parts[i + 1:]))
             yield (f"{entry}: {where} requires drops {S.pp_assertion(part)}",
-                   S.pp_program(program))
+                   pp_program(program))
             owner.pre = pre
 
 
@@ -106,7 +107,7 @@ def test_mutants_are_rejected_or_equivalent():
     for entry in CORE_ENTRIES:
         source = corpus_text(f"{entry}.rsl")
         program, _ = frontend.parse(source)
-        assert verifies(source) and verifies(S.pp_program(program)), entry
+        assert verifies(source) and verifies(pp_program(program)), entry
         for kind, mutants in (("text", text_mutants(entry, source)),
                               ("precondition", precondition_mutants(entry, source))):
             for name, mutant in mutants:

@@ -1,0 +1,98 @@
+"""The record classes: equality, hashing, repr, `replace`, and a cold import
+that leaves `dataclasses` out."""
+
+import os
+import subprocess
+import sys
+
+import pytest
+
+from weakmem import api, cli, encoder, frontend, symstate, syntax as S
+from weakmem.diagnostics import Diagnostic
+from weakmem.speclogic import EAcc, EPure, FIELD_VAL, FULL
+
+SRC = os.path.join(os.path.dirname(__file__), "..", "src")
+AT_1 = S.Span(1, 1, 1, 5)
+AT_2 = S.Span(2, 1, 2, 5)
+
+
+def records(cls=S.Record):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from records(sub)
+
+
+def test_cli_import_leaves_dataclasses_out():
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import weakmem.cli; "
+            "print('dataclasses' in sys.modules)")
+    out = subprocess.run([sys.executable, "-S", "-c", code, SRC],
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
+def test_every_record_class_has_slots():
+    assert cli.CorpusEntry in set(records())
+    for cls in records():
+        assert "__slots__" in cls.__dict__, cls
+
+
+def test_span_is_left_out_only_of_source_nodes():
+    source_nodes = (S.Assertion, S.Stmt, S.Thread, S.InvariantDecl, S.Procedure)
+    for cls in records():
+        if "span" in cls._fields:
+            assert ("span" in cls._hidden) == issubclass(cls, source_nodes), cls
+    assert S.APure(AT_1, S.EInt(1)) == S.APure(AT_2, S.EInt(1))
+    assert S.SSkip(AT_1) == S.SSkip(AT_2)
+    assert S.Procedure("p", span=AT_1) == S.Procedure("p", span=AT_2)
+    assert EPure(S.EInt(1), AT_1) != EPure(S.EInt(1), AT_2)
+    assert Diagnostic("k", AT_1) != Diagnostic("k", AT_2)
+    assert encoder.HavocVar("x", AT_1) != encoder.HavocVar("x", AT_2)
+
+
+def test_equality_needs_the_same_class_and_equal_fields():
+    assert S.EBin("+", S.EVar("x"), S.EInt(1)) == S.EBin("+", S.EVar("x"), S.EInt(1))
+    assert S.EBin("+", S.EVar("x"), S.EInt(1)) != S.EBin("+", S.EVar("x"), S.EInt(2))
+    # classes that share their fields through a base stay apart
+    assert S.AUninit(loc="a") != S.AInit(loc="a")
+    assert S.SAllocNa(var="a") != S.SFree(var="a")
+    assert S.EAny() == S.EAny() and S.EAny() != S.EInvVal()
+    assert S.EInt(1) != (1,)
+
+
+def test_hashable_records_hash_by_value_and_the_rest_do_not_hash():
+    for make in (lambda: encoder.BranchCond("notread", loc="l", idx=1),
+                 lambda: frontend.Scope(frozenset("ab"), frozenset("c")),
+                 lambda: EAcc("a", FIELD_VAL, FULL, span=AT_1)):
+        a, b = make(), make()
+        assert a is not b and a == b and hash(a) == hash(b) and len({a, b}) == 1
+    for x in (S.EInt(1), S.APure(expr=S.TRUE_E), S.SSkip(), Diagnostic("k"),
+              encoder.HavocVar("x"), api.VerifyOptions(), symstate.FieldChunk(0, "val", 0, 0, 0)):
+        with pytest.raises(TypeError):
+            hash(x)
+
+
+def test_repr_names_the_shown_fields():
+    assert repr(S.APure(AT_1, S.EInt(1))) == "APure(expr=EInt(value=1))"
+    assert repr(S.SSkip(AT_1)) == "SSkip()"
+    assert repr(Diagnostic("k", AT_1, message="m")) == (
+        "Diagnostic(kind='k', span=Span(line=1, col=1, end_line=1, end_col=5), "
+        "rule='', message='m', counter_facts=None)")
+
+
+def test_replace_copies_with_changes():
+    a = S.APointsTo(AT_1, "a", S.EInt(1), S.EInt(2))
+    b = a.replace(span=AT_2, loc="b")
+    assert type(b) is S.APointsTo
+    assert (b.span, b.loc, b.value, b.frac) == (AT_2, "b", a.value, a.frac)
+    assert (a.span, a.loc) == (AT_1, "a")
+    with pytest.raises(TypeError):
+        a.replace(nope=1)
+
+
+def test_constructors_keep_their_defaults():
+    assert api.VerifyOptions(strict_invariants=True).check_soundness
+    assert not api.VerifyOptions().check_soundness
+    # each record gets its own list
+    assert S.Program().procedures is not S.Program().procedures
+    assert S.SIf().then is not S.SIf().els
+    assert S.APure(AT_1).span == AT_1 and S.APure().span == S.NO_SPAN

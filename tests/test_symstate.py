@@ -186,7 +186,7 @@ def test_transfer_down_to_real():
         acc("a", "val", 1, HeapLabel.DOWN),
         EFieldEq("a", "val", S.EInt(42), HeapLabel.DOWN),
     ]))
-    st = transfer_heap(ctx, st, HeapLabel.DOWN, HeapLabel.REAL)
+    st = transfer_heap(st, HeapLabel.DOWN, HeapLabel.REAL)
     ref = st.env["a"]
     assert val_perm(st, ref) is T.ONE
     assert val_perm(st, ref, label=HeapLabel.DOWN) is T.ZERO
@@ -199,7 +199,7 @@ def test_transfer_empty_identity():
     st = fresh_state(ctx)
     st = do_inhale(ctx, st, points_to("a", 1))
     before = {k: (c.perm, c.value) for k, c in st.fields.items()}
-    st = transfer_heap(ctx, st, HeapLabel.DOWN, HeapLabel.REAL)
+    st = transfer_heap(st, HeapLabel.DOWN, HeapLabel.REAL)
     assert {k: (c.perm, c.value) for k, c in st.fields.items()} == before
 
 
@@ -212,7 +212,7 @@ def test_transfer_merges_and_unifies_values():
         EFieldEq("a", "val", S.EInt(7), HeapLabel.DOWN),
     ]))
     st = do_inhale(ctx, st, acc("a", "val", "1/2", HeapLabel.REAL))
-    st = transfer_heap(ctx, st, HeapLabel.DOWN, HeapLabel.REAL)
+    st = transfer_heap(st, HeapLabel.DOWN, HeapLabel.REAL)
     ref = st.env["a"]
     assert val_perm(st, ref) is T.ONE
     chunk = st.fields[st.field_key(ref, "val", HeapLabel.REAL)]
@@ -568,7 +568,7 @@ def test_transfer_merge_ors_pos():
             st.fields[st.field_key(ref, "val", label)] = FieldChunk(
                 ref, "val", label, w, ctx.fresh_field_value("val"), pos)
             st.preds[st.pred_key(ref, 0, label)] = PredChunk(ref, 0, label, w, (), pos)
-        st = transfer_heap(ctx, st, HeapLabel.DOWN, HeapLabel.REAL)
+        st = transfer_heap(st, HeapLabel.DOWN, HeapLabel.REAL)
         assert len(st.fields) == len(st.preds) == 1
         assert chunk_of(st).pos == (src_pos or dst_pos)
         assert st.preds[st.pred_key(ref, 0, HeapLabel.REAL)].pos == (src_pos or dst_pos)
