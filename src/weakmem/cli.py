@@ -236,8 +236,8 @@ def count_annotations(program: syntax.Program) -> dict:
             elif isinstance(st, syntax.SPar):
                 funcs += len(st.threads)
                 pp += sum(1 for t in st.threads if t.has_spec)
-            elif isinstance(st, (syntax.SAllocAtomic, syntax.SFenceRel,
-                                 syntax.SRewrite, syntax.SGhostAlloc)):
+            elif isinstance(st, (syntax.SFenceRel, syntax.SRewrite)) or (
+                    isinstance(st, syntax.SAlloc) and st.kind != "na"):
                 other += 1
     return {"pp": pp, "li": li, "other": other,
             "funcs": funcs, "loops": loops, "stmts": stmts}

@@ -277,12 +277,8 @@ def _enc_err(kind: str, span: Span, rule: str, msg: str) -> FrontendError:
 # ---------------------------------------------------------------------------
 
 def encode_stmt(st: S.Stmt, ctx: EncodeCtx) -> list:
-    if isinstance(st, S.SAllocNa):
-        return _alloc_nonatomic(st.var, False, st.span, ctx)
-    if isinstance(st, S.SGhostAlloc):
-        return _alloc_nonatomic(st.var, True, st.span, ctx)
-    if isinstance(st, S.SAllocAtomic):
-        return _alloc_atomic(st, ctx)
+    if isinstance(st, S.SAlloc):
+        return _alloc(st, ctx)
     if isinstance(st, S.SWrite):
         if st.mode == "na":
             return _nonatomic_write(st, ctx)
@@ -341,44 +337,33 @@ def encode_block(stmts: list, ctx: EncodeCtx) -> list:
 
 # -- allocation ---------------------------------------------------------------
 
-def _alloc_nonatomic(var: str, ghost: bool, span: Span, ctx: EncodeCtx) -> list:
-    uninit = estar([
-        EAcc(var, FIELD_VAL, FULL, span=span),
-        EAcc(var, FIELD_INIT, FULL, span=span),
-        EFieldEq(var, FIELD_INIT, S.FALSE_E, span=span),
-    ])
-    rule = "ghost allocation" if ghost else "non-atomic allocation"
-    return [NewLoc(var, ghost, span), Inhale(uninit, rule, span)]
-
-
-def _alloc_atomic(st: S.SAllocAtomic, ctx: EncodeCtx) -> list:
-    rel = S.ARel(loc=st.var, inv=st.inv, span=st.span)
-    reader = (S.AAcq if st.kind == "acq" else S.ARMWAcq)(loc=st.var, inv=st.inv, span=st.span)
-    rule = f"atomic allocation ({st.kind})"
-    return [
-        NewLoc(st.var, False, st.span),
-        Inhale(ctx.lower(S.star([rel, reader])), rule, st.span),
-    ]
+def _alloc(st: S.SAlloc, ctx: EncodeCtx) -> list:
+    """A new location and its resources: Uninit, or Rel and Acq / RMWAcq."""
+    if st.inv:
+        reader = "Acq" if st.kind == "acq" else "RMWAcq"
+        res = S.star([S.AResource(st.span, "Rel", st.var, st.inv),
+                      S.AResource(st.span, reader, st.var, st.inv)])
+        rule = f"atomic allocation ({st.kind})"
+    else:
+        res = S.AResource(st.span, "Uninit", st.var)
+        rule = "ghost allocation" if st.kind == "ghost" else "non-atomic allocation"
+    return [NewLoc(st.var, st.kind == "ghost", st.span),
+            Inhale(ctx.lower(res), rule, st.span)]
 
 
 # -- non-atomic accesses --------------------------------------------------------
 
+def _whole(loc: str, rule: str, span: Span) -> Exhale:
+    """Take the whole permission to a non-atomic location."""
+    full = estar([EAcc(loc, FIELD_VAL, FULL, span=span),
+                  EAcc(loc, FIELD_INIT, FULL, span=span)])
+    return Exhale(full, rule, kind=INSUFFICIENT_PERMISSION, span=span)
+
+
 def _nonatomic_write(st: S.SWrite, ctx: EncodeCtx) -> list:
-    full = estar([
-        EAcc(st.loc, FIELD_VAL, FULL, span=st.span),
-        EAcc(st.loc, FIELD_INIT, FULL, span=st.span),
-    ])
-    after = estar([
-        EAcc(st.loc, FIELD_VAL, FULL, span=st.span),
-        EAcc(st.loc, FIELD_INIT, FULL, span=st.span),
-        EFieldEq(st.loc, FIELD_VAL, st.value, span=st.span),
-        EFieldEq(st.loc, FIELD_INIT, S.TRUE_E, span=st.span),
-    ])
     rule = "non-atomic write"
-    return [
-        Exhale(full, rule, kind=INSUFFICIENT_PERMISSION, span=st.span),
-        Inhale(after, rule, st.span),
-    ]
+    after = S.APointsTo(st.span, st.loc, st.value)
+    return [_whole(st.loc, rule, st.span), Inhale(ctx.lower(after), rule, st.span)]
 
 
 def _nonatomic_read(st: S.SRead, ctx: EncodeCtx) -> list:
@@ -431,18 +416,28 @@ def _read_gain(loc: str, value: S.Expr, label: HeapLabel,
     return ForEachHeldConjunct(loc, need_full=True, bodies=bodies, span=span)
 
 
+def _init_held(loc: str, rule: str, span: Span) -> Exhale:
+    return Exhale(EAcc(loc, FIELD_INIT, WILDCARD, span=span),
+                  rule, kind=UNINITIALISED, span=span, take="none")
+
+
+def _reader_held(loc: str, acq: bool, rule: str, span: Span) -> Exhale:
+    """Assert the Acq (``acq``) or the RMWAcq permission to a location."""
+    return Exhale(estar([EAcc(loc, FIELD_ACQ, WILDCARD, span=span),
+                         EFieldEq(loc, FIELD_ACQ, S.TRUE_E if acq else S.FALSE_E,
+                                  span=span)]),
+                  rule, kind=NO_ACQ_PERMISSION if acq else MISSING_RMW_PERMISSIONS,
+                  span=span, take="none")
+
+
 def _atomic_read(target: str, loc: str, label: HeapLabel,
                  rule: str, span: Span, ctx: EncodeCtx) -> list:
-    prims: list = [
-        Exhale(EAcc(loc, FIELD_INIT, WILDCARD, span=span),
-               rule, kind=UNINITIALISED, span=span, take="none"),
-        Exhale(estar([EAcc(loc, FIELD_ACQ, WILDCARD, span=span),
-                      EFieldEq(loc, FIELD_ACQ, S.TRUE_E, span=span)]),
-               rule, kind=NO_ACQ_PERMISSION, span=span, take="none"),
+    return [
+        _init_held(loc, rule, span),
+        _reader_held(loc, True, rule, span),
         HavocVar(target, span),
         _read_gain(loc, S.EVar(target), label, rule, span, ctx),
     ]
-    return prims
 
 
 # -- compare-and-swap / fetch-update ----------------------------------------------
@@ -467,11 +462,8 @@ def _cas(target: str, tau: str, loc: str, expected: S.Expr, newval: S.Expr,
         rule + " read transfer", span))
 
     prims: list = [
-        Exhale(EAcc(loc, FIELD_INIT, WILDCARD, span=span),
-               rule, kind=UNINITIALISED, span=span, take="none"),
-        Exhale(estar([EAcc(loc, FIELD_ACQ, WILDCARD, span=span),
-                      EFieldEq(loc, FIELD_ACQ, S.FALSE_E, span=span)]),
-               rule, kind=MISSING_RMW_PERMISSIONS, span=span, take="none"),
+        _init_held(loc, rule, span),
+        _reader_held(loc, False, rule, span),
         Exhale(EAcc(loc, FIELD_REL, WILDCARD, span=span),
                rule, kind=NO_REL_PERMISSION, span=span, take="none"),
         HavocVar(target, span),
@@ -507,9 +499,7 @@ def _rewrite(st: S.SRewrite, ctx: EncodeCtx) -> list:
     new_insts = estar([EPredAcc(st.loc, i, FULL, vals_empty=True, span=st.span)
                        for i in ctx.table.conjuncts(st.new)])
     return [
-        Exhale(estar([EAcc(st.loc, FIELD_ACQ, WILDCARD, span=st.span),
-                      EFieldEq(st.loc, FIELD_ACQ, S.TRUE_E, span=st.span)]),
-               rule, kind=NO_ACQ_PERMISSION, span=st.span, take="none"),
+        _reader_held(st.loc, True, rule, st.span),
         Branch(BranchCond("nondet"), justification, [], st.span),
         Exhale(old_insts, rule + " update", kind=EXHALE_FAILURE,
                vals_kind=REWRITE_AFTER_READ, span=st.span),
@@ -574,11 +564,8 @@ def _spin_read(st: S.SWhile, ctx: EncodeCtx) -> list:
     cont = S.EBin(cond.op, S.EVar(probe), cond.rhs)
     lowered = {idx: enc for idx, (enc, _) in ctx.inv_bodies(S.EVar(probe)).items()}
     prims: list = [
-        Exhale(EAcc(cond.loc, FIELD_INIT, WILDCARD, span=st.span),
-               rule, kind=UNINITIALISED, span=st.span, take="none"),
-        Exhale(estar([EAcc(cond.loc, FIELD_ACQ, WILDCARD, span=st.span),
-                      EFieldEq(cond.loc, FIELD_ACQ, S.TRUE_E, span=st.span)]),
-               rule, kind=NO_ACQ_PERMISSION, span=st.span, take="none"),
+        _init_held(cond.loc, rule, st.span),
+        _reader_held(cond.loc, True, rule, st.span),
         SpinLeakCheck(cond.loc, probe, cont, lowered, st.span),
     ]
     if cond.op == "==":
@@ -676,11 +663,7 @@ def _call(st: S.SCall, ctx: EncodeCtx) -> list:
 
 
 def _free(st: S.SFree, ctx: EncodeCtx) -> list:
-    full = estar([
-        EAcc(st.var, FIELD_VAL, FULL, span=st.span),
-        EAcc(st.var, FIELD_INIT, FULL, span=st.span),
-    ])
-    return [Exhale(full, rule="free", kind=INSUFFICIENT_PERMISSION, span=st.span)]
+    return [_whole(st.var, "free", st.span)]
 
 
 # ---------------------------------------------------------------------------
@@ -692,7 +675,14 @@ def _encode_body_blocks(stmts: list, ctx: EncodeCtx, ob: Obligation) -> None:
         ob.blocks.append(Block(st.span, _describe(st), encode_stmt(st, ctx)))
 
 
+# block descriptions of the allocation kinds, as dumps and reports name them
+_ALLOC_DESCS = {"na": "allocna", "ghost": "ghostalloc", "acq": "allocatomic",
+                "rmw": "allocatomic"}
+
+
 def _describe(st: S.Stmt) -> str:
+    if isinstance(st, S.SAlloc):
+        return _ALLOC_DESCS[st.kind]
     return type(st).__name__[1:].lower()
 
 

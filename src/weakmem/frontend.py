@@ -145,12 +145,15 @@ class _Define(S.Record):
         self.body = body
 
 
-# statements of the form  kw "(" NAME ")" ";"  and  kw ";"
-_VAR_STMTS = {"alloc_na": S.SAllocNa, "ghost_alloc": S.SGhostAlloc, "free": S.SFree}
+# statements of the form  kw "(" NAME ")" ";"  or  kw "(" NAME "," invref ")" ";",
+# with their allocation kind (free has none), and of the form  kw ";"
+_VAR_STMTS = {"alloc_na": "na", "ghost_alloc": "ghost", "alloc_acq": "acq",
+              "alloc_rmw": "rmw", "free": None}
 _BARE_STMTS = {"fence_acq": S.SFenceAcq, "skip": S.SSkip}
-# assertions of the form  kw "(" NAME ")"  and  kw "(" NAME "," invref ")"
-_LOC_ASSERTIONS = {"Uninit": S.AUninit, "Init": S.AInit}
-_INV_ASSERTIONS = {"Acq": S.AAcq, "Rel": S.ARel, "RMWAcq": S.ARMWAcq}
+# location resources, of the form  kw "(" NAME ")"  or  kw "(" NAME "," invref ")"
+_RESOURCES = ("Uninit", "Init", "Acq", "Rel", "RMWAcq")
+# the keywords above that take an invariant reference
+_WITH_INV = ("alloc_acq", "alloc_rmw", "Acq", "Rel", "RMWAcq")
 
 
 def _extends_fact(text: str) -> bool:
@@ -363,19 +366,14 @@ class Parser:
         text = t[TEXT]
         if text in _VAR_STMTS:
             self.next()
-            var = self._paren_name()
-            end = self.expect(";")
-            return _VAR_STMTS[text](var=var, span=self._span(t, end))
+            var, inv = self._paren_loc_inv() if text in _WITH_INV else (self._paren_name(), ())
+            span = self._span(t, self.expect(";"))
+            kind = _VAR_STMTS[text]
+            return S.SAlloc(span, var, kind, inv) if kind else S.SFree(span, var)
         if text in _BARE_STMTS:
             self.next()
             end = self.expect(";")
             return _BARE_STMTS[text](span=self._span(t, end))
-        if text in ("alloc_acq", "alloc_rmw"):
-            self.next()
-            var, inv = self._paren_loc_inv()
-            end = self.expect(";")
-            kind = "acq" if text == "alloc_acq" else "rmw"
-            return S.SAllocAtomic(var=var, kind=kind, inv=inv, span=self._span(t, end))
         if text == "fence_rel":
             self.next()
             self.expect("(")
@@ -598,13 +596,10 @@ class Parser:
         t = self.tok
         kind, text, _, _ = t
         span = token_span(t)
-        if text in _LOC_ASSERTIONS:
+        if text in _RESOURCES:
             self.next()
-            return _LOC_ASSERTIONS[text](loc=self._paren_name(), span=span)
-        if text in _INV_ASSERTIONS:
-            self.next()
-            loc, inv = self._paren_loc_inv()
-            return _INV_ASSERTIONS[text](loc=loc, inv=inv, span=span)
+            loc, inv = self._paren_loc_inv() if text in _WITH_INV else (self._paren_name(), ())
+            return S.AResource(span, text, loc, inv)
         if text in ("Up", "Down"):
             self._nest()
             self.next()
@@ -612,7 +607,7 @@ class Parser:
             body = self.parse_assertion()
             self.expect(")")
             self.depth -= 1
-            return (S.AUp if text == "Up" else S.ADown)(body=body, span=span)
+            return S.AModal(span, text, body)
         if text == "(":
             start = self.pos
             self._nest()
@@ -788,18 +783,16 @@ def parse(source: str) -> tuple[S.Program, list[Diagnostic]]:
 # Mode checking / classification
 # ---------------------------------------------------------------------------
 
-_ALLOC_TAGS = {"alloc_na": NA, "alloc_acq": ACQ, "alloc_rmw": RMW, "alloc_ghost": GHOST}
-
-# use tag of the location named by each location assertion
-_LOC_USE = {S.APointsTo: "owns", S.AUninit: "owns", S.AInit: "atomic_use",
-            S.AAcq: "acq_use", S.ARel: "atomic_use", S.ARMWAcq: "rmw_use"}
+# use tag of the location named by each kind of location resource
+_RESOURCE_USE = {"Uninit": "owns", "Init": "atomic_use", "Acq": "acq_use",
+                 "Rel": "atomic_use", "RMWAcq": "rmw_use"}
 
 
 class _Evidence(S.Record):
     __slots__ = ("alloc", "uses")
 
     def __init__(self, alloc: dict[str, Span] = None, uses: dict[str, Span] = None):
-        self.alloc = {} if alloc is None else alloc   # alloc tag -> first span
+        self.alloc = {} if alloc is None else alloc   # allocated class -> first span
         self.uses = {} if uses is None else uses      # use tag -> first span
 
 
@@ -945,22 +938,23 @@ class _Classifier:
             if direct:
                 walked = set()
             for x in S.walk_assertion(a):
-                tag = _LOC_USE.get(type(x))
-                if tag:
-                    use(x.loc, tag, x.span, direct)
-                    found.add(x.loc)
                 if isinstance(x, S.APure):
                     value_use(x.expr, span, direct, found)
                 elif isinstance(x, S.APointsTo):
+                    use(x.loc, "owns", x.span, direct)
+                    found.add(x.loc)
                     value_use(x.value, span, direct, found)
                     if direct:
                         self._check_fraction(x)
                 elif isinstance(x, (S.AImplies, S.ACond)):
                     value_use(x.cond, span, direct, found)
-                elif isinstance(x, (S.AAcq, S.ARel, S.ARMWAcq)):
-                    if direct:
-                        self.inv_sites.append((x.inv, x.span))
-                    inv_use(x.inv, span, found, walked)
+                elif isinstance(x, S.AResource):
+                    use(x.loc, _RESOURCE_USE[x.kind], x.span, direct)
+                    found.add(x.loc)
+                    if x.inv:
+                        if direct:
+                            self.inv_sites.append((x.inv, x.span))
+                        inv_use(x.inv, span, found, walked)
 
         def value_use(e: S.Expr, span: Span, direct: bool, found: set) -> None:
             for x in S.walk_expr(e):
@@ -1008,16 +1002,12 @@ class _Classifier:
             uses, binds = outer_uses, outer_binds
 
         def stmt(st: S.Stmt) -> None:
-            if isinstance(st, S.SAllocNa):
-                E(st.var).alloc.setdefault("alloc_na", st.span)
+            if isinstance(st, S.SAlloc):
+                # an allocation's kind is the class it gives its location
+                E(st.var).alloc.setdefault(st.kind, st.span)
                 bind(st.var, None, st.span)
-            elif isinstance(st, S.SAllocAtomic):
-                E(st.var).alloc.setdefault("alloc_" + st.kind, st.span)
-                bind(st.var, None, st.span)
-                inv_site(st.inv, st.span)
-            elif isinstance(st, S.SGhostAlloc):
-                E(st.var).alloc.setdefault("alloc_ghost", st.span)
-                bind(st.var, None, st.span)
+                if st.inv:
+                    inv_site(st.inv, st.span)
             elif isinstance(st, S.SWrite):
                 use(st.loc, "na_access" if st.mode == "na" else "atomic_use", st.span)
                 expr_use(st.value, st.span)
@@ -1095,12 +1085,10 @@ class _Classifier:
         for p in proc.params + proc.returns:
             E(p.name)
             if p.ghost:
-                E(p.name).alloc.setdefault("alloc_ghost", proc.span)
-        if proc.pre is not None:
-            # logical variables bound by the precondition are in scope
-            declared |= spec_use(proc.pre, proc.span)
-        if proc.post is not None:
-            spec_use(proc.post, proc.span)
+                E(p.name).alloc.setdefault(GHOST, proc.span)
+        # logical variables bound by the precondition are in scope
+        declared |= spec_use(proc.pre, proc.span)
+        spec_use(proc.post, proc.span)
         block(proc.body)
         pi.declared = declared | pi.scope(proc.body).binds
         return ev
@@ -1108,7 +1096,7 @@ class _Classifier:
     # -- resolution --------------------------------------------------------------
 
     def _resolve(self, ev: _Evidence, report: bool, var: str = "") -> str:
-        alloc_kinds = {_ALLOC_TAGS[t] for t in ev.alloc}
+        alloc_kinds = set(ev.alloc)
         uses = ev.uses
 
         def diag(kind: str, span: Span, msg: str) -> None:
@@ -1193,8 +1181,6 @@ class _Classifier:
 
     def _check_posts(self, info: dict[str, ProcInfo]) -> None:
         for proc in self.program.procedures:
-            if proc.pre is None or proc.post is None:
-                continue
             pi = info[proc.name]
             allowed = {p.name for p in proc.params} | {p.name for p in proc.returns}
             allowed |= pi.spec_vars(proc.pre)

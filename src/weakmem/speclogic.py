@@ -141,24 +141,15 @@ def build_invariant_table(checked: CheckedProgram) -> InvariantTable:
             idx = table.add(S.star([decl_of[n].body for n in inv]), " && ".join(inv), span)
             table.whole_of[inv] = idx
             table.conjuncts_of[inv] = tuple(table.whole_of[(n,)] for n in inv)
-        _assert_reassembles(table, inv)
 
     for inv, span in checked.inv_sites:
         ensure(inv, span)
     # invariant bodies may themselves mention Acq/Rel resources
     for d in program.invariants:
         for x in S.walk_assertion(d.body):
-            if isinstance(x, (S.AAcq, S.ARel, S.ARMWAcq)):
+            if isinstance(x, S.AResource) and x.inv:
                 ensure(x.inv, x.span)
     return table
-
-
-def _assert_reassembles(table: InvariantTable, inv: S.InvRef) -> None:
-    whole = table.entries[table.whole_of[inv]]
-    parts = [table.entries[i] for i in table.conjuncts_of[inv]]
-    if S.star(parts) != whole:
-        raise AssertionError(
-            f"conjunct entries do not reassemble invariant {' && '.join(inv)}")
 
 
 # ---------------------------------------------------------------------------
@@ -325,39 +316,30 @@ def lower(a: S.Assertion, ctx: LowerCtx, label: HeapLabel = HeapLabel.REAL) -> E
             parts.append(EFieldEq(a.loc, FIELD_VAL, a.value, lbl, a.span))
         parts.append(EFieldEq(a.loc, FIELD_INIT, S.TRUE_E, lbl, a.span))
         return estar(parts)
-    if isinstance(a, S.AUninit):
+    if isinstance(a, S.AResource):
         lbl = _loc_label(a.loc, label, ctx)
-        return estar([
-            EAcc(a.loc, FIELD_VAL, FULL, lbl, a.span),
-            EAcc(a.loc, FIELD_INIT, FULL, lbl, a.span),
-            EFieldEq(a.loc, FIELD_INIT, S.FALSE_E, lbl, a.span),
-        ])
-    if isinstance(a, S.AInit):
-        return EAcc(a.loc, FIELD_INIT, WILDCARD, _loc_label(a.loc, label, ctx), a.span)
-    if isinstance(a, S.ARel):
-        lbl = _loc_label(a.loc, label, ctx)
-        idx = ctx.table.whole(a.inv)
-        return estar([
-            EAcc(a.loc, FIELD_REL, WILDCARD, lbl, a.span),
-            EFieldEq(a.loc, FIELD_REL, S.EInt(idx), lbl, a.span),
-        ])
-    if isinstance(a, S.AAcq):
-        lbl = _loc_label(a.loc, label, ctx)
+        if a.kind == "Uninit":
+            return estar([
+                EAcc(a.loc, FIELD_VAL, FULL, lbl, a.span),
+                EAcc(a.loc, FIELD_INIT, FULL, lbl, a.span),
+                EFieldEq(a.loc, FIELD_INIT, S.FALSE_E, lbl, a.span),
+            ])
+        if a.kind == "Init":
+            return EAcc(a.loc, FIELD_INIT, WILDCARD, lbl, a.span)
+        if a.kind == "Rel":
+            return estar([
+                EAcc(a.loc, FIELD_REL, WILDCARD, lbl, a.span),
+                EFieldEq(a.loc, FIELD_REL, S.EInt(ctx.table.whole(a.inv)), lbl, a.span),
+            ])
+        # Acq holds each conjunct whole, RMWAcq a wildcard share of it
+        acq = a.kind == "Acq"
         parts: list = [
             EAcc(a.loc, FIELD_ACQ, WILDCARD, lbl, a.span),
-            EFieldEq(a.loc, FIELD_ACQ, S.TRUE_E, lbl, a.span),
+            EFieldEq(a.loc, FIELD_ACQ, S.TRUE_E if acq else S.FALSE_E, lbl, a.span),
         ]
         for i in ctx.table.conjuncts(a.inv):
-            parts.append(EPredAcc(a.loc, i, FULL, lbl, vals_empty=True, span=a.span))
-        return estar(parts)
-    if isinstance(a, S.ARMWAcq):
-        lbl = _loc_label(a.loc, label, ctx)
-        parts = [
-            EAcc(a.loc, FIELD_ACQ, WILDCARD, lbl, a.span),
-            EFieldEq(a.loc, FIELD_ACQ, S.FALSE_E, lbl, a.span),
-        ]
-        for i in ctx.table.conjuncts(a.inv):
-            parts.append(EPredAcc(a.loc, i, WILDCARD, lbl, span=a.span))
+            parts.append(EPredAcc(a.loc, i, FULL if acq else WILDCARD, lbl,
+                                  vals_empty=acq, span=a.span))
         return estar(parts)
     if isinstance(a, S.AStar):
         return estar([lower(p, ctx, label) for p in a.parts])
@@ -365,10 +347,9 @@ def lower(a: S.Assertion, ctx: LowerCtx, label: HeapLabel = HeapLabel.REAL) -> E
         return EImplies(a.cond, lower(a.body, ctx, label), a.span)
     if isinstance(a, S.ACond):
         return ECond(a.cond, lower(a.then, ctx, label), lower(a.els, ctx, label), a.span)
-    if isinstance(a, S.AUp):
-        return lower(a.body, ctx, _shift(label, HeapLabel.UP, a.span))
-    if isinstance(a, S.ADown):
-        return lower(a.body, ctx, _shift(label, HeapLabel.DOWN, a.span))
+    if isinstance(a, S.AModal):
+        target = HeapLabel.UP if a.kind == "Up" else HeapLabel.DOWN
+        return lower(a.body, ctx, _shift(label, target, a.span))
     raise AssertionError(a)
 
 

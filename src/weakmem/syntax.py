@@ -8,9 +8,11 @@ permissions, implication and conditional assertions, the atomic-location
 resources (Uninit / Init / Acq / Rel / RMWAcq) and the up/down modalities.
 
 Nodes are `Record`s, whose equality ignores source spans, so a program
-printed back and parsed again gives an equal tree.  This module prints
-expressions and assertions, which diagnostics need; the statement printer
-is kept with the tests, its only users.
+printed back and parsed again gives an equal tree.  Node kinds of the same
+shape share one class and carry their keyword as a `kind`: `AResource`,
+`AModal` and `SAlloc`.  This module prints expressions and assertions,
+which diagnostics need; the statement printer is kept with the tests, its
+only users.
 
 The assertion walkers at the end serve both this tree and the encoded one in
 `speclogic`, whose nodes use the same field names (`parts`, `body`, `then`,
@@ -213,57 +215,26 @@ class ACond(Assertion):
         self.els = els
 
 
-class _LocAssertion(Assertion):
-    __slots__ = ("loc",)
+class AResource(Assertion):
+    """A location resource: Uninit(loc), Init(loc), or Acq, Rel and RMWAcq
+    of a location and an invariant reference."""
+    __slots__ = ("kind", "loc", "inv")
 
-    def __init__(self, span: Span = NO_SPAN, loc: str = ""):
+    def __init__(self, span: Span = NO_SPAN, kind: str = "Init", loc: str = "",
+                 inv: InvRef = ()):
         self.span = span
+        self.kind = kind  # the keyword: Uninit | Init | Acq | Rel | RMWAcq
         self.loc = loc
+        self.inv = inv    # empty for Uninit and Init
 
 
-class AUninit(_LocAssertion):
-    __slots__ = ()
+class AModal(Assertion):
+    __slots__ = ("kind", "body")
 
-
-class AInit(_LocAssertion):
-    __slots__ = ()
-
-
-class _InvAssertion(Assertion):
-    __slots__ = ("loc", "inv")
-
-    def __init__(self, span: Span = NO_SPAN, loc: str = "", inv: InvRef = ()):
+    def __init__(self, span: Span = NO_SPAN, kind: str = "Up", body: Assertion = None):
         self.span = span
-        self.loc = loc
-        self.inv = inv
-
-
-class AAcq(_InvAssertion):
-    __slots__ = ()
-
-
-class ARel(_InvAssertion):
-    __slots__ = ()
-
-
-class ARMWAcq(_InvAssertion):
-    __slots__ = ()
-
-
-class _Modality(Assertion):
-    __slots__ = ("body",)
-
-    def __init__(self, span: Span = NO_SPAN, body: Assertion = None):
-        self.span = span
+        self.kind = kind  # Up | Down
         self.body = body
-
-
-class AUp(_Modality):
-    __slots__ = ()
-
-
-class ADown(_Modality):
-    __slots__ = ()
 
 
 def star(parts: list[Assertion]) -> Assertion:
@@ -292,32 +263,15 @@ class Stmt(Record):
         self.span = span
 
 
-class _VarStmt(Stmt):
-    """The statements of the form  kw "(" NAME ")" ";"."""
-    __slots__ = ("var",)
-
-    def __init__(self, span: Span = NO_SPAN, var: str = ""):
-        self.span = span
-        self.var = var
-
-
-class SAllocNa(_VarStmt):
-    __slots__ = ()
-
-
-class SAllocAtomic(Stmt):
+class SAlloc(Stmt):
     __slots__ = ("var", "kind", "inv")
 
-    def __init__(self, span: Span = NO_SPAN, var: str = "", kind: str = "acq",
+    def __init__(self, span: Span = NO_SPAN, var: str = "", kind: str = "na",
                  inv: InvRef = ()):
         self.span = span
         self.var = var
-        self.kind = kind  # acq | rmw
-        self.inv = inv
-
-
-class SGhostAlloc(_VarStmt):
-    __slots__ = ()
+        self.kind = kind  # na | ghost | acq | rmw, the class of the new location
+        self.inv = inv    # acq and rmw only
 
 
 class SWrite(Stmt):
@@ -470,8 +424,12 @@ class SAssign(Stmt):
         self.value = value
 
 
-class SFree(_VarStmt):
-    __slots__ = ()
+class SFree(Stmt):
+    __slots__ = ("var",)
+
+    def __init__(self, span: Span = NO_SPAN, var: str = ""):
+        self.span = span
+        self.var = var
 
 
 class SSkip(Stmt):
@@ -566,10 +524,6 @@ def pp_expr(e: Expr, prec: int = 0) -> str:
     raise AssertionError(e)
 
 
-def _pp_inv(inv: InvRef) -> str:
-    return " && ".join(inv)
-
-
 def pp_assertion(a: Assertion, prec: int = 0) -> str:
     if isinstance(a, APure):
         return pp_expr(a.expr, CMP_PREC)
@@ -587,20 +541,11 @@ def pp_assertion(a: Assertion, prec: int = 0) -> str:
     if isinstance(a, ACond):
         s = f"{pp_expr(a.cond, CMP_PREC)} ? {pp_assertion(a.then, 2)} : {pp_assertion(a.els, 2)}"
         return f"({s})"
-    if isinstance(a, AUninit):
-        return f"Uninit({a.loc})"
-    if isinstance(a, AInit):
-        return f"Init({a.loc})"
-    if isinstance(a, AAcq):
-        return f"Acq({a.loc}, {_pp_inv(a.inv)})"
-    if isinstance(a, ARel):
-        return f"Rel({a.loc}, {_pp_inv(a.inv)})"
-    if isinstance(a, ARMWAcq):
-        return f"RMWAcq({a.loc}, {_pp_inv(a.inv)})"
-    if isinstance(a, AUp):
-        return f"Up({pp_assertion(a.body)})"
-    if isinstance(a, ADown):
-        return f"Down({pp_assertion(a.body)})"
+    if isinstance(a, AResource):
+        inv = f", {' && '.join(a.inv)}" if a.inv else ""
+        return f"{a.kind}({a.loc}{inv})"
+    if isinstance(a, AModal):
+        return f"{a.kind}({pp_assertion(a.body)})"
     raise AssertionError(a)
 
 

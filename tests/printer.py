@@ -19,13 +19,10 @@ def _pp_block(stmts: list, indent: int) -> list[str]:
 
 def pp_stmt(s: S.Stmt, indent: int = 0) -> list[str]:
     pad = "  " * indent
-    if isinstance(s, S.SAllocNa):
-        return [f"{pad}alloc_na({s.var});"]
-    if isinstance(s, S.SAllocAtomic):
-        kw = "alloc_acq" if s.kind == "acq" else "alloc_rmw"
-        return [f"{pad}{kw}({s.var}, {' && '.join(s.inv)});"]
-    if isinstance(s, S.SGhostAlloc):
-        return [f"{pad}ghost_alloc({s.var});"]
+    if isinstance(s, S.SAlloc):
+        kw = "ghost_alloc" if s.kind == "ghost" else "alloc_" + s.kind
+        inv = f", {' && '.join(s.inv)}" if s.inv else ""
+        return [f"{pad}{kw}({s.var}{inv});"]
     if isinstance(s, S.SWrite):
         return [f"{pad}[{s.loc}]_{s.mode} := {S.pp_expr(s.value)};"]
     if isinstance(s, S.SRead):

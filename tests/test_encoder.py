@@ -52,6 +52,47 @@ def test_alloc_na_state():
     assert solver.assert_entailed(st.path, T.not_(init.value)).verdict == "yes"
 
 
+ALLOC_KINDS = """
+invariant Q(V) = true;
+proc main() requires { true } ensures { true }
+{ ghost_alloc(g); alloc_na(a); [a]_na := 7; free(a); alloc_acq(q, Q); alloc_rmw(r, Q); }
+"""
+
+ALLOC_KINDS_DUMP = """\
+-- ghostalloc @ 4:3
+  g := new() (ghost)
+  inhale acc(g.val, 1)@real && acc(g.init, 1)@real && g.init@real == false
+-- allocna @ 4:19
+  a := new()
+  inhale acc(a.val, 1)@real && acc(a.init, 1)@real && a.init@real == false
+-- write @ 4:32
+  exhale acc(a.val, 1)@real && acc(a.init, 1)@real
+  inhale acc(a.val, 1)@real && acc(a.init, 1)@real && a.val@real == 7 && a.init@real == true
+-- free @ 4:45
+  exhale acc(a.val, 1)@real && acc(a.init, 1)@real
+-- allocatomic @ 4:54
+  q := new()
+  inhale acc(q.rel, wildcard)@real && q.rel@real == 0 && acc(q.acq, wildcard)@real \
+&& q.acq@real == true && acc(AcqConjunct(q, 0), 1)@real, valsRead == {}
+-- allocatomic @ 4:71
+  r := new()
+  inhale acc(r.rel, wildcard)@real && r.rel@real == 0 && acc(r.acq, wildcard)@real \
+&& r.acq@real == false && acc(AcqConjunct(r, 0), wildcard)@real
+"""
+
+
+def test_each_allocation_kind_and_free_encode():
+    # no corpus program uses ghost_alloc or free
+    chk, table, _ = pipeline(ALLOC_KINDS)
+    (ob,) = encoder.build_obligations(chk, table, chk.program.procedures[0])
+    assert ALLOC_KINDS_DUMP in encoder.dump_primitives([ob])
+    prims = [p for b in ob.blocks[1:5] for p in b.prims if not isinstance(p, encoder.NewLoc)]
+    assert [(p.rule, getattr(p, "kind", None)) for p in prims] == [
+        ("ghost allocation", None), ("non-atomic allocation", None),
+        ("non-atomic write", INSUFFICIENT_PERMISSION), ("non-atomic write", None),
+        ("free", INSUFFICIENT_PERMISSION)]
+
+
 def test_two_allocs_distinct():
     result, *_ = run_main(WRAP.format(body="alloc_na(a); alloc_na(b);"))
     (st,) = result.final_states

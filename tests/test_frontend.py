@@ -11,7 +11,7 @@ from weakmem.cli import load_manifest
 from weakmem.diagnostics import (
     CAS_ON_ACQ_LOCATION, DUPLICATE_NAME, MIXED_MODE_ACCESS, SYNTAX_ERROR,
 )
-from weakmem.frontend import ACQ, NA, RMW, VALUE, mode_check, parse
+from weakmem.frontend import ACQ, GHOST, NA, RMW, VALUE, mode_check, parse
 
 FIG4 = corpus_text("RelAcqDblMsgPassSplit.rsl")
 
@@ -21,8 +21,9 @@ def test_fig4_program_shape():
     assert diags == []
     assert len(program.procedures) == 1
     main = program.procedures[0]
-    allocs_na = [s for s in S.walk_stmts(main.body) if isinstance(s, S.SAllocNa)]
-    allocs_at = [s for s in S.walk_stmts(main.body) if isinstance(s, S.SAllocAtomic)]
+    allocs = [s for s in S.walk_stmts(main.body) if isinstance(s, S.SAlloc)]
+    allocs_na = [s for s in allocs if s.kind == "na"]
+    allocs_at = [s for s in allocs if s.kind in ("acq", "rmw")]
     pars = [s for s in S.walk_stmts(main.body) if isinstance(s, S.SPar)]
     assert len(allocs_na) == 2
     assert len(allocs_at) == 1
@@ -313,6 +314,20 @@ def test_mixed_mode_access():
     assert any(d.kind == MIXED_MODE_ACCESS for d in checked.diagnostics)
 
 
+def test_conflicting_allocations_of_one_location():
+    # a ghost parameter counts as a ghost allocation
+    program, _ = parse("""
+invariant Q(V) = true;
+proc main(ghost g) { alloc_acq(g, Q); alloc_na(x); alloc_rmw(x, Q); ghost_alloc(x); }
+""")
+    checked = mode_check(program)
+    assert [(d.kind, d.span.line, d.span.col, d.message) for d in checked.diagnostics] == [
+        (MIXED_MODE_ACCESS, 3, 1, "location 'g' allocated with conflicting kinds"),
+        (MIXED_MODE_ACCESS, 3, 39, "location 'x' allocated with conflicting kinds"),
+    ]
+    assert checked.info["main"].classes == {"g": ACQ, "x": GHOST}
+
+
 def test_lock_pattern_clean():
     source = corpus_text("RSLLockNoSpin.rsl")
     program, _ = parse(source)
@@ -495,7 +510,7 @@ def reached_vars(program: S.Program, spec: S.Assertion) -> set:
         a = queue.popleft()
         out |= S.assertion_vars(a)
         for x in S.walk_assertion(a):
-            if isinstance(x, (S.AAcq, S.ARel, S.ARMWAcq)):
+            if isinstance(x, S.AResource) and x.inv:
                 for name in x.inv:
                     if name in decls and name not in seen:
                         seen.add(name)

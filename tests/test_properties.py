@@ -323,7 +323,7 @@ def test_frac_symbols_are_not_vars_but_are_substituted():
 
 
 def test_location_slot_rejects_an_expression():
-    for a in (S.AInit(loc="l"), S.APointsTo(loc="l", value=S.EInt(1))):
+    for a in (S.AResource(kind="Init", loc="l"), S.APointsTo(loc="l", value=S.EInt(1))):
         with pytest.raises(ValueError):
             S.subst_assertion(a, {"l": S.EInt(3)})
         assert S.subst_assertion(a, {"l": S.EVar("m")}).loc == "m"

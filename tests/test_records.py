@@ -52,9 +52,9 @@ def test_span_is_left_out_only_of_source_nodes():
 def test_equality_needs_the_same_class_and_equal_fields():
     assert S.EBin("+", S.EVar("x"), S.EInt(1)) == S.EBin("+", S.EVar("x"), S.EInt(1))
     assert S.EBin("+", S.EVar("x"), S.EInt(1)) != S.EBin("+", S.EVar("x"), S.EInt(2))
-    # classes that share their fields through a base stay apart
-    assert S.AUninit(loc="a") != S.AInit(loc="a")
-    assert S.SAllocNa(var="a") != S.SFree(var="a")
+    # classes with the same fields stay apart, and so do kinds of one class
+    assert S.SFenceAcq() != S.SSkip()
+    assert S.AResource(kind="Uninit", loc="a") != S.AResource(kind="Init", loc="a")
     assert S.EAny() == S.EAny() and S.EAny() != S.EInvVal()
     assert S.EInt(1) != (1,)
 

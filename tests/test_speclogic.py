@@ -1,14 +1,16 @@
-"""Invariant table, substitution and relabeling tests."""
+"""Invariant table, substitution, lowering and relabeling tests."""
+
+import os
 
 import pytest
 
-from conftest import checked, corpus_text
+from conftest import CORPUS, checked, corpus_text
 from weakmem import syntax as S
 from weakmem.diagnostics import FrontendError
-from weakmem.frontend import GHOST, NA
+from weakmem.frontend import GHOST, NA, parse
 from weakmem.speclogic import (
     EAcc, EFieldEq, EPure, HeapLabel, LowerCtx,
-    build_invariant_table, lower, relabel, substitute,
+    build_invariant_table, lower, pp_enc, relabel, substitute,
 )
 
 
@@ -43,11 +45,19 @@ def test_rewrite_program_table():
 
 
 def test_conjunct_entries_reassemble():
-    table, _ = table_of(corpus_text("RelAcqDblMsgPassSplit.rsl"))
-    for inv in table.whole_of:
-        whole = table.body(table.whole(inv))
-        parts = [table.body(i) for i in table.conjuncts(inv)]
-        assert S.star(parts) == whole
+    # build_invariant_table builds each whole entry as the star of its
+    # conjunct entries; nothing else checks that it does
+    combinations = 0
+    for name in sorted(os.listdir(CORPUS)):
+        if not name.endswith(".rsl"):
+            continue
+        table, _ = table_of(corpus_text(name))
+        for inv in table.whole_of:
+            whole = table.body(table.whole(inv))
+            parts = [table.body(i) for i in table.conjuncts(inv)]
+            assert S.star(parts) == whole, (name, inv)
+            combinations += len(inv) > 1
+    assert combinations >= 4
 
 
 def test_table_indexes_in_preorder():
@@ -70,6 +80,48 @@ def test_table_json_dump():
     rows = table.to_json()
     assert [r["index"] for r in rows] == [0, 1, 2]
     assert all({"name", "body", "line", "col"} <= set(r) for r in rows)
+
+
+# ---------------------------------------------------------------------------
+# Lowering each kind of resource and modality
+# ---------------------------------------------------------------------------
+
+KIND_SOURCE = """
+invariant Q1(V) = V == 1 ==> a |-> 1;
+invariant Q2(V) = true;
+proc main(a, l, ghost g) requires {{ {} }} ensures {{ true }} {{ skip; }}
+"""
+
+UNINIT_A = "acc(a.val, 1)@{0} && acc(a.init, 1)@{0} && a.init@{0} == false"
+G_IS = ("acc(g.val, 1)@real && acc(g.init, 1)@real && g.val@real == {0} "
+        "&& g.init@real == true")
+
+
+@pytest.mark.parametrize("text, encoded", [
+    ("Uninit(a)", UNINIT_A.format("real")),
+    ("Init(l)", "acc(l.init, wildcard)@real"),
+    ("Rel(l, Q1)", "acc(l.rel, wildcard)@real && l.rel@real == 0"),
+    ("Acq(l, Q1)", "acc(l.acq, wildcard)@real && l.acq@real == true && "
+                   "acc(AcqConjunct(l, 0), 1)@real, valsRead == {}"),
+    ("RMWAcq(l, Q1 && Q2)", "acc(l.acq, wildcard)@real && l.acq@real == false && "
+                            "acc(AcqConjunct(l, 0), wildcard)@real && "
+                            "acc(AcqConjunct(l, 1), wildcard)@real"),
+    ("Up(Uninit(a))", UNINIT_A.format("up")),
+    ("Up(a |-> 1 && g |-> 2 && Rel(l, Q1))",
+     "acc(a.val, 1)@up && acc(a.init, 1)@up && a.val@up == 1 && a.init@up == true && "
+     + G_IS.format(2) + " && acc(l.rel, wildcard)@up && l.rel@up == 0"),
+    ("Down(Acq(l, Q2) && g |-> 3)",
+     "acc(l.acq, wildcard)@down && l.acq@down == true && "
+     "acc(AcqConjunct(l, 0), 1)@down, valsRead == {} && " + G_IS.format(3)),
+])
+def test_each_kind_lowers_and_prints_back(text, encoded):
+    chk = checked(KIND_SOURCE.format(text))
+    pre = chk.program.procedures[0].pre
+    ctx = LowerCtx(build_invariant_table(chk), chk.info["main"].classes)
+    assert pp_enc(lower(pre, ctx)) == encoded
+    assert S.pp_assertion(pre) == text
+    reparsed, diags = parse(KIND_SOURCE.format(S.pp_assertion(pre)))
+    assert diags == [] and reparsed.procedures[0].pre == pre
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +197,8 @@ def test_relabel_ghost_identity():
 def test_double_modality_rejected():
     ctx = lower_ctx({"a": NA})
     with pytest.raises(FrontendError):
-        lower(S.AUp(body=S.AUp(body=S.APointsTo(loc="a", value=S.EInt(1)))), ctx)
+        inner = S.AModal(kind="Up", body=S.APointsTo(loc="a", value=S.EInt(1)))
+        lower(S.AModal(kind="Up", body=inner), ctx)
 
 
 def test_relabel_double_modality_rejected():
