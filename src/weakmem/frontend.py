@@ -35,6 +35,7 @@ from those sites, and the encoder havocs from those scopes.
 from __future__ import annotations
 
 import re
+from fractions import Fraction
 from typing import Optional
 
 from . import syntax as S
@@ -43,6 +44,7 @@ from .diagnostics import (
     CAS_ON_ACQ_LOCATION,
     DUPLICATE_NAME,
     Diagnostic,
+    FrontendError,
     MIXED_MODE_ACCESS,
     SYNTAX_ERROR,
 )
@@ -1200,16 +1202,32 @@ class _Classifier:
                     self._check_fraction(x)
 
     def _check_fraction(self, x: S.APointsTo) -> None:
-        k = const_fraction(x.frac) if x.frac is not None else None
-        if k is not None and not (0 < k <= 1):
-            self.diags.append(Diagnostic(
-                SYNTAX_ERROR, x.span, rule="well-formedness",
-                message=f"fraction {num_str(k)} outside (0, 1]"))
+        if x.frac is not None:
+            try:
+                fraction_amount(x.frac, x.span)
+            except FrontendError as exc:
+                self.diags.append(exc.diagnostic)
 
 
-def const_fraction(e: S.Expr):
-    """Evaluate a fraction expression to a rational, or None if symbolic."""
-    from fractions import Fraction
+def fraction_amount(frac: S.Expr, span: Span) -> Optional[Fraction]:
+    """The rational a fraction expression denotes, or None if symbolic.  A
+    constant that divides by zero or lies outside (0, 1] is reported at span
+    as a FrontendError."""
+    try:
+        k = const_fraction(frac)
+    except ZeroDivisionError:
+        message = f"fraction {S.pp_expr(frac)} divides by zero"
+    else:
+        if k is None or 0 < k <= 1:
+            return k
+        message = f"fraction {num_str(k)} outside (0, 1]"
+    raise FrontendError(Diagnostic(SYNTAX_ERROR, span, rule="well-formedness",
+                                   message=message))
+
+
+def const_fraction(e: S.Expr) -> Optional[Fraction]:
+    """Evaluate a fraction expression to a rational, or None if symbolic;
+    a constant division by zero raises ZeroDivisionError."""
     if isinstance(e, S.EInt):
         return Fraction(e.value)
     if isinstance(e, S.EUn) and e.op == "-":
@@ -1225,7 +1243,7 @@ def const_fraction(e: S.Expr):
             return l - r
         if e.op == "*":
             return l * r
-        return l / r if r != 0 else None
+        return l / r
     return None
 
 

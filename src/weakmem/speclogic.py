@@ -29,9 +29,8 @@ from typing import Optional, Union
 
 from . import syntax as S
 from .diagnostics import DOUBLE_MODALITY, Diagnostic, FrontendError, UnsupportedFeature
-from .frontend import GHOST, CheckedProgram, const_fraction
+from .frontend import GHOST, CheckedProgram, fraction_amount
 from .syntax import NO_SPAN, Record, Span
-from .terms import num_str
 
 
 class HeapLabel(Enum):
@@ -181,9 +180,13 @@ def substitute(q, value: S.Expr):
 # ---------------------------------------------------------------------------
 
 WILDCARD = "wildcard"
-FULL = Fraction(1)   # the whole permission to a field or a predicate instance
+FULL = 1   # the whole permission to a field or a predicate instance
 
-PermSpec = Union[Fraction, str]  # exact amount, or the WILDCARD marker
+# An exact amount, or the WILDCARD marker.  Exact amounts follow the rule of
+# ``terms``: an int when integral, else a Fraction, so the executor sums and
+# compares them with int arithmetic on the common path; an equal Fraction
+# still compares, hashes and prints alike.
+PermSpec = Union[int, Fraction, str]
 
 FIELD_VAL = "val"
 FIELD_INIT = "init"
@@ -368,16 +371,12 @@ def _shift(current: HeapLabel, target: HeapLabel, span: Span) -> HeapLabel:
 def _perm_of(frac: Optional[S.Expr], span: Span) -> PermSpec:
     if frac is None:
         return FULL
-    k = const_fraction(frac)
+    k = fraction_amount(frac, span)
     if k is None:
         raise UnsupportedFeature(
             "symbolic fraction expressions (counting permissions) are outside "
             "the supported core", span)
-    if not (0 < k <= 1):
-        raise FrontendError(Diagnostic(
-            "SyntaxError", span, rule="well-formedness",
-            message=f"fraction {num_str(k)} outside (0, 1]"))
-    return k
+    return k.numerator if k.denominator == 1 else k
 
 
 # ---------------------------------------------------------------------------

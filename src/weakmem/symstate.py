@@ -2,9 +2,11 @@
 
 A state holds field chunks and predicate chunks, both keyed by heap label
 and location, a path condition, and an environment binding program variables
-to terms.  Permission amounts are linear terms over wildcard tokens;
-every token carries a strict positivity fact, and tokens drawn by an exhale
-carry a strict upper bound by the amount held at draw time.  So each chunk's
+to terms.  Permission amounts are linear terms over wildcard tokens; an
+exact amount outside a term, an atom's or a demand's, is a plain number as
+in ``terms``: an int when integral, otherwise a Fraction.  Every token
+carries a strict positivity fact, and tokens drawn by an exhale carry a
+strict upper bound by the amount held at draw time.  So each chunk's
 ``pos`` flag records that its amount is positive on its path by construction.
 An inhale into the chunk sets it, and so does a take with wildcards, whose
 assumed bound makes the rest positive.  An exact-only take clears it unless
@@ -212,11 +214,13 @@ class SymState:
     def all_groups(self) -> list[Group]:
         return list({id(g): g for g in self.groups.values()}.values())
 
+    # keys read the label's number straight from the member, not through
+    # the Enum's ``value`` descriptor: a key is built for every atom
     def field_key(self, ref: T.Term, fld: str, label: HeapLabel) -> tuple:
-        return (label.value, ref.data[0], fld)
+        return (label._value_, ref.data[0], fld)
 
     def pred_key(self, ref: T.Term, idx: int, label: HeapLabel) -> tuple:
-        return (label.value, ref.data[0], idx)
+        return (label._value_, ref.data[0], idx)
 
     def field_perm(self, ref: T.Term, fld: str, label: HeapLabel) -> T.Term:
         c = self.fields.get(self.field_key(ref, fld, label))
@@ -460,7 +464,7 @@ def _branch_states(ctx: ExecContext, state: SymState, cond: T.Term, span: Span):
 class _Demand(S.Record):
     __slots__ = ("exact", "wildcards", "name")
 
-    def __init__(self, exact: Fraction = Fraction(0), wildcards: int = 0, name: str = ""):
+    def __init__(self, exact: int | Fraction = 0, wildcards: int = 0, name: str = ""):
         self.exact = exact
         self.wildcards = wildcards
         self.name = name
@@ -497,7 +501,12 @@ def _cases(ctx: ExecContext, case: _Case, enc, leaf: Callable) -> list[_Case]:
     if isinstance(enc, EStar):
         cases = [case]
         for part in enc.parts:
-            cases = [c2 for c in cases for c2 in _cases(ctx, c, part, leaf)]
+            if isinstance(part, (EImplies, ECond)):
+                cases = [c2 for c in cases for c2 in _cases(ctx, c, part, leaf)]
+            else:
+                # an atom (stars are flat) splits no case
+                for c in cases:
+                    leaf(ctx, c, part)
         return cases
     if isinstance(enc, (EImplies, ECond)):
         then, els = (enc.body, None) if isinstance(enc, EImplies) else (enc.then, enc.els)
@@ -579,18 +588,21 @@ def _demand(ctx: ExecContext, case: _Case, enc) -> None:
     ref = resolve_loc(case.state, enc.loc)
     if isinstance(enc, EPredAcc):
         key = case.state.pred_key(ref, enc.idx, enc.label)
-        name = _pred_name(ref, enc.idx, enc.label)
-        demands = case.pred_demands
+        d = case.pred_demands.get(key)
+        if d is None:
+            d = case.pred_demands[key] = _Demand(name=_pred_name(ref, enc.idx, enc.label))
         if enc.vals_empty:
-            case.vals_checks.append((key, name))
+            case.vals_checks.append((key, d.name))
     else:
         key = case.state.field_key(ref, enc.fld, enc.label)
-        name = _atom_name(ref, enc.fld, enc.label)
+        d = case.field_demands.get(key)
         if isinstance(enc, EFieldEq):
+            # a permission atom before it in the star has mostly named it
+            name = d.name if d is not None else _atom_name(ref, enc.fld, enc.label)
             case.checks.append(("value", key, name, enc.value))
             return
-        demands = case.field_demands
-    d = demands.setdefault(key, _Demand(name=name))
+        if d is None:
+            d = case.field_demands[key] = _Demand(name=_atom_name(ref, enc.fld, enc.label))
     if enc.perm == WILDCARD:
         d.wildcards += 1
     else:
@@ -598,12 +610,12 @@ def _demand(ctx: ExecContext, case: _Case, enc) -> None:
 
 
 def _atom_name(ref: T.Term, fld: str, label: HeapLabel) -> str:
-    tag = "" if label == HeapLabel.REAL else f"@{label}"
+    tag = "" if label is HeapLabel.REAL else f"@{label}"
     return f"{ref.data[1]}.{fld}{tag}"
 
 
 def _pred_name(ref: T.Term, idx: int, label: HeapLabel) -> str:
-    tag = "" if label == HeapLabel.REAL else f"@{label}"
+    tag = "" if label is HeapLabel.REAL else f"@{label}"
     return f"AcqConjunct({ref.data[1]}, {idx}){tag}"
 
 
@@ -660,7 +672,7 @@ def _positive(ctx: ExecContext, state: SymState, chunk) -> Result:
     return ctx.entailed(state, T.lt(T.ZERO, chunk.perm))
 
 
-def _check_demand(ctx: ExecContext, state: SymState, chunk, exact: Fraction,
+def _check_demand(ctx: ExecContext, state: SymState, chunk, exact: int | Fraction,
                   wildcards: int, name: str, prim) -> None:
     held = chunk.perm
     if exact:
@@ -685,7 +697,7 @@ def _check_demand(ctx: ExecContext, state: SymState, chunk, exact: Fraction,
 
 
 def _take(ctx: ExecContext, state: SymState, store: dict, key: tuple, chunk,
-          exact: Fraction, wildcards: int) -> None:
+          exact: int | Fraction, wildcards: int) -> None:
     """Deduct the amount from the chunk, which goes (and with it a field's
     value) when nothing is left."""
     taken = T.mk_int(exact)
@@ -705,7 +717,7 @@ def _take(ctx: ExecContext, state: SymState, store: dict, key: tuple, chunk,
 
 
 def _split_amounts(ctx: ExecContext, state: SymState, tmp_held: T.Term,
-                   need: Fraction, name: str, prim) -> tuple[Fraction, Fraction]:
+                   need: int | Fraction, name: str, prim) -> tuple:
     """How much of an exact demand comes from tmp vs. the fallback heap."""
     if tmp_held.kind == "num":
         take = min(tmp_held.data, need)
@@ -713,12 +725,12 @@ def _split_amounts(ctx: ExecContext, state: SymState, tmp_held: T.Term,
     # symbolic tmp holdings (wildcard RMW conjunct bodies): ask the solver
     res = ctx.entailed(state, T.ge(tmp_held, T.mk_int(need)))
     if res.verdict == YES:
-        return need, Fraction(0)
+        return need, 0
     if res.verdict == UNKNOWN:
         ctx.fail(state, INCOMPLETE_SOLVER, prim.span, prim.rule,
                  f"cannot split the demand on {name} between the tmp heap and its "
                  f"fallback (solver returned unknown: {res.reason})")
-    return Fraction(0), need
+    return 0, need
 
 
 def exhale(ctx: ExecContext, state: SymState, prim: E.Exhale) -> list[SymState]:
@@ -757,7 +769,7 @@ def exhale(ctx: ExecContext, state: SymState, prim: E.Exhale) -> list[SymState]:
                     exact, wildcards = d.exact, d.wildcards
                     chunk = store.get(key)
                     if tmp_first:
-                        tmp_key = (HeapLabel.TMP.value, key[1], key[2])
+                        tmp_key = (HeapLabel.TMP._value_, key[1], key[2])
                         tmp = store.get(tmp_key)
                         tmp_held = tmp.perm if tmp is not None else T.ZERO
                         tmp_exact, exact = _split_amounts(ctx, state, tmp_held, exact,
@@ -806,7 +818,7 @@ def exhale(ctx: ExecContext, state: SymState, prim: E.Exhale) -> list[SymState]:
 
 def transfer_heap(state: SymState, src: HeapLabel, dst: HeapLabel) -> SymState:
     """Move every chunk labeled src to dst, merging amounts and values."""
-    for key in sorted(k for k in state.fields if k[0] == src.value):
+    for key in sorted(k for k in state.fields if k[0] == src._value_):
         chunk = state.fields.pop(key)
         dkey = state.field_key(chunk.ref, chunk.fld, dst)
         dst_chunk = state.fields.get(dkey)
@@ -818,7 +830,7 @@ def transfer_heap(state: SymState, src: HeapLabel, dst: HeapLabel) -> SymState:
             dst_chunk.perm = T.add(dst_chunk.perm, chunk.perm)
             dst_chunk.pos = dst_chunk.pos or chunk.pos
             state.assume(T.le(dst_chunk.perm, T.ONE))
-    for key in sorted(k for k in state.preds if k[0] == src.value):
+    for key in sorted(k for k in state.preds if k[0] == src._value_):
         chunk = state.preds.pop(key)
         dkey = state.pred_key(chunk.ref, chunk.idx, dst)
         dst_chunk = state.preds.get(dkey)
@@ -841,7 +853,7 @@ def transfer_heap(state: SymState, src: HeapLabel, dst: HeapLabel) -> SymState:
 def _held_conjuncts(ctx: ExecContext, state: SymState, ref: T.Term,
                     need_full: bool) -> list[int]:
     held = []
-    for key in sorted(k for k in state.preds if k[0] == HeapLabel.REAL.value
+    for key in sorted(k for k in state.preds if k[0] == HeapLabel.REAL._value_
                       and k[1] == ref.data[0]):
         chunk = state.preds[key]
         if need_full:
@@ -983,7 +995,11 @@ def _spin_leak_check(ctx: ExecContext, state: SymState, prim) -> None:
 def run_seq(ctx: ExecContext, state: SymState, prims: list) -> list[SymState]:
     states = [state]
     for prim in prims:
-        states = [s2 for s in states for s2 in run_prim(ctx, s, prim)]
+        if len(states) == 1:
+            # the straight-line path: one live state, no list to rebuild
+            states = run_prim(ctx, states[0], prim)
+        else:
+            states = [s2 for s in states for s2 in run_prim(ctx, s, prim)]
         if not states:
             break
     return states

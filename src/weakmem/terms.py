@@ -14,15 +14,18 @@ verdicts.
 Operations on interned terms are pure functions of their operands, so
 ``add``, ``sub``, ``scale`` and the comparisons (and with them ``neg``,
 ``eq``, ``le``, ``lt``, ``ge`` and ``gt``) are memoised by operand tid.  The
-process-global tables keyed by term, none of them ever freed, are:
+process-global tables keyed by term or by exact number, none of them ever
+freed, are:
 
 * ``_pool``, the intern pool;
+* ``_ints``, the term ``mk_int`` gives each exact number;
 * ``_memo``, the arithmetic and comparison results;
 * ``_atom_ids``, each term's atom set;
 * ``solver._compiled_forms`` and ``solver._negations``, each linear form
   compiled for the simplex and each rewritten negation.
 
-So a long-lived process grows with the distinct terms it has seen.
+So a long-lived process grows with the distinct terms and numbers it has
+seen.
 
 Sorts: ``int`` (program values and integral amounts), ``bool``, ``frac``
 (wildcard tokens and fractional amounts) and ``ref`` (heap locations).
@@ -127,9 +130,16 @@ def num_str(x) -> str:
 # Literals and variables
 # ---------------------------------------------------------------------------
 
+_ints: dict = {}   # exact number -> its num term
+
+
 def mk_int(value) -> Term:
-    value = _q(value)
-    return _intern("num", INT if value.denominator == 1 else FRAC, value, ())
+    t = _ints.get(value)
+    if t is None:
+        value = _q(value)
+        t = _ints[value] = _intern("num", INT if value.denominator == 1 else FRAC,
+                                   value, ())
+    return t
 
 
 def mk_frac(value) -> Term:

@@ -314,13 +314,14 @@ def test_full_manifest_passes(capsys):
 
 
 def test_manifest_mismatch_detected(tmp_path, capsys):
-    entries = json.load(open(MANIFEST))["entries"]
+    with open(MANIFEST) as fh:
+        entries = json.load(fh)["entries"]
     bad = [dict(e) for e in entries[:1]]
     bad[0]["expect"] = "failed"   # deliberately wrong expectation
     manifest = tmp_path / "manifest.json"
     manifest.write_text(json.dumps({"entries": bad}))
-    (tmp_path / bad[0]["file"]).write_text(
-        open(corpus_path(bad[0]["file"])).read())
+    with open(corpus_path(bad[0]["file"])) as fh:
+        (tmp_path / bad[0]["file"]).write_text(fh.read())
     assert run_cli("corpus", str(manifest)) == 1
     out = capsys.readouterr().out
     assert "MISMATCH" in out and bad[0]["name"] in out
@@ -370,12 +371,14 @@ def test_cli_errors_exit_two(tmp_path, capsys, kind):
 
 
 def test_annotation_counts():
-    program, diags = parse(open(corpus_path("RSLSpinLock.rsl")).read())
+    with open(corpus_path("RSLSpinLock.rsl")) as fh:
+        program, diags = parse(fh.read())
     assert not diags
     counts = count_annotations(program)
     assert counts["pp"] == 3
     assert counts["li"] == 1
-    program, _ = parse(open(corpus_path("RelAcqMsgPass.rsl")).read())
+    with open(corpus_path("RelAcqMsgPass.rsl")) as fh:
+        program, _ = parse(fh.read())
     counts = count_annotations(program)
     assert counts["pp"] == 3
     assert counts["li"] == 0
@@ -432,6 +435,22 @@ FRACTION_OF_V = """invariant Q(V) = V == 0 ? true : j |-> 7 @ V;
 proc main(j) requires { j |-> 7 } ensures { true }
 { alloc_rmw(x, Q); [x]_rel := VALUE; }
 """
+
+
+def test_fraction_dividing_by_zero_is_ill_formed(tmp_path, capsys):
+    # a constant fraction is checked with the modes, and exits 2
+    path = write(tmp_path, "zero.rsl", "proc f(a) requires { a |-> 1 @ 1/0 } "
+                                       "ensures { a |-> 1 @ 1/0 } { skip; }\n")
+    assert run_cli("verify", path) == 2
+    out = capsys.readouterr().out
+    assert "1:22: SyntaxError [well-formedness]: fraction 1 / 0 divides by zero" in out
+    assert "unsupported" not in out
+    # one that mentions V is checked at the value written, as below
+    path = write(tmp_path, "frac.rsl",
+                 FRACTION_OF_V.replace("@ V", "@ 1/V").replace("VALUE", "0"))
+    assert run_cli("verify", path) == 1
+    out = capsys.readouterr().out
+    assert "1:34: SyntaxError [well-formedness]: fraction 1 / 0 divides by zero" in out
 
 
 @pytest.mark.parametrize("value, code, message", [

@@ -1,6 +1,7 @@
 """Invariant table, substitution, lowering and relabeling tests."""
 
 import os
+from fractions import Fraction
 
 import pytest
 
@@ -122,6 +123,18 @@ def test_each_kind_lowers_and_prints_back(text, encoded):
     assert S.pp_assertion(pre) == text
     reparsed, diags = parse(KIND_SOURCE.format(S.pp_assertion(pre)))
     assert diags == [] and reparsed.procedures[0].pre == pre
+
+
+@pytest.mark.parametrize("frac, amount", [
+    ("", 1), (" @ 2/2", 1), (" @ 1/4 + 1/4", Fraction(1, 2)),
+])
+def test_exact_amounts_are_ints_when_integral(frac, amount):
+    chk = checked(KIND_SOURCE.format("a |-> 1" + frac))
+    ctx = LowerCtx(build_invariant_table(chk), chk.info["main"].classes)
+    perms = [x.perm for x in S.walk_assertion(lower(chk.program.procedures[0].pre, ctx))
+             if isinstance(x, EAcc)]
+    assert perms == [amount, amount]
+    assert all(type(k) is type(amount) for k in perms)
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,11 @@ from conftest import LOCK_CLIENT, MANIFEST, corpus_path, verify
 from weakmem import api, solver as SV, symstate, terms as T
 from weakmem.cli import load_manifest
 from weakmem.diagnostics import EXHALE_FAILURE, INCOMPLETE_SOLVER
-from weakmem.encoder import Exhale, Inhale
+from weakmem.encoder import Exhale, Inhale, pp_primitive
 from weakmem.solver import NO, OPAQUE_ATOM, SAT, UNSAT, Solver, YES
 from weakmem.speclogic import (
-    EAcc, EFieldEq, EImplies, EPredAcc, EPure, HeapLabel, WILDCARD, estar, substitute,
+    EAcc, ECond, EFieldEq, EImplies, EPredAcc, EPure, FULL, HeapLabel, WILDCARD, estar,
+    pp_enc, substitute,
 )
 from weakmem.symstate import (
     VALUE, ExecContext, FieldChunk, PredChunk, SymState, exhale, inhale, perm_str,
@@ -251,6 +252,27 @@ def test_reinhale_keeps_vals_read():
     st = do_inhale(ctx, st, EPredAcc("l", 0, Fraction(1), vals_empty=True))
     assert st.preds[key].vals == (T.mk_int(1),)
     assert st.preds[key].perm is T.mk_int(2)
+
+
+def test_symbolic_full_conjunct_is_held_under_need_full():
+    # 1 + w is no num, so the solver decides that it covers a full share
+    ctx = make_ctx()
+    st = fresh_state(ctx, ("l",))
+    st = do_inhale(ctx, st, EPredAcc("l", 0, FULL))
+    st = do_inhale(ctx, st, EPredAcc("l", 0, WILDCARD))
+    ref = st.env["l"]
+    assert st.preds[st.pred_key(ref, 0, HeapLabel.REAL)].perm.kind == "lin"
+    assert symstate._held_conjuncts(ctx, st, ref, need_full=True) == [0]
+
+
+def test_wildcard_conjunct_is_not_held_under_need_full():
+    ctx = make_ctx()
+    st = fresh_state(ctx, ("l",))
+    st = do_inhale(ctx, st, EPredAcc("l", 0, WILDCARD))
+    ref = st.env["l"]
+    assert st.preds[st.pred_key(ref, 0, HeapLabel.REAL)].perm.kind == "var"
+    assert symstate._held_conjuncts(ctx, st, ref, need_full=True) == []
+    assert symstate._held_conjuncts(ctx, st, ref, need_full=False) == [0]
 
 
 def test_notread_branch_is_a_disjunction_of_equalities():
@@ -685,3 +707,62 @@ def test_value_binding_acts_as_substitution_for_one_primitive():
     assert runs[0] == runs[1]
     # no program variable or encoder temporary can take the name
     assert not VALUE.isidentifier() and not VALUE.startswith("$")
+
+
+# ---------------------------------------------------------------------------
+# The straight-line path: flat stars and plain-number amounts
+# ---------------------------------------------------------------------------
+
+def test_cases_of_a_star_split_at_its_conditional_only():
+    # a star's atoms go to the leaf of every case so far, in assertion order;
+    # a conditional splits each case, then-cases before else-cases
+    ctx = make_ctx()
+    st = fresh_state(ctx)
+    x = st.env["x"] = ctx.fresh_int("x")
+    enc = estar([
+        EPure(S.EBin(">=", S.EVar("x"), S.EInt(0))),
+        ECond(S.EBin(">", S.EVar("x"), S.EInt(5)), EPure(S.EBin("<", S.EVar("x"), S.EInt(9))),
+              EPure(S.EBin("!=", S.EVar("x"), S.EInt(3)))),
+        EPure(S.EBin("!=", S.EVar("x"), S.EInt(7))),
+    ])
+    visits = []
+
+    def leaf(ctx, case, atom):
+        visits.append((case, S.pp_expr(atom.expr)))
+
+    start = symstate._Case(st)
+    then, els = symstate._cases(ctx, start, enc, leaf)
+    assert [(c is start, c is then, c is els, text) for c, text in visits] == [
+        (True, False, False, "x >= 0"),
+        (False, True, False, "x < 9"),
+        (False, False, True, "x != 3"),
+        (False, True, False, "x != 7"),
+        (False, False, True, "x != 7"),
+    ]
+    assert ctx.entailed(then.state, T.lt(T.mk_int(5), x)).verdict == YES
+    assert ctx.entailed(els.state, T.le(x, T.mk_int(5))).verdict == YES
+
+
+def amount_texts(one):
+    """What atoms whose full amount is ``one`` print as: the encoded
+    assertion, its primitive's dump, the state it inhales to and the
+    messages of two failed exhales."""
+    enc = estar([EAcc("a", "val", one), EAcc("a", "init", one),
+                 EPredAcc("a", 0, one, vals_empty=True)])
+    ctx = make_ctx()
+    st = do_inhale(ctx, fresh_state(ctx), enc)
+    texts = [pp_enc(enc), "\n".join(pp_primitive(Inhale(enc, "test"))), st.digest()]
+    st = do_inhale(ctx, fresh_state(ctx), EAcc("a", "val", Fraction(1, 3)))
+    for need in (Fraction(1, 2), one):
+        do_exhale(ctx, st.clone(), EAcc("a", "val", need), expect_fail=True)
+        texts.append(ctx.diagnostics[-1].message)
+    return texts
+
+
+def test_int_and_fraction_amounts_print_alike():
+    texts = amount_texts(1)
+    assert texts == amount_texts(Fraction(1))
+    assert texts[0] == ("acc(a.val, 1)@real && acc(a.init, 1)@real && "
+                        "acc(AcqConjunct(a, 0), 1)@real, valsRead == {}")
+    assert texts[-2:] == ["insufficient permission to a.val: need 1/2, hold 1/3",
+                          "insufficient permission to a.val: need 1, hold 1/3"]

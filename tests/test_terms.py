@@ -24,6 +24,14 @@ def test_linear_normalisation():
     assert T.scale(2, T.scale(Fraction(1, 2), x)) is x
 
 
+def test_mk_int_takes_an_exact_number_of_either_type():
+    assert T.mk_int(Fraction(4, 2)) is T.mk_int(2)
+    assert T.mk_int(2).sort == T.INT and T.mk_int(2).data == 2
+    assert type(T.mk_int(Fraction(4, 2)).data) is int
+    assert T.mk_int(Fraction(1, 2)).sort == T.FRAC
+    assert T.mk_int(Fraction(1, 2)) is T.mk_frac(Fraction(2, 4))
+
+
 def test_sub_interns_only_its_result():
     b = T.add(T.scale(3, T.mk_var("tsub", T.INT)), T.mk_frac(Fraction(1, 3)))
     before = len(T._pool)
