@@ -22,6 +22,15 @@ atoms reach entail it or some other group is infeasible.  Every solver query
 is sliced this way, and a branch re-solves only the group its condition
 lands in.
 
+A field chunk made by an inhale gets a fresh value symbol.  If a value atom
+of the same inhale then gives it a literal or a single atom of the field's
+sort, that term replaces the symbol as the chunk's value and no equation is
+assumed: the symbol occurs nowhere else, so no entailment changes.  Any other
+value, a second value for the chunk, or one for a chunk held before the
+inhale is assumed equal to the chunk's value.  So a value check can fold to
+``false``, which has no model to show; it then names the field and the value
+held, as ``b.val = 7``.
+
 One walk, ``_cases``, splits an encoded assertion into cases, as produce
 and consume share one brancher in Viper's symbolic executor, and hands each
 atom a case reaches to a leaf.  The inhale leaf produces it at once, so a
@@ -473,16 +482,21 @@ class _Demand(S.Record):
 class _Case(S.Record):
     """One case of an encoded assertion: its state and, for an exhale, what
     its atoms demand of that state."""
-    __slots__ = ("state", "checks", "field_demands", "pred_demands", "vals_checks")
+    __slots__ = ("state", "checks", "field_demands", "pred_demands", "vals_checks",
+                 "unvalued")
 
     def __init__(self, state: SymState, checks: list = None, field_demands: dict = None,
-                 pred_demands: dict = None, vals_checks: list = None):
+                 pred_demands: dict = None, vals_checks: list = None,
+                 unvalued: set = None):
         self.state = state
         # ("pure", expr) | ("value", key, name, expr)
         self.checks = [] if checks is None else checks
         self.field_demands = {} if field_demands is None else field_demands
         self.pred_demands = {} if pred_demands is None else pred_demands
         self.vals_checks = [] if vals_checks is None else vals_checks    # (predkey, name)
+        # for an inhale, the keys of the field chunks it made whose fresh
+        # value no fact mentions yet
+        self.unvalued = set() if unvalued is None else unvalued
 
     def split(self, state: SymState) -> "_Case":
         return _Case(state, list(self.checks),
@@ -490,7 +504,7 @@ class _Case(S.Record):
                       for k, d in self.field_demands.items()},
                      {k: _Demand(d.exact, d.wildcards, d.name)
                       for k, d in self.pred_demands.items()},
-                     list(self.vals_checks))
+                     list(self.vals_checks), set(self.unvalued))
 
 
 def _cases(ctx: ExecContext, case: _Case, enc, leaf: Callable) -> list[_Case]:
@@ -542,6 +556,7 @@ def _produce(ctx: ExecContext, case: _Case, enc) -> None:
             chunk = FieldChunk(ref, enc.fld, enc.label, amount,
                                ctx.fresh_field_value(enc.fld), pos=True)
             state.fields[key] = chunk
+            case.unvalued.add(key)
         else:
             chunk.perm = T.add(chunk.perm, amount)
             chunk.pos = True
@@ -550,8 +565,16 @@ def _produce(ctx: ExecContext, case: _Case, enc) -> None:
     elif isinstance(enc, EFieldEq):
         # every value atom follows its permission atom in the same star
         ref = resolve_loc(state, enc.loc)
-        chunk = state.fields[state.field_key(ref, enc.fld, enc.label)]
-        state.assume(T.eq(chunk.value, eval_expr(state, enc.value)))
+        key = state.field_key(ref, enc.fld, enc.label)
+        chunk = state.fields[key]
+        v = eval_expr(state, enc.value)
+        if key in case.unvalued:
+            case.unvalued.remove(key)
+            if v.height == 1 and v.sort == chunk.value.sort:
+                # the fresh value occurs nowhere else: the term replaces it
+                chunk.value = v
+                return
+        state.assume(T.eq(chunk.value, v))
     elif isinstance(enc, EPredAcc):
         ref = resolve_loc(state, enc.loc)
         amount = _inhale_amount(ctx, state, enc.perm)
@@ -649,6 +672,9 @@ def _run_checks(ctx: ExecContext, state: SymState, checks: list, prim) -> None:
 def _check_value(ctx: ExecContext, state: SymState, chunk: FieldChunk, name: str,
                  expr: S.Expr, prim) -> None:
     res = ctx.entailed(state, T.eq(chunk.value, eval_expr(state, expr)))
+    if res.verdict == NO and res.hint is None:
+        # a goal that folds to false, such as 7 == 8, has no model to show
+        res = Result(NO, f"{name} = {T.pretty(chunk.value)}")
     if res.verdict != YES:
         ctx.fail_query(state, res, prim.kind, prim.span, prim.rule,
                        f"value of {name} is not known to be {S.pp_expr(expr)}")

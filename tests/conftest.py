@@ -71,3 +71,11 @@ proc client(x, j) requires { Lock(x) } ensures { Lock(x) }
 """ + "".join(f"  call lock(x, j); v{r} := [j]_na; [j]_na := v{r} + {r + 1};\n"
               f"  w{r} := [j]_na; [j]_na := w{r} - {r + 1}; call unlock(x, j);\n"
               for r in range(3)) + "}\n"
+
+
+# The read gives x the value v itself, so the product written and the
+# post's v * v are one atom.
+SQUARE = """
+proc main(a) requires { a |-> v } ensures { a |-> v * v }
+{ x := [a]_na; [a]_na := x * x; }
+"""

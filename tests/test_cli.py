@@ -6,8 +6,8 @@ import subprocess
 import sys
 
 import pytest
-from conftest import CORPUS, MANIFEST, corpus_path
-from weakmem import solver
+from conftest import CORPUS, MANIFEST, SQUARE, corpus_path
+from weakmem import api, solver
 from weakmem.cli import count_annotations, main
 from weakmem.frontend import parse
 
@@ -475,3 +475,35 @@ def test_fraction_mentioning_v_is_checked_at_the_written_value(
     assert proc["status"] == "failed"
     assert [(d["line"], d["col"], d["kind"], d["rule"], d["message"])
             for d in proc["diagnostics"]] == [(1, 34, "SyntaxError", "well-formedness", message)]
+
+
+# the callee's post gives back a half of `a` with a value other than the
+# caller's half holds: inhaling it must meet the held value as a fact
+HALF_SWAP = """
+proc f(a) requires { a |-> 1 @ 1/2 } ensures { a |-> 2 @ 1/2 } { skip; }
+proc main(a) requires { a |-> 1 } ensures { false }
+{ call f(a); }
+"""
+
+
+def test_a_call_cannot_overwrite_a_held_value(tmp_path, capsys):
+    report = tmp_path / "r.json"
+    assert run_cli("verify", write(tmp_path, "swap.rsl", HALF_SWAP), "--json", str(report)) == 1
+    capsys.readouterr()
+    procs = {p["name"]: p for p in json.loads(report.read_text())["files"][0]["procedures"]}
+    # main's post `false` holds only because the path after the call is
+    # dead; had the held 1 been overwritten by 2, the path would live on
+    assert procs["main"]["status"] == "verified"
+    assert [d["counter_facts"] for d in procs["f"]["diagnostics"]] == ["a.val = 1"]
+    res = api.verify_source(HALF_SWAP)
+    main = next(v for v in res.verdicts if v.name == "main")
+    (st,) = main.obligations[0].final_states
+    assert res.solver.is_feasible(st.path) == "no"
+
+
+def test_a_squared_read_verifies(tmp_path, capsys):
+    assert run_cli("verify", write(tmp_path, "sq.rsl", SQUARE)) == 0
+    assert "main: ok" in capsys.readouterr().out
+    twin = SQUARE.replace("v * v }", "v * v + 1 }")
+    assert run_cli("verify", write(tmp_path, "sq1.rsl", twin)) == 1
+    assert "main: FAIL" in capsys.readouterr().out

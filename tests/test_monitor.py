@@ -147,10 +147,10 @@ def test_wildcard_remainder_rendering():
         + [acc("a", "val", WILDCARD, HeapLabel.UP),
            EFieldEq("a", "val", S.EInt(3), HeapLabel.UP)]))
     assert st.digest() == (
-        "real:a.init=1:init!1; real:a.val=1 + -1*w!6:val!0; "
-        "real:b.init=1/2:init!3; real:b.val=1/2:val!2; "
-        "real:c.init=1:init!5; real:c.val=1:val!4; "
-        "up:a.init=1/2:init!8; up:a.val=1/2 + w!9:val!7")
+        "real:a.init=1:true; real:a.val=1 + -1*w!6:7; "
+        "real:b.init=1/2:true; real:b.val=1/2:5; "
+        "real:c.init=1:true; real:c.val=1:1; "
+        "up:a.init=1/2:init!8; up:a.val=1/2 + w!9:3")
     assert reconstruct_assertion(st, ctx.solver, classes) == (
         "a ↦[1 + -1*w!6] 7 ∗ b ↦[1/2] 5 ∗ c ↦¹ 1 ∗ ⇑(a ↦[1/2 + w!9] 3)")
     assert [v.format() for v in check_state_invariants(st, ctx.solver, classes)] == [

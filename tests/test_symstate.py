@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 
-from conftest import LOCK_CLIENT, MANIFEST, corpus_path, verify
+from conftest import LOCK_CLIENT, MANIFEST, SQUARE, corpus_path, single_verdict, verify
 
 from weakmem import api, solver as SV, symstate, terms as T
 from weakmem.cli import load_manifest
@@ -89,6 +89,32 @@ def test_inhale_conflicting_values_infeasible():
     st = do_inhale(ctx, st, points_to("a", 42))
     st = do_inhale(ctx, st, points_to("a", 43))
     assert ctx.solver.is_feasible(st.path) == "no"
+
+
+WRITES = """
+proc main(a, b) requires { a |-> v && b |-> 1 } ensures { true }
+{ x := [a]_na; [b]_na := 2; [a]_na := x * x; }
+"""
+
+
+def test_a_known_value_is_inhaled_into_its_chunk():
+    # the literal written to b and the value v of a become the chunks'
+    # values; only the product goes through a fresh symbol and an equation
+    verdict = single_verdict(WRITES)
+    (st,) = verdict.obligations[0].final_states
+    assert st.digest() == ("real:a.init=1:true; real:a.val=1:val!8; "
+                           "real:b.init=1:true; real:b.val=1:2")
+    assert [T.pretty(f) for f in st.path] == ["(val!8 + -1*(v!0 * v!0) == 0)"]
+
+
+def test_a_second_value_of_one_chunk_is_an_equation():
+    # the second half's value meets the first's as a fact, so the path dies
+    ctx = make_ctx()
+    st = fresh_state(ctx)
+    st = do_inhale(ctx, st, estar([acc("a", "val", "1/2"), EFieldEq("a", "val", S.EInt(1)),
+                                   acc("a", "val", "1/2"), EFieldEq("a", "val", S.EInt(2))]))
+    assert st.digest() == "real:a.val=1:1"
+    assert st.path == [T.FALSE]
 
 
 # ---------------------------------------------------------------------------
@@ -680,6 +706,9 @@ def test_shortcuts_agree_with_the_solver(monkeypatch):
                             opts=api.VerifyOptions(check_soundness=soundness))
     for soundness in (False, True):
         res = verify(LOCK_CLIENT, check_soundness=soundness)
+        assert res.ok, [d.format() for v in res.verdicts for d in v.diagnostics]
+        # a product's fresh value meets the post as its own equation
+        res = verify(SQUARE, check_soundness=soundness)
         assert res.ok, [d.format() for v in res.verdicts for d in v.diagnostics]
     assert all(seen.values()), seen
 

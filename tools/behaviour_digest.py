@@ -15,13 +15,19 @@ soundness checking off, on and strict.  Each run records:
 - a sha256 of the `--trace` stream;
 - what `workloads.mismatches` finds.
 
-The output gives the number of runs, the total of `Solver.queries`, and a
-sha256 of the records with `queries` left out.  Its last line is a sha256
-over all records.  Two source trees behave alike on these inputs when their
-digests are equal; a change that only asks the solver less keeps the digest
-without `queries` and changes the last line.  `--out FILE` writes the
-records as JSON, to diff two trees that differ.  Timings are left out, so
-the digests do not depend on the host.  bench/ is only read.
+The output gives the number of runs, the total of `Solver.queries`, a
+sha256 of the verdicts alone and a sha256 of the records with `queries`
+left out.  Its last line is a sha256 over all records.  Two source trees
+behave alike on these inputs when their digests are equal; a change that
+only asks the solver less keeps the digest without `queries` and changes
+the last line.  The verdicts line hashes only the parse diagnostics, each
+procedure's status, reason and diagnostics without their hints, each
+obligation's `states_seen` and number of final states, the soundness
+violations and the mismatches: a change that only renders symbolic values
+differently, in hints, state digests, traces or soundness reports, keeps
+it.  `--out FILE` writes the records as JSON, to diff two trees that
+differ.  Timings are left out, so the digests do not depend on the host.
+bench/ is only read.
 """
 
 from __future__ import annotations
@@ -93,6 +99,23 @@ def records() -> list[dict]:
     return out
 
 
+def verdicts(rec: dict) -> dict:
+    """The parts of a record that a change of symbolic values leaves alone."""
+    return {
+        "parse_diagnostics": rec["parse_diagnostics"],
+        "verdicts": [{
+            "status": v["status"],
+            "reason": v["reason"],
+            "diagnostics": [{k: x for k, x in d.items() if k != "counter_facts"}
+                            for d in v["diagnostics"]],
+            "obligations": [(ob["states_seen"], len(ob["final_states"]))
+                            for ob in v["obligations"]],
+        } for v in rec["verdicts"]],
+        "violations": [r["violations"] for r in rec["soundness"]],
+        "mismatches": rec["mismatches"],
+    }
+
+
 def sha256(recs: list[dict]) -> str:
     return hashlib.sha256(dump(recs).encode()).hexdigest()
 
@@ -112,6 +135,7 @@ def main(argv=None) -> int:
     without = [{k: v for k, v in r.items() if k != "queries"} for r in recs]
     print(f"{len(recs)} runs")
     print(f"queries: {sum(r['queries'] for r in recs)}")
+    print(f"verdicts: {sha256([verdicts(r) for r in recs])}")
     print(f"without queries: {sha256(without)}")
     print(sha256(recs))
     return 0
