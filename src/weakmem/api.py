@@ -122,10 +122,7 @@ def check_source(source: str, path: str = "<input>") -> FileResult:
         result.checked = frontend.mode_check(result.program)
         diags = result.checked.diagnostics
     if not diags:
-        try:
-            result.table = speclogic.build_invariant_table(result.checked)
-        except FrontendError as exc:
-            diags = [exc.diagnostic]
+        result.table = speclogic.build_invariant_table(result.checked)
     result.parse_diagnostics = diags
     return result
 

@@ -5,10 +5,12 @@ Each statement becomes a short, state-independent sequence of primitives
 One ``Exhale`` serves every consume; its ``take`` is ``"own"`` (each atom's
 heap pays), ``"tmp"`` (the CAS release: the tmp heap first) or ``"none"`` (a
 check-only assert).  Where a statement acts on one invariant conjunct at a
-time, the encoder gives it the body of every table index; the executor
-iterates over the conjuncts a state holds and runs only their bodies, which
-is equivalent to a static expansion over every index because only held
-conjuncts pass the permission guard.
+time, the encoder gives it the body of every index a conjunct can have, that
+of each single invariant; the executor iterates over the conjuncts a state
+holds and runs only their bodies, which is equivalent to a static expansion
+over those indices because only held conjuncts pass the permission guard.
+A release chain branches on the whole invariant stored in ``rel``, so it
+keeps a body for every index.
 
 Each table body is lowered once per procedure and modality (the heap its
 real-heap atoms move to), with its value parameter ``V`` left in place, as
@@ -41,7 +43,7 @@ from .diagnostics import (
 )
 from .frontend import CheckedProgram
 from .speclogic import (
-    EAcc, EFieldEq, EPredAcc, EPure, EncAssertion, HeapLabel, InvariantTable,
+    EAcc, EFieldEq, EPure, EncAssertion, HeapLabel, InvariantTable,
     FULL, LowerCtx, WILDCARD, estar, lower, relabel,
     substitute, enc_labels, FIELD_ACQ, FIELD_INIT, FIELD_REL, FIELD_VAL,
 )
@@ -175,7 +177,7 @@ class RecordReadValue(Record):
 class SpinLeakCheck(Record):
     """Reject spin loops whose discarded reads would gain resources.
 
-    ``lowered`` maps each invariant index to its lowered body, whose ``V``
+    ``lowered`` maps each conjunct index to its lowered body, whose ``V``
     stands for the probe variable; the executor checks, for every fully
     held conjunct, that no permission atom is feasibly gained for a value
     satisfying the continue condition.
@@ -261,11 +263,13 @@ class EncodeCtx:
             self._bodies[idx, label] = enc
         return enc, (value if idx in self.table.uses_value else None)
 
-    def inv_bodies(self, value: S.Expr, label: HeapLabel = HeapLabel.REAL
+    def inv_bodies(self, value: S.Expr, label: HeapLabel = HeapLabel.REAL,
+                   conjuncts: bool = False
                    ) -> dict[int, tuple[EncAssertion, Optional[S.Expr]]]:
-        """``inv_body`` of every table index."""
-        return {idx: self.inv_body(idx, value, label)
-                for idx in self.table.all_indices()}
+        """``inv_body`` of every table index, or with ``conjuncts`` of every
+        index an AcqConjunct instance can have."""
+        indices = self.table.conjunct_indices() if conjuncts else self.table.all_indices()
+        return {idx: self.inv_body(idx, value, label) for idx in indices}
 
 
 def _enc_err(kind: str, span: Span, rule: str, msg: str) -> FrontendError:
@@ -412,7 +416,7 @@ def _read_gain(loc: str, value: S.Expr, label: HeapLabel,
                   BranchCond("notread", loc=loc, idx=idx, value=value),
                   [Inhale(enc, rule, span, v), RecordReadValue(loc, idx, value, span)],
                   [], span)]
-              for idx, (enc, v) in ctx.inv_bodies(value, label).items()}
+              for idx, (enc, v) in ctx.inv_bodies(value, label, conjuncts=True).items()}
     return ForEachHeldConjunct(loc, need_full=True, bodies=bodies, span=span)
 
 
@@ -449,7 +453,8 @@ def _cas(target: str, tau: str, loc: str, expected: S.Expr, newval: S.Expr,
     read_sync = tau in ("acq", "rel_acq")
 
     tmp_gain = {idx: [Inhale(enc, rule + " read gain", span, v)]
-                for idx, (enc, v) in ctx.inv_bodies(S.EVar(target), HeapLabel.TMP).items()}
+                for idx, (enc, v) in ctx.inv_bodies(S.EVar(target), HeapLabel.TMP,
+                                                    conjuncts=True).items()}
     release = {idx: [Exhale(enc, rule + " release", span=span, value=v, take="tmp")]
                for idx, (enc, v) in ctx.inv_bodies(
                    newval, HeapLabel.REAL if write_sync else HeapLabel.UP).items()}
@@ -494,9 +499,9 @@ def _rewrite(st: S.SRewrite, ctx: EncodeCtx) -> list:
                value=S.EVar(probe)),
         KillBranch(st.span),
     ]
-    old_insts = estar([EPredAcc(st.loc, i, FULL, vals_empty=True, span=st.span)
+    old_insts = estar([EAcc(st.loc, i, FULL, span=st.span, vals_empty=True)
                        for i in ctx.table.conjuncts(st.old)])
-    new_insts = estar([EPredAcc(st.loc, i, FULL, vals_empty=True, span=st.span)
+    new_insts = estar([EAcc(st.loc, i, FULL, span=st.span, vals_empty=True)
                        for i in ctx.table.conjuncts(st.new)])
     return [
         _reader_held(st.loc, True, rule, st.span),
@@ -562,7 +567,8 @@ def _spin_read(st: S.SWhile, ctx: EncodeCtx) -> list:
     rule = "spin loop (" + ("relaxed" if cond.mode == "rlx" else "acquire") + " read)"
     probe = ctx.fresh("spin")
     cont = S.EBin(cond.op, S.EVar(probe), cond.rhs)
-    lowered = {idx: enc for idx, (enc, _) in ctx.inv_bodies(S.EVar(probe)).items()}
+    lowered = {idx: enc for idx, (enc, _) in ctx.inv_bodies(S.EVar(probe),
+                                                              conjuncts=True).items()}
     prims: list = [
         _init_held(cond.loc, rule, st.span),
         _reader_held(cond.loc, True, rule, st.span),
@@ -571,7 +577,7 @@ def _spin_read(st: S.SWhile, ctx: EncodeCtx) -> list:
     if cond.op == "==":
         # the only discarded value is the compare constant: record it
         record = {idx: [RecordReadValue(cond.loc, idx, cond.rhs, st.span)]
-                  for idx in ctx.table.all_indices()}
+                  for idx in ctx.table.conjunct_indices()}
         prims.append(ForEachHeldConjunct(cond.loc, True, record, st.span))
     prims += [
         HavocVar(probe, st.span),
@@ -609,29 +615,14 @@ def _par(st: S.SPar, ctx: EncodeCtx) -> list:
         prims.append(Exhale(pre, rule=f"thread {k} fork", span=th.span))
     for k, (th, post) in enumerate(zip(st.threads, posts), start=1):
         prims.append(Inhale(post, rule=f"thread {k} join", span=th.span))
+    # each thread's own obligation, with its specs as lowered for the fork
+    # and the join
     for th, pre, post in zip(st.threads, pres, posts):
         ctx._thread_count += 1
         name = f"{ctx.proc_name}::thread{ctx._thread_count}"
-        ctx.extra_obligations.append(_thread_obligation(name, th, pre, post, ctx))
+        ctx.extra_obligations.append(
+            _obligation(name, th, pre, post, ctx, prefix="thread "))
     return prims
-
-
-def _thread_obligation(name: str, th: S.Thread, pre: EncAssertion, post: EncAssertion,
-                       ctx: EncodeCtx) -> Obligation:
-    """The thread's own obligation, given its pre- and postcondition as
-    ``_par`` lowered them for the fork and the join."""
-    free = ctx.info.spec_vars(th.pre) | ctx.info.spec_vars(th.post)
-    free |= ctx.info.scope(th.body).uses
-    setup: list = [HavocVar(v, th.span) for v in sorted(free)]
-    setup.append(Inhale(pre, "thread precondition", th.span))
-    ob = Obligation(name=name, kind="thread", span=th.span,
-                    var_classes=dict(ctx.classes))
-    ob.blocks.append(Block(th.span, "thread setup", setup))
-    _encode_body_blocks(th.body, ctx, ob)
-    ob.blocks.append(Block(
-        th.span, "thread postcondition",
-        [Exhale(post, rule="thread postcondition", span=th.span)]))
-    return ob
 
 
 def _call(st: S.SCall, ctx: EncodeCtx) -> list:
@@ -670,11 +661,6 @@ def _free(st: S.SFree, ctx: EncodeCtx) -> list:
 # Obligation assembly
 # ---------------------------------------------------------------------------
 
-def _encode_body_blocks(stmts: list, ctx: EncodeCtx, ob: Obligation) -> None:
-    for st in stmts:
-        ob.blocks.append(Block(st.span, _describe(st), encode_stmt(st, ctx)))
-
-
 # block descriptions of the allocation kinds, as dumps and reports name them
 _ALLOC_DESCS = {"na": "allocna", "ghost": "ghostalloc", "acq": "allocatomic",
                 "rmw": "allocatomic"}
@@ -686,22 +672,34 @@ def _describe(st: S.Stmt) -> str:
     return type(st).__name__[1:].lower()
 
 
+def _obligation(name: str, owner, pre: EncAssertion, post: EncAssertion, ctx: EncodeCtx,
+                extra: frozenset = frozenset(), prefix: str = "") -> Obligation:
+    """The obligation of a procedure or, with ``prefix`` ``"thread "``, of a
+    thread: havoc the names of its specs and body and the ``extra`` ones,
+    inhale ``pre``, run the body a block per statement, exhale ``post``."""
+    span = owner.span
+    free = ctx.info.spec_vars(owner.pre) | ctx.info.spec_vars(owner.post)
+    free |= ctx.info.scope(owner.body).uses | extra
+    setup: list = [HavocVar(v, span) for v in sorted(free)]
+    setup.append(Inhale(pre, prefix + "precondition", span))
+    ob = Obligation(name, "thread" if prefix else "procedure", span,
+                    var_classes=dict(ctx.classes))
+    ob.blocks.append(Block(span, prefix + "setup", setup))
+    for st in owner.body:
+        ob.blocks.append(Block(st.span, _describe(st), encode_stmt(st, ctx)))
+    ob.blocks.append(Block(span, prefix + "postcondition",
+                           [Exhale(post, rule=prefix + "postcondition", span=span)]))
+    return ob
+
+
 def build_obligations(checked: CheckedProgram, table: InvariantTable,
                       proc: S.Procedure) -> list[Obligation]:
-    """Encode one procedure: its own obligation plus one per forked thread."""
+    """Encode one procedure: its own obligation plus one per forked thread.
+    Its specs are lowered before its body, as a thread's are."""
     ctx = EncodeCtx(checked, table, proc.name)
-    free = ctx.info.spec_vars(proc.pre) | ctx.info.spec_vars(proc.post)
-    free |= ctx.info.scope(proc.body).uses
-    free |= {p.name for p in proc.params} | {p.name for p in proc.returns}
-    setup: list = [HavocVar(v, proc.span) for v in sorted(free)]
-    setup.append(Inhale(ctx.lower(proc.pre), "precondition", proc.span))
-    ob = Obligation(name=proc.name, kind="procedure", span=proc.span,
-                    var_classes=dict(ctx.classes))
-    ob.blocks.append(Block(proc.span, "setup", setup))
-    _encode_body_blocks(proc.body, ctx, ob)
-    ob.blocks.append(Block(
-        proc.span, "postcondition",
-        [Exhale(ctx.lower(proc.post), rule="postcondition", span=proc.span)]))
+    params = frozenset(p.name for p in proc.params + proc.returns)
+    ob = _obligation(proc.name, proc, ctx.lower(proc.pre), ctx.lower(proc.post), ctx,
+                     params)
     return [ob] + ctx.extra_obligations
 
 

@@ -853,6 +853,7 @@ class _Classifier:
         self.inv_by_name = {d.name: d for d in program.invariants}
         self.procs = {p.name: p for p in program.procedures}
         self.inv_sites: list[tuple[S.InvRef, Span]] = []
+        self.reached: set[str] = set()    # invariant names an annotation reaches
 
     def run(self) -> CheckedProgram:
         info: dict[str, ProcInfo] = {}
@@ -868,7 +869,7 @@ class _Classifier:
             self._check_declared(proc, pi)
         self._check_call_args(info)
         self._check_posts(info)
-        self._check_fractions()
+        self._check_bodies()
         self.diags.sort(key=lambda d: (d.span.line, d.span.col, d.kind))
         return CheckedProgram(self.program, info, self.diags, self.inv_sites)
 
@@ -970,6 +971,7 @@ class _Classifier:
                 if name in walked:
                     continue
                 walked.add(name)
+                self.reached.add(name)
                 decl = self.inv_by_name.get(name)
                 if decl is None:
                     self.diags.append(Diagnostic(
@@ -1194,12 +1196,20 @@ class _Classifier:
                             f"{', '.join(repr(v) for v in extra)} not bound by "
                             "parameters, returns or the precondition"))
 
-    def _check_fractions(self) -> None:
-        """Fractions of invariant bodies; the walk checks those of annotations."""
+    def _check_bodies(self) -> None:
+        """Fractions of invariant bodies, and the invariant names of the bodies
+        no annotation reaches, each at its resource; the walk checks the
+        fractions of annotations and the names of the bodies they reach."""
         for d in self.program.invariants:
             for x in S.walk_assertion(d.body):
                 if isinstance(x, S.APointsTo):
                     self._check_fraction(x)
+                elif isinstance(x, S.AResource) and d.name not in self.reached:
+                    for name in x.inv:
+                        if name not in self.inv_by_name:
+                            self.diags.append(Diagnostic(
+                                SYNTAX_ERROR, x.span, rule="well-formedness",
+                                message=f"unknown invariant {name!r}"))
 
     def _check_fraction(self, x: S.APointsTo) -> None:
         if x.frac is not None:

@@ -61,24 +61,24 @@ def check_state_invariants(state: SymState, solver: Solver,
     """Check the per-boundary invariants for every non-atomic location."""
     out: list[Violation] = []
     seen: set[tuple] = set()
-    for key in sorted(state.fields):
-        chunk = state.fields[key]
+    for key in sorted(state.heap):
+        chunk = state.heap[key]
         cls = classes.get(chunk.ref.data[1])
-        if not (T.is_ghost_ref(chunk.ref) or cls == NA):
+        if key[0] or not (T.is_ghost_ref(chunk.ref) or cls == NA):
             continue
         group = (chunk.label.value, chunk.ref.data[0])
         if group in seen:
             continue
         seen.add(group)
         name = chunk.ref.data[1]
-        pv = state.field_perm(chunk.ref, "val", chunk.label)
-        pi = state.field_perm(chunk.ref, "init", chunk.label)
+        pv = state.perm(chunk.ref, "val", chunk.label)
+        pi = state.perm(chunk.ref, "init", chunk.label)
         if pv is not pi and entailed(solver, state, T.eq(pv, pi)).verdict != YES:
             out.append(Violation(
                 name, chunk.label, f"val permission {perm_str(pv)} differs "
                 f"from init permission {perm_str(pi)}"))
             continue
-        init_chunk = state.fields.get(state.field_key(chunk.ref, "init", chunk.label))
+        init_chunk = state.heap.get(state.key(chunk.ref, "init", chunk.label))
         if init_chunk is None or pv is T.ZERO:
             continue
         init_true = entailed(solver, state, init_chunk.value).verdict == YES
@@ -124,23 +124,17 @@ def reconstruct_assertion(state: SymState, solver: Solver,
     """
     by_label: dict[HeapLabel, list[str]] = {}
 
-    refs: dict[tuple, T.Term] = {}
-    for key in sorted(state.fields):
-        c = state.fields[key]
-        refs.setdefault((c.label.value, c.ref.data[0]), c.ref)
-    for key in sorted(state.preds):
-        c = state.preds[key]
-        refs.setdefault((c.label.value, c.ref.data[0]), c.ref)
+    refs = {(c.label.value, c.ref.data[0]): c.ref for c in state.heap.values()}
 
     for (label_val, _tid), ref in sorted(refs.items(), key=lambda kv: (kv[0][1], kv[0][0])):
         label = HeapLabel(label_val)
         name = ref.data[1]
         cls = GHOST if T.is_ghost_ref(ref) else classes.get(name)
         parts: list[str] = []
-        if cls in (NA, GHOST) or (cls is None and
-                                  state.fields.get(state.field_key(ref, "val", label))):
-            val_chunk = state.fields.get(state.field_key(ref, "val", label))
-            init_chunk = state.fields.get(state.field_key(ref, "init", label))
+        fields = {r: state.heap.get(state.key(ref, r, label))
+                  for r in ("val", "init", "rel", "acq")}
+        val_chunk, init_chunk = fields["val"], fields["init"]
+        if cls in (NA, GHOST) or (cls is None and val_chunk):
             if val_chunk is not None:
                 init_false = (init_chunk is not None and entailed(
                     solver, state, T.not_(init_chunk.value)).verdict == YES)
@@ -150,22 +144,21 @@ def reconstruct_assertion(state: SymState, solver: Solver,
                     parts.append(f"{name} ↦{_perm_str(val_chunk.perm)} "
                                  f"{_value_str(state, solver, val_chunk.value)}")
         else:
-            init_chunk = state.fields.get(state.field_key(ref, "init", label))
             if init_chunk is not None and init_chunk.perm is not T.ZERO:
                 parts.append(f"Init({name})")
-            rel_chunk = state.fields.get(state.field_key(ref, "rel", label))
+            rel_chunk = fields["rel"]
             if rel_chunk is not None:
                 parts.append(f"Rel({name}, {_inv_name(state, solver, rel_chunk.value, table)})")
-            acq_chunk = state.fields.get(state.field_key(ref, "acq", label))
-            conjuncts = [state.preds[k] for k in sorted(state.preds)
-                         if k[0] == label.value and k[1] == ref.data[0]]
+            acq_chunk = fields["acq"]
+            conjuncts = [state.heap[k] for k in sorted(state.heap)
+                         if k[0] and k[1] == label.value and k[2] == ref.data[0]]
             if acq_chunk is not None and conjuncts:
                 is_acq = entailed(solver, state, acq_chunk.value).verdict == YES
                 bodies = []
                 for pc in conjuncts:
-                    nm = table.names.get(pc.idx, f"#{pc.idx}") if table else f"#{pc.idx}"
-                    if pc.vals and is_acq:
-                        vals = ", ".join(_value_str(state, solver, v) for v in pc.vals)
+                    nm = table.names.get(pc.res, f"#{pc.res}") if table else f"#{pc.res}"
+                    if pc.value and is_acq:
+                        vals = ", ".join(_value_str(state, solver, v) for v in pc.value)
                         nm += f" with V in {{{vals}}} obliterated"
                     bodies.append(nm)
                 kind = "Acq" if is_acq else "RMWAcq"

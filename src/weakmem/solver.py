@@ -240,15 +240,8 @@ class _Simplex:
 
     def add_literal(self, kind: str, lit: _Compiled) -> None:
         atom, pairs, key, bound, strict, flip, _, _, _ = lit
-        if atom is not None:
-            x = self._var(atom)
-        elif pairs:
-            x = self._slack(key, pairs)
-        else:
-            zero = bound.real
-            if not (zero == 0 if kind == "eq0" else zero >= 0 if kind == "le0" else zero > 0):
-                self.conflict = True
-            return
+        # every literal has an atom: terms._cmp folds an atomless comparison
+        x = self._var(atom) if atom is not None else self._slack(key, pairs)
         if kind == "eq0":
             self._tighten(x, bound, upper=True)
             self._tighten(x, bound, upper=False)

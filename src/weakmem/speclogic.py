@@ -13,12 +13,13 @@ body, surface or encoded, at a value.  Only the parser keeps ``V`` out of
 specifications: it reads a name as the value parameter (``EInvVal``) only
 inside the invariant declaration that binds it, so ``lower`` checks nothing.
 
-The encoder works on *encoded* assertions: permission atoms, predicate atoms
-and field-value constraints, each tagged with the heap it lives in (real, up,
-down, or the tmp heap used inside the CAS encoding).  Carrying the heap as a
-tag on each atom makes the up/down mappings bijective by construction, so
-no mapping axioms are needed.  A modality is the heap ``relabel`` moves
-real-heap atoms to.  Ghost locations are immune to relabeling.
+The encoder works on *encoded* assertions: permission atoms, each to a field
+or to the AcqConjunct instance of one invariant conjunct, and field-value
+constraints, each tagged with the heap it lives in (real, up, down, or the
+tmp heap used inside the CAS encoding).  Carrying the heap as a tag on each
+atom makes the up/down mappings bijective by construction, so no mapping
+axioms are needed.  A modality is the heap ``relabel`` moves real-heap atoms
+to.  Ghost locations are immune to relabeling.
 """
 
 from __future__ import annotations
@@ -92,6 +93,11 @@ class InvariantTable(Record):
     def all_indices(self) -> list[int]:
         return sorted(self.entries)
 
+    def conjunct_indices(self) -> list[int]:
+        """The indices an AcqConjunct instance can have: those of single
+        invariants, not of their combinations."""
+        return sorted({i for idxs in self.conjuncts_of.values() for i in idxs})
+
     def to_json(self) -> list[dict]:
         out = []
         for idx in self.all_indices():
@@ -112,9 +118,10 @@ def build_invariant_table(checked: CheckedProgram) -> InvariantTable:
     Occurrences are the annotation sites the mode check recorded
     (allocations, rewrites, and Acq/Rel/RMWAcq parameters in specs, loop
     invariants and fences), then those in invariant bodies.  Forms are
-    deduplicated syntactically, so the
-    same named combination always maps to the same index; the star of the
-    conjunct entries reassembles the whole invariant by construction.
+    deduplicated syntactically, so the same named combination always maps
+    to the same index; the star of the conjunct entries reassembles the
+    whole invariant by construction.  The mode check has reported every
+    name that no declaration defines, so each name here has a body.
     """
     program = checked.program
     table = InvariantTable()
@@ -123,11 +130,6 @@ def build_invariant_table(checked: CheckedProgram) -> InvariantTable:
     def ensure(inv: S.InvRef, span: Span) -> None:
         if inv in table.whole_of:
             return
-        missing = [n for n in inv if n not in decl_of]
-        if missing:
-            raise FrontendError(Diagnostic(
-                "SyntaxError", span, rule="defunctionalisation",
-                message=f"unknown invariant {missing[0]!r}"))
         # index each single-name conjunct first, then the combination
         for name in inv:
             single = (name,)
@@ -180,7 +182,7 @@ def substitute(q, value: S.Expr):
 # ---------------------------------------------------------------------------
 
 WILDCARD = "wildcard"
-FULL = 1   # the whole permission to a field or a predicate instance
+FULL = 1   # the whole permission to a field or an AcqConjunct instance
 
 # An exact amount, or the WILDCARD marker.  Exact amounts follow the rule of
 # ``terms``: an int when integral, else a Fraction, so the executor sums and
@@ -203,15 +205,19 @@ class EPure(Record, hashable=True):
 
 
 class EAcc(Record, hashable=True):
-    __slots__ = ("loc", "fld", "perm", "label", "span")
+    """A permission atom: to the field ``res`` (a name) of a location, or to
+    its AcqConjunct instance of the conjunct ``res`` (a table index)."""
+    __slots__ = ("loc", "res", "perm", "label", "span", "vals_empty")
 
-    def __init__(self, loc: str, fld: str, perm: PermSpec,
-                 label: HeapLabel = HeapLabel.REAL, span: Span = NO_SPAN):
+    def __init__(self, loc: str, res: str | int, perm: PermSpec,
+                 label: HeapLabel = HeapLabel.REAL, span: Span = NO_SPAN,
+                 vals_empty: bool = False):
         self.loc = loc
-        self.fld = fld
-        self.perm = perm
+        self.res = res
+        self.perm = perm        # an instance: FULL for acquire mode, WILDCARD for RMW
         self.label = label
         self.span = span
+        self.vals_empty = vals_empty    # an instance: no value has been read through it
 
 
 class EFieldEq(Record, hashable=True):
@@ -223,21 +229,6 @@ class EFieldEq(Record, hashable=True):
         self.fld = fld
         self.value = value    # never EAny: lowering drops a "_" points-to value
         self.label = label
-        self.span = span
-
-
-class EPredAcc(Record, hashable=True):
-    """An AcqConjunct instance for one invariant conjunct."""
-    __slots__ = ("loc", "idx", "perm", "label", "vals_empty", "span")
-
-    def __init__(self, loc: str, idx: int, perm: PermSpec,
-                 label: HeapLabel = HeapLabel.REAL, vals_empty: bool = False,
-                 span: Span = NO_SPAN):
-        self.loc = loc
-        self.idx = idx
-        self.perm = perm                # FULL for acquire mode, WILDCARD for RMW
-        self.label = label
-        self.vals_empty = vals_empty    # assert/assume the values-read snapshot is empty
         self.span = span
 
 
@@ -268,7 +259,7 @@ class ECond(Record, hashable=True):
         self.span = span
 
 
-EncAssertion = Union[EPure, EAcc, EFieldEq, EPredAcc, EStar, EImplies, ECond]
+EncAssertion = Union[EPure, EAcc, EFieldEq, EStar, EImplies, ECond]
 
 E_TRUE = EPure(S.TRUE_E)
 
@@ -341,8 +332,8 @@ def lower(a: S.Assertion, ctx: LowerCtx, label: HeapLabel = HeapLabel.REAL) -> E
             EFieldEq(a.loc, FIELD_ACQ, S.TRUE_E if acq else S.FALSE_E, lbl, a.span),
         ]
         for i in ctx.table.conjuncts(a.inv):
-            parts.append(EPredAcc(a.loc, i, FULL if acq else WILDCARD, lbl,
-                                  vals_empty=acq, span=a.span))
+            parts.append(EAcc(a.loc, i, FULL if acq else WILDCARD, lbl, a.span,
+                              vals_empty=acq))
         return estar(parts)
     if isinstance(a, S.AStar):
         return estar([lower(p, ctx, label) for p in a.parts])
@@ -417,13 +408,12 @@ def pp_enc(a: EncAssertion) -> str:
         return S.pp_expr(a.expr)
     if isinstance(a, EAcc):
         amt = "wildcard" if a.perm == WILDCARD else str(a.perm)
-        return f"acc({a.loc}.{a.fld}, {amt})@{a.label}"
+        if type(a.res) is not int:
+            return f"acc({a.loc}.{a.res}, {amt})@{a.label}"
+        empty = ", valsRead == {}" if a.vals_empty else ""
+        return f"acc(AcqConjunct({a.loc}, {a.res}), {amt})@{a.label}{empty}"
     if isinstance(a, EFieldEq):
         return f"{a.loc}.{a.fld}@{a.label} == {S.pp_expr(a.value)}"
-    if isinstance(a, EPredAcc):
-        amt = "wildcard" if a.perm == WILDCARD else str(a.perm)
-        empty = ", valsRead == {}" if a.vals_empty else ""
-        return f"acc(AcqConjunct({a.loc}, {a.idx}), {amt})@{a.label}{empty}"
     if isinstance(a, EStar):
         return " && ".join(pp_enc(p) for p in a.parts)
     if isinstance(a, EImplies):

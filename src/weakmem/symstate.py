@@ -1,7 +1,11 @@
 """Symbolic verification state and the semantics of every primitive.
 
-A state holds field chunks and predicate chunks, both keyed by heap label
-and location, a path condition, and an environment binding program variables
+A state holds one heap of chunks, each an amount of one resource of a
+location in one heap (real, up, down or tmp): a field, or the AcqConjunct
+instance of one invariant conjunct, as Viper keeps field and predicate
+chunks as one kind of chunk told apart by their resource.  A field chunk
+carries the field's value, an instance the values read through it.  It
+also holds a path condition and an environment binding program variables
 to terms.  Permission amounts are linear terms over wildcard tokens; an
 exact amount outside a term, an atom's or a demand's, is a plain number as
 in ``terms``: an int when integral, otherwise a Fraction.  Every token
@@ -39,7 +43,7 @@ records its check or demand on the case; the spin-leak leaf fails on the
 first permission atom reached by a case in which the loop spins on.
 
 One routine, ``exhale``, runs every ``Exhale`` over its cases: it sums the
-permission demands per chunk and, fields sorted and then predicates sorted,
+permission demands per chunk and, in key order, fields before instances,
 decides for each where it comes from, checks that heap holds it, and
 deducts it.  Its ``take`` says which heap pays.  A plain exhale (``own``)
 takes each demand from its atom's own heap, and a check-only assert
@@ -84,8 +88,7 @@ from .diagnostics import (
 from .frontend import ACQ, ATOMIC, GHOST, NA, RMW
 from .solver import NO, Result, Solver, UNKNOWN, YES
 from .speclogic import (
-    EAcc, ECond, EFieldEq, EImplies, EPredAcc, EPure, EStar, HeapLabel,
-    WILDCARD,
+    EAcc, ECond, EFieldEq, EImplies, EPure, EStar, HeapLabel, WILDCARD,
 )
 from .syntax import Span
 
@@ -120,30 +123,21 @@ def perm_str(p: T.Term) -> str:
 # Chunks and states
 # ---------------------------------------------------------------------------
 
-class FieldChunk(S.Record):
-    __slots__ = ("ref", "fld", "label", "perm", "value", "pos")
+class Chunk(S.Record):
+    """An amount of one resource of a location in one heap.  The resource
+    ``res`` is a field name or, for an AcqConjunct instance, a conjunct's
+    table index.  A field's ``value`` is its value term; an instance's is
+    the tuple of values read through it, in insertion order."""
+    __slots__ = ("ref", "res", "label", "perm", "value", "pos")
 
-    def __init__(self, ref: T.Term, fld: str, label: HeapLabel, perm: T.Term,
-                 value: T.Term, pos: bool = False):
+    def __init__(self, ref: T.Term, res: str | int, label: HeapLabel, perm: T.Term,
+                 value: T.Term | tuple, pos: bool = False):
         self.ref = ref
-        self.fld = fld
+        self.res = res
         self.label = label
         self.perm = perm
         self.value = value
         self.pos = pos      # perm is positive on this path by construction
-
-
-class PredChunk(S.Record):
-    __slots__ = ("ref", "idx", "label", "perm", "vals", "pos")
-
-    def __init__(self, ref: T.Term, idx: int, label: HeapLabel, perm: T.Term,
-                 vals: tuple = (), pos: bool = False):
-        self.ref = ref
-        self.idx = idx
-        self.label = label
-        self.perm = perm
-        self.vals = vals    # values-read snapshot: terms, insertion-ordered
-        self.pos = pos      # as for FieldChunk
 
 
 _GROUND = frozenset({-1})   # the atom set of an atomless fact, such as FALSE
@@ -177,20 +171,17 @@ class SymState:
     The path condition is kept only as its independence groups, ``groups``.
     """
 
-    __slots__ = ("fields", "preds", "env", "groups")
+    __slots__ = ("heap", "env", "groups")
 
     def __init__(self):
-        self.fields: dict[tuple, FieldChunk] = {}
-        self.preds: dict[tuple, PredChunk] = {}
+        self.heap: dict[tuple, Chunk] = {}
         self.env: dict[str, T.Term] = {}
         self.groups: dict[int, Group] = {}    # atom tid -> its group
 
     def clone(self) -> "SymState":
         s = SymState()
-        s.fields = {k: FieldChunk(c.ref, c.fld, c.label, c.perm, c.value, c.pos)
-                    for k, c in self.fields.items()}
-        s.preds = {k: PredChunk(c.ref, c.idx, c.label, c.perm, c.vals, c.pos)
-                   for k, c in self.preds.items()}
+        s.heap = {k: Chunk(c.ref, c.res, c.label, c.perm, c.value, c.pos)
+                  for k, c in self.heap.items()}
         s.env = dict(self.env)
         s.groups = dict(self.groups)
         return s
@@ -223,33 +214,28 @@ class SymState:
     def all_groups(self) -> list[Group]:
         return list({id(g): g for g in self.groups.values()}.values())
 
-    # keys read the label's number straight from the member, not through
-    # the Enum's ``value`` descriptor: a key is built for every atom
-    def field_key(self, ref: T.Term, fld: str, label: HeapLabel) -> tuple:
-        return (label._value_, ref.data[0], fld)
+    # A key starts with its kind, True for an AcqConjunct instance, so a
+    # sorted walk meets every field before any instance.  It reads the
+    # label's number straight from the member, not through the Enum's
+    # ``value`` descriptor: a key is built for every atom.
+    def key(self, ref: T.Term, res: str | int, label: HeapLabel) -> tuple:
+        return (type(res) is int, label._value_, ref.data[0], res)
 
-    def pred_key(self, ref: T.Term, idx: int, label: HeapLabel) -> tuple:
-        return (label._value_, ref.data[0], idx)
-
-    def field_perm(self, ref: T.Term, fld: str, label: HeapLabel) -> T.Term:
-        c = self.fields.get(self.field_key(ref, fld, label))
-        return c.perm if c is not None else T.ZERO
-
-    def pred_perm(self, ref: T.Term, idx: int, label: HeapLabel) -> T.Term:
-        c = self.preds.get(self.pred_key(ref, idx, label))
+    def perm(self, ref: T.Term, res: str | int, label: HeapLabel) -> T.Term:
+        c = self.heap.get(self.key(ref, res, label))
         return c.perm if c is not None else T.ZERO
 
     def digest(self) -> str:
         bits = []
-        for k in sorted(self.fields):
-            c = self.fields[k]
-            bits.append(f"{c.label}:{T.ref_name(c.ref)}.{c.fld}="
-                        f"{perm_str(c.perm)}:{T.pretty(c.value)}")
-        for k in sorted(self.preds):
-            c = self.preds[k]
-            vals = "{" + ",".join(T.pretty(v) for v in c.vals) + "}"
-            bits.append(f"{c.label}:AcqConjunct({T.ref_name(c.ref)},{c.idx})="
-                        f"{perm_str(c.perm)}:{vals}")
+        for k in sorted(self.heap):
+            c = self.heap[k]
+            if k[0]:
+                vals = "{" + ",".join(T.pretty(v) for v in c.value) + "}"
+                bits.append(f"{c.label}:AcqConjunct({T.ref_name(c.ref)},{c.res})="
+                            f"{perm_str(c.perm)}:{vals}")
+            else:
+                bits.append(f"{c.label}:{T.ref_name(c.ref)}.{c.res}="
+                            f"{perm_str(c.perm)}:{T.pretty(c.value)}")
         return "; ".join(bits)
 
 
@@ -482,18 +468,15 @@ class _Demand(S.Record):
 class _Case(S.Record):
     """One case of an encoded assertion: its state and, for an exhale, what
     its atoms demand of that state."""
-    __slots__ = ("state", "checks", "field_demands", "pred_demands", "vals_checks",
-                 "unvalued")
+    __slots__ = ("state", "checks", "demands", "vals_checks", "unvalued")
 
-    def __init__(self, state: SymState, checks: list = None, field_demands: dict = None,
-                 pred_demands: dict = None, vals_checks: list = None,
-                 unvalued: set = None):
+    def __init__(self, state: SymState, checks: list = None, demands: dict = None,
+                 vals_checks: list = None, unvalued: set = None):
         self.state = state
         # ("pure", expr) | ("value", key, name, expr)
         self.checks = [] if checks is None else checks
-        self.field_demands = {} if field_demands is None else field_demands
-        self.pred_demands = {} if pred_demands is None else pred_demands
-        self.vals_checks = [] if vals_checks is None else vals_checks    # (predkey, name)
+        self.demands = {} if demands is None else demands    # chunk key -> _Demand
+        self.vals_checks = [] if vals_checks is None else vals_checks    # (key, name)
         # for an inhale, the keys of the field chunks it made whose fresh
         # value no fact mentions yet
         self.unvalued = set() if unvalued is None else unvalued
@@ -501,9 +484,7 @@ class _Case(S.Record):
     def split(self, state: SymState) -> "_Case":
         return _Case(state, list(self.checks),
                      {k: _Demand(d.exact, d.wildcards, d.name)
-                      for k, d in self.field_demands.items()},
-                     {k: _Demand(d.exact, d.wildcards, d.name)
-                      for k, d in self.pred_demands.items()},
+                      for k, d in self.demands.items()},
                      list(self.vals_checks), set(self.unvalued))
 
 
@@ -550,23 +531,27 @@ def _produce(ctx: ExecContext, case: _Case, enc) -> None:
     elif isinstance(enc, EAcc):
         ref = resolve_loc(state, enc.loc)
         amount = _inhale_amount(ctx, state, enc.perm)
-        key = state.field_key(ref, enc.fld, enc.label)
-        chunk = state.fields.get(key)
+        key = state.key(ref, enc.res, enc.label)
+        chunk = state.heap.get(key)
         if chunk is None:
-            chunk = FieldChunk(ref, enc.fld, enc.label, amount,
-                               ctx.fresh_field_value(enc.fld), pos=True)
-            state.fields[key] = chunk
-            case.unvalued.add(key)
+            # a fresh AcqConjunct instance starts with no values read
+            chunk = state.heap[key] = Chunk(
+                ref, enc.res, enc.label, amount,
+                () if key[0] else ctx.fresh_field_value(enc.res), pos=True)
+            if not key[0]:
+                case.unvalued.add(key)
         else:
+            # re-inhaling a held instance keeps the values read
             chunk.perm = T.add(chunk.perm, amount)
             chunk.pos = True
-        # field permissions cannot exceed 1: assumed, so overfull paths die
-        state.assume(T.le(chunk.perm, T.ONE))
+        if not key[0]:
+            # field permissions cannot exceed 1: assumed, so overfull paths die
+            state.assume(T.le(chunk.perm, T.ONE))
     elif isinstance(enc, EFieldEq):
         # every value atom follows its permission atom in the same star
         ref = resolve_loc(state, enc.loc)
-        key = state.field_key(ref, enc.fld, enc.label)
-        chunk = state.fields[key]
+        key = state.key(ref, enc.fld, enc.label)
+        chunk = state.heap[key]
         v = eval_expr(state, enc.value)
         if key in case.unvalued:
             case.unvalued.remove(key)
@@ -575,18 +560,6 @@ def _produce(ctx: ExecContext, case: _Case, enc) -> None:
                 chunk.value = v
                 return
         state.assume(T.eq(chunk.value, v))
-    elif isinstance(enc, EPredAcc):
-        ref = resolve_loc(state, enc.loc)
-        amount = _inhale_amount(ctx, state, enc.perm)
-        key = state.pred_key(ref, enc.idx, enc.label)
-        chunk = state.preds.get(key)
-        if chunk is None:
-            # a fresh conjunct instance starts with an empty snapshot
-            state.preds[key] = PredChunk(ref, enc.idx, enc.label, amount, pos=True)
-        else:
-            # re-inhaling a held conjunct must not reset the values read
-            chunk.perm = T.add(chunk.perm, amount)
-            chunk.pos = True
     else:
         raise AssertionError(enc)
 
@@ -609,37 +582,29 @@ def _demand(ctx: ExecContext, case: _Case, enc) -> None:
         case.checks.append(("pure", enc.expr))
         return
     ref = resolve_loc(case.state, enc.loc)
-    if isinstance(enc, EPredAcc):
-        key = case.state.pred_key(ref, enc.idx, enc.label)
-        d = case.pred_demands.get(key)
-        if d is None:
-            d = case.pred_demands[key] = _Demand(name=_pred_name(ref, enc.idx, enc.label))
-        if enc.vals_empty:
-            case.vals_checks.append((key, d.name))
-    else:
-        key = case.state.field_key(ref, enc.fld, enc.label)
-        d = case.field_demands.get(key)
-        if isinstance(enc, EFieldEq):
-            # a permission atom before it in the star has mostly named it
-            name = d.name if d is not None else _atom_name(ref, enc.fld, enc.label)
-            case.checks.append(("value", key, name, enc.value))
-            return
-        if d is None:
-            d = case.field_demands[key] = _Demand(name=_atom_name(ref, enc.fld, enc.label))
+    res = enc.fld if isinstance(enc, EFieldEq) else enc.res
+    key = case.state.key(ref, res, enc.label)
+    d = case.demands.get(key)
+    if isinstance(enc, EFieldEq):
+        # a permission atom before it in the star has mostly named it
+        name = d.name if d is not None else _atom_name(ref, res, enc.label)
+        case.checks.append(("value", key, name, enc.value))
+        return
+    if d is None:
+        d = case.demands[key] = _Demand(name=_atom_name(ref, res, enc.label))
+    if enc.vals_empty:
+        case.vals_checks.append((key, d.name))
     if enc.perm == WILDCARD:
         d.wildcards += 1
     else:
         d.exact += enc.perm
 
 
-def _atom_name(ref: T.Term, fld: str, label: HeapLabel) -> str:
+def _atom_name(ref: T.Term, res: str | int, label: HeapLabel) -> str:
     tag = "" if label is HeapLabel.REAL else f"@{label}"
-    return f"{ref.data[1]}.{fld}{tag}"
-
-
-def _pred_name(ref: T.Term, idx: int, label: HeapLabel) -> str:
-    tag = "" if label is HeapLabel.REAL else f"@{label}"
-    return f"AcqConjunct({ref.data[1]}, {idx}){tag}"
+    if type(res) is int:
+        return f"AcqConjunct({ref.data[1]}, {res}){tag}"
+    return f"{ref.data[1]}.{res}{tag}"
 
 
 def _run_checks(ctx: ExecContext, state: SymState, checks: list, prim) -> None:
@@ -650,7 +615,7 @@ def _run_checks(ctx: ExecContext, state: SymState, checks: list, prim) -> None:
     for check in checks:
         if (check[0] == "value" and isinstance(check[3], S.EVar)
                 and check[3].name in bindable and check[3].name not in state.env):
-            chunk = state.fields.get(check[1])
+            chunk = state.heap.get(check[1])
             if chunk is not None:
                 state.env[check[3].name] = chunk.value
     for check in checks:
@@ -662,14 +627,14 @@ def _run_checks(ctx: ExecContext, state: SymState, checks: list, prim) -> None:
                                f"cannot establish {S.pp_expr(expr)}")
         else:
             _, key, name, expr = check
-            chunk = state.fields.get(key)
+            chunk = state.heap.get(key)
             if chunk is None:
                 ctx.fail(state, prim.kind, prim.span, prim.rule,
                          f"no permission to {name}")
             _check_value(ctx, state, chunk, name, expr, prim)
 
 
-def _check_value(ctx: ExecContext, state: SymState, chunk: FieldChunk, name: str,
+def _check_value(ctx: ExecContext, state: SymState, chunk: Chunk, name: str,
                  expr: S.Expr, prim) -> None:
     res = ctx.entailed(state, T.eq(chunk.value, eval_expr(state, expr)))
     if res.verdict == NO and res.hint is None:
@@ -683,9 +648,9 @@ def _check_value(ctx: ExecContext, state: SymState, chunk: FieldChunk, name: str
 def _check_values_read(ctx: ExecContext, state: SymState, vals_checks: list,
                        prim) -> None:
     for key, name in vals_checks:
-        chunk = state.preds.get(key)
-        if chunk is not None and chunk.vals:
-            vals = ", ".join(T.pretty(v) for v in chunk.vals)
+        chunk = state.heap.get(key)
+        if chunk is not None and chunk.value:
+            vals = ", ".join(T.pretty(v) for v in chunk.value)
             ctx.fail(state, prim.vals_kind, prim.span,
                      prim.rule, f"values {{{vals}}} were already read through {name}")
 
@@ -722,7 +687,7 @@ def _check_demand(ctx: ExecContext, state: SymState, chunk, exact: int | Fractio
                            f"no spare permission to {name} for a wildcard")
 
 
-def _take(ctx: ExecContext, state: SymState, store: dict, key: tuple, chunk,
+def _take(ctx: ExecContext, state: SymState, key: tuple, chunk,
           exact: int | Fraction, wildcards: int) -> None:
     """Deduct the amount from the chunk, which goes (and with it a field's
     value) when nothing is left."""
@@ -736,7 +701,7 @@ def _take(ctx: ExecContext, state: SymState, store: dict, key: tuple, chunk,
         state.assume(T.lt(taken, chunk.perm))
     rest = T.sub(chunk.perm, taken)
     if rest is T.ZERO:
-        del store[key]
+        del state.heap[key]
     else:
         chunk.perm = rest
         chunk.pos = bool(wildcards) or definitely_positive(rest)
@@ -762,7 +727,7 @@ def _split_amounts(ctx: ExecContext, state: SymState, tmp_held: T.Term,
 def exhale(ctx: ExecContext, state: SymState, prim: E.Exhale) -> list[SymState]:
     """Execute an ``Exhale``; its ``take`` says which heap pays.
 
-    For each demand, fields sorted and then predicates sorted, the exhale
+    For each demand, in key order (fields before instances), the exhale
     decides where the permission comes from, checks that heap holds it, and
     deducts it.  ``own`` takes the whole demand from its atom's heap, and
     ``none`` (an assert) checks as ``own`` does but deducts nothing.
@@ -788,48 +753,47 @@ def exhale(ctx: ExecContext, state: SymState, prim: E.Exhale) -> list[SymState]:
             else:
                 _run_checks(ctx, state, case.checks, prim)
                 _check_values_read(ctx, state, case.vals_checks, prim)
-            for store, demands in ((state.fields, case.field_demands),
-                                   (state.preds, case.pred_demands)):
-                for key in sorted(demands):
-                    d = demands[key]
-                    exact, wildcards = d.exact, d.wildcards
-                    chunk = store.get(key)
+            heap = state.heap
+            for key in sorted(case.demands):
+                d = case.demands[key]
+                exact, wildcards = d.exact, d.wildcards
+                chunk = heap.get(key)
+                if tmp_first:
+                    tmp_key = (key[0], HeapLabel.TMP._value_, key[2], key[3])
+                    tmp = heap.get(tmp_key)
+                    tmp_held = tmp.perm if tmp is not None else T.ZERO
+                    tmp_exact, exact = _split_amounts(ctx, state, tmp_held, exact,
+                                                      d.name, prim)
+                    tmp_wildcards = wildcards if definitely_positive(tmp_held) else 0
+                    wildcards -= tmp_wildcards
+                if chunk is not None:
+                    _check_demand(ctx, state, chunk, exact, wildcards, d.name, prim)
+                elif exact or wildcards:
                     if tmp_first:
-                        tmp_key = (HeapLabel.TMP._value_, key[1], key[2])
-                        tmp = store.get(tmp_key)
-                        tmp_held = tmp.perm if tmp is not None else T.ZERO
-                        tmp_exact, exact = _split_amounts(ctx, state, tmp_held, exact,
-                                                          d.name, prim)
-                        tmp_wildcards = wildcards if definitely_positive(tmp_held) else 0
-                        wildcards -= tmp_wildcards
-                    if chunk is not None:
-                        _check_demand(ctx, state, chunk, exact, wildcards, d.name, prim)
-                    elif exact or wildcards:
-                        if tmp_first:
-                            msg = (f"insufficient permission to {d.name}: tmp heap holds "
-                                   f"{perm_str(tmp_held)} and the fallback heap holds nothing")
-                        elif store is state.fields:
-                            msg = f"no permission to {d.name}"
-                        else:
-                            msg = f"no {d.name} instance held"
-                        ctx.fail(state, prim.kind, prim.span, prim.rule, msg)
-                    if not deduct:
-                        continue
-                    if tmp_first:
-                        from_tmp = tmp is not None and (tmp_exact or tmp_wildcards)
-                        if from_tmp:
-                            _take(ctx, state, store, tmp_key, tmp, tmp_exact, tmp_wildcards)
-                    from_fb = chunk is not None and (exact or wildcards)
-                    if from_fb:
-                        _take(ctx, state, store, key, chunk, exact, wildcards)
-                    if tmp_first and store is state.fields:
-                        # each value is read from the portions taken
-                        for _, _, name, expr in later.get(key, ()):
-                            for c, used in ((tmp, from_tmp), (chunk, from_fb)):
-                                if used:
-                                    _check_value(ctx, state, c, name, expr, prim)
-                        if from_tmp and from_fb:
-                            state.assume(T.eq(tmp.value, chunk.value))
+                        msg = (f"insufficient permission to {d.name}: tmp heap holds "
+                               f"{perm_str(tmp_held)} and the fallback heap holds nothing")
+                    elif key[0]:
+                        msg = f"no {d.name} instance held"
+                    else:
+                        msg = f"no permission to {d.name}"
+                    ctx.fail(state, prim.kind, prim.span, prim.rule, msg)
+                if not deduct:
+                    continue
+                if tmp_first:
+                    from_tmp = tmp is not None and (tmp_exact or tmp_wildcards)
+                    if from_tmp:
+                        _take(ctx, state, tmp_key, tmp, tmp_exact, tmp_wildcards)
+                from_fb = chunk is not None and (exact or wildcards)
+                if from_fb:
+                    _take(ctx, state, key, chunk, exact, wildcards)
+                if tmp_first and not key[0]:
+                    # each value is read from the portions taken
+                    for _, _, name, expr in later.get(key, ()):
+                        for c, used in ((tmp, from_tmp), (chunk, from_fb)):
+                            if used:
+                                _check_value(ctx, state, c, name, expr, prim)
+                    if from_tmp and from_fb:
+                        state.assume(T.eq(tmp.value, chunk.value))
             if tmp_first:
                 _check_values_read(ctx, state, case.vals_checks, prim)
         except _Fail:
@@ -843,32 +807,25 @@ def exhale(ctx: ExecContext, state: SymState, prim: E.Exhale) -> list[SymState]:
 # ---------------------------------------------------------------------------
 
 def transfer_heap(state: SymState, src: HeapLabel, dst: HeapLabel) -> SymState:
-    """Move every chunk labeled src to dst, merging amounts and values."""
-    for key in sorted(k for k in state.fields if k[0] == src._value_):
-        chunk = state.fields.pop(key)
-        dkey = state.field_key(chunk.ref, chunk.fld, dst)
-        dst_chunk = state.fields.get(dkey)
+    """Move every chunk labeled src to dst, merging amounts and values: two
+    field values are equal, and values read through an instance are joined."""
+    heap = state.heap
+    for key in sorted(k for k in heap if k[1] == src._value_):
+        chunk = heap.pop(key)
+        dkey = state.key(chunk.ref, chunk.res, dst)
+        dst_chunk = heap.get(dkey)
         if dst_chunk is None:
             chunk.label = dst
-            state.fields[dkey] = chunk
-        else:
+            heap[dkey] = chunk
+            continue
+        if not key[0]:
             state.assume(T.eq(dst_chunk.value, chunk.value))
-            dst_chunk.perm = T.add(dst_chunk.perm, chunk.perm)
-            dst_chunk.pos = dst_chunk.pos or chunk.pos
-            state.assume(T.le(dst_chunk.perm, T.ONE))
-    for key in sorted(k for k in state.preds if k[0] == src._value_):
-        chunk = state.preds.pop(key)
-        dkey = state.pred_key(chunk.ref, chunk.idx, dst)
-        dst_chunk = state.preds.get(dkey)
-        if dst_chunk is None:
-            chunk.label = dst
-            state.preds[dkey] = chunk
+        dst_chunk.perm = T.add(dst_chunk.perm, chunk.perm)
+        dst_chunk.pos = dst_chunk.pos or chunk.pos
+        if key[0]:
+            dst_chunk.value += tuple(v for v in chunk.value if v not in dst_chunk.value)
         else:
-            dst_chunk.perm = T.add(dst_chunk.perm, chunk.perm)
-            dst_chunk.pos = dst_chunk.pos or chunk.pos
-            merged = list(dst_chunk.vals)
-            merged += [v for v in chunk.vals if v not in dst_chunk.vals]
-            dst_chunk.vals = tuple(merged)
+            state.assume(T.le(dst_chunk.perm, T.ONE))
     return state
 
 
@@ -879,17 +836,17 @@ def transfer_heap(state: SymState, src: HeapLabel, dst: HeapLabel) -> SymState:
 def _held_conjuncts(ctx: ExecContext, state: SymState, ref: T.Term,
                     need_full: bool) -> list[int]:
     held = []
-    for key in sorted(k for k in state.preds if k[0] == HeapLabel.REAL._value_
-                      and k[1] == ref.data[0]):
-        chunk = state.preds[key]
+    for key in sorted(k for k in state.heap if k[0] and k[1] == HeapLabel.REAL._value_
+                      and k[2] == ref.data[0]):
+        chunk = state.heap[key]
         if need_full:
             if chunk.perm.kind == "num":
                 if chunk.perm.data >= 1:
-                    held.append(chunk.idx)
+                    held.append(chunk.res)
             elif ctx.entailed(state, T.ge(chunk.perm, T.ONE)).verdict == YES:
-                held.append(chunk.idx)
+                held.append(chunk.res)
         elif _positive(ctx, state, chunk).verdict == YES:
-            held.append(chunk.idx)
+            held.append(chunk.res)
     return held
 
 
@@ -900,14 +857,14 @@ def _branch_cond_term(ctx: ExecContext, state: SymState, cond: E.BranchCond):
         return None
     if cond.kind == "notread":
         ref = resolve_loc(state, cond.loc)
-        chunk = state.preds.get(state.pred_key(ref, cond.idx, HeapLabel.REAL))
-        vals = chunk.vals if chunk is not None else ()
+        chunk = state.heap.get(state.key(ref, cond.idx, HeapLabel.REAL))
+        vals = chunk.value if chunk is not None else ()
         x = eval_expr(state, cond.value)
         return T.not_(T.or_(*[T.eq(x, v) for v in sorted(vals, key=lambda v: v.tid)]))
     if cond.kind == "releq":
         # the encoder asserts acc(rel, wildcard) first
         ref = resolve_loc(state, cond.loc)
-        chunk = state.fields[state.field_key(ref, "rel", HeapLabel.REAL)]
+        chunk = state.heap[state.key(ref, "rel", HeapLabel.REAL)]
         return T.eq(chunk.value, T.mk_int(cond.idx))
     raise AssertionError(cond)
 
@@ -939,7 +896,7 @@ def run_prim(ctx: ExecContext, state: SymState, prim) -> list[SymState]:
                 # the encoder asserts acc(val, wildcard) first
                 _, loc, fld = prim.rhs
                 ref = resolve_loc(state, loc)
-                chunk = state.fields[state.field_key(ref, fld, HeapLabel.REAL)]
+                chunk = state.heap[state.key(ref, fld, HeapLabel.REAL)]
                 state.env[prim.name] = chunk.value
             return [state]
         if isinstance(prim, E.Branch):
@@ -967,19 +924,18 @@ def run_prim(ctx: ExecContext, state: SymState, prim) -> list[SymState]:
         if isinstance(prim, E.KillBranch):
             return []
         if isinstance(prim, E.DropAllPerms):
-            state.fields = {}
-            state.preds = {}
+            state.heap = {}
             return [state]
         if isinstance(prim, E.NewLoc):
             state.env[prim.var] = ctx.fresh_ref(prim.var, prim.ghost)
             return [state]
         if isinstance(prim, E.RecordReadValue):
             ref = resolve_loc(state, prim.loc)
-            chunk = state.preds.get(state.pred_key(ref, prim.idx, HeapLabel.REAL))
+            chunk = state.heap.get(state.key(ref, prim.idx, HeapLabel.REAL))
             if chunk is not None:
                 v = eval_expr(state, prim.value)
-                if v not in chunk.vals:
-                    chunk.vals = chunk.vals + (v,)
+                if v not in chunk.value:
+                    chunk.value += (v,)
             return [state]
         if isinstance(prim, E.SpinLeakCheck):
             _spin_leak_check(ctx, state, prim)
@@ -1009,7 +965,7 @@ def _spin_leak_check(ctx: ExecContext, state: SymState, prim) -> None:
 
     def leak(ctx: ExecContext, case: _Case, enc) -> None:
         # a ghost-free resource would be gained and then discarded
-        if isinstance(enc, (EAcc, EPredAcc)):
+        if isinstance(enc, EAcc):
             ctx.fail(state, SPIN_PATTERN_RESOURCE_LEAK, prim.span, "spin loop",
                      "a value the spin loop discards would carry resources; "
                      "annotate the loop with an invariant instead")

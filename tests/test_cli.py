@@ -7,9 +7,10 @@ import sys
 
 import pytest
 from conftest import CORPUS, MANIFEST, SQUARE, corpus_path
-from weakmem import api, solver
+from weakmem import api, monitor, solver
 from weakmem.cli import count_annotations, main
 from weakmem.frontend import parse
+from weakmem.speclogic import HeapLabel
 
 
 def run_cli(*argv):
@@ -76,6 +77,18 @@ def test_malformed_input_exit_two(tmp_path, capsys, kind):
     assert run_cli("verify", path, "--dump-primitives") == 2
     err = capsys.readouterr().err
     assert f"{path}: " in err and "Traceback" not in err
+
+
+def test_unknown_invariant_in_an_unreached_body_exits_two(tmp_path, capsys):
+    # no annotation reaches Q: the mode check reports the name at its resource
+    path = write(tmp_path, "bad.rsl", "invariant Q(V) = Acq(l, Missing);\n"
+                 "invariant P(V) = true;\n"
+                 "proc main() requires { true } ensures { true } { alloc_acq(x, P); }\n")
+    diag = "1:18: SyntaxError [well-formedness]: unknown invariant 'Missing'"
+    assert run_cli("verify", path) == 2
+    assert f"  {diag}\n" in capsys.readouterr().out
+    assert run_cli("verify", path, "--dump-invariants") == 2
+    assert capsys.readouterr().err == f"{path}: {diag}\n"
 
 
 def test_undecodable_input_exit_two(tmp_path, capsys):
@@ -233,6 +246,34 @@ def test_soundness_flag_adds_section(tmp_path, capsys):
         capsys.readouterr()
         report = json.loads(out.read_text())
         assert report["soundness"], flag
+
+
+def test_a_soundness_violation_fails_a_procedure_only_when_strict(tmp_path, capsys,
+                                                                   monkeypatch):
+    # no program breaks the monitor's invariants, so the check is made to
+    # report one for every state that holds a chunk: here only the state
+    # that reaches `free(a)`
+    def check(state, solver, classes):
+        return [monitor.Violation("a", HeapLabel.REAL, "made up")] if state.heap else []
+
+    monkeypatch.setattr(monitor, "check_state_invariants", check)
+    path = write(tmp_path, "p.rsl", "proc main() requires { true } ensures { true }\n"
+                 "{\n  alloc_na(a);\n  free(a);\n}\n")
+    out = tmp_path / "r.json"
+    assert run_cli("verify", path, "--strict-invariants", "--json", str(out)) == 1
+    (proc,) = json.loads(out.read_text())["files"][0]["procedures"]
+    assert proc["status"] == "failed"
+    assert [(d["kind"], d["line"], d["col"], d["rule"], d["message"])
+            for d in proc["diagnostics"]] == [
+        ("SoundnessViolation", 4, 3, "soundness monitor", "a: made up")]
+    assert run_cli("verify", path, "--check-soundness-invariants", "--json", str(out)) == 0
+    report = json.loads(out.read_text())
+    (proc,) = report["files"][0]["procedures"]
+    assert proc["status"] == "verified" and proc["diagnostics"] == []
+    assert [(r["boundary"], r["line"], r["col"], r["violations"])
+            for r in report["soundness"] if r["violations"]] == [
+        ("free", 4, 3, ["a: made up"])]
+    capsys.readouterr()
 
 
 def manifest_entries():

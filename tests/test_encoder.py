@@ -46,9 +46,9 @@ def test_alloc_na_state():
     assert result.verified
     (st,) = result.final_states
     ref = st.env["a"]
-    assert st.field_perm(ref, "val", HeapLabel.REAL) is T.ONE
-    assert st.field_perm(ref, "init", HeapLabel.REAL) is T.ONE
-    init = st.fields[st.field_key(ref, "init", HeapLabel.REAL)]
+    assert st.perm(ref, "val", HeapLabel.REAL) is T.ONE
+    assert st.perm(ref, "init", HeapLabel.REAL) is T.ONE
+    init = st.heap[st.key(ref, "init", HeapLabel.REAL)]
     assert solver.assert_entailed(st.path, T.not_(init.value)).verdict == "yes"
 
 
@@ -97,7 +97,7 @@ def test_two_allocs_distinct():
     result, *_ = run_main(WRAP.format(body="alloc_na(a); alloc_na(b);"))
     (st,) = result.final_states
     assert st.env["a"] is not st.env["b"]
-    assert len(st.fields) == 4
+    assert len(st.heap) == 4
 
 
 def test_alloc_exhale_uninit_round_trip():
@@ -110,7 +110,7 @@ proc main() requires { true } ensures { true } { alloc_na(a); call take(a); }
     result, *_ = run_main(source)
     assert result.verified
     (st,) = result.final_states
-    assert st.fields == {}
+    assert st.heap == {}
 
 
 # ---------------------------------------------------------------------------
@@ -145,9 +145,9 @@ def test_write_after_uninit():
     assert result.verified
     (st,) = result.final_states
     ref = st.env["a"]
-    chunk = st.fields[st.field_key(ref, "val", HeapLabel.REAL)]
+    chunk = st.heap[st.key(ref, "val", HeapLabel.REAL)]
     assert solver.assert_entailed(st.path, T.eq(chunk.value, T.mk_int(7))).verdict == "yes"
-    init = st.fields[st.field_key(ref, "init", HeapLabel.REAL)]
+    init = st.heap[st.key(ref, "init", HeapLabel.REAL)]
     assert solver.assert_entailed(st.path, init.value).verdict == "yes"
 
 
@@ -188,8 +188,8 @@ def test_alloc_acq_conjunct_instances():
     (st,) = result.final_states
     ref = st.env["l"]
     i1, i2 = table.whole(("Q1",)), table.whole(("Q2",))
-    assert st.preds[st.pred_key(ref, i1, HeapLabel.REAL)].vals == ()
-    assert st.preds[st.pred_key(ref, i2, HeapLabel.REAL)].vals == ()
+    assert st.heap[st.key(ref, i1, HeapLabel.REAL)].value == ()
+    assert st.heap[st.key(ref, i2, HeapLabel.REAL)].value == ()
 
 
 def test_acq_splitting():
@@ -199,8 +199,8 @@ def test_acq_splitting():
     (st,) = result.final_states
     ref = st.env["l"]
     i1, i2 = table.whole(("Q1",)), table.whole(("Q2",))
-    assert st.pred_perm(ref, i1, HeapLabel.REAL) is T.ZERO
-    assert st.pred_perm(ref, i2, HeapLabel.REAL) is T.ONE
+    assert st.perm(ref, i1, HeapLabel.REAL) is T.ZERO
+    assert st.perm(ref, i2, HeapLabel.REAL) is T.ONE
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +317,7 @@ proc main(l)
     # on the x == 0 paths there must be no down-heap chunks
     for st in finals:
         zero = chk.info["main"]
-        down = [k for k in st.fields if k[0] == HeapLabel.DOWN.value]
+        down = [k for k in st.heap if k[1] == HeapLabel.DOWN.value]
         if down:
             # only reachable when x != 0
             x = st.env["x"]
@@ -333,7 +333,7 @@ def test_fence_rel_true_noop():
 def test_fence_acq_empty_noop():
     result, *_ = run_main(WRAP.format(body="alloc_na(a); fence_acq;"))
     (st,) = result.final_states
-    assert all(k[0] == HeapLabel.REAL.value for k in st.fields)
+    assert all(k[1] == HeapLabel.REAL.value for k in st.heap)
     assert result.verified
 
 
@@ -537,7 +537,7 @@ def test_ghost_fence_identity():
     assert result.verified
     (st,) = result.final_states
     # the chunk never left the real heap
-    assert all(k[0] == HeapLabel.REAL.value for k in st.fields)
+    assert all(k[1] == HeapLabel.REAL.value for k in st.heap)
 
 
 def test_ghost_exhale_under_modality():
@@ -570,7 +570,7 @@ proc main() requires { true } ensures { true }
 """)
     assert result.verified
     (st,) = result.final_states
-    assert st.field_perm(st.env["a"], "val", HeapLabel.REAL) is T.ONE
+    assert st.perm(st.env["a"], "val", HeapLabel.REAL) is T.ONE
 
 
 def test_annotated_loop_verifies():
@@ -707,7 +707,7 @@ def test_par_fig4_join_state():
     assert res.ok
     main = res.verdict_of("main")
     (st,) = main.obligations[0].final_states
-    names = {c.ref.data[1] for c in st.fields.values()}
+    names = {c.ref.data[1] for c in st.heap.values()}
     assert {"a", "b", "l"} <= names
 
 
@@ -715,6 +715,22 @@ def test_trivial_thread():
     v = single_verdict(WRAP.format(
         body="par { thread requires { true } ensures { true } { skip; } }"))
     assert v.status == "verified"
+
+
+def test_specs_are_lowered_before_the_body():
+    # an unsupported fraction in a postcondition wins over a loop with no
+    # invariant in the body, for a procedure as for a thread
+    loop = "while (q == 0) { skip; }"
+    proc = ("proc main(a, q) requires { a |-> 1 } ensures { a |-> 1 @ q } "
+            f"{{ {loop} }}")
+    thread = ("proc main(a, q) requires { a |-> 1 } ensures { true } "
+              "{ par { thread requires { a |-> 1 } ensures { a |-> 1 @ q } "
+              f"{{ {loop} }} }} }}")
+    for source in (proc, thread):
+        v = single_verdict(source)
+        assert v.status == "unsupported" and "symbolic fraction" in v.reason, source
+    v = single_verdict(proc.replace(" @ q", ""))
+    assert v.status == "failed" and kinds(v) == [MISSING_LOOP_INVARIANT]
 
 
 def test_fork_two_full_claimants_fails():
@@ -1080,4 +1096,4 @@ def test_each_thread_spec_is_lowered_once(monkeypatch):
     for entry in cli.load_manifest(MANIFEST):
         api.verify_file(corpus_path(entry.file))
     assert callers["_par"] == 60
-    assert callers["_thread_obligation"] == 0
+    assert callers["_obligation"] == 0

@@ -9,7 +9,7 @@ from weakmem.frontend import NA
 from weakmem.monitor import check_state_invariants, reconstruct_assertion
 from weakmem.solver import Solver
 from weakmem.speclogic import EFieldEq, HeapLabel, WILDCARD, estar
-from weakmem.symstate import ExecContext, FieldChunk, SymState
+from weakmem.symstate import Chunk, ExecContext, SymState
 
 
 def hand_state(perm_val, perm_init, init_value=T.TRUE):
@@ -17,9 +17,9 @@ def hand_state(perm_val, perm_init, init_value=T.TRUE):
     st = SymState()
     ref = ctx.fresh_ref("a", False)
     st.env["a"] = ref
-    st.fields[st.field_key(ref, "val", HeapLabel.REAL)] = FieldChunk(
+    st.heap[st.key(ref, "val", HeapLabel.REAL)] = Chunk(
         ref, "val", HeapLabel.REAL, T.mk_int(perm_val), ctx.fresh_int("v"))
-    st.fields[st.field_key(ref, "init", HeapLabel.REAL)] = FieldChunk(
+    st.heap[st.key(ref, "init", HeapLabel.REAL)] = Chunk(
         ref, "init", HeapLabel.REAL, T.mk_int(perm_init), init_value)
     return st
 

@@ -17,7 +17,7 @@ from weakmem.diagnostics import EXHALE_FAILURE
 from weakmem.encoder import Exhale
 from weakmem.solver import Solver, YES
 from weakmem.speclogic import (
-    EAcc, EFieldEq, EPredAcc, EPure, WILDCARD, estar, substitute,
+    EAcc, EFieldEq, EPure, WILDCARD, estar, substitute,
 )
 from weakmem.symstate import ExecContext, SymState, exhale, inhale
 
@@ -65,7 +65,7 @@ def random_assertion(rng: random.Random):
 
 
 def perm_map(stt: SymState):
-    return {k: c.perm for k, c in stt.fields.items()}
+    return {k: c.perm for k, c in stt.heap.items()}
 
 
 def run_permission_algebra(iterations: int = 1000) -> None:
@@ -76,7 +76,7 @@ def run_permission_algebra(iterations: int = 1000) -> None:
         enc = random_assertion(rng)
         stt = fresh_state(ctx)
         (stt,) = inhale(ctx, stt, enc)
-        for chunk in stt.fields.values():
+        for chunk in stt.heap.values():
             assert chunk.perm.kind == "num"
             assert 0 <= chunk.perm.data <= 1
         before = len(ctx.diagnostics)
@@ -100,20 +100,20 @@ def run_duplicability_matrix() -> None:
             assert len(ctx.diagnostics) == before
     # RMW-mode conjuncts: wildcard instances stay duplicable
     stt = fresh_state(ctx)
-    (stt,) = inhale(ctx, stt, EPredAcc("a", 0, WILDCARD))
+    (stt,) = inhale(ctx, stt, EAcc("a", 0, WILDCARD))
     for _ in range(2):
         before = len(ctx.diagnostics)
-        (stt,) = exhale(ctx, stt, Exhale(EPredAcc("a", 0, WILDCARD),
+        (stt,) = exhale(ctx, stt, Exhale(EAcc("a", 0, WILDCARD),
                                          rule="dup", kind=EXHALE_FAILURE))
         assert len(ctx.diagnostics) == before
     # acquire-mode conjuncts: the second full exhale must fail
     stt = fresh_state(ctx)
-    (stt,) = inhale(ctx, stt, EPredAcc("a", 0, Fraction(1)))
+    (stt,) = inhale(ctx, stt, EAcc("a", 0, Fraction(1)))
     before = len(ctx.diagnostics)
-    (stt,) = exhale(ctx, stt, Exhale(EPredAcc("a", 0, Fraction(1)),
+    (stt,) = exhale(ctx, stt, Exhale(EAcc("a", 0, Fraction(1)),
                                      rule="dup", kind=EXHALE_FAILURE))
     assert len(ctx.diagnostics) == before
-    out = exhale(ctx, stt, Exhale(EPredAcc("a", 0, Fraction(1)),
+    out = exhale(ctx, stt, Exhale(EAcc("a", 0, Fraction(1)),
                                   rule="dup", kind=EXHALE_FAILURE))
     assert len(ctx.diagnostics) == before + 1 and out == []
 
@@ -208,18 +208,18 @@ def test_frame_property():
             EAcc("f2", "val", Fraction(1, 2)), EAcc("f2", "init", Fraction(1, 2)),
         ])
         (framed,) = inhale(ctx, framed, frame)
-        frame_before = {k: c.perm for k, c in framed.fields.items()}
+        frame_before = {k: c.perm for k, c in framed.heap.items()}
         (p1,) = inhale(ctx, plain, enc)
         (f1,) = inhale(ctx, framed, enc)
-        names = lambda stt: {(k[0], stt_field_name(stt, k), k[2]): c.perm
-                             for k, c in stt.fields.items()}
+        names = lambda stt: {(k[1], stt_field_name(stt, k), k[3]): c.perm
+                             for k, c in stt.heap.items()}
         def stt_field_name(stt, key):
-            return stt.fields[key].ref.data[1]
+            return stt.heap[key].ref.data[1]
         # frame chunks unchanged, shared part evolves identically by name
         for k, p in frame_before.items():
-            assert f1.fields[k].perm == p
-        p_view = {(stt_field_name(p1, k), k[2]): c.perm for k, c in p1.fields.items()}
-        f_view = {(stt_field_name(f1, k), k[2]): c.perm for k, c in f1.fields.items()
+            assert f1.heap[k].perm == p
+        p_view = {(stt_field_name(p1, k), k[3]): c.perm for k, c in p1.heap.items()}
+        f_view = {(stt_field_name(f1, k), k[3]): c.perm for k, c in f1.heap.items()
                   if stt_field_name(f1, k) in LOCS}
         assert p_view == f_view
 

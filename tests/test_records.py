@@ -66,7 +66,7 @@ def test_hashable_records_hash_by_value_and_the_rest_do_not_hash():
         a, b = make(), make()
         assert a is not b and a == b and hash(a) == hash(b) and len({a, b}) == 1
     for x in (S.EInt(1), S.APure(expr=S.TRUE_E), S.SSkip(), Diagnostic("k"),
-              encoder.HavocVar("x"), api.VerifyOptions(), symstate.FieldChunk(0, "val", 0, 0, 0)):
+              encoder.HavocVar("x"), api.VerifyOptions(), symstate.Chunk(0, "val", 0, 0, 0)):
         with pytest.raises(TypeError):
             hash(x)
 

@@ -10,11 +10,11 @@ from weakmem.diagnostics import EXHALE_FAILURE, INCOMPLETE_SOLVER
 from weakmem.encoder import Exhale, Inhale, pp_primitive
 from weakmem.solver import NO, OPAQUE_ATOM, SAT, UNSAT, Solver, YES
 from weakmem.speclogic import (
-    EAcc, ECond, EFieldEq, EImplies, EPredAcc, EPure, FULL, HeapLabel, WILDCARD, estar,
+    EAcc, ECond, EFieldEq, EImplies, EPure, FULL, HeapLabel, WILDCARD, estar,
     pp_enc, substitute,
 )
 from weakmem.symstate import (
-    VALUE, ExecContext, FieldChunk, PredChunk, SymState, exhale, inhale, perm_str,
+    VALUE, Chunk, ExecContext, SymState, exhale, inhale, perm_str,
     run_prim, transfer_heap,
 )
 from weakmem import syntax as S
@@ -59,7 +59,7 @@ def do_exhale(ctx, st, enc, expect_fail=False):
 
 
 def val_perm(st, ref, fld="val", label=HeapLabel.REAL):
-    return st.field_perm(ref, fld, label)
+    return st.perm(ref, fld, label)
 
 
 # ---------------------------------------------------------------------------
@@ -77,9 +77,9 @@ def test_inhale_halves_merge():
 def test_inhale_true_unchanged():
     ctx = make_ctx()
     st = fresh_state(ctx)
-    chunks = dict(st.fields)
+    chunks = dict(st.heap)
     st = do_inhale(ctx, st, EPure(S.TRUE_E))
-    assert st.fields == chunks and st.path == []
+    assert st.heap == chunks and st.path == []
 
 
 def test_inhale_conflicting_values_infeasible():
@@ -135,7 +135,7 @@ def test_exhale_true_unchanged():
     ctx = make_ctx()
     st = fresh_state(ctx)
     (st2,) = do_exhale(ctx, st, EPure(S.TRUE_E))
-    assert st2.fields == st.fields
+    assert st2.heap == st.heap
 
 
 def test_init_wildcard_duplicable():
@@ -153,9 +153,9 @@ def test_value_dropped_at_zero_permission():
     st = fresh_state(ctx)
     st = do_inhale(ctx, st, points_to("a", 42))
     ref = st.env["a"]
-    key = st.field_key(ref, "val", HeapLabel.REAL)
+    key = st.key(ref, "val", HeapLabel.REAL)
     (st,) = do_exhale(ctx, st, points_to("a", 42))
-    assert key not in st.fields  # chunk gone: value havoced with it
+    assert key not in st.heap  # chunk gone: value havoced with it
 
 
 def test_exhale_value_mismatch_fails():
@@ -217,7 +217,7 @@ def test_transfer_down_to_real():
     ref = st.env["a"]
     assert val_perm(st, ref) is T.ONE
     assert val_perm(st, ref, label=HeapLabel.DOWN) is T.ZERO
-    chunk = st.fields[st.field_key(ref, "val", HeapLabel.REAL)]
+    chunk = st.heap[st.key(ref, "val", HeapLabel.REAL)]
     assert ctx.solver.assert_entailed(st.path, T.eq(chunk.value, T.mk_int(42))).verdict == "yes"
 
 
@@ -225,9 +225,9 @@ def test_transfer_empty_identity():
     ctx = make_ctx()
     st = fresh_state(ctx)
     st = do_inhale(ctx, st, points_to("a", 1))
-    before = {k: (c.perm, c.value) for k, c in st.fields.items()}
+    before = {k: (c.perm, c.value) for k, c in st.heap.items()}
     st = transfer_heap(st, HeapLabel.DOWN, HeapLabel.REAL)
-    assert {k: (c.perm, c.value) for k, c in st.fields.items()} == before
+    assert {k: (c.perm, c.value) for k, c in st.heap.items()} == before
 
 
 def test_transfer_merges_and_unifies_values():
@@ -242,7 +242,7 @@ def test_transfer_merges_and_unifies_values():
     st = transfer_heap(st, HeapLabel.DOWN, HeapLabel.REAL)
     ref = st.env["a"]
     assert val_perm(st, ref) is T.ONE
-    chunk = st.fields[st.field_key(ref, "val", HeapLabel.REAL)]
+    chunk = st.heap[st.key(ref, "val", HeapLabel.REAL)]
     assert ctx.solver.assert_entailed(st.path, T.eq(chunk.value, T.mk_int(7))).verdict == "yes"
 
 
@@ -253,50 +253,50 @@ def test_transfer_merges_and_unifies_values():
 def test_acq_conjunct_not_duplicable():
     ctx = make_ctx()
     st = fresh_state(ctx, ("l",))
-    st = do_inhale(ctx, st, EPredAcc("l", 0, Fraction(1), vals_empty=True))
-    (st,) = do_exhale(ctx, st, EPredAcc("l", 0, Fraction(1), vals_empty=True))
-    do_exhale(ctx, st, EPredAcc("l", 0, Fraction(1), vals_empty=True),
+    st = do_inhale(ctx, st, EAcc("l", 0, Fraction(1), vals_empty=True))
+    (st,) = do_exhale(ctx, st, EAcc("l", 0, Fraction(1), vals_empty=True))
+    do_exhale(ctx, st, EAcc("l", 0, Fraction(1), vals_empty=True),
               expect_fail=True)
 
 
 def test_rmw_conjunct_duplicable():
     ctx = make_ctx()
     st = fresh_state(ctx, ("l",))
-    st = do_inhale(ctx, st, EPredAcc("l", 0, WILDCARD))
-    (st,) = do_exhale(ctx, st, EPredAcc("l", 0, WILDCARD))
-    (st,) = do_exhale(ctx, st, EPredAcc("l", 0, WILDCARD))
-    assert st.pred_perm(st.env["l"], 0, HeapLabel.REAL) is not T.ZERO
+    st = do_inhale(ctx, st, EAcc("l", 0, WILDCARD))
+    (st,) = do_exhale(ctx, st, EAcc("l", 0, WILDCARD))
+    (st,) = do_exhale(ctx, st, EAcc("l", 0, WILDCARD))
+    assert st.perm(st.env["l"], 0, HeapLabel.REAL) is not T.ZERO
 
 
 def test_reinhale_keeps_vals_read():
     # re-inhaling a held conjunct must not reset its snapshot
     ctx = make_ctx()
     st = fresh_state(ctx, ("l",))
-    st = do_inhale(ctx, st, EPredAcc("l", 0, Fraction(1), vals_empty=True))
-    key = st.pred_key(st.env["l"], 0, HeapLabel.REAL)
-    st.preds[key].vals = (T.mk_int(1),)
-    st = do_inhale(ctx, st, EPredAcc("l", 0, Fraction(1), vals_empty=True))
-    assert st.preds[key].vals == (T.mk_int(1),)
-    assert st.preds[key].perm is T.mk_int(2)
+    st = do_inhale(ctx, st, EAcc("l", 0, Fraction(1), vals_empty=True))
+    key = st.key(st.env["l"], 0, HeapLabel.REAL)
+    st.heap[key].value = (T.mk_int(1),)
+    st = do_inhale(ctx, st, EAcc("l", 0, Fraction(1), vals_empty=True))
+    assert st.heap[key].value == (T.mk_int(1),)
+    assert st.heap[key].perm is T.mk_int(2)
 
 
 def test_symbolic_full_conjunct_is_held_under_need_full():
     # 1 + w is no num, so the solver decides that it covers a full share
     ctx = make_ctx()
     st = fresh_state(ctx, ("l",))
-    st = do_inhale(ctx, st, EPredAcc("l", 0, FULL))
-    st = do_inhale(ctx, st, EPredAcc("l", 0, WILDCARD))
+    st = do_inhale(ctx, st, EAcc("l", 0, FULL))
+    st = do_inhale(ctx, st, EAcc("l", 0, WILDCARD))
     ref = st.env["l"]
-    assert st.preds[st.pred_key(ref, 0, HeapLabel.REAL)].perm.kind == "lin"
+    assert st.heap[st.key(ref, 0, HeapLabel.REAL)].perm.kind == "lin"
     assert symstate._held_conjuncts(ctx, st, ref, need_full=True) == [0]
 
 
 def test_wildcard_conjunct_is_not_held_under_need_full():
     ctx = make_ctx()
     st = fresh_state(ctx, ("l",))
-    st = do_inhale(ctx, st, EPredAcc("l", 0, WILDCARD))
+    st = do_inhale(ctx, st, EAcc("l", 0, WILDCARD))
     ref = st.env["l"]
-    assert st.preds[st.pred_key(ref, 0, HeapLabel.REAL)].perm.kind == "var"
+    assert st.heap[st.key(ref, 0, HeapLabel.REAL)].perm.kind == "var"
     assert symstate._held_conjuncts(ctx, st, ref, need_full=True) == []
     assert symstate._held_conjuncts(ctx, st, ref, need_full=False) == [0]
 
@@ -307,12 +307,12 @@ def test_notread_branch_is_a_disjunction_of_equalities():
     from weakmem.symstate import _branch_cond_term
     ctx = make_ctx()
     st = fresh_state(ctx, ("l",))
-    st = do_inhale(ctx, st, EPredAcc("l", 0, Fraction(1), vals_empty=True))
+    st = do_inhale(ctx, st, EAcc("l", 0, Fraction(1), vals_empty=True))
     x, v1, v2 = (T.mk_var(n, T.INT) for n in ("nr_x", "nr_v1", "nr_v2"))
     st.env["x"] = x
     cond = BranchCond("notread", loc="l", idx=0, value=S.EVar("x"))
     assert _branch_cond_term(ctx, st, cond) is T.TRUE
-    st.preds[st.pred_key(st.env["l"], 0, HeapLabel.REAL)].vals = (v2, v1)
+    st.heap[st.key(st.env["l"], 0, HeapLabel.REAL)].value = (v2, v1)
     got = _branch_cond_term(ctx, st, cond)
     assert got is T.not_(T.or_(T.eq(x, v1), T.eq(x, v2)))
     assert [T.pretty(a) for a in got.args[0].args] == [
@@ -399,9 +399,9 @@ def test_prefer_tmp_values_read_failure_names_the_values():
     # the check runs after the demands, on what is left of the instance
     ctx = make_ctx()
     st = fresh_state(ctx, ("l",))
-    st = do_inhale(ctx, st, EPredAcc("l", 0, Fraction(1)))
-    st.preds[st.pred_key(st.env["l"], 0, HeapLabel.REAL)].vals = (T.mk_int(3),)
-    run_prefer_tmp(ctx, st, EPredAcc("l", 0, Fraction(1, 2), vals_empty=True),
+    st = do_inhale(ctx, st, EAcc("l", 0, Fraction(1)))
+    st.heap[st.key(st.env["l"], 0, HeapLabel.REAL)].value = (T.mk_int(3),)
+    run_prefer_tmp(ctx, st, EAcc("l", 0, Fraction(1, 2), vals_empty=True),
                    expect_fail=True)
     d = ctx.diagnostics[-1]
     assert d.kind == EXHALE_FAILURE
@@ -563,21 +563,21 @@ def test_value_height_bound():
 # ---------------------------------------------------------------------------
 
 def chunk_of(st, fld="val", label=HeapLabel.REAL):
-    return st.fields[st.field_key(st.env["a"], fld, label)]
+    return st.heap[st.key(st.env["a"], fld, label)]
 
 
 def test_inhale_sets_pos():
     ctx = make_ctx()
     st = fresh_state(ctx)
     enc = estar([acc("a", "val", "1/2"), acc("a", "init", WILDCARD),
-                 EPredAcc("a", 0, WILDCARD)])
-    pkey = st.pred_key(st.env["a"], 0, HeapLabel.REAL)
+                 EAcc("a", 0, WILDCARD)])
+    pkey = st.key(st.env["a"], 0, HeapLabel.REAL)
     st = do_inhale(ctx, st, enc)
-    assert chunk_of(st).pos and chunk_of(st, "init").pos and st.preds[pkey].pos
+    assert chunk_of(st).pos and chunk_of(st, "init").pos and st.heap[pkey].pos
     # inhaling into a held chunk sets it too
-    chunk_of(st).pos = chunk_of(st, "init").pos = st.preds[pkey].pos = False
+    chunk_of(st).pos = chunk_of(st, "init").pos = st.heap[pkey].pos = False
     st = do_inhale(ctx, st, enc)
-    assert chunk_of(st).pos and chunk_of(st, "init").pos and st.preds[pkey].pos
+    assert chunk_of(st).pos and chunk_of(st, "init").pos and st.heap[pkey].pos
 
 
 def test_takes_keep_or_clear_pos():
@@ -613,27 +613,27 @@ def test_transfer_merge_ors_pos():
         ref = st.env["a"]
         for label, pos in ((HeapLabel.DOWN, src_pos), (HeapLabel.REAL, dst_pos)):
             w = ctx.fresh_token()
-            st.fields[st.field_key(ref, "val", label)] = FieldChunk(
+            st.heap[st.key(ref, "val", label)] = Chunk(
                 ref, "val", label, w, ctx.fresh_field_value("val"), pos)
-            st.preds[st.pred_key(ref, 0, label)] = PredChunk(ref, 0, label, w, (), pos)
+            st.heap[st.key(ref, 0, label)] = Chunk(ref, 0, label, w, (), pos)
         st = transfer_heap(st, HeapLabel.DOWN, HeapLabel.REAL)
-        assert len(st.fields) == len(st.preds) == 1
+        assert sorted(k[0] for k in st.heap) == [False, True]
         assert chunk_of(st).pos == (src_pos or dst_pos)
-        assert st.preds[st.pred_key(ref, 0, HeapLabel.REAL)].pos == (src_pos or dst_pos)
+        assert st.heap[st.key(ref, 0, HeapLabel.REAL)].pos == (src_pos or dst_pos)
 
 
 def test_clone_pos_is_independent():
     ctx = make_ctx()
     st = fresh_state(ctx)
-    st = do_inhale(ctx, st, estar([acc("a", "val", 1), EPredAcc("a", 0, WILDCARD)]))
+    st = do_inhale(ctx, st, estar([acc("a", "val", 1), EAcc("a", 0, WILDCARD)]))
     copy = st.clone()
-    pkey = st.pred_key(st.env["a"], 0, HeapLabel.REAL)
-    assert chunk_of(copy).pos and copy.preds[pkey].pos
-    chunk_of(copy).pos = copy.preds[pkey].pos = False
-    assert chunk_of(st).pos and st.preds[pkey].pos
+    pkey = st.key(st.env["a"], 0, HeapLabel.REAL)
+    assert chunk_of(copy).pos and copy.heap[pkey].pos
+    chunk_of(copy).pos = copy.heap[pkey].pos = False
+    assert chunk_of(st).pos and st.heap[pkey].pos
     copy = st.clone()
-    chunk_of(st).pos = st.preds[pkey].pos = False
-    assert chunk_of(copy).pos and copy.preds[pkey].pos
+    chunk_of(st).pos = st.heap[pkey].pos = False
+    assert chunk_of(copy).pos and copy.heap[pkey].pos
 
 
 def test_pos_flag_agrees_with_the_solver(monkeypatch):
@@ -777,7 +777,7 @@ def amount_texts(one):
     assertion, its primitive's dump, the state it inhales to and the
     messages of two failed exhales."""
     enc = estar([EAcc("a", "val", one), EAcc("a", "init", one),
-                 EPredAcc("a", 0, one, vals_empty=True)])
+                 EAcc("a", 0, one, vals_empty=True)])
     ctx = make_ctx()
     st = do_inhale(ctx, fresh_state(ctx), enc)
     texts = [pp_enc(enc), "\n".join(pp_primitive(Inhale(enc, "test"))), st.digest()]

@@ -16,8 +16,9 @@ soundness checking off, on and strict.  Each run records:
 - what `workloads.mismatches` finds.
 
 The output gives the number of runs, the total of `Solver.queries`, a
-sha256 of the verdicts alone and a sha256 of the records with `queries`
-left out.  Its last line is a sha256 over all records.  Two source trees
+sha256 of the verdicts alone, a sha256 of the records with `queries`
+left out and a sha256 of the encodings (`dumps:`).  Its last line is a
+sha256 over all records.  Two source trees
 behave alike on these inputs when their digests are equal; a change that
 only asks the solver less keeps the digest without `queries` and changes
 the last line.  The verdicts line hashes only the parse diagnostics, each
@@ -25,7 +26,10 @@ procedure's status, reason and diagnostics without their hints, each
 obligation's `states_seen` and number of final states, the soundness
 violations and the mismatches: a change that only renders symbolic values
 differently, in hints, state digests, traces or soundness reports, keeps
-it.  `--out FILE` writes the records as JSON, to diff two trees that
+it.  The `dumps:` line hashes, for every program, `encoder.dump_primitives`
+of all its procedures, or the text of the error that stops the encoding; it
+is kept outside the records, so a change of encoding alone moves only it.
+`--out FILE` writes the records as JSON, to diff two trees that
 differ.  Timings are left out, so the digests do not depend on the host.
 bench/ is only read.
 """
@@ -44,7 +48,8 @@ sys.path.insert(0, os.path.join(ROOT, "bench"))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
 import workloads                         # noqa: E402
-from weakmem import api                  # noqa: E402
+from weakmem import api, encoder         # noqa: E402
+from weakmem.diagnostics import FrontendError, UnsupportedFeature   # noqa: E402
 
 WORKLOADS = ("corpus", "lockchain", "manyprocs")
 SEEDS = (1, 2, 3)
@@ -88,15 +93,40 @@ def run_record(prog: workloads.Program, mode: str) -> dict:
     }
 
 
-def records() -> list[dict]:
-    out = []
+def programs():
     for workload in WORKLOADS:
         for seed in SEEDS:
             for prog in workloads.make(workload, ROOT, seed):
-                for mode in MODES:
-                    out.append(dict(run_record(prog, mode),
-                                    workload=workload, seed=seed))
-    return out
+                yield workload, seed, prog
+
+
+def records() -> list[dict]:
+    return [dict(run_record(prog, mode), workload=workload, seed=seed)
+            for workload, seed, prog in programs() for mode in MODES]
+
+
+def dump_text(prog: workloads.Program) -> str:
+    """The primitives of every procedure, as `--dump-primitives` prints
+    them, or the error that stops the encoding."""
+    front = api.check_source(prog.source, prog.name)
+    if front.parse_diagnostics:
+        return "".join(d.format() + "\n" for d in front.parse_diagnostics)
+    obligations = []
+    try:
+        for proc in front.program.procedures:
+            obligations.extend(encoder.build_obligations(front.checked, front.table, proc))
+    except UnsupportedFeature as exc:
+        return f"unsupported: {exc.reason}\n"
+    except FrontendError as exc:
+        return exc.diagnostic.format() + "\n"
+    return encoder.dump_primitives(obligations)
+
+
+def dumps_digest() -> str:
+    h = hashlib.sha256()
+    for _, _, prog in programs():
+        h.update(f"=== {prog.name}\n{dump_text(prog)}".encode())
+    return h.hexdigest()
 
 
 def verdicts(rec: dict) -> dict:
@@ -137,6 +167,7 @@ def main(argv=None) -> int:
     print(f"queries: {sum(r['queries'] for r in recs)}")
     print(f"verdicts: {sha256([verdicts(r) for r in recs])}")
     print(f"without queries: {sha256(without)}")
+    print(f"dumps: {dumps_digest()}")
     print(sha256(recs))
     return 0
 
