@@ -19,7 +19,8 @@ primitive that runs a body carries the expression ``V`` stands for at its
 site, and the executor binds it; the printer instantiates it, so dumps and
 traces read as if the body were lowered at each site.  A body whose
 fractions mention ``V`` is the exception: lowering checks amounts, so it is
-instantiated and lowered per site.
+instantiated and lowered per site.  A body that cannot be lowered at a
+site becomes an ``EError`` node, which fails only a path that runs it.
 
 Loops take one of two shapes: with an annotated invariant they get the
 standard exhale/havoc/inhale treatment (the body is verified against the
@@ -43,7 +44,7 @@ from .diagnostics import (
 )
 from .frontend import CheckedProgram
 from .speclogic import (
-    EAcc, EFieldEq, EPure, EncAssertion, HeapLabel, InvariantTable,
+    EAcc, EError, EFieldEq, EPure, EncAssertion, HeapLabel, InvariantTable,
     FULL, LowerCtx, WILDCARD, estar, lower, relabel,
     substitute, enc_labels, FIELD_ACQ, FIELD_INIT, FIELD_REL, FIELD_VAL,
 )
@@ -255,13 +256,20 @@ class EncodeCtx:
         instantiated and lowered at each site instead, since lowering checks
         its amounts."""
         if idx in self.table.value_fractions:
-            body = substitute(self.table.body(idx), value)
-            return relabel(self.lower(body), label, self.lower_ctx), None
+            return self._lower_body(substitute(self.table.body(idx), value), label), None
         enc = self._bodies.get((idx, label))
         if enc is None:
-            enc = relabel(self.lower(self.table.body(idx)), label, self.lower_ctx)
-            self._bodies[idx, label] = enc
+            enc = self._bodies[idx, label] = self._lower_body(self.table.body(idx), label)
         return enc, (value if idx in self.table.uses_value else None)
+
+    def _lower_body(self, body: S.Assertion, label: HeapLabel) -> EncAssertion:
+        """A table body lowered into a heap.  An error that stops the lowering
+        becomes an ``EError`` node, raised only where a case reaches it: a
+        site branches on which body runs, and only that one may fail."""
+        try:
+            return relabel(self.lower(body), label, self.lower_ctx)
+        except FrontendError as exc:
+            return EError(exc.diagnostic)
 
     def inv_bodies(self, value: S.Expr, label: HeapLabel = HeapLabel.REAL,
                    conjuncts: bool = False
@@ -281,55 +289,7 @@ def _enc_err(kind: str, span: Span, rule: str, msg: str) -> FrontendError:
 # ---------------------------------------------------------------------------
 
 def encode_stmt(st: S.Stmt, ctx: EncodeCtx) -> list:
-    if isinstance(st, S.SAlloc):
-        return _alloc(st, ctx)
-    if isinstance(st, S.SWrite):
-        if st.mode == "na":
-            return _nonatomic_write(st, ctx)
-        if st.mode == "rlx":
-            return _atomic_write(st.loc, st.value, HeapLabel.UP, "relaxed write", st.span, ctx)
-        return _atomic_write(st.loc, st.value, HeapLabel.REAL, "release write", st.span, ctx)
-    if isinstance(st, S.SRead):
-        if st.mode == "na":
-            return _nonatomic_read(st, ctx)
-        if st.mode == "rlx":
-            return _atomic_read(st.target, st.loc, HeapLabel.DOWN, "relaxed read", st.span, ctx)
-        return _atomic_read(st.target, st.loc, HeapLabel.REAL, "acquire read", st.span, ctx)
-    if isinstance(st, S.SFenceAcq):
-        return [TransferHeap(HeapLabel.DOWN, HeapLabel.REAL, "acquire fence", st.span)]
-    if isinstance(st, S.SFenceRel):
-        enc = ctx.lower(st.assertion)
-        return [
-            Exhale(enc, rule="release fence", span=st.span),
-            Inhale(relabel(enc, HeapLabel.UP, ctx.lower_ctx), rule="release fence",
-                   span=st.span),
-        ]
-    if isinstance(st, S.SCas):
-        return _cas(st.target, st.tau, st.loc, st.expected, st.newval,
-                    st.span, ctx, never_fails=False)
-    if isinstance(st, S.SFaa):
-        probe = S.EVar(st.target)
-        newval = S.EBin("+", probe, st.delta)
-        return _cas(st.target, st.tau, st.loc, probe, newval,
-                    st.span, ctx, never_fails=True)
-    if isinstance(st, S.SRewrite):
-        return _rewrite(st, ctx)
-    if isinstance(st, S.SWhile):
-        return _while(st, ctx)
-    if isinstance(st, S.SIf):
-        return [Branch(BranchCond("expr", expr=st.cond),
-                       encode_block(st.then, ctx), encode_block(st.els, ctx), st.span)]
-    if isinstance(st, S.SPar):
-        return _par(st, ctx)
-    if isinstance(st, S.SCall):
-        return _call(st, ctx)
-    if isinstance(st, S.SAssign):
-        return [AssignVar(st.var, ("expr", st.value), st.span)]
-    if isinstance(st, S.SFree):
-        return _free(st, ctx)
-    if isinstance(st, S.SSkip):
-        return []
-    raise AssertionError(st)
+    return _ENCODERS[type(st)](st, ctx)
 
 
 def encode_block(stmts: list, ctx: EncodeCtx) -> list:
@@ -657,19 +617,69 @@ def _free(st: S.SFree, ctx: EncodeCtx) -> list:
     return [_whole(st.var, "free", st.span)]
 
 
+def _write(st: S.SWrite, ctx: EncodeCtx) -> list:
+    if st.mode == "na":
+        return _nonatomic_write(st, ctx)
+    if st.mode == "rlx":
+        return _atomic_write(st.loc, st.value, HeapLabel.UP, "relaxed write", st.span, ctx)
+    return _atomic_write(st.loc, st.value, HeapLabel.REAL, "release write", st.span, ctx)
+
+
+def _read(st: S.SRead, ctx: EncodeCtx) -> list:
+    if st.mode == "na":
+        return _nonatomic_read(st, ctx)
+    if st.mode == "rlx":
+        return _atomic_read(st.target, st.loc, HeapLabel.DOWN, "relaxed read", st.span, ctx)
+    return _atomic_read(st.target, st.loc, HeapLabel.REAL, "acquire read", st.span, ctx)
+
+
+def _fence_rel(st: S.SFenceRel, ctx: EncodeCtx) -> list:
+    enc = ctx.lower(st.assertion)
+    return [
+        Exhale(enc, rule="release fence", span=st.span),
+        Inhale(relabel(enc, HeapLabel.UP, ctx.lower_ctx), rule="release fence",
+               span=st.span),
+    ]
+
+
+def _faa(st: S.SFaa, ctx: EncodeCtx) -> list:
+    probe = S.EVar(st.target)
+    newval = S.EBin("+", probe, st.delta)
+    return _cas(st.target, st.tau, st.loc, probe, newval, st.span, ctx, never_fails=True)
+
+
+def _if(st: S.SIf, ctx: EncodeCtx) -> list:
+    return [Branch(BranchCond("expr", expr=st.cond),
+                   encode_block(st.then, ctx), encode_block(st.els, ctx), st.span)]
+
+
+# the encoding of each statement class
+_ENCODERS = {
+    S.SAssign: lambda st, ctx: [AssignVar(st.var, ("expr", st.value), st.span)],
+    S.SWrite: _write, S.SRead: _read, S.SAlloc: _alloc,
+    S.SCas: lambda st, ctx: _cas(st.target, st.tau, st.loc, st.expected, st.newval,
+                                 st.span, ctx, never_fails=False),
+    S.SFaa: _faa, S.SIf: _if, S.SWhile: _while, S.SCall: _call, S.SFree: _free,
+    S.SRewrite: _rewrite, S.SFenceRel: _fence_rel, S.SPar: _par,
+    S.SFenceAcq: lambda st, ctx: [TransferHeap(HeapLabel.DOWN, HeapLabel.REAL,
+                                               "acquire fence", st.span)],
+    S.SSkip: lambda st, ctx: [],
+}
+
+
 # ---------------------------------------------------------------------------
 # Obligation assembly
 # ---------------------------------------------------------------------------
 
-# block descriptions of the allocation kinds, as dumps and reports name them
+# block descriptions, as dumps and reports name them: of each allocation
+# kind, and of each other statement class
 _ALLOC_DESCS = {"na": "allocna", "ghost": "ghostalloc", "acq": "allocatomic",
                 "rmw": "allocatomic"}
+_DESCS = {cls: cls.__name__[1:].lower() for cls in _ENCODERS}
 
 
 def _describe(st: S.Stmt) -> str:
-    if isinstance(st, S.SAlloc):
-        return _ALLOC_DESCS[st.kind]
-    return type(st).__name__[1:].lower()
+    return _ALLOC_DESCS[st.kind] if type(st) is S.SAlloc else _DESCS[type(st)]
 
 
 def _obligation(name: str, owner, pre: EncAssertion, post: EncAssertion, ctx: EncodeCtx,

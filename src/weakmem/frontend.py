@@ -673,24 +673,16 @@ class Parser:
             raise self._error(
                 f"macro {name!r} expects {len(d.params)} argument(s), got {len(args)}",
                 span)
+        mapping = dict(zip(d.params, args))
         try:
-            body = S.subst_assertion(d.body, dict(zip(d.params, args)))
+            body, height = _expand(d.body, mapping,
+                                   {p: _height(a) for p, a in mapping.items()}, span)
         except ValueError as exc:
             raise self._error(str(exc), span)
-        if self.depth + _height(body) > MAX_NESTING:
+        if self.depth + height > MAX_NESTING:
             raise self._error(f"macro {name!r} expands deeper than {MAX_NESTING} levels",
                               span)
-        def at_use(n):
-            # diagnostics about the expansion point at its use, not at the
-            # define; and a pure fact that an argument made a top-level `&&`
-            # is a star of facts, as if the argument had been written in place
-            n = n.replace(span=span)
-            if isinstance(n, S.APure) and isinstance(n.expr, S.EBin) and n.expr.op == "&&":
-                return S.star([at_use(S.APure(expr=e, span=span))
-                               for e in (n.expr.left, n.expr.right)])
-            return S.star(n.parts) if isinstance(n, S.AStar) else n
-
-        return S.map_assertion(body, None, on_node=at_use)
+        return body
 
     # -- expressions ------------------------------------------------------------
 
@@ -772,6 +764,77 @@ def _height(a) -> int:
             subs = S.sub_assertions(x) + tuple(e for e in exprs if e is not None)
         stack += [(y, level + 1) for y in subs]
     return height
+
+
+def _expand(a: S.Assertion, mapping: dict[str, S.Expr], heights: dict[str, int],
+            span: Span) -> tuple[S.Assertion, int]:
+    """A define's body at its arguments, in one walk: `mapping` gives each
+    parameter's argument and `heights` that argument's height.  Every node
+    takes the use's span, so diagnostics about the expansion point at the
+    use; and a pure fact that an argument made a top-level `&&` is a star of
+    facts, as if the argument had been written in place.  Returns the
+    expansion and the height of the substituted body, taken before those
+    facts are split and stars flattened."""
+    t = type(a)
+    if t is S.APure:
+        e, h = _expand_expr(a.expr, mapping, heights)
+        return _facts(e, span), h + 1
+    if t is S.AStar:
+        parts, h = [], 0
+        for p in a.parts:
+            part, hp = _expand(p, mapping, heights, span)
+            parts.append(part)
+            h = h if h > hp else hp
+        return S.star(parts), h + 1
+    if t is S.APointsTo:
+        loc = S.subst_loc(a.loc, mapping)
+        value, h = _expand_expr(a.value, mapping, heights)
+        frac = a.frac
+        if frac is not None:
+            frac, hf = _expand_expr(frac, mapping, heights)
+            h = h if h > hf else hf
+        return S.APointsTo(span, loc, value, frac), h + 1
+    if t is S.AResource:
+        return S.AResource(span, a.kind, S.subst_loc(a.loc, mapping), a.inv), 0
+    if t is S.AImplies:
+        cond, hc = _expand_expr(a.cond, mapping, heights)
+        body, hb = _expand(a.body, mapping, heights, span)
+        return S.AImplies(span, cond, body), (hc if hc > hb else hb) + 1
+    if t is S.ACond:
+        cond, hc = _expand_expr(a.cond, mapping, heights)
+        then, ht = _expand(a.then, mapping, heights, span)
+        els, he = _expand(a.els, mapping, heights, span)
+        return S.ACond(span, cond, then, els), max(hc, ht, he) + 1
+    if t is S.AModal:
+        body, h = _expand(a.body, mapping, heights, span)
+        return S.AModal(span, a.kind, body), h + 1
+    raise AssertionError(a)
+
+
+def _expand_expr(e: S.Expr, mapping: dict[str, S.Expr],
+                 heights: dict[str, int]) -> tuple[S.Expr, int]:
+    """An expression of a define's body at its arguments, and its height."""
+    t = type(e)
+    if t is S.EVar:
+        arg = mapping.get(e.name)
+        return (e, 0) if arg is None else (arg, heights[e.name])
+    if t is S.EBin:
+        left, hl = _expand_expr(e.left, mapping, heights)
+        right, hr = _expand_expr(e.right, mapping, heights)
+        if left is not e.left or right is not e.right:
+            e = S.EBin(e.op, left, right)
+        return e, (hl if hl > hr else hr) + 1
+    if t is S.EUn:
+        operand, h = _expand_expr(e.operand, mapping, heights)
+        return (e if operand is e.operand else S.EUn(e.op, operand)), h + 1
+    return e, 0
+
+
+def _facts(e: S.Expr, span: Span) -> S.Assertion:
+    """A pure fact, split at its top-level `&&`s into a star of facts."""
+    if type(e) is S.EBin and e.op == "&&":
+        return S.star([_facts(e.left, span), _facts(e.right, span)])
+    return S.APure(span, e)
 
 
 def parse(source: str) -> tuple[S.Program, list[Diagnostic]]:
@@ -860,7 +923,7 @@ class _Classifier:
         evidence: dict[str, dict[str, _Evidence]] = {}
         for proc in self.program.procedures:
             info[proc.name] = ProcInfo()
-            evidence[proc.name] = self._collect_proc(proc, info[proc.name])
+            evidence[proc.name] = _ProcWalker(self, info[proc.name]).walk(proc)
         self._propagate_calls(info, evidence)
         for proc in self.program.procedures:
             pi = info[proc.name]
@@ -903,199 +966,6 @@ class _Classifier:
     def _class_use_tag(cls: str) -> Optional[str]:
         return {NA: "owns", ACQ: "acq_use", RMW: "rmw_use",
                 GHOST: "owns", ATOMIC: "atomic_use", VALUE: "int_use"}.get(cls)
-
-    # -- the statement walk -----------------------------------------------------
-
-    def _collect_proc(self, proc: S.Procedure, pi: ProcInfo) -> dict[str, _Evidence]:
-        """Walk a procedure once.  Returns each variable's evidence; records on
-        `pi` the scope of every body, the variables of every spec, the call
-        sites and the declared names, and appends the procedure's invariant
-        sites to `self.inv_sites`."""
-        ev: dict[str, _Evidence] = {}
-        uses: set[str] = set()      # of the innermost body being walked
-        binds: set[str] = set()
-        declared = {p.name for p in proc.params + proc.returns}
-
-        def E(var: str) -> _Evidence:
-            e = ev.get(var)
-            return e if e is not None else ev.setdefault(var, _Evidence())
-
-        def use(var: str, tag: Optional[str], span: Span, shallow: bool = True) -> None:
-            e = E(var)
-            if tag:
-                e.uses.setdefault(tag, span)
-            if shallow:
-                uses.add(var)
-
-        def expr_use(e: S.Expr, span: Span) -> None:
-            for x in S.walk_expr(e):
-                if isinstance(x, S.EVar):
-                    use(x.name, "int_use", span)
-
-        def assertion_use(a: S.Assertion, span: Span, found: set,
-                          walked: Optional[set] = None) -> None:
-            """Use the variables of an annotation and of the invariant bodies
-            it reaches, and add them to `found`.  `walked`, the bodies walked
-            for the annotation so far, is None for the annotation itself."""
-            direct = walked is None
-            if direct:
-                walked = set()
-            for x in S.walk_assertion(a):
-                if isinstance(x, S.APure):
-                    value_use(x.expr, span, direct, found)
-                elif isinstance(x, S.APointsTo):
-                    use(x.loc, "owns", x.span, direct)
-                    found.add(x.loc)
-                    value_use(x.value, span, direct, found)
-                    if direct:
-                        self._check_fraction(x)
-                elif isinstance(x, (S.AImplies, S.ACond)):
-                    value_use(x.cond, span, direct, found)
-                elif isinstance(x, S.AResource):
-                    use(x.loc, _RESOURCE_USE[x.kind], x.span, direct)
-                    found.add(x.loc)
-                    if x.inv:
-                        if direct:
-                            self.inv_sites.append((x.inv, x.span))
-                        inv_use(x.inv, span, found, walked)
-
-        def value_use(e: S.Expr, span: Span, direct: bool, found: set) -> None:
-            for x in S.walk_expr(e):
-                if isinstance(x, S.EVar):
-                    use(x.name, "int_use", span, direct)
-                    found.add(x.name)
-
-        def inv_use(inv: S.InvRef, span: Span, found: set, walked: set) -> None:
-            # each body once per annotation, however many paths reach it
-            for name in inv:
-                if name in walked:
-                    continue
-                walked.add(name)
-                self.reached.add(name)
-                decl = self.inv_by_name.get(name)
-                if decl is None:
-                    self.diags.append(Diagnostic(
-                        SYNTAX_ERROR, span, rule="well-formedness",
-                        message=f"unknown invariant {name!r}"))
-                    continue
-                assertion_use(decl.body, span, found, walked)
-
-        def spec_use(spec: S.Assertion, span: Span) -> frozenset:
-            found: set[str] = set()
-            assertion_use(spec, span, found)
-            pi.specs[id(spec)] = out = frozenset(found)
-            return out
-
-        def inv_site(inv: S.InvRef, span: Span) -> None:
-            self.inv_sites.append((inv, span))
-            inv_use(inv, span, set(), set())
-
-        def bind(var: str, tag: Optional[str], span: Span) -> None:
-            use(var, tag, span)
-            binds.add(var)
-
-        def block(stmts: list) -> None:
-            nonlocal uses, binds
-            outer_uses, outer_binds = uses, binds
-            uses, binds = set(), set()
-            for st in stmts:
-                stmt(st)
-            pi.scopes[id(stmts)] = Scope(frozenset(uses), frozenset(binds))
-            outer_uses |= uses
-            outer_binds |= binds
-            uses, binds = outer_uses, outer_binds
-
-        def stmt(st: S.Stmt) -> None:
-            if isinstance(st, S.SAlloc):
-                # an allocation's kind is the class it gives its location
-                E(st.var).alloc.setdefault(st.kind, st.span)
-                bind(st.var, None, st.span)
-                if st.inv:
-                    inv_site(st.inv, st.span)
-            elif isinstance(st, S.SWrite):
-                use(st.loc, "na_access" if st.mode == "na" else "atomic_use", st.span)
-                expr_use(st.value, st.span)
-            elif isinstance(st, S.SRead):
-                use(st.loc, "na_access" if st.mode == "na" else "acq_use", st.span)
-                bind(st.target, "int_use", st.span)
-            elif isinstance(st, (S.SCas, S.SFaa)):
-                use(st.loc, "rmw_use", st.span)
-                bind(st.target, "int_use", st.span)
-                if isinstance(st, S.SCas):
-                    expr_use(st.expected, st.span)
-                    expr_use(st.newval, st.span)
-                else:
-                    expr_use(st.delta, st.span)
-            elif isinstance(st, S.SRewrite):
-                use(st.loc, "acq_use", st.span)
-                inv_site(st.old, st.span)
-                inv_site(st.new, st.span)
-            elif isinstance(st, S.SFenceRel):
-                assertion_use(st.assertion, st.span, set())
-            elif isinstance(st, S.SWhile):
-                c = st.cond
-                if c.kind == "pure":
-                    expr_use(c.expr, st.span)
-                elif c.kind == "read":
-                    use(c.loc, "na_access" if c.mode == "na" else "acq_use", st.span)
-                    expr_use(c.rhs, st.span)
-                else:
-                    use(c.loc, "rmw_use", st.span)
-                    expr_use(c.expected, st.span)
-                    expr_use(c.newval, st.span)
-                    expr_use(c.rhs, st.span)
-                if st.invariant is not None:
-                    assertion_use(st.invariant, st.span, set())
-                    if c.kind != "pure":
-                        self.diags.append(Diagnostic(
-                            SYNTAX_ERROR, st.span, rule="loop",
-                            message="annotated loops need a pure condition; move "
-                                    "the atomic access into the loop body"))
-                block(st.body)
-            elif isinstance(st, S.SIf):
-                expr_use(st.cond, st.span)
-                block(st.then)
-                block(st.els)
-            elif isinstance(st, S.SPar):
-                for th in st.threads:
-                    # logical variables bound by a thread precondition are in scope
-                    declared.update(spec_use(th.pre, th.span))
-                    spec_use(th.post, th.span)
-                for th in st.threads:
-                    block(th.body)
-            elif isinstance(st, S.SCall):
-                callee = self.procs.get(st.callee)
-                if callee is not None and len(st.args) == len(callee.params):
-                    pi.calls.append(st)
-                else:
-                    self.diags.append(Diagnostic(
-                        SYNTAX_ERROR, st.span, rule="call",
-                        message=f"unknown procedure {st.callee!r}" if callee is None
-                        else f"{st.callee!r} expects {len(callee.params)} "
-                             f"argument(s), got {len(st.args)}"))
-                for a in st.args:
-                    if isinstance(a, S.EVar):
-                        use(a.name, None, st.span)
-                    else:
-                        expr_use(a, st.span)
-                if st.target:
-                    bind(st.target, None, st.span)
-            elif isinstance(st, S.SAssign):
-                bind(st.var, "int_use", st.span)
-                expr_use(st.value, st.span)
-            elif isinstance(st, S.SFree):
-                use(st.var, "owns", st.span)
-
-        for p in proc.params + proc.returns:
-            E(p.name)
-            if p.ghost:
-                E(p.name).alloc.setdefault(GHOST, proc.span)
-        # logical variables bound by the precondition are in scope
-        declared |= spec_use(proc.pre, proc.span)
-        spec_use(proc.post, proc.span)
-        block(proc.body)
-        pi.declared = declared | pi.scope(proc.body).binds
-        return ev
 
     # -- resolution --------------------------------------------------------------
 
@@ -1217,6 +1087,247 @@ class _Classifier:
                 fraction_amount(x.frac, x.span)
             except FrontendError as exc:
                 self.diags.append(exc.diagnostic)
+
+
+class _ProcWalker:
+    """The mode check's one walk of one procedure.  It gathers each
+    variable's evidence; records on the procedure's ``ProcInfo`` the scope of
+    every body, the variables of every spec, the call sites and the declared
+    names; and appends the procedure's invariant sites to the classifier's.
+
+    Statements dispatch on their class through ``_STMTS``; expressions and
+    assertions are walked by plain recursion on their exact class."""
+
+    def __init__(self, classifier: _Classifier, pi: ProcInfo):
+        self.c = classifier
+        self.pi = pi
+        self.ev: dict[str, _Evidence] = {}
+        self.uses: set[str] = set()      # of the innermost body being walked
+        self.binds: set[str] = set()
+        self.declared: set[str] = set()
+
+    def walk(self, proc: S.Procedure) -> dict[str, _Evidence]:
+        """Walk the procedure; returns each variable's evidence."""
+        self.declared = {p.name for p in proc.params + proc.returns}
+        for p in proc.params + proc.returns:
+            self.use(p.name, None, proc.span, shallow=False)
+            if p.ghost:
+                self.ev[p.name].alloc.setdefault(GHOST, proc.span)
+        # logical variables bound by the precondition are in scope
+        self.declared |= self.spec_use(proc.pre, proc.span)
+        self.spec_use(proc.post, proc.span)
+        self.block(proc.body)
+        self.pi.declared = self.declared | self.pi.scope(proc.body).binds
+        return self.ev
+
+    # -- uses ---------------------------------------------------------------------
+
+    def use(self, var: str, tag: Optional[str], span: Span, shallow: bool = True) -> None:
+        e = self.ev.get(var)
+        if e is None:
+            e = self.ev[var] = _Evidence()
+        if tag:
+            e.uses.setdefault(tag, span)
+        if shallow:
+            self.uses.add(var)
+
+    def bind(self, var: str, tag: Optional[str], span: Span) -> None:
+        self.use(var, tag, span)
+        self.binds.add(var)
+
+    def expr_use(self, e: S.Expr, span: Span, found: Optional[set] = None,
+                 shallow: bool = True) -> None:
+        """Use every variable of an expression as a value, and add it to
+        `found` if given."""
+        t = type(e)
+        if t is S.EVar:
+            self.use(e.name, "int_use", span, shallow)
+            if found is not None:
+                found.add(e.name)
+        elif t is S.EBin:
+            self.expr_use(e.left, span, found, shallow)
+            self.expr_use(e.right, span, found, shallow)
+        elif t is S.EUn:
+            self.expr_use(e.operand, span, found, shallow)
+
+    def assertion_use(self, a: S.Assertion, span: Span, found: set,
+                      walked: Optional[set] = None) -> None:
+        """Use the variables of an annotation and of the invariant bodies it
+        reaches, and add them to `found`.  `walked`, the bodies walked for the
+        annotation so far, is None for the annotation itself."""
+        direct = walked is None
+        self._assertion(a, span, found, direct, set() if direct else walked)
+
+    def _assertion(self, x: S.Assertion, span: Span, found: set, direct: bool,
+                   walked: set) -> None:
+        t = type(x)
+        if t is S.APure:
+            self.expr_use(x.expr, span, found, direct)
+        elif t is S.AStar:
+            for p in x.parts:
+                self._assertion(p, span, found, direct, walked)
+        elif t is S.APointsTo:
+            self.use(x.loc, "owns", x.span, direct)
+            found.add(x.loc)
+            self.expr_use(x.value, span, found, direct)
+            if direct:
+                self.c._check_fraction(x)
+        elif t is S.AResource:
+            self.use(x.loc, _RESOURCE_USE[x.kind], x.span, direct)
+            found.add(x.loc)
+            if x.inv:
+                if direct:
+                    self.c.inv_sites.append((x.inv, x.span))
+                self.inv_use(x.inv, span, found, walked)
+        elif t is S.AImplies:
+            self.expr_use(x.cond, span, found, direct)
+            self._assertion(x.body, span, found, direct, walked)
+        elif t is S.ACond:
+            self.expr_use(x.cond, span, found, direct)
+            self._assertion(x.then, span, found, direct, walked)
+            self._assertion(x.els, span, found, direct, walked)
+        elif t is S.AModal:
+            self._assertion(x.body, span, found, direct, walked)
+        else:
+            raise AssertionError(x)
+
+    def inv_use(self, inv: S.InvRef, span: Span, found: set, walked: set) -> None:
+        # each body once per annotation, however many paths reach it
+        c = self.c
+        for name in inv:
+            if name in walked:
+                continue
+            walked.add(name)
+            c.reached.add(name)
+            decl = c.inv_by_name.get(name)
+            if decl is None:
+                c.diags.append(Diagnostic(
+                    SYNTAX_ERROR, span, rule="well-formedness",
+                    message=f"unknown invariant {name!r}"))
+                continue
+            self.assertion_use(decl.body, span, found, walked)
+
+    def spec_use(self, spec: S.Assertion, span: Span) -> frozenset:
+        found: set[str] = set()
+        self.assertion_use(spec, span, found)
+        self.pi.specs[id(spec)] = out = frozenset(found)
+        return out
+
+    def inv_site(self, inv: S.InvRef, span: Span) -> None:
+        self.c.inv_sites.append((inv, span))
+        self.inv_use(inv, span, set(), set())
+
+    # -- statements -------------------------------------------------------------------
+
+    def block(self, stmts: list) -> None:
+        outer_uses, outer_binds = self.uses, self.binds
+        uses, binds = set(), set()
+        self.uses, self.binds = uses, binds
+        stmts_of = self._STMTS
+        for st in stmts:
+            stmts_of[type(st)](self, st)
+        self.pi.scopes[id(stmts)] = Scope(frozenset(uses), frozenset(binds))
+        outer_uses |= uses
+        outer_binds |= binds
+        self.uses, self.binds = outer_uses, outer_binds
+
+    def _alloc(self, st: S.SAlloc) -> None:
+        self.bind(st.var, None, st.span)
+        # an allocation's kind is the class it gives its location
+        self.ev[st.var].alloc.setdefault(st.kind, st.span)
+        if st.inv:
+            self.inv_site(st.inv, st.span)
+
+    def _write(self, st: S.SWrite) -> None:
+        self.use(st.loc, "na_access" if st.mode == "na" else "atomic_use", st.span)
+        self.expr_use(st.value, st.span)
+
+    def _read(self, st: S.SRead) -> None:
+        self.use(st.loc, "na_access" if st.mode == "na" else "acq_use", st.span)
+        self.bind(st.target, "int_use", st.span)
+
+    def _rmw(self, st: S.SCas | S.SFaa) -> None:
+        self.use(st.loc, "rmw_use", st.span)
+        self.bind(st.target, "int_use", st.span)
+        for e in (st.expected, st.newval) if type(st) is S.SCas else (st.delta,):
+            self.expr_use(e, st.span)
+
+    def _rewrite(self, st: S.SRewrite) -> None:
+        self.use(st.loc, "acq_use", st.span)
+        self.inv_site(st.old, st.span)
+        self.inv_site(st.new, st.span)
+
+    def _fence_rel(self, st: S.SFenceRel) -> None:
+        self.assertion_use(st.assertion, st.span, set())
+
+    def _while(self, st: S.SWhile) -> None:
+        c = st.cond
+        if c.kind == "pure":
+            self.expr_use(c.expr, st.span)
+        elif c.kind == "read":
+            self.use(c.loc, "na_access" if c.mode == "na" else "acq_use", st.span)
+            self.expr_use(c.rhs, st.span)
+        else:
+            self.use(c.loc, "rmw_use", st.span)
+            self.expr_use(c.expected, st.span)
+            self.expr_use(c.newval, st.span)
+            self.expr_use(c.rhs, st.span)
+        if st.invariant is not None:
+            self.assertion_use(st.invariant, st.span, set())
+            if c.kind != "pure":
+                self.c.diags.append(Diagnostic(
+                    SYNTAX_ERROR, st.span, rule="loop",
+                    message="annotated loops need a pure condition; move "
+                            "the atomic access into the loop body"))
+        self.block(st.body)
+
+    def _if(self, st: S.SIf) -> None:
+        self.expr_use(st.cond, st.span)
+        self.block(st.then)
+        self.block(st.els)
+
+    def _par(self, st: S.SPar) -> None:
+        for th in st.threads:
+            # logical variables bound by a thread precondition are in scope
+            self.declared.update(self.spec_use(th.pre, th.span))
+            self.spec_use(th.post, th.span)
+        for th in st.threads:
+            self.block(th.body)
+
+    def _call(self, st: S.SCall) -> None:
+        callee = self.c.procs.get(st.callee)
+        if callee is not None and len(st.args) == len(callee.params):
+            self.pi.calls.append(st)
+        else:
+            self.c.diags.append(Diagnostic(
+                SYNTAX_ERROR, st.span, rule="call",
+                message=f"unknown procedure {st.callee!r}" if callee is None
+                else f"{st.callee!r} expects {len(callee.params)} "
+                     f"argument(s), got {len(st.args)}"))
+        for a in st.args:
+            if type(a) is S.EVar:
+                self.use(a.name, None, st.span)
+            else:
+                self.expr_use(a, st.span)
+        if st.target:
+            self.bind(st.target, None, st.span)
+
+    def _assign(self, st: S.SAssign) -> None:
+        self.bind(st.var, "int_use", st.span)
+        self.expr_use(st.value, st.span)
+
+    def _free(self, st: S.SFree) -> None:
+        self.use(st.var, "owns", st.span)
+
+    def _nothing(self, st: S.Stmt) -> None:
+        pass
+
+    _STMTS = {
+        S.SAssign: _assign, S.SWrite: _write, S.SRead: _read, S.SAlloc: _alloc,
+        S.SCas: _rmw, S.SFaa: _rmw, S.SIf: _if, S.SWhile: _while, S.SCall: _call,
+        S.SFree: _free, S.SRewrite: _rewrite, S.SFenceRel: _fence_rel, S.SPar: _par,
+        S.SFenceAcq: _nothing, S.SSkip: _nothing,
+    }
 
 
 def fraction_amount(frac: S.Expr, span: Span) -> Optional[Fraction]:

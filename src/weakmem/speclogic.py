@@ -259,7 +259,17 @@ class ECond(Record, hashable=True):
         self.span = span
 
 
-EncAssertion = Union[EPure, EAcc, EFieldEq, EStar, EImplies, ECond]
+class EError(Record):
+    """A table body whose lowering at a site failed, in place of that body.
+    The executor raises its diagnostic only where a case reaches it.  Not
+    hashable, as its diagnostic is not."""
+    __slots__ = ("diagnostic",)
+
+    def __init__(self, diagnostic: Diagnostic):
+        self.diagnostic = diagnostic
+
+
+EncAssertion = Union[EPure, EAcc, EFieldEq, EStar, EImplies, ECond, EError]
 
 E_TRUE = EPure(S.TRUE_E)
 
@@ -420,4 +430,6 @@ def pp_enc(a: EncAssertion) -> str:
         return f"({S.pp_expr(a.cond)} ==> {pp_enc(a.body)})"
     if isinstance(a, ECond):
         return f"({S.pp_expr(a.cond)} ? {pp_enc(a.then)} : {pp_enc(a.els)})"
+    if isinstance(a, EError):
+        return f"error({a.diagnostic.format()})"
     raise AssertionError(a)

@@ -40,7 +40,9 @@ and consume share one brancher in Viper's symbolic executor, and hands each
 atom a case reaches to a leaf.  The inhale leaf produces it at once, so a
 pure fact is assumed before a later condition branches; the exhale leaf
 records its check or demand on the case; the spin-leak leaf fails on the
-first permission atom reached by a case in which the loop spins on.
+first permission atom reached by a case in which the loop spins on.  Each
+leaf raises the diagnostic of an ``EError``, a table body the encoder could
+not lower, so that error fails only the paths that reach it.
 
 One routine, ``exhale``, runs every ``Exhale`` over its cases: it sums the
 permission demands per chunk and, in key order, fields before instances,
@@ -82,13 +84,13 @@ from . import encoder as E
 from . import syntax as S
 from . import terms as T
 from .diagnostics import (
-    BRANCH_CAP_EXCEEDED, Diagnostic, INCOMPLETE_SOLVER,
+    BRANCH_CAP_EXCEEDED, Diagnostic, FrontendError, INCOMPLETE_SOLVER,
     INSUFFICIENT_PERMISSION, SPIN_PATTERN_RESOURCE_LEAK, UnsupportedFeature,
 )
 from .frontend import ACQ, ATOMIC, GHOST, NA, RMW
 from .solver import NO, Result, Solver, UNKNOWN, YES
 from .speclogic import (
-    EAcc, ECond, EFieldEq, EImplies, EPure, EStar, HeapLabel, WILDCARD,
+    EAcc, ECond, EError, EFieldEq, EImplies, EPure, EStar, HeapLabel, WILDCARD,
 )
 from .syntax import Span
 
@@ -403,27 +405,28 @@ _BIN_OPS = {
 
 
 def eval_expr(state: SymState, e: S.Expr) -> T.Term:
-    if isinstance(e, S.EInt):
-        return T.mk_int(e.value)
-    if isinstance(e, S.EBool):
-        return T.mk_bool(e.value)
-    if isinstance(e, S.EVar):
-        t = state.env.get(e.name)
-        if t is None:
+    t = type(e)
+    if t is S.EVar:
+        v = state.env.get(e.name)
+        if v is None:
             raise EvalError(f"variable {e.name!r} has no value here")
-        return t
-    if isinstance(e, S.EInvVal):
-        return state.env[VALUE]
-    if isinstance(e, S.EBin):
-        t = _BIN_OPS[e.op](eval_expr(state, e.left), eval_expr(state, e.right))
-    elif isinstance(e, S.EUn):
+        return v
+    if t is S.EInt:
+        return T.mk_int(e.value)
+    if t is S.EBin:
+        v = _BIN_OPS[e.op](eval_expr(state, e.left), eval_expr(state, e.right))
+    elif t is S.EUn:
         v = eval_expr(state, e.operand)
-        t = T.not_(v) if e.op == "!" else T.neg(v)
+        v = T.not_(v) if e.op == "!" else T.neg(v)
+    elif t is S.EBool:
+        return T.mk_bool(e.value)
+    elif t is S.EInvVal:
+        return state.env[VALUE]
     else:
         raise AssertionError(e)
-    if t.height > T.MAX_HEIGHT:
+    if v.height > T.MAX_HEIGHT:
         raise UnsupportedFeature(f"a value nested more than {T.MAX_HEIGHT} terms deep")
-    return t
+    return v
 
 
 def resolve_loc(state: SymState, loc: str) -> T.Term:
@@ -560,6 +563,8 @@ def _produce(ctx: ExecContext, case: _Case, enc) -> None:
                 chunk.value = v
                 return
         state.assume(T.eq(chunk.value, v))
+    elif isinstance(enc, EError):
+        raise FrontendError(enc.diagnostic)
     else:
         raise AssertionError(enc)
 
@@ -581,6 +586,8 @@ def _demand(ctx: ExecContext, case: _Case, enc) -> None:
     if isinstance(enc, EPure):
         case.checks.append(("pure", enc.expr))
         return
+    if isinstance(enc, EError):
+        raise FrontendError(enc.diagnostic)
     ref = resolve_loc(case.state, enc.loc)
     res = enc.fld if isinstance(enc, EFieldEq) else enc.res
     key = case.state.key(ref, res, enc.label)
@@ -869,99 +876,92 @@ def _branch_cond_term(ctx: ExecContext, state: SymState, cond: E.BranchCond):
     raise AssertionError(cond)
 
 
-def run_prim(ctx: ExecContext, state: SymState, prim) -> list[SymState]:
-    ctx.states_seen += 1
-    if ctx.trace is not None:
-        ctx.trace(prim.span,
-                  E.pp_primitive(prim)[0].strip(), state.digest())
-    try:
-        if isinstance(prim, (E.Inhale, E.Exhale)):
-            # an invariant body's V is bound for this primitive only
-            value = prim.value
-            if value is not None:
-                state.env[VALUE] = eval_expr(state, value)
-            out = (inhale(ctx, state, prim.enc) if isinstance(prim, E.Inhale)
-                   else exhale(ctx, state, prim))
-            if value is not None:
-                for s in out:
-                    del s.env[VALUE]
-            return out
-        if isinstance(prim, E.HavocVar):
-            state.env[prim.name] = ctx.fresh_for_class(prim.name)
-            return [state]
-        if isinstance(prim, E.AssignVar):
-            if prim.rhs[0] == "expr":
-                state.env[prim.name] = eval_expr(state, prim.rhs[1])
-            else:
-                # the encoder asserts acc(val, wildcard) first
-                _, loc, fld = prim.rhs
-                ref = resolve_loc(state, loc)
-                chunk = state.heap[state.key(ref, fld, HeapLabel.REAL)]
-                state.env[prim.name] = chunk.value
-            return [state]
-        if isinstance(prim, E.Branch):
-            cond = _branch_cond_term(ctx, state, prim.cond)
-            if cond is None:
-                ctx.count_branch(prim.span)
-                thens, elses = [state.clone()], [state]
-            else:
-                thens, elses = _branch_states(ctx, state, cond, prim.span)
-            out = []
-            for s in thens:
-                out.extend(run_seq(ctx, s, prim.then))
-            for s in elses:
-                out.extend(run_seq(ctx, s, prim.els))
-            return out
-        if isinstance(prim, E.ForEachHeldConjunct):
-            ref = resolve_loc(state, prim.loc)
-            states = [state]
-            for idx in _held_conjuncts(ctx, state, ref, prim.need_full):
-                body = prim.bodies[idx]
-                states = [s2 for s in states for s2 in run_seq(ctx, s, body)]
-            return states
-        if isinstance(prim, E.TransferHeap):
-            return [transfer_heap(state, prim.src, prim.dst)]
-        if isinstance(prim, E.KillBranch):
-            return []
-        if isinstance(prim, E.DropAllPerms):
-            state.heap = {}
-            return [state]
-        if isinstance(prim, E.NewLoc):
-            state.env[prim.var] = ctx.fresh_ref(prim.var, prim.ghost)
-            return [state]
-        if isinstance(prim, E.RecordReadValue):
-            ref = resolve_loc(state, prim.loc)
-            chunk = state.heap.get(state.key(ref, prim.idx, HeapLabel.REAL))
-            if chunk is not None:
-                v = eval_expr(state, prim.value)
-                if v not in chunk.value:
-                    chunk.value += (v,)
-            return [state]
-        if isinstance(prim, E.SpinLeakCheck):
-            _spin_leak_check(ctx, state, prim)
-            return [state]
-    except _Fail:
-        return []
-    except EvalError as exc:
-        try:
-            ctx.fail(state, INSUFFICIENT_PERMISSION, prim.span,
-                     "well-definedness", exc.message)
-        except _Fail:
-            return []
-    raise AssertionError(prim)
+def _run_body(ctx: ExecContext, state: SymState, prim) -> list[SymState]:
+    """An ``Inhale`` or ``Exhale``; an invariant body's V is bound for this
+    primitive only."""
+    value = prim.value
+    if value is not None:
+        state.env[VALUE] = eval_expr(state, value)
+    out = (inhale(ctx, state, prim.enc) if type(prim) is E.Inhale
+           else exhale(ctx, state, prim))
+    if value is not None:
+        for s in out:
+            del s.env[VALUE]
+    return out
 
 
-def _spin_leak_check(ctx: ExecContext, state: SymState, prim) -> None:
+def _run_havoc(ctx: ExecContext, state: SymState, prim) -> list[SymState]:
+    state.env[prim.name] = ctx.fresh_for_class(prim.name)
+    return [state]
+
+
+def _run_assign(ctx: ExecContext, state: SymState, prim) -> list[SymState]:
+    if prim.rhs[0] == "expr":
+        state.env[prim.name] = eval_expr(state, prim.rhs[1])
+    else:
+        # the encoder asserts acc(val, wildcard) first
+        _, loc, fld = prim.rhs
+        ref = resolve_loc(state, loc)
+        chunk = state.heap[state.key(ref, fld, HeapLabel.REAL)]
+        state.env[prim.name] = chunk.value
+    return [state]
+
+
+def _run_branch(ctx: ExecContext, state: SymState, prim) -> list[SymState]:
+    cond = _branch_cond_term(ctx, state, prim.cond)
+    if cond is None:
+        ctx.count_branch(prim.span)
+        thens, elses = [state.clone()], [state]
+    else:
+        thens, elses = _branch_states(ctx, state, cond, prim.span)
+    out = []
+    for s in thens:
+        out.extend(run_seq(ctx, s, prim.then))
+    for s in elses:
+        out.extend(run_seq(ctx, s, prim.els))
+    return out
+
+
+def _run_foreach(ctx: ExecContext, state: SymState, prim) -> list[SymState]:
+    ref = resolve_loc(state, prim.loc)
+    states = [state]
+    for idx in _held_conjuncts(ctx, state, ref, prim.need_full):
+        body = prim.bodies[idx]
+        states = [s2 for s in states for s2 in run_seq(ctx, s, body)]
+    return states
+
+
+def _run_drop(ctx: ExecContext, state: SymState, prim) -> list[SymState]:
+    state.heap = {}
+    return [state]
+
+
+def _run_new_loc(ctx: ExecContext, state: SymState, prim) -> list[SymState]:
+    state.env[prim.var] = ctx.fresh_ref(prim.var, prim.ghost)
+    return [state]
+
+
+def _run_record(ctx: ExecContext, state: SymState, prim) -> list[SymState]:
+    ref = resolve_loc(state, prim.loc)
+    chunk = state.heap.get(state.key(ref, prim.idx, HeapLabel.REAL))
+    if chunk is not None:
+        v = eval_expr(state, prim.value)
+        if v not in chunk.value:
+            chunk.value += (v,)
+    return [state]
+
+
+def _spin_leak_check(ctx: ExecContext, state: SymState, prim) -> list[SymState]:
     ref = resolve_loc(state, prim.loc)
     held = _held_conjuncts(ctx, state, ref, True)
     if not held:
-        return
+        return [state]
     probe = state.clone()
     # V stands for the probe in every body, whether it mentions V or not
     probe.env[prim.probe] = probe.env[VALUE] = ctx.fresh_int(prim.probe)
     probe.assume(eval_expr(probe, prim.cont))
     if not ctx.feasible(probe):
-        return
+        return [state]
 
     def leak(ctx: ExecContext, case: _Case, enc) -> None:
         # a ghost-free resource would be gained and then discarded
@@ -969,9 +969,41 @@ def _spin_leak_check(ctx: ExecContext, state: SymState, prim) -> None:
             ctx.fail(state, SPIN_PATTERN_RESOURCE_LEAK, prim.span, "spin loop",
                      "a value the spin loop discards would carry resources; "
                      "annotate the loop with an invariant instead")
+        if isinstance(enc, EError):
+            raise FrontendError(enc.diagnostic)
 
     for idx in held:
         _cases(ctx, _Case(probe.clone()), prim.lowered[idx], leak)
+    return [state]
+
+
+# the semantics of each primitive class
+_RUN = {
+    E.Inhale: _run_body, E.Exhale: _run_body, E.HavocVar: _run_havoc,
+    E.AssignVar: _run_assign, E.Branch: _run_branch, E.ForEachHeldConjunct: _run_foreach,
+    E.TransferHeap: lambda ctx, state, prim: [transfer_heap(state, prim.src, prim.dst)],
+    E.KillBranch: lambda ctx, state, prim: [], E.DropAllPerms: _run_drop,
+    E.NewLoc: _run_new_loc, E.RecordReadValue: _run_record,
+    E.SpinLeakCheck: _spin_leak_check,
+}
+
+
+def run_prim(ctx: ExecContext, state: SymState, prim) -> list[SymState]:
+    ctx.states_seen += 1
+    if ctx.trace is not None:
+        ctx.trace(prim.span,
+                  E.pp_primitive(prim)[0].strip(), state.digest())
+    try:
+        return _RUN[type(prim)](ctx, state, prim)
+    except _Fail:
+        return []
+    except EvalError as exc:
+        try:
+            ctx.fail(state, INSUFFICIENT_PERMISSION, prim.span,
+                     "well-definedness", exc.message)
+        except _Fail:
+            pass
+        return []
 
 
 def run_seq(ctx: ExecContext, state: SymState, prims: list) -> list[SymState]:

@@ -14,9 +14,11 @@ shape share one class and carry their keyword as a `kind`: `AResource`,
 which diagnostics need; the statement printer is kept with the tests, its
 only users.
 
-The assertion walkers at the end serve both this tree and the encoded one in
-`speclogic`, whose nodes use the same field names (`parts`, `body`, `then`,
-`els`, `loc`, and the expression slots `expr`, `cond`, `value`, `frac`).
+The generic assertion walkers at the end (`sub_assertions`, `walk_assertion`
+and `map_assertion`) serve both this tree and the encoded one in `speclogic`,
+whose nodes use the same field names (`parts`, `body`, `then`, `els`, `loc`,
+and the expression slots `expr`, `cond`, `value`, `frac`); the substitutions
+walk this tree only, by exact class.
 """
 
 from __future__ import annotations
@@ -594,7 +596,17 @@ def map_expr(e: Expr, leaf: Callable[[Expr], Expr]) -> Expr:
 
 
 def subst_expr(e: Expr, mapping: dict[str, Expr]) -> Expr:
-    return map_expr(e, lambda x: mapping.get(x.name, x) if isinstance(x, EVar) else x)
+    """Substitute program variables, sharing what does not change."""
+    t = type(e)
+    if t is EVar:
+        return mapping.get(e.name, e)
+    if t is EBin:
+        left, right = subst_expr(e.left, mapping), subst_expr(e.right, mapping)
+        return e if left is e.left and right is e.right else EBin(e.op, left, right)
+    if t is EUn:
+        operand = subst_expr(e.operand, mapping)
+        return e if operand is e.operand else EUn(e.op, operand)
+    return e
 
 
 def expr_vars(e: Expr) -> set[str]:
@@ -628,47 +640,74 @@ def walk_assertion(a) -> Iterator:
 
 
 def map_assertion(a, on_expr: Optional[Callable[[Expr], Expr]],
-                  on_loc: Optional[Callable[[str], str]] = None,
                   on_node: Optional[Callable] = None):
     """Rebuild an assertion of either tree, bottom-up.
 
-    `on_expr` maps each expression slot (None skips them), `on_loc` each
-    location and `on_node` each node once its children are rebuilt.  A node
-    that nothing changes is returned as itself.
+    `on_expr` maps each expression slot (None skips them) and `on_node` each
+    node once its children are rebuilt.  A node that nothing changes is
+    returned as itself.
     """
     changes: dict = {}
     for f in _EXPR_SLOTS if on_expr is not None else ():
         e = getattr(a, f, None)
         if e is not None and (new := on_expr(e)) is not e:
             changes[f] = new
-    if on_loc is not None and hasattr(a, "loc") and (loc := on_loc(a.loc)) != a.loc:
-        changes["loc"] = loc
     parts = getattr(a, "parts", None)
     if parts is not None:
-        new_parts = tuple(map_assertion(p, on_expr, on_loc, on_node) for p in parts)
+        new_parts = tuple(map_assertion(p, on_expr, on_node) for p in parts)
         if any(n is not p for n, p in zip(new_parts, parts)):
             changes["parts"] = new_parts
     for f in _SUB_SLOTS:
         sub = getattr(a, f, None)
-        if sub is not None and (new := map_assertion(sub, on_expr, on_loc, on_node)) is not sub:
+        if sub is not None and (new := map_assertion(sub, on_expr, on_node)) is not sub:
             changes[f] = new
     out = a.replace(**changes) if changes else a
     return on_node(out) if on_node is not None else out
 
 
-def _subst_loc(loc: str, mapping: dict[str, Expr]) -> str:
+def subst_loc(loc: str, mapping: dict[str, Expr]) -> str:
+    """A location slot under a substitution, which must give it a variable."""
     m = mapping.get(loc)
     if m is None:
         return loc
-    if isinstance(m, EVar):
+    if type(m) is EVar:
         return m.name
     raise ValueError(f"location position for '{loc}' needs a variable, got an expression")
 
 
 def subst_assertion(a: Assertion, mapping: dict[str, Expr]) -> Assertion:
-    """Substitute program variables; location slots require variable arguments."""
-    return map_assertion(a, lambda e: subst_expr(e, mapping),
-                         lambda loc: _subst_loc(loc, mapping))
+    """Substitute program variables; location slots require variable
+    arguments.  A node that nothing changes is returned as itself."""
+    t = type(a)
+    if t is APure:
+        e = subst_expr(a.expr, mapping)
+        return a if e is a.expr else APure(a.span, e)
+    if t is APointsTo:
+        loc = subst_loc(a.loc, mapping)
+        value = subst_expr(a.value, mapping)
+        frac = a.frac if a.frac is None else subst_expr(a.frac, mapping)
+        if loc == a.loc and value is a.value and frac is a.frac:
+            return a
+        return APointsTo(a.span, loc, value, frac)
+    if t is AStar:
+        parts = tuple(subst_assertion(p, mapping) for p in a.parts)
+        return a if all(n is p for n, p in zip(parts, a.parts)) else AStar(a.span, parts)
+    if t is AResource:
+        loc = subst_loc(a.loc, mapping)
+        return a if loc == a.loc else AResource(a.span, a.kind, loc, a.inv)
+    if t is AImplies:
+        cond, body = subst_expr(a.cond, mapping), subst_assertion(a.body, mapping)
+        return a if cond is a.cond and body is a.body else AImplies(a.span, cond, body)
+    if t is ACond:
+        cond = subst_expr(a.cond, mapping)
+        then, els = subst_assertion(a.then, mapping), subst_assertion(a.els, mapping)
+        if cond is a.cond and then is a.then and els is a.els:
+            return a
+        return ACond(a.span, cond, then, els)
+    if t is AModal:
+        body = subst_assertion(a.body, mapping)
+        return a if body is a.body else AModal(a.span, a.kind, body)
+    raise AssertionError(a)
 
 
 def assertion_vars(a: Assertion) -> set[str]:

@@ -929,7 +929,7 @@ invariant Q1(V) = V != 0 ==> Up(a |-> 42);
 invariant Q2(V) = V != 0 ==> b |-> 7;
 proc main() requires { true } ensures { true }
 { alloc_na(b); alloc_na(a); alloc_acq(l, Q2); alloc_acq(m, Q1);
-  [l]_rel := 0; x := [l]_rlx; }
+  [m]_rel := 0; x := [m]_rlx; }
 """
 
 
@@ -976,15 +976,49 @@ def test_lowered_bodies_carry_the_value_of_v():
 
 
 def test_verify_and_dump_agree_on_double_modality(tmp_path, capsys):
+    # the read of m runs Q1's body, which cannot be lowered into the down
+    # heap; the dump shows the error at that body's branch
     path = tmp_path / "stacked.rsl"
     path.write_text(DOUBLE_MODALITY_SRC, encoding="utf-8")
-    assert cli.main(["verify", str(path), "--dump-primitives"]) == 1
-    dumped = capsys.readouterr().err
+    assert cli.main(["verify", str(path), "--dump-primitives"]) == 0
+    dumped = capsys.readouterr().out
     assert cli.main(["verify", str(path)]) == 1
     verified = capsys.readouterr().out
     line = "1:33: DoubleModality"
     assert line in dumped and "{real->down}" in dumped
     assert line in verified and "{real->down}" in verified
+
+
+# Each of x and y holds its own invariant; y's body cannot be lowered at a
+# write to LOC.  The write branches on the invariant LOC holds, so the body
+# fails the write only when it is y's.
+TABLE_BODY_ERRORS = {
+    "double-modality": (
+        "invariant Q1(V) = true;\ninvariant Q2(V) = Up(b |-> 1);\n"
+        "proc main(b) requires { true } ensures { true }\n"
+        "{ alloc_acq(x, Q1); alloc_acq(y, Q2); [LOC]_rlx := 0; }\n",
+        "2:22: DoubleModality [assertion-encoding]: "
+        "cannot relabel a up atom with {real->up}"),
+    "fraction": (
+        "invariant Q1(V) = true;\ninvariant Q2(V) = V == 0 ? true : j |-> 7 @ V;\n"
+        "proc main(j) requires { true } ensures { true }\n"
+        "{ alloc_acq(x, Q1); alloc_acq(y, Q2); [LOC]_rel := 2; }\n",
+        "2:35: SyntaxError [well-formedness]: fraction 2 outside (0, 1]"),
+}
+
+
+@pytest.mark.parametrize("source,failure", TABLE_BODY_ERRORS.values(),
+                         ids=TABLE_BODY_ERRORS)
+def test_a_table_body_error_fails_only_the_write_that_runs_it(source, failure):
+    assert single_verdict(source.replace("LOC", "x")).status == api.VERIFIED
+    v = single_verdict(source.replace("LOC", "y"))
+    assert v.status == api.FAILED
+    assert [d.format() for d in v.diagnostics] == [failure]
+    # the dump shows the error in the branch of y's invariant, index 1
+    chk, table, _ = pipeline(source.replace("LOC", "x"))
+    dump = encoder.dump_primitives(encoder.build_obligations(
+        chk, table, chk.program.procedures[0]))
+    assert f"branch x.rel == 1 {{\n      exhale error({failure})\n" in dump
 
 
 SCOPE_SRC = """

@@ -1,12 +1,14 @@
 """Parser and mode-checker tests."""
 
+import gc
+import os
 from collections import deque
 
 import pytest
 
-from conftest import LOCK_CLIENT, MANIFEST, corpus_path, corpus_text
+from conftest import CORPUS, LOCK_CLIENT, MANIFEST, corpus_path, corpus_text
 from printer import pp_program
-from weakmem import frontend, syntax as S
+from weakmem import api, frontend, syntax as S
 from weakmem.cli import load_manifest
 from weakmem.diagnostics import (
     CAS_ON_ACQ_LOCATION, DUPLICATE_NAME, MIXED_MODE_ACCESS, SYNTAX_ERROR,
@@ -400,6 +402,49 @@ proc main(a)
     assert (d.span.line, d.span.col) == (4, 14)
 
 
+def macro_pre(source_pre, define="define D(p, l) = Up(p ==> l |-> p);"):
+    """The precondition of a procedure of `main(a, b, m)` that uses macros,
+    and the parse diagnostics."""
+    program, diags = parse(f"{define}\nproc main(a, b, m) requires {{ {source_pre} }} "
+                           "ensures { true } { skip; }")
+    return (program.procedures[0].pre if program.procedures else None), diags
+
+
+def test_an_and_argument_becomes_a_star_of_facts_at_the_use():
+    pre, diags = macro_pre("true && D(a == 1 && b == 2, m)")
+    assert diags == []
+    fact = lambda name, k: S.APure(expr=S.EBin("==", S.EVar(name), S.EInt(k)))
+    star = S.AStar(parts=(fact("a", 1), fact("b", 2)))
+    m_is_ab = S.APointsTo(loc="m", value=S.EBin("&&", fact("a", 1).expr, fact("b", 2).expr))
+    assert pre == S.AStar(parts=(
+        S.APure(expr=S.TRUE_E),
+        S.AModal(kind="Up", body=S.AImplies(cond=m_is_ab.value, body=m_is_ab))))
+    pre, _ = macro_pre("D(a == 1 && b == 2)", define="define D(p) = p;")
+    assert pre == star
+    # every node of an expansion is at the use
+    use = S.Span(2, 31, 2, 32)
+    assert [x.span for x in S.walk_assertion(pre)] == [use, use, use]
+
+
+def test_an_expression_in_a_location_slot_is_reported_at_the_use():
+    _, diags = macro_pre("D(1, a + 1)")
+    assert [d.format() for d in diags] == [
+        "2:31: SyntaxError: location position for 'l' needs a variable, got an expression"]
+
+
+@pytest.mark.parametrize("extra,ok", [(-1, True), (0, True), (1, False)],
+                         ids=["under", "at", "over"])
+def test_macro_expansion_height_at_the_nesting_bound(extra, ok):
+    # Up, ==>, |-> and the argument's chain: the expansion is k + 3 high
+    k = frontend.MAX_NESTING - 3 + extra
+    pre, diags = macro_pre("D(" + " + ".join(["1"] * (k + 1)) + ", m)")
+    if ok:
+        assert diags == [] and frontend._height(pre) == k + 3
+    else:
+        assert [d.format() for d in diags] == [
+            f"2:31: SyntaxError: macro 'D' expands deeper than {frontend.MAX_NESTING} levels"]
+
+
 def test_postcondition_variable_restriction():
     program, _ = parse("""
 proc f() requires { true } ensures { z == 1 } { z := 1; }
@@ -460,19 +505,38 @@ def test_invariant_diamond_walks_each_body_once(monkeypatch):
     program, diags = parse(diamond(60))
     assert diags == []
     walked = []
-    walk = S.walk_assertion
+    walk, assertion_use = S.walk_assertion, frontend._ProcWalker.assertion_use
 
     def counted(a):
         walked.append(a)
         return walk(a)
 
+    def counted_use(self, a, *args):
+        walked.append(a)
+        return assertion_use(self, a, *args)
+
     monkeypatch.setattr(S, "walk_assertion", counted)
+    monkeypatch.setattr(frontend._ProcWalker, "assertion_use", counted_use)
     checked = mode_check(program)
     # the precondition, the postcondition and each of the 60 bodies once,
     # then each body once more for its fractions
     assert len(walked) == 2 + 60 + 60
     info = checked.info["main"]
     assert info.spec_vars(program.procedures[0].pre) == {"k"} | {f"r{i}" for i in range(60)}
+
+
+def test_verifying_a_corpus_file_leaves_no_cyclic_garbage():
+    # the walkers hold no closures over each other, so every object of a run
+    # is freed by reference counting alone
+    names = sorted(n for n in os.listdir(CORPUS) if n.endswith(".rsl"))
+    gc.collect()
+    gc.disable()
+    try:
+        for name in names:
+            api.verify_source(corpus_text(name), path=name)
+            assert gc.collect() == 0, name
+    finally:
+        gc.enable()
 
 
 def test_small_diamond_keeps_classes_and_diagnostics():

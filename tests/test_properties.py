@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import CORPUS, corpus_text
-from weakmem import api, syntax as S, terms as T
+from weakmem import api, frontend, syntax as S, terms as T
 from weakmem.diagnostics import EXHALE_FAILURE
 from weakmem.encoder import Exhale
 from weakmem.solver import Solver, YES
@@ -299,8 +299,84 @@ def test_substitute_distributes_over_connectives(a, n):
 @settings(max_examples=80, deadline=None)
 def test_identity_rebuild_returns_the_assertion(a):
     assert S.map_assertion(a, lambda e: e) is a
-    assert S.map_assertion(a, lambda e: e, lambda loc: loc) is a
-    assert S.subst_assertion(a, {}) == a
+    assert S.subst_assertion(a, {}) is a
+
+
+# Define bodies over the parameters p (a value) and l (a location), with
+# every kind of assertion node; arguments may hold `&&`, so that a pure fact
+# splits into a star when it is expanded.
+macro_exprs = st.recursive(
+    st.one_of(st.integers(-2, 2).map(S.EInt), st.sampled_from(["p", "x"]).map(S.EVar)),
+    lambda sub: st.one_of(
+        st.tuples(st.sampled_from(["+", "==", "&&"]), sub, sub).map(lambda t: S.EBin(*t)),
+        sub.map(lambda e: S.EUn("-", e))),
+    max_leaves=5)
+
+
+@st.composite
+def macro_bodies(draw, max_depth=3):
+    depth = draw(st.integers(0, max_depth))
+    loc = st.sampled_from(["l", "a"])
+    if depth == 0:
+        choice = draw(st.integers(0, 2))
+        if choice == 0:
+            return S.APure(expr=draw(macro_exprs))
+        if choice == 1:
+            frac = draw(st.one_of(st.none(), macro_exprs))
+            return S.APointsTo(loc=draw(loc), value=draw(macro_exprs), frac=frac)
+        return S.AResource(kind=draw(st.sampled_from(["Init", "Rel"])), loc=draw(loc),
+                           inv=("Q",))
+    kind = draw(st.integers(0, 3))
+    sub = macro_bodies(depth - 1)
+    if kind == 0:
+        return S.AStar(parts=tuple(draw(st.lists(sub, min_size=2, max_size=3))))
+    if kind == 1:
+        return S.AImplies(cond=draw(macro_exprs), body=draw(sub))
+    if kind == 2:
+        return S.ACond(cond=draw(macro_exprs), then=draw(sub), els=draw(sub))
+    return S.AModal(kind="Up", body=draw(sub))
+
+
+def three_walk_expansion(body, mapping, span):
+    """A define's expansion as three walks: substitute, take the height of
+    the result, then restamp every node with the use's span, splitting a
+    pure fact at its top-level `&&`s and flattening stars."""
+    substituted = S.subst_assertion(body, mapping)
+
+    def at_use(n):
+        n = n.replace(span=span)
+        if isinstance(n, S.APure) and isinstance(n.expr, S.EBin) and n.expr.op == "&&":
+            return S.star([at_use(S.APure(expr=e, span=span))
+                           for e in (n.expr.left, n.expr.right)])
+        return S.star(n.parts) if isinstance(n, S.AStar) else n
+
+    return (S.map_assertion(substituted, None, on_node=at_use),
+            frontend._height(substituted))
+
+
+def spans(a):
+    return [x.span for x in S.walk_assertion(a)]
+
+
+USE_SPAN = S.Span(9, 4, 9, 11)
+
+
+@given(macro_bodies(), macro_exprs, st.sampled_from([S.EVar("m"), S.EInt(3)]))
+@settings(max_examples=150, deadline=None)
+def test_one_walk_expansion_matches_three_walks(body, p_arg, l_arg):
+    mapping = {"p": p_arg, "l": l_arg}
+    heights = {k: frontend._height(e) for k, e in mapping.items()}
+    try:
+        want, want_height = three_walk_expansion(body, mapping, USE_SPAN)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            frontend._expand(body, mapping, heights, USE_SPAN)
+        assert str(got.value) == str(exc)
+        return
+    got, height = frontend._expand(body, mapping, heights, USE_SPAN)
+    # Record equality leaves spans out
+    assert got == want and spans(got) == spans(want)
+    assert height == want_height
 
 
 @given(assertions())

@@ -36,6 +36,19 @@ def test_every_record_class_has_slots():
         assert "__slots__" in cls.__dict__, cls
 
 
+def test_every_statement_and_primitive_class_has_a_handler():
+    # the walkers dispatch on a node's exact class, so a table names every
+    # class that can occur and none of them has subclasses
+    stmts = {cls for cls in records(S.Stmt) if not cls.__subclasses__()}
+    assert set(frontend._ProcWalker._STMTS) == stmts
+    assert set(encoder._ENCODERS) == stmts
+    not_primitives = {encoder.BranchCond, encoder.Block, encoder.Obligation}
+    prims = {cls for cls in records() if cls.__module__ == encoder.__name__}
+    assert set(symstate._RUN) == prims - not_primitives
+    for cls in [*stmts, *symstate._RUN]:
+        assert not cls.__subclasses__(), cls
+
+
 def test_span_is_left_out_only_of_source_nodes():
     source_nodes = (S.Assertion, S.Stmt, S.Thread, S.InvariantDecl, S.Procedure)
     for cls in records():
