@@ -29,16 +29,10 @@ class VerifyOptions(syntax.Record):
 
 class ProcVerdict(syntax.Record):
     __slots__ = ("name", "status", "diagnostics", "reason", "time_ms", "obligations")
-
-    def __init__(self, name: str, status: str, diagnostics: list = None, reason: str = "",
-                 time_ms: float = 0.0, obligations: list = None):
-        self.name = name
-        self.status = status
-        self.diagnostics = [] if diagnostics is None else diagnostics
-        self.reason = reason            # for unsupported
-        self.time_ms = time_ms
-        # ObligationResult per obligation
-        self.obligations = [] if obligations is None else obligations
+    _defaults = {"diagnostics": [],
+                 "reason": "",           # for unsupported
+                 "time_ms": 0.0,
+                 "obligations": []}      # ObligationResult per obligation
 
     def to_json(self) -> dict:
         out = {
@@ -55,20 +49,10 @@ class ProcVerdict(syntax.Record):
 class FileResult(syntax.Record):
     __slots__ = ("path", "program", "checked", "table", "parse_diagnostics", "verdicts",
                  "soundness", "solver")
-
-    def __init__(self, path: str, program: Optional[syntax.Program] = None,
-                 checked: Optional[frontend.CheckedProgram] = None,
-                 table: Optional[speclogic.InvariantTable] = None,
-                 parse_diagnostics: list = None, verdicts: list = None,
-                 soundness: list = None, solver: Optional[Solver] = None):
-        self.path = path
-        self.program = program
-        self.checked = checked
-        self.table = table
-        self.parse_diagnostics = [] if parse_diagnostics is None else parse_diagnostics
-        self.verdicts = [] if verdicts is None else verdicts
-        self.soundness = [] if soundness is None else soundness    # StateReport per boundary
-        self.solver = solver
+    _defaults = {"program": None, "checked": None, "table": None, "parse_diagnostics": [],
+                 "verdicts": [],
+                 "soundness": [],    # StateReport per boundary
+                 "solver": None}
 
     @property
     def ok(self) -> bool:

@@ -178,18 +178,10 @@ class ManifestError(Exception):
 
 
 class CorpusEntry(syntax.Record):
-    __slots__ = ("name", "file", "expect", "pp_max", "li_max", "error_line", "reason")
-
-    def __init__(self, name: str, file: str, expect: str, pp_max: Optional[int] = None,
-                 li_max: Optional[int] = None, error_line: Optional[int] = None,
-                 reason: str = ""):
-        self.name = name
-        self.file = file
-        self.expect = expect      # verified | failed | unsupported
-        self.pp_max = pp_max
-        self.li_max = li_max
-        self.error_line = error_line
-        self.reason = reason
+    __slots__ = ("name", "file",
+                 "expect",    # verified | failed | unsupported
+                 "pp_max", "li_max", "error_line", "reason")
+    _defaults = {"pp_max": None, "li_max": None, "error_line": None, "reason": ""}
 
 
 def load_manifest(path: str) -> list[CorpusEntry]:
@@ -206,8 +198,12 @@ def load_manifest(path: str) -> list[CorpusEntry]:
         for key in ("name", "file", "expect"):
             if not isinstance(item.get(key), str):
                 raise ManifestError(f"manifest entry {item!r} lacks a string {key!r}")
+        if item["expect"] not in (VERIFIED, FAILED, UNSUPPORTED):
+            raise ManifestError(f"manifest entry {item!r}: 'expect' is not one of "
+                                f"{VERIFIED!r}, {FAILED!r} and {UNSUPPORTED!r}")
         for key in ("pp_max", "li_max", "error_line"):
-            if not isinstance(item.get(key, 0), int):
+            # a bool is an int to isinstance, but not a count or a line
+            if type(item.get(key, 0)) is not int:
                 raise ManifestError(f"manifest entry {item!r}: {key!r} is not an integer")
         entries.append(CorpusEntry(
             name=item["name"], file=item["file"], expect=item["expect"],

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Optional
-
 from .syntax import NO_SPAN, Record, Span
 
 # frontend / well-formedness
@@ -35,14 +33,10 @@ SOUNDNESS_VIOLATION = "SoundnessViolation"
 class Diagnostic(Record):
     """One verification failure or well-formedness problem."""
     __slots__ = ("kind", "span", "rule", "message", "counter_facts")
-
-    def __init__(self, kind: str, span: Span = NO_SPAN, rule: str = "", message: str = "",
-                 counter_facts: Optional[str] = None):
-        self.kind = kind
-        self.span = span
-        self.rule = rule                    # the proof rule / encoding step involved
-        self.message = message
-        self.counter_facts = counter_facts  # solver counter-model sketch
+    _defaults = {"span": NO_SPAN,
+                 "rule": "",                # the proof rule / encoding step involved
+                 "message": "",
+                 "counter_facts": None}     # solver counter-model sketch
 
     def format(self) -> str:
         loc = f"{self.span.line}:{self.span.col}"

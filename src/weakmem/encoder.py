@@ -56,123 +56,75 @@ from .syntax import NO_SPAN, Record, Span
 # ---------------------------------------------------------------------------
 
 class BranchCond(Record, hashable=True):
-    __slots__ = ("kind", "expr", "loc", "idx", "value")
-
-    def __init__(self, kind: str, expr: Optional[S.Expr] = None, loc: str = "",
-                 idx: int = 0, value: Optional[S.Expr] = None):
-        self.kind = kind      # expr | nondet | notread | releq
-        self.expr = expr      # expr
-        self.loc = loc        # notread / releq
-        self.idx = idx        # notread / releq
-        self.value = value    # notread: the candidate value
+    __slots__ = ("kind",    # expr | nondet | notread | releq
+                 "expr", "loc", "idx", "value")
+    _defaults = {"expr": None,     # expr
+                 "loc": "",        # notread / releq
+                 "idx": 0,         # notread / releq
+                 "value": None}    # notread: the candidate value
 
 
 class Inhale(Record):
     __slots__ = ("enc", "rule", "span", "value")
-
-    def __init__(self, enc: EncAssertion, rule: str = "", span: Span = NO_SPAN,
-                 value: Optional[S.Expr] = None):
-        self.enc = enc
-        self.rule = rule
-        self.span = span
-        self.value = value    # what `V` stands for in an invariant body
+    _defaults = {"rule": "", "span": NO_SPAN,
+                 "value": None}    # what `V` stands for in an invariant body
 
 
 class Exhale(Record):
     __slots__ = ("enc", "rule", "kind", "vals_kind", "bindable", "span", "value", "take")
-
-    def __init__(self, enc: EncAssertion, rule: str = "", kind: str = EXHALE_FAILURE,
-                 vals_kind: str = EXHALE_FAILURE, bindable: frozenset = frozenset(),
-                 span: Span = NO_SPAN, value: Optional[S.Expr] = None, take: str = "own"):
-        self.enc = enc
-        self.rule = rule
-        self.kind = kind
-        self.vals_kind = vals_kind    # kind for values-read emptiness failures
-        self.bindable = bindable      # logical variables open for unification
-        self.span = span
-        self.value = value            # as for Inhale
-        self.take = take              # own | tmp (tmp heap first) | none (assert)
+    _defaults = {"rule": "", "kind": EXHALE_FAILURE,
+                 "vals_kind": EXHALE_FAILURE,    # kind for values-read emptiness failures
+                 "bindable": frozenset(),        # logical variables open for unification
+                 "span": NO_SPAN,
+                 "value": None,    # as for Inhale
+                 "take": "own"}    # own | tmp (tmp heap first) | none (assert)
 
 
 class HavocVar(Record):
     __slots__ = ("name", "span")
-
-    def __init__(self, name: str, span: Span = NO_SPAN):
-        self.name = name
-        self.span = span
+    _defaults = {"span": NO_SPAN}
 
 
 class AssignVar(Record):
-    __slots__ = ("name", "rhs", "span")
-
-    def __init__(self, name: str, rhs: tuple, span: Span = NO_SPAN):
-        self.name = name
-        self.rhs = rhs    # ("expr", Expr) or ("fieldval", loc, fld)
-        self.span = span
+    __slots__ = ("name", "rhs", "span")    # rhs: ("expr", Expr) or ("fieldval", loc, fld)
+    _defaults = {"span": NO_SPAN}
 
 
 class Branch(Record):
     __slots__ = ("cond", "then", "els", "span")
-
-    def __init__(self, cond: BranchCond, then: list, els: list, span: Span = NO_SPAN):
-        self.cond = cond
-        self.then = then
-        self.els = els
-        self.span = span
+    _defaults = {"span": NO_SPAN}
 
 
 class ForEachHeldConjunct(Record):
+    # need_full: a full instance (acq) vs any positive (RMW);
+    # bodies: table index -> primitives
     __slots__ = ("loc", "need_full", "bodies", "span")
-
-    def __init__(self, loc: str, need_full: bool, bodies: dict, span: Span = NO_SPAN):
-        self.loc = loc
-        self.need_full = need_full    # full instance (acq) vs any positive (RMW)
-        self.bodies = bodies          # table index -> primitives
-        self.span = span
+    _defaults = {"span": NO_SPAN}
 
 
 class TransferHeap(Record):
     __slots__ = ("src", "dst", "rule", "span")
-
-    def __init__(self, src: HeapLabel, dst: HeapLabel, rule: str = "",
-                 span: Span = NO_SPAN):
-        self.src = src
-        self.dst = dst
-        self.rule = rule
-        self.span = span
+    _defaults = {"rule": "", "span": NO_SPAN}
 
 
 class KillBranch(Record):
     __slots__ = ("span",)
-
-    def __init__(self, span: Span = NO_SPAN):
-        self.span = span
+    _defaults = {"span": NO_SPAN}
 
 
 class DropAllPerms(Record):
     __slots__ = ("span",)
-
-    def __init__(self, span: Span = NO_SPAN):
-        self.span = span
+    _defaults = {"span": NO_SPAN}
 
 
 class NewLoc(Record):
     __slots__ = ("var", "ghost", "span")
-
-    def __init__(self, var: str, ghost: bool = False, span: Span = NO_SPAN):
-        self.var = var
-        self.ghost = ghost
-        self.span = span
+    _defaults = {"ghost": False, "span": NO_SPAN}
 
 
 class RecordReadValue(Record):
     __slots__ = ("loc", "idx", "value", "span")
-
-    def __init__(self, loc: str, idx: int, value: S.Expr, span: Span = NO_SPAN):
-        self.loc = loc
-        self.idx = idx
-        self.value = value
-        self.span = span
+    _defaults = {"span": NO_SPAN}
 
 
 class SpinLeakCheck(Record):
@@ -183,15 +135,8 @@ class SpinLeakCheck(Record):
     held conjunct, that no permission atom is feasibly gained for a value
     satisfying the continue condition.
     """
-    __slots__ = ("loc", "probe", "cont", "lowered", "span")
-
-    def __init__(self, loc: str, probe: str, cont: S.Expr, lowered: dict,
-                 span: Span = NO_SPAN):
-        self.loc = loc
-        self.probe = probe
-        self.cont = cont      # continue condition over the probe
-        self.lowered = lowered
-        self.span = span
+    __slots__ = ("loc", "probe", "cont", "lowered", "span")    # cont: over the probe
+    _defaults = {"span": NO_SPAN}
 
 
 # ---------------------------------------------------------------------------
@@ -201,22 +146,12 @@ class SpinLeakCheck(Record):
 class Block(Record):
     __slots__ = ("span", "desc", "prims")
 
-    def __init__(self, span: Span, desc: str, prims: list):
-        self.span = span
-        self.desc = desc
-        self.prims = prims
-
 
 class Obligation(Record):
-    __slots__ = ("name", "kind", "span", "blocks", "var_classes")
-
-    def __init__(self, name: str, kind: str, span: Span, blocks: list = None,
-                 var_classes: dict = None):
-        self.name = name
-        self.kind = kind      # procedure | thread
-        self.span = span
-        self.blocks = [] if blocks is None else blocks
-        self.var_classes = {} if var_classes is None else var_classes
+    __slots__ = ("name",
+                 "kind",    # procedure | thread
+                 "span", "blocks", "var_classes")
+    _defaults = {"blocks": [], "var_classes": {}}
 
 
 # ---------------------------------------------------------------------------

@@ -142,10 +142,6 @@ class _ParseError(Exception):
 class _Define(S.Record):
     __slots__ = ("params", "body")
 
-    def __init__(self, params: list[str], body: S.Assertion):
-        self.params = params
-        self.body = body
-
 
 # statements of the form  kw "(" NAME ")" ";"  or  kw "(" NAME "," invref ")" ";",
 # with their allocation kind (free has none), and of the form  kw ";"
@@ -855,10 +851,8 @@ _RESOURCE_USE = {"Uninit": "owns", "Init": "atomic_use", "Acq": "acq_use",
 
 class _Evidence(S.Record):
     __slots__ = ("alloc", "uses")
-
-    def __init__(self, alloc: dict[str, Span] = None, uses: dict[str, Span] = None):
-        self.alloc = {} if alloc is None else alloc   # allocated class -> first span
-        self.uses = {} if uses is None else uses      # use tag -> first span
+    _defaults = {"alloc": {},    # allocated class -> first span
+                 "uses": {}}     # use tag -> first span
 
 
 class Scope(S.Record, hashable=True):
@@ -867,22 +861,13 @@ class Scope(S.Record, hashable=True):
     annotations name."""
     __slots__ = ("uses", "binds")
 
-    def __init__(self, uses: frozenset, binds: frozenset):
-        self.uses = uses
-        self.binds = binds
-
 
 class ProcInfo(S.Record):
     __slots__ = ("classes", "declared", "scopes", "specs", "calls")
-
-    def __init__(self, classes: dict[str, str] = None, declared: set[str] = None,
-                 scopes: dict[int, Scope] = None, specs: dict[int, frozenset] = None,
-                 calls: list = None):
-        self.classes = {} if classes is None else classes
-        self.declared = set() if declared is None else declared
-        self.scopes = {} if scopes is None else scopes    # id(body) -> its scope
-        self.specs = {} if specs is None else specs       # id(spec) -> its variables
-        self.calls = [] if calls is None else calls       # well-formed S.SCall sites, in order
+    _defaults = {"classes": {}, "declared": set(),
+                 "scopes": {},    # id(body) -> its scope
+                 "specs": {},     # id(spec) -> its variables
+                 "calls": []}     # well-formed S.SCall sites, in order
 
     def scope(self, body: list) -> Scope:
         """The scope of a procedure, thread, loop or branch body of this
@@ -896,17 +881,10 @@ class ProcInfo(S.Record):
 
 
 class CheckedProgram(S.Record):
+    # inv_sites: the invariant reference of every annotation of every
+    # procedure, with its span, in source order: specs, allocations, rewrites,
+    # fences, loop invariants and thread specs (not invariant bodies)
     __slots__ = ("program", "info", "diagnostics", "inv_sites")
-
-    def __init__(self, program: S.Program, info: dict[str, ProcInfo],
-                 diagnostics: list[Diagnostic], inv_sites: list[tuple[S.InvRef, Span]]):
-        self.program = program
-        self.info = info
-        self.diagnostics = diagnostics
-        # the invariant reference of every annotation of every procedure, with
-        # its span, in source order: specs, allocations, rewrites, fences, loop
-        # invariants and thread specs (not invariant bodies)
-        self.inv_sites = inv_sites
 
 
 class _Classifier:

@@ -24,11 +24,6 @@ from .syntax import Record, Span
 class Violation(Record):
     __slots__ = ("location", "label", "message")
 
-    def __init__(self, location: str, label: HeapLabel, message: str):
-        self.location = location
-        self.label = label
-        self.message = message
-
     def format(self) -> str:
         tag = "" if self.label == HeapLabel.REAL else f" under {self.label}"
         return f"{self.location}{tag}: {self.message}"
@@ -36,14 +31,7 @@ class Violation(Record):
 
 class StateReport(Record):
     __slots__ = ("obligation", "boundary", "span", "violations", "assertion")
-
-    def __init__(self, obligation: str, boundary: str, span: Span, violations: list = None,
-                 assertion: str = ""):
-        self.obligation = obligation
-        self.boundary = boundary
-        self.span = span
-        self.violations = [] if violations is None else violations
-        self.assertion = assertion
+    _defaults = {"violations": [], "assertion": ""}
 
     def to_json(self) -> dict:
         return {

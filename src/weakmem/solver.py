@@ -66,13 +66,10 @@ OPAQUE_ATOM = "the model relies on an opaque atom"
 
 
 class Result(Record):
-    __slots__ = ("verdict", "hint", "reason")
-
-    def __init__(self, verdict: str, hint: Optional[str] = None,
-                 reason: Optional[str] = None):
-        self.verdict = verdict    # yes | no | unknown
-        self.hint = hint          # counter-model sketch for "no"
-        self.reason = reason      # why the verdict is "unknown"
+    __slots__ = ("verdict",    # yes | no | unknown
+                 "hint", "reason")
+    _defaults = {"hint": None,      # counter-model sketch for "no"
+                 "reason": None}    # why the verdict is "unknown"
 
 
 # ---------------------------------------------------------------------------
@@ -489,14 +486,8 @@ def _value_at(term: Term, model: dict[Term, int | Fraction]):
 
 class _Case(Record):
     __slots__ = ("linear", "bools", "opaque", "defined")
-
-    def __init__(self, linear: list[tuple[str, _Compiled]] = None,
-                 bools: dict[Term, bool] = None, opaque: bool = False,
-                 defined: frozenset = frozenset()):
-        self.linear = [] if linear is None else linear
-        self.bools = {} if bools is None else bools
-        self.opaque = opaque
-        self.defined = defined    # the definitions added
+    _defaults = {"linear": [], "bools": {}, "opaque": False,
+                 "defined": frozenset()}    # the definitions added
 
 
 def _negation(g: Term) -> Term:

@@ -52,21 +52,12 @@ class InvariantTable(Record):
     """Defunctionalised invariants: index -> body over the value parameter."""
     __slots__ = ("entries", "names", "whole_of", "conjuncts_of", "spans",
                  "uses_value", "value_fractions")
-
-    def __init__(self, entries: dict[int, S.Assertion] = None, names: dict[int, str] = None,
-                 whole_of: dict[S.InvRef, int] = None,
-                 conjuncts_of: dict[S.InvRef, tuple[int, ...]] = None,
-                 spans: dict[int, Span] = None, uses_value: set[int] = None,
-                 value_fractions: set[int] = None):
-        self.entries = {} if entries is None else entries
-        self.names = {} if names is None else names              # display names
-        self.whole_of = {} if whole_of is None else whole_of
-        self.conjuncts_of = {} if conjuncts_of is None else conjuncts_of
-        self.spans = {} if spans is None else spans
-        # the entries whose body mentions `V` outside fractions, and those whose
-        # fractions mention it (their amounts are only known at a value)
-        self.uses_value = set() if uses_value is None else uses_value
-        self.value_fractions = set() if value_fractions is None else value_fractions
+    _defaults = {"entries": {},
+                 "names": {},    # display names
+                 "whole_of": {}, "conjuncts_of": {}, "spans": {},
+                 # the entries whose body mentions `V` outside fractions, and those
+                 # whose fractions mention it (their amounts are only known at a value)
+                 "uses_value": set(), "value_fractions": set()}
 
     def add(self, body: S.Assertion, name: str, span: Span) -> int:
         """Index a body under the next index, noting where it mentions `V`."""
@@ -198,65 +189,36 @@ FIELD_ACQ = "acq"
 
 class EPure(Record, hashable=True):
     __slots__ = ("expr", "span")
-
-    def __init__(self, expr: S.Expr, span: Span = NO_SPAN):
-        self.expr = expr
-        self.span = span
+    _defaults = {"span": NO_SPAN}
 
 
 class EAcc(Record, hashable=True):
     """A permission atom: to the field ``res`` (a name) of a location, or to
     its AcqConjunct instance of the conjunct ``res`` (a table index)."""
+    # perm: for an instance, FULL for acquire mode and WILDCARD for RMW
     __slots__ = ("loc", "res", "perm", "label", "span", "vals_empty")
-
-    def __init__(self, loc: str, res: str | int, perm: PermSpec,
-                 label: HeapLabel = HeapLabel.REAL, span: Span = NO_SPAN,
-                 vals_empty: bool = False):
-        self.loc = loc
-        self.res = res
-        self.perm = perm        # an instance: FULL for acquire mode, WILDCARD for RMW
-        self.label = label
-        self.span = span
-        self.vals_empty = vals_empty    # an instance: no value has been read through it
+    _defaults = {"label": HeapLabel.REAL, "span": NO_SPAN,
+                 "vals_empty": False}    # an instance: no value has been read through it
 
 
 class EFieldEq(Record, hashable=True):
+    # value: never EAny, as lowering drops a "_" points-to value
     __slots__ = ("loc", "fld", "value", "label", "span")
-
-    def __init__(self, loc: str, fld: str, value: S.Expr,
-                 label: HeapLabel = HeapLabel.REAL, span: Span = NO_SPAN):
-        self.loc = loc
-        self.fld = fld
-        self.value = value    # never EAny: lowering drops a "_" points-to value
-        self.label = label
-        self.span = span
+    _defaults = {"label": HeapLabel.REAL, "span": NO_SPAN}
 
 
 class EStar(Record, hashable=True):
     __slots__ = ("parts",)
 
-    def __init__(self, parts: tuple):
-        self.parts = parts
-
 
 class EImplies(Record, hashable=True):
     __slots__ = ("cond", "body", "span")
-
-    def __init__(self, cond: S.Expr, body: EncAssertion, span: Span = NO_SPAN):
-        self.cond = cond
-        self.body = body
-        self.span = span
+    _defaults = {"span": NO_SPAN}
 
 
 class ECond(Record, hashable=True):
     __slots__ = ("cond", "then", "els", "span")
-
-    def __init__(self, cond: S.Expr, then: EncAssertion, els: EncAssertion,
-                 span: Span = NO_SPAN):
-        self.cond = cond
-        self.then = then
-        self.els = els
-        self.span = span
+    _defaults = {"span": NO_SPAN}
 
 
 class EError(Record):
@@ -264,9 +226,6 @@ class EError(Record):
     The executor raises its diagnostic only where a case reaches it.  Not
     hashable, as its diagnostic is not."""
     __slots__ = ("diagnostic",)
-
-    def __init__(self, diagnostic: Diagnostic):
-        self.diagnostic = diagnostic
 
 
 EncAssertion = Union[EPure, EAcc, EFieldEq, EStar, EImplies, ECond, EError]
@@ -277,9 +236,10 @@ E_TRUE = EPure(S.TRUE_E)
 def estar(parts: list) -> EncAssertion:
     flat: list = []
     for p in parts:
-        if isinstance(p, EStar):
+        t = type(p)
+        if t is EStar:
             flat.extend(p.parts)
-        elif isinstance(p, EPure) and p.expr == S.TRUE_E:
+        elif t is EPure and p.expr == S.TRUE_E:
             continue
         else:
             flat.append(p)
@@ -295,11 +255,7 @@ def estar(parts: list) -> EncAssertion:
 # ---------------------------------------------------------------------------
 
 class LowerCtx(Record):
-    __slots__ = ("table", "classes")
-
-    def __init__(self, table: InvariantTable, classes: dict[str, str]):
-        self.table = table
-        self.classes = classes    # variable classifications for this scope
+    __slots__ = ("table", "classes")    # classes: variable classifications for this scope
 
     def is_ghost(self, loc: str) -> bool:
         return self.classes.get(loc) == GHOST
@@ -307,20 +263,21 @@ class LowerCtx(Record):
 
 def lower(a: S.Assertion, ctx: LowerCtx, label: HeapLabel = HeapLabel.REAL) -> EncAssertion:
     """Encode a surface assertion; atoms on ghost locations keep the real label."""
-    if isinstance(a, S.APure):
+    t = type(a)
+    if t is S.APure:
         return EPure(a.expr, a.span)
-    if isinstance(a, S.APointsTo):
+    if t is S.APointsTo:
         k = _perm_of(a.frac, a.span)
         lbl = _loc_label(a.loc, label, ctx)
         parts = [
             EAcc(a.loc, FIELD_VAL, k, lbl, a.span),
             EAcc(a.loc, FIELD_INIT, k, lbl, a.span),
         ]
-        if not isinstance(a.value, S.EAny):
+        if type(a.value) is not S.EAny:
             parts.append(EFieldEq(a.loc, FIELD_VAL, a.value, lbl, a.span))
         parts.append(EFieldEq(a.loc, FIELD_INIT, S.TRUE_E, lbl, a.span))
         return estar(parts)
-    if isinstance(a, S.AResource):
+    if t is S.AResource:
         lbl = _loc_label(a.loc, label, ctx)
         if a.kind == "Uninit":
             return estar([
@@ -345,13 +302,13 @@ def lower(a: S.Assertion, ctx: LowerCtx, label: HeapLabel = HeapLabel.REAL) -> E
             parts.append(EAcc(a.loc, i, FULL if acq else WILDCARD, lbl, a.span,
                               vals_empty=acq))
         return estar(parts)
-    if isinstance(a, S.AStar):
+    if t is S.AStar:
         return estar([lower(p, ctx, label) for p in a.parts])
-    if isinstance(a, S.AImplies):
+    if t is S.AImplies:
         return EImplies(a.cond, lower(a.body, ctx, label), a.span)
-    if isinstance(a, S.ACond):
+    if t is S.ACond:
         return ECond(a.cond, lower(a.then, ctx, label), lower(a.els, ctx, label), a.span)
-    if isinstance(a, S.AModal):
+    if t is S.AModal:
         target = HeapLabel.UP if a.kind == "Up" else HeapLabel.DOWN
         return lower(a.body, ctx, _shift(label, target, a.span))
     raise AssertionError(a)

@@ -40,9 +40,10 @@ and consume share one brancher in Viper's symbolic executor, and hands each
 atom a case reaches to a leaf.  The inhale leaf produces it at once, so a
 pure fact is assumed before a later condition branches; the exhale leaf
 records its check or demand on the case; the spin-leak leaf fails on the
-first permission atom reached by a case in which the loop spins on.  Each
-leaf raises the diagnostic of an ``EError``, a table body the encoder could
-not lower, so that error fails only the paths that reach it.
+first permission atom reached by a case in which the loop spins on.  The
+walk itself raises the diagnostic of an ``EError``, a table body the encoder
+could not lower, where a case reaches it, so that error fails only the paths
+that reach it.  The walk and its leaves test a node's exact class.
 
 One routine, ``exhale``, runs every ``Exhale`` over its cases: it sums the
 permission demands per chunk and, in key order, fields before instances,
@@ -131,15 +132,7 @@ class Chunk(S.Record):
     table index.  A field's ``value`` is its value term; an instance's is
     the tuple of values read through it, in insertion order."""
     __slots__ = ("ref", "res", "label", "perm", "value", "pos")
-
-    def __init__(self, ref: T.Term, res: str | int, label: HeapLabel, perm: T.Term,
-                 value: T.Term | tuple, pos: bool = False):
-        self.ref = ref
-        self.res = res
-        self.label = label
-        self.perm = perm
-        self.value = value
-        self.pos = pos      # perm is positive on this path by construction
+    _defaults = {"pos": False}    # perm is positive on this path by construction
 
 
 _GROUND = frozenset({-1})   # the atom set of an atomless fact, such as FALSE
@@ -461,28 +454,19 @@ def _branch_states(ctx: ExecContext, state: SymState, cond: T.Term, span: Span):
 
 class _Demand(S.Record):
     __slots__ = ("exact", "wildcards", "name")
-
-    def __init__(self, exact: int | Fraction = 0, wildcards: int = 0, name: str = ""):
-        self.exact = exact
-        self.wildcards = wildcards
-        self.name = name
+    _defaults = {"exact": 0, "wildcards": 0, "name": ""}
 
 
 class _Case(S.Record):
     """One case of an encoded assertion: its state and, for an exhale, what
     its atoms demand of that state."""
     __slots__ = ("state", "checks", "demands", "vals_checks", "unvalued")
-
-    def __init__(self, state: SymState, checks: list = None, demands: dict = None,
-                 vals_checks: list = None, unvalued: set = None):
-        self.state = state
-        # ("pure", expr) | ("value", key, name, expr)
-        self.checks = [] if checks is None else checks
-        self.demands = {} if demands is None else demands    # chunk key -> _Demand
-        self.vals_checks = [] if vals_checks is None else vals_checks    # (key, name)
-        # for an inhale, the keys of the field chunks it made whose fresh
-        # value no fact mentions yet
-        self.unvalued = set() if unvalued is None else unvalued
+    _defaults = {"checks": [],         # ("pure", expr) | ("value", key, name, expr)
+                 "demands": {},        # chunk key -> _Demand
+                 "vals_checks": [],    # (key, name)
+                 # for an inhale, the keys of the field chunks it made whose
+                 # fresh value no fact mentions yet
+                 "unvalued": set()}
 
     def split(self, state: SymState) -> "_Case":
         return _Case(state, list(self.checks),
@@ -495,25 +479,32 @@ def _cases(ctx: ExecContext, case: _Case, enc, leaf: Callable) -> list[_Case]:
     """The cases ``enc`` splits ``case`` into.  A star folds its parts left
     to right over every case so far; an implication or a conditional splits
     each case on its condition, then-cases before else-cases.  Every atom a
-    case reaches is passed to ``leaf(ctx, case, atom)``, in assertion order."""
-    if isinstance(enc, EStar):
+    case reaches is passed to ``leaf(ctx, case, atom)``, in assertion order,
+    except that an ``EError`` a case reaches raises its diagnostic."""
+    t = type(enc)
+    if t is EStar:
         cases = [case]
         for part in enc.parts:
-            if isinstance(part, (EImplies, ECond)):
+            pt = type(part)
+            if pt is EImplies or pt is ECond:
                 cases = [c2 for c in cases for c2 in _cases(ctx, c, part, leaf)]
+            elif pt is EError and cases:
+                raise FrontendError(part.diagnostic)
             else:
                 # an atom (stars are flat) splits no case
                 for c in cases:
                     leaf(ctx, c, part)
         return cases
-    if isinstance(enc, (EImplies, ECond)):
-        then, els = (enc.body, None) if isinstance(enc, EImplies) else (enc.then, enc.els)
+    if t is EImplies or t is ECond:
+        then, els = (enc.body, None) if t is EImplies else (enc.then, enc.els)
         cond = eval_expr(case.state, enc.cond)
         thens, elses = _branch_states(ctx, case.state, cond, enc.span)
         out = [c for s in thens for c in _cases(ctx, case.split(s), then, leaf)]
         for s in elses:
             out += [case.split(s)] if els is None else _cases(ctx, case.split(s), els, leaf)
         return out
+    if t is EError:
+        raise FrontendError(enc.diagnostic)
     leaf(ctx, case, enc)
     return [case]
 
@@ -529,9 +520,10 @@ def inhale(ctx: ExecContext, state: SymState, enc) -> list[SymState]:
 def _produce(ctx: ExecContext, case: _Case, enc) -> None:
     """Inhale one atom into the case's state."""
     state = case.state
-    if isinstance(enc, EPure):
+    t = type(enc)
+    if t is EPure:
         state.assume(eval_expr(state, enc.expr))
-    elif isinstance(enc, EAcc):
+    elif t is EAcc:
         ref = resolve_loc(state, enc.loc)
         amount = _inhale_amount(ctx, state, enc.perm)
         key = state.key(ref, enc.res, enc.label)
@@ -550,7 +542,7 @@ def _produce(ctx: ExecContext, case: _Case, enc) -> None:
         if not key[0]:
             # field permissions cannot exceed 1: assumed, so overfull paths die
             state.assume(T.le(chunk.perm, T.ONE))
-    elif isinstance(enc, EFieldEq):
+    elif t is EFieldEq:
         # every value atom follows its permission atom in the same star
         ref = resolve_loc(state, enc.loc)
         key = state.key(ref, enc.fld, enc.label)
@@ -563,8 +555,6 @@ def _produce(ctx: ExecContext, case: _Case, enc) -> None:
                 chunk.value = v
                 return
         state.assume(T.eq(chunk.value, v))
-    elif isinstance(enc, EError):
-        raise FrontendError(enc.diagnostic)
     else:
         raise AssertionError(enc)
 
@@ -583,16 +573,15 @@ def _inhale_amount(ctx: ExecContext, state: SymState, perm) -> T.Term:
 
 def _demand(ctx: ExecContext, case: _Case, enc) -> None:
     """Record one atom's check or permission demand on the case."""
-    if isinstance(enc, EPure):
+    t = type(enc)
+    if t is EPure:
         case.checks.append(("pure", enc.expr))
         return
-    if isinstance(enc, EError):
-        raise FrontendError(enc.diagnostic)
     ref = resolve_loc(case.state, enc.loc)
-    res = enc.fld if isinstance(enc, EFieldEq) else enc.res
+    res = enc.fld if t is EFieldEq else enc.res
     key = case.state.key(ref, res, enc.label)
     d = case.demands.get(key)
-    if isinstance(enc, EFieldEq):
+    if t is EFieldEq:
         # a permission atom before it in the star has mostly named it
         name = d.name if d is not None else _atom_name(ref, res, enc.label)
         case.checks.append(("value", key, name, enc.value))
@@ -965,12 +954,10 @@ def _spin_leak_check(ctx: ExecContext, state: SymState, prim) -> list[SymState]:
 
     def leak(ctx: ExecContext, case: _Case, enc) -> None:
         # a ghost-free resource would be gained and then discarded
-        if isinstance(enc, EAcc):
+        if type(enc) is EAcc:
             ctx.fail(state, SPIN_PATTERN_RESOURCE_LEAK, prim.span, "spin loop",
                      "a value the spin loop discards would carry resources; "
                      "annotate the loop with an invariant instead")
-        if isinstance(enc, EError):
-            raise FrontendError(enc.diagnostic)
 
     for idx in held:
         _cases(ctx, _Case(probe.clone()), prim.lowered[idx], leak)
@@ -1025,14 +1012,7 @@ def run_seq(ctx: ExecContext, state: SymState, prims: list) -> list[SymState]:
 
 class ObligationResult(S.Record):
     __slots__ = ("name", "kind", "diagnostics", "final_states", "states_seen")
-
-    def __init__(self, name: str, kind: str, diagnostics: list, final_states: list,
-                 states_seen: int = 0):
-        self.name = name
-        self.kind = kind
-        self.diagnostics = diagnostics
-        self.final_states = final_states
-        self.states_seen = states_seen
+    _defaults = {"states_seen": 0}
 
     @property
     def verified(self) -> bool:

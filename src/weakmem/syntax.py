@@ -7,8 +7,9 @@ separation-logic fragment used by specifications: points-to with fractional
 permissions, implication and conditional assertions, the atomic-location
 resources (Uninit / Init / Acq / Rel / RMWAcq) and the up/down modalities.
 
-Nodes are `Record`s, whose equality ignores source spans, so a program
-printed back and parsed again gives an equal tree.  Node kinds of the same
+Nodes are `Record`s, which declare their fields and their `_defaults` and
+get an `__init__` built from them, and whose equality ignores source spans,
+so a program printed back and parsed again gives an equal tree.  Node kinds of the same
 shape share one class and carry their keyword as a `kind`: `AResource`,
 `AModal` and `SAlloc`.  This module prints expressions and assertions,
 which diagnostics need; the statement printer is kept with the tests, its
@@ -45,17 +46,23 @@ NO_SPAN = Span()
 class Record:
     """Base of the package's record classes.
 
-    A subclass names its fields in `__slots__` and sets them in its own
-    `__init__`, whose parameters are the fields of its bases and then its
-    own, in that order.  Records are equal when they are of the same class
-    and their fields are equal; fields named in `_hidden` are left out of
-    equality and repr.  A record is unhashable unless its class is declared
-    with `hashable=True`; it then hashes by value and is never changed once
-    built.
+    A subclass names its fields in `__slots__` and the defaults of its own
+    fields in `_defaults`; a field that no class of its MRO gives a default
+    is required, and may not follow a defaulted one.  A class that writes
+    no `__init__` of its own gets one built from these, as `dataclasses`
+    builds one: a parameter per field, those of its bases first, each
+    assigned in turn.  An empty list, dict or set default stands for a
+    fresh one per record, so its parameter defaults to None; any other
+    default is the parameter's own.  Records are equal when they are of the
+    same class and their fields are equal; fields named in `_hidden` are
+    left out of equality and repr.  A record is unhashable unless its class
+    is declared with `hashable=True`; it then hashes by value and is never
+    changed once built.
     """
 
     __slots__ = ()
     _hidden: tuple = ()
+    _defaults: dict = {}
     _fields: tuple = ()    # every field, in `__init__` order
 
     def __init_subclass__(cls, hashable: bool = False, **kwargs):
@@ -66,6 +73,8 @@ class Record:
         cls._key = attrgetter(*cls._shown) if cls._shown else _no_fields
         if hashable:
             cls.__hash__ = _hash_by_value
+        if cls._fields and "__init__" not in cls.__dict__:
+            cls.__init__ = _make_init(cls)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -95,6 +104,40 @@ def _hash_by_value(self) -> int:
     return hash(self._key(self))
 
 
+# how the generated `__init__` builds a fresh container, by its type
+_FRESH = {list: "[]", dict: "{}", set: "set()"}
+
+
+def _make_init(cls) -> Callable:
+    """The `__init__` of a record class, compiled from its fields and the
+    `_defaults` of its MRO, so it runs as one written out by hand."""
+    defaults: dict = {}
+    for k in reversed(cls.__mro__):
+        defaults.update(k.__dict__.get("_defaults", {}))
+    params, lines, ns = [], [], {"__name__": cls.__module__}
+    for f in cls._fields:
+        rhs = f
+        if f not in defaults:
+            if params and "=" in params[-1]:
+                raise TypeError(f"{cls.__qualname__}: required field {f!r} "
+                                "follows a defaulted one")
+            params.append(f)
+        elif type(defaults[f]) in _FRESH:
+            if defaults[f]:
+                raise TypeError(f"{cls.__qualname__}: a {f!r} default that is "
+                                "not empty would be shared")
+            params.append(f"{f}=None")
+            rhs = f"{_FRESH[type(defaults[f])]} if {f} is None else {f}"
+        else:
+            ns[f"_d_{f}"] = defaults[f]
+            params.append(f"{f}=_d_{f}")
+        lines.append(f"    self.{f} = {rhs}")
+    exec(f"def __init__(self, {', '.join(params)}):\n" + "\n".join(lines), ns)
+    init = ns["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    return init
+
+
 # ---------------------------------------------------------------------------
 # Expressions
 # ---------------------------------------------------------------------------
@@ -106,22 +149,13 @@ class Expr(Record):
 class EInt(Expr):
     __slots__ = ("value",)
 
-    def __init__(self, value: int):
-        self.value = value
-
 
 class EBool(Expr):
     __slots__ = ("value",)
 
-    def __init__(self, value: bool):
-        self.value = value
-
 
 class EVar(Expr):
     __slots__ = ("name",)
-
-    def __init__(self, name: str):
-        self.name = name
 
 
 class EInvVal(Expr):
@@ -137,18 +171,9 @@ class EAny(Expr):
 class EBin(Expr):
     __slots__ = ("op", "left", "right")
 
-    def __init__(self, op: str, left: Expr, right: Expr):
-        self.op = op
-        self.left = left
-        self.right = right
-
 
 class EUn(Expr):
-    __slots__ = ("op", "operand")
-
-    def __init__(self, op: str, operand: Expr):
-        self.op = op  # '!' or '-'
-        self.operand = operand
+    __slots__ = ("op", "operand")    # op: '!' or '-'
 
 
 TRUE_E = EBool(True)
@@ -165,78 +190,45 @@ InvRef = tuple[str, ...]  # star-combination of named invariants, in order
 class Assertion(Record):
     __slots__ = ("span",)
     _hidden = ("span",)
-
-    def __init__(self, span: Span = NO_SPAN):
-        self.span = span
+    _defaults = {"span": NO_SPAN}
 
 
 class APure(Assertion):
     __slots__ = ("expr",)
-
-    def __init__(self, span: Span = NO_SPAN, expr: Expr = None):
-        self.span = span
-        self.expr = expr
+    _defaults = {"expr": None}
 
 
 class APointsTo(Assertion):
     __slots__ = ("loc", "value", "frac")
-
-    def __init__(self, span: Span = NO_SPAN, loc: str = "", value: Expr = None,
-                 frac: Optional[Expr] = None):
-        self.span = span
-        self.loc = loc
-        self.value = value
-        self.frac = frac  # None means full permission
+    _defaults = {"loc": "", "value": None, "frac": None}    # frac None: full permission
 
 
 class AStar(Assertion):
     __slots__ = ("parts",)
-
-    def __init__(self, span: Span = NO_SPAN, parts: tuple = ()):
-        self.span = span
-        self.parts = parts
+    _defaults = {"parts": ()}
 
 
 class AImplies(Assertion):
     __slots__ = ("cond", "body")
-
-    def __init__(self, span: Span = NO_SPAN, cond: Expr = None, body: Assertion = None):
-        self.span = span
-        self.cond = cond
-        self.body = body
+    _defaults = {"cond": None, "body": None}
 
 
 class ACond(Assertion):
     __slots__ = ("cond", "then", "els")
-
-    def __init__(self, span: Span = NO_SPAN, cond: Expr = None, then: Assertion = None,
-                 els: Assertion = None):
-        self.span = span
-        self.cond = cond
-        self.then = then
-        self.els = els
+    _defaults = {"cond": None, "then": None, "els": None}
 
 
 class AResource(Assertion):
     """A location resource: Uninit(loc), Init(loc), or Acq, Rel and RMWAcq
     of a location and an invariant reference."""
     __slots__ = ("kind", "loc", "inv")
-
-    def __init__(self, span: Span = NO_SPAN, kind: str = "Init", loc: str = "",
-                 inv: InvRef = ()):
-        self.span = span
-        self.kind = kind  # the keyword: Uninit | Init | Acq | Rel | RMWAcq
-        self.loc = loc
-        self.inv = inv    # empty for Uninit and Init
+    _defaults = {"kind": "Init",    # the keyword: Uninit | Init | Acq | Rel | RMWAcq
+                 "loc": "", "inv": ()}    # inv: empty for Uninit and Init
 
 
 class AModal(Assertion):
     __slots__ = ("kind", "body")
-
-    def __init__(self, span: Span = NO_SPAN, kind: str = "Up", body: Assertion = None):
-        self.span = span
-        self.kind = kind  # Up | Down
-        self.body = body
+    _defaults = {"kind": "Up", "body": None}    # kind: Up | Down
 
 
 def star(parts: list[Assertion]) -> Assertion:
@@ -260,42 +252,24 @@ def star(parts: list[Assertion]) -> Assertion:
 class Stmt(Record):
     __slots__ = ("span",)
     _hidden = ("span",)
-
-    def __init__(self, span: Span = NO_SPAN):
-        self.span = span
+    _defaults = {"span": NO_SPAN}
 
 
 class SAlloc(Stmt):
     __slots__ = ("var", "kind", "inv")
-
-    def __init__(self, span: Span = NO_SPAN, var: str = "", kind: str = "na",
-                 inv: InvRef = ()):
-        self.span = span
-        self.var = var
-        self.kind = kind  # na | ghost | acq | rmw, the class of the new location
-        self.inv = inv    # acq and rmw only
+    _defaults = {"var": "",
+                 "kind": "na",    # na | ghost | acq | rmw, the class of the new location
+                 "inv": ()}       # acq and rmw only
 
 
 class SWrite(Stmt):
     __slots__ = ("mode", "loc", "value")
-
-    def __init__(self, span: Span = NO_SPAN, mode: str = "na", loc: str = "",
-                 value: Expr = None):
-        self.span = span
-        self.mode = mode  # na | rel | rlx | rel_acq
-        self.loc = loc
-        self.value = value
+    _defaults = {"mode": "na", "loc": "", "value": None}    # mode: na | rel | rlx | rel_acq
 
 
 class SRead(Stmt):
     __slots__ = ("mode", "target", "loc")
-
-    def __init__(self, span: Span = NO_SPAN, mode: str = "na", target: str = "",
-                 loc: str = ""):
-        self.span = span
-        self.mode = mode  # na | acq | rlx | rel_acq
-        self.target = target
-        self.loc = loc
+    _defaults = {"mode": "na", "target": "", "loc": ""}    # mode: na | acq | rlx | rel_acq
 
 
 class SFenceAcq(Stmt):
@@ -304,134 +278,70 @@ class SFenceAcq(Stmt):
 
 class SFenceRel(Stmt):
     __slots__ = ("assertion",)
-
-    def __init__(self, span: Span = NO_SPAN, assertion: Assertion = None):
-        self.span = span
-        self.assertion = assertion
+    _defaults = {"assertion": None}
 
 
 class SCas(Stmt):
     __slots__ = ("target", "tau", "loc", "expected", "newval")
-
-    def __init__(self, span: Span = NO_SPAN, target: str = "", tau: str = "rel_acq",
-                 loc: str = "", expected: Expr = None, newval: Expr = None):
-        self.span = span
-        self.target = target
-        self.tau = tau  # acq | rel | rel_acq | rlx
-        self.loc = loc
-        self.expected = expected
-        self.newval = newval
+    _defaults = {"target": "", "tau": "rel_acq",    # tau: acq | rel | rel_acq | rlx
+                 "loc": "", "expected": None, "newval": None}
 
 
 class SFaa(Stmt):
     __slots__ = ("target", "tau", "loc", "delta")
-
-    def __init__(self, span: Span = NO_SPAN, target: str = "", tau: str = "rel_acq",
-                 loc: str = "", delta: Expr = None):
-        self.span = span
-        self.target = target
-        self.tau = tau
-        self.loc = loc
-        self.delta = delta
+    _defaults = {"target": "", "tau": "rel_acq", "loc": "", "delta": None}
 
 
 class SRewrite(Stmt):
     __slots__ = ("loc", "old", "new")
-
-    def __init__(self, span: Span = NO_SPAN, loc: str = "", old: InvRef = (),
-                 new: InvRef = ()):
-        self.span = span
-        self.loc = loc
-        self.old = old
-        self.new = new
+    _defaults = {"loc": "", "old": (), "new": ()}
 
 
 class LoopCond(Record):
     """Loop condition: pure, or a single atomic read / CAS compared to a value."""
     __slots__ = ("kind", "expr", "mode", "loc", "op", "rhs", "expected", "newval")
-
-    def __init__(self, kind: str = "pure", expr: Expr = None, mode: str = "",
-                 loc: str = "", op: str = "==", rhs: Expr = None,
-                 expected: Expr = None, newval: Expr = None):
-        self.kind = kind          # pure | read | cas
-        self.expr = expr          # pure condition
-        self.mode = mode          # read: access mode; cas: tau
-        self.loc = loc
-        self.op = op              # comparison against rhs
-        self.rhs = rhs
-        self.expected = expected  # cas only
-        self.newval = newval      # cas only
+    _defaults = {"kind": "pure",    # pure | read | cas
+                 "expr": None,      # pure condition
+                 "mode": "",        # read: access mode; cas: tau
+                 "loc": "", "op": "==", "rhs": None,    # op: comparison against rhs
+                 "expected": None, "newval": None}      # cas only
 
 
 class SWhile(Stmt):
     __slots__ = ("cond", "invariant", "body")
-
-    def __init__(self, span: Span = NO_SPAN, cond: LoopCond = None,
-                 invariant: Optional[Assertion] = None, body: list = None):
-        self.span = span
-        self.cond = cond
-        self.invariant = invariant
-        self.body = [] if body is None else body
+    _defaults = {"cond": None, "invariant": None, "body": []}
 
 
 class SIf(Stmt):
     __slots__ = ("cond", "then", "els")
-
-    def __init__(self, span: Span = NO_SPAN, cond: Expr = None, then: list = None,
-                 els: list = None):
-        self.span = span
-        self.cond = cond
-        self.then = [] if then is None else then
-        self.els = [] if els is None else els
+    _defaults = {"cond": None, "then": [], "els": []}
 
 
 class Thread(Record):
     __slots__ = ("pre", "post", "body", "has_spec", "span")
     _hidden = ("span",)
-
-    def __init__(self, pre: Assertion = None, post: Assertion = None, body: list = None,
-                 has_spec: bool = True, span: Span = NO_SPAN):
-        self.pre = pre
-        self.post = post
-        self.body = [] if body is None else body
-        self.has_spec = has_spec
-        self.span = span
+    _defaults = {"pre": None, "post": None, "body": [], "has_spec": True,
+                 "span": NO_SPAN}
 
 
 class SPar(Stmt):
     __slots__ = ("threads",)
-
-    def __init__(self, span: Span = NO_SPAN, threads: list = None):
-        self.span = span
-        self.threads = [] if threads is None else threads
+    _defaults = {"threads": []}
 
 
 class SCall(Stmt):
     __slots__ = ("target", "callee", "args")
-
-    def __init__(self, span: Span = NO_SPAN, target: Optional[str] = None,
-                 callee: str = "", args: list = None):
-        self.span = span
-        self.target = target
-        self.callee = callee
-        self.args = [] if args is None else args
+    _defaults = {"target": None, "callee": "", "args": []}
 
 
 class SAssign(Stmt):
     __slots__ = ("var", "value")
-
-    def __init__(self, span: Span = NO_SPAN, var: str = "", value: Expr = None):
-        self.span = span
-        self.var = var
-        self.value = value
+    _defaults = {"var": "", "value": None}
 
 
 class SFree(Stmt):
     __slots__ = ("var",)
-
-    def __init__(self, span: Span = NO_SPAN, var: str = ""):
-        self.span = span
-        self.var = var
+    _defaults = {"var": ""}
 
 
 class SSkip(Stmt):
@@ -444,49 +354,27 @@ class SSkip(Stmt):
 
 class Param(Record):
     __slots__ = ("name", "ghost")
-
-    def __init__(self, name: str, ghost: bool = False):
-        self.name = name
-        self.ghost = ghost
+    _defaults = {"ghost": False}
 
 
 class InvariantDecl(Record):
     __slots__ = ("name", "param", "body", "span")
     _hidden = ("span",)
-
-    def __init__(self, name: str = "", param: str = "V", body: Assertion = None,
-                 span: Span = NO_SPAN):
-        self.name = name
-        self.param = param
-        self.body = body
-        self.span = span
+    _defaults = {"name": "", "param": "V", "body": None, "span": NO_SPAN}
 
 
 class Procedure(Record):
     __slots__ = ("name", "params", "returns", "pre", "post", "body", "has_spec", "span")
     _hidden = ("span",)
-
-    def __init__(self, name: str = "", params: list = None, returns: list = None,
-                 pre: Assertion = None, post: Assertion = None, body: list = None,
-                 has_spec: bool = True, span: Span = NO_SPAN):
-        self.name = name
-        self.params = [] if params is None else params
-        self.returns = [] if returns is None else returns
-        self.pre = pre
-        self.post = post
-        self.body = [] if body is None else body
-        self.has_spec = has_spec  # explicit requires/ensures pair in the source
-        self.span = span
+    _defaults = {"name": "", "params": [], "returns": [], "pre": None, "post": None,
+                 "body": [],
+                 "has_spec": True,    # explicit requires/ensures pair in the source
+                 "span": NO_SPAN}
 
 
 class Program(Record):
     __slots__ = ("invariants", "procedures", "entry")
-
-    def __init__(self, invariants: list = None, procedures: list = None,
-                 entry: Optional[str] = None):
-        self.invariants = [] if invariants is None else invariants
-        self.procedures = [] if procedures is None else procedures
-        self.entry = entry
+    _defaults = {"invariants": [], "procedures": [], "entry": None}
 
 
 # ---------------------------------------------------------------------------

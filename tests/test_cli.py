@@ -397,6 +397,12 @@ CLI_ERRORS = {
     "manifest-budget-string": (lambda tmp: ["corpus", manifest_of(tmp, {"entries": [
         {"name": "a", "file": "a.rsl", "expect": "verified", "pp_max": "2"}]})],
         "'pp_max' is not an integer"),
+    "manifest-budget-bool": (lambda tmp: ["corpus", manifest_of(tmp, {"entries": [
+        {"name": "a", "file": "a.rsl", "expect": "verified", "pp_max": True}]})],
+        "'pp_max' is not an integer"),
+    "manifest-expect-misspelt": (lambda tmp: ["corpus", manifest_of(tmp, {"entries": [
+        {"name": "a", "file": "a.rsl", "expect": "verifed"}]})],
+        "'expect' is not one of 'verified', 'failed' and 'unsupported'"),
     "branch-cap-negative": (lambda tmp: ["verify", corpus_path("RelAcqMsgPass.rsl"),
                                          "--branch-cap", "-5"],
                             "argument --branch-cap: '-5' is not a positive integer"),

@@ -1,6 +1,8 @@
 """The record classes: equality, hashing, repr, `replace`, and a cold import
 that leaves `dataclasses` out."""
 
+import gc
+import inspect
 import os
 import subprocess
 import sys
@@ -105,7 +107,36 @@ def test_replace_copies_with_changes():
 def test_constructors_keep_their_defaults():
     assert api.VerifyOptions(strict_invariants=True).check_soundness
     assert not api.VerifyOptions().check_soundness
-    # each record gets its own list
-    assert S.Program().procedures is not S.Program().procedures
-    assert S.SIf().then is not S.SIf().els
     assert S.APure(AT_1).span == AT_1 and S.APure().span == S.NO_SPAN
+    containers = 0
+    for cls in records():
+        # `Record` builds every constructor but the one that derives a field
+        code = getattr(cls.__init__, "__code__", None)
+        written = code is not None and code.co_filename == inspect.getfile(cls)
+        assert written == (cls is api.VerifyOptions), cls
+        params = inspect.signature(cls).parameters
+        assert list(params) == list(cls._fields), cls
+        required = [None] * sum(p.default is p.empty for p in params.values())
+        a, b = cls(*required), cls(*required)
+        for f in cls._fields[len(required):]:
+            if type(getattr(a, f)) in (list, dict, set):
+                containers += 1
+                assert getattr(a, f) == type(getattr(a, f))(), (cls, f)
+                assert getattr(a, f) is not getattr(b, f), (cls, f)
+            else:
+                assert getattr(a, f) is params[f].default, (cls, f)
+    assert containers > 30
+
+
+def test_a_required_field_after_a_defaulted_one_fails_at_definition():
+    for base in (S.Record, S.Stmt):
+        with pytest.raises(TypeError, match="required field 'late' follows a defaulted one"):
+            class Late(base):
+                __slots__ = ("early", "late")
+                _defaults = {"early": 0}
+    with pytest.raises(TypeError, match="would be shared"):
+        class Shared(S.Record):
+            __slots__ = ("items",)
+            _defaults = {"items": [1]}
+    gc.collect()
+    assert not [cls for cls in records() if cls.__name__ in ("Late", "Shared")]
