@@ -361,43 +361,46 @@ class Parser:
 
     def parse_stmt(self) -> S.Stmt:
         t = self.tok
-        text = t[TEXT]
-        if text in _VAR_STMTS:
-            self.next()
-            var, inv = self._paren_loc_inv() if text in _WITH_INV else (self._paren_name(), ())
-            span = self._span(t, self.expect(";"))
-            kind = _VAR_STMTS[text]
-            return S.SAlloc(span, var, kind, inv) if kind else S.SFree(span, var)
-        if text in _BARE_STMTS:
-            self.next()
-            end = self.expect(";")
-            return _BARE_STMTS[text](span=self._span(t, end))
-        if text == "fence_rel":
-            self.next()
-            self.expect("(")
-            a = self.parse_assertion()
-            self.expect(")")
-            end = self.expect(";")
-            return S.SFenceRel(assertion=a, span=self._span(t, end))
-        if text == "rewrite":
-            return self._parse_rewrite()
-        if text == "while":
-            return self._parse_while()
-        if text == "if":
-            return self._parse_if()
-        if text == "par":
-            return self._parse_par()
-        if text == "call":
-            self.next()
-            callee = self.expect_name()
-            args = self._parse_args()
-            end = self.expect(";")
-            return S.SCall(target=None, callee=callee, args=args, span=self._span(t, end))
-        if text == "[":
-            return self._parse_write()
+        parse = _STMT_PARSERS.get(t[TEXT])
+        if parse is not None:
+            return parse(self)
         if t[KIND] == "name":
             return self._parse_assign_like()
-        raise self._error(f"expected a statement, found {text!r}")
+        raise self._error(f"expected a statement, found {t[TEXT]!r}")
+
+    def _parse_var_stmt(self) -> S.Stmt:
+        """``kw ( NAME ) ;`` or ``kw ( NAME , invref ) ;``: an allocation or
+        a free."""
+        start = self.next()
+        text = start[TEXT]
+        var, inv = self._paren_loc_inv() if text in _WITH_INV else (self._paren_name(), ())
+        span = self._span(start, self.expect(";"))
+        kind = _VAR_STMTS[text]
+        return S.SAlloc(span, var, kind, inv) if kind else S.SFree(span, var)
+
+    def _parse_bare_stmt(self) -> S.Stmt:
+        start = self.next()
+        end = self.expect(";")
+        return _BARE_STMTS[start[TEXT]](span=self._span(start, end))
+
+    def _parse_fence_rel(self) -> S.Stmt:
+        start = self.next()
+        self.expect("(")
+        a = self.parse_assertion()
+        self.expect(")")
+        end = self.expect(";")
+        return S.SFenceRel(assertion=a, span=self._span(start, end))
+
+    def _parse_call(self, start: Optional[Token] = None,
+                    target: Optional[str] = None) -> S.Stmt:
+        """``call NAME ( args ) ;``; with a ``target``, the statement began
+        at ``start`` with ``target :=``."""
+        call = self.next()
+        callee = self.expect_name()
+        args = self._parse_args()
+        end = self.expect(";")
+        return S.SCall(target=target, callee=callee, args=args,
+                       span=self._span(start or call, end))
 
     def _span(self, start: Token, end: Token) -> Span:
         return Span(start[LINE], start[COL], end[LINE], end[COL] + len(end[TEXT]))
@@ -462,12 +465,7 @@ class Parser:
             return S.SFaa(target=target, tau=tau, loc=loc, delta=delta,
                           span=self._span(start, end))
         if t[TEXT] == "call":
-            self.next()
-            callee = self.expect_name()
-            args = self._parse_args()
-            end = self.expect(";")
-            return S.SCall(target=target, callee=callee, args=args,
-                           span=self._span(start, end))
+            return self._parse_call(start, target)
         value = self.parse_expr()
         end = self.expect(";")
         return S.SAssign(var=target, value=value, span=self._span(start, end))
@@ -740,6 +738,17 @@ class Parser:
             raise self._error(f"expected an expression, found {text!r}")
         self.depth -= 1
         return e, height
+
+
+# the statement each keyword starts; any other name starts an assignment,
+# a read, a CAS, a FAA or a call whose result is assigned
+_STMT_PARSERS = {
+    **dict.fromkeys(_VAR_STMTS, Parser._parse_var_stmt),
+    **dict.fromkeys(_BARE_STMTS, Parser._parse_bare_stmt),
+    "fence_rel": Parser._parse_fence_rel, "rewrite": Parser._parse_rewrite,
+    "while": Parser._parse_while, "if": Parser._parse_if, "par": Parser._parse_par,
+    "call": Parser._parse_call, "[": Parser._parse_write,
+}
 
 
 def _height(a) -> int:

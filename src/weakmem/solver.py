@@ -376,7 +376,12 @@ class _Simplex:
 def _check_linear(literals: list[tuple[str, _Compiled]], depth: int = 0):
     """Decide a conjunction of compiled linear literals.
 
-    Returns (SAT, model) / (UNSAT, None) / (UNKNOWN, reason).
+    Returns (SAT, model) / (UNSAT, None) / (UNKNOWN, reason), where the model
+    is a function that returns it as a dict.  A satisfiable tableau holds its
+    assignment with the infinitesimal of strict bounds unresolved, and
+    ``concrete_model`` resolves it only when the model is read: here, when
+    the tableau has an integer column and branch-and-bound must test that
+    its value is integral; otherwise when the caller calls the model.
     """
     sx = _Simplex()
     for kind, lit in literals:
@@ -386,6 +391,8 @@ def _check_linear(literals: list[tuple[str, _Compiled]], depth: int = 0):
         return UNKNOWN, STEP_CAP_HIT
     if res == UNSAT:
         return UNSAT, None
+    if all(atom.sort != terms.INT for atom in sx.cols):
+        return SAT, sx.concrete_model
     model = sx.concrete_model()
     for atom, val in sorted(model.items(), key=lambda kv: kv[0].tid):
         if atom.sort == terms.INT and val.denominator != 1:
@@ -404,7 +411,7 @@ def _check_linear(literals: list[tuple[str, _Compiled]], depth: int = 0):
             if r2 == SAT:
                 return r2, m2
             return (r, m) if r == UNKNOWN else (r2, m2)
-    return SAT, model
+    return SAT, lambda: model
 
 
 def _mod_hat(a: int, m: int) -> int:
@@ -464,6 +471,7 @@ def _solve_equalities(literals: list[tuple[str, _Compiled]]):
     res, model = _check_linear([(kind, _compiled(lin)) for kind, lin in forms])
     if res != SAT:
         return res, model
+    model = model()
     for atom, value in reversed(solved):
         model[atom] = _value_at(value, model)
     for sigma in sigmas:
@@ -471,7 +479,7 @@ def _solve_equalities(literals: list[tuple[str, _Compiled]]):
     for _, lit in literals:
         for atom in terms.linear_parts(lit.lin)[1]:
             model.setdefault(atom, 0)     # left unconstrained by the solving
-    return SAT, model
+    return SAT, lambda: model
 
 
 def _value_at(term: Term, model: dict[Term, int | Fraction]):
@@ -579,9 +587,9 @@ class _CapExceeded(Exception):
 
 
 def _sat_conjunction(facts: list[Term]):
-    """(SAT/UNSAT/UNKNOWN, model, reason): the reason is why the answer is
-    not decided, for UNKNOWN and for a SAT model that uses an opaque literal,
-    else None."""
+    """(SAT/UNSAT/UNKNOWN, model, reason): the model is ``_check_linear``'s
+    function, and the reason is why the answer is not decided, for UNKNOWN
+    and for a SAT model that uses an opaque literal, else None."""
     unknown = None
     try:
         for case in _split(facts):
@@ -660,6 +668,13 @@ class Solver:
     the fact set, holds ``(SAT/UNSAT/UNKNOWN, reason)`` and answers both
     ``is_feasible`` and ``assert_entailed(facts, FALSE)``; so the ``no`` of
     the latter carries no hint.  The entailment table holds the other goals.
+
+    A model, with the simplex's infinitesimal resolved to a number, is built
+    only where one is read: by branch-and-bound's integrality test when the
+    tableau has an integer column, by the back-substitution of solved
+    equalities, by the hint of an entailment's ``no`` and by
+    ``model_value``.  The satisfiability table never reads one, so a
+    satisfiable group of wildcard tokens alone is decided without a model.
     """
 
     def __init__(self):
@@ -677,7 +692,7 @@ class Solver:
                 hit = (verdict, None)
             else:
                 self.queries += 1
-                res, _model, reason = _sat_conjunction(facts)
+                res, _, reason = _sat_conjunction(facts)
                 hit = (res, reason)
             self._sat_cache[key] = hit
         return hit
@@ -726,7 +741,7 @@ class Solver:
             if res == UNSAT:
                 out = Result(YES)
             elif reason is None:
-                out = Result(NO, _format_model(model, facts))
+                out = Result(NO, _format_model(model(), facts))
             else:
                 out = Result(UNKNOWN, reason=reason)
         self._ent_cache[(key, goal.tid)] = out
@@ -751,7 +766,7 @@ class Solver:
         res, model, _ = _sat_conjunction(facts + list(_compiled(term).defs))
         if res != SAT:
             return None
-        val = _value_at(term, model)
+        val = _value_at(term, model())
         if self.assert_entailed(facts, terms.eq(term, terms.mk_int(val))).verdict == YES:
             return val
         return None

@@ -187,15 +187,26 @@ class SymState:
         return [f for g in self.all_groups() for f in g.facts]
 
     def assume(self, fact: T.Term) -> None:
+        """Add a fact to the path condition, merging in one step the groups
+        it touches: one loop over its atoms finds them in first-seen order
+        and joins their facts, and the fact goes last, unless their one group
+        holds it already.  The merged group replaces them in this state
+        only; a clone keeps sharing the old ones."""
         if fact is T.TRUE:
             return
         atoms = T.atom_ids(fact) or _GROUND
-        touched = self.touched_groups(atoms)
-        if len(touched) == 1 and any(f is fact for f in touched[0].facts):
+        groups = self.groups
+        touched: list[Group] = []
+        facts: tuple = ()
+        for a in atoms:
+            h = groups.get(a)
+            if h is not None and h not in touched:
+                touched.append(h)
+                facts += h.facts
+        if len(touched) == 1 and fact in facts:
             return
-        g = Group(tuple(f for h in touched for f in h.facts) + (fact,),
-                  atoms.union(*(h.atoms for h in touched)))
-        self.groups.update(dict.fromkeys(g.atoms, g))
+        g = Group(facts + (fact,), atoms.union(*[h.atoms for h in touched]))
+        groups.update(dict.fromkeys(g.atoms, g))
 
     def touched_groups(self, atoms) -> list[Group]:
         """The groups that hold any of the atoms."""

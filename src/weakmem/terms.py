@@ -275,24 +275,51 @@ def div_(a: Term, b: Term) -> Term:
     return _opaque("div", a, b)
 
 
+def _int_literal(t: Term) -> bool:
+    return t.kind == "num" and t.sort == INT
+
+
+def _bitwise(kind: str, a: Term, b: Term, fold) -> Term:
+    """``fold`` of two integer literals, as on mathematical integers (a
+    negative one as an infinite two's complement); otherwise an atom."""
+    if _int_literal(a) and _int_literal(b):
+        return mk_int(fold(a.data, b.data))
+    return _opaque(kind, a, b)
+
+
 def bitand(a: Term, b: Term) -> Term:
-    return _opaque("bitand", a, b)
+    return _bitwise("bitand", a, b, int.__and__)
 
 
 def bitor(a: Term, b: Term) -> Term:
-    return _opaque("bitor", a, b)
+    return _bitwise("bitor", a, b, int.__or__)
 
 
 def bitxor(a: Term, b: Term) -> Term:
-    return _opaque("bitxor", a, b)
+    return _bitwise("bitxor", a, b, int.__xor__)
+
+
+def _shift(kind: str, a: Term, b: Term) -> Term:
+    """A shift of an integer literal by a literal count ``n >= 0``: ``a * 2**n``
+    or ``floor(a / 2**n)``.  A negative count stays an atom, and so does a
+    left shift whose result would have more than ``MAX_NUM_DIGITS`` digits."""
+    if _int_literal(a) and _int_literal(b) and b.data >= 0:
+        x, n = a.data, b.data
+        if kind == "shr":
+            return mk_int(x >> n)
+        if not x or x.bit_length() + n <= _NUM_LIMIT.bit_length():
+            r = x << n
+            if abs(r) < _NUM_LIMIT:
+                return mk_int(r)
+    return _opaque(kind, a, b)
 
 
 def shl(a: Term, b: Term) -> Term:
-    return _opaque("shl", a, b)
+    return _shift("shl", a, b)
 
 
 def shr(a: Term, b: Term) -> Term:
-    return _opaque("shr", a, b)
+    return _shift("shr", a, b)
 
 
 OPAQUE_KINDS = frozenset({"mul", "mod", "div", "bitand", "bitor", "bitxor", "shl", "shr"})

@@ -1112,6 +1112,15 @@ def test_bitwise_operators_are_opaque_atoms():
         assert d.kind == INCOMPLETE_SOLVER and OPAQUE_ATOM in d.message, op
 
 
+SHIFT = "proc main(a) requires {{ a |-> 0 }} ensures {{ a |-> {post} }} {{ [a]_na := 1 << 2; }}"
+
+
+def test_literal_shift_is_folded():
+    assert single_verdict(SHIFT.format(post=4)).status == "verified"
+    v = single_verdict(SHIFT.format(post=5))
+    assert [(d.kind, d.counter_facts) for d in v.diagnostics] == [(EXHALE_FAILURE, "a.val = 4")]
+
+
 def test_each_thread_spec_is_lowered_once(monkeypatch):
     # a thread's pre- and postcondition are lowered for the fork and the join,
     # and the thread's own obligation reuses those trees; the corpus forks

@@ -1,6 +1,10 @@
 """Soundness-invariant checks and assertion reconstruction."""
 
+import os
+import sys
 from fractions import Fraction
+
+import pytest
 
 from conftest import corpus_text, pipeline, verify
 from test_symstate import acc, do_exhale, do_inhale, fresh_state, points_to
@@ -52,6 +56,48 @@ def test_full_corpus_entry_sweep():
     assert res.ok
     assert res.soundness, "boundary reports expected"
     assert all(rep.violations == [] for rep in res.soundness)
+
+
+ROOT = os.path.join(os.path.dirname(__file__), "..")
+
+
+def bench_workloads():
+    """``bench/workloads.py``, imported without writing under ``bench/``."""
+    saved = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    sys.path.insert(0, os.path.join(ROOT, "bench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+        sys.dont_write_bytecode = saved
+    return workloads
+
+
+def outcome(res: api.FileResult) -> tuple:
+    """A file's statuses and diagnostics, hints included."""
+    return ([d.to_json() for d in res.parse_diagnostics],
+            [(v.name, v.status, v.reason, [d.to_json() for d in v.diagnostics])
+             for v in res.verdicts])
+
+
+@pytest.mark.parametrize("workload", ["lockchain", "manyprocs"])
+def test_generated_programs_pass_the_monitor(workload):
+    # with the monitor on, every generated program of seed 1 gets the same
+    # statuses and diagnostics as without it, no boundary report has a
+    # violation, and every verdict meets the generator's expectation
+    workloads = bench_workloads()
+    reports = 0
+    for prog in workloads.make(workload, ROOT, 1):
+        plain = api.verify_source(prog.source, path=prog.name)
+        opts = api.VerifyOptions(check_soundness=True)
+        checked = api.verify_source(prog.source, path=prog.name, opts=opts)
+        assert outcome(checked) == outcome(plain), prog.name
+        assert [r.violations for r in checked.soundness if r.violations] == [], prog.name
+        assert workloads.mismatches(prog, plain) == [], prog.name
+        assert workloads.mismatches(prog, checked) == [], prog.name
+        reports += len(checked.soundness)
+    assert reports > 0
 
 
 def test_strict_invariants_runs_the_monitor():

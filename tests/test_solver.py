@@ -71,6 +71,46 @@ def test_feasibility_fraction_split(solver):
     assert solver.is_feasible([T.eq(T.add(k1, k2), T.ONE), T.eq(k1, k2)]) == YES
 
 
+def test_feasibility_builds_no_model(monkeypatch):
+    # strict bounds on frac tokens only: the simplex answers with its
+    # infinitesimal unresolved, since nothing reads a model of the facts
+    w1, w2 = T.mk_var("w1", T.FRAC), T.mk_var("w2", T.FRAC)
+    facts = [T.lt(T.ZERO, w1), T.lt(T.ZERO, w2), T.lt(T.add(w1, w2), T.ONE)]
+
+    def no_model(sx):
+        raise AssertionError("a model was built")
+
+    monkeypatch.setattr(SV._Simplex, "concrete_model", no_model)
+    solver = Solver()
+    assert solver.is_feasible(facts) == YES
+    assert Solver().assert_entailed(facts, T.FALSE).verdict == NO
+    assert solver.queries == 1
+    # a hint reads the model, so it is built then
+    monkeypatch.undo()
+    res = solver.assert_entailed(facts, T.lt(w1, T.mk_frac(Fraction(1, 2))))
+    assert (res.verdict, res.hint) == (NO, "w1 = 1/2, w2 = 1/4")
+
+
+def test_branch_and_bound_answers(monkeypatch):
+    # the simplex's first vertex of these facts is not integral, so
+    # feasibility and the `no` take branch-and-bound, which reads a model at
+    # every node
+    depths = []
+    check = SV._check_linear
+    monkeypatch.setattr(SV, "_check_linear",
+                        lambda lits, depth=0: depths.append(depth) or check(lits, depth))
+    facts = [T.ge(T.add(T.scale(3, x), T.scale(2, y)), T.mk_int(4)),
+             T.le(T.add(T.scale(3, x), T.scale(2, y)), T.mk_int(5)),
+             T.le(x, y), T.ge(x, T.ZERO)]
+    solver = Solver()
+    assert solver.is_feasible(facts) == YES and depths == [0, 1]
+    res = solver.assert_entailed(facts, T.ge(y, T.mk_int(2)))
+    assert (res.verdict, res.hint) == (NO, "x = 1, y = 1") and max(depths[2:]) == 1
+    assert solver.assert_entailed(facts, T.le(y, T.mk_int(2))).verdict == YES
+    assert solver.model_value(facts, x) is None
+    assert solver.model_value(facts + [T.eq(x, T.ONE)], y) == 1
+
+
 def test_integer_gap_infeasible(solver):
     assert solver.is_feasible([T.gt(x, T.ZERO), T.lt(x, T.ONE)]) == NO
 
@@ -309,6 +349,7 @@ def test_solver_agrees_with_brute_force(query):
     elif res.verdict == NO:
         sat, model, _ = _sat_conjunction(facts + [T.not_(goal)])
         assert sat == SAT
+        model = model()
         assert all(model[v].denominator == 1 for v in model if v.sort == T.INT)
         assert all(evaluate(f, model) for f in facts)
         assert not evaluate(goal, model)
@@ -473,6 +514,7 @@ def test_random_integer_queries_are_decided():
         elif res.verdict == NO:
             sat, model, reason = _sat_conjunction(facts + [T.not_(goal)])
             assert (sat, reason) == (SAT, None)
+            model = model()
             assert all(type(model[v]) is int for v in model)
             assert all(evaluate(f, model) for f in facts) and not evaluate(goal, model)
     assert verdicts.count(UNKNOWN) == 0
@@ -514,6 +556,7 @@ def test_equalities_are_solved_before_branching(monkeypatch):
              T.ge(x, T.ONE), T.le(x, T.mk_int(40)),
              T.ge(y, T.mk_int(-50)), T.le(y, T.mk_int(50))]
     sat, model, reason = _sat_conjunction(facts)
+    model = model()
     assert (sat, reason, set(model)) == (SAT, None, {x, y, z})
     assert all(type(v) is int for v in model.values())
     assert all(evaluate(f, model) for f in facts)
@@ -523,5 +566,6 @@ def test_equalities_are_solved_before_branching(monkeypatch):
     # 12x - 18y + 27z = 6: y is left free, and the model still names it
     facts = [T.eq(T.add(T.scale(12, x), T.scale(-18, y), T.scale(27, z)), T.mk_int(6))]
     sat, model, _ = _sat_conjunction(facts)
+    model = model()
     assert sat == SAT and set(model) == {x, y, z} and evaluate(facts[0], model)
     assert len(solved) == 3

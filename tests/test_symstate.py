@@ -480,6 +480,29 @@ def test_assume_on_clone_keeps_parent_groups():
     assert ctx.entailed(child, T.eq(gy, T.mk_int(2))).verdict == "yes"
 
 
+def test_assume_merges_groups_in_one_step():
+    gz = T.mk_var("gz", T.INT)
+    a, b, c = T.eq(gx, T.ONE), T.eq(gy, T.mk_int(2)), T.eq(gz, T.mk_int(3))
+    parent = assumed(a, b, c)
+    before = dict(parent.groups)
+    child = parent.clone()
+    joined = T.eq(T.add(gx, gy, gz), T.mk_int(6))
+    child.assume(joined)
+    # the touched groups' facts in the order the fact's atoms reach them,
+    # then the fact; the parent keeps its groups, objects and all
+    first_seen = dict.fromkeys(before[t] for t in T.atom_ids(joined))
+    merged = child.groups[gx.tid]
+    assert merged.facts == tuple(f for g in first_seen for f in g.facts) + (joined,)
+    assert sorted(merged.facts, key=lambda f: f.tid) == sorted([a, b, c, joined],
+                                                               key=lambda f: f.tid)
+    assert child.groups[gy.tid] is merged and child.groups[gz.tid] is merged
+    assert parent.groups == before
+    # a fact its one group holds already leaves the state as it is
+    for fact in (a, joined):
+        child.assume(fact)
+        assert child.groups[gx.tid] is merged
+
+
 def test_prefer_tmp_names_a_wildcard_remainder():
     # a tmp remainder not provably positive sends the wildcard to the fallback
     ctx = make_ctx()

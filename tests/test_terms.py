@@ -182,7 +182,7 @@ def check_stored_numbers(facts):
     assert all(exact(d.real) and exact(d.eps) for d in bounds)
     assert all(exact(c) for row in sx.tableau.values() for c in row.values())
     _, model, _ = SV._sat_conjunction(facts)
-    assert all(exact(v) for v in (model or {}).values())
+    assert all(exact(v) for v in (model() if model else {}).values())
 
 
 @settings(max_examples=80, deadline=None)
@@ -210,3 +210,25 @@ def test_num_str_bounds_the_digits():
     assert T.num_str(Fraction(-3, 4)) == "-3/4"
     assert T.num_str(Fraction(1, 10 ** 5000)) == "1/<5001-digit number>"
     assert T.pretty(T.mk_int(limit)) == f"<{T.MAX_NUM_DIGITS + 1}-digit number>"
+
+
+def test_bitwise_operators_fold_literals():
+    lit = T.mk_int
+    pairs = [(12, 10), (-1, 6), (-7, 3), (0, -5), (5, 0), (-12, -10)]
+    for mk, op in ((T.bitand, int.__and__), (T.bitor, int.__or__), (T.bitxor, int.__xor__)):
+        for a, b in pairs:
+            assert mk(lit(a), lit(b)) is lit(op(a, b)), (mk, a, b)
+    assert T.shl(T.ONE, lit(2)) is lit(4)
+    assert T.shl(lit(-3), lit(4)) is lit(-48)
+    assert T.shr(lit(-7), T.ONE) is lit(-4)
+    assert T.shr(lit(7), lit(10 ** 12)) is T.ZERO
+    assert T.shl(T.ZERO, lit(10 ** 12)) is T.ZERO
+    # the widest left shift that folds, and the ones that stay atoms
+    widest = 10 ** T.MAX_NUM_DIGITS
+    n = widest.bit_length() - 1
+    assert T.shl(T.ONE, lit(n)) is lit(1 << n) and len(str(1 << n)) == T.MAX_NUM_DIGITS
+    x = T.mk_var("x", T.INT)
+    for t in (T.shl(T.ONE, lit(n + 1)), T.shl(T.ONE, lit(10 ** 12)),
+              T.shl(lit(3), lit(-1)), T.shr(lit(3), lit(-1)), T.bitand(x, T.ONE),
+              T.shl(T.ONE, x), T.bitor(lit(Fraction(1, 2)), T.ONE)):
+        assert t.kind in T.OPAQUE_KINDS, T.pretty(t)

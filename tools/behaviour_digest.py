@@ -17,8 +17,8 @@ soundness checking off, on and strict.  Each run records:
 
 The output gives the number of runs, the total of `Solver.queries`, a
 sha256 of the verdicts alone, a sha256 of the records with `queries`
-left out and a sha256 of the encodings (`dumps:`).  Its last line is a
-sha256 over all records.  Two source trees
+left out, a sha256 of the encodings (`dumps:`) and a sha256 of the parse
+trees (`parse:`).  Its last line is a sha256 over all records.  Two source trees
 behave alike on these inputs when their digests are equal; a change that
 only asks the solver less keeps the digest without `queries` and changes
 the last line.  The verdicts line hashes only the parse diagnostics, each
@@ -29,6 +29,10 @@ differently, in hints, state digests, traces or soundness reports, keeps
 it.  The `dumps:` line hashes, for every program, `encoder.dump_primitives`
 of all its procedures, or the text of the error that stops the encoding; it
 is kept outside the records, so a change of encoding alone moves only it.
+The `parse:` line hashes, for every program, the tree `frontend.parse`
+builds, with every field of every node, each statement's full span among
+them, and the parser's diagnostics; it too is kept outside the records,
+so a change of the parser's output alone moves only it.
 `--out FILE` writes the records as JSON, to diff two trees that
 differ.  Timings are left out, so the digests do not depend on the host.
 bench/ is only read.
@@ -48,8 +52,9 @@ sys.path.insert(0, os.path.join(ROOT, "bench"))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
 import workloads                         # noqa: E402
-from weakmem import api, encoder         # noqa: E402
+from weakmem import api, encoder, frontend   # noqa: E402
 from weakmem.diagnostics import FrontendError, UnsupportedFeature   # noqa: E402
+from weakmem.syntax import Record        # noqa: E402
 
 WORKLOADS = ("corpus", "lockchain", "manyprocs")
 SEEDS = (1, 2, 3)
@@ -129,6 +134,25 @@ def dumps_digest() -> str:
     return h.hexdigest()
 
 
+def tree(x):
+    """A parsed node as plain data: its class and every field, spans
+    included, which equality and `repr` leave out."""
+    if isinstance(x, Record):
+        return [type(x).__name__] + [tree(getattr(x, f)) for f in x._fields]
+    if isinstance(x, (list, tuple)):
+        return [tree(y) for y in x]
+    return x
+
+
+def parse_digest() -> str:
+    h = hashlib.sha256()
+    for _, _, prog in programs():
+        program, diags = frontend.parse(prog.source)
+        text = json.dumps([tree(program), [d.to_json() for d in diags]], default=repr)
+        h.update(f"=== {prog.name}\n{text}\n".encode())
+    return h.hexdigest()
+
+
 def verdicts(rec: dict) -> dict:
     """The parts of a record that a change of symbolic values leaves alone."""
     return {
@@ -168,6 +192,7 @@ def main(argv=None) -> int:
     print(f"verdicts: {sha256([verdicts(r) for r in recs])}")
     print(f"without queries: {sha256(without)}")
     print(f"dumps: {dumps_digest()}")
+    print(f"parse: {parse_digest()}")
     print(sha256(recs))
     return 0
 
