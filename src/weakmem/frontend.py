@@ -81,18 +81,24 @@ MAX_NESTING = 100
 # Lexer
 # ---------------------------------------------------------------------------
 
-# One match per token: the blanks and comments before it, then one
-# alternative per token class, tried in order.  Longer operators come before
-# their prefixes.  Names and integers are ASCII; any other character is a
-# `bad` token.  The last match is the blanks and comments before the end.
+# The lexer scans one line at a time.  A match is the blanks before a token
+# and then either a comment, which runs to the end of the line and leaves
+# the second group empty, or the token: a name, an integer, an operator (the
+# longer ones before their prefixes) or any other single character, which is
+# a `bad` token.  Names and integers are ASCII.  The line's trailing blanks
+# are cut off first, or the last of them would match as a `bad` token.
 _TOKEN_RE = re.compile(r"""
-    [ \t\r\n]*(?://[^\n]*[ \t\r\n]*)*
-    (?:(?P<name>[A-Za-z][A-Za-z0-9_]*|_[A-Za-z0-9_]+)
-      | (?P<int>[0-9]+)
-      | (?P<punct>==>|\|->|:=|==|!=|<=|>=|<<|>>|&&|\|\||[(){}\[\],;@?:+\-*/%&|^!<>=_])
-      | (?P<bad>.)
-      | \Z)
+    ([ \t\r]*)
+    (?://.*
+      | ([A-Za-z][A-Za-z0-9_]*|_[A-Za-z0-9_]+
+         | [0-9]+
+         | ==>|\|->|:=|==|!=|<=|>=|<<|>>|&&|\|\||[(){}\[\],;@?:+\-*/%&|^!<>=_]
+         | .))
 """, re.VERBOSE)
+# a token's kind, from its first character; `_` alone is punct
+_KIND_OF = {**dict.fromkeys("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_", "name"),
+            **dict.fromkeys("0123456789", "int"),
+            **dict.fromkeys("(){}[],;@?:+-*/%&|^!<>=", "punct")}
 
 # A token is a plain tuple (kind, text, line, col), kind one of name, int,
 # punct and eof; these name its fields.
@@ -109,24 +115,22 @@ def tokenize(source: str) -> tuple[list[Token], list[Diagnostic]]:
     """The tokens of `source`, then an eof token; and the unexpected characters."""
     toks: list[Token] = []
     diags: list[Diagnostic] = []
+    append, findall, kind_of = toks.append, _TOKEN_RE.findall, _KIND_OF.get
     lines = source.split("\n")          # not splitlines(), which also splits at \r
-    line, line_start, next_line_start = 1, 0, len(lines[0]) + 1
-    for m in _TOKEN_RE.finditer(source):
-        kind = m.lastgroup
-        if kind is None:                # the end of the input
-            break
-        start = m.start(kind)
-        while start >= next_line_start:
-            line_start = next_line_start
-            next_line_start += len(lines[line]) + 1
-            line += 1
-        col = start - line_start + 1
-        if kind == "bad":
-            diags.append(Diagnostic(SYNTAX_ERROR, Span(line, col, line, col + 1),
-                                    message=f"unexpected character {m[kind]!r}"))
-        else:
-            toks.append((kind, m[kind], line, col))
-    toks.append(("eof", "", len(lines), len(lines[-1]) + 1))
+    for line, text in enumerate(lines, 1):
+        col = 1
+        for blanks, tok in findall(text.rstrip(" \t\r")):
+            col += len(blanks)
+            if not tok:                 # a comment
+                break
+            kind = kind_of(tok[0]) if tok != "_" else "punct"
+            if kind is None:
+                diags.append(Diagnostic(SYNTAX_ERROR, Span(line, col, line, col + 1),
+                                        message=f"unexpected character {tok!r}"))
+            else:
+                append((kind, tok, line, col))
+            col += len(tok)
+    append(("eof", "", len(lines), len(lines[-1]) + 1))
     return toks, diags
 
 
@@ -186,8 +190,11 @@ class Parser:
         return None
 
     def expect(self, text: str) -> Token:
-        if self.at(text):
-            return self.next()
+        t = self.tok
+        if t[TEXT] == text:         # a token with text is not eof
+            self.pos += 1
+            self.tok = self.toks[self.pos]
+            return t
         raise self._error(f"expected {text!r}, found {self._found()}")
 
     def expect_name(self) -> str:
@@ -365,7 +372,7 @@ class Parser:
         if parse is not None:
             return parse(self)
         if t[KIND] == "name":
-            return self._parse_assign_like()
+            return self._parse_assign_like(t)
         raise self._error(f"expected a statement, found {t[TEXT]!r}")
 
     def _parse_var_stmt(self) -> S.Stmt:
@@ -403,7 +410,8 @@ class Parser:
                        span=self._span(start or call, end))
 
     def _span(self, start: Token, end: Token) -> Span:
-        return Span(start[LINE], start[COL], end[LINE], end[COL] + len(end[TEXT]))
+        # tuple.__new__ skips the named tuple's own __new__, a Python call
+        return tuple.__new__(Span, (start[LINE], start[COL], end[LINE], end[COL] + len(end[TEXT])))
 
     def _paren_name(self) -> str:
         """``( NAME )``: the name."""
@@ -445,9 +453,11 @@ class Parser:
         end = self.expect(";")
         return S.SWrite(mode=mode, loc=loc, value=value, span=self._span(start, end))
 
-    def _parse_assign_like(self) -> S.Stmt:
-        start = self.tok
-        target = self.expect_name()
+    def _parse_assign_like(self, start: Token) -> S.Stmt:
+        """``NAME := ...``, the name being ``start``, the current token."""
+        target = start[TEXT]
+        self.pos += 1
+        self.tok = self.toks[self.pos]
         self.expect(":=")
         t = self.tok
         if t[TEXT] == "[":
@@ -696,15 +706,22 @@ class Parser:
         chain.  Returns the expression and its height."""
         if lhs is None:
             lhs, height = self._parse_unary()
+        prec, toks = S.PREC, self.toks
         max_prec = float("inf")
         while True:
             t = self.tok
             op = t[TEXT]
-            p = S.PREC.get(op, 0)
+            p = prec.get(op, 0)
             if not min_prec <= p <= max_prec:
                 return lhs, height
-            self.next()
-            rhs, rhs_height = self._parse_binary(p + 1)
+            pos = self.pos + 1
+            self.pos, self.tok = pos, toks[pos]
+            if toks[pos][KIND] in ("name", "int") and prec.get(toks[pos + 1][TEXT], 0) <= p:
+                # a leaf that no tighter operator follows: the recursive
+                # call would return it at once, so read it here
+                rhs, rhs_height = self._parse_unary()
+            else:
+                rhs, rhs_height = self._parse_binary(p + 1)
             lhs = S.EBin(op, lhs, rhs)
             height = (height if height > rhs_height else rhs_height) + 1
             if self.depth + height > MAX_NESTING:
@@ -717,10 +734,12 @@ class Parser:
         if kind == "int":
             if len(text) > MAX_INT_DIGITS:
                 raise self._error(f"integer literal longer than {MAX_INT_DIGITS} digits")
-            self.next()
+            self.pos += 1
+            self.tok = self.toks[self.pos]
             return S.EInt(int(text)), 0
         if kind == "name":
-            self.next()
+            self.pos += 1
+            self.tok = self.toks[self.pos]
             if text in ("true", "false"):
                 return S.EBool(text == "true"), 0
             return (S.EInvVal() if text == self.inv_param else S.EVar(text)), 0

@@ -380,8 +380,9 @@ def _check_linear(literals: list[tuple[str, _Compiled]], depth: int = 0):
     is a function that returns it as a dict.  A satisfiable tableau holds its
     assignment with the infinitesimal of strict bounds unresolved, and
     ``concrete_model`` resolves it only when the model is read: here, when
-    the tableau has an integer column and branch-and-bound must test that
-    its value is integral; otherwise when the caller calls the model.
+    an integer column holds a value with an infinitesimal or a fraction and
+    branch-and-bound must test what it resolves to; otherwise when the caller
+    calls the model.
     """
     sx = _Simplex()
     for kind, lit in literals:
@@ -391,7 +392,10 @@ def _check_linear(literals: list[tuple[str, _Compiled]], depth: int = 0):
         return UNKNOWN, STEP_CAP_HIT
     if res == UNSAT:
         return UNSAT, None
-    if all(atom.sort != terms.INT for atom in sx.cols):
+    assign = sx.assign
+    if all(atom.sort != terms.INT or (assign[x].eps == 0 and assign[x].real.denominator == 1)
+           for atom, x in sx.cols.items()):
+        # every integer column already holds an integer, which the model keeps
         return SAT, sx.concrete_model
     model = sx.concrete_model()
     for atom, val in sorted(model.items(), key=lambda kv: kv[0].tid):

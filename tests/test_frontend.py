@@ -2,16 +2,18 @@
 
 import gc
 import os
+import re
 from collections import deque
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import CORPUS, LOCK_CLIENT, MANIFEST, corpus_path, corpus_text
 from printer import pp_program
 from weakmem import api, frontend, syntax as S
 from weakmem.cli import load_manifest
 from weakmem.diagnostics import (
-    CAS_ON_ACQ_LOCATION, DUPLICATE_NAME, MIXED_MODE_ACCESS, SYNTAX_ERROR,
+    CAS_ON_ACQ_LOCATION, DUPLICATE_NAME, MIXED_MODE_ACCESS, SYNTAX_ERROR, Diagnostic,
 )
 from weakmem.frontend import ACQ, GHOST, NA, RMW, VALUE, mode_check, parse
 
@@ -122,10 +124,24 @@ def test_round_trip_idempotent(name):
 @pytest.mark.parametrize("expr", [
     "(a == b) == c", "a == (b == c)", "(a < b) != (c < d)", "(a | b) & c",
     "a | b & c ^ d", "-(a - b) * (c % d)", "a - (b - c)", "c == (a && b || !d)",
+    "a + b * c", "a * b + c", "a - b - c", "a << b + c", "a + b < c",
 ])
 def test_round_trip_expressions(expr):
     assert_round_trip(f"proc main() requires {{ {expr} }} ensures {{ true }} "
                       f"{{ x := {expr}; }}")
+
+
+def test_round_trip_invariant_leaf_operands():
+    # an invariant's parameter and a boolean literal as right operands
+    source = ("invariant Q(V) = c + V == 2 && b == true ==> a |-> V;\n"
+              "proc main() { skip; }")
+    assert_round_trip(source)
+    (inv,) = parse(source)[0].invariants
+    c, two = S.EVar("c"), S.EInt(2)
+    assert inv.body == S.star([
+        S.APure(expr=S.EBin("==", S.EBin("+", c, S.EInvVal()), two)),
+        S.AImplies(cond=S.EBin("==", S.EVar("b"), S.EBool(True)),
+                   body=S.APointsTo(loc="a", value=S.EInvVal()))])
 
 
 @pytest.mark.parametrize("fact", ["a || b", "a && b || c", "(a || b) == c", "a && b",
@@ -164,6 +180,16 @@ TOKEN_STREAMS = {
         ("eof", "", 1, 18)], []),
     "slashes": ("a//b\na / b", [("name", "a", 1, 1), ("name", "a", 2, 1),
                                 ("punct", "/", 2, 3), ("name", "b", 2, 5), ("eof", "", 2, 6)], []),
+    # cases a line-by-line scan could get wrong: a comment or a bad character
+    # before the blanks that end a line, blank lines, a line ending in `_`
+    "comment-before-crlf": ("x // c\r\ny", [("name", "x", 1, 1), ("name", "y", 2, 1),
+                                           ("eof", "", 2, 2)], []),
+    "cr-cr-lf": ("a\r\r\nb", [("name", "a", 1, 1), ("name", "b", 2, 1), ("eof", "", 2, 2)], []),
+    "bad-before-blanks": ("x $ \t\r\n", [("name", "x", 1, 1), ("eof", "", 2, 1)],
+                          [(1, 3, "$")]),
+    "blank-line-before-token": (" \t \n  x", [("name", "x", 2, 3), ("eof", "", 2, 4)], []),
+    "line-ends-in-underscore": ("a _\n_", [("name", "a", 1, 1), ("punct", "_", 1, 3),
+                                          ("punct", "_", 2, 1), ("eof", "", 2, 2)], []),
 }
 
 
@@ -173,6 +199,55 @@ def test_token_stream(source, tokens, bad):
     assert toks == tokens
     assert [(d.span.line, d.span.col, d.message) for d in diags] == [
         (line, col, f"unexpected character {ch!r}") for line, col, ch in bad]
+    assert (toks, diags) == reference_tokenize(source)
+
+
+# A reference lexer: one scan of the whole text, each match the blanks and
+# comments before a token and then the token in a named group, with lines
+# found from the offsets.
+REFERENCE_TOKEN_RE = re.compile(r"""
+    [ \t\r\n]*(?://[^\n]*[ \t\r\n]*)*
+    (?:(?P<name>[A-Za-z][A-Za-z0-9_]*|_[A-Za-z0-9_]+)
+      | (?P<int>[0-9]+)
+      | (?P<punct>==>|\|->|:=|==|!=|<=|>=|<<|>>|&&|\|\||[(){}\[\],;@?:+\-*/%&|^!<>=_])
+      | (?P<bad>.)
+      | \Z)
+""", re.VERBOSE)
+
+
+def reference_tokenize(source):
+    toks, diags = [], []
+    lines = source.split("\n")
+    line, line_start, next_line_start = 1, 0, len(lines[0]) + 1
+    for m in REFERENCE_TOKEN_RE.finditer(source):
+        kind = m.lastgroup
+        if kind is None:
+            break
+        start = m.start(kind)
+        while start >= next_line_start:
+            line_start = next_line_start
+            next_line_start += len(lines[line]) + 1
+            line += 1
+        col = start - line_start + 1
+        if kind == "bad":
+            diags.append(Diagnostic(SYNTAX_ERROR, S.Span(line, col, line, col + 1),
+                                    message=f"unexpected character {m[kind]!r}"))
+        else:
+            toks.append((kind, m[kind], line, col))
+    toks.append(("eof", "", len(lines), len(lines[-1]) + 1))
+    return toks, diags
+
+
+# the language's characters, blanks and line ends, and some it does not know
+LEXER_PIECES = st.sampled_from(
+    list("aZ09_(){}[],;@?:+-*/%&|^!<>=$") + [" ", "\t", "\r", "\n", "//", "_na", "|->",
+                                            "==>", "\u00e9", "\u2028", "\x0c"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(LEXER_PIECES, max_size=40).map("".join))
+def test_tokenize_agrees_with_a_whole_text_scan(source):
+    assert frontend.tokenize(source) == reference_tokenize(source)
 
 
 # Malformed inputs with the exact position of each diagnostic.
@@ -239,6 +314,11 @@ NESTING = {
     # the chain to the left of the outer one counts although it is closed
     "chain-of-chains": (lambda k: "proc main() { x := (1" + " + 1" * 50 + ")" + " + 1" * k + "; }",
                         N - 51, [f"1:{4 * N + 20}: SyntaxError: nesting deeper than {N} levels"]),
+    # `1 + 1 * 1 + 1 + 1 * 1 ...`: the right operands of `+` alternate between a
+    # leaf the parser reads in place and a product, one level high, it recurses for
+    "mixed-precedence-chain": (lambda k: "proc main() { x := " + " + ".join(
+        "1 * 1" if i % 2 else "1" for i in range(k + 1)) + "; }",
+        N - 2, [f"1:{6 * N + 10}: SyntaxError: nesting deeper than {N} levels"]),
     "parentheses": (lambda k: "proc main() { x := " + "(" * k + "1" + ")" * k + "; }",
                     N - 1, [f"1:{N + 19}: SyntaxError: nesting deeper than {N} levels"]),
     "if": (lambda k: "proc main() { " + "if (true) { " * k + "skip;" + " }" * k + " }",

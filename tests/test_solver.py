@@ -91,6 +91,25 @@ def test_feasibility_builds_no_model(monkeypatch):
     assert (res.verdict, res.hint) == (NO, "w1 = 1/2, w2 = 1/4")
 
 
+def test_integral_feasibility_builds_no_model(monkeypatch):
+    # every integer column of the simplex's answer is already an integer, so
+    # branch-and-bound has nothing to test and no model is built
+    facts = [T.ge(x, T.ONE), T.le(T.add(x, y), T.mk_int(5)), T.lt(y, x)]
+    calls = []
+    check = SV._check_linear
+    monkeypatch.setattr(SV, "_check_linear",
+                        lambda lits, depth=0: calls.append(depth) or check(lits, depth))
+
+    def no_model(sx):
+        raise AssertionError("a model was built")
+
+    monkeypatch.setattr(SV._Simplex, "concrete_model", no_model)
+    assert Solver().is_feasible(facts) == YES and calls == [0]
+    monkeypatch.undo()
+    res = Solver().assert_entailed(facts, T.ge(y, x))
+    assert (res.verdict, res.hint) == (NO, "x = 1, y = 0")
+
+
 def test_branch_and_bound_answers(monkeypatch):
     # the simplex's first vertex of these facts is not integral, so
     # feasibility and the `no` take branch-and-bound, which reads a model at
