@@ -19,7 +19,7 @@ class VerifyOptions(syntax.Record):
     ``check_soundness``."""
     __slots__ = ("branch_cap", "check_soundness", "strict_invariants", "trace")
 
-    def __init__(self, branch_cap: int = 4096, check_soundness: bool = False,
+    def __init__(self, branch_cap: int = symstate.BRANCH_CAP, check_soundness: bool = False,
                  strict_invariants: bool = False, trace: Optional[Callable] = None):
         self.branch_cap = branch_cap
         self.check_soundness = check_soundness or strict_invariants
@@ -109,6 +109,20 @@ def check_source(source: str, path: str = "<input>") -> FileResult:
         result.table = speclogic.build_invariant_table(result.checked)
     result.parse_diagnostics = diags
     return result
+
+
+def dump_primitives(result: FileResult) -> tuple[bool, str]:
+    """What ``--dump-primitives`` prints for a checked file: True and the
+    primitives of every procedure, or False and the error that stops the
+    encoding."""
+    try:
+        obligations = [ob for proc in result.program.procedures
+                       for ob in encoder.build_obligations(result.checked, result.table, proc)]
+    except UnsupportedFeature as exc:
+        return False, f"unsupported: {exc.reason}"
+    except FrontendError as exc:
+        return False, exc.diagnostic.format()
+    return True, encoder.dump_primitives(obligations)
 
 
 def verify_source(source: str, path: str = "<input>",

@@ -18,9 +18,9 @@ import sys
 import time
 from typing import Optional
 
-from . import api, encoder, syntax
+from . import api, syntax
 from .api import FAILED, UNSUPPORTED, VERIFIED, VerifyOptions
-from .diagnostics import FrontendError, UnsupportedFeature
+from .symstate import BRANCH_CAP
 
 SCHEMA_VERSION = 1
 
@@ -61,7 +61,7 @@ def _make_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--branch-cap", type=_positive_int, default=4096)
+        p.add_argument("--branch-cap", type=_positive_int, default=BRANCH_CAP)
         p.add_argument("--trace", action="store_true",
                        help="stream executed primitives as JSON lines on stderr")
         p.add_argument("--check-soundness-invariants", action="store_true",
@@ -150,22 +150,15 @@ def _dump(source: str, path: str, args: argparse.Namespace, out) -> Optional[int
         for d in front.parse_diagnostics:
             print(f"{path}: {d.format()}", file=sys.stderr)
         return 2
-    try:
-        if args.dump_invariants:
-            json.dump(front.table.to_json(), out, indent=2, sort_keys=True)
-            out.write("\n")
-        if args.dump_primitives:
-            obligations = []
-            for proc in front.program.procedures:
-                obligations.extend(encoder.build_obligations(
-                    front.checked, front.table, proc))
-            out.write(encoder.dump_primitives(obligations))
-    except UnsupportedFeature as exc:
-        print(f"{path}: unsupported: {exc.reason}", file=sys.stderr)
-        return 1
-    except FrontendError as exc:
-        print(f"{path}: {exc.diagnostic.format()}", file=sys.stderr)
-        return 1
+    if args.dump_invariants:
+        json.dump(front.table.to_json(), out, indent=2, sort_keys=True)
+        out.write("\n")
+    if args.dump_primitives:
+        ok, text = api.dump_primitives(front)
+        if not ok:
+            print(f"{path}: {text}", file=sys.stderr)
+            return 1
+        out.write(text)
     return None
 
 

@@ -55,7 +55,7 @@ from .syntax import NO_SPAN, Record, Span
 # Primitives
 # ---------------------------------------------------------------------------
 
-class BranchCond(Record, hashable=True):
+class BranchCond(Record):
     __slots__ = ("kind",    # expr | nondet | notread | releq
                  "expr", "loc", "idx", "value")
     _defaults = {"expr": None,     # expr
@@ -539,11 +539,11 @@ def _call(st: S.SCall, ctx: EncodeCtx) -> list:
     fresh_logical = {v: S.EVar(ctx.fresh("log")) for v in logical}
     mapping.update(fresh_logical)
     prims: list = [Exhale(
-        ctx.lower(S.subst_assertion(callee.pre, mapping)),
+        ctx.lower(S.instantiate(callee.pre, mapping, st.span)[0]),
         rule=f"precondition of {st.callee}",
         bindable=frozenset(e.name for e in fresh_logical.values()), span=st.span)]
     prims += [HavocVar(t, st.span) for t in ret_targets]
-    prims.append(Inhale(ctx.lower(S.subst_assertion(callee.post, mapping)),
+    prims.append(Inhale(ctx.lower(S.instantiate(callee.post, mapping, st.span)[0]),
                         rule=f"postcondition of {st.callee}", span=st.span))
     return prims
 

@@ -20,7 +20,9 @@ declaration after an error in a header or spec).  ``mode_check`` classifies
 every variable as a non-atomic location, an atomic location (acquire-read or
 RMW flavour), a ghost location or a plain value, and rejects programs that
 mix classifications for one variable, pass an expression for a location
-parameter or give an annotated loop an atomic condition.
+parameter or give an annotated loop an atomic condition.  A ``define`` is
+expanded where it is used, by ``syntax.instantiate``, which the encoder
+also calls to instantiate a callee's spec at a call.
 
 The mode check walks each procedure's statements once, and is the only place
 that knows which names and invariants each statement kind reads or binds.
@@ -635,7 +637,7 @@ class Parser:
                 return inner
             # "(e) == e2" and friends: the parentheses belonged to a pure
             # expression, so keep parsing at the expression level
-            expr, _ = self._parse_binary(S.CMP_PREC, inner.expr, _height(inner.expr))
+            expr, _ = self._parse_binary(S.CMP_PREC, inner.expr, S.height(inner.expr))
             if expr is not inner.expr:
                 inner = S.APure(expr=expr, span=span)
             return self._pure_tail(inner, span)
@@ -679,8 +681,7 @@ class Parser:
                 span)
         mapping = dict(zip(d.params, args))
         try:
-            body, height = _expand(d.body, mapping,
-                                   {p: _height(a) for p, a in mapping.items()}, span)
+            body, height = S.instantiate(d.body, mapping, span)
         except ValueError as exc:
             raise self._error(str(exc), span)
         if self.depth + height > MAX_NESTING:
@@ -770,97 +771,6 @@ _STMT_PARSERS = {
 }
 
 
-def _height(a) -> int:
-    """The height of an assertion or expression tree, expressions included:
-    a leaf has height 0."""
-    height, stack = 0, [(a, 0)]
-    while stack:
-        x, level = stack.pop()
-        height = max(height, level)
-        if isinstance(x, S.EBin):
-            subs = (x.left, x.right)
-        elif isinstance(x, S.EUn):
-            subs = (x.operand,)
-        elif isinstance(x, S.Expr):
-            subs = ()
-        else:
-            exprs = (getattr(x, f, None) for f in ("expr", "cond", "value", "frac"))
-            subs = S.sub_assertions(x) + tuple(e for e in exprs if e is not None)
-        stack += [(y, level + 1) for y in subs]
-    return height
-
-
-def _expand(a: S.Assertion, mapping: dict[str, S.Expr], heights: dict[str, int],
-            span: Span) -> tuple[S.Assertion, int]:
-    """A define's body at its arguments, in one walk: `mapping` gives each
-    parameter's argument and `heights` that argument's height.  Every node
-    takes the use's span, so diagnostics about the expansion point at the
-    use; and a pure fact that an argument made a top-level `&&` is a star of
-    facts, as if the argument had been written in place.  Returns the
-    expansion and the height of the substituted body, taken before those
-    facts are split and stars flattened."""
-    t = type(a)
-    if t is S.APure:
-        e, h = _expand_expr(a.expr, mapping, heights)
-        return _facts(e, span), h + 1
-    if t is S.AStar:
-        parts, h = [], 0
-        for p in a.parts:
-            part, hp = _expand(p, mapping, heights, span)
-            parts.append(part)
-            h = h if h > hp else hp
-        return S.star(parts), h + 1
-    if t is S.APointsTo:
-        loc = S.subst_loc(a.loc, mapping)
-        value, h = _expand_expr(a.value, mapping, heights)
-        frac = a.frac
-        if frac is not None:
-            frac, hf = _expand_expr(frac, mapping, heights)
-            h = h if h > hf else hf
-        return S.APointsTo(span, loc, value, frac), h + 1
-    if t is S.AResource:
-        return S.AResource(span, a.kind, S.subst_loc(a.loc, mapping), a.inv), 0
-    if t is S.AImplies:
-        cond, hc = _expand_expr(a.cond, mapping, heights)
-        body, hb = _expand(a.body, mapping, heights, span)
-        return S.AImplies(span, cond, body), (hc if hc > hb else hb) + 1
-    if t is S.ACond:
-        cond, hc = _expand_expr(a.cond, mapping, heights)
-        then, ht = _expand(a.then, mapping, heights, span)
-        els, he = _expand(a.els, mapping, heights, span)
-        return S.ACond(span, cond, then, els), max(hc, ht, he) + 1
-    if t is S.AModal:
-        body, h = _expand(a.body, mapping, heights, span)
-        return S.AModal(span, a.kind, body), h + 1
-    raise AssertionError(a)
-
-
-def _expand_expr(e: S.Expr, mapping: dict[str, S.Expr],
-                 heights: dict[str, int]) -> tuple[S.Expr, int]:
-    """An expression of a define's body at its arguments, and its height."""
-    t = type(e)
-    if t is S.EVar:
-        arg = mapping.get(e.name)
-        return (e, 0) if arg is None else (arg, heights[e.name])
-    if t is S.EBin:
-        left, hl = _expand_expr(e.left, mapping, heights)
-        right, hr = _expand_expr(e.right, mapping, heights)
-        if left is not e.left or right is not e.right:
-            e = S.EBin(e.op, left, right)
-        return e, (hl if hl > hr else hr) + 1
-    if t is S.EUn:
-        operand, h = _expand_expr(e.operand, mapping, heights)
-        return (e if operand is e.operand else S.EUn(e.op, operand)), h + 1
-    return e, 0
-
-
-def _facts(e: S.Expr, span: Span) -> S.Assertion:
-    """A pure fact, split at its top-level `&&`s into a star of facts."""
-    if type(e) is S.EBin and e.op == "&&":
-        return S.star([_facts(e.left, span), _facts(e.right, span)])
-    return S.APure(span, e)
-
-
 def parse(source: str) -> tuple[S.Program, list[Diagnostic]]:
     """Parse a program.  Always returns; problems come back as diagnostics."""
     parser = Parser(source)
@@ -883,7 +793,7 @@ class _Evidence(S.Record):
                  "uses": {}}     # use tag -> first span
 
 
-class Scope(S.Record, hashable=True):
+class Scope(S.Record):
     """The variables a statement list mentions and binds, nested bodies
     included.  `uses` is shallow: it does not follow the invariants that
     annotations name."""

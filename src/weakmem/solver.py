@@ -671,7 +671,8 @@ class Solver:
     simplex, which ``queries`` counts.  One satisfiability table, keyed by
     the fact set, holds ``(SAT/UNSAT/UNKNOWN, reason)`` and answers both
     ``is_feasible`` and ``assert_entailed(facts, FALSE)``; so the ``no`` of
-    the latter carries no hint.  The entailment table holds the other goals.
+    the latter carries no hint.  An entailment of any other goal is not
+    tabled, as the executor seldom asks one twice.
 
     A model, with the simplex's infinitesimal resolved to a number, is built
     only where one is read: by branch-and-bound's integrality test when the
@@ -683,7 +684,6 @@ class Solver:
 
     def __init__(self):
         self._sat_cache: dict[frozenset[int], tuple[str, Optional[str]]] = {}
-        self._ent_cache: dict[tuple[frozenset[int], int], Result] = {}
         self._value_cache: dict[tuple[frozenset[int], int], object] = {}
         self.queries = 0
 
@@ -733,23 +733,16 @@ class Solver:
             return Result(UNKNOWN, reason=reason)
         if goal.tid in key:
             return Result(YES)
-        hit = self._ent_cache.get((key, goal.tid))
-        if hit is not None:
-            return hit
         if _by_syntax(facts, key) == UNSAT:
-            out = Result(YES)   # anything follows from an infeasible path
-        else:
-            self.queries += 1
-            facts.append(terms.not_(goal))
-            res, model, reason = _sat_conjunction(facts)
-            if res == UNSAT:
-                out = Result(YES)
-            elif reason is None:
-                out = Result(NO, _format_model(model(), facts))
-            else:
-                out = Result(UNKNOWN, reason=reason)
-        self._ent_cache[(key, goal.tid)] = out
-        return out
+            return Result(YES)   # anything follows from an infeasible path
+        self.queries += 1
+        facts.append(terms.not_(goal))
+        res, model, reason = _sat_conjunction(facts)
+        if res == UNSAT:
+            return Result(YES)
+        if reason is None:
+            return Result(NO, _format_model(model(), facts))
+        return Result(UNKNOWN, reason=reason)
 
     # -- model probing -------------------------------------------------------
 

@@ -187,12 +187,12 @@ FIELD_REL = "rel"
 FIELD_ACQ = "acq"
 
 
-class EPure(Record, hashable=True):
+class EPure(Record):
     __slots__ = ("expr", "span")
     _defaults = {"span": NO_SPAN}
 
 
-class EAcc(Record, hashable=True):
+class EAcc(Record):
     """A permission atom: to the field ``res`` (a name) of a location, or to
     its AcqConjunct instance of the conjunct ``res`` (a table index)."""
     # perm: for an instance, FULL for acquire mode and WILDCARD for RMW
@@ -201,30 +201,29 @@ class EAcc(Record, hashable=True):
                  "vals_empty": False}    # an instance: no value has been read through it
 
 
-class EFieldEq(Record, hashable=True):
+class EFieldEq(Record):
     # value: never EAny, as lowering drops a "_" points-to value
     __slots__ = ("loc", "fld", "value", "label", "span")
     _defaults = {"label": HeapLabel.REAL, "span": NO_SPAN}
 
 
-class EStar(Record, hashable=True):
+class EStar(Record):
     __slots__ = ("parts",)
 
 
-class EImplies(Record, hashable=True):
+class EImplies(Record):
     __slots__ = ("cond", "body", "span")
     _defaults = {"span": NO_SPAN}
 
 
-class ECond(Record, hashable=True):
+class ECond(Record):
     __slots__ = ("cond", "then", "els", "span")
     _defaults = {"span": NO_SPAN}
 
 
 class EError(Record):
     """A table body whose lowering at a site failed, in place of that body.
-    The executor raises its diagnostic only where a case reaches it.  Not
-    hashable, as its diagnostic is not."""
+    The executor raises its diagnostic only where a case reaches it."""
     __slots__ = ("diagnostic",)
 
 

@@ -263,8 +263,9 @@ def entailed(solver: Solver, state: SymState, goal: T.Term) -> Result:
     proof.  A sliced ``no`` stands only if every other group has a model with
     no opaque literal, the standard a full-path ``no`` meets; it turns into
     ``yes`` if another group is unsatisfiable and ``unknown`` if one is
-    undecided.  That check stays outside the entailment cache, which is keyed
-    by the sliced facts: states with the same slice may differ elsewhere.
+    undecided.  That check is made here, per state, not in the solver, which
+    sees only the sliced facts: states with the same slice may differ
+    elsewhere.
     """
     if goal is T.TRUE:
         return Result(YES)
@@ -303,9 +304,12 @@ class _Fail(Exception):
     """Internal: a check failed on this path; diagnostic already recorded."""
 
 
+BRANCH_CAP = 4096     # branches one obligation may explore, unless told otherwise
+
+
 class ExecContext:
     def __init__(self, solver: Solver, var_classes: dict[str, str],
-                 branch_cap: int = 4096, trace: Optional[Callable] = None,
+                 branch_cap: int = BRANCH_CAP, trace: Optional[Callable] = None,
                  on_boundary: Optional[Callable] = None):
         self.solver = solver
         self.var_classes = var_classes
@@ -1030,7 +1034,7 @@ class ObligationResult(S.Record):
         return not self.diagnostics
 
 
-def run_obligation(ob: E.Obligation, solver: Solver, branch_cap: int = 4096,
+def run_obligation(ob: E.Obligation, solver: Solver, branch_cap: int = BRANCH_CAP,
                    trace: Optional[Callable] = None,
                    on_boundary: Optional[Callable] = None) -> ObligationResult:
     ctx = ExecContext(solver, ob.var_classes, branch_cap, trace, on_boundary)

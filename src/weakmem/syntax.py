@@ -18,8 +18,10 @@ only users.
 The generic assertion walkers at the end (`sub_assertions`, `walk_assertion`
 and `map_assertion`) serve both this tree and the encoded one in `speclogic`,
 whose nodes use the same field names (`parts`, `body`, `then`, `els`, `loc`,
-and the expression slots `expr`, `cond`, `value`, `frac`); the substitutions
-walk this tree only, by exact class.
+and the expression slots `expr`, `cond`, `value`, `frac`).  `instantiate`,
+the one substitution of arguments for parameters, walks this tree only, by
+exact class: it expands a define at its use and a callee's spec at its
+call.
 """
 
 from __future__ import annotations
@@ -55,9 +57,7 @@ class Record:
     fresh one per record, so its parameter defaults to None; any other
     default is the parameter's own.  Records are equal when they are of the
     same class and their fields are equal; fields named in `_hidden` are
-    left out of equality and repr.  A record is unhashable unless its class
-    is declared with `hashable=True`; it then hashes by value and is never
-    changed once built.
+    left out of equality and repr.  Records do not hash.
     """
 
     __slots__ = ()
@@ -65,14 +65,12 @@ class Record:
     _defaults: dict = {}
     _fields: tuple = ()    # every field, in `__init__` order
 
-    def __init_subclass__(cls, hashable: bool = False, **kwargs):
+    def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         cls._fields = tuple(f for k in reversed(cls.__mro__)
                             for f in k.__dict__.get("__slots__", ()))
         cls._shown = tuple(f for f in cls._fields if f not in cls._hidden)
         cls._key = attrgetter(*cls._shown) if cls._shown else _no_fields
-        if hashable:
-            cls.__hash__ = _hash_by_value
         if cls._fields and "__init__" not in cls.__dict__:
             cls.__init__ = _make_init(cls)
 
@@ -98,10 +96,6 @@ class Record:
 # the key of a class with no shown fields; a plain function would bind to
 # the instance, as `attrgetter` does not
 _no_fields = staticmethod(lambda r: ())
-
-
-def _hash_by_value(self) -> int:
-    return hash(self._key(self))
 
 
 # how the generated `__init__` builds a fresh container, by its type
@@ -483,20 +477,6 @@ def map_expr(e: Expr, leaf: Callable[[Expr], Expr]) -> Expr:
     return leaf(e)
 
 
-def subst_expr(e: Expr, mapping: dict[str, Expr]) -> Expr:
-    """Substitute program variables, sharing what does not change."""
-    t = type(e)
-    if t is EVar:
-        return mapping.get(e.name, e)
-    if t is EBin:
-        left, right = subst_expr(e.left, mapping), subst_expr(e.right, mapping)
-        return e if left is e.left and right is e.right else EBin(e.op, left, right)
-    if t is EUn:
-        operand = subst_expr(e.operand, mapping)
-        return e if operand is e.operand else EUn(e.op, operand)
-    return e
-
-
 def expr_vars(e: Expr) -> set[str]:
     return {x.name for x in walk_expr(e) if isinstance(x, EVar)}
 
@@ -563,39 +543,95 @@ def subst_loc(loc: str, mapping: dict[str, Expr]) -> str:
     raise ValueError(f"location position for '{loc}' needs a variable, got an expression")
 
 
-def subst_assertion(a: Assertion, mapping: dict[str, Expr]) -> Assertion:
-    """Substitute program variables; location slots require variable
-    arguments.  A node that nothing changes is returned as itself."""
+def height(a) -> int:
+    """The height of an assertion or expression tree, expressions included:
+    a leaf has height 0."""
+    h, stack = 0, [(a, 0)]
+    while stack:
+        x, level = stack.pop()
+        h = max(h, level)
+        if isinstance(x, EBin):
+            subs = (x.left, x.right)
+        elif isinstance(x, EUn):
+            subs = (x.operand,)
+        elif isinstance(x, Expr):
+            subs = ()
+        else:
+            exprs = (getattr(x, f, None) for f in _EXPR_SLOTS)
+            subs = sub_assertions(x) + tuple(e for e in exprs if e is not None)
+        stack += [(y, level + 1) for y in subs]
+    return h
+
+
+def instantiate(a: Assertion, mapping: dict[str, Expr], span: Span
+                ) -> tuple[Assertion, int]:
+    """An assertion at arguments, in one walk, as a define is expanded at
+    its use and a callee's spec at its call: `mapping` gives each
+    parameter's argument, which a location slot needs to be a variable
+    (ValueError otherwise).  Every node takes `span`, so diagnostics about
+    the instance point at the use; and a pure fact that an argument made a
+    top-level `&&` is a star of facts, as if the argument had been written
+    in place.  Returns the instance and the height of the substituted
+    assertion, taken before those facts are split and stars flattened."""
     t = type(a)
     if t is APure:
-        e = subst_expr(a.expr, mapping)
-        return a if e is a.expr else APure(a.span, e)
+        e, h = _instantiate_expr(a.expr, mapping)
+        return _facts(e, span), h + 1
+    if t is AStar:
+        parts, h = [], 0
+        for p in a.parts:
+            part, hp = instantiate(p, mapping, span)
+            parts.append(part)
+            h = h if h > hp else hp
+        return star(parts), h + 1
     if t is APointsTo:
         loc = subst_loc(a.loc, mapping)
-        value = subst_expr(a.value, mapping)
-        frac = a.frac if a.frac is None else subst_expr(a.frac, mapping)
-        if loc == a.loc and value is a.value and frac is a.frac:
-            return a
-        return APointsTo(a.span, loc, value, frac)
-    if t is AStar:
-        parts = tuple(subst_assertion(p, mapping) for p in a.parts)
-        return a if all(n is p for n, p in zip(parts, a.parts)) else AStar(a.span, parts)
+        value, h = _instantiate_expr(a.value, mapping)
+        frac = a.frac
+        if frac is not None:
+            frac, hf = _instantiate_expr(frac, mapping)
+            h = h if h > hf else hf
+        return APointsTo(span, loc, value, frac), h + 1
     if t is AResource:
-        loc = subst_loc(a.loc, mapping)
-        return a if loc == a.loc else AResource(a.span, a.kind, loc, a.inv)
+        return AResource(span, a.kind, subst_loc(a.loc, mapping), a.inv), 0
     if t is AImplies:
-        cond, body = subst_expr(a.cond, mapping), subst_assertion(a.body, mapping)
-        return a if cond is a.cond and body is a.body else AImplies(a.span, cond, body)
+        cond, hc = _instantiate_expr(a.cond, mapping)
+        body, hb = instantiate(a.body, mapping, span)
+        return AImplies(span, cond, body), (hc if hc > hb else hb) + 1
     if t is ACond:
-        cond = subst_expr(a.cond, mapping)
-        then, els = subst_assertion(a.then, mapping), subst_assertion(a.els, mapping)
-        if cond is a.cond and then is a.then and els is a.els:
-            return a
-        return ACond(a.span, cond, then, els)
+        cond, hc = _instantiate_expr(a.cond, mapping)
+        then, ht = instantiate(a.then, mapping, span)
+        els, he = instantiate(a.els, mapping, span)
+        return ACond(span, cond, then, els), max(hc, ht, he) + 1
     if t is AModal:
-        body = subst_assertion(a.body, mapping)
-        return a if body is a.body else AModal(a.span, a.kind, body)
+        body, h = instantiate(a.body, mapping, span)
+        return AModal(span, a.kind, body), h + 1
     raise AssertionError(a)
+
+
+def _instantiate_expr(e: Expr, mapping: dict[str, Expr]) -> tuple[Expr, int]:
+    """An expression at the arguments, and its height."""
+    t = type(e)
+    if t is EVar:
+        arg = mapping.get(e.name)
+        return (e, 0) if arg is None else (arg, height(arg))
+    if t is EBin:
+        left, hl = _instantiate_expr(e.left, mapping)
+        right, hr = _instantiate_expr(e.right, mapping)
+        if left is not e.left or right is not e.right:
+            e = EBin(e.op, left, right)
+        return e, (hl if hl > hr else hr) + 1
+    if t is EUn:
+        operand, h = _instantiate_expr(e.operand, mapping)
+        return (e if operand is e.operand else EUn(e.op, operand)), h + 1
+    return e, 0
+
+
+def _facts(e: Expr, span: Span) -> Assertion:
+    """A pure fact, split at its top-level `&&`s into a star of facts."""
+    if type(e) is EBin and e.op == "&&":
+        return star([_facts(e.left, span), _facts(e.right, span)])
+    return APure(span, e)
 
 
 def assertion_vars(a: Assertion) -> set[str]:

@@ -66,6 +66,31 @@ MALFORMED = {
                              "while ([l]_acq == 0) invariant { true } { skip; } }",
     # the rule goes by class: `a` is a location in f's body only
     "call-body-location-literal": "proc f(a) { free(a); }\nproc main() { call f(5); }",
+    "negative-fraction": "proc main(a) requires { a |-> 1 @ -1/2 } ensures { true } { skip; }",
+    "duplicate-invariant": "invariant Q(V) = true;\ninvariant Q(V) = true;\nproc main() { skip; }",
+    "rewrite-two-locations": "proc main(l, m) { rewrite Acq(l, Q) to Acq(m, Q); }",
+    "empty-par": "proc main() { par { } }",
+    "acquire-read-and-cas": "proc main(x) { t := [x]_acq; u := CAS_rlx(x, 0, 1); }",
+    "na-access-to-acq": "invariant Q(V) = true;\nproc main() { alloc_acq(l, Q); [l]_na := 1; }",
+    "na-access-to-rmw": "invariant Q(V) = true;\nproc main() { alloc_rmw(l, Q); [l]_na := 1; }",
+    "na-access-to-released": "proc main(x) { [x]_rel := 1; [x]_na := 2; }",
+}
+
+# the diagnostic an entry gives; the others give a SyntaxError
+MALFORMED_DIAGNOSTIC = {
+    "negative-fraction": "1:25: SyntaxError [well-formedness]: fraction -1/2 outside (0, 1]",
+    "duplicate-invariant": "2:1: DuplicateName: duplicate invariant 'Q'",
+    "rewrite-two-locations":
+        "1:19: SyntaxError: rewrite must target one location, got 'l' and 'm'",
+    "empty-par": "1:15: SyntaxError: par block needs at least one thread",
+    "acquire-read-and-cas": "1:30: CASOnAcqLocation [mode-check]: "
+                            "location 'x' used both for atomic reads and RMW updates",
+    "na-access-to-acq": "2:32: MixedModeAccess [mode-check]: "
+                        "non-atomic access to atomic location 'l'",
+    "na-access-to-rmw": "2:32: MixedModeAccess [mode-check]: "
+                        "non-atomic access to atomic location 'l'",
+    "na-access-to-released": "1:30: MixedModeAccess [mode-check]: "
+                             "non-atomic access to atomic location 'x'",
 }
 
 
@@ -73,7 +98,7 @@ MALFORMED = {
 def test_malformed_input_exit_two(tmp_path, capsys, kind):
     path = write(tmp_path, "bad.rsl", MALFORMED[kind])
     assert run_cli("verify", path) == 2
-    assert "SyntaxError" in capsys.readouterr().out
+    assert MALFORMED_DIAGNOSTIC.get(kind, "SyntaxError") in capsys.readouterr().out
     assert run_cli("verify", path, "--dump-primitives") == 2
     err = capsys.readouterr().err
     assert f"{path}: " in err and "Traceback" not in err

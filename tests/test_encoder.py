@@ -11,10 +11,10 @@ from conftest import (
 )
 from weakmem import api, cli, encoder, speclogic as L, symstate, syntax as S, terms as T
 from weakmem.diagnostics import (
-    DOWN_IN_LOOP_INVARIANT, EXHALE_FAILURE, FrontendError, INCOMPLETE_SOLVER,
+    BRANCH_CAP_EXCEEDED, DOWN_IN_LOOP_INVARIANT, EXHALE_FAILURE, FrontendError, INCOMPLETE_SOLVER,
     INSUFFICIENT_PERMISSION, MISSING_LOOP_INVARIANT, MIXED_MODE_ACCESS, MISSING_RMW_PERMISSIONS, NO_ACQ_PERMISSION,
     NO_REL_PERMISSION, READ_OF_UNINITIALISED, REWRITE_AFTER_READ,
-    REWRITE_NOT_JUSTIFIED, SPIN_PATTERN_RESOURCE_LEAK, UNINITIALISED,
+    REWRITE_NOT_JUSTIFIED, SPIN_PATTERN_RESOURCE_LEAK, SYNTAX_ERROR, UNINITIALISED,
     UnsupportedFeature,
 )
 from weakmem.speclogic import EImplies, HeapLabel
@@ -811,6 +811,8 @@ proc main() requires {{ true }} ensures {{ true }}
     # a logical variable no points-to binds
     ("x |-> 1", "true", INSUFFICIENT_PERMISSION, "location '$log1' is not bound"),
     ("v == 1", "true", INSUFFICIENT_PERMISSION, "variable '$log1' has no value here"),
+    # constant fractions with `-` and `*` add up to the whole
+    ("a |-> 1 @ 1 - 1/2 && a |-> 1 @ 2 * 1/4", "a |-> 1", None, None),
 ])
 def test_call_binds_logical_variables_from_points_to(pre, post, kind, message):
     v = verify(CALL_F.format(pre=pre, post=post)).verdict_of("main")
@@ -819,6 +821,44 @@ def test_call_binds_logical_variables_from_points_to(pre, post, kind, message):
     else:
         (d,) = v.diagnostics
         assert (d.kind, d.message, d.span.line) == (kind, message, 4)
+
+
+# A callee's spec is instantiated at the call as a define is at its use: a
+# diagnostic raised at a node of the instance sits at the call, and a pure
+# fact that an argument makes a top-level `&&` splits into facts.
+CALL_AT = """proc f({params}) requires {{ {pre} }} ensures {{ {post} }} {{ skip; }}
+proc main(y)
+{{
+  alloc_na(b);
+  [b]_na := 1;
+  call f({args});
+}}
+"""
+CAP_2 = (BRANCH_CAP_EXCEEDED, "more than 2 branches explored")
+
+CALL_PROBES = {
+    "fraction-argument": (
+        "a, k", "a |-> _ @ k", "a |-> _ @ k", "b, 2", {},
+        {"f": ("unsupported", []),
+         "main": ("failed", [("6:3", SYNTAX_ERROR, "fraction 2 outside (0, 1]")])}),
+    "branch-cap": (
+        "a, x", "(x == 1 ==> a |-> 1) && (x == 2 ==> a |-> 2) && (x == 3 ==> a |-> 3)",
+        "true", "b, y", {"branch_cap": 2},
+        {"f": ("failed", [("1:50", *CAP_2)]), "main": ("failed", [("6:3", *CAP_2)])}),
+    "and-argument": (
+        "p", "p", "true", "1 == 1 && y == 2", {},
+        {"f": ("verified", []),
+         "main": ("failed", [("6:3", EXHALE_FAILURE, "cannot establish y == 2")])}),
+}
+
+
+@pytest.mark.parametrize("params, pre, post, args, opts, expected", CALL_PROBES.values(),
+                         ids=CALL_PROBES)
+def test_a_callee_spec_is_instantiated_at_the_call(params, pre, post, args, opts, expected):
+    res = verify(CALL_AT.format(params=params, pre=pre, post=post, args=args), **opts)
+    assert not res.parse_diagnostics, [d.format() for d in res.parse_diagnostics]
+    assert {v.name: (v.status, [(str(d.span), d.kind, d.message) for d in v.diagnostics])
+            for v in res.verdicts} == expected
 
 
 def test_invariant_carrying_atomic_resources():

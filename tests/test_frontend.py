@@ -519,7 +519,7 @@ def test_macro_expansion_height_at_the_nesting_bound(extra, ok):
     k = frontend.MAX_NESTING - 3 + extra
     pre, diags = macro_pre("D(" + " + ".join(["1"] * (k + 1)) + ", m)")
     if ok:
-        assert diags == [] and frontend._height(pre) == k + 3
+        assert diags == [] and S.height(pre) == k + 3
     else:
         assert [d.format() for d in diags] == [
             f"2:31: SyntaxError: macro 'D' expands deeper than {frontend.MAX_NESTING} levels"]

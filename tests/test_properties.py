@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import CORPUS, corpus_text
-from weakmem import api, frontend, syntax as S, terms as T
+from weakmem import api, syntax as S, terms as T
 from weakmem.diagnostics import EXHALE_FAILURE
 from weakmem.encoder import Exhale
 from weakmem.solver import Solver, YES
@@ -299,7 +299,18 @@ def test_substitute_distributes_over_connectives(a, n):
 @settings(max_examples=80, deadline=None)
 def test_identity_rebuild_returns_the_assertion(a):
     assert S.map_assertion(a, lambda e: e) is a
-    assert S.subst_assertion(a, {}) is a
+    # an instance at no arguments is rebuilt at its span, but shares every
+    # expression
+    assert_same_exprs(S.instantiate(a, {}, USE_SPAN)[0], a)
+
+
+def assert_same_exprs(got, want):
+    def exprs(a):
+        return [e for x in S.walk_assertion(a)
+                for e in (getattr(x, f, None) for f in ("expr", "cond", "value", "frac"))
+                if e is not None]
+    got, want = exprs(got), exprs(want)
+    assert len(got) == len(want) and all(g is w for g, w in zip(got, want))
 
 
 # Define bodies over the parameters p (a value) and l (a location), with
@@ -341,7 +352,13 @@ def three_walk_expansion(body, mapping, span):
     """A define's expansion as three walks: substitute, take the height of
     the result, then restamp every node with the use's span, splitting a
     pure fact at its top-level `&&`s and flattening stars."""
-    substituted = S.subst_assertion(body, mapping)
+    def leaf(e):
+        return mapping.get(e.name, e) if isinstance(e, S.EVar) else e
+
+    def at_loc(n):
+        return n.replace(loc=S.subst_loc(n.loc, mapping)) if hasattr(n, "loc") else n
+
+    substituted = S.map_assertion(body, lambda e: S.map_expr(e, leaf), on_node=at_loc)
 
     def at_use(n):
         n = n.replace(span=span)
@@ -351,7 +368,7 @@ def three_walk_expansion(body, mapping, span):
         return S.star(n.parts) if isinstance(n, S.AStar) else n
 
     return (S.map_assertion(substituted, None, on_node=at_use),
-            frontend._height(substituted))
+            S.height(substituted))
 
 
 def spans(a):
@@ -365,15 +382,14 @@ USE_SPAN = S.Span(9, 4, 9, 11)
 @settings(max_examples=150, deadline=None)
 def test_one_walk_expansion_matches_three_walks(body, p_arg, l_arg):
     mapping = {"p": p_arg, "l": l_arg}
-    heights = {k: frontend._height(e) for k, e in mapping.items()}
     try:
         want, want_height = three_walk_expansion(body, mapping, USE_SPAN)
     except ValueError as exc:
         with pytest.raises(ValueError) as got:
-            frontend._expand(body, mapping, heights, USE_SPAN)
+            S.instantiate(body, mapping, USE_SPAN)
         assert str(got.value) == str(exc)
         return
-    got, height = frontend._expand(body, mapping, heights, USE_SPAN)
+    got, height = S.instantiate(body, mapping, USE_SPAN)
     # Record equality leaves spans out
     assert got == want and spans(got) == spans(want)
     assert height == want_height
@@ -385,7 +401,7 @@ def test_walked_locations_are_free_vars(a):
     names = S.assertion_vars(a)
     locs = {x.loc for x in S.walk_assertion(a) if hasattr(x, "loc")}
     assert locs <= names
-    renamed = S.assertion_vars(S.subst_assertion(a, {"a": S.EVar("z")}))
+    renamed = S.assertion_vars(S.instantiate(a, {"a": S.EVar("z")}, USE_SPAN)[0])
     assert "a" not in renamed
     assert ("z" in renamed) == ("a" in names)
 
@@ -393,7 +409,7 @@ def test_walked_locations_are_free_vars(a):
 def test_frac_symbols_are_not_vars_but_are_substituted():
     pt = S.APointsTo(loc="a", value=S.EVar("x"), frac=S.EVar("k"))
     assert S.assertion_vars(pt) == {"a", "x"}
-    assert S.subst_assertion(pt, {"k": S.EInt(1)}).frac == S.EInt(1)
+    assert S.instantiate(pt, {"k": S.EInt(1)}, USE_SPAN)[0].frac == S.EInt(1)
     half_v = S.APointsTo(loc="a", value=S.EInt(0), frac=S.EBin("/", S.EInvVal(), S.EInt(2)))
     assert substitute(half_v, S.EInt(1)).frac == S.EBin("/", S.EInt(1), S.EInt(2))
 
@@ -401,8 +417,8 @@ def test_frac_symbols_are_not_vars_but_are_substituted():
 def test_location_slot_rejects_an_expression():
     for a in (S.AResource(kind="Init", loc="l"), S.APointsTo(loc="l", value=S.EInt(1))):
         with pytest.raises(ValueError):
-            S.subst_assertion(a, {"l": S.EInt(3)})
-        assert S.subst_assertion(a, {"l": S.EVar("m")}).loc == "m"
+            S.instantiate(a, {"l": S.EInt(3)}, USE_SPAN)
+        assert S.instantiate(a, {"l": S.EVar("m")}, USE_SPAN)[0].loc == "m"
 
 
 @given(st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4),

@@ -74,14 +74,13 @@ def test_equality_needs_the_same_class_and_equal_fields():
     assert S.EInt(1) != (1,)
 
 
-def test_hashable_records_hash_by_value_and_the_rest_do_not_hash():
-    for make in (lambda: encoder.BranchCond("notread", loc="l", idx=1),
-                 lambda: frontend.Scope(frozenset("ab"), frozenset("c")),
-                 lambda: EAcc("a", FIELD_VAL, FULL, span=AT_1)):
-        a, b = make(), make()
-        assert a is not b and a == b and hash(a) == hash(b) and len({a, b}) == 1
+def test_records_do_not_hash():
+    assert [cls for cls in records() if cls.__hash__ is not None] == []
     for x in (S.EInt(1), S.APure(expr=S.TRUE_E), S.SSkip(), Diagnostic("k"),
-              encoder.HavocVar("x"), api.VerifyOptions(), symstate.Chunk(0, "val", 0, 0, 0)):
+              encoder.HavocVar("x"), api.VerifyOptions(), symstate.Chunk(0, "val", 0, 0, 0),
+              encoder.BranchCond("notread", loc="l", idx=1),
+              frontend.Scope(frozenset("ab"), frozenset("c")),
+              EAcc("a", FIELD_VAL, FULL, span=AT_1)):
         with pytest.raises(TypeError):
             hash(x)
 

@@ -26,9 +26,10 @@ procedure's status, reason and diagnostics without their hints, each
 obligation's `states_seen` and number of final states, the soundness
 violations and the mismatches: a change that only renders symbolic values
 differently, in hints, state digests, traces or soundness reports, keeps
-it.  The `dumps:` line hashes, for every program, `encoder.dump_primitives`
-of all its procedures, or the text of the error that stops the encoding; it
-is kept outside the records, so a change of encoding alone moves only it.
+it.  The `dumps:` line hashes, for every program, what `--dump-primitives`
+prints for it (`api.dump_primitives`), or the text of the error that stops
+the encoding; it is kept outside the records, so a change of encoding alone
+moves only it.
 The `parse:` line hashes, for every program, the tree `frontend.parse`
 builds, with every field of every node, each statement's full span among
 them, and the parser's diagnostics; it too is kept outside the records,
@@ -52,8 +53,7 @@ sys.path.insert(0, os.path.join(ROOT, "bench"))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
 import workloads                         # noqa: E402
-from weakmem import api, encoder, frontend   # noqa: E402
-from weakmem.diagnostics import FrontendError, UnsupportedFeature   # noqa: E402
+from weakmem import api, frontend   # noqa: E402
 from weakmem.syntax import Record        # noqa: E402
 
 WORKLOADS = ("corpus", "lockchain", "manyprocs")
@@ -116,15 +116,8 @@ def dump_text(prog: workloads.Program) -> str:
     front = api.check_source(prog.source, prog.name)
     if front.parse_diagnostics:
         return "".join(d.format() + "\n" for d in front.parse_diagnostics)
-    obligations = []
-    try:
-        for proc in front.program.procedures:
-            obligations.extend(encoder.build_obligations(front.checked, front.table, proc))
-    except UnsupportedFeature as exc:
-        return f"unsupported: {exc.reason}\n"
-    except FrontendError as exc:
-        return exc.diagnostic.format() + "\n"
-    return encoder.dump_primitives(obligations)
+    ok, text = api.dump_primitives(front)
+    return text if ok else text + "\n"
 
 
 def dumps_digest() -> str:
