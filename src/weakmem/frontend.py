@@ -173,6 +173,10 @@ class Parser:
         self.defines: dict[str, _Define] = {}
         self.depth = 0      # the nesting of the current position
         self.inv_param: Optional[str] = None  # active invariant-declaration parameter
+        # one node per distinct expression of the file: a leaf by its token
+        # text, an operator node by its operator and operands' identities.
+        # No pass mutates an expression, so the tree may share them.
+        self.exprs: dict = {"true": S.TRUE_E, "false": S.FALSE_E}
 
     # -- token helpers ------------------------------------------------------
 
@@ -723,7 +727,11 @@ class Parser:
                 rhs, rhs_height = self._parse_unary()
             else:
                 rhs, rhs_height = self._parse_binary(p + 1)
-            lhs = S.EBin(op, lhs, rhs)
+            key = (op, id(lhs), id(rhs))
+            e = self.exprs.get(key)
+            if e is None:
+                e = self.exprs[key] = S.EBin(op, lhs, rhs)
+            lhs = e
             height = (height if height > rhs_height else rhs_height) + 1
             if self.depth + height > MAX_NESTING:
                 raise self._error(f"nesting deeper than {MAX_NESTING} levels", token_span(t))
@@ -737,18 +745,28 @@ class Parser:
                 raise self._error(f"integer literal longer than {MAX_INT_DIGITS} digits")
             self.pos += 1
             self.tok = self.toks[self.pos]
-            return S.EInt(int(text)), 0
+            e = self.exprs.get(text)
+            if e is None:
+                e = self.exprs[text] = S.EInt(int(text))
+            return e, 0
         if kind == "name":
             self.pos += 1
             self.tok = self.toks[self.pos]
-            if text in ("true", "false"):
-                return S.EBool(text == "true"), 0
-            return (S.EInvVal() if text == self.inv_param else S.EVar(text)), 0
+            if text == self.inv_param and text not in ("true", "false"):
+                return S.EInvVal(), 0    # true and false stay literals
+            e = self.exprs.get(text)
+            if e is None:
+                e = self.exprs[text] = S.EVar(text)
+            return e, 0
         if text in ("-", "!"):
             self._nest()
             self.next()
             operand, height = self._parse_unary()
-            e, height = S.EUn(text, operand), height + 1
+            key = (text, id(operand))
+            e = self.exprs.get(key)
+            if e is None:
+                e = self.exprs[key] = S.EUn(text, operand)
+            height += 1
         elif text == "(":
             self._nest()
             self.next()

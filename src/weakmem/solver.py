@@ -72,6 +72,10 @@ class Result(Record):
                  "reason": None}    # why the verdict is "unknown"
 
 
+# the one "yes": it carries nothing else, and no caller mutates a Result
+RESULT_YES = Result(YES)
+
+
 # ---------------------------------------------------------------------------
 # Delta numbers: rationals extended with an infinitesimal for strict bounds
 # ---------------------------------------------------------------------------
@@ -721,25 +725,25 @@ class Solver:
         such a model, else ``unknown``.  That ``no`` carries no hint.
         """
         if goal is terms.TRUE:
-            return Result(YES)
+            return RESULT_YES
         facts = [f for f in path if f is not terms.TRUE]
         key = frozenset(f.tid for f in facts)
         if goal is terms.FALSE:
             res, reason = self._satisfiable(facts, key)
             if res == UNSAT:
-                return Result(YES)
+                return RESULT_YES
             if res == SAT and reason is None:
                 return Result(NO)
             return Result(UNKNOWN, reason=reason)
         if goal.tid in key:
-            return Result(YES)
+            return RESULT_YES
         if _by_syntax(facts, key) == UNSAT:
-            return Result(YES)   # anything follows from an infeasible path
+            return RESULT_YES   # anything follows from an infeasible path
         self.queries += 1
         facts.append(terms.not_(goal))
         res, model, reason = _sat_conjunction(facts)
         if res == UNSAT:
-            return Result(YES)
+            return RESULT_YES
         if reason is None:
             return Result(NO, _format_model(model(), facts))
         return Result(UNKNOWN, reason=reason)

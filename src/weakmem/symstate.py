@@ -89,7 +89,7 @@ from .diagnostics import (
     INSUFFICIENT_PERMISSION, SPIN_PATTERN_RESOURCE_LEAK, UnsupportedFeature,
 )
 from .frontend import ACQ, ATOMIC, GHOST, NA, RMW
-from .solver import NO, Result, Solver, UNKNOWN, YES
+from .solver import NO, RESULT_YES, Result, Solver, UNKNOWN, YES
 from .speclogic import (
     EAcc, ECond, EError, EFieldEq, EImplies, EPure, EStar, HeapLabel, WILDCARD,
 )
@@ -268,7 +268,7 @@ def entailed(solver: Solver, state: SymState, goal: T.Term) -> Result:
     elsewhere.
     """
     if goal is T.TRUE:
-        return Result(YES)
+        return RESULT_YES
     mine, facts = _slice(state, T.atom_ids(goal))
     res = solver.assert_entailed(facts, goal)
     if res.verdict != NO:
@@ -484,10 +484,11 @@ class _Case(S.Record):
                  "unvalued": set()}
 
     def split(self, state: SymState) -> "_Case":
-        return _Case(state, list(self.checks),
+        # an inhale's case keeps its empty tuples: `t[:]` is `t`
+        return _Case(state, self.checks[:],
                      {k: _Demand(d.exact, d.wildcards, d.name)
                       for k, d in self.demands.items()},
-                     list(self.vals_checks), set(self.unvalued))
+                     self.vals_checks[:], set(self.unvalued))
 
 
 def _cases(ctx: ExecContext, case: _Case, enc, leaf: Callable) -> list[_Case]:
@@ -529,7 +530,8 @@ def _cases(ctx: ExecContext, case: _Case, enc, leaf: Callable) -> list[_Case]:
 # ---------------------------------------------------------------------------
 
 def inhale(ctx: ExecContext, state: SymState, enc) -> list[SymState]:
-    return [c.state for c in _cases(ctx, _Case(state), enc, _produce)]
+    case = _Case(state, (), {}, ())
+    return [c.state for c in _cases(ctx, case, enc, _produce)]
 
 
 def _produce(ctx: ExecContext, case: _Case, enc) -> None:
@@ -670,7 +672,7 @@ def _positive(ctx: ExecContext, state: SymState, chunk) -> Result:
     """Whether the chunk's amount is positive: ``yes`` by its ``pos`` flag,
     otherwise as the solver answers."""
     if chunk.pos:
-        return Result(YES)
+        return RESULT_YES
     return ctx.entailed(state, T.lt(T.ZERO, chunk.perm))
 
 

@@ -9,11 +9,13 @@ resources (Uninit / Init / Acq / Rel / RMWAcq) and the up/down modalities.
 
 Nodes are `Record`s, which declare their fields and their `_defaults` and
 get an `__init__` built from them, and whose equality ignores source spans,
-so a program printed back and parsed again gives an equal tree.  Node kinds of the same
-shape share one class and carry their keyword as a `kind`: `AResource`,
-`AModal` and `SAlloc`.  This module prints expressions and assertions,
-which diagnostics need; the statement printer is kept with the tests, its
-only users.
+so a program printed back and parsed again gives an equal tree.  The
+parser builds one expression node per distinct expression of a file, which
+is safe because no pass mutates an expression node.  Node kinds of the
+same shape share one class and carry their keyword as a `kind`:
+`AResource`, `AModal` and `SAlloc`.  This module prints expressions and
+assertions, which diagnostics need; the statement printer is kept with the
+tests, its only users.
 
 The generic assertion walkers at the end (`sub_assertions`, `walk_assertion`
 and `map_assertion`) serve both this tree and the encoded one in `speclogic`,

@@ -75,7 +75,9 @@ class Term:
 
 
 def _intern(kind: str, sort: str, data, args: tuple[Term, ...]) -> Term:
-    key = (kind, sort, data, tuple(a.tid for a in args))
+    # every warm constructor builds this key, most of them for a leaf: so no
+    # generator, and no loop at all for a leaf
+    key = (kind, sort, data, tuple([a.tid for a in args]) if args else ())
     t = _pool.get(key)
     if t is None:
         # setdefault keeps identity canonical even under concurrent misses

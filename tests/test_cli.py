@@ -232,6 +232,20 @@ def test_json_report_includes_diagnostics(tmp_path, capsys):
     assert diags[0]["line"] == 17
 
 
+def test_json_report_gives_an_unsupported_procedure_its_reason(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    assert run_cli("verify", corpus_path("RustARCStronger.rsl"), "--json", str(out)) == 1
+    capsys.readouterr()
+    procs = json.loads(out.read_text())["files"][0]["procedures"]
+    for p in procs:
+        del p["time_ms"]
+    reason = ("symbolic fraction expressions (counting permissions) "
+              "are outside the supported core")
+    assert procs == [{"diagnostics": [], "name": name, "reason": reason,
+                      "status": "unsupported"}
+                     for name in ("new", "clone", "read", "drop")]
+
+
 def test_dump_invariants(capsys):
     assert run_cli("verify", corpus_path("RelAcqDblMsgPassSplit.rsl"),
                    "--dump-invariants") == 0

@@ -3,6 +3,7 @@
 import gc
 import os
 import re
+import weakref
 from collections import deque
 
 import pytest
@@ -603,6 +604,41 @@ def test_invariant_diamond_walks_each_body_once(monkeypatch):
     assert len(walked) == 2 + 60 + 60
     info = checked.info["main"]
     assert info.spec_vars(program.procedures[0].pre) == {"k"} | {f"r{i}" for i in range(60)}
+
+
+TWICE = """
+proc main(s) requires { true } ensures { true } {
+  s := s + 1;
+  s := s + 1;
+  s := -s;
+  s := -s;
+}
+"""
+
+
+def test_a_file_builds_each_distinct_expression_once():
+    def values(program):
+        return [st.value for st in program.procedures[0].body]
+
+    parser = frontend.Parser(TWICE)
+    first = parser.parse_program()
+    assert parser.diags == []
+    inc, inc2, neg, neg2 = values(first)
+    assert inc == S.EBin("+", S.EVar("s"), S.EInt(1)) and inc2 is inc
+    assert neg == S.EUn("-", S.EVar("s")) and neg2 is neg
+    assert neg.operand is inc.left
+    assert first.procedures[0].pre.expr is S.TRUE_E
+    # the table goes with its parser, by reference counting alone
+    gone = weakref.ref(parser)
+    del parser
+    assert gone() is None
+    # another parse of the same text shares no node with the first
+    second, diags = parse(TWICE)
+    assert diags == [] and second == first
+    for a, b in zip(values(first), values(second)):
+        nodes, others = list(S.walk_expr(a)), list(S.walk_expr(b))
+        assert len(nodes) == len(others) == (3 if type(a) is S.EBin else 2)
+        assert all(x is not y for x, y in zip(nodes, others))
 
 
 def test_verifying_a_corpus_file_leaves_no_cyclic_garbage():

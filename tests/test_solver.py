@@ -7,7 +7,9 @@ from fractions import Fraction
 
 from hypothesis import event, given, settings, strategies as st
 
-from weakmem import solver as SV, terms as T
+from conftest import MANIFEST, corpus_text
+from weakmem import api, solver as SV, terms as T
+from weakmem.cli import load_manifest
 from weakmem.solver import (
     CASE_CAP_HIT, DEPTH_CAP_HIT, NO, OPAQUE_ATOM, SAT, STEP_CAP_HIT, Solver, UNKNOWN, UNSAT,
     YES, _sat_conjunction,
@@ -20,6 +22,17 @@ y = T.mk_var("y", T.INT)
 
 def test_entailed_disequality(solver):
     assert solver.assert_entailed([T.ne(x, T.ZERO)], T.not_(T.eq(x, T.ZERO))).verdict == YES
+
+
+def test_every_yes_is_the_one_shared_result_and_stays_as_built(solver):
+    assert solver.assert_entailed([T.eq(x, T.ONE)], T.eq(x, T.ONE)) is SV.RESULT_YES
+    assert solver.assert_entailed([T.lt(x, T.ZERO), T.lt(T.ZERO, x)], T.FALSE) is SV.RESULT_YES
+    entries = load_manifest(MANIFEST)
+    assert len(entries) == 21
+    for entry in entries:
+        api.verify_source(corpus_text(entry.file), path=entry.file)
+    yes = SV.RESULT_YES
+    assert (yes.verdict, yes.hint, yes.reason) == ("yes", None, None)
 
 
 def test_entailed_no_with_hint(solver):

@@ -114,6 +114,10 @@ G_IS = ("acc(g.val, 1)@real && acc(g.init, 1)@real && g.val@real == {0} "
     ("Down(Acq(l, Q2) && g |-> 3)",
      "acc(l.acq, wildcard)@down && l.acq@down == true && "
      "acc(AcqConjunct(l, 0), 1)@down, valsRead == {} && " + G_IS.format(3)),
+    # a star drops its true parts, and is true when no other part is left
+    ("a |-> 1 && true", "acc(a.val, 1)@real && acc(a.init, 1)@real && a.val@real == 1 "
+                        "&& a.init@real == true"),
+    ("true && true", "true"),
 ])
 def test_each_kind_lowers_and_prints_back(text, encoded):
     chk = checked(KIND_SOURCE.format(text))
