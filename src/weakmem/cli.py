@@ -82,11 +82,16 @@ def _make_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _trace(span, text, digest) -> None:
-    sys.stderr.write(json.dumps({
+def trace_line(span, text, digest) -> str:
+    """One primitive's ``--trace`` record: a JSON line ending in a newline."""
+    return json.dumps({
         "line": span.line, "col": span.col,
         "primitive": text, "state": digest,
-    }, sort_keys=True) + "\n")
+    }, sort_keys=True) + "\n"
+
+
+def _trace(span, text, digest) -> None:
+    sys.stderr.write(trace_line(span, text, digest))
 
 
 def _options(args: argparse.Namespace) -> VerifyOptions:

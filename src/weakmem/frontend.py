@@ -288,7 +288,9 @@ class Parser:
     def _parse_invariant_decl(self, prog: S.Program) -> None:
         start = self.expect("invariant")
         name = self.expect_name()
-        param = self._paren_name()
+        self.expect("(")
+        param = self._param_name()
+        self.expect(")")
         self.expect("=")
         self.inv_param = param
         try:
@@ -305,7 +307,7 @@ class Parser:
         params: list[str] = []
         if self.accept("("):
             while not self.at(")"):
-                params.append(self.expect_name())
+                params.append(self._param_name())
                 if not self.accept(","):
                     break
             self.expect(")")
@@ -313,6 +315,13 @@ class Parser:
         body = self.parse_assertion()
         self.expect(";")
         self.defines[name] = _Define(params, body)
+
+    def _param_name(self) -> str:
+        """An invariant's or a define's parameter: a name, but not ``true`` or
+        ``false``, which an expression reads as a literal."""
+        if self.tok[TEXT] in ("true", "false"):
+            raise self._error(f"a parameter cannot be named {self.tok[TEXT]!r}")
+        return self.expect_name()
 
     def _parse_proc(self) -> S.Procedure:
         start = self.expect("proc")
@@ -752,8 +761,8 @@ class Parser:
         if kind == "name":
             self.pos += 1
             self.tok = self.toks[self.pos]
-            if text == self.inv_param and text not in ("true", "false"):
-                return S.EInvVal(), 0    # true and false stay literals
+            if text == self.inv_param:
+                return S.EInvVal(), 0
             e = self.exprs.get(text)
             if e is None:
                 e = self.exprs[text] = S.EVar(text)

@@ -51,14 +51,13 @@ def check_state_invariants(state: SymState, solver: Solver,
     seen: set[tuple] = set()
     for key in sorted(state.heap):
         chunk = state.heap[key]
-        cls = classes.get(chunk.ref.data[1])
-        if key[0] or not (T.is_ghost_ref(chunk.ref) or cls == NA):
+        name = chunk.ref.name
+        if key[0] or not (chunk.ref.ghost or classes.get(name) == NA):
             continue
-        group = (chunk.label.value, chunk.ref.data[0])
+        group = (chunk.label.value, chunk.ref.id)
         if group in seen:
             continue
         seen.add(group)
-        name = chunk.ref.data[1]
         pv = state.perm(chunk.ref, "val", chunk.label)
         pi = state.perm(chunk.ref, "init", chunk.label)
         if pv is not pi and entailed(solver, state, T.eq(pv, pi)).verdict != YES:
@@ -112,12 +111,12 @@ def reconstruct_assertion(state: SymState, solver: Solver,
     """
     by_label: dict[HeapLabel, list[str]] = {}
 
-    refs = {(c.label.value, c.ref.data[0]): c.ref for c in state.heap.values()}
+    refs = {(c.label.value, c.ref.id): c.ref for c in state.heap.values()}
 
-    for (label_val, _tid), ref in sorted(refs.items(), key=lambda kv: (kv[0][1], kv[0][0])):
+    for (label_val, _id), ref in sorted(refs.items(), key=lambda kv: (kv[0][1], kv[0][0])):
         label = HeapLabel(label_val)
-        name = ref.data[1]
-        cls = GHOST if T.is_ghost_ref(ref) else classes.get(name)
+        name = ref.name
+        cls = GHOST if ref.ghost else classes.get(name)
         parts: list[str] = []
         fields = {r: state.heap.get(state.key(ref, r, label))
                   for r in ("val", "init", "rel", "acq")}
@@ -139,7 +138,7 @@ def reconstruct_assertion(state: SymState, solver: Solver,
                 parts.append(f"Rel({name}, {_inv_name(state, solver, rel_chunk.value, table)})")
             acq_chunk = fields["acq"]
             conjuncts = [state.heap[k] for k in sorted(state.heap)
-                         if k[0] and k[1] == label.value and k[2] == ref.data[0]]
+                         if k[0] and k[1] == label.value and k[2] == ref.id]
             if acq_chunk is not None and conjuncts:
                 is_acq = entailed(solver, state, acq_chunk.value).verdict == YES
                 bodies = []

@@ -565,7 +565,7 @@ def _split(facts: list[Term]):
                         contradictory = True
                         break
                     case.bools[g] = False
-                    if gk not in ("var", "eqref"):
+                    if gk != "var":
                         case.opaque = True
             elif k in ("eq0", "le0", "lt0"):
                 lit = _compiled(f.args[0])
@@ -582,7 +582,7 @@ def _split(facts: list[Term]):
                     contradictory = True
                     break
                 case.bools[f] = True
-                if k not in ("var", "eqref"):
+                if k != "var":
                     case.opaque = True
         if case is None or contradictory:
             continue
@@ -623,7 +623,7 @@ def _free_literal(f: Term) -> bool:
     if f.kind == "not":
         f = f.args[0]
     k = f.kind
-    if k == "var" or k == "eqref":
+    if k == "var":
         return True
     if k == "eq0" or k == "le0" or k == "lt0":
         lit = _compiled(f.args[0])

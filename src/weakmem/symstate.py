@@ -1,14 +1,21 @@
 """Symbolic verification state and the semantics of every primitive.
 
+A location is a ``Ref``, a plain record made when it is allocated, as Viper
+names heap chunks by a ``Ref``.  It is not a term: a variable used as a
+location is never a value, so no path fact mentions a location and the
+solver needs no equality over locations.  Only this module and the monitor
+read a ``Ref``.
+
 A state holds one heap of chunks, each an amount of one resource of a
 location in one heap (real, up, down or tmp): a field, or the AcqConjunct
 instance of one invariant conjunct, as Viper keeps field and predicate
 chunks as one kind of chunk told apart by their resource.  A field chunk
 carries the field's value, an instance the values read through it.  It
-also holds a path condition and an environment binding program variables
-to terms.  Permission amounts are linear terms over wildcard tokens; an
-exact amount outside a term, an atom's or a demand's, is a plain number as
-in ``terms``: an int when integral, otherwise a Fraction.  Every token
+also holds a path condition and an environment binding each value variable
+to a term and each location variable to its ``Ref``.  Permission amounts
+are linear terms over wildcard tokens; an exact amount outside a term, an
+atom's or a demand's, is a plain number as in ``terms``: an int when
+integral, otherwise a Fraction.  Every token
 carries a strict positivity fact, and tokens drawn by an exhale carry a
 strict upper bound by the amount held at draw time.  So each chunk's
 ``pos`` flag records that its amount is positive on its path by construction.
@@ -79,7 +86,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import encoder as E
 from . import syntax as S
@@ -123,8 +130,16 @@ def perm_str(p: T.Term) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Chunks and states
+# Locations, chunks and states
 # ---------------------------------------------------------------------------
+
+class Ref(NamedTuple):
+    """An allocated location: ``id`` tells it apart from every other, ``name``
+    is the variable it was allocated for, ``ghost`` whether that is a ghost."""
+    id: int
+    name: str
+    ghost: bool
+
 
 class Chunk(S.Record):
     """An amount of one resource of a location in one heap.  The resource
@@ -170,7 +185,7 @@ class SymState:
 
     def __init__(self):
         self.heap: dict[tuple, Chunk] = {}
-        self.env: dict[str, T.Term] = {}
+        self.env: dict[str, T.Term | Ref] = {}
         self.groups: dict[int, Group] = {}    # atom tid -> its group
 
     def clone(self) -> "SymState":
@@ -224,10 +239,10 @@ class SymState:
     # sorted walk meets every field before any instance.  It reads the
     # label's number straight from the member, not through the Enum's
     # ``value`` descriptor: a key is built for every atom.
-    def key(self, ref: T.Term, res: str | int, label: HeapLabel) -> tuple:
-        return (type(res) is int, label._value_, ref.data[0], res)
+    def key(self, ref: Ref, res: str | int, label: HeapLabel) -> tuple:
+        return (type(res) is int, label._value_, ref.id, res)
 
-    def perm(self, ref: T.Term, res: str | int, label: HeapLabel) -> T.Term:
+    def perm(self, ref: Ref, res: str | int, label: HeapLabel) -> T.Term:
         c = self.heap.get(self.key(ref, res, label))
         return c.perm if c is not None else T.ZERO
 
@@ -237,10 +252,10 @@ class SymState:
             c = self.heap[k]
             if k[0]:
                 vals = "{" + ",".join(T.pretty(v) for v in c.value) + "}"
-                bits.append(f"{c.label}:AcqConjunct({T.ref_name(c.ref)},{c.res})="
+                bits.append(f"{c.label}:AcqConjunct({c.ref.name},{c.res})="
                             f"{perm_str(c.perm)}:{vals}")
             else:
-                bits.append(f"{c.label}:{T.ref_name(c.ref)}.{c.res}="
+                bits.append(f"{c.label}:{c.ref.name}.{c.res}="
                             f"{perm_str(c.perm)}:{T.pretty(c.value)}")
         return "; ".join(bits)
 
@@ -330,10 +345,10 @@ class ExecContext:
     def fresh_token(self) -> T.Term:
         return T.mk_var(f"w!{next(self._count)}", T.FRAC)
 
-    def fresh_ref(self, name: str, ghost: bool) -> T.Term:
-        return T.mk_ref(next(self._ref_ids), name, ghost)
+    def fresh_ref(self, name: str, ghost: bool) -> Ref:
+        return Ref(next(self._ref_ids), name, ghost)
 
-    def fresh_for_class(self, name: str) -> T.Term:
+    def fresh_for_class(self, name: str) -> T.Term | Ref:
         cls = self.var_classes.get(name)
         if cls in (NA, ACQ, RMW, ATOMIC):
             return self.fresh_ref(name, False)
@@ -437,7 +452,7 @@ def eval_expr(state: SymState, e: S.Expr) -> T.Term:
     return v
 
 
-def resolve_loc(state: SymState, loc: str) -> T.Term:
+def resolve_loc(state: SymState, loc: str) -> Ref:
     # the mode check gives a name in a location position a location class,
     # and a name of that class is only ever bound to a location
     t = state.env.get(loc)
@@ -613,11 +628,11 @@ def _demand(ctx: ExecContext, case: _Case, enc) -> None:
         d.exact += enc.perm
 
 
-def _atom_name(ref: T.Term, res: str | int, label: HeapLabel) -> str:
+def _atom_name(ref: Ref, res: str | int, label: HeapLabel) -> str:
     tag = "" if label is HeapLabel.REAL else f"@{label}"
     if type(res) is int:
-        return f"AcqConjunct({ref.data[1]}, {res}){tag}"
-    return f"{ref.data[1]}.{res}{tag}"
+        return f"AcqConjunct({ref.name}, {res}){tag}"
+    return f"{ref.name}.{res}{tag}"
 
 
 def _run_checks(ctx: ExecContext, state: SymState, checks: list, prim) -> None:
@@ -846,11 +861,11 @@ def transfer_heap(state: SymState, src: HeapLabel, dst: HeapLabel) -> SymState:
 # Primitive dispatch
 # ---------------------------------------------------------------------------
 
-def _held_conjuncts(ctx: ExecContext, state: SymState, ref: T.Term,
+def _held_conjuncts(ctx: ExecContext, state: SymState, ref: Ref,
                     need_full: bool) -> list[int]:
     held = []
     for key in sorted(k for k in state.heap if k[0] and k[1] == HeapLabel.REAL._value_
-                      and k[2] == ref.data[0]):
+                      and k[2] == ref.id):
         chunk = state.heap[key]
         if need_full:
             if chunk.perm.kind == "num":

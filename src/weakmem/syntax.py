@@ -228,14 +228,13 @@ class AModal(Assertion):
 
 
 def star(parts: list[Assertion]) -> Assertion:
+    """The flat star of one or more parts."""
     flat: list[Assertion] = []
     for p in parts:
         if isinstance(p, AStar):
             flat.extend(p.parts)
         else:
             flat.append(p)
-    if not flat:
-        return APure(expr=TRUE_E)
     if len(flat) == 1:
         return flat[0]
     return AStar(parts=tuple(flat), span=flat[0].span)

@@ -27,8 +27,10 @@ freed, are:
 So a long-lived process grows with the distinct terms and numbers it has
 seen.
 
-Sorts: ``int`` (program values and integral amounts), ``bool``, ``frac``
-(wildcard tokens and fractional amounts) and ``ref`` (heap locations).
+Sorts: ``int`` (program values and integral amounts), ``bool`` and
+``frac`` (wildcard tokens and fractional amounts).  A heap location is not a
+term: no path fact mentions one, since a variable used as a location is
+never a value, and ``symstate.Ref`` names it.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ from math import gcd
 INT = "int"
 BOOL = "bool"
 FRAC = "frac"
-REF = "ref"
 
 _ids = itertools.count()
 _pool: dict[tuple, "Term"] = {}
@@ -160,22 +161,6 @@ ONE = mk_int(1)
 
 def mk_var(name: str, sort: str) -> Term:
     return _intern("var", sort, name, ())
-
-
-def mk_ref(ref_id: int, name: str, ghost: bool = False) -> Term:
-    """A concrete allocated location.  Distinct ids denote distinct locations."""
-    return _intern("ref", REF, (ref_id, name, ghost), ())
-
-
-def is_ghost_ref(t: Term) -> bool:
-    return t.kind == "ref" and t.data[2]
-
-
-def ref_name(t: Term) -> str:
-    if t.kind == "ref":
-        return t.data[1]
-    return t.data if t.kind == "var" else pretty(t)
-
 
 
 # ---------------------------------------------------------------------------
@@ -399,8 +384,6 @@ def eq(a: Term, b: Term) -> Term:
         return TRUE
     if a.sort == BOOL or b.sort == BOOL:
         return iff(a, b)
-    if a.sort == REF or b.sort == REF:
-        return eq_ref(a, b)
     return _cmp("eq0", sub(a, b))
 
 
@@ -422,15 +405,6 @@ def ge(a: Term, b: Term) -> Term:
 
 def gt(a: Term, b: Term) -> Term:
     return lt(b, a)
-
-
-def eq_ref(a: Term, b: Term) -> Term:
-    if a is b:
-        return TRUE
-    if a.kind == "ref" and b.kind == "ref":
-        return mk_bool(a.data[0] == b.data[0])
-    x, y = (a, b) if a.tid <= b.tid else (b, a)
-    return _intern("eqref", BOOL, None, (x, y))
 
 
 # ---------------------------------------------------------------------------
@@ -497,13 +471,13 @@ _atom_ids: dict[int, frozenset[int]] = {}
 
 
 def atom_ids(t: Term) -> frozenset[int]:
-    """The tids of the variable, ref and opaque leaves occurring in the term,
+    """The tids of the variable and opaque leaves occurring in the term,
     memoised by tid: terms are interned, so each term is scanned once however
     many facts share it."""
     ids = _atom_ids.get(t.tid)
     if ids is None:
         ids = frozenset().union(*map(atom_ids, t.args))
-        if t.kind in ("var", "ref") or t.kind in OPAQUE_KINDS:
+        if t.kind == "var" or t.kind in OPAQUE_KINDS:
             ids |= {t.tid}
         _atom_ids[t.tid] = ids
     return ids
@@ -527,8 +501,6 @@ def pretty(t: Term) -> str:
         return "true" if t.data else "false"
     if k == "var":
         return t.data
-    if k == "ref":
-        return f"{t.data[1]}#{t.data[0]}"
     if k == "lin":
         const, pairs = t.data
         bits = []
@@ -546,8 +518,6 @@ def pretty(t: Term) -> str:
         return "(" + " || ".join(pretty(a) for a in t.args) + ")"
     if k == "not":
         return f"!{pretty(t.args[0])}"
-    if k == "eqref":
-        return f"({pretty(t.args[0])} === {pretty(t.args[1])})"
     if k in _OP_SYMBOL:
         return f"({pretty(t.args[0])} {_OP_SYMBOL[k]} {pretty(t.args[1])})"
     return f"<{k}>"  # pragma: no cover

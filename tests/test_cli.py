@@ -74,6 +74,11 @@ MALFORMED = {
     "na-access-to-acq": "invariant Q(V) = true;\nproc main() { alloc_acq(l, Q); [l]_na := 1; }",
     "na-access-to-rmw": "invariant Q(V) = true;\nproc main() { alloc_rmw(l, Q); [l]_na := 1; }",
     "na-access-to-released": "proc main(x) { [x]_rel := 1; [x]_na := 2; }",
+    # an expression reads `true` and `false` as literals, never as a parameter
+    "true-invariant-parameter": "invariant I(true) = true == 1;\n"
+                                "proc main() requires { true } ensures { true } { skip; }",
+    "false-define-parameter": "define D(a, false) = false == 1;\n"
+                              "proc main() requires { D(1, 2) } ensures { true } { skip; }",
 }
 
 # the diagnostic an entry gives; the others give a SyntaxError
@@ -91,6 +96,8 @@ MALFORMED_DIAGNOSTIC = {
                         "non-atomic access to atomic location 'l'",
     "na-access-to-released": "1:30: MixedModeAccess [mode-check]: "
                              "non-atomic access to atomic location 'x'",
+    "true-invariant-parameter": "1:13: SyntaxError: a parameter cannot be named 'true'",
+    "false-define-parameter": "1:13: SyntaxError: a parameter cannot be named 'false'",
 }
 
 
@@ -102,6 +109,27 @@ def test_malformed_input_exit_two(tmp_path, capsys, kind):
     assert run_cli("verify", path, "--dump-primitives") == 2
     err = capsys.readouterr().err
     assert f"{path}: " in err and "Traceback" not in err
+
+
+# Each way of using a location as a value.  There are no pointer values, so
+# no path fact ever mentions a location and the solver has no sort for one.
+LOCATION_AS_VALUE = {
+    "arithmetic": "proc main() { alloc_na(a); [a]_na := 1; x := a + 1; }",
+    "comparison": "proc main() { alloc_na(a); alloc_na(b); "
+                  "if (a == b) { skip; } else { skip; } }",
+    "stored": "proc main() { alloc_na(a); alloc_na(x); [x]_na := a; }",
+    "spec-fact": "proc main(a) requires { a |-> 1 && a == 0 } ensures { true } { skip; }",
+    "call-argument": "proc f(p) requires { p == 1 } ensures { true } { skip; }\n"
+                     "proc main() { alloc_na(a); call f(a); }",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(LOCATION_AS_VALUE))
+def test_a_location_used_as_a_value_exits_two(tmp_path, capsys, kind):
+    path = write(tmp_path, "bad.rsl", LOCATION_AS_VALUE[kind])
+    assert run_cli("verify", path) == 2
+    assert ("MixedModeAccess [mode-check]: 'a' used both as a location and as a value"
+            in capsys.readouterr().out)
 
 
 def test_unknown_invariant_in_an_unreached_body_exits_two(tmp_path, capsys):
@@ -260,6 +288,25 @@ def test_dump_primitives(capsys):
     assert "inhale" in out and "exhale" in out and "branch" in out
 
 
+def test_dump_primitives_of_a_loop_without_an_invariant_exits_one(tmp_path, capsys):
+    path = write(tmp_path, "loop.rsl", "proc main() requires { true } ensures { true } {\n"
+                 "  x := 0;\n  while (x < 3) { x := x + 1; }\n}\n")
+    assert run_cli("verify", path, "--dump-primitives") == 1
+    assert capsys.readouterr().err == (
+        f"{path}: 3:3: MissingLoopInvariant [loop]: loop needs an invariant (only empty "
+        "spin loops over a single atomic read or CAS may omit one)\n")
+
+
+def test_dump_primitives_prints_a_conditional(tmp_path, capsys):
+    path = write(tmp_path, "cond.rsl", "proc main(x, a) requires { x == 1 ? a |-> 1 : a |-> 2 } "
+                 "ensures { true } { skip; }")
+    assert run_cli("verify", path, "--dump-primitives") == 0
+    assert ("  inhale (x == 1 ? acc(a.val, 1)@real && acc(a.init, 1)@real && "
+            "a.val@real == 1 && a.init@real == true : acc(a.val, 1)@real && "
+            "acc(a.init, 1)@real && a.val@real == 2 && a.init@real == true)\n"
+            in capsys.readouterr().out)
+
+
 def test_trace_stream(capsys):
     run_cli("verify", corpus_path("RelAcqMsgPass.rsl"), "--trace")
     err = capsys.readouterr().err
@@ -407,6 +454,31 @@ def test_manifest_mismatch_detected(tmp_path, capsys):
     assert "MISMATCH" in out and bad[0]["name"] in out
 
 
+def test_manifest_mismatches_are_each_reported(tmp_path, capsys):
+    files = {
+        "parse.rsl": "proc main( {",
+        "fails.rsl": "proc main() requires { true } ensures { false } {\n  skip;\n}\n",
+        "specs.rsl": "proc main(x) requires { x == 0 } ensures { x == 0 } {\n"
+                     "  while (x < 0) invariant { x == 0 } { skip; }\n}\n",
+    }
+    for name, text in files.items():
+        write(tmp_path, name, text)
+    path = manifest_of(tmp_path, {"entries": [
+        {"name": "parse", "file": "parse.rsl", "expect": "verified"},
+        {"name": "seeded", "file": "fails.rsl", "expect": "failed", "error_line": 2},
+        {"name": "budgets", "file": "specs.rsl", "expect": "verified",
+         "pp_max": 0, "li_max": 0},
+    ]})
+    assert run_cli("corpus", path) == 1
+    out = capsys.readouterr().out
+    assert [l for l in out.splitlines() if l.startswith("MISMATCH")] == [
+        "MISMATCH parse: expected verified, got failed",
+        "MISMATCH seeded: no diagnostic at seeded line 2 (got lines [1])",
+        "MISMATCH budgets: 1 pre/post pairs exceed budget 0",
+        "MISMATCH budgets: 1 loop invariants exceed budget 0",
+    ]
+
+
 def test_manifest_error_exit_two(tmp_path):
     bad = tmp_path / "manifest.json"
     bad.write_text("{not json")
@@ -427,6 +499,8 @@ CLI_ERRORS = {
                     "error: [Errno 2] No such file or directory"),
     "manifest-list": (lambda tmp: ["corpus", manifest_of(tmp, [])],
                       'manifest error: a manifest is an object with an "entries" list'),
+    "manifest-empty": (lambda tmp: ["corpus", manifest_of(tmp, {"entries": []})],
+                       "manifest error: manifest has no entries"),
     "manifest-entry-number": (lambda tmp: ["corpus", manifest_of(tmp, {"entries": [1]})],
                               "manifest error: manifest entry is not an object: 1"),
     "manifest-file-number": (lambda tmp: ["corpus", manifest_of(tmp, {"entries": [

@@ -707,7 +707,7 @@ def test_par_fig4_join_state():
     assert res.ok
     main = res.verdict_of("main")
     (st,) = main.obligations[0].final_states
-    names = {c.ref.data[1] for c in st.heap.values()}
+    names = {c.ref.name for c in st.heap.values()}
     assert {"a", "b", "l"} <= names
 
 

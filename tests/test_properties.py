@@ -214,7 +214,7 @@ def test_frame_property():
         names = lambda stt: {(k[1], stt_field_name(stt, k), k[3]): c.perm
                              for k, c in stt.heap.items()}
         def stt_field_name(stt, key):
-            return stt.heap[key].ref.data[1]
+            return stt.heap[key].ref.name
         # frame chunks unchanged, shared part evolves identically by name
         for k, p in frame_before.items():
             assert f1.heap[k].perm == p

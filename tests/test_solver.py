@@ -416,7 +416,7 @@ def test_grouped_queries_agree_with_full_path(query):
 # ---------------------------------------------------------------------------
 #
 # Single facts over int and frac atoms: comparisons of forms that may hold
-# `%` and `/` by a literal or a product, boolean vars and eqrefs, and `not`
+# `%` and `/` by a literal or a product, and boolean vars, with the `not`
 # of each; sets of them, some with a fact beside its own negation.  Every
 # answer of the Solver, whether the table, the syntax or the simplex gave
 # it, must be the one `_sat_conjunction` gives on the same facts.
@@ -424,7 +424,6 @@ def test_grouped_queries_agree_with_full_path(query):
 SYNTAX_INTS = [T.mk_var(f"s{i}", T.INT) for i in range(2)]
 SYNTAX_FRACS = [T.mk_var(f"sw{i}", T.FRAC) for i in range(2)]
 SYNTAX_BOOLS = [T.mk_var(f"sp{i}", T.BOOL) for i in range(2)]
-SYNTAX_REFS = [T.mk_var(f"sr{i}", T.REF) for i in range(3)]
 
 
 def syntax_atom():
@@ -438,13 +437,9 @@ def syntax_atom():
 
 @st.composite
 def syntax_fact(draw):
-    kind = draw(st.sampled_from(["cmp", "cmp", "cmp", "bool", "eqref"]))
+    kind = draw(st.sampled_from(["cmp", "cmp", "cmp", "bool"]))
     if kind == "bool":
         fact = draw(st.sampled_from(SYNTAX_BOOLS))
-    elif kind == "eqref":
-        a, b = draw(st.lists(st.sampled_from(SYNTAX_REFS), min_size=2, max_size=2,
-                             unique=True))
-        fact = T.eq_ref(a, b)
     else:
         parts = draw(st.lists(st.tuples(syntax_atom(), st.sampled_from(ORACLE_COEFFS)),
                               min_size=1, max_size=2))
@@ -488,7 +483,6 @@ def test_syntax_decisions_agree_with_the_simplex(facts):
 
 def test_syntax_decides_without_the_simplex():
     s, w, p = SYNTAX_INTS[0], SYNTAX_FRACS[0], SYNTAX_BOOLS[0]
-    r0, r1 = SYNTAX_REFS[:2]
     sum3 = T.add(T.scale(3, s), T.scale(2, SYNTAX_INTS[1]))
     decided = [
         ([T.eq(sum3, T.ONE)], YES),
@@ -498,8 +492,6 @@ def test_syntax_decides_without_the_simplex():
         ([T.not_(T.le(s, T.ONE))], YES),
         ([p], YES),
         ([T.not_(p)], YES),
-        ([T.eq_ref(r0, r1)], YES),
-        ([T.not_(T.eq_ref(r0, r1))], YES),
         ([T.ge(s, T.ONE), T.not_(T.ge(s, T.ONE)), T.le(w, T.ONE)], NO),
         ([p, T.le(w, T.ONE), T.not_(p)], NO),
         ([T.FALSE, T.le(w, T.ONE)], NO),

@@ -100,13 +100,6 @@ def test_bool_structure():
     assert T.not_(T.not_(a)) is a
 
 
-def test_ref_equality():
-    r1 = T.mk_ref(1, "p")
-    r2 = T.mk_ref(2, "q")
-    assert T.eq_ref(r1, r1) is T.TRUE
-    assert T.eq_ref(r1, r2) is T.FALSE
-
-
 # ---------------------------------------------------------------------------
 # Exact numbers: an int when integral, else a non-integral Fraction
 # ---------------------------------------------------------------------------

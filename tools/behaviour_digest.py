@@ -12,7 +12,8 @@ soundness checking off, on and strict.  Each run records:
 - each obligation's `states_seen` and the digests of its final states;
 - the soundness reports;
 - `Solver.queries`;
-- a sha256 of the `--trace` stream;
+- a sha256 of the `--trace` stream, each line made by `cli.trace_line`
+  as `weakmem --trace` makes it;
 - what `workloads.mismatches` finds.
 
 The output gives the number of runs, the total of `Solver.queries`, a
@@ -53,7 +54,7 @@ sys.path.insert(0, os.path.join(ROOT, "bench"))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
 import workloads                         # noqa: E402
-from weakmem import api, frontend   # noqa: E402
+from weakmem import api, cli, frontend   # noqa: E402
 from weakmem.syntax import Record        # noqa: E402
 
 WORKLOADS = ("corpus", "lockchain", "manyprocs")
@@ -69,9 +70,7 @@ def run_record(prog: workloads.Program, mode: str) -> dict:
     trace = hashlib.sha256()
 
     def on_trace(span, text, digest) -> None:
-        trace.update(json.dumps({"line": span.line, "col": span.col,
-                                 "primitive": text, "state": digest},
-                                sort_keys=True).encode() + b"\n")
+        trace.update(cli.trace_line(span, text, digest).encode())
 
     opts = api.VerifyOptions(trace=on_trace, **MODES[mode])
     result = api.verify_source(prog.source, path=prog.name, opts=opts)
