@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import time
-from typing import Callable, Optional
+from typing import Optional
 
 from . import encoder, frontend, monitor, speclogic, symstate, syntax
 from .diagnostics import Diagnostic, FrontendError, SOUNDNESS_VIOLATION, UnsupportedFeature
@@ -14,17 +14,17 @@ FAILED = "failed"
 UNSUPPORTED = "unsupported"
 
 
-class VerifyOptions(syntax.Record):
-    """The settings of one run; ``strict_invariants`` implies
-    ``check_soundness``."""
-    __slots__ = ("branch_cap", "check_soundness", "strict_invariants", "trace")
+# what a run does with the soundness monitor: nothing, report its findings,
+# or also fail a procedure on a violation
+SOUNDNESS = ("off", "report", "strict")
 
-    def __init__(self, branch_cap: int = symstate.BRANCH_CAP, check_soundness: bool = False,
-                 strict_invariants: bool = False, trace: Optional[Callable] = None):
-        self.branch_cap = branch_cap
-        self.check_soundness = check_soundness or strict_invariants
-        self.strict_invariants = strict_invariants
-        self.trace = trace      # (span, text, digest) -> None
+
+class VerifyOptions(syntax.Record):
+    """The settings of one run."""
+    __slots__ = ("branch_cap", "soundness", "trace")
+    _defaults = {"branch_cap": symstate.BRANCH_CAP,
+                 "soundness": "off",     # one of SOUNDNESS
+                 "trace": None}          # (span, text, digest) -> None
 
 
 class ProcVerdict(syntax.Record):
@@ -72,12 +72,12 @@ def _verify_proc(proc, checked, table, solver, opts, soundness_sink) -> ProcVerd
     try:
         for ob in encoder.build_obligations(checked, table, proc):
             on_boundary = None
-            if opts.check_soundness:
+            if opts.soundness != "off":
                 def on_boundary(state, span, desc, _ob=ob):
                     report = monitor.make_report(_ob.name, desc, span, state, solver,
                                                  _ob.var_classes, table)
                     soundness_sink.append(report)
-                    if opts.strict_invariants and report.violations:
+                    if opts.soundness == "strict" and report.violations:
                         verdict.diagnostics.append(Diagnostic(
                             SOUNDNESS_VIOLATION, span, rule="soundness monitor",
                             message="; ".join(v.format() for v in report.violations)))
@@ -129,6 +129,8 @@ def verify_source(source: str, path: str = "<input>",
                   opts: Optional[VerifyOptions] = None) -> FileResult:
     """Verify every procedure of a program text."""
     opts = opts or VerifyOptions()
+    if opts.soundness not in SOUNDNESS:
+        raise ValueError(f"soundness must be one of {SOUNDNESS}, got {opts.soundness!r}")
     result = check_source(source, path)
     if result.parse_diagnostics:
         return result

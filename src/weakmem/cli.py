@@ -96,8 +96,9 @@ def _trace(span, text, digest) -> None:
 
 def _options(args: argparse.Namespace) -> VerifyOptions:
     return VerifyOptions(
-        branch_cap=args.branch_cap, check_soundness=args.check_soundness,
-        strict_invariants=args.strict_invariants,
+        branch_cap=args.branch_cap,
+        soundness="strict" if args.strict_invariants
+        else "report" if args.check_soundness else "off",
         trace=_trace if args.trace else None)
 
 
@@ -143,7 +144,7 @@ def cmd_verify(args: argparse.Namespace, out=None) -> int:
     for r in results:
         _print_result(r, out)
     if args.json_out and results:
-        _write_json(args.json_out, _report_json(results, opts.check_soundness))
+        _write_json(args.json_out, _report_json(results, opts.soundness != "off"))
     if any(r.parse_diagnostics for r in results):
         return 2
     return 0 if all(r.ok for r in results) else 1

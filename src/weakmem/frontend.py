@@ -16,11 +16,17 @@ The concrete syntax is keyword-based, one statement per line:
 
 Parsing is total: syntax problems are reported as diagnostics with source
 positions and the parser resynchronises at the next statement (at the next
-declaration after an error in a header or spec).  ``mode_check`` classifies
-every variable as a non-atomic location, an atomic location (acquire-read or
-RMW flavour), a ghost location or a plain value, and rejects programs that
-mix classifications for one variable, pass an expression for a location
-parameter or give an annotated loop an atomic condition.  A ``define`` is
+declaration after an error in a header or spec).  No name a program binds
+may be ``true`` or ``false``, which an expression reads as literals.
+``mode_check`` classifies every variable as a non-atomic location, an atomic
+location (acquire-read or RMW flavour), a ghost location or a plain value,
+and rejects programs that mix classifications for one variable, pass an
+expression for a location parameter or give an annotated loop an atomic
+condition.  The class rules are data, and no other module restates them:
+``_CLASS_OF_USE`` gives the class each use implies, in precedence order,
+``_USE_OF_CLASS`` the use a callee's class gives an actual argument, and
+``_FORBIDDEN`` the uses each location class forbids, with their
+diagnostics.  A ``define`` is
 expanded where it is used, by ``syntax.instantiate``, which the encoder
 also calls to instantiate a callee's spec at a call.
 
@@ -289,7 +295,7 @@ class Parser:
         start = self.expect("invariant")
         name = self.expect_name()
         self.expect("(")
-        param = self._param_name()
+        param = self._bound_name()
         self.expect(")")
         self.expect("=")
         self.inv_param = param
@@ -307,7 +313,7 @@ class Parser:
         params: list[str] = []
         if self.accept("("):
             while not self.at(")"):
-                params.append(self._param_name())
+                params.append(self._bound_name())
                 if not self.accept(","):
                     break
             self.expect(")")
@@ -316,12 +322,19 @@ class Parser:
         self.expect(";")
         self.defines[name] = _Define(params, body)
 
-    def _param_name(self) -> str:
-        """An invariant's or a define's parameter: a name, but not ``true`` or
-        ``false``, which an expression reads as a literal."""
-        if self.tok[TEXT] in ("true", "false"):
-            raise self._error(f"a parameter cannot be named {self.tok[TEXT]!r}")
-        return self.expect_name()
+    def _bound_name(self) -> str:
+        """A name the program binds: a parameter of an invariant, a define or
+        a procedure, a return, a statement's target or an allocated location.
+        It is not ``true`` or ``false``, which an expression reads as a
+        literal."""
+        t = self.tok
+        if t[KIND] != "name":
+            raise self._error(f"expected a name, found {self._found()}")
+        if t[TEXT] in ("true", "false"):
+            raise self._error(f"a variable cannot be named {t[TEXT]!r}")
+        self.pos += 1       # a name is not eof
+        self.tok = self.toks[self.pos]
+        return t[TEXT]
 
     def _parse_proc(self) -> S.Procedure:
         start = self.expect("proc")
@@ -344,7 +357,7 @@ class Parser:
         out: list[S.Param] = []
         while self.tok[KIND] == "name":
             ghost = bool(self.accept("ghost"))
-            out.append(S.Param(self.expect_name(), ghost))
+            out.append(S.Param(self._bound_name(), ghost))
             if not self.accept(","):
                 break
         return out
@@ -395,9 +408,9 @@ class Parser:
         a free."""
         start = self.next()
         text = start[TEXT]
-        var, inv = self._paren_loc_inv() if text in _WITH_INV else (self._paren_name(), ())
-        span = self._span(start, self.expect(";"))
         kind = _VAR_STMTS[text]
+        var, inv = self._paren_loc(text in _WITH_INV, bind=kind is not None)
+        span = self._span(start, self.expect(";"))
         return S.SAlloc(span, var, kind, inv) if kind else S.SFree(span, var)
 
     def _parse_bare_stmt(self) -> S.Stmt:
@@ -428,19 +441,15 @@ class Parser:
         # tuple.__new__ skips the named tuple's own __new__, a Python call
         return tuple.__new__(Span, (start[LINE], start[COL], end[LINE], end[COL] + len(end[TEXT])))
 
-    def _paren_name(self) -> str:
-        """``( NAME )``: the name."""
+    def _paren_loc(self, with_inv: bool, bind: bool = False) -> tuple[str, S.InvRef]:
+        """``( NAME )``, or ``( NAME , invref )`` if ``with_inv``: the name,
+        which the statement binds if ``bind``, and the invariant reference."""
         self.expect("(")
-        name = self.expect_name()
-        self.expect(")")
-        return name
-
-    def _paren_loc_inv(self) -> tuple[str, S.InvRef]:
-        """``( NAME , invref )``: the name and the invariant reference."""
-        self.expect("(")
-        loc = self.expect_name()
-        self.expect(",")
-        inv = self._parse_invref()
+        loc = self._bound_name() if bind else self.expect_name()
+        inv: S.InvRef = ()
+        if with_inv:
+            self.expect(",")
+            inv = self._parse_invref()
         self.expect(")")
         return loc, inv
 
@@ -470,9 +479,7 @@ class Parser:
 
     def _parse_assign_like(self, start: Token) -> S.Stmt:
         """``NAME := ...``, the name being ``start``, the current token."""
-        target = start[TEXT]
-        self.pos += 1
-        self.tok = self.toks[self.pos]
+        target = self._bound_name()
         self.expect(":=")
         t = self.tok
         if t[TEXT] == "[":
@@ -525,10 +532,10 @@ class Parser:
     def _parse_rewrite(self) -> S.Stmt:
         start = self.expect("rewrite")
         self.expect("Acq")
-        loc, old = self._paren_loc_inv()
+        loc, old = self._paren_loc(True)
         self.expect("to")
         self.expect("Acq")
-        loc2, new = self._paren_loc_inv()
+        loc2, new = self._paren_loc(True)
         end = self.expect(";")
         if loc2 != loc:
             raise self._error(f"rewrite must target one location, got {loc!r} and {loc2!r}",
@@ -619,7 +626,7 @@ class Parser:
         span = token_span(t)
         if text in _RESOURCES:
             self.next()
-            loc, inv = self._paren_loc_inv() if text in _WITH_INV else (self._paren_name(), ())
+            loc, inv = self._paren_loc(text in _WITH_INV)
             return S.AResource(span, text, loc, inv)
         if text in ("Up", "Down"):
             self._nest()
@@ -813,6 +820,41 @@ def parse(source: str) -> tuple[S.Program, list[Diagnostic]]:
 _RESOURCE_USE = {"Uninit": "owns", "Init": "atomic_use", "Acq": "acq_use",
                  "Rel": "atomic_use", "RMWAcq": "rmw_use"}
 
+# the class each use implies where nothing allocates; the first use here wins
+_CLASS_OF_USE = {"rmw_use": RMW, "acq_use": ACQ, "atomic_use": ATOMIC,
+                 "na_access": NA, "owns": NA, "int_use": VALUE}
+
+# the use tag a callee's class for a formal gives the actual argument
+_USE_OF_CLASS = {NA: "owns", ACQ: "acq_use", RMW: "rmw_use", GHOST: "owns",
+                 ATOMIC: "atomic_use", VALUE: "int_use"}
+
+# the uses each location class forbids, in report order: (tag, kind, message)
+_ATOMIC_USES = ("acq_use", "rmw_use", "atomic_use")
+_NA_ACCESS = ("na_access", MIXED_MODE_ACCESS, "non-atomic access to atomic location {var!r}")
+_OWNS = ("owns", MIXED_MODE_ACCESS, "points-to resource for atomic location {var!r}")
+_INT_USE = ("int_use", MIXED_MODE_ACCESS, "{var!r} used both as a location and as a value")
+_FORBIDDEN = {
+    NA: tuple((t, MIXED_MODE_ACCESS, "atomic use of na location {var!r}")
+              for t in _ATOMIC_USES) + (_INT_USE,),
+    GHOST: tuple((t, ATOMIC_ACCESS_TO_NON_ATOMIC, "atomic use of ghost location {var!r}")
+                 for t in _ATOMIC_USES) + (_INT_USE,),
+    ACQ: (("rmw_use", CAS_ON_ACQ_LOCATION, "RMW update of acquire-read location {var!r}"),
+          _NA_ACCESS, _OWNS, _INT_USE),
+    RMW: (("acq_use", CAS_ON_ACQ_LOCATION, "atomic read of RMW location {var!r}"),
+          _NA_ACCESS, _OWNS, _INT_USE),
+    ATOMIC: (_NA_ACCESS, _OWNS, _INT_USE),
+}
+
+
+def _class_of(ev: _Evidence) -> str:
+    """The allocated class (the first by name), else that of the first use in _CLASS_OF_USE."""
+    if ev.alloc:
+        return min(ev.alloc)
+    for tag, cls in _CLASS_OF_USE.items():
+        if tag in ev.uses:
+            return cls
+    return UNKNOWN
+
 
 class _Evidence(S.Record):
     __slots__ = ("alloc", "uses")
@@ -871,7 +913,8 @@ class _Classifier:
         for proc in self.program.procedures:
             pi = info[proc.name]
             for var, ev in sorted(evidence[proc.name].items()):
-                pi.classes[var] = self._resolve(ev, report=True, var=var)
+                pi.classes[var] = cls = _class_of(ev)
+                self._report_conflicts(var, ev, cls)
             self._check_declared(proc, pi)
         self._check_call_args(info)
         self._check_posts(info)
@@ -887,10 +930,8 @@ class _Classifier:
         changed = any(pi.calls for pi in info.values())
         while changed:
             changed = False
-            resolved = {
-                name: {v: self._resolve(ev, report=False) for v, ev in evs.items()}
-                for name, evs in evidence.items()
-            }
+            resolved = {name: {v: _class_of(ev) for v, ev in evs.items()}
+                        for name, evs in evidence.items()}
             for name, pi in info.items():
                 for st in pi.calls:
                     callee = self.procs[st.callee]
@@ -899,77 +940,27 @@ class _Classifier:
                     if st.target and callee.returns:
                         links.append((st.target, callee.returns[0].name))
                     for var, formal in links:
-                        tag = self._class_use_tag(resolved[callee.name].get(formal, UNKNOWN))
+                        tag = _USE_OF_CLASS.get(resolved[callee.name].get(formal))
                         ev = evidence[name][var]
                         if tag and tag not in ev.uses:
                             ev.uses[tag] = st.span
                             changed = True
 
-    @staticmethod
-    def _class_use_tag(cls: str) -> Optional[str]:
-        return {NA: "owns", ACQ: "acq_use", RMW: "rmw_use",
-                GHOST: "owns", ATOMIC: "atomic_use", VALUE: "int_use"}.get(cls)
+    # -- conflicts -----------------------------------------------------------------
 
-    # -- resolution --------------------------------------------------------------
-
-    def _resolve(self, ev: _Evidence, report: bool, var: str = "") -> str:
-        alloc_kinds = set(ev.alloc)
+    def _report_conflicts(self, var: str, ev: _Evidence, cls: str) -> None:
         uses = ev.uses
-
-        def diag(kind: str, span: Span, msg: str) -> None:
-            if report:
-                self.diags.append(Diagnostic(kind, span, rule="mode-check", message=msg))
-
-        if len(alloc_kinds) > 1:
-            diag(MIXED_MODE_ACCESS, next(iter(ev.alloc.values())),
-                 f"location {var!r} allocated with conflicting kinds")
-            return sorted(alloc_kinds)[0]
-        base = next(iter(alloc_kinds)) if alloc_kinds else None
-        if base is None:
-            if "rmw_use" in uses and "acq_use" in uses:
-                diag(CAS_ON_ACQ_LOCATION, uses["rmw_use"],
-                     f"location {var!r} used both for atomic reads and RMW updates")
-                return RMW
-            if "rmw_use" in uses:
-                base = RMW
-            elif "acq_use" in uses:
-                base = ACQ
-            elif "atomic_use" in uses:
-                base = ATOMIC
-            elif "na_access" in uses or "owns" in uses:
-                base = NA
-            else:
-                base = VALUE if "int_use" in uses else UNKNOWN
-        atomic_tags = [t for t in ("acq_use", "rmw_use", "atomic_use") if t in uses]
-        owning_tags = [t for t in ("na_access", "owns") if t in uses]
-        if base in (NA, GHOST):
-            for t in atomic_tags:
-                kind = ATOMIC_ACCESS_TO_NON_ATOMIC if base == GHOST else MIXED_MODE_ACCESS
-                diag(kind, uses[t], f"atomic use of {base} location {var!r}")
-        if base == ACQ:
-            if "rmw_use" in uses:
-                diag(CAS_ON_ACQ_LOCATION, uses["rmw_use"],
-                     f"RMW update of acquire-read location {var!r}")
-            if "na_access" in uses:
-                diag(MIXED_MODE_ACCESS, uses["na_access"],
-                     f"non-atomic access to atomic location {var!r}")
-        if base == RMW:
-            if "acq_use" in uses:
-                diag(CAS_ON_ACQ_LOCATION, uses["acq_use"],
-                     f"atomic read of RMW location {var!r}")
-            if "na_access" in uses:
-                diag(MIXED_MODE_ACCESS, uses["na_access"],
-                     f"non-atomic access to atomic location {var!r}")
-        if base == ATOMIC and "na_access" in uses:
-            diag(MIXED_MODE_ACCESS, uses["na_access"],
-                 f"non-atomic access to atomic location {var!r}")
-        if base in LOCATION_CLASSES and base not in (NA, GHOST) and "owns" in uses:
-            diag(MIXED_MODE_ACCESS, uses["owns"],
-                 f"points-to resource for atomic location {var!r}")
-        if base in LOCATION_CLASSES and "int_use" in uses:
-            diag(MIXED_MODE_ACCESS, uses["int_use"],
-                 f"{var!r} used both as a location and as a value")
-        return base
+        if len(ev.alloc) > 1:
+            found = [(MIXED_MODE_ACCESS, next(iter(ev.alloc.values())),
+                      "location {var!r} allocated with conflicting kinds")]
+        elif not ev.alloc and "rmw_use" in uses and "acq_use" in uses:
+            found = [(CAS_ON_ACQ_LOCATION, uses["rmw_use"],
+                      "location {var!r} used both for atomic reads and RMW updates")]
+        else:
+            found = [(kind, uses[tag], msg) for tag, kind, msg in _FORBIDDEN.get(cls, ())
+                     if tag in uses]
+        self.diags += [Diagnostic(kind, span, rule="mode-check", message=msg.format(var=var))
+                       for kind, span, msg in found]
 
     # -- other well-formedness ----------------------------------------------------
 

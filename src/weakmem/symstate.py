@@ -95,7 +95,7 @@ from .diagnostics import (
     BRANCH_CAP_EXCEEDED, Diagnostic, FrontendError, INCOMPLETE_SOLVER,
     INSUFFICIENT_PERMISSION, SPIN_PATTERN_RESOURCE_LEAK, UnsupportedFeature,
 )
-from .frontend import ACQ, ATOMIC, GHOST, NA, RMW
+from .frontend import GHOST, LOCATION_CLASSES
 from .solver import NO, RESULT_YES, Result, Solver, UNKNOWN, YES
 from .speclogic import (
     EAcc, ECond, EError, EFieldEq, EImplies, EPure, EStar, HeapLabel, WILDCARD,
@@ -350,10 +350,8 @@ class ExecContext:
 
     def fresh_for_class(self, name: str) -> T.Term | Ref:
         cls = self.var_classes.get(name)
-        if cls in (NA, ACQ, RMW, ATOMIC):
-            return self.fresh_ref(name, False)
-        if cls == GHOST:
-            return self.fresh_ref(name, True)
+        if cls in LOCATION_CLASSES:
+            return self.fresh_ref(name, cls == GHOST)
         return self.fresh_int(name)
 
     def fresh_field_value(self, fld: str) -> T.Term:

@@ -79,6 +79,17 @@ MALFORMED = {
                                 "proc main() requires { true } ensures { true } { skip; }",
     "false-define-parameter": "define D(a, false) = false == 1;\n"
                               "proc main() requires { D(1, 2) } ensures { true } { skip; }",
+    # nor as any other name a program binds
+    "true-procedure-parameter": "proc f(true) requires { true == 1 } ensures { true } { skip; }\n"
+                                "proc main() requires { true } ensures { true } { call f(2); }",
+    "false-ghost-parameter": "proc main(ghost false) { skip; }",
+    "false-return": "proc main() returns (false) { skip; }",
+    "true-assignment-target": "proc main() requires { true } ensures { true } { true := 0; }",
+    "false-call-target": "proc g() returns (r) { r := 1; }\nproc main() { false := call g(); }",
+    "true-read-target": "proc main(x) { true := [x]_acq; }",
+    "true-allocation": "proc main() requires { true } ensures { true } "
+                       "{ alloc_na(true); [true]_na := 1; }",
+    "false-allocation": "invariant Q(V) = true;\nproc main() { alloc_acq(false, Q); }",
 }
 
 # the diagnostic an entry gives; the others give a SyntaxError
@@ -96,8 +107,16 @@ MALFORMED_DIAGNOSTIC = {
                         "non-atomic access to atomic location 'l'",
     "na-access-to-released": "1:30: MixedModeAccess [mode-check]: "
                              "non-atomic access to atomic location 'x'",
-    "true-invariant-parameter": "1:13: SyntaxError: a parameter cannot be named 'true'",
-    "false-define-parameter": "1:13: SyntaxError: a parameter cannot be named 'false'",
+    "true-invariant-parameter": "1:13: SyntaxError: a variable cannot be named 'true'",
+    "false-define-parameter": "1:13: SyntaxError: a variable cannot be named 'false'",
+    "true-procedure-parameter": "1:8: SyntaxError: a variable cannot be named 'true'",
+    "false-ghost-parameter": "1:17: SyntaxError: a variable cannot be named 'false'",
+    "false-return": "1:22: SyntaxError: a variable cannot be named 'false'",
+    "true-assignment-target": "1:50: SyntaxError: a variable cannot be named 'true'",
+    "false-call-target": "2:15: SyntaxError: a variable cannot be named 'false'",
+    "true-read-target": "1:16: SyntaxError: a variable cannot be named 'true'",
+    "true-allocation": "1:59: SyntaxError: a variable cannot be named 'true'",
+    "false-allocation": "2:25: SyntaxError: a variable cannot be named 'false'",
 }
 
 
@@ -122,6 +141,83 @@ LOCATION_AS_VALUE = {
     "call-argument": "proc f(p) requires { p == 1 } ensures { true } { skip; }\n"
                      "proc main() { alloc_na(a); call f(a); }",
 }
+
+
+# One program per row of the mode check's class table: each use a location
+# class forbids, the two conflicts reported before it, and a class that
+# reaches an argument only through a call.
+CLASS_CONFLICTS = {
+    "na-acq-read": ("proc main() { alloc_na(a); x := [a]_acq; }",
+                    "2:28: MixedModeAccess [mode-check]: atomic use of na location 'a'"),
+    "na-cas": ("proc main() { alloc_na(a); x := CAS_rlx(a, 0, 1); }",
+               "2:28: MixedModeAccess [mode-check]: atomic use of na location 'a'"),
+    "na-release-write": ("proc main() { alloc_na(a); [a]_rel := 1; }",
+                         "2:28: MixedModeAccess [mode-check]: atomic use of na location 'a'"),
+    "na-as-value": ("proc main() { alloc_na(a); x := a + 1; }",
+                    "2:28: MixedModeAccess [mode-check]: "
+                    "'a' used both as a location and as a value"),
+    "ghost-acq-read": ("proc main() { ghost_alloc(g); x := [g]_acq; }",
+                       "2:31: AtomicAccessToNonAtomic [mode-check]: "
+                       "atomic use of ghost location 'g'"),
+    "ghost-faa": ("proc main() { ghost_alloc(g); x := FAA_rlx(g, 1); }",
+                  "2:31: AtomicAccessToNonAtomic [mode-check]: "
+                  "atomic use of ghost location 'g'"),
+    "ghost-release-write": ("proc main() { ghost_alloc(g); [g]_rel := 1; }",
+                            "2:31: AtomicAccessToNonAtomic [mode-check]: "
+                            "atomic use of ghost location 'g'"),
+    "ghost-as-value": ("proc main() { ghost_alloc(g); x := g; }",
+                       "2:31: MixedModeAccess [mode-check]: "
+                       "'g' used both as a location and as a value"),
+    "acq-cas": ("proc main() { alloc_acq(l, Q); x := CAS_rlx(l, 0, 1); }",
+                "2:32: CASOnAcqLocation [mode-check]: "
+                "RMW update of acquire-read location 'l'"),
+    "acq-na-write": ("proc main() { alloc_acq(l, Q); [l]_na := 1; }",
+                     "2:32: MixedModeAccess [mode-check]: "
+                     "non-atomic access to atomic location 'l'"),
+    "acq-points-to": ("proc main() { alloc_acq(l, Q); fence_rel(l |-> 1); }",
+                      "2:42: MixedModeAccess [mode-check]: "
+                      "points-to resource for atomic location 'l'"),
+    "acq-as-value": ("proc main() { alloc_acq(l, Q); x := l; }",
+                     "2:32: MixedModeAccess [mode-check]: "
+                     "'l' used both as a location and as a value"),
+    "rmw-acq-read": ("proc main() { alloc_rmw(l, Q); x := [l]_acq; }",
+                     "2:32: CASOnAcqLocation [mode-check]: atomic read of RMW location 'l'"),
+    "rmw-na-read": ("proc main() { alloc_rmw(l, Q); x := [l]_na; }",
+                    "2:32: MixedModeAccess [mode-check]: "
+                    "non-atomic access to atomic location 'l'"),
+    "rmw-points-to": ("proc main() { alloc_rmw(l, Q); fence_rel(l |-> 1); }",
+                      "2:42: MixedModeAccess [mode-check]: "
+                      "points-to resource for atomic location 'l'"),
+    "rmw-as-value": ("proc main() { alloc_rmw(l, Q); x := l + 1; }",
+                     "2:32: MixedModeAccess [mode-check]: "
+                     "'l' used both as a location and as a value"),
+    "atomic-na-write": ("proc main(x) { [x]_rel := 1; [x]_na := 2; }",
+                        "2:30: MixedModeAccess [mode-check]: "
+                        "non-atomic access to atomic location 'x'"),
+    "atomic-points-to": ("proc main(x) requires { x |-> 1 } ensures { true } { [x]_rel := 1; }",
+                         "2:25: MixedModeAccess [mode-check]: "
+                         "points-to resource for atomic location 'x'"),
+    "atomic-as-value": ("proc main(x) { [x]_rel := 1; y := x; }",
+                        "2:30: MixedModeAccess [mode-check]: "
+                        "'x' used both as a location and as a value"),
+    "conflicting-allocations": ("proc main() { alloc_na(a); alloc_acq(a, Q); }",
+                                "2:15: MixedModeAccess [mode-check]: "
+                                "location 'a' allocated with conflicting kinds"),
+    "acquire-read-and-cas": ("proc main(x) { t := [x]_acq; u := CAS_rlx(x, 0, 1); }",
+                             "2:30: CASOnAcqLocation [mode-check]: "
+                             "location 'x' used both for atomic reads and RMW updates"),
+    "through-a-call": ("proc f(p) { t := [p]_acq; }\n"
+                       "proc main() { alloc_rmw(l, Q); call f(l); }",
+                       "3:32: CASOnAcqLocation [mode-check]: atomic read of RMW location 'l'"),
+}
+
+
+@pytest.mark.parametrize("row", sorted(CLASS_CONFLICTS))
+def test_each_class_conflict_exits_two_with_its_diagnostic(tmp_path, capsys, row):
+    body, line = CLASS_CONFLICTS[row]
+    path = write(tmp_path, "bad.rsl", "invariant Q(V) = true;\n" + body)
+    assert run_cli("verify", path) == 2
+    assert capsys.readouterr().out.splitlines()[1:] == ["  " + line]
 
 
 @pytest.mark.parametrize("kind", sorted(LOCATION_AS_VALUE))

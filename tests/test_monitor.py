@@ -51,7 +51,7 @@ def test_positive_permission_uninit_must_be_full():
 
 
 def test_full_corpus_entry_sweep():
-    opts = api.VerifyOptions(check_soundness=True)
+    opts = api.VerifyOptions(soundness="report")
     res = api.verify_source(corpus_text("RelAcqDblMsgPassSplit.rsl"), opts=opts)
     assert res.ok
     assert res.soundness, "boundary reports expected"
@@ -90,7 +90,7 @@ def test_generated_programs_pass_the_monitor(workload):
     reports = 0
     for prog in workloads.make(workload, ROOT, 1):
         plain = api.verify_source(prog.source, path=prog.name)
-        opts = api.VerifyOptions(check_soundness=True)
+        opts = api.VerifyOptions(soundness="report")
         checked = api.verify_source(prog.source, path=prog.name, opts=opts)
         assert outcome(checked) == outcome(plain), prog.name
         assert [r.violations for r in checked.soundness if r.violations] == [], prog.name
@@ -101,10 +101,14 @@ def test_generated_programs_pass_the_monitor(workload):
 
 
 def test_strict_invariants_runs_the_monitor():
-    opts = api.VerifyOptions(strict_invariants=True)
-    assert opts.check_soundness
+    opts = api.VerifyOptions(soundness="strict")
     res = api.verify_source(corpus_text("RelAcqDblMsgPassSplit.rsl"), opts=opts)
     assert res.ok and res.soundness
+
+
+def test_an_unknown_soundness_setting_is_refused():
+    with pytest.raises(ValueError, match="'on'"):
+        api.verify_source("proc main() { skip; }", opts=api.VerifyOptions(soundness="on"))
 
 
 # ---------------------------------------------------------------------------

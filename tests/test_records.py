@@ -104,15 +104,13 @@ def test_replace_copies_with_changes():
 
 
 def test_constructors_keep_their_defaults():
-    assert api.VerifyOptions(strict_invariants=True).check_soundness
-    assert not api.VerifyOptions().check_soundness
+    assert api.VerifyOptions().soundness == "off"
     assert S.APure(AT_1).span == AT_1 and S.APure().span == S.NO_SPAN
     containers = 0
     for cls in records():
-        # `Record` builds every constructor but the one that derives a field
+        # `Record` builds every constructor
         code = getattr(cls.__init__, "__code__", None)
-        written = code is not None and code.co_filename == inspect.getfile(cls)
-        assert written == (cls is api.VerifyOptions), cls
+        assert code is None or code.co_filename != inspect.getfile(cls), cls
         params = inspect.signature(cls).parameters
         assert list(params) == list(cls._fields), cls
         required = [None] * sum(p.default is p.empty for p in params.values())

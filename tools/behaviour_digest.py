@@ -61,8 +61,8 @@ WORKLOADS = ("corpus", "lockchain", "manyprocs")
 SEEDS = (1, 2, 3)
 MODES = {
     "off": {},
-    "soundness": {"check_soundness": True},
-    "strict": {"strict_invariants": True},
+    "soundness": {"soundness": "report"},
+    "strict": {"soundness": "strict"},
 }
 
 
