@@ -323,10 +323,10 @@ class Parser:
         self.defines[name] = _Define(params, body)
 
     def _bound_name(self) -> str:
-        """A name the program binds: a parameter of an invariant, a define or
-        a procedure, a return, a statement's target or an allocated location.
-        It is not ``true`` or ``false``, which an expression reads as a
-        literal."""
+        """A name the program binds or reads as a location: a parameter of an
+        invariant, a define or a procedure, a return, a statement's target,
+        or the location of a statement, a resource or a points-to.  It is
+        not ``true`` or ``false``, which an expression reads as a literal."""
         t = self.tok
         if t[KIND] != "name":
             raise self._error(f"expected a name, found {self._found()}")
@@ -409,7 +409,7 @@ class Parser:
         start = self.next()
         text = start[TEXT]
         kind = _VAR_STMTS[text]
-        var, inv = self._paren_loc(text in _WITH_INV, bind=kind is not None)
+        var, inv = self._paren_loc(text in _WITH_INV)
         span = self._span(start, self.expect(";"))
         return S.SAlloc(span, var, kind, inv) if kind else S.SFree(span, var)
 
@@ -441,11 +441,11 @@ class Parser:
         # tuple.__new__ skips the named tuple's own __new__, a Python call
         return tuple.__new__(Span, (start[LINE], start[COL], end[LINE], end[COL] + len(end[TEXT])))
 
-    def _paren_loc(self, with_inv: bool, bind: bool = False) -> tuple[str, S.InvRef]:
-        """``( NAME )``, or ``( NAME , invref )`` if ``with_inv``: the name,
-        which the statement binds if ``bind``, and the invariant reference."""
+    def _paren_loc(self, with_inv: bool) -> tuple[str, S.InvRef]:
+        """``( NAME )``, or ``( NAME , invref )`` if ``with_inv``: the
+        location's name and the invariant reference."""
         self.expect("(")
-        loc = self._bound_name() if bind else self.expect_name()
+        loc = self._bound_name()
         inv: S.InvRef = ()
         if with_inv:
             self.expect(",")
@@ -456,7 +456,7 @@ class Parser:
     def _parse_access(self, allowed: tuple[str, ...], what: str) -> tuple[str, str]:
         """``[ NAME ] _mode``: the location and the mode, which must be allowed."""
         self.expect("[")
-        loc = self.expect_name()
+        loc = self._bound_name()
         self.expect("]")
         t = self.tok
         if t[KIND] == "name" and t[TEXT].startswith("_"):
@@ -511,7 +511,7 @@ class Parser:
             raise self._error(f"unknown atomic update mode {t[TEXT]!r}", token_span(t))
         self.next()
         self.expect("(")
-        loc = self.expect_name()
+        loc = self._bound_name()
         args: list[S.Expr] = []
         for _ in range(nargs):
             self.expect(",")
@@ -662,7 +662,7 @@ class Parser:
                 inner = S.APure(expr=expr, span=span)
             return self._pure_tail(inner, span)
         if kind == "name" and self.toks[self.pos + 1][TEXT] == "|->":
-            self.next()
+            self._bound_name()
             self.next()
             value = S.EAny() if self.accept("_") else self.parse_expr(no_bool=True)
             frac = self.parse_expr(no_bool=True) if self.accept("@") else None

@@ -19,14 +19,18 @@ literals prepared once per process: the first time any query sees a linear
 form its column or slack row and its bounds are recorded, and the first time
 a negated comparison is split its rewrite is.
 
-A query reaches the splitting layer only when neither of two cheaper steps
+A query reaches the splitting layer only when none of three cheaper steps
 decides it.  First the Solver's tables of earlier answers: one
 satisfiability table, keyed by the fact set, serves both feasibility and the
 decided-satisfiability check ``assert_entailed(facts, FALSE)``.  Then the
 syntax of the query (KLEE's query elimination, "reduce before you solve" in
 Green): a goal among the facts is entailed, a fact beside its own negation
 makes the facts unsatisfiable, and one literal that no ``%``, ``/`` or
-opaque atom constrains has a model.
+opaque atom constrains has a model.  Last, for a satisfiability query, a
+witness: bounds over wildcard tokens alone have a model when the tokens can
+be positive infinitesimals of distinct orders (the simplex's own
+infinitesimal, Dutertre and de Moura), ordered so that each bound's leading
+term is negative.  The witness only ever answers "satisfiable".
 
 Other non-linear atoms (general products, bitwise operations, division by a
 non-literal) are uninterpreted, so "unsat" answers remain sound; a query
@@ -645,6 +649,50 @@ def _by_syntax(facts: list[Term], key: frozenset[int]) -> Optional[str]:
     return None
 
 
+def _by_witness(facts: list[Term]) -> Optional[list[Term]]:
+    """A model of facts that are all ``le0`` or ``lt0`` of a linear form over
+    frac-sorted variables, else None.  Every atom is taken as a positive
+    infinitesimal of its own order, so a form with a constant has the
+    constant's sign and one without has the sign of its largest atom's
+    coefficient; every form must come out negative.  The order is built
+    largest first: an atom comes next when its coefficient is negative in
+    some form still open and positive in none, and it closes those forms.
+    That greedy choice is complete for this model, since closing a form only
+    frees the atoms that come after.
+
+    Returns the atoms it ordered, largest first, as the certificate: with
+    the ``i``-th of them ``d**(i+1)`` and each other atom smaller still,
+    every fact holds for all small enough ``d > 0``."""
+    open_forms = []
+    for f in facts:
+        k = f.kind
+        if k != "le0" and k != "lt0":
+            return None
+        lin = f.args[0]
+        if lin.kind != "lin":
+            return None     # a lone atom ``w``, which is positive
+        const, pairs = lin.data
+        for a, _ in pairs:
+            if a.kind != "var" or a.sort != terms.FRAC:
+                return None
+        if const > 0:
+            return None
+        if not const:
+            open_forms.append(pairs)
+    order: list[Term] = []
+    while open_forms:
+        up = {a for pairs in open_forms for a, c in pairs if c > 0}
+        # no atom ordered before appears in an open form, and each one
+        # ordered now is negative wherever it appears in one
+        down = dict.fromkeys(a for pairs in open_forms for a, c in pairs
+                             if c < 0 and a not in up)
+        if not down:
+            return None
+        order += down
+        open_forms = [pairs for pairs in open_forms if not any(a in down for a, _ in pairs)]
+    return order
+
+
 def _format_model(model: dict[Term, int | Fraction], facts: list[Term]) -> Optional[str]:
     """The model on the atoms of the facts: not on a quotient or remainder
     that only the definition of a ``%`` or ``/`` brought in."""
@@ -670,12 +718,14 @@ class Solver:
     beside the term pool, so a fact is prepared once however many queries
     and Solvers mention it.
 
-    A query is decided by the first of three steps that can: the tables, the
-    syntax of the facts (``_by_syntax``), and only then the split and the
-    simplex, which ``queries`` counts.  One satisfiability table, keyed by
-    the fact set, holds ``(SAT/UNSAT/UNKNOWN, reason)`` and answers both
-    ``is_feasible`` and ``assert_entailed(facts, FALSE)``; so the ``no`` of
-    the latter carries no hint.  An entailment of any other goal is not
+    A query is decided by the first of four steps that can: the tables, the
+    syntax of the facts (``_by_syntax``), for satisfiability an
+    infinitesimal model of bounds over wildcard tokens (``_by_witness``),
+    and only then the split and the simplex, which ``queries`` counts.  One
+    satisfiability table, keyed by the fact set, holds
+    ``(SAT/UNSAT/UNKNOWN, reason)`` and answers both ``is_feasible`` and
+    ``assert_entailed(facts, FALSE)``; so the ``no`` of the latter carries
+    no hint.  An entailment of any other goal is not
     tabled, as the executor seldom asks one twice.
 
     A model, with the simplex's infinitesimal resolved to a number, is built
@@ -683,7 +733,8 @@ class Solver:
     tableau has an integer column, by the back-substitution of solved
     equalities, by the hint of an entailment's ``no`` and by
     ``model_value``.  The satisfiability table never reads one, so a
-    satisfiable group of wildcard tokens alone is decided without a model.
+    satisfiable group of wildcard tokens alone that the witness declines,
+    such as one with an equality, is decided without a model.
     """
 
     def __init__(self):
@@ -698,6 +749,8 @@ class Solver:
             verdict = _by_syntax(facts, key)
             if verdict is not None:
                 hit = (verdict, None)
+            elif _by_witness(facts) is not None:
+                hit = (SAT, None)
             else:
                 self.queries += 1
                 res, _, reason = _sat_conjunction(facts)

@@ -90,6 +90,14 @@ MALFORMED = {
     "true-allocation": "proc main() requires { true } ensures { true } "
                        "{ alloc_na(true); [true]_na := 1; }",
     "false-allocation": "invariant Q(V) = true;\nproc main() { alloc_acq(false, Q); }",
+    # nor as a location that a resource, a points-to or a statement names
+    "true-resource-location": "proc main() requires { Uninit(true) } ensures { true } "
+                              "{ [true]_na := 1; }",
+    "true-points-to-location": "proc main() requires { true |-> 1 } ensures { true |-> 1 } "
+                               "{ skip; }",
+    "false-write-location": "proc main() { [false]_rel := 1; }",
+    "false-read-location": "proc main() { r := [false]_acq; }",
+    "true-cas-location": "proc main() { r := CAS_rlx(true, 0, 1); }",
 }
 
 # the diagnostic an entry gives; the others give a SyntaxError
@@ -117,6 +125,11 @@ MALFORMED_DIAGNOSTIC = {
     "true-read-target": "1:16: SyntaxError: a variable cannot be named 'true'",
     "true-allocation": "1:59: SyntaxError: a variable cannot be named 'true'",
     "false-allocation": "2:25: SyntaxError: a variable cannot be named 'false'",
+    "true-resource-location": "1:31: SyntaxError: a variable cannot be named 'true'",
+    "true-points-to-location": "1:24: SyntaxError: a variable cannot be named 'true'",
+    "false-write-location": "1:16: SyntaxError: a variable cannot be named 'false'",
+    "false-read-location": "1:21: SyntaxError: a variable cannot be named 'false'",
+    "true-cas-location": "1:28: SyntaxError: a variable cannot be named 'true'",
 }
 
 

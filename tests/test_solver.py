@@ -85,10 +85,11 @@ def test_feasibility_fraction_split(solver):
 
 
 def test_feasibility_builds_no_model(monkeypatch):
-    # strict bounds on frac tokens only: the simplex answers with its
-    # infinitesimal unresolved, since nothing reads a model of the facts
+    # strict bounds and an equality on frac tokens only: the witness declines
+    # the equality, and the simplex answers with its infinitesimal
+    # unresolved, since nothing reads a model of the facts
     w1, w2 = T.mk_var("w1", T.FRAC), T.mk_var("w2", T.FRAC)
-    facts = [T.lt(T.ZERO, w1), T.lt(T.ZERO, w2), T.lt(T.add(w1, w2), T.ONE)]
+    facts = [T.lt(T.ZERO, w1), T.lt(T.ZERO, w2), T.eq(T.add(w1, w2), T.ONE)]
 
     def no_model(sx):
         raise AssertionError("a model was built")
@@ -101,7 +102,25 @@ def test_feasibility_builds_no_model(monkeypatch):
     # a hint reads the model, so it is built then
     monkeypatch.undo()
     res = solver.assert_entailed(facts, T.lt(w1, T.mk_frac(Fraction(1, 2))))
+    assert (res.verdict, res.hint) == (NO, "w1 = 1/2, w2 = 1/2")
+
+
+def test_token_bounds_are_decided_without_the_simplex(monkeypatch):
+    # strict bounds on frac tokens only: the witness orders w1 and w2 as
+    # infinitesimals, so neither the simplex nor a model is needed
+    w1, w2 = T.mk_var("w1", T.FRAC), T.mk_var("w2", T.FRAC)
+    facts = [T.lt(T.ZERO, w1), T.lt(T.ZERO, w2), T.lt(T.add(w1, w2), T.ONE)]
+    monkeypatch.setattr(SV, "_sat_conjunction", None)
+    solver = Solver()
+    assert solver.is_feasible(facts) == YES
+    assert Solver().assert_entailed(facts, T.FALSE).verdict == NO
+    assert solver.queries == 0
+    # an entailment of any other goal still takes the simplex, and its hint
+    # reads the model
+    monkeypatch.undo()
+    res = solver.assert_entailed(facts, T.lt(w1, T.mk_frac(Fraction(1, 2))))
     assert (res.verdict, res.hint) == (NO, "w1 = 1/2, w2 = 1/4")
+    assert solver.queries == 1
 
 
 def test_integral_feasibility_builds_no_model(monkeypatch):
@@ -508,6 +527,80 @@ def test_syntax_decides_without_the_simplex():
         solver = Solver()
         solver.is_feasible([fact])
         assert solver.queries == 1, fact
+
+
+# ---------------------------------------------------------------------------
+# The infinitesimal witness for bounds over wildcard tokens
+# ---------------------------------------------------------------------------
+
+WITNESS_TOKENS = [T.mk_var(f"ww{i}", T.FRAC) for i in range(5)]
+
+
+def witness_holds(facts, order):
+    """Whether the witness's order is a model: with the i-th atom of the
+    order d**(i+1), each other atom a higher power still, and d = 2**-k for
+    some k <= 64, every fact holds."""
+    atoms = sorted({a for f in facts for a in T.linear_parts(f.args[0])[1]},
+                   key=lambda a: a.tid)
+    ranks = {a: i + 1 for i, a in enumerate(order)}
+    for a in atoms:
+        ranks.setdefault(a, len(ranks) + 1)
+    for k in range(1, 65):
+        d = Fraction(1, 2 ** k)
+        env = {a: d ** r for a, r in ranks.items()}
+        if all(evaluate(f, env) for f in facts):
+            return True
+    return False
+
+
+def test_the_witness_answers_only_satisfiable_token_bounds():
+    # 3000 conjunctions of 1-5 comparisons (<, <=, ==, >=, >) over 1-5 frac
+    # tokens, with coefficients -2..3 and small constants: whenever the
+    # witness answers, the simplex says SAT and the order is a model
+    rng = random.Random(34)
+    answered = 0
+    for _ in range(3000):
+        tokens = WITNESS_TOKENS[:rng.randint(1, 5)]
+
+        def comparison():
+            form = T.add(*[T.scale(rng.choice([-2, -1, 1, 2, 3]), a)
+                           for a in rng.sample(tokens, rng.randint(1, len(tokens)))])
+            const = T.mk_frac(rng.choice([0, 0, 0, Fraction(1, 2), 1, 2, -1]))
+            return rng.choice([T.lt, T.le, T.eq, T.ge, T.gt])(form, const)
+
+        facts = [f for f in (comparison() for _ in range(rng.randint(1, 5)))
+                 if f is not T.TRUE]
+        order = SV._by_witness(facts)
+        if order is None:
+            continue
+        answered += 1
+        assert _sat_conjunction(facts)[::2] == (SAT, None), facts
+        assert witness_holds(facts, order), (facts, order)
+        solver = Solver()
+        assert solver.is_feasible(facts) == YES and solver.queries == 0
+    assert answered > 300
+
+
+def test_the_witness_declines_and_the_simplex_decides():
+    w, v = WITNESS_TOKENS[:2]
+    positive = T.lt(T.ZERO, w)
+    declined = [
+        ([positive, T.eq(T.add(w, v), T.ONE)], YES),                   # an equality
+        ([positive, T.lt(T.add(w, x), T.ONE)], YES),                   # an int atom
+        ([positive, SYNTAX_BOOLS[0]], YES),                            # a bool atom
+        ([positive, T.lt(T.add(w, T.mul(x, y)), T.ONE)], YES),         # a product
+        ([positive, T.lt(T.add(w, T.mod_(x, T.mk_int(3))), T.ONE)], YES),   # a `%`
+        ([positive, T.not_(T.lt(w, T.ONE))], YES),                     # a negation
+        ([positive, T.or_(T.lt(w, v), T.lt(v, w))], YES),              # a disjunction
+        ([T.ge(w, T.ONE), T.lt(v, w)], YES),                           # w - 1 >= 0
+        ([positive, T.le(T.add(T.ONE, w), T.ONE)], NO),                # overfull
+    ]
+    for facts, feasible in declined:
+        assert SV._by_witness(facts) is None, facts
+        sat = _sat_conjunction(facts)[0]
+        assert {SAT: YES, UNSAT: NO}[sat] == feasible, facts
+        solver = Solver()
+        assert solver.is_feasible(facts) == feasible and solver.queries == 1, facts
 
 
 # ---------------------------------------------------------------------------

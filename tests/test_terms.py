@@ -225,3 +225,22 @@ def test_bitwise_operators_fold_literals():
               T.shl(lit(3), lit(-1)), T.shr(lit(3), lit(-1)), T.bitand(x, T.ONE),
               T.shl(T.ONE, x), T.bitor(lit(Fraction(1, 2)), T.ONE)):
         assert t.kind in T.OPAQUE_KINDS, T.pretty(t)
+
+
+def test_pretty_renders_each_kind_of_term():
+    w = T.mk_var("tw", T.FRAC)
+    le, lt = T.le(x, y), T.lt(w, T.ONE)
+    rendered = {
+        T.add(x, T.scale(-2, y), T.mk_int(3)): "tx + -2*ty + 3",
+        T.scale(2, x): "2*tx",
+        T.add(w, T.mk_frac(Fraction(1, 2))): "tw + 1/2",
+        T.eq(x, y): "(tx + -1*ty == 0)",
+        le: "(tx + -1*ty <= 0)",
+        lt: "(tw + -1 < 0)",
+        T.and_(le, lt): "((tx + -1*ty <= 0) && (tw + -1 < 0))",
+        T.or_(T.eq(x, T.ZERO), T.lt(y, x)): "((tx == 0) || (-1*tx + ty + 1 <= 0))",
+        T.not_(T.eq(x, y)): "!(tx + -1*ty == 0)",
+        T.mod_(x, T.mk_int(3)): "(tx % 3)",
+        T.FALSE: "false",
+    }
+    assert [T.pretty(t) for t in rendered] == list(rendered.values())
