@@ -574,7 +574,8 @@ def test_the_witness_answers_only_satisfiable_token_bounds():
         if order is None:
             continue
         answered += 1
-        assert _sat_conjunction(facts)[::2] == (SAT, None), facts
+        sat, _, reason = _sat_conjunction(facts)
+        assert (sat, reason) == (SAT, None), facts
         assert witness_holds(facts, order), (facts, order)
         solver = Solver()
         assert solver.is_feasible(facts) == YES and solver.queries == 0
@@ -592,7 +593,7 @@ def test_the_witness_declines_and_the_simplex_decides():
         ([positive, T.lt(T.add(w, T.mod_(x, T.mk_int(3))), T.ONE)], YES),   # a `%`
         ([positive, T.not_(T.lt(w, T.ONE))], YES),                     # a negation
         ([positive, T.or_(T.lt(w, v), T.lt(v, w))], YES),              # a disjunction
-        ([T.ge(w, T.ONE), T.lt(v, w)], YES),                           # w - 1 >= 0
+        ([T.ge(w, T.ONE), T.lt(v, w)], YES),                           # 1 - w <= 0
         ([positive, T.le(T.add(T.ONE, w), T.ONE)], NO),                # overfull
     ]
     for facts, feasible in declined:
