@@ -89,6 +89,7 @@ def _verify_proc(proc, checked, table, solver, opts, soundness_sink) -> ProcVerd
         verdict.status = UNSUPPORTED
         verdict.reason = exc.reason
     except FrontendError as exc:
+        # only the encoding raises one; the executor fails a path instead
         verdict.status = FAILED
         verdict.diagnostics.append(exc.diagnostic)
     if verdict.status == VERIFIED and verdict.diagnostics:

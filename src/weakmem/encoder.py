@@ -199,8 +199,8 @@ class EncodeCtx:
 
     def _lower_body(self, body: S.Assertion, label: HeapLabel) -> EncAssertion:
         """A table body lowered into a heap.  An error that stops the lowering
-        becomes an ``EError`` node, raised only where a case reaches it: a
-        site branches on which body runs, and only that one may fail."""
+        becomes an ``EError`` node, which fails only a path that reaches it:
+        a site branches on which body runs, and only that one may fail."""
         try:
             return relabel(self.lower(body), label, self.lower_ctx)
         except FrontendError as exc:

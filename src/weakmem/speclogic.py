@@ -223,7 +223,7 @@ class ECond(Record):
 
 class EError(Record):
     """A table body whose lowering at a site failed, in place of that body.
-    The executor raises its diagnostic only where a case reaches it."""
+    The executor fails with its diagnostic only a path that reaches it."""
     __slots__ = ("diagnostic",)
 
 

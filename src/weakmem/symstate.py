@@ -47,10 +47,10 @@ and consume share one brancher in Viper's symbolic executor, and hands each
 atom a case reaches to a leaf.  The inhale leaf produces it at once, so a
 pure fact is assumed before a later condition branches; the exhale leaf
 records its check or demand on the case; the spin-leak leaf fails on the
-first permission atom reached by a case in which the loop spins on.  The
-walk itself raises the diagnostic of an ``EError``, a table body the encoder
-could not lower, where a case reaches it, so that error fails only the paths
-that reach it.  The walk and its leaves test a node's exact class.
+first permission atom reached by a case in which the loop spins on.  An
+``EError``, a table body the encoder could not lower, fails the path of a
+case that reaches it with its diagnostic, as any failed check does.  The walk
+and its leaves test a node's exact class.
 
 One routine, ``exhale``, runs every ``Exhale`` over its cases: it sums the
 permission demands per chunk and, in key order, fields before instances,
@@ -92,8 +92,8 @@ from . import encoder as E
 from . import syntax as S
 from . import terms as T
 from .diagnostics import (
-    BRANCH_CAP_EXCEEDED, Diagnostic, FrontendError, INCOMPLETE_SOLVER,
-    INSUFFICIENT_PERMISSION, SPIN_PATTERN_RESOURCE_LEAK, UnsupportedFeature,
+    BRANCH_CAP_EXCEEDED, Diagnostic, INCOMPLETE_SOLVER, INSUFFICIENT_PERMISSION,
+    SPIN_PATTERN_RESOURCE_LEAK, UnsupportedFeature,
 )
 from .frontend import GHOST, LOCATION_CLASSES
 from .solver import NO, RESULT_YES, Result, Solver, UNKNOWN, YES
@@ -383,8 +383,12 @@ class ExecContext:
     def fail(self, state: SymState, kind: str, span: Span, rule: str,
              message: str) -> None:
         """Record a failure unless the path is infeasible, then kill the path."""
+        self.fail_with(state, Diagnostic(kind, span, rule=rule, message=message))
+
+    def fail_with(self, state: SymState, diagnostic: Diagnostic) -> None:
+        """``fail`` with a diagnostic already made, such as an ``EError``'s."""
         if self.feasible(state):
-            self.diagnostics.append(Diagnostic(kind, span, rule=rule, message=message))
+            self.diagnostics.append(diagnostic)
         raise _Fail()
 
     def fail_query(self, state: SymState, res: Result, kind: str, span: Span,
@@ -509,16 +513,16 @@ def _cases(ctx: ExecContext, case: _Case, enc, leaf: Callable) -> list[_Case]:
     to right over every case so far; an implication or a conditional splits
     each case on its condition, then-cases before else-cases.  Every atom a
     case reaches is passed to ``leaf(ctx, case, atom)``, in assertion order,
-    except that an ``EError`` a case reaches raises its diagnostic."""
+    except that an ``EError`` a case reaches fails that case's path.  The
+    encoder puts one only in place of a whole body, which every case
+    reaches, so the failure ends the state's path and nothing else."""
     t = type(enc)
     if t is EStar:
         cases = [case]
         for part in enc.parts:
             pt = type(part)
-            if pt is EImplies or pt is ECond:
+            if pt is EImplies or pt is ECond or pt is EError:
                 cases = [c2 for c in cases for c2 in _cases(ctx, c, part, leaf)]
-            elif pt is EError and cases:
-                raise FrontendError(part.diagnostic)
             else:
                 # an atom (stars are flat) splits no case
                 for c in cases:
@@ -533,7 +537,7 @@ def _cases(ctx: ExecContext, case: _Case, enc, leaf: Callable) -> list[_Case]:
             out += [case.split(s)] if els is None else _cases(ctx, case.split(s), els, leaf)
         return out
     if t is EError:
-        raise FrontendError(enc.diagnostic)
+        ctx.fail_with(case.state, enc.diagnostic)
     leaf(ctx, case, enc)
     return [case]
 
@@ -1011,15 +1015,12 @@ def run_prim(ctx: ExecContext, state: SymState, prim) -> list[SymState]:
         ctx.trace(prim.span,
                   E.pp_primitive(prim)[0].strip(), state.digest())
     try:
-        return _RUN[type(prim)](ctx, state, prim)
-    except _Fail:
-        return []
-    except EvalError as exc:
         try:
+            return _RUN[type(prim)](ctx, state, prim)
+        except EvalError as exc:
             ctx.fail(state, INSUFFICIENT_PERMISSION, prim.span,
                      "well-definedness", exc.message)
-        except _Fail:
-            pass
+    except _Fail:
         return []
 
 

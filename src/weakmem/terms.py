@@ -458,8 +458,6 @@ def not_(t: Term) -> Term:
 
 
 def iff(a: Term, b: Term) -> Term:
-    if a is b:
-        return TRUE
     return or_(and_(a, b), and_(not_(a), not_(b)))
 
 

@@ -1061,6 +1061,62 @@ def test_a_table_body_error_fails_only_the_write_that_runs_it(source, failure):
     assert f"branch x.rel == 1 {{\n      exhale error({failure})\n" in dump
 
 
+# A table-body error fails only the path that runs it, as any failed check
+# does: the procedure's other paths and obligations still run and report.
+# P4's rewrite runs Q2's body as a star part beside Q1's implication.
+UP_B = "invariant Q1(V) = true;\ninvariant Q2(V) = Up(b |-> 1);\n"
+RELABEL_UP = ("2:22: DoubleModality [assertion-encoding]: "
+              "cannot relabel a up atom with {real->up}")
+PATH_LOCAL_ERRORS = {
+    "thread-after-error": (
+        UP_B + "proc main(b, a) requires { true } ensures { true }\n"
+        "{ alloc_acq(x, Q1); alloc_acq(y, Q2); [y]_rlx := 0;\n"
+        "  par {\n"
+        "    thread requires { true } ensures { a |-> 1 } { skip; }\n"
+        "  }\n"
+        "}\n",
+        [RELABEL_UP,
+         "6:5: ExhaleFailure [thread postcondition]: no permission to a.val"]),
+    "other-branch-post": (
+        UP_B + "proc main(b, c) requires { true } ensures { c == 5 }\n"
+        "{ alloc_acq(x, Q1); alloc_acq(y, Q2);\n"
+        "  if (c == 0) { [y]_rlx := 0; } else { skip; }\n"
+        "}\n",
+        [RELABEL_UP,
+         "3:1: ExhaleFailure [postcondition]: cannot establish c == 5 (counter: c!0 = 6)"]),
+    "earlier-sibling-failure": (
+        UP_B + "proc main(b, a, c) requires { true } ensures { true }\n"
+        "{ alloc_acq(x, Q1); alloc_acq(y, Q2);\n"
+        "  if (c == 0) { [a]_na := 1; } else { [y]_rlx := 0; }\n"
+        "}\n",
+        ["5:17: InsufficientPermission [non-atomic write]: no permission to a.init",
+         RELABEL_UP]),
+    "star-part": (
+        "invariant Q1(V) = V == 1 ==> c |-> 2;\ninvariant Q2(V) = Up(Down(b |-> 1));\n"
+        "proc main(b, a, c) requires { true } ensures { true }\n"
+        "{ alloc_acq(x, Q1 && Q2);\n"
+        "  rewrite Acq(x, Q1 && Q2) to Acq(x, Q2 && Q1);\n"
+        "  par {\n"
+        "    thread requires { true } ensures { a |-> 1 } { skip; }\n"
+        "  }\n"
+        "}\n",
+        ["2:22: DoubleModality [assertion-encoding]: "
+         "nested up/down modalities are not part of the logic",
+         "7:5: ExhaleFailure [thread postcondition]: no permission to a.val"]),
+}
+
+
+@pytest.mark.parametrize("source,failures", PATH_LOCAL_ERRORS.values(),
+                         ids=PATH_LOCAL_ERRORS)
+def test_a_table_body_error_leaves_the_other_paths_running(source, failures):
+    v = single_verdict(source)
+    assert v.status == api.FAILED
+    assert [d.format() for d in v.diagnostics] == failures
+    chk, table, _ = pipeline(source)
+    built = encoder.build_obligations(chk, table, chk.program.procedures[0])
+    assert len(v.obligations) == len(built)
+
+
 SCOPE_SRC = """
 invariant Q(V) = V == 1 ==> z |-> 3;
 invariant R(V) = V == 1 ==> w |-> 5;

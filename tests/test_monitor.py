@@ -124,12 +124,25 @@ def final_main_state(source_name: str):
     return st, res.solver, classes, res.table
 
 
+def test_verdict_of_an_unknown_procedure_raises_key_error():
+    res = verify("proc main() { skip; }")
+    assert res.verdict_of("main").status == api.VERIFIED
+    with pytest.raises(KeyError, match="helper"):
+        res.verdict_of("helper")
+
+
 def test_fig4_join_reconstruction():
     st, solver, classes, table = final_main_state("RelAcqDblMsgPassSplit.rsl")
     text = reconstruct_assertion(st, solver, classes, table)
     assert "a ↦¹ 43" in text
     assert "b ↦¹ 8" in text
     assert "Init(l)" in text
+
+
+def test_an_invariant_index_without_a_table():
+    st, solver, classes, _ = final_main_state("RelAcqDblMsgPassSplit.rsl")
+    assert reconstruct_assertion(st, solver, classes) == (
+        "a ↦¹ 43 ∗ b ↦¹ 8 ∗ Init(l) ∗ Rel(l, #2)")
 
 
 def test_empty_state_reconstructs_true():
@@ -206,3 +219,33 @@ def test_wildcard_remainder_rendering():
     assert [v.format() for v in check_state_invariants(st, ctx.solver, classes)] == [
         "a: val permission 1 + -1*w!6 differs from init permission 1",
         "a under up: val permission 1/2 + w!9 differs from init permission 1/2"]
+
+
+def test_tmp_heap_rendering():
+    ctx = ExecContext(Solver(), {"a": NA})
+    st = do_inhale(ctx, fresh_state(ctx), estar(
+        [acc("a", f, 1, HeapLabel.TMP) for f in ("val", "init")]
+        + [EFieldEq("a", "val", S.EInt(5), HeapLabel.TMP),
+           EFieldEq("a", "init", S.TRUE_E, HeapLabel.TMP)]))
+    assert reconstruct_assertion(st, ctx.solver, {"a": NA}) == "[tmp](a ↦¹ 5)"
+
+
+def test_an_infeasible_state_with_a_lone_val_chunk_has_no_violation():
+    # no program splits val from init; on a dead path they agree vacuously
+    ctx = ExecContext(Solver(), {"a": NA})
+    st = do_inhale(ctx, fresh_state(ctx), acc("a", "val", 1))
+    st.assume(T.FALSE)
+    assert check_state_invariants(st, ctx.solver, {"a": NA}) == []
+
+
+# A spin loop records its compare constant as a value read; comparing with
+# a boolean mixes sorts, which only such a program does.
+@pytest.mark.parametrize("rhs,shown", [
+    ("true", "true"), ("false", "false"), ("b == 1", "(b!0 + -1 == 0)")])
+def test_a_boolean_value_read_renders_as_a_truth_value(rhs, shown):
+    res = verify("invariant Q(V) = true;\n"
+                 "proc main(b) requires { true } ensures { true }\n"
+                 f"{{ alloc_acq(l, Q); [l]_rel := 1; while ([l]_acq == ({rhs})); }}\n")
+    st = res.verdict_of("main").obligations[0].final_states[0]
+    text = reconstruct_assertion(st, res.solver, res.checked.info["main"].classes, res.table)
+    assert f"Acq(l, Q with V in {{{shown}, $spin1!8}} obliterated)" in text

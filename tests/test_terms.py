@@ -97,7 +97,12 @@ def test_bool_structure():
     assert T.and_(a, T.TRUE) is a
     assert T.or_(a, T.FALSE) is a
     assert T.and_(a, T.FALSE) is T.FALSE
+    assert T.or_(a, T.TRUE) is T.TRUE
     assert T.not_(T.not_(a)) is a
+    # nested connectives of one kind are flattened
+    b, c = T.mk_var("bb", T.BOOL), T.mk_var("bc", T.BOOL)
+    assert T.and_(T.and_(a, b), c) is T.and_(a, b, c)
+    assert T.or_(a, T.or_(b, c)) is T.or_(a, b, c)
 
 
 # ---------------------------------------------------------------------------
