@@ -88,8 +88,7 @@ def _verify_proc(proc, checked, table, solver, opts, soundness_sink) -> ProcVerd
     except UnsupportedFeature as exc:
         verdict.status = UNSUPPORTED
         verdict.reason = exc.reason
-    except FrontendError as exc:
-        # only the encoding raises one; the executor fails a path instead
+    except FrontendError as exc:    # from the encoding: the executor fails a path
         verdict.status = FAILED
         verdict.diagnostics.append(exc.diagnostic)
     if verdict.status == VERIFIED and verdict.diagnostics:

@@ -48,9 +48,8 @@ atom a case reaches to a leaf.  The inhale leaf produces it at once, so a
 pure fact is assumed before a later condition branches; the exhale leaf
 records its check or demand on the case; the spin-leak leaf fails on the
 first permission atom reached by a case in which the loop spins on.  An
-``EError``, a table body the encoder could not lower, fails the path of a
-case that reaches it with its diagnostic, as any failed check does.  The walk
-and its leaves test a node's exact class.
+``EError``, a table body the encoder could not lower, fails its path as any
+failed check does.  The walk and its leaves test a node's exact class.
 
 One routine, ``exhale``, runs every ``Exhale`` over its cases: it sums the
 permission demands per chunk and, in key order, fields before instances,
@@ -513,14 +512,16 @@ def _cases(ctx: ExecContext, case: _Case, enc, leaf: Callable) -> list[_Case]:
     to right over every case so far; an implication or a conditional splits
     each case on its condition, then-cases before else-cases.  Every atom a
     case reaches is passed to ``leaf(ctx, case, atom)``, in assertion order,
-    except that an ``EError`` a case reaches fails that case's path.  The
-    encoder puts one only in place of a whole body, which every case
-    reaches, so the failure ends the state's path and nothing else."""
+    except that an ``EError`` fails the path on its first feasible case: the
+    encoder puts one only in place of a whole body, which every case reaches,
+    and an inhale does not prune its cases, so one may be dead."""
     t = type(enc)
     if t is EStar:
         cases = [case]
         for part in enc.parts:
             pt = type(part)
+            if pt is EError:
+                cases = [c for c in cases if ctx.feasible(c.state)]
             if pt is EImplies or pt is ECond or pt is EError:
                 cases = [c2 for c in cases for c2 in _cases(ctx, c, part, leaf)]
             else:

@@ -1103,6 +1103,15 @@ PATH_LOCAL_ERRORS = {
         ["2:22: DoubleModality [assertion-encoding]: "
          "nested up/down modalities are not part of the logic",
          "7:5: ExhaleFailure [thread postcondition]: no permission to a.val"]),
+    # the inhale keeps Q1's dead V == 1 case, which reaches Q2's error first
+    "star-part-after-dead-case": (
+        "invariant Q1(V) = V == 1 ==> V == 2;\ninvariant Q2(V) = Up(Down(b |-> 1));\n"
+        "proc main(b) requires { true } ensures { true }\n"
+        "{ alloc_acq(x, Q1 && Q2);\n"
+        "  rewrite Acq(x, Q1 && Q2) to Acq(x, Q2 && Q1);\n"
+        "}\n",
+        ["2:22: DoubleModality [assertion-encoding]: "
+         "nested up/down modalities are not part of the logic"]),
 }
 
 
