@@ -19,18 +19,17 @@ literals prepared once per process: the first time any query sees a linear
 form its column or slack row and its bounds are recorded, and the first time
 a negated comparison is split its rewrite is.
 
-A query reaches the splitting layer only when none of three cheaper steps
-decides it.  First the Solver's tables of earlier answers: one
-satisfiability table, keyed by the fact set, serves both feasibility and the
-decided-satisfiability check ``assert_entailed(facts, FALSE)``.  Then the
-syntax of the query (KLEE's query elimination, "reduce before you solve" in
-Green): a goal among the facts is entailed, a fact beside its own negation
-makes the facts unsatisfiable, and one literal that no ``%``, ``/`` or
-opaque atom constrains has a model.  Last, for a satisfiability query, a
-witness: bounds over wildcard tokens alone have a model when the tokens can
-be positive infinitesimals of distinct orders (the simplex's own
-infinitesimal, Dutertre and de Moura), ordered so that each bound's leading
-term is negative.  The witness only ever answers "satisfiable".
+Every query is a satisfiability query: an entailment asks it of the facts
+with the goal's negation added.  The ordered tuple ``_DECIDERS`` decides it,
+each entry passing on what it cannot answer, as in KLEE's solver chain.
+First the syntax (KLEE's query elimination, "reduce before you solve" in
+Green): a fact beside its own negation, the goal's among them, makes the
+facts unsatisfiable, and one literal that no ``%``, ``/`` or opaque atom
+constrains has a model.  Then a witness: bounds over wildcard tokens alone
+have a model when the tokens can be positive infinitesimals of distinct
+orders (the simplex's own infinitesimal, Dutertre and de Moura), ordered so
+that each bound's leading term is negative.  Both build no model, so a query
+that wants one goes on to the last entry, the splitting layer.
 
 Other non-linear atoms (general products, bitwise operations, division by a
 non-literal) are uninterpreted, so "unsat" answers remain sound; a query
@@ -635,17 +634,17 @@ def _free_literal(f: Term) -> bool:
     return False
 
 
-def _by_syntax(facts: list[Term], key: frozenset[int]) -> Optional[str]:
-    """SAT or UNSAT when the fact set's syntax shows it, else None: a set
-    with ``FALSE`` or with a fact beside its own negation is unsatisfiable,
-    and a set of one free literal is satisfiable."""
+def _by_syntax(facts: list[Term], key: frozenset[int], model: bool):
+    """A decider: a set with ``FALSE`` or with a fact beside its own
+    negation is unsatisfiable, and a set of one free literal is
+    satisfiable, though with no model to give."""
     if terms.FALSE.tid in key:
-        return UNSAT
+        return UNSAT, None, None
     for f in facts:
         if f.kind == "not" and f.args[0].tid in key:
-            return UNSAT
-    if len(key) == 1 and _free_literal(facts[0]):
-        return SAT
+            return UNSAT, None, None
+    if not model and len(key) == 1 and _free_literal(facts[0]):
+        return SAT, None, None
     return None
 
 
@@ -693,6 +692,18 @@ def _by_witness(facts: list[Term]) -> Optional[list[Term]]:
     return order
 
 
+# ``Solver._decide`` tries these in order.  Each maps ``(facts, key, model)``
+# to ``_sat_conjunction``'s triple or declines with None, as it does a
+# "satisfiable" with no model function when ``model`` asks for one; the split
+# never declines.  Lambdas look names up when called, so a replaced one holds.
+_DECIDERS = (
+    ("syntax", _by_syntax),
+    ("witness", lambda facts, key, model: None if model or _by_witness(facts) is None
+     else (SAT, None, None)),
+    ("split", lambda facts, key, model: _sat_conjunction(facts)),
+)
+
+
 def _format_model(model: dict[Term, int | Fraction], facts: list[Term]) -> Optional[str]:
     """The model on the atoms of the facts: not on a quotient or remainder
     that only the definition of a ``%`` or ``/`` brought in."""
@@ -718,53 +729,57 @@ class Solver:
     beside the term pool, so a fact is prepared once however many queries
     and Solvers mention it.
 
-    A query is decided by the first of four steps that can: the tables, the
-    syntax of the facts (``_by_syntax``), for satisfiability an
-    infinitesimal model of bounds over wildcard tokens (``_by_witness``),
-    and only then the split and the simplex, which ``queries`` counts.  One
-    satisfiability table, keyed by the fact set, holds
-    ``(SAT/UNSAT/UNKNOWN, reason)`` and answers both ``is_feasible`` and
-    ``assert_entailed(facts, FALSE)``; so the ``no`` of the latter carries
-    no hint.  An entailment of any other goal is not
-    tabled, as the executor seldom asks one twice.
+    ``_decide`` answers every query, an entailment of ``goal`` as the
+    satisfiability of the facts with ``not goal`` added, by the first entry
+    of ``_DECIDERS`` that answers.  ``decided`` counts the answers per
+    entry and of the satisfiability table: keyed by the fact set, it holds
+    ``(SAT/UNSAT/UNKNOWN, None, reason)`` and serves only the queries that
+    want no model, ``is_feasible`` and ``assert_entailed(facts, FALSE)``,
+    whose ``no`` so carries no hint.  Other entailments are not tabled, as
+    the executor seldom asks one twice.
 
     A model, with the simplex's infinitesimal resolved to a number, is built
     only where one is read: by branch-and-bound's integrality test when the
     tableau has an integer column, by the back-substitution of solved
     equalities, by the hint of an entailment's ``no`` and by
-    ``model_value``.  The satisfiability table never reads one, so a
+    ``model_value``.  A query that wants no model never reads one, so a
     satisfiable group of wildcard tokens alone that the witness declines,
     such as one with an equality, is decided without a model.
     """
 
     def __init__(self):
-        self._sat_cache: dict[frozenset[int], tuple[str, Optional[str]]] = {}
+        self._sat_cache: dict[frozenset[int], tuple[str, None, Optional[str]]] = {}
         self._value_cache: dict[tuple[frozenset[int], int], object] = {}
-        self.queries = 0
+        self.decided = dict.fromkeys(("table", *(name for name, _ in _DECIDERS)), 0)
 
-    def _satisfiable(self, facts: list[Term], key: frozenset[int]) -> tuple[str, Optional[str]]:
-        """(SAT/UNSAT/UNKNOWN, reason), as ``_sat_conjunction`` gives them."""
-        hit = self._sat_cache.get(key)
-        if hit is None:
-            verdict = _by_syntax(facts, key)
-            if verdict is not None:
-                hit = (verdict, None)
-            elif _by_witness(facts) is not None:
-                hit = (SAT, None)
-            else:
-                self.queries += 1
-                res, _, reason = _sat_conjunction(facts)
-                hit = (res, reason)
-            self._sat_cache[key] = hit
-        return hit
+    @property
+    def queries(self) -> int:
+        """The queries that reached the split and the simplex."""
+        return self.decided["split"]
+
+    def _decide(self, facts: list[Term], model: bool):
+        """``_sat_conjunction``'s triple, with no model function unless ``model``."""
+        key = frozenset(f.tid for f in facts)
+        if not model:
+            hit = self._sat_cache.get(key)
+            if hit is not None:
+                self.decided["table"] += 1
+                return hit
+        for name, decider in _DECIDERS:
+            out = decider(facts, key, model)
+            if out is not None:
+                break
+        self.decided[name] += 1
+        if not model:
+            out = self._sat_cache[key] = (out[0], None, out[2])
+        return out
 
     # -- feasibility -------------------------------------------------------
 
     def is_feasible(self, path: Iterable[Term]) -> str:
         """Whether the facts have a model: ``yes`` even if it uses an opaque
         atom."""
-        facts = [f for f in path if f is not terms.TRUE]
-        res, _ = self._satisfiable(facts, frozenset(f.tid for f in facts))
+        res, _, _ = self._decide([f for f in path if f is not terms.TRUE], model=False)
         return YES if res == SAT else NO if res == UNSAT else UNKNOWN
 
     # -- entailment --------------------------------------------------------
@@ -777,28 +792,12 @@ class Solver:
         check: ``yes`` if the facts are unsatisfiable, ``no`` if they have
         such a model, else ``unknown``.  That ``no`` carries no hint.
         """
-        if goal is terms.TRUE:
-            return RESULT_YES
-        facts = [f for f in path if f is not terms.TRUE]
-        key = frozenset(f.tid for f in facts)
-        if goal is terms.FALSE:
-            res, reason = self._satisfiable(facts, key)
-            if res == UNSAT:
-                return RESULT_YES
-            if res == SAT and reason is None:
-                return Result(NO)
-            return Result(UNKNOWN, reason=reason)
-        if goal.tid in key:
-            return RESULT_YES
-        if _by_syntax(facts, key) == UNSAT:
-            return RESULT_YES   # anything follows from an infeasible path
-        self.queries += 1
-        facts.append(terms.not_(goal))
-        res, model, reason = _sat_conjunction(facts)
+        facts = [f for f in (*path, terms.not_(goal)) if f is not terms.TRUE]
+        res, model, reason = self._decide(facts, model=goal is not terms.FALSE)
         if res == UNSAT:
             return RESULT_YES
-        if reason is None:
-            return Result(NO, _format_model(model(), facts))
+        if res == SAT and reason is None:
+            return Result(NO, model and _format_model(model(), facts))
         return Result(UNKNOWN, reason=reason)
 
     # -- model probing -------------------------------------------------------

@@ -7,6 +7,8 @@ Each mutant changes one occurrence of one operator in one core entry:
 * text operators: a release or acquire access made relaxed, a CAS mode
   weakened, a fence dropped, a written literal incremented, an empty spin
   loop dropped;
+* an invariant operator: one use of an invariant name swapped for another
+  invariant the file declares;
 * an AST operator: one top-level conjunct dropped from a procedure's or a
   thread's precondition, printed back with ``printer.pp_program``.
 
@@ -72,6 +74,16 @@ def text_mutants(entry, source):
                    source[:m.start()] + replace(m) + source[m.end():])
 
 
+def invariant_mutants(entry, source):
+    names = re.findall(r"^invariant (\w+)\(", source, re.M)
+    for m in re.finditer(rf"(?<!invariant )\b({'|'.join(names)})\b", source):
+        line = source.count("\n", 0, m.start()) + 1
+        for other in names:
+            if other != m[1]:
+                yield (f"{entry}:{line} {m[1]}->{other}",
+                       source[:m.start()] + other + source[m.end():])
+
+
 def _specs(program):
     """(name, owner) of every procedure and thread with a precondition."""
     for proc in program.procedures:
@@ -103,18 +115,19 @@ def verifies(source):
 
 
 def test_mutants_are_rejected_or_equivalent():
-    survivors, counts = [], {"text": 0, "precondition": 0}
+    survivors, counts = [], {"text": 0, "invariant": 0, "precondition": 0}
     for entry in CORE_ENTRIES:
         source = corpus_text(f"{entry}.rsl")
         program, _ = frontend.parse(source)
         assert verifies(source) and verifies(pp_program(program)), entry
         for kind, mutants in (("text", text_mutants(entry, source)),
+                              ("invariant", invariant_mutants(entry, source)),
                               ("precondition", precondition_mutants(entry, source))):
             for name, mutant in mutants:
                 counts[kind] += 1
                 if verifies(mutant):
                     survivors.append(name)
-    assert counts == {"text": 61, "precondition": 51}
+    assert counts == {"text": 61, "invariant": 32, "precondition": 51}
     new = sorted(set(survivors) - set(EQUIVALENT))
     stale = sorted(set(EQUIVALENT) - set(survivors))
     assert not new, f"mutants that verify and are not known equivalent: {new}"

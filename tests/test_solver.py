@@ -3,11 +3,12 @@ with Euclidean `%` and `/`, and oracles against brute force."""
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 from hypothesis import event, given, settings, strategies as st
 
-from conftest import MANIFEST, corpus_text
+from conftest import MANIFEST, corpus_path, corpus_text
 from weakmem import api, solver as SV, terms as T
 from weakmem.cli import load_manifest
 from weakmem.solver import (
@@ -300,6 +301,32 @@ def test_solver_tables_carry_no_query_state():
     verdicts = [r if isinstance(r, str) else r.verdict for r in fresh]
     assert {YES, NO, UNKNOWN} <= set(verdicts)
     assert any(not isinstance(r, str) and r.verdict == NO and r.hint for r in fresh)
+
+
+def test_every_query_is_counted_by_the_entry_that_decides_it(monkeypatch):
+    # on every corpus entry, each is_feasible and assert_entailed call,
+    # model_value's own entailments among them, is answered once: by the
+    # table or by one entry of _DECIDERS; `queries` is the split's count
+    calls = []
+    for method in ("is_feasible", "assert_entailed"):
+        def counted(self, *args, _method=getattr(Solver, method)):
+            calls.append(self)
+            return _method(self, *args)
+        monkeypatch.setattr(Solver, method, counted)
+    totals = Counter()
+    entries = load_manifest(MANIFEST)
+    assert len(entries) == 21
+    for entry in entries:
+        for soundness in ("off", "report"):
+            calls.clear()
+            solver = api.verify_file(corpus_path(entry.file),
+                                     opts=api.VerifyOptions(soundness=soundness)).solver
+            assert all(s is solver for s in calls), entry.file
+            assert sum(solver.decided.values()) == len(calls), (entry.file, solver.decided)
+            assert solver.queries == solver.decided["split"]
+            totals.update(solver.decided)
+    assert set(totals) == {"table", *(name for name, _ in SV._DECIDERS)}
+    assert all(totals.values()), totals
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Primitive semantics: permission accounting, havoc, transfers, wildcards."""
 
+from collections import Counter
 from fractions import Fraction
 
 from conftest import LOCK_CLIENT, MANIFEST, SQUARE, corpus_path, single_verdict, verify
@@ -688,38 +689,31 @@ def test_pos_flag_agrees_with_the_solver(monkeypatch):
 
 def test_shortcuts_agree_with_the_solver(monkeypatch):
     """Each answer given without the split and the simplex, the simplex
-    gives too: a fact set decided by syntax, a goal among the facts, and a
-    `no` that fail_query records without checking the path's feasibility."""
-    seen = {SAT: 0, UNSAT: 0, "goal": 0, "no": 0}
-    by_syntax = SV._by_syntax
+    gives too: every decider ahead of the split in `SV._DECIDERS`, an
+    entailment's goal among the facts included, and a `no` that fail_query
+    records without checking the path's feasibility."""
+    *shortcuts, split = SV._DECIDERS
+    answers, noes = Counter(), []
 
-    def checked_syntax(facts, key):
-        out = by_syntax(facts, key)
-        if out is not None:
-            res, _, reason = SV._sat_conjunction(facts)
-            assert (res, reason) == (out, None), facts
-            seen[out] += 1
-        return out
-
-    entailed = Solver.assert_entailed
-
-    def checked_entailed(self, path, goal):
-        path = [f for f in path if f is not T.TRUE]
-        if goal is not T.FALSE and goal in path:
-            assert SV._sat_conjunction(path + [T.not_(goal)])[0] == UNSAT, (path, goal)
-            seen["goal"] += 1
-        return entailed(self, path, goal)
+    def checked(name, decider):
+        def decide(facts, key, model):
+            out = decider(facts, key, model)
+            if out is not None:
+                res, _, reason = SV._sat_conjunction(facts)
+                assert (res, reason) == (out[0], out[2]), (name, facts)
+                answers[name, res, model] += 1
+            return out
+        return name, decide
 
     fail_query = symstate.ExecContext.fail_query
 
     def checked_fail_query(self, state, res, *rest):
         if res.verdict == NO:
             assert SV._sat_conjunction(state.path)[0] == SAT, state.path
-            seen["no"] += 1
+            noes.append(state.path)
         return fail_query(self, state, res, *rest)
 
-    monkeypatch.setattr(SV, "_by_syntax", checked_syntax)
-    monkeypatch.setattr(Solver, "assert_entailed", checked_entailed)
+    monkeypatch.setattr(SV, "_DECIDERS", (*(checked(*d) for d in shortcuts), split))
     monkeypatch.setattr(symstate.ExecContext, "fail_query", checked_fail_query)
     entries = load_manifest(MANIFEST)
     assert len(entries) == 21
@@ -733,7 +727,12 @@ def test_shortcuts_agree_with_the_solver(monkeypatch):
         # a product's fresh value meets the post as its own equation
         res = verify(SQUARE, soundness=soundness)
         assert res.ok, [d.format() for v in res.verdicts for d in v.diagnostics]
-    assert all(seen.values()), seen
+    # every entry answers; the syntax both ways, and for an entailment that
+    # wants a model
+    assert {name for name, _, _ in answers} == {name for name, _ in shortcuts}, answers
+    assert {("syntax", UNSAT, True), ("syntax", UNSAT, False),
+            ("syntax", SAT, False)} <= set(answers), answers
+    assert noes
 
 
 # ---------------------------------------------------------------------------
