@@ -3,7 +3,8 @@
 The built-in procedure decides conjunctions of:
 
 * linear (in)equalities over integer-sorted terms,
-* linear constraints over rational permission amounts (wildcard tokens),
+* linear constraints over rational permission amounts and wildcard tokens,
+  a token being a rational that is positive by its sort,
 * ``x % c`` and ``x / c`` for a nonzero integer literal ``c``, with SMT-LIB's
   Euclidean meaning: ``x = c*(x / c) + x % c`` and ``0 <= x % c <= |c| - 1``,
 * boolean combinations of the above (with bounded case splitting).
@@ -11,10 +12,12 @@ The built-in procedure decides conjunctions of:
 It is a standard two-layer design: a splitting layer reduces formulas to
 conjunctions of literals, and a simplex over exact rationals, held as int when
 integral (general simplex with infinitesimals for strict bounds), decides each
-conjunction.  Integer-sorted atoms need more: when the rational model is not
-integral, the conjunction's integer equalities are solved away first (the
-equality step of Pugh's Omega test), and branch-and-bound decides the
-inequalities that remain.  Each query builds its own tableau, but from
+conjunction.  A token's positivity is a bound on its column, not a literal,
+as a general simplex keeps every variable's bounds (Dutertre and de Moura),
+so it costs a query nothing.  Integer-sorted atoms need more: when the
+rational model is not integral, the conjunction's integer equalities are
+solved away first (the equality step of Pugh's Omega test), and
+branch-and-bound decides the inequalities that remain.  Each query builds its own tableau, but from
 literals prepared once per process: the first time any query sees a linear
 form its column or slack row and its bounds are recorded, and the first time
 a negated comparison is split its rewrite is.
@@ -24,11 +27,12 @@ with the goal's negation added.  The ordered tuple ``_DECIDERS`` decides it,
 each entry passing on what it cannot answer, as in KLEE's solver chain.
 First the syntax (KLEE's query elimination, "reduce before you solve" in
 Green): a fact beside its own negation, the goal's among them, makes the
-facts unsatisfiable, and one literal that no ``%``, ``/`` or opaque atom
-constrains has a model.  Then a witness: bounds over wildcard tokens alone
-have a model when the tokens can be positive infinitesimals of distinct
-orders (the simplex's own infinitesimal, Dutertre and de Moura), ordered so
-that each bound's leading term is negative.  Both build no model, so a query
+facts unsatisfiable, and one literal that no ``%``, ``/``, opaque atom or
+token constrains has a model (``w1 + w2 <= 0`` has a rational one but no
+positive one).  Then a witness: bounds over wildcard tokens alone have a
+model when the tokens can be positive infinitesimals of distinct orders (the
+simplex's own infinitesimal, Dutertre and de Moura), ordered so that each
+bound's leading term is negative.  Both build no model, so a query
 that wants one goes on to the last entry, the splitting layer.
 
 Other non-linear atoms (general products, bitwise operations, division by a
@@ -107,6 +111,7 @@ class Delta:
 
 
 _D0 = Delta(0)
+_POSITIVE = Delta(0, 1)     # the strict lower bound 0, a token's by its sort
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +127,8 @@ _D0 = Delta(0)
 # the row (ints only, so it hashes fast); ``bound`` and ``strict`` are the
 # bounds of the non-strict and of the strict literal.  ``defs`` are the
 # definitions of the form's ``x % c`` and ``x / c`` atoms, which every case
-# that mentions one of them adds once.
+# that mentions one of them adds once.  ``free`` says that the literal alone
+# has a model: it mentions no opaque atom, no ``%`` or ``/`` and no token.
 
 
 class _Compiled(NamedTuple):
@@ -135,6 +141,7 @@ class _Compiled(NamedTuple):
     opaque: bool                # mentions an uninterpreted atom
     lin: Term                   # the form itself
     defs: tuple
+    free: bool
 
 
 def _euclidean(atom: Term) -> bool:
@@ -159,16 +166,17 @@ def _compile(lin: Term) -> _Compiled:
     const, coeffs = terms.linear_parts(lin)
     defs = tuple(_definition(a) for a in coeffs if _euclidean(a))
     opaque = any(a.kind in terms.OPAQUE_KINDS and not _euclidean(a) for a in coeffs)
+    free = not (opaque or defs or any(a.sort == terms.TOKEN for a in coeffs))
     if len(coeffs) == 1:
         (atom, c), = coeffs.items()
         flip = c < 0
         bound = _div(-const, c)
         return _Compiled(atom, (), None, Delta(bound), Delta(bound, 1 if flip else -1),
-                         flip, opaque, lin, defs)
+                         flip, opaque, lin, defs, free)
     pairs = tuple(coeffs.items())
     key = tuple(n for a, c in pairs for n in (a.tid, c.numerator, c.denominator))
     return _Compiled(None, pairs, key, Delta(-const), Delta(-const, -1), False, opaque,
-                     lin, defs)
+                     lin, defs, free)
 
 
 # Both tables are pure functions of interned terms, so like ``terms._pool``
@@ -194,7 +202,8 @@ class _Simplex:
     Each query (and each branch-and-bound node) builds its own tableau from
     compiled literals.  Atoms become columns; each distinct multi-atom linear
     form becomes a slack row.  Strict bounds use the infinitesimal component.
-    Every variable is 0 until ``check`` moves the nonbasics to their bounds.
+    A token's column starts with the strict lower bound 0.  Every variable
+    is 0 until ``check`` moves the nonbasics to their bounds.
     """
 
     def __init__(self):
@@ -217,6 +226,8 @@ class _Simplex:
             self.cols[atom] = idx
             self.nonbasic.add(idx)
             self.assign[idx] = _D0
+            if atom.sort == terms.TOKEN:
+                self.lower[idx] = _POSITIVE
         return idx
 
     def _slack(self, key: tuple, pairs: tuple) -> int:
@@ -243,7 +254,7 @@ class _Simplex:
         return Delta(_q(real), _q(eps))
 
     def add_literal(self, kind: str, lit: _Compiled) -> None:
-        atom, pairs, key, bound, strict, flip, _, _, _ = lit
+        atom, pairs, key, bound, strict, flip, _, _, _, _ = lit
         # every literal has an atom: terms._cmp folds an atomless comparison
         x = self._var(atom) if atom is not None else self._slack(key, pairs)
         if kind == "eq0":
@@ -433,7 +444,9 @@ def _mod_hat(a: int, m: int) -> int:
 def _solve_equalities(literals: list[tuple[str, _Compiled]]):
     """Decide a conjunction by first solving its equalities away.
 
-    An equality that mentions a rational (frac-sorted) atom is solved for it.
+    An equality that mentions a rational atom, a frac or a token, is solved
+    for it; a token's column goes with it, so its positivity is kept as the
+    literal ``0 < w``, which the substitution turns into ``0 < value``.
     An integer one is solved by the equality step of Pugh's Omega test: for
     an atom with a unit coefficient if it has one; otherwise, with ``a`` its
     smallest coefficient and ``m = |a| + 1``, a fresh integer ``sigma`` is
@@ -442,7 +455,8 @@ def _solve_equalities(literals: list[tuple[str, _Compiled]]):
     equality's other coefficients, until one is a unit.  Each substitution is
     exact, and every literal is canonicalised again, so the gcd tests of
     ``terms._cmp`` apply to the results.  The model of what remains is
-    extended to every atom of the literals; the sigmas are left out of it.
+    extended to every atom of the literals, an atom that nothing constrains
+    any longer taking 0, or 1 if it is a token; the sigmas are left out of it.
     """
     forms = [(kind, lit.lin) for kind, lit in literals]
     solved: list[tuple[Term, Term]] = []
@@ -467,6 +481,8 @@ def _solve_equalities(literals: list[tuple[str, _Compiled]]):
             rest = {x: s * _mod_hat(c, m) for x, c in coeffs.items() if x is not atom}
             value = terms.mk_linear(s * _mod_hat(const, m), {**rest, sigma: -s * m})
         solved.append((atom, value))
+        if atom.sort == terms.TOKEN:
+            forms.append(("lt0", terms.neg(atom)))
         reduced = []
         for kind, lin in forms:
             k = terms.linear_parts(lin)[1].get(atom)
@@ -483,13 +499,13 @@ def _solve_equalities(literals: list[tuple[str, _Compiled]]):
     if res != SAT:
         return res, model
     model = model()
+    for _, lit in literals:
+        for atom in terms.linear_parts(lit.lin)[1]:
+            model.setdefault(atom, 1 if atom.sort == terms.TOKEN else 0)
     for atom, value in reversed(solved):
         model[atom] = _value_at(value, model)
     for sigma in sigmas:
         model.pop(sigma, None)
-    for _, lit in literals:
-        for atom in terms.linear_parts(lit.lin)[1]:
-            model.setdefault(atom, 0)     # left unconstrained by the solving
     return SAT, lambda: model
 
 
@@ -618,19 +634,19 @@ def _sat_conjunction(facts: list[Term]):
 
 def _free_literal(f: Term) -> bool:
     """Whether the fact alone has a model with no opaque literal: a boolean
-    atom, a linear comparison with no ``%``, ``/`` or opaque atom, or the
-    negation of either.  Comparisons arrive canonical from ``terms._cmp``,
-    which folds one that is constant, or an integer equality that fails the
-    gcd test, to ``FALSE``; any other has an integer point, and so does its
-    negation."""
+    atom, a linear comparison with no ``%``, ``/``, opaque atom or token, or
+    the negation of either.  Comparisons arrive canonical from
+    ``terms._cmp``, which folds one that is constant, or an integer equality
+    that fails the gcd test, to ``FALSE``; any other has an integer point,
+    and so does its negation.  A token must be positive, which a rational
+    point need not be."""
     if f.kind == "not":
         f = f.args[0]
     k = f.kind
     if k == "var":
         return True
     if k == "eq0" or k == "le0" or k == "lt0":
-        lit = _compiled(f.args[0])
-        return not (lit.opaque or lit.defs)
+        return _compiled(f.args[0]).free
     return False
 
 
@@ -650,14 +666,15 @@ def _by_syntax(facts: list[Term], key: frozenset[int], model: bool):
 
 def _by_witness(facts: list[Term]) -> Optional[list[Term]]:
     """A model of facts that are all ``le0`` or ``lt0`` of a linear form over
-    frac-sorted variables, else None.  Every atom is taken as a positive
-    infinitesimal of its own order, so a form with a constant has the
-    constant's sign and one without has the sign of its largest atom's
-    coefficient; every form must come out negative.  The order is built
-    largest first: an atom comes next when its coefficient is negative in
-    some form still open and positive in none, and it closes those forms.
-    That greedy choice is complete for this model, since closing a form only
-    frees the atoms that come after.
+    rational variables, tokens or fracs, else None.  Every atom is taken as a
+    positive infinitesimal of its own order, which a token is by its sort
+    and a frac may be, so a form with a constant has the constant's sign and
+    one without has the sign of its largest atom's coefficient; every form
+    must come out negative.  The order is built largest first: an atom comes
+    next when its coefficient is negative in some form still open and
+    positive in none, and it closes those forms.  That greedy choice is
+    complete for this model, since closing a form only frees the atoms that
+    come after.
 
     Returns the atoms it ordered, largest first, as the certificate: with
     the ``i``-th of them ``d**(i+1)`` and each other atom smaller still,
@@ -669,10 +686,10 @@ def _by_witness(facts: list[Term]) -> Optional[list[Term]]:
             return None
         lin = f.args[0]
         if lin.kind != "lin":
-            return None     # a lone atom ``w``, which is positive
+            return None     # a lone atom ``w``, which is taken as positive
         const, pairs = lin.data
         for a, _ in pairs:
-            if a.kind != "var" or a.sort != terms.FRAC:
+            if a.kind != "var" or a.sort == terms.INT:
                 return None
         if const > 0:
             return None
@@ -742,9 +759,10 @@ class Solver:
     only where one is read: by branch-and-bound's integrality test when the
     tableau has an integer column, by the back-substitution of solved
     equalities, by the hint of an entailment's ``no`` and by
-    ``model_value``.  A query that wants no model never reads one, so a
-    satisfiable group of wildcard tokens alone that the witness declines,
-    such as one with an equality, is decided without a model.
+    ``model_value``.  A model gives every token a positive value.  A query
+    that wants no model never reads one, so a satisfiable group of wildcard
+    tokens alone that the witness declines, such as one with an equality, is
+    decided without a model.
     """
 
     def __init__(self):

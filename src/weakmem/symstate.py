@@ -15,15 +15,16 @@ also holds a path condition and an environment binding each value variable
 to a term and each location variable to its ``Ref``.  Permission amounts
 are linear terms over wildcard tokens; an exact amount outside a term, an
 atom's or a demand's, is a plain number as in ``terms``: an int when
-integral, otherwise a Fraction.  Every token
-carries a strict positivity fact, and tokens drawn by an exhale carry a
-strict upper bound by the amount held at draw time.  So each chunk's
-``pos`` flag records that its amount is positive on its path by construction.
-An inhale into the chunk sets it, and so does a take with wildcards, whose
-assumed bound makes the rest positive.  An exact-only take clears it unless
-the rest is positive by token positivity alone.  A heap transfer that merges
-two chunks ORs their flags.  Where it is set, the flag answers a positivity
-check in place of the solver; it never decides which heap pays.
+integral, otherwise a Fraction.  A token is positive by its sort,
+``terms.TOKEN``, so no path fact states it, and the tokens drawn by an
+exhale carry a strict upper bound by the amount held at draw time.  So each
+chunk's ``pos`` flag records that its amount is positive on its path by
+construction.  An inhale into the chunk sets it, and so does a take with
+wildcards, whose assumed bound makes the rest positive.  An exact-only take
+clears it unless the rest is positive by token positivity alone.  A heap
+transfer that merges two chunks ORs their flags.  Where it is set, the
+flag answers a positivity check in place of the solver; it never decides
+which heap pays.
 
 The path condition is kept as independence groups, as in KLEE's constraint
 independence: facts that share an atom, directly or through other facts,
@@ -342,7 +343,7 @@ class ExecContext:
         return T.mk_var(f"{hint}!{next(self._count)}", T.INT)
 
     def fresh_token(self) -> T.Term:
-        return T.mk_var(f"w!{next(self._count)}", T.FRAC)
+        return T.mk_var(f"w!{next(self._count)}", T.TOKEN)
 
     def fresh_ref(self, name: str, ghost: bool) -> Ref:
         return Ref(next(self._ref_ids), name, ghost)
@@ -560,7 +561,7 @@ def _produce(ctx: ExecContext, case: _Case, enc) -> None:
         state.assume(eval_expr(state, enc.expr))
     elif t is EAcc:
         ref = resolve_loc(state, enc.loc)
-        amount = _inhale_amount(ctx, state, enc.perm)
+        amount = ctx.fresh_token() if enc.perm == WILDCARD else T.mk_int(enc.perm)
         key = state.key(ref, enc.res, enc.label)
         chunk = state.heap.get(key)
         if chunk is None:
@@ -592,14 +593,6 @@ def _produce(ctx: ExecContext, case: _Case, enc) -> None:
         state.assume(T.eq(chunk.value, v))
     else:
         raise AssertionError(enc)
-
-
-def _inhale_amount(ctx: ExecContext, state: SymState, perm) -> T.Term:
-    if perm == WILDCARD:
-        w = ctx.fresh_token()
-        state.assume(T.lt(T.ZERO, w))
-        return w
-    return T.mk_int(perm)
 
 
 # ---------------------------------------------------------------------------
@@ -725,9 +718,7 @@ def _take(ctx: ExecContext, state: SymState, key: tuple, chunk,
     taken = T.mk_int(exact)
     if wildcards:
         for _ in range(wildcards):
-            w = ctx.fresh_token()
-            state.assume(T.lt(T.ZERO, w))
-            taken = T.add(taken, w)
+            taken = T.add(taken, ctx.fresh_token())
         # all wildcards together stay strictly below the amount held
         state.assume(T.lt(taken, chunk.perm))
     rest = T.sub(chunk.perm, taken)

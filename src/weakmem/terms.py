@@ -27,10 +27,14 @@ freed, are:
 So a long-lived process grows with the distinct terms and numbers it has
 seen.
 
-Sorts: ``int`` (program values and integral amounts), ``bool`` and
-``frac`` (wildcard tokens and fractional amounts).  A heap location is not a
-term: no path fact mentions one, since a variable used as a location is
-never a value, and ``symstate.Ref`` names it.
+Sorts: ``int`` (program values and integral amounts), ``bool``, ``frac``
+(fractional amounts: any rational, negative ones included) and ``token``
+(wildcard tokens, made only by ``symstate.ExecContext.fresh_token``).  A
+token is a rational that is positive by its sort: the solver bounds its
+column below by 0, so no path fact states it.  A linear form is ``int`` when
+its constant, its coefficients and its atoms are integral, else ``frac``.  A
+heap location is not a term: no path fact mentions one, since a variable
+used as a location is never a value, and ``symstate.Ref`` names it.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ from math import gcd
 INT = "int"
 BOOL = "bool"
 FRAC = "frac"
+TOKEN = "token"
 
 _ids = itertools.count()
 _pool: dict[tuple, "Term"] = {}
@@ -192,12 +197,17 @@ def mk_linear(const, coeffs: dict[Term, int | Fraction]) -> Term:
         if c == 1:
             return atom
     pairs = tuple(sorted(coeffs.items(), key=lambda ac: ac[0].tid))
-    sort = INT
-    if const.denominator != 1 or any(
-        c.denominator != 1 or a.sort == FRAC for a, c in pairs
-    ):
-        sort = FRAC
-    return _intern("lin", sort, (const, pairs), tuple(a for a, _ in pairs))
+    return _intern("lin", _linear_sort(const, pairs), (const, pairs),
+                   tuple(a for a, _ in pairs))
+
+
+def _linear_sort(const, pairs) -> str:
+    """``INT`` for an integral constant and integral coefficients over
+    integer atoms, else ``FRAC``: a form over tokens is a rational."""
+    if const.denominator == 1 and all(c.denominator == 1 and a.sort == INT
+                                      for a, c in pairs):
+        return INT
+    return FRAC
 
 
 def add(*ts: Term) -> Term:
@@ -312,12 +322,6 @@ def shr(a: Term, b: Term) -> Term:
 OPAQUE_KINDS = frozenset({"mul", "mod", "div", "bitand", "bitor", "bitxor", "shl", "shr"})
 
 
-def _int_valued(const, coeffs: dict[Term, int | Fraction]) -> bool:
-    return const.denominator == 1 and all(
-        c.denominator == 1 and a.sort == INT for a, c in coeffs.items()
-    )
-
-
 def _norm_scale(const, coeffs: dict[Term, int | Fraction]):
     """Scale so coefficients are integral with gcd 1 (stable canonical form)."""
     denom = const.denominator
@@ -356,6 +360,8 @@ def _cmp_build(kind: str, t: Term) -> Term:
             return mk_bool(const <= 0)
         return mk_bool(const < 0)
     const, coeffs = _norm_scale(const, coeffs)
+    # the scaled form is integral unless an atom is a rational or a token
+    integral = _linear_sort(const, coeffs.items()) == INT
     if kind == "eq0":
         # orient: first (lowest-id) coefficient positive
         first = min(coeffs, key=lambda a: a.tid)
@@ -364,9 +370,9 @@ def _cmp_build(kind: str, t: Term) -> Term:
             coeffs = {a: -c for a, c in coeffs.items()}
         # GCD test: _norm_scale left gcd(coefficients, const) = 1, so the
         # coefficients' gcd divides const only when it is 1
-        if _int_valued(const, coeffs) and gcd(*coeffs.values()) > 1:
+        if integral and gcd(*coeffs.values()) > 1:
             return FALSE
-    elif _int_valued(const, coeffs):
+    elif integral:
         if kind == "lt0":
             # integer tightening:  t < 0  <=>  t + 1 <= 0
             kind, const = "le0", const + 1

@@ -334,22 +334,25 @@ def test_every_query_is_counted_by_the_entry_that_decides_it(monkeypatch):
 # ---------------------------------------------------------------------------
 #
 # Facts and goals are comparisons of small linear forms over two or three
-# int- or frac-sorted variables, goals combined with and/or/not.  A `yes` must
-# hold at every point of a small box that satisfies the facts; a `no` must
-# come with a model that satisfies the facts and falsifies the goal, exactly;
-# an infeasible path must have no point in the box.  The input is linear, so
-# `unknown` is a failure; each answer is counted as a hypothesis event (see
+# int-, frac- or token-sorted variables, goals combined with and/or/not.  The
+# box gives a token only positive values, a frac negative ones too.  A `yes`
+# must hold at every point of a small box that satisfies the facts; a `no`
+# must come with a model that satisfies the facts and falsifies the goal,
+# exactly, and gives every token a positive value; an infeasible path must
+# have no point in the box.  The input is linear, so `unknown` is a failure;
+# each answer is counted as a hypothesis event (see
 # --hypothesis-show-statistics).
 
 ORACLE_INTS = range(-3, 4)
 ORACLE_FRACS = [Fraction(n, 2) for n in range(-4, 5)]
+ORACLE_TOKENS = [v for v in ORACLE_FRACS if v > 0]
 ORACLE_COEFFS = [-2, -1, Fraction(-1, 2), Fraction(1, 2), 1, 2, 3]
 ORACLE_CMPS = [T.eq, T.ne, T.le, T.lt, T.ge, T.gt]
 
 
 @st.composite
 def oracle_vars(draw):
-    sorts = draw(st.lists(st.sampled_from([T.INT, T.FRAC]), min_size=2, max_size=3))
+    sorts = draw(st.lists(st.sampled_from([T.INT, T.FRAC, T.TOKEN]), min_size=2, max_size=3))
     return [T.mk_var(f"o{i}{s}", s) for i, s in enumerate(sorts)]
 
 
@@ -399,7 +402,7 @@ def evaluate(t, env):
 def box(variables):
     points = [{}]
     for v in variables:
-        values = ORACLE_INTS if v.sort == T.INT else ORACLE_FRACS
+        values = {T.INT: ORACLE_INTS, T.FRAC: ORACLE_FRACS, T.TOKEN: ORACLE_TOKENS}[v.sort]
         points = [{**p, v: n} for p in points for n in values]
     return points
 
@@ -429,10 +432,46 @@ def test_solver_agrees_with_brute_force(query):
         assert sat == SAT
         model = model()
         assert all(model[v].denominator == 1 for v in model if v.sort == T.INT)
+        assert all(model[v] > 0 for v in model if v.sort == T.TOKEN)
         assert all(evaluate(f, model) for f in facts)
         assert not evaluate(goal, model)
     event(f"feasible: {feasible}")
     event(f"entailed: {res.verdict}")
+
+
+def test_solved_equalities_agree_with_brute_force():
+    # The oracle's queries seldom reach `_solve_equalities`, which runs only
+    # when an int column of the rational model is not integral; here 600
+    # seeded conjunctions of 1-4 comparisons over the oracle's sorts, one of
+    # them an equality, go to it directly.  A SAT model must satisfy them,
+    # exactly, with ints integral and tokens positive; UNSAT must leave no
+    # point of the box.
+    rng = random.Random(37)
+    answers = Counter()
+    for _ in range(600):
+        variables = [T.mk_var(f"o{i}{s}", s) for i, s in
+                     enumerate(rng.choices([T.INT, T.FRAC, T.TOKEN], k=rng.randint(2, 3)))]
+
+        def comparison(cmps):
+            form = T.add(*[T.scale(rng.choice(ORACLE_COEFFS), v)
+                           for v in rng.sample(variables, rng.randint(1, len(variables)))])
+            return rng.choice(cmps)(form, T.mk_frac(rng.choice(ORACLE_FRACS)))
+
+        facts = [comparison([T.eq])] + [comparison([T.eq, T.le, T.lt, T.ge, T.gt])
+                                         for _ in range(rng.randint(0, 3))]
+        if any(f.kind == "boollit" for f in facts):
+            continue
+        res, model = SV._solve_equalities([(f.kind, SV._compiled(f.args[0])) for f in facts])
+        answers[res] += 1
+        if res == SAT:
+            model = model()
+            assert all(model[v].denominator == 1 for v in model if v.sort == T.INT), facts
+            assert all(model[v] > 0 for v in model if v.sort == T.TOKEN), facts
+            assert all(evaluate(f, model) for f in facts), (facts, model)
+        else:
+            assert res == UNSAT, facts
+            assert not any(all(evaluate(f, p) for f in facts) for p in box(variables)), facts
+    assert answers[SAT] > 100 and answers[UNSAT] > 50, answers
 
 
 @settings(max_examples=120, deadline=None)
@@ -629,6 +668,63 @@ def test_the_witness_declines_and_the_simplex_decides():
         assert {SAT: YES, UNSAT: NO}[sat] == feasible, facts
         solver = Solver()
         assert solver.is_feasible(facts) == feasible and solver.queries == 1, facts
+
+
+# ---------------------------------------------------------------------------
+# Wildcard tokens: positive by their sort, with no path fact saying so
+# ---------------------------------------------------------------------------
+#
+# Each probe fails without one piece of that: the strict lower bound 0 on a
+# token's column, the syntax rule's decline of a literal over a token, the
+# positivity kept when an equality is solved for a token (and the value 1
+# for one the solving leaves unconstrained), or a form over tokens being
+# frac-sorted, which keeps `terms._cmp`'s integer tests off it.
+
+PW1, PW2 = T.mk_var("pw1", T.TOKEN), T.mk_var("pw2", T.TOKEN)
+
+
+def test_tokens_that_sum_to_at_most_zero_are_infeasible():
+    facts = [T.le(T.add(PW1, PW2), T.ZERO)]
+    solver = Solver()
+    assert solver.is_feasible(facts) == NO
+    assert solver.decided["syntax"] == 0
+    assert Solver().assert_entailed(facts, T.FALSE) is SV.RESULT_YES
+
+
+def test_a_token_equation_entails_the_bound_positivity_gives():
+    facts = [T.eq(PW1, T.sub(PW2, T.ONE))]
+    assert Solver().assert_entailed(facts, T.lt(T.ONE, PW2)) is SV.RESULT_YES
+    assert Solver().assert_entailed(facts, T.lt(T.mk_int(2), PW2)).verdict == NO
+
+
+def test_no_facts_entail_that_a_token_is_positive():
+    solver = Solver()
+    assert solver.assert_entailed([], T.lt(T.ZERO, PW1)) is SV.RESULT_YES
+    assert solver.assert_entailed([], T.le(T.ONE, PW1)).verdict == NO
+    assert solver.is_feasible([T.le(PW1, T.ZERO)]) == NO
+
+
+def test_a_token_may_be_a_fraction_of_an_integer():
+    half = T.eq(T.scale(2, PW1), T.ONE)
+    assert half is not T.FALSE and T.scale(2, PW1).sort == T.FRAC
+    solver = Solver()
+    assert solver.is_feasible([half]) == YES
+    assert solver.model_value([half], PW1) == Fraction(1, 2)
+
+
+def test_a_no_hint_gives_every_token_a_positive_value():
+    # hx is not integral in the rational model, so the equalities are solved
+    # away: hw for hx - 1/2, which must stay positive, and hf for hu + 1,
+    # which leaves the token hu unconstrained
+    hx, hf = T.mk_var("hx", T.INT), T.mk_var("hf", T.FRAC)
+    hu, hw = T.mk_var("hu", T.TOKEN), T.mk_var("hw", T.TOKEN)
+    facts = [T.eq(T.scale(2, hx), T.add(T.scale(2, hw), T.ONE)), T.eq(hf, T.add(hu, T.ONE))]
+    res = Solver().assert_entailed(facts, T.eq(hx, T.mk_int(-3)))
+    assert (res.verdict, res.hint) == (NO, "hx = 1, hf = 2, hu = 1, hw = 1/2")
+    sat, model, _ = _sat_conjunction(facts + [T.le(T.mk_int(-2), hx)])
+    model = model()
+    assert sat == SAT and model[hu] > 0 and model[hw] > 0
+    assert all(evaluate(f, model) for f in facts)
 
 
 # ---------------------------------------------------------------------------

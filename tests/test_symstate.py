@@ -630,6 +630,25 @@ def test_takes_keep_or_clear_pos():
     assert chunk_of(st, "init").pos
 
 
+def test_wildcard_tokens_put_no_positivity_fact_on_the_path():
+    # a token is positive by its sort: after a wildcard inhale and a
+    # wildcard take, no path fact says 0 < w, and the solver still knows
+    # every amount positive
+    ctx = make_ctx()
+    st = fresh_state(ctx)
+    st = do_inhale(ctx, st, estar([acc("a", "val", 1), acc("a", "init", WILDCARD)]))
+    st = do_inhale(ctx, st, acc("a", "init", WILDCARD))
+    (st,) = do_exhale(ctx, st, acc("a", "val", WILDCARD))
+    rest, held = chunk_of(st).perm, chunk_of(st, "init").perm
+    tokens = [w for p in (rest, held) for w in T.linear_parts(p)[1]]
+    assert len(tokens) == 3 and all(w.sort == T.TOKEN for w in tokens)
+    assert not any(f is T.lt(T.ZERO, w) for f in st.path for w in tokens), st.path
+    for amount in (rest, held, *tokens):
+        assert ctx.entailed(st, T.lt(T.ZERO, amount)) is SV.RESULT_YES, perm_str(amount)
+    # nor does a chunk held only by wildcards hold a full permission
+    assert ctx.entailed(st, T.ge(held, T.ONE)).verdict == NO
+
+
 def test_transfer_merge_ors_pos():
     for src_pos, dst_pos in ((True, False), (False, True), (False, False)):
         ctx = make_ctx()
