@@ -44,7 +44,7 @@ from .diagnostics import (
 )
 from .frontend import CheckedProgram
 from .speclogic import (
-    EAcc, EError, EFieldEq, EPure, EncAssertion, HeapLabel, InvariantTable,
+    EAcc, EError, EFieldEq, EncAssertion, HeapLabel, InvariantTable,
     FULL, LowerCtx, WILDCARD, estar, lower, relabel,
     substitute, enc_labels, FIELD_ACQ, FIELD_INIT, FIELD_REL, FIELD_VAL,
 )
@@ -281,7 +281,7 @@ def _nonatomic_read(st: S.SRead, ctx: EncodeCtx) -> list:
 def _rel_index_chain(loc: str, bodies: dict[int, list], span: Span,
                      rule: str) -> list:
     """Branch on the invariant index stored in the rel field."""
-    chain: list = [Exhale(EPure(S.FALSE_E, span), rule,
+    chain: list = [Exhale(S.APure(span, S.FALSE_E), rule,
                           kind=NO_REL_PERMISSION, span=span, take="none")]
     for idx in reversed(list(bodies)):
         chain = [Branch(BranchCond("releq", loc=loc, idx=idx),
@@ -435,7 +435,7 @@ def _while(st: S.SWhile, ctx: EncodeCtx) -> list:
     body_arm += [HavocVar(v, st.span) for v in targets]
     body_arm += [
         Inhale(inv_enc, rule + " (body entry)", st.span),
-        Inhale(EPure(cond.expr, st.span), rule, st.span),
+        Inhale(S.APure(st.span, cond.expr), rule, st.span),
     ]
     body_arm += encode_block(st.body, ctx)
     body_arm += [
@@ -445,7 +445,7 @@ def _while(st: S.SWhile, ctx: EncodeCtx) -> list:
     exit_arm: list = [HavocVar(v, st.span) for v in targets]
     exit_arm += [
         Inhale(inv_enc, rule + " (after loop)", st.span),
-        Inhale(EPure(S.EUn("!", cond.expr), st.span), rule, st.span),
+        Inhale(S.APure(st.span, S.EUn("!", cond.expr)), rule, st.span),
     ]
     return [
         Exhale(inv_enc, rule + " on entry", span=st.span),
@@ -477,7 +477,7 @@ def _spin_read(st: S.SWhile, ctx: EncodeCtx) -> list:
     prims += [
         HavocVar(probe, st.span),
         _read_gain(cond.loc, S.EVar(probe), label, rule, st.span, ctx),
-        Inhale(EPure(_negate_cmp(cond.op, S.EVar(probe), cond.rhs), st.span),
+        Inhale(S.APure(st.span, _negate_cmp(cond.op, S.EVar(probe), cond.rhs)),
                rule + " exit", st.span),
     ]
     return prims
@@ -495,7 +495,7 @@ def _spin_cas(st: S.SWhile, ctx: EncodeCtx) -> list:
     probe = ctx.fresh("spin")
     prims = _cas(probe, cond.mode, cond.loc, cond.expected, cond.newval,
                  st.span, ctx, never_fails=False)
-    prims.append(Inhale(EPure(_negate_cmp(cond.op, S.EVar(probe), cond.rhs), st.span),
+    prims.append(Inhale(S.APure(st.span, _negate_cmp(cond.op, S.EVar(probe), cond.rhs)),
                         "spin loop (CAS) exit", st.span))
     return prims
 

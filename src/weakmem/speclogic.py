@@ -13,13 +13,17 @@ body, surface or encoded, at a value.  Only the parser keeps ``V`` out of
 specifications: it reads a name as the value parameter (``EInvVal``) only
 inside the invariant declaration that binds it, so ``lower`` checks nothing.
 
-The encoder works on *encoded* assertions: permission atoms, each to a field
-or to the AcqConjunct instance of one invariant conjunct, and field-value
-constraints, each tagged with the heap it lives in (real, up, down, or the
-tmp heap used inside the CAS encoding).  Carrying the heap as a tag on each
-atom makes the up/down mappings bijective by construction, so no mapping
-axioms are needed.  A modality is the heap ``relabel`` moves real-heap atoms
-to.  Ghost locations are immune to relabeling.
+The encoder works on *encoded* assertions: the source tree's pure facts and
+connectives (``APure``, ``AStar``, ``AImplies``, ``ACond``) over this
+module's atoms, as Viper's assertions are.  An atom is a permission
+(``EAcc``) to a field or to the AcqConjunct instance of one invariant
+conjunct, or a field-value constraint (``EFieldEq``), each tagged with the
+heap it lives in (real, up, down, or the tmp heap used inside the CAS
+encoding); or an ``EError`` in place of a body that could not be lowered.
+Carrying the heap as a tag on each atom makes the up/down mappings
+bijective by construction, so no mapping axioms are needed.  A modality is
+the heap ``relabel`` moves real-heap atoms to.  Ghost locations are immune
+to relabeling.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from typing import Optional, Union
 from . import syntax as S
 from .diagnostics import DOUBLE_MODALITY, Diagnostic, FrontendError, UnsupportedFeature
 from .frontend import GHOST, CheckedProgram, fraction_amount
-from .syntax import NO_SPAN, Record, Span
+from .syntax import ACond, AImplies, APure, AStar, NO_SPAN, Record, Span
 
 
 class HeapLabel(Enum):
@@ -156,14 +160,14 @@ def substitute(q, value: S.Expr):
     """Instantiate an invariant body, surface or encoded, at a value.
 
     The assertion language has no binders, so plain structural replacement
-    of the distinguished parameter is already capture-avoiding.  An encoded
-    star is flattened again, as lowering the instantiated body would.
+    of the distinguished parameter is already capture-avoiding.  A star is
+    flattened again by ``estar``, as lowering the instantiated body would.
     """
     def at_value(e: S.Expr) -> S.Expr:
         return value if isinstance(e, S.EInvVal) else e
 
     def restar(x):
-        return estar(list(x.parts)) if isinstance(x, EStar) else x
+        return estar(list(x.parts)) if type(x) is AStar else x
 
     return S.map_assertion(q, lambda e: S.map_expr(e, at_value), on_node=restar)
 
@@ -187,11 +191,6 @@ FIELD_REL = "rel"
 FIELD_ACQ = "acq"
 
 
-class EPure(Record):
-    __slots__ = ("expr", "span")
-    _defaults = {"span": NO_SPAN}
-
-
 class EAcc(Record):
     """A permission atom: to the field ``res`` (a name) of a location, or to
     its AcqConjunct instance of the conjunct ``res`` (a table index)."""
@@ -207,38 +206,25 @@ class EFieldEq(Record):
     _defaults = {"label": HeapLabel.REAL, "span": NO_SPAN}
 
 
-class EStar(Record):
-    __slots__ = ("parts",)
-
-
-class EImplies(Record):
-    __slots__ = ("cond", "body", "span")
-    _defaults = {"span": NO_SPAN}
-
-
-class ECond(Record):
-    __slots__ = ("cond", "then", "els", "span")
-    _defaults = {"span": NO_SPAN}
-
-
 class EError(Record):
     """A table body whose lowering at a site failed, in place of that body.
     The executor fails with its diagnostic only a path that reaches it."""
     __slots__ = ("diagnostic",)
 
 
-EncAssertion = Union[EPure, EAcc, EFieldEq, EStar, EImplies, ECond, EError]
+EncAssertion = Union[APure, EAcc, EFieldEq, AStar, AImplies, ACond, EError]
 
-E_TRUE = EPure(S.TRUE_E)
+E_TRUE = APure(expr=S.TRUE_E)
 
 
 def estar(parts: list) -> EncAssertion:
+    """The flat star of encoded parts, without their ``true`` facts."""
     flat: list = []
     for p in parts:
         t = type(p)
-        if t is EStar:
+        if t is AStar:
             flat.extend(p.parts)
-        elif t is EPure and p.expr == S.TRUE_E:
+        elif t is APure and p.expr == S.TRUE_E:
             continue
         else:
             flat.append(p)
@@ -246,7 +232,7 @@ def estar(parts: list) -> EncAssertion:
         return E_TRUE
     if len(flat) == 1:
         return flat[0]
-    return EStar(parts=tuple(flat))
+    return AStar(parts=tuple(flat))
 
 
 # ---------------------------------------------------------------------------
@@ -263,8 +249,8 @@ class LowerCtx(Record):
 def lower(a: S.Assertion, ctx: LowerCtx, label: HeapLabel = HeapLabel.REAL) -> EncAssertion:
     """Encode a surface assertion; atoms on ghost locations keep the real label."""
     t = type(a)
-    if t is S.APure:
-        return EPure(a.expr, a.span)
+    if t is APure:
+        return a
     if t is S.APointsTo:
         k = _perm_of(a.frac, a.span)
         lbl = _loc_label(a.loc, label, ctx)
@@ -301,12 +287,12 @@ def lower(a: S.Assertion, ctx: LowerCtx, label: HeapLabel = HeapLabel.REAL) -> E
             parts.append(EAcc(a.loc, i, FULL if acq else WILDCARD, lbl, a.span,
                               vals_empty=acq))
         return estar(parts)
-    if t is S.AStar:
+    if t is AStar:
         return estar([lower(p, ctx, label) for p in a.parts])
-    if t is S.AImplies:
-        return EImplies(a.cond, lower(a.body, ctx, label), a.span)
-    if t is S.ACond:
-        return ECond(a.cond, lower(a.then, ctx, label), lower(a.els, ctx, label), a.span)
+    if t is AImplies:
+        return AImplies(a.span, a.cond, lower(a.body, ctx, label))
+    if t is ACond:
+        return ACond(a.span, a.cond, lower(a.then, ctx, label), lower(a.els, ctx, label))
     if t is S.AModal:
         target = HeapLabel.UP if a.kind == "Up" else HeapLabel.DOWN
         return lower(a.body, ctx, _shift(label, target, a.span))
@@ -351,7 +337,7 @@ def relabel(a: EncAssertion, target: HeapLabel, ctx: LowerCtx) -> EncAssertion:
         return a
 
     def on_node(x: EncAssertion) -> EncAssertion:
-        if isinstance(x, EStar):
+        if type(x) is AStar:
             return estar(list(x.parts))
         if not hasattr(x, "label") or ctx.is_ghost(x.loc):
             return x
@@ -370,7 +356,7 @@ def enc_labels(a: EncAssertion) -> set[HeapLabel]:
 
 
 def pp_enc(a: EncAssertion) -> str:
-    if isinstance(a, EPure):
+    if isinstance(a, APure):
         return S.pp_expr(a.expr)
     if isinstance(a, EAcc):
         amt = "wildcard" if a.perm == WILDCARD else str(a.perm)
@@ -380,11 +366,11 @@ def pp_enc(a: EncAssertion) -> str:
         return f"acc(AcqConjunct({a.loc}, {a.res}), {amt})@{a.label}{empty}"
     if isinstance(a, EFieldEq):
         return f"{a.loc}.{a.fld}@{a.label} == {S.pp_expr(a.value)}"
-    if isinstance(a, EStar):
+    if isinstance(a, AStar):
         return " && ".join(pp_enc(p) for p in a.parts)
-    if isinstance(a, EImplies):
+    if isinstance(a, AImplies):
         return f"({S.pp_expr(a.cond)} ==> {pp_enc(a.body)})"
-    if isinstance(a, ECond):
+    if isinstance(a, ACond):
         return f"({S.pp_expr(a.cond)} ? {pp_enc(a.then)} : {pp_enc(a.els)})"
     if isinstance(a, EError):
         return f"error({a.diagnostic.format()})"

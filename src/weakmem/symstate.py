@@ -97,10 +97,8 @@ from .diagnostics import (
 )
 from .frontend import GHOST, LOCATION_CLASSES
 from .solver import NO, RESULT_YES, Result, Solver, UNKNOWN, YES
-from .speclogic import (
-    EAcc, ECond, EError, EFieldEq, EImplies, EPure, EStar, HeapLabel, WILDCARD,
-)
-from .syntax import Span
+from .speclogic import EAcc, EError, EFieldEq, HeapLabel, WILDCARD
+from .syntax import ACond, AImplies, APure, AStar, Span
 
 FIELD_SORT = {"val": T.INT, "init": T.BOOL, "rel": T.INT, "acq": T.BOOL}
 
@@ -517,21 +515,21 @@ def _cases(ctx: ExecContext, case: _Case, enc, leaf: Callable) -> list[_Case]:
     encoder puts one only in place of a whole body, which every case reaches,
     and an inhale does not prune its cases, so one may be dead."""
     t = type(enc)
-    if t is EStar:
+    if t is AStar:
         cases = [case]
         for part in enc.parts:
             pt = type(part)
             if pt is EError:
                 cases = [c for c in cases if ctx.feasible(c.state)]
-            if pt is EImplies or pt is ECond or pt is EError:
+            if pt is AImplies or pt is ACond or pt is EError:
                 cases = [c2 for c in cases for c2 in _cases(ctx, c, part, leaf)]
             else:
                 # an atom (stars are flat) splits no case
                 for c in cases:
                     leaf(ctx, c, part)
         return cases
-    if t is EImplies or t is ECond:
-        then, els = (enc.body, None) if t is EImplies else (enc.then, enc.els)
+    if t is AImplies or t is ACond:
+        then, els = (enc.body, None) if t is AImplies else (enc.then, enc.els)
         cond = eval_expr(case.state, enc.cond)
         thens, elses = _branch_states(ctx, case.state, cond, enc.span)
         out = [c for s in thens for c in _cases(ctx, case.split(s), then, leaf)]
@@ -557,7 +555,7 @@ def _produce(ctx: ExecContext, case: _Case, enc) -> None:
     """Inhale one atom into the case's state."""
     state = case.state
     t = type(enc)
-    if t is EPure:
+    if t is APure:
         state.assume(eval_expr(state, enc.expr))
     elif t is EAcc:
         ref = resolve_loc(state, enc.loc)
@@ -602,7 +600,7 @@ def _produce(ctx: ExecContext, case: _Case, enc) -> None:
 def _demand(ctx: ExecContext, case: _Case, enc) -> None:
     """Record one atom's check or permission demand on the case."""
     t = type(enc)
-    if t is EPure:
+    if t is APure:
         case.checks.append(("pure", enc.expr))
         return
     ref = resolve_loc(case.state, enc.loc)

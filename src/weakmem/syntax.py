@@ -19,8 +19,9 @@ tests, its only users.
 
 The generic assertion walkers at the end (`sub_assertions`, `walk_assertion`
 and `map_assertion`) serve both this tree and the encoded one in `speclogic`,
-whose nodes use the same field names (`parts`, `body`, `then`, `els`, `loc`,
-and the expression slots `expr`, `cond`, `value`, `frac`).  `instantiate`,
+which joins its own atoms with this tree's `APure`, `AStar`, `AImplies` and
+`ACond`; the atoms use the same field names (`loc`, and the expression
+slots `expr`, `cond`, `value`, `frac`).  `instantiate`,
 the one substitution of arguments for parameters, walks this tree only, by
 exact class: it expands a define at its use and a callee's spec at its
 call.

@@ -17,7 +17,7 @@ from weakmem.diagnostics import (
     REWRITE_NOT_JUSTIFIED, SPIN_PATTERN_RESOURCE_LEAK, SYNTAX_ERROR, UNINITIALISED,
     UnsupportedFeature,
 )
-from weakmem.speclogic import EImplies, HeapLabel
+from weakmem.speclogic import HeapLabel
 from weakmem.solver import OPAQUE_ATOM, Solver
 
 
@@ -992,7 +992,7 @@ def test_lowered_bodies_carry_the_value_of_v():
             if getattr(p, "take", "own") == "none" or getattr(p, "rule", "") not in body_rules:
                 continue
             # Q's body is an implication, P's a points-to to `a`
-            body = "Q" if isinstance(p.enc, EImplies) else "P" if "a.val" in L.pp_enc(p.enc) else None
+            body = "Q" if isinstance(p.enc, S.AImplies) else "P" if "a.val" in L.pp_enc(p.enc) else None
             if body:
                 seen.setdefault((p.rule, body), []).append(p.value)
     assert seen == {
@@ -1008,7 +1008,7 @@ def test_lowered_bodies_carry_the_value_of_v():
     # each (entry, modality) is lowered once: both writes share Q's body
     q_writes = [p.enc for blk in ob.blocks for p in _nested_prims(blk.prims)
                 if isinstance(p, encoder.Exhale) and p.take == "own"
-                and isinstance(p.enc, EImplies)]
+                and isinstance(p.enc, S.AImplies)]
     assert len(q_writes) == 2 and q_writes[0] is q_writes[1]
     dump = encoder.dump_primitives([ob])
     assert "exhale (k + 1 == 1 ==> acc(b.val, 1)@real" in dump

@@ -17,7 +17,7 @@ from weakmem.diagnostics import EXHALE_FAILURE
 from weakmem.encoder import Exhale
 from weakmem.solver import Solver, YES
 from weakmem.speclogic import (
-    EAcc, EFieldEq, EPure, WILDCARD, estar, substitute,
+    EAcc, EFieldEq, WILDCARD, estar, substitute,
 )
 from weakmem.symstate import ExecContext, SymState, exhale, inhale
 
@@ -55,12 +55,11 @@ def random_assertion(rng: random.Random):
             part = estar(atom)
             if rng.random() < 0.3:
                 # implications with constant guards stay deterministic
-                from weakmem.speclogic import EImplies
-                part = EImplies(S.EBool(True), part)
+                part = S.AImplies(cond=S.EBool(True), body=part)
             parts.append(part)
         else:
             n = rng.randint(0, 9)
-            parts.append(EPure(S.EBin("==", S.EInt(n), S.EInt(n))))
+            parts.append(S.APure(expr=S.EBin("==", S.EInt(n), S.EInt(n))))
     return estar(parts)
 
 
@@ -286,7 +285,8 @@ def test_substitute_distributes_over_connectives(a, n):
     value = S.EInt(n)
     out = substitute(a, value)
     if isinstance(a, S.AStar):
-        assert out == S.AStar(parts=tuple(substitute(p, value) for p in a.parts))
+        # a star is flattened again, without its `true` parts, as `lower` would
+        assert out == estar([substitute(p, value) for p in a.parts])
     elif isinstance(a, S.AImplies):
         assert isinstance(out, S.AImplies)
         assert out.body == substitute(a.body, value)
@@ -446,12 +446,11 @@ def test_inhale_exhale_restores_permissions_once_more():
     # deterministic, wildcard-free round trip on a handpicked nest
     ctx = make_ctx()
     stt = fresh_state(ctx)
-    from weakmem.speclogic import ECond, EImplies
     enc = estar([
-        EImplies(S.EBool(True), estar([EAcc("a", "val", Fraction(1, 2)),
-                                       EAcc("a", "init", Fraction(1, 2))])),
-        ECond(S.EBool(False), EPure(S.TRUE_E),
-              estar([EAcc("b", "val", Fraction(1)), EAcc("b", "init", Fraction(1))])),
+        S.AImplies(cond=S.EBool(True), body=estar([EAcc("a", "val", Fraction(1, 2)),
+                                                   EAcc("a", "init", Fraction(1, 2))])),
+        S.ACond(cond=S.EBool(False), then=S.APure(expr=S.TRUE_E),
+                els=estar([EAcc("b", "val", Fraction(1)), EAcc("b", "init", Fraction(1))])),
     ])
     (stt,) = inhale(ctx, stt, enc)
     (stt,) = exhale(ctx, stt, Exhale(enc, rule="rt", kind=EXHALE_FAILURE))

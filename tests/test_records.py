@@ -11,7 +11,7 @@ import pytest
 
 from weakmem import api, cli, encoder, frontend, symstate, syntax as S
 from weakmem.diagnostics import Diagnostic
-from weakmem.speclogic import EAcc, EPure, FIELD_VAL, FULL
+from weakmem.speclogic import EAcc, FIELD_VAL, FULL
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 AT_1 = S.Span(1, 1, 1, 5)
@@ -59,7 +59,7 @@ def test_span_is_left_out_only_of_source_nodes():
     assert S.APure(AT_1, S.EInt(1)) == S.APure(AT_2, S.EInt(1))
     assert S.SSkip(AT_1) == S.SSkip(AT_2)
     assert S.Procedure("p", span=AT_1) == S.Procedure("p", span=AT_2)
-    assert EPure(S.EInt(1), AT_1) != EPure(S.EInt(1), AT_2)
+    assert EAcc("a", FIELD_VAL, FULL, span=AT_1) != EAcc("a", FIELD_VAL, FULL, span=AT_2)
     assert Diagnostic("k", AT_1) != Diagnostic("k", AT_2)
     assert encoder.HavocVar("x", AT_1) != encoder.HavocVar("x", AT_2)
 

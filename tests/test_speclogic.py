@@ -10,7 +10,7 @@ from weakmem import syntax as S
 from weakmem.diagnostics import FrontendError
 from weakmem.frontend import GHOST, NA, parse
 from weakmem.speclogic import (
-    EAcc, EFieldEq, EPure, HeapLabel, LowerCtx,
+    EAcc, EFieldEq, HeapLabel, LowerCtx,
     build_invariant_table, lower, pp_enc, relabel, substitute,
 )
 
@@ -199,7 +199,7 @@ def test_relabel_points_to_up():
 
 
 def test_relabel_pure_unchanged():
-    ctx, e = lower_ctx(), EPure(S.EBin(">", S.EVar("x"), S.EInt(0)))
+    ctx, e = lower_ctx(), S.APure(expr=S.EBin(">", S.EVar("x"), S.EInt(0)))
     assert relabel(e, HeapLabel.UP, ctx) is e
 
 

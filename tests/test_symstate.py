@@ -11,7 +11,7 @@ from weakmem.diagnostics import EXHALE_FAILURE, INCOMPLETE_SOLVER
 from weakmem.encoder import Exhale, Inhale, pp_primitive
 from weakmem.solver import NO, OPAQUE_ATOM, SAT, UNSAT, Solver, YES
 from weakmem.speclogic import (
-    EAcc, ECond, EFieldEq, EImplies, EPure, FULL, HeapLabel, WILDCARD, estar,
+    EAcc, EFieldEq, FULL, HeapLabel, WILDCARD, estar,
     pp_enc, substitute,
 )
 from weakmem.symstate import (
@@ -79,7 +79,7 @@ def test_inhale_true_unchanged():
     ctx = make_ctx()
     st = fresh_state(ctx)
     chunks = dict(st.heap)
-    st = do_inhale(ctx, st, EPure(S.TRUE_E))
+    st = do_inhale(ctx, st, S.APure(expr=S.TRUE_E))
     assert st.heap == chunks and st.path == []
 
 
@@ -135,7 +135,7 @@ def test_exhale_rational_accounting():
 def test_exhale_true_unchanged():
     ctx = make_ctx()
     st = fresh_state(ctx)
-    (st2,) = do_exhale(ctx, st, EPure(S.TRUE_E))
+    (st2,) = do_exhale(ctx, st, S.APure(expr=S.TRUE_E))
     assert st2.heap == st.heap
 
 
@@ -760,7 +760,7 @@ def test_shortcuts_agree_with_the_solver(monkeypatch):
 
 def test_value_binding_acts_as_substitution_for_one_primitive():
     v = S.EInvVal()
-    body = EImplies(S.EBin("==", v, S.EInt(1)), estar([
+    body = S.AImplies(cond=S.EBin("==", v, S.EInt(1)), body=estar([
         acc("a", "val", 1), acc("a", "init", 1), EFieldEq("a", "val", v)]))
     value = S.EBin("+", S.EVar("k"), S.EInt(1))
     runs = []
@@ -790,10 +790,11 @@ def test_cases_of_a_star_split_at_its_conditional_only():
     st = fresh_state(ctx)
     x = st.env["x"] = ctx.fresh_int("x")
     enc = estar([
-        EPure(S.EBin(">=", S.EVar("x"), S.EInt(0))),
-        ECond(S.EBin(">", S.EVar("x"), S.EInt(5)), EPure(S.EBin("<", S.EVar("x"), S.EInt(9))),
-              EPure(S.EBin("!=", S.EVar("x"), S.EInt(3)))),
-        EPure(S.EBin("!=", S.EVar("x"), S.EInt(7))),
+        S.APure(expr=S.EBin(">=", S.EVar("x"), S.EInt(0))),
+        S.ACond(cond=S.EBin(">", S.EVar("x"), S.EInt(5)),
+                then=S.APure(expr=S.EBin("<", S.EVar("x"), S.EInt(9))),
+                els=S.APure(expr=S.EBin("!=", S.EVar("x"), S.EInt(3)))),
+        S.APure(expr=S.EBin("!=", S.EVar("x"), S.EInt(7))),
     ])
     visits = []
 
