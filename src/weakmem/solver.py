@@ -747,13 +747,14 @@ class Solver:
     and Solvers mention it.
 
     ``_decide`` answers every query, an entailment of ``goal`` as the
-    satisfiability of the facts with ``not goal`` added, by the first entry
-    of ``_DECIDERS`` that answers.  ``decided`` counts the answers per
-    entry and of the satisfiability table: keyed by the fact set, it holds
-    ``(SAT/UNSAT/UNKNOWN, None, reason)`` and serves only the queries that
-    want no model, ``is_feasible`` and ``assert_entailed(facts, FALSE)``,
-    whose ``no`` so carries no hint.  Other entailments are not tabled, as
-    the executor seldom asks one twice.
+    satisfiability of the facts with ``not goal`` added and a model that
+    ``model_value`` reads among them, by the first entry of ``_DECIDERS``
+    that answers.  ``decided`` counts the answers per entry, so every run
+    of the split, and of the satisfiability table: keyed by the fact set,
+    it holds ``(SAT/UNSAT/UNKNOWN, None, reason)`` and serves only the
+    queries that want no model, ``is_feasible`` and
+    ``assert_entailed(facts, FALSE)``, whose ``no`` so carries no hint.
+    Other entailments are not tabled, as the executor seldom asks one twice.
 
     A model, with the simplex's infinitesimal resolved to a number, is built
     only where one is read: by branch-and-bound's integrality test when the
@@ -772,7 +773,8 @@ class Solver:
 
     @property
     def queries(self) -> int:
-        """The queries that reached the split and the simplex."""
+        """The queries that reached the split and the simplex, the models
+        ``model_value`` asks for among them."""
         return self.decided["split"]
 
     def _decide(self, facts: list[Term], model: bool):
@@ -834,7 +836,7 @@ class Solver:
 
     def _model_value(self, facts: list[Term], term: Term):
         # with the definitions of the term's own `%` and `/` atoms in the model
-        res, model, _ = _sat_conjunction(facts + list(_compiled(term).defs))
+        res, model, _ = self._decide(facts + list(_compiled(term).defs), model=True)
         if res != SAT:
             return None
         val = _value_at(term, model())

@@ -305,10 +305,11 @@ def test_solver_tables_carry_no_query_state():
 
 def test_every_query_is_counted_by_the_entry_that_decides_it(monkeypatch):
     # on every corpus entry, each is_feasible and assert_entailed call,
-    # model_value's own entailments among them, is answered once: by the
-    # table or by one entry of _DECIDERS; `queries` is the split's count
+    # model_value's own entailments among them, and each model that
+    # _model_value asks for is answered once: by the table or by one entry
+    # of _DECIDERS; `queries` is the split's count
     calls = []
-    for method in ("is_feasible", "assert_entailed"):
+    for method in ("is_feasible", "assert_entailed", "_model_value"):
         def counted(self, *args, _method=getattr(Solver, method)):
             calls.append(self)
             return _method(self, *args)
