@@ -55,9 +55,18 @@ class FileResult(syntax.Record):
                  "solver": None}
 
     @property
+    def status(self) -> str:
+        """The file's verdict: failed on a parse diagnostic, else unsupported
+        if any procedure is, verified if all are, and failed otherwise."""
+        if self.parse_diagnostics:
+            return FAILED
+        if any(v.status == UNSUPPORTED for v in self.verdicts):
+            return UNSUPPORTED
+        return VERIFIED if all(v.status == VERIFIED for v in self.verdicts) else FAILED
+
+    @property
     def ok(self) -> bool:
-        return not self.parse_diagnostics and all(
-            v.status == VERIFIED for v in self.verdicts)
+        return self.status == VERIFIED
 
     def verdict_of(self, name: str) -> ProcVerdict:
         for v in self.verdicts:

@@ -266,17 +266,9 @@ def run_corpus(args: argparse.Namespace, out=None) -> int:
         elapsed = time.monotonic() - start
         program = result.program
         counts = count_annotations(program) if program else {}
-        if result.parse_diagnostics:
-            status = FAILED
-            diags = result.parse_diagnostics
-        else:
-            if any(v.status == UNSUPPORTED for v in result.verdicts):
-                status = UNSUPPORTED
-            elif all(v.status == VERIFIED for v in result.verdicts):
-                status = VERIFIED
-            else:
-                status = FAILED
-            diags = [d for v in result.verdicts for d in v.diagnostics]
+        status = result.status
+        diags = result.parse_diagnostics or [d for v in result.verdicts
+                                             for d in v.diagnostics]
         if status != entry.expect:
             mismatches.append(
                 f"{entry.name}: expected {entry.expect}, got {status}")

@@ -549,6 +549,24 @@ def test_full_manifest_passes(capsys):
     assert "expectations met" in out
 
 
+@pytest.mark.parametrize("parse_error, statuses, want", [
+    (True, [], api.FAILED),
+    (True, [api.VERIFIED], api.FAILED),
+    (False, [api.VERIFIED, api.UNSUPPORTED, api.FAILED], api.UNSUPPORTED),
+    (False, [], api.VERIFIED),
+    (False, [api.VERIFIED, api.VERIFIED], api.VERIFIED),
+    (False, [api.VERIFIED, api.FAILED], api.FAILED),
+])
+def test_file_status_is_the_corpus_verdict(parse_error, statuses, want):
+    # parse diagnostics fail a file, then any unsupported procedure makes it
+    # unsupported; `ok` is a verified status
+    result = api.FileResult(
+        "f.rsl", parse_diagnostics=[api.Diagnostic("syntax-error")] if parse_error else [],
+        verdicts=[api.ProcVerdict(f"p{i}", s) for i, s in enumerate(statuses)])
+    assert result.status == want
+    assert result.ok == (want == api.VERIFIED)
+
+
 def test_manifest_mismatch_detected(tmp_path, capsys):
     with open(MANIFEST) as fh:
         entries = json.load(fh)["entries"]

@@ -17,7 +17,7 @@ from weakmem.diagnostics import (
     REWRITE_NOT_JUSTIFIED, SPIN_PATTERN_RESOURCE_LEAK, SYNTAX_ERROR, UNINITIALISED,
     UnsupportedFeature,
 )
-from weakmem.speclogic import HeapLabel
+from weakmem.speclogic import EAcc, EError, EFieldEq, HeapLabel
 from weakmem.solver import OPAQUE_ATOM, Solver
 
 
@@ -943,6 +943,17 @@ def test_encoding_is_state_independent():
     assert "exhale" in a and "foreach held AcqConjunct" in a
     # primitives are plain data: no field of any corpus primitive is callable
     checked_prims = 0
+    for name, p in _corpus_prims():
+        checked_prims += 1
+        assert not hasattr(p, "__dict__"), p   # _fields is all it holds
+        for f in p._fields:
+            assert not callable(getattr(p, f)), (name, p, f)
+    assert checked_prims > 1000
+
+
+def _corpus_prims():
+    """(file name, primitive) for every primitive of every procedure of the
+    corpus that encodes, nested ones included."""
     for name in sorted(os.listdir(CORPUS)):
         if not name.endswith(".rsl"):
             continue
@@ -957,11 +968,31 @@ def test_encoding_is_state_independent():
             for ob in obligations:
                 for blk in ob.blocks:
                     for p in _nested_prims(blk.prims):
-                        checked_prims += 1
-                        assert not hasattr(p, "__dict__"), p   # _fields is all it holds
-                        for f in p._fields:
-                            assert not callable(getattr(p, f)), (name, p, f)
-    assert checked_prims > 1000
+                        yield name, p
+
+
+# the classes an encoded assertion is made of: the executor's `_cases` and
+# its leaves handle these alone
+ENCODED_NODES = (S.APure, S.AStar, S.AImplies, S.ACond, EAcc, EFieldEq, EError)
+
+
+def test_encoded_assertions_use_only_the_shared_vocabulary():
+    # a surface-only APointsTo, AResource or AModal left in an encoded
+    # assertion would reach the executor only as an AssertionError
+    seen = collections.Counter()
+    for name, p in _corpus_prims():
+        if isinstance(p, (encoder.Inhale, encoder.Exhale)):
+            encs = [p.enc]
+        elif isinstance(p, encoder.SpinLeakCheck):
+            encs = list(p.lowered.values())
+        else:
+            continue
+        for enc in encs:
+            for x in S.walk_assertion(enc):
+                assert type(x) in ENCODED_NODES, (name, p.rule, x)
+                seen[type(x)] += 1
+    # every class but EError, which only a failed lowering makes, occurs
+    assert set(seen) == set(ENCODED_NODES) - {EError}, seen
 
 
 DOUBLE_MODALITY_SRC = """\
